@@ -65,11 +65,13 @@ replica:
 # Sharding verification under the race detector: the shard-vs-single
 # equivalence oracle (identical Figure-4 results and paging boundaries
 # across topologies), the rebalance crash matrix bracketing the
-# routing-table flip, the live-rebalance and concurrency suites, the
-# sharded wire surface, and a one-repetition smoke of the S1 scaling
+# routing-table flip, the live-rebalance and concurrency suites,
+# cancellation through the scatter, the sharded wire surface (parity
+# with the single-catalog service, and /metrics over both
+# constructors), and a one-repetition smoke of the S1 scaling
 # experiment (DESIGN.md "Sharding").
 shard:
-	$(GO) test -race -run 'Shard|Rebalance' -count=1 ./internal/shard/ ./internal/service/
+	$(GO) test -race -run 'Shard|Rebalance|Metrics(Endpoint|Disabled)' -count=1 ./internal/shard/ ./internal/service/
 	$(GO) run ./cmd/mdbench -exp S1 -quick
 
 # Ranked-retrieval verification under the race detector: the tokenizer
@@ -91,7 +93,7 @@ cover:
 # packages — every exported declaration there must carry a godoc
 # comment (scripts/doclint.sh).
 docs: vet
-	sh scripts/doclint.sh internal/cache/*.go internal/wal/*.go internal/faultio/*.go internal/obs/*.go internal/shard/*.go internal/replica/*.go internal/retry/*.go internal/textindex/*.go internal/catalog/plan.go internal/catalog/exec.go internal/catalog/rank.go hybridcat.go
+	sh scripts/doclint.sh internal/cache/*.go internal/wal/*.go internal/faultio/*.go internal/obs/*.go internal/shard/*.go internal/replica/*.go internal/retry/*.go internal/textindex/*.go internal/service/backend.go internal/catalog/plan.go internal/catalog/exec.go internal/catalog/rank.go hybridcat.go
 
 # One testing.B benchmark per experiment (see DESIGN.md).
 bench:

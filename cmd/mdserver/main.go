@@ -95,24 +95,43 @@ func main() {
 	if *metricsOn {
 		opts.Metrics = obs.NewRegistry()
 	}
-	if *shards > 0 || *shardDirs != "" {
+	dopts := catalog.DurabilityOptions{
+		WALPath: *walPath, CheckpointEvery: *ckptEvery,
+		GroupCommit: *groupOn, GroupCommitWait: *groupWait, GroupCommitBatch: *groupBatch,
+	}
+
+	// The topology flags pick what sits behind the one service: srv
+	// serves it, final makes its state durable once requests have
+	// drained (finalMsg says what that wrote), durable names it in the
+	// startup line.
+	var (
+		srv      *service.Server
+		final    = func() error { return nil }
+		finalMsg string
+		durable  = "no durability"
+	)
+	group := ""
+	if *groupOn {
+		group = fmt.Sprintf(", group commit (wait %v)", *groupWait)
+	}
+	switch {
+	case *shards > 0 || *shardDirs != "":
 		if *walPath != "" || *savePath != "" || *loadPath != "" || *replicaOf != "" {
 			log.Fatal("mdserver: -shards is incompatible with -wal/-save/-load/-replica-of (each shard has its own WAL under its directory)")
 		}
-		runSharded(schema, opts, *addr, *shards, *shardRoot, *shardDirs,
-			*ckptEvery, *groupOn, *groupWait, *groupBatch, *pprofOn)
-		return
-	}
-	var (
-		cat        *catalog.Catalog
-		rep        *replica.Replica
-		tailCancel context.CancelFunc
-	)
-	if *replicaOf != "" {
+		cl, err := openCluster(schema, opts, dopts, *shards, *shardRoot, *shardDirs)
+		if err != nil {
+			log.Fatal("mdserver: ", err)
+		}
+		srv, final = service.NewSharded(cl), cl.Close
+		finalMsg = fmt.Sprintf("%d shard checkpoints written under %s", cl.Shards(), *shardRoot)
+		durable = fmt.Sprintf("%d-shard cluster under %s (%d objects recovered), checkpoint every %d%s",
+			cl.Shards(), *shardRoot, cl.ObjectCount(), *ckptEvery, group)
+	case *replicaOf != "":
 		if *walPath != "" || *savePath != "" || *loadPath != "" {
 			log.Fatal("mdserver: -replica-of is incompatible with -wal/-save/-load (a replica's state is the primary's log)")
 		}
-		rep, err = replica.New(replica.Options{
+		rep, err := replica.New(replica.Options{
 			Primary: *replicaOf,
 			Schema:  schema,
 			Catalog: opts,
@@ -121,28 +140,29 @@ func main() {
 		if err != nil {
 			log.Fatal("mdserver: ", err)
 		}
-		cat = rep.Catalog()
-		var tailCtx context.Context
-		tailCtx, tailCancel = context.WithCancel(context.Background())
+		tailCtx, tailCancel := context.WithCancel(context.Background())
 		go func() {
 			if err := rep.Run(tailCtx); !errors.Is(err, context.Canceled) {
 				log.Print("mdserver: tailer: ", err)
 			}
 		}()
-	} else {
-		dopts := catalog.DurabilityOptions{
-			WALPath: *walPath, CheckpointEvery: *ckptEvery,
-			GroupCommit: *groupOn, GroupCommitWait: *groupWait, GroupCommitBatch: *groupBatch,
-		}
-		cat, err = openCatalog(schema, opts, dopts, *loadPath)
+		srv = service.New(rep.Catalog())
+		srv.Replica, srv.MaxLag = rep, *maxLag
+		final = func() error { tailCancel(); return nil }
+		durable = fmt.Sprintf("read replica of %s (max lag %d)", *replicaOf, *maxLag)
+	default:
+		cat, err := openCatalog(schema, opts, dopts, *loadPath)
 		if err != nil {
 			log.Fatal("mdserver: ", err)
 		}
-	}
-	srv := service.New(cat)
-	if rep != nil {
-		srv.Replica = rep
-		srv.MaxLag = *maxLag
+		srv = service.New(cat)
+		if *walPath != "" {
+			final, finalMsg = cat.Close, "final checkpoint written to "+*walPath+".snap"
+			durable = fmt.Sprintf("WAL %s, checkpoint every %d%s", *walPath, *ckptEvery, group)
+		} else if *savePath != "" {
+			final = func() error { return cat.SaveFile(nil, *savePath) }
+			finalMsg = "snapshot written to " + *savePath
+		}
 	}
 	if *ontPath != "" {
 		data, err := os.ReadFile(*ontPath)
@@ -171,8 +191,8 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM: stop accepting, drain in-flight requests, then make
-	// the final state durable (checkpoint with -wal, atomic snapshot with
-	// -save).
+	// the final state durable (a checkpoint per WAL, an atomic snapshot
+	// with -save).
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -185,19 +205,11 @@ func main() {
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			log.Print("mdserver: shutdown: ", err)
 		}
-		if tailCancel != nil {
-			tailCancel()
+		if err := final(); err != nil {
+			log.Fatal("mdserver: final checkpoint: ", err)
 		}
-		if *walPath != "" {
-			if err := cat.Close(); err != nil {
-				log.Fatal("mdserver: final checkpoint: ", err)
-			}
-			log.Printf("mdserver: final checkpoint written to %s.snap", *walPath)
-		} else if *savePath != "" {
-			if err := cat.SaveFile(nil, *savePath); err != nil {
-				log.Fatal("mdserver: snapshot: ", err)
-			}
-			log.Printf("mdserver: snapshot written to %s", *savePath)
+		if finalMsg != "" {
+			log.Print("mdserver: ", finalMsg)
 		}
 	}()
 
@@ -206,26 +218,16 @@ func main() {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	caching := "read caches off"
-	if cat.CachingEnabled() {
+	if !*cacheOff && *cacheSize >= 0 {
 		size := *cacheSize
 		if size == 0 {
 			size = catalog.DefaultCacheSize
 		}
-		caching = fmt.Sprintf("read caches %d entries/layer (/debug/cachez)", size)
-	}
-	durable := "no durability"
-	if *walPath != "" {
-		durable = fmt.Sprintf("WAL %s, checkpoint every %d", *walPath, *ckptEvery)
-		if *groupOn {
-			durable += fmt.Sprintf(", group commit (wait %v)", *groupWait)
-		}
-	}
-	if rep != nil {
-		durable = fmt.Sprintf("read replica of %s (max lag %d)", *replicaOf, *maxLag)
+		caching = fmt.Sprintf("read caches %d entries/layer", size)
 	}
 	observing := "metrics off"
 	if *metricsOn {
-		observing = "metrics on (/metrics, /debug/tracez)"
+		observing = "metrics on (/metrics)"
 		if *pprofOn {
 			observing += ", pprof on (/debug/pprof/)"
 		}
@@ -238,13 +240,12 @@ func main() {
 	<-done
 }
 
-// runSharded serves an owner-partitioned cluster: N embedded durable
-// catalogs under -shard-root, each with its own WAL and checkpoints,
-// behind the scatter-gather router (see internal/shard). SIGINT/SIGTERM
-// drains requests and checkpoints every shard.
-func runSharded(schema *xmlschema.Schema, opts catalog.Options, addr string,
-	shards int, root, dirsCSV string, ckptEvery int,
-	groupOn bool, groupWait time.Duration, groupBatch int, pprofOn bool) {
+// openCluster opens (or creates) the owner-partitioned cluster under
+// root: N embedded durable catalogs, each with its own WAL and
+// checkpoints, behind the scatter-gather router (see internal/shard).
+// dopts is the per-shard durability template; its WALPath is unused.
+func openCluster(schema *xmlschema.Schema, opts catalog.Options, dopts catalog.DurabilityOptions,
+	shards int, root, dirsCSV string) (*shard.Cluster, error) {
 	var dirs []string
 	if dirsCSV != "" {
 		dirs = strings.Split(dirsCSV, ",")
@@ -252,58 +253,10 @@ func runSharded(schema *xmlschema.Schema, opts catalog.Options, addr string,
 			shards = len(dirs)
 		}
 	}
-	cl, err := shard.Open(shard.Options{
-		Schema:  schema,
-		Root:    root,
-		Shards:  shards,
-		Dirs:    dirs,
-		Catalog: opts,
-		Durability: catalog.DurabilityOptions{
-			CheckpointEvery: ckptEvery,
-			GroupCommit:     groupOn, GroupCommitWait: groupWait, GroupCommitBatch: groupBatch,
-		},
+	return shard.Open(shard.Options{
+		Schema: schema, Root: root, Shards: shards, Dirs: dirs,
+		Catalog: opts, Durability: dopts,
 	})
-	if err != nil {
-		log.Fatal("mdserver: ", err)
-	}
-
-	var handler http.Handler = service.NewSharded(cl).Handler()
-	if pprofOn {
-		handler = withProfiling(handler)
-	}
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           logRequests(handler),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	done := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		defer close(done)
-		<-sig
-		log.Print("mdserver: shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Print("mdserver: shutdown: ", err)
-		}
-		if err := cl.Close(); err != nil {
-			log.Fatal("mdserver: final shard checkpoints: ", err)
-		}
-		log.Printf("mdserver: %d shard checkpoints written under %s", cl.Shards(), root)
-	}()
-	total := 0
-	for _, st := range cl.Stats() {
-		total += st.Objects
-	}
-	log.Printf("mdserver: schema %s, %d-shard cluster under %s (%d objects recovered), listening on %s",
-		schema.Name, cl.Shards(), root, total, addr)
-	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal("mdserver: ", err)
-	}
-	<-done
 }
 
 // openCatalog builds the catalog according to the persistence flags:

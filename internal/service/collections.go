@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -43,7 +42,7 @@ type createCollectionReq struct {
 
 func (s *Server) handleCreateCollection(w http.ResponseWriter, r *http.Request) {
 	var req createCollectionReq
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(&req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeErr(w, bodyStatus(err), err)
 		return
 	}
@@ -132,11 +131,7 @@ func (s *Server) handleContaining(w http.ResponseWriter, r *http.Request) {
 	q = s.maybeExpand(r, q)
 	ids, err := s.cat().CollectionsContaining(q)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, catalog.ErrUnknownDefinition) {
-			status = http.StatusBadRequest
-		}
-		writeErr(w, status, err)
+		writeErr(w, queryStatus(err), err)
 		return
 	}
 	if ids == nil {
@@ -153,16 +148,23 @@ func (s *Server) maybeExpand(r *http.Request, q *catalog.Query) *catalog.Query {
 	return q
 }
 
-// evaluateScoped runs the query, optionally scoped to ?collection=N.
+// errBadScope marks a ?collection= scope the server cannot apply.
+var errBadScope = errors.New("service: bad collection")
+
+// evaluateScoped runs the query on the backend, or scoped to
+// ?collection=N where the server has collections (a cluster has none).
 // The request's context rides along: when the client disconnects, the
 // pipeline aborts at its next stage boundary.
 func (s *Server) evaluateScoped(r *http.Request, q *catalog.Query) ([]int64, error) {
 	if cs := r.URL.Query().Get("collection"); cs != "" {
+		if s.cluster != nil {
+			return nil, fmt.Errorf("%w: a sharded server has no collections", errBadScope)
+		}
 		cid, err := strconv.ParseInt(cs, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("service: bad collection: %w", err)
+			return nil, fmt.Errorf("%w: %v", errBadScope, err)
 		}
 		return s.cat().EvaluateInContextCtx(r.Context(), cid, q)
 	}
-	return s.cat().EvaluateContext(r.Context(), q)
+	return s.backend().EvaluateContext(r.Context(), q, fanout(r))
 }

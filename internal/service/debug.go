@@ -45,7 +45,7 @@ func debugHandler(fn func(r *http.Request) (any, error)) http.HandlerFunc {
 // the Prometheus text exposition format so a stock scraper (or curl)
 // can read it; ?format=json returns the structured State instead.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.cat().Metrics()
+	reg := s.backend().Metrics()
 	if reg == nil {
 		writeErr(w, http.StatusNotFound, errors.New("service: metrics disabled"))
 		return
@@ -94,7 +94,7 @@ func (sw *statusWriter) WriteHeader(code int) {
 // request once the status code is known. With metrics off the handler
 // is returned untouched — zero overhead.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	reg := s.cat().Metrics()
+	reg := s.backend().Metrics()
 	if reg == nil {
 		return h
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,12 +48,53 @@ func driveTraffic(t *testing.T, ts string) {
 	}
 }
 
+// metricsTopologies are the two constructors /metrics is served by.
+// open returns the server's base URL; with metrics off it is opened
+// without a registry. extra lists the families only that topology has.
+var metricsTopologies = []struct {
+	name  string
+	open  func(t *testing.T, metrics bool) string
+	extra map[string]string
+}{
+	{"single", func(t *testing.T, metrics bool) string {
+		if metrics {
+			return newObsServer(t)
+		}
+		cat, err := catalog.Open(xmlschema.MustLEAD(), catalog.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newServerFor(t, cat)
+	}, nil},
+	{"sharded", func(t *testing.T, metrics bool) string {
+		var copts catalog.Options
+		if metrics {
+			copts.Metrics = obs.NewRegistry()
+		}
+		ts := httptest.NewServer(NewSharded(openShardCluster(t, 2, copts)).Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}, map[string]string{
+		"shard_route_total":          "counter",
+		"shard_fanout_queries_total": "counter",
+		"shard_objects":              "gauge",
+	}},
+}
+
 // TestMetricsEndpoint drives real traffic and then parses the
 // Prometheus text exposition line by line: every sample must belong to
 // a declared family and carry a numeric value, and every instrumented
-// layer (relstore, cache, WAL, query engine, HTTP) must be represented.
+// layer (relstore, cache, WAL, query engine, HTTP) must be represented
+// — on a cluster too, whose routes go through the same route().
 func TestMetricsEndpoint(t *testing.T) {
-	ts := newObsServer(t)
+	for _, topo := range metricsTopologies {
+		t.Run(topo.name, func(t *testing.T) {
+			testMetricsEndpoint(t, topo.open(t, true), topo.extra)
+		})
+	}
+}
+
+func testMetricsEndpoint(t *testing.T, ts string, extra map[string]string) {
 	driveTraffic(t, ts)
 
 	code, body := get(t, ts+"/metrics")
@@ -111,6 +153,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"http_requests_total":       "counter", // service layer
 		"http_request_nanos":        "histogram",
 	}
+	for fam, kind := range extra {
+		want[fam] = kind
+	}
 	for fam, kind := range want {
 		if families[fam] != kind {
 			t.Errorf("family %s: declared type %q, want %q\n%s", fam, families[fam], kind, body)
@@ -118,6 +163,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !sampled[fam] {
 			t.Errorf("family %s declared but has no samples", fam)
 		}
+	}
+	if sample := `http_requests_total{code="200",endpoint="POST /search"} 1`; !strings.Contains(body, sample+"\n") {
+		t.Errorf("no per-endpoint request sample %s in\n%s", sample, body)
 	}
 }
 
@@ -140,20 +188,19 @@ func TestMetricsJSONFormat(t *testing.T) {
 }
 
 // TestMetricsDisabled asserts the endpoint 404s with the standard JSON
-// error shape when the catalog has no registry.
+// error shape when the backend has no registry.
 func TestMetricsDisabled(t *testing.T) {
-	cat, err := catalog.Open(xmlschema.MustLEAD(), catalog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newServerFor(t, cat)
-	code, body := get(t, ts+"/metrics")
-	if code != http.StatusNotFound {
-		t.Fatalf("metrics without registry: %d %s", code, body)
-	}
-	var e map[string]string
-	if err := json.Unmarshal([]byte(body), &e); err != nil || e["error"] == "" {
-		t.Fatalf("expected standard JSON error body, got %s", body)
+	for _, topo := range metricsTopologies {
+		t.Run(topo.name, func(t *testing.T) {
+			code, body := get(t, topo.open(t, false)+"/metrics")
+			if code != http.StatusNotFound {
+				t.Fatalf("metrics without registry: %d %s", code, body)
+			}
+			var e map[string]string
+			if err := json.Unmarshal([]byte(body), &e); err != nil || e["error"] == "" {
+				t.Fatalf("expected standard JSON error body, got %s", body)
+			}
+		})
 	}
 }
 

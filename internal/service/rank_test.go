@@ -8,9 +8,6 @@ import (
 	"testing"
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
-	"github.com/gridmeta/hybridcat/internal/faultio"
-	"github.com/gridmeta/hybridcat/internal/shard"
-	"github.com/gridmeta/hybridcat/internal/xmlschema"
 )
 
 // rankDocXML builds a LEAD document whose themekey repeats "storm" i+1
@@ -149,16 +146,7 @@ func TestServiceRankedSearch(t *testing.T) {
 // on the sharded service: fan-out ranking with global statistics over a
 // 2-shard cluster must reproduce the controlled tf order end to end.
 func TestShardedServiceRankedSearch(t *testing.T) {
-	cl, err := shard.Open(shard.Options{
-		Schema:     xmlschema.MustLEAD(),
-		Root:       "ranksvc",
-		Shards:     2,
-		Durability: catalog.DurabilityOptions{FS: faultio.NewMemFS()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := openShardCluster(t, 2, catalog.Options{})
 	ts := httptest.NewServer(NewSharded(cl).Handler())
 	defer ts.Close()
 

@@ -85,7 +85,7 @@ func (s *Server) staleness(h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	resp := map[string]any{"status": "ok"}
 	status := http.StatusOK
-	if err := s.cat().Wedged(); err != nil {
+	if err := s.backend().Wedged(); err != nil {
 		resp["status"] = "wedged"
 		resp["error"] = err.Error()
 		status = http.StatusServiceUnavailable
@@ -98,6 +98,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			resp["status"] = "replica-lagging"
 			status = http.StatusServiceUnavailable
 		}
+	} else if s.cluster != nil {
+		resp["shards"] = s.cluster.Shards()
 	}
 	writeJSON(w, status, resp)
 }

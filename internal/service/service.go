@@ -15,9 +15,13 @@ import (
 	"github.com/gridmeta/hybridcat/internal/catalog"
 	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/ontology"
+	"github.com/gridmeta/hybridcat/internal/shard"
 )
 
-// Server wraps a catalog with HTTP handlers.
+// Server serves one Backend over HTTP: a single catalog (New), a read
+// replica's follower catalog (New plus Replica), or a sharded cluster
+// (NewSharded). The shared endpoints have one handler each, written
+// against Backend; only the topology-specific routes differ.
 type Server struct {
 	Cat *catalog.Catalog
 	ont *ontology.Ontology
@@ -28,30 +32,47 @@ type Server struct {
 	// MaxLag is the replica staleness bound in log records; 0 disables
 	// the lag check (responses still carry X-Staleness-Seq).
 	MaxLag uint64
+	// cluster, when non-nil, is the backend (see NewSharded); Cat and
+	// Replica are then unused.
+	cluster *shard.Cluster
 }
 
 // New wraps a catalog.
 func New(cat *catalog.Catalog) *Server { return &Server{Cat: cat} }
 
-// Handler returns the service mux:
+// Handler returns the service mux. On every topology:
 //
 //	POST /ingest?owner=U        XML document body -> {"id": N}
 //	POST /query                 query JSON -> {"ids": [...]}
-//	POST /search                query JSON -> {"results": [{"id", "xml"}]}
+//	POST /search                query JSON -> {"total", "results": [{"id", "xml"}]}
 //	GET  /objects               -> [{"id","name","owner","created"}]
 //	GET  /fetch?id=N            -> XML document
-//	GET  /schema                -> text ordering table (Figure 2)
 //	POST /define/attr           {"name","source","parent_id","owner"} -> definition
 //	POST /define/elem           {"name","source","attr_id","type","owner"} -> definition
+//	POST /objects/{id}/publish  and /unpublish
 //	GET  /metrics               -> metrics registry (Prometheus text; ?format=json)
 //	GET  /healthz               -> readiness: ok | wedged | replica-lagging
+//
+// /query and /search take ?expand=1 (ontology expansion, when one is
+// set) and ?fanout=1 (handed to the backend: a cluster reads every shard
+// instead of routing by query owner, one catalog ignores it); /search
+// pages with ?offset and ?limit. On a single catalog or replica, also:
+//
+//	GET  /schema                -> text ordering table (Figure 2)
+//	GET  /defs                  -> dynamic definitions (DefJSON)
 //	GET  /wal/stream?from=N     -> replication stream (raw WAL frames)
 //	GET  /wal/snapshot          -> replica bootstrap snapshot
 //	GET  /debug/tracez          -> slowest query traces with stage timings
 //	GET  /debug/cachez          -> read-cache counters + generations
 //	GET  /debug/durabilityz     -> WAL/checkpoint/recovery counters
 //
-// When the catalog has a metrics registry, every route is additionally
+// plus the /collections routes and the ?collection=N scope (see
+// collections.go). On a cluster, instead (see shard.go):
+//
+//	GET  /shardz                -> per-shard dir/objects/epoch/watermark
+//	POST /rebalance?shard=N&dir=D  move shard N to directory D, live
+//
+// When the backend has a metrics registry, every route is additionally
 // wrapped with per-endpoint request counters and latency histograms
 // (see instrument in debug.go).
 func (s *Server) Handler() http.Handler {
@@ -61,17 +82,29 @@ func (s *Server) Handler() http.Handler {
 	s.route(mux, "POST /search", s.handleSearch)
 	s.route(mux, "GET /objects", s.handleObjects)
 	s.route(mux, "GET /fetch", s.handleFetch)
-	s.route(mux, "GET /schema", s.handleSchema)
 	s.route(mux, "POST /define/attr", s.handleDefineAttr)
 	s.route(mux, "POST /define/elem", s.handleDefineElem)
 	s.route(mux, "POST /objects/{id}/publish", s.handlePublish(true))
 	s.route(mux, "POST /objects/{id}/unpublish", s.handlePublish(false))
-	s.route(mux, "GET /defs", s.handleDefs)
+	// metrics and healthz sit outside the staleness middleware: a
+	// lagging replica must still answer health checks.
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// healthz and the replication endpoints sit outside the staleness
-	// middleware: a lagging replica must still answer health checks, and
-	// the stream/snapshot endpoints are the primary's own surface.
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	if s.cluster != nil {
+		s.registerClusterRoutes(mux)
+	} else {
+		s.registerCatalogRoutes(mux)
+	}
+	return mux
+}
+
+// registerCatalogRoutes adds what only a single catalog (or a replica's
+// follower) serves: schema and definition dumps, the replication
+// endpoints (one log to stream; a cluster replicates per shard
+// directory instead), the per-catalog debug snapshots, and collections.
+func (s *Server) registerCatalogRoutes(mux *http.ServeMux) {
+	s.route(mux, "GET /schema", s.handleSchema)
+	s.route(mux, "GET /defs", s.handleDefs)
 	s.route(mux, "GET /wal/stream", s.handleWALStream)
 	s.route(mux, "GET /wal/snapshot", s.handleWALSnapshot)
 	mux.HandleFunc("GET /debug/tracez", debugHandler(s.handleTracez))
@@ -82,7 +115,6 @@ func (s *Server) Handler() http.Handler {
 		return s.cat().DurabilityStats(), nil
 	}))
 	s.registerCollectionRoutes(mux)
-	return mux
 }
 
 // handlePublish flips an object's published flag (§1 privacy: queries
@@ -94,7 +126,7 @@ func (s *Server) handlePublish(published bool) http.HandlerFunc {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := s.cat().SetPublished(id, published); err != nil {
+		if err := s.backend().SetPublished(id, published); err != nil {
 			writeErr(w, mutationStatus(err, http.StatusNotFound), err)
 			return
 		}
@@ -150,13 +182,30 @@ func mutationStatus(err error, fallback int) int {
 	return fallback
 }
 
+// queryStatus maps a failed read to a status: a query naming an unknown
+// definition, ranking with the text index off, or asking for a
+// ?collection scope the server cannot apply is the client's 400;
+// anything else is a 500.
+func queryStatus(err error) int {
+	if errors.Is(err, catalog.ErrUnknownDefinition) || errors.Is(err, catalog.ErrTextIndexDisabled) ||
+		errors.Is(err, errBadScope) {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
+}
+
+// decodeJSONBody decodes a size-capped JSON request body into v.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	if err != nil {
 		writeErr(w, bodyStatus(err), err)
 		return
 	}
-	id, err := s.cat().IngestXML(r.URL.Query().Get("owner"), string(body))
+	id, err := s.backend().IngestXML(r.URL.Query().Get("owner"), string(body))
 	if err != nil {
 		writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
 		return
@@ -187,14 +236,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: ranked queries use POST /search"))
 		return
 	}
-	q = s.maybeExpand(r, q)
-	ids, err := s.evaluateScoped(r, q)
+	ids, err := s.evaluateScoped(r, s.maybeExpand(r, q))
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, catalog.ErrUnknownDefinition) {
-			status = http.StatusBadRequest
-		}
-		writeErr(w, status, err)
+		writeErr(w, queryStatus(err), err)
 		return
 	}
 	if ids == nil {
@@ -216,9 +260,10 @@ func (s *Server) handleDefs(w http.ResponseWriter, _ *http.Request) {
 
 // handleSearch runs the query and returns reconstructed documents;
 // ?offset and ?limit paginate, and the response carries the total
-// match count. A structural query pages over the ascending ID order; a
-// query with a "rank" clause returns BM25 top-k results in score order,
-// each carrying its score (see handleSearchRanked).
+// match count. A structural query pages over the ascending ID order and
+// rebuilds only the page; a query with a "rank" clause returns BM25
+// top-k results in score order, each carrying its score (see
+// handleSearchRanked).
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.readQuery(w, r)
 	if !ok {
@@ -231,25 +276,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ids, err := s.evaluateScoped(r, q)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, catalog.ErrUnknownDefinition) {
-			status = http.StatusBadRequest
-		}
-		writeErr(w, status, err)
+		writeErr(w, queryStatus(err), err)
 		return
 	}
-	total := len(ids)
-	if off := queryInt(r, "offset", 0); off > 0 {
-		if off >= len(ids) {
-			ids = nil
-		} else {
-			ids = ids[off:]
-		}
-	}
-	if lim := queryInt(r, "limit", 0); lim > 0 && lim < len(ids) {
-		ids = ids[:lim]
-	}
-	resp, err := s.cat().BuildResponse(ids)
+	resp, err := s.backend().BuildResponse(page(r, ids))
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -262,7 +292,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	for _, rr := range resp {
 		results = append(results, result{ID: rr.ObjectID, XML: rr.XML})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"total": total, "results": results})
+	writeJSON(w, http.StatusOK, map[string]any{"total": len(ids), "results": results})
 }
 
 // handleSearchRanked is the ranked arm of POST /search: BM25 top-k
@@ -274,37 +304,36 @@ func (s *Server) handleSearchRanked(w http.ResponseWriter, r *http.Request, q *c
 			fmt.Errorf("service: ranked search does not support ?collection"))
 		return
 	}
-	resp, err := s.cat().SearchRanked(r.Context(), q)
+	resp, err := s.backend().SearchRanked(r.Context(), q, fanout(r))
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, catalog.ErrUnknownDefinition) || errors.Is(err, catalog.ErrTextIndexDisabled) {
-			status = http.StatusBadRequest
-		}
-		writeErr(w, status, err)
+		writeErr(w, queryStatus(err), err)
 		return
-	}
-	total := len(resp)
-	if off := queryInt(r, "offset", 0); off > 0 {
-		if off >= len(resp) {
-			resp = nil
-		} else {
-			resp = resp[off:]
-		}
-	}
-	if lim := queryInt(r, "limit", 0); lim > 0 && lim < len(resp) {
-		resp = resp[:lim]
 	}
 	type result struct {
 		ID    int64   `json:"id"`
 		Score float64 `json:"score"`
 		XML   string  `json:"xml"`
 	}
-	results := make([]result, 0, len(resp))
-	for _, rr := range resp {
+	pg := page(r, resp)
+	results := make([]result, 0, len(pg))
+	for _, rr := range pg {
 		results = append(results, result{ID: rr.ObjectID, Score: rr.Score, XML: rr.XML})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"total": total, "results": results})
+	writeJSON(w, http.StatusOK, map[string]any{"total": len(resp), "results": results})
 }
+
+// page slices an ordered result list to ?offset and ?limit.
+func page[T any](r *http.Request, items []T) []T {
+	items = items[min(queryInt(r, "offset", 0), len(items)):]
+	if lim := queryInt(r, "limit", 0); lim > 0 && lim < len(items) {
+		items = items[:lim]
+	}
+	return items
+}
+
+// fanout reports the request's ?fanout=1 flag, which the backend
+// receives with every read.
+func fanout(r *http.Request) bool { return r.URL.Query().Get("fanout") == "1" }
 
 func queryInt(r *http.Request, name string, def int) int {
 	v := r.URL.Query().Get(name)
@@ -325,7 +354,7 @@ func (s *Server) handleObjects(w http.ResponseWriter, _ *http.Request) {
 		Owner   string `json:"owner"`
 		Created string `json:"created"`
 	}
-	objs := s.cat().Objects()
+	objs := s.backend().Objects()
 	out := make([]obj, 0, len(objs))
 	for _, o := range objs {
 		out = append(out, obj{o.ID, o.Name, o.Owner, o.Created})
@@ -339,7 +368,7 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: bad id: %w", err))
 		return
 	}
-	doc, err := s.cat().FetchDocument(id)
+	doc, err := s.backend().FetchDocument(id)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
@@ -364,11 +393,11 @@ type defineAttrReq struct {
 
 func (s *Server) handleDefineAttr(w http.ResponseWriter, r *http.Request) {
 	var req defineAttrReq
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(&req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeErr(w, bodyStatus(err), err)
 		return
 	}
-	def, err := s.cat().RegisterAttr(req.Name, req.Source, req.ParentID, req.Owner)
+	def, err := s.backend().RegisterAttr(req.Name, req.Source, req.ParentID, req.Owner)
 	if err != nil {
 		writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
 		return
@@ -386,7 +415,7 @@ type defineElemReq struct {
 
 func (s *Server) handleDefineElem(w http.ResponseWriter, r *http.Request) {
 	var req defineElemReq
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(&req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeErr(w, bodyStatus(err), err)
 		return
 	}
@@ -395,7 +424,7 @@ func (s *Server) handleDefineElem(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	def, err := s.cat().RegisterElem(req.Name, req.Source, req.AttrID, dt, req.Owner)
+	def, err := s.backend().RegisterElem(req.Name, req.Source, req.AttrID, dt, req.Owner)
 	if err != nil {
 		writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
 		return

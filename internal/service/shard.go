@@ -1,321 +1,39 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 
-	"github.com/gridmeta/hybridcat/internal/catalog"
-	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/shard"
 )
 
-// ShardedServer exposes a sharded cluster over the same wire surface as
-// the single-catalog Server: object IDs in requests and responses are
-// the cluster's global IDs, ingest routes to the owner's shard, and
-// queries follow the router's semantics (owner-scoped reads route,
-// superuser reads fan out; ?fanout=1 forces the fan-out read, which
-// reproduces single-catalog visibility for owner queries over published
-// data). Replication endpoints are per shard, not cluster-level — a
-// sharded deployment replicates shard directories, not the router.
-type ShardedServer struct {
-	Cluster *shard.Cluster
+// NewSharded wraps a sharded cluster in the same Server, over the same
+// shared handlers, as New: object IDs in requests and responses are the
+// cluster's global IDs, ingest routes to the owner's shard, and reads
+// follow the router's semantics (owner-scoped reads route, superuser
+// reads fan out; ?fanout=1 forces the fan-out read, which reproduces
+// single-catalog visibility for owner queries over published data).
+// Replication endpoints are per shard, not cluster-level — a sharded
+// deployment replicates shard directories, not the router — and a
+// cluster has no collections, so ?collection=N answers 400.
+func NewSharded(cl *shard.Cluster) *Server { return &Server{cluster: cl} }
+
+// registerClusterRoutes adds the routes only a cluster serves.
+func (s *Server) registerClusterRoutes(mux *http.ServeMux) {
+	s.route(mux, "GET /shardz", s.handleShardz)
+	s.route(mux, "POST /rebalance", s.handleRebalance)
 }
 
-// NewSharded wraps a cluster.
-func NewSharded(cl *shard.Cluster) *ShardedServer { return &ShardedServer{Cluster: cl} }
-
-// Handler returns the sharded service mux:
-//
-//	POST /ingest?owner=U         XML document body -> {"id": GID}
-//	POST /query[?fanout=1]       query JSON -> {"ids": [...]}
-//	POST /search[?fanout=1&offset=N&limit=N] -> {"total", "results"}
-//	GET  /objects                -> [{"id","name","owner","created"}]
-//	GET  /fetch?id=GID           -> XML document
-//	POST /define/attr            broadcast to every shard
-//	POST /define/elem            broadcast to every shard
-//	POST /objects/{id}/publish   and /unpublish
-//	GET  /metrics                -> shared registry (all shards + router)
-//	GET  /healthz                -> ok | wedged (any shard)
-//	GET  /shardz                 -> per-shard dir/objects/epoch/watermark
-//	POST /rebalance?shard=N&dir=D  move shard N to directory D, live
-func (s *ShardedServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", s.handleIngest)
-	mux.HandleFunc("POST /query", s.handleQuery)
-	mux.HandleFunc("POST /search", s.handleSearch)
-	mux.HandleFunc("GET /objects", s.handleObjects)
-	mux.HandleFunc("GET /fetch", s.handleFetch)
-	mux.HandleFunc("POST /define/attr", s.handleDefineAttr)
-	mux.HandleFunc("POST /define/elem", s.handleDefineElem)
-	mux.HandleFunc("POST /objects/{id}/publish", s.handlePublish(true))
-	mux.HandleFunc("POST /objects/{id}/unpublish", s.handlePublish(false))
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /shardz", s.handleShardz)
-	mux.HandleFunc("POST /rebalance", s.handleRebalance)
-	return mux
-}
-
-func (s *ShardedServer) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	if err != nil {
-		writeErr(w, bodyStatus(err), err)
-		return
-	}
-	gid, err := s.Cluster.IngestXML(r.URL.Query().Get("owner"), string(body))
-	if err != nil {
-		writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]int64{"id": gid})
-}
-
-// readClusterQuery parses the query body, honoring ?fanout=1.
-func (s *ShardedServer) readClusterQuery(w http.ResponseWriter, r *http.Request) (*catalog.Query, bool, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJSONBody))
-	if err != nil {
-		writeErr(w, bodyStatus(err), err)
-		return nil, false, false
-	}
-	q, err := catalog.ParseQueryJSON(body)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return nil, false, false
-	}
-	return q, r.URL.Query().Get("fanout") == "1", true
-}
-
-// decodeJSONBody decodes a size-capped JSON request body into v.
-func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
-	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
-}
-
-func queryStatus(err error) int {
-	if errors.Is(err, catalog.ErrUnknownDefinition) || errors.Is(err, catalog.ErrTextIndexDisabled) {
-		return http.StatusBadRequest
-	}
-	return http.StatusInternalServerError
-}
-
-func (s *ShardedServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, fanout, ok := s.readClusterQuery(w, r)
-	if !ok {
-		return
-	}
-	if q.Rank != nil {
-		writeErr(w, http.StatusBadRequest, errors.New("service: ranked queries use POST /search"))
-		return
-	}
-	var ids []int64
-	var err error
-	if fanout {
-		ids, err = s.Cluster.EvaluateAll(q)
-	} else {
-		ids, err = s.Cluster.Evaluate(q)
-	}
-	if err != nil {
-		writeErr(w, queryStatus(err), err)
-		return
-	}
-	if ids == nil {
-		ids = []int64{}
-	}
-	writeJSON(w, http.StatusOK, map[string][]int64{"ids": ids})
-}
-
-func (s *ShardedServer) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q, fanout, ok := s.readClusterQuery(w, r)
-	if !ok {
-		return
-	}
-	if q.Rank != nil {
-		s.handleSearchRanked(w, r, q, fanout)
-		return
-	}
-	resp, total, err := s.searchPage(q, r, fanout)
-	if err != nil {
-		writeErr(w, queryStatus(err), err)
-		return
-	}
-	type result struct {
-		ID  int64  `json:"id"`
-		XML string `json:"xml"`
-	}
-	results := make([]result, 0, len(resp))
-	for _, rr := range resp {
-		results = append(results, result{ID: rr.ObjectID, XML: rr.XML})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"total": total, "results": results})
-}
-
-// handleSearchRanked serves a BM25 ranked /search over the cluster:
-// owner-scoped queries route, ?fanout=1 (or a superuser query) runs the
-// two-phase global-statistics scatter with a score-ordered merge.
-func (s *ShardedServer) handleSearchRanked(w http.ResponseWriter, r *http.Request, q *catalog.Query, fanout bool) {
-	resp, err := s.Cluster.SearchRanked(q, fanout)
-	if err != nil {
-		writeErr(w, queryStatus(err), err)
-		return
-	}
-	total := len(resp)
-	offset, limit := queryInt(r, "offset", 0), queryInt(r, "limit", 0)
-	if offset > 0 {
-		if offset >= len(resp) {
-			resp = nil
-		} else {
-			resp = resp[offset:]
-		}
-	}
-	if limit > 0 && limit < len(resp) {
-		resp = resp[:limit]
-	}
-	type result struct {
-		ID    int64   `json:"id"`
-		Score float64 `json:"score"`
-		XML   string  `json:"xml"`
-	}
-	results := make([]result, 0, len(resp))
-	for _, rr := range resp {
-		results = append(results, result{ID: rr.ObjectID, Score: rr.Score, XML: rr.XML})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"total": total, "results": results})
-}
-
-func (s *ShardedServer) searchPage(q *catalog.Query, r *http.Request, fanout bool) ([]catalog.Response, int, error) {
-	offset, limit := queryInt(r, "offset", 0), queryInt(r, "limit", 0)
-	if fanout {
-		resp, err := s.Cluster.SearchAll(q)
-		if err != nil {
-			return nil, 0, err
-		}
-		total := len(resp)
-		if offset > 0 {
-			if offset >= len(resp) {
-				return nil, total, nil
-			}
-			resp = resp[offset:]
-		}
-		if limit > 0 && limit < len(resp) {
-			resp = resp[:limit]
-		}
-		return resp, total, nil
-	}
-	return s.Cluster.SearchPage(q, offset, limit)
-}
-
-func (s *ShardedServer) handleObjects(w http.ResponseWriter, _ *http.Request) {
-	type obj struct {
-		ID      int64  `json:"id"`
-		Name    string `json:"name"`
-		Owner   string `json:"owner"`
-		Created string `json:"created"`
-	}
-	objs := s.Cluster.Objects()
-	out := make([]obj, 0, len(objs))
-	for _, o := range objs {
-		out = append(out, obj{o.ID, o.Name, o.Owner, o.Created})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *ShardedServer) handleFetch(w http.ResponseWriter, r *http.Request) {
-	gid, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	doc, err := s.Cluster.FetchDocument(gid)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/xml")
-	_ = doc.WriteTo(w, 2)
-}
-
-func (s *ShardedServer) handleDefineAttr(w http.ResponseWriter, r *http.Request) {
-	var req defineAttrReq
-	if err := decodeJSONBody(w, r, &req); err != nil {
-		writeErr(w, bodyStatus(err), err)
-		return
-	}
-	def, err := s.Cluster.RegisterAttr(req.Name, req.Source, req.ParentID, req.Owner)
-	if err != nil {
-		writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]int64{"attr_id": def.ID})
-}
-
-func (s *ShardedServer) handleDefineElem(w http.ResponseWriter, r *http.Request) {
-	var req defineElemReq
-	if err := decodeJSONBody(w, r, &req); err != nil {
-		writeErr(w, bodyStatus(err), err)
-		return
-	}
-	dt, err := core.ParseDataType(req.Type)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	def, err := s.Cluster.RegisterElem(req.Name, req.Source, req.AttrID, dt, req.Owner)
-	if err != nil {
-		writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]int64{"elem_id": def.ID})
-}
-
-func (s *ShardedServer) handlePublish(published bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		gid, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := s.Cluster.SetPublished(gid, published); err != nil {
-			writeErr(w, mutationStatus(err, http.StatusNotFound), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]bool{"published": published})
-	}
-}
-
-func (s *ShardedServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.Cluster.Metrics()
-	if reg == nil {
-		writeErr(w, http.StatusNotFound, errors.New("service: metrics disabled"))
-		return
-	}
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		_ = reg.WriteJSON(w)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = reg.WriteProm(w)
-}
-
-func (s *ShardedServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if err := s.Cluster.Wedged(); err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "wedged", "error": err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards": s.Cluster.Shards()})
-}
-
-func (s *ShardedServer) handleShardz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Cluster.Stats())
+func (s *Server) handleShardz(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, s.cluster.Stats())
 }
 
 // handleRebalance moves one shard to a new directory while serving:
 // POST /rebalance?shard=N&dir=path. Synchronous — the response reports
 // the completed move (or its failure, which leaves the old shard
 // serving).
-func (s *ShardedServer) handleRebalance(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	idx, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, errors.New("service: ?shard=N required"))
@@ -326,9 +44,9 @@ func (s *ShardedServer) handleRebalance(w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusBadRequest, errors.New("service: ?dir=path required"))
 		return
 	}
-	if err := s.Cluster.Rebalance(idx, dir); err != nil {
+	if err := s.cluster.Rebalance(idx, dir); err != nil {
 		writeErr(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"shard": idx, "dir": dir, "stats": s.Cluster.Stats()})
+	writeJSON(w, http.StatusOK, map[string]any{"shard": idx, "dir": dir, "stats": s.cluster.Stats()})
 }

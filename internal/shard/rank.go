@@ -2,10 +2,8 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
 	"github.com/gridmeta/hybridcat/internal/textindex"
@@ -35,82 +33,49 @@ import (
 // to the owner's shard (local statistics); a superuser query fans out
 // with globally merged statistics.
 func (cl *Cluster) EvaluateRanked(q *catalog.Query) ([]catalog.ScoredID, error) {
-	if q.Owner != "" {
+	return cl.EvaluateRankedContext(context.Background(), q, false)
+}
+
+// EvaluateRankedContext is EvaluateRanked honoring ctx. fanout forces
+// the two-phase global-statistics scatter regardless of owner, which
+// for an owner-scoped query reproduces single-catalog ranking exactly,
+// wherever published documents hash.
+func (cl *Cluster) EvaluateRankedContext(ctx context.Context, q *catalog.Query, fanout bool) ([]catalog.ScoredID, error) {
+	if q.Owner != "" && !fanout {
 		idx := cl.ShardFor(q.Owner)
 		cl.countRoute(idx)
-		scored, err := cl.handle(idx).cat.EvaluateRanked(q)
+		scored, err := cl.handle(idx).cat.EvaluateRankedContext(ctx, q)
 		if err != nil {
 			return nil, err
 		}
 		return cl.globalizeScored(idx, scored), nil
 	}
-	return cl.EvaluateRankedAll(q)
-}
-
-// EvaluateRankedAll fans the ranked query out to every shard with the
-// two-phase global-statistics scatter and merges by score. For an
-// owner-scoped query this reproduces single-catalog ranking exactly,
-// wherever published documents hash.
-func (cl *Cluster) EvaluateRankedAll(q *catalog.Query) ([]catalog.ScoredID, error) {
 	if q.Rank == nil || len(q.Rank.Terms) == 0 {
 		return nil, fmt.Errorf("shard: ranked query has no rank terms")
 	}
 	cl.fanout.Inc()
-	t := cl.table.Load()
+	shards := cl.table.Load().shards
 
 	// Phase 1: per-shard corpus statistics, summed into the statistics
 	// of the union catalog.
-	stats := make([]textindex.Stats, len(t.shards))
-	errs := make([]error, len(t.shards))
-	var wg sync.WaitGroup
-	for i, h := range t.shards {
-		wg.Add(1)
-		go func(i int, h *shardHandle) {
-			defer wg.Done()
-			stats[i], errs[i] = h.cat.TextStats(q.Rank.Terms)
-		}(i, h)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
+	stats, err := scatter(ctx, shards, func(h *shardHandle) (textindex.Stats, error) {
+		return h.cat.TextStats(q.Rank.Terms)
+	})
+	if err != nil {
+		return nil, err
 	}
 	var global textindex.Stats
 	for i := range stats {
 		global.Merge(stats[i])
 	}
 
-	// Phase 2: score every shard with the global statistics. A
-	// definition unknown on one shard contributes nothing, and the query
-	// fails only if every shard refuses it — mirroring scatterEvaluate.
-	perShard := make([][]catalog.ScoredID, len(t.shards))
-	for i, h := range t.shards {
-		wg.Add(1)
-		go func(i int, h *shardHandle) {
-			defer wg.Done()
-			perShard[i], errs[i] = h.cat.EvaluateRankedStats(context.Background(), q, &global)
-		}(i, h)
+	// Phase 2: score every shard with the global statistics.
+	perShard, err := scatter(ctx, shards, func(h *shardHandle) ([]catalog.ScoredID, error) {
+		return h.cat.EvaluateRankedStats(ctx, q, &global)
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	unknown := 0
-	var lastUnknown error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, catalog.ErrUnknownDefinition) {
-			unknown++
-			lastUnknown = err
-			perShard[i] = nil
-			continue
-		}
-		return nil, fmt.Errorf("shard %d: %w", i, err)
-	}
-	if unknown == len(errs) {
-		return nil, lastUnknown
-	}
-
 	k := q.Rank.K
 	if k <= 0 {
 		k = catalog.DefaultRankK
@@ -153,17 +118,10 @@ func (cl *Cluster) mergeScored(perShard [][]catalog.ScoredID, k int) []catalog.S
 	return out
 }
 
-// SearchRanked evaluates a ranked query and builds the response
-// documents in score order. fanout forces the two-phase global scatter
-// regardless of owner.
-func (cl *Cluster) SearchRanked(q *catalog.Query, fanout bool) ([]catalog.RankedResponse, error) {
-	var scored []catalog.ScoredID
-	var err error
-	if fanout {
-		scored, err = cl.EvaluateRankedAll(q)
-	} else {
-		scored, err = cl.EvaluateRanked(q)
-	}
+// SearchRanked evaluates a ranked query (see EvaluateRankedContext for
+// ctx and fanout) and builds the response documents in score order.
+func (cl *Cluster) SearchRanked(ctx context.Context, q *catalog.Query, fanout bool) ([]catalog.RankedResponse, error) {
+	scored, err := cl.EvaluateRankedContext(ctx, q, fanout)
 	if err != nil {
 		return nil, err
 	}

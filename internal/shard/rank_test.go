@@ -8,6 +8,7 @@
 package shard_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -70,9 +71,9 @@ func TestShardRankedEquivalence(t *testing.T) {
 		return normalize(resp)
 	}
 	clusterRanked := func(cl interface {
-		SearchRanked(*catalog.Query, bool) ([]catalog.RankedResponse, error)
+		SearchRanked(context.Context, *catalog.Query, bool) ([]catalog.RankedResponse, error)
 	}, q *catalog.Query) []cell {
-		resp, err := cl.SearchRanked(q, true)
+		resp, err := cl.SearchRanked(t.Context(), q, true)
 		if err != nil {
 			t.Fatal(err)
 		}

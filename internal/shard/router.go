@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -20,7 +21,7 @@ import (
 //     owner's own objects (all on that shard, §1 privacy default:
 //     ingest is unpublished) and for published objects co-located
 //     there. Published objects of owners hashed elsewhere require the
-//     fan-out read — EvaluateAll/SearchAll — which unions per-shard
+//     fan-out read — EvaluateAll — which unions per-shard
 //     results under each shard's own visibility filter and therefore
 //     reproduces single-catalog semantics exactly.
 //   - Owner == "" (superuser): fan out to every shard, merge.
@@ -29,7 +30,7 @@ import (
 // Evaluate returns ascending local IDs, the gid encoding preserves that
 // order within a shard, and a k-way merge interleaves the shards. The
 // order is deterministic for a given cluster, so offset/limit paging
-// composes exactly (see SearchPage).
+// composes exactly.
 
 // Ingest routes a parsed document to its owner's shard and returns the
 // global object ID.
@@ -129,16 +130,7 @@ func (cl *Cluster) RegisterElem(name, source string, attrID int64, dt core.DataT
 // to the owner's shard; a superuser query fans out and merges. Results
 // are ascending global IDs.
 func (cl *Cluster) Evaluate(q *catalog.Query) ([]int64, error) {
-	if q.Owner != "" {
-		idx := cl.ShardFor(q.Owner)
-		cl.countRoute(idx)
-		locals, err := cl.handle(idx).cat.Evaluate(q)
-		if err != nil {
-			return nil, err
-		}
-		return cl.globalize(idx, locals), nil
-	}
-	return cl.EvaluateAll(q)
+	return cl.EvaluateContext(context.Background(), q, false)
 }
 
 // EvaluateAll fans the query out to every shard and merges, regardless
@@ -146,29 +138,49 @@ func (cl *Cluster) Evaluate(q *catalog.Query) ([]int64, error) {
 // visibility exactly — the owner's objects plus ALL published objects,
 // wherever their owners hash — at the cost of touching every shard.
 func (cl *Cluster) EvaluateAll(q *catalog.Query) ([]int64, error) {
+	return cl.EvaluateContext(context.Background(), q, true)
+}
+
+// EvaluateContext is Evaluate (or, with fanout, EvaluateAll) honoring
+// ctx: every shard's pipeline aborts at its next stage boundary once
+// ctx is cancelled, and a scatter is not started under a cancelled ctx.
+func (cl *Cluster) EvaluateContext(ctx context.Context, q *catalog.Query, fanout bool) ([]int64, error) {
+	if q.Owner != "" && !fanout {
+		idx := cl.ShardFor(q.Owner)
+		cl.countRoute(idx)
+		locals, err := cl.handle(idx).cat.EvaluateContext(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		return cl.globalize(idx, locals), nil
+	}
 	cl.fanout.Inc()
-	perShard, err := cl.scatterEvaluate(q)
+	perShard, err := scatter(ctx, cl.table.Load().shards, func(h *shardHandle) ([]int64, error) {
+		return h.cat.EvaluateContext(ctx, q)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return cl.mergeIDs(perShard), nil
 }
 
-// scatterEvaluate runs Evaluate concurrently on every shard, returning
-// per-shard local ID lists. A definition unknown on one shard yields an
-// empty contribution; the query fails only if every shard refuses it
+// scatter runs fn concurrently on every shard unless ctx is already
+// cancelled. A definition unknown on one shard yields an empty
+// contribution; the scatter fails only if every shard refuses the query
 // (the definition does not exist anywhere) or a shard fails for any
-// other reason.
-func (cl *Cluster) scatterEvaluate(q *catalog.Query) ([][]int64, error) {
-	t := cl.table.Load()
-	perShard := make([][]int64, len(t.shards))
-	errs := make([]error, len(t.shards))
+// other reason, a cancelled ctx included.
+func scatter[T any](ctx context.Context, shards []*shardHandle, fn func(*shardHandle) (T, error)) ([]T, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	perShard := make([]T, len(shards))
+	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
-	for i, h := range t.shards {
+	for i, h := range shards {
 		wg.Add(1)
 		go func(i int, h *shardHandle) {
 			defer wg.Done()
-			perShard[i], errs[i] = h.cat.Evaluate(q)
+			perShard[i], errs[i] = fn(h)
 		}(i, h)
 	}
 	wg.Wait()
@@ -181,7 +193,8 @@ func (cl *Cluster) scatterEvaluate(q *catalog.Query) ([][]int64, error) {
 		if errors.Is(err, catalog.ErrUnknownDefinition) {
 			unknown++
 			lastUnknown = err
-			perShard[i] = nil
+			var zero T
+			perShard[i] = zero
 			continue
 		}
 		return nil, fmt.Errorf("shard %d: %w", i, err)
@@ -226,63 +239,6 @@ func (cl *Cluster) mergeIDs(perShard [][]int64) []int64 {
 		heads[best]++
 	}
 	return out
-}
-
-// Search evaluates the query and builds the tagged response documents,
-// in ascending global-ID order. Owner-scoped queries route; superuser
-// queries fan out.
-func (cl *Cluster) Search(q *catalog.Query) ([]catalog.Response, error) {
-	resp, _, err := cl.SearchPage(q, 0, 0)
-	return resp, err
-}
-
-// SearchAll is Search with unconditional fan-out (see EvaluateAll).
-func (cl *Cluster) SearchAll(q *catalog.Query) ([]catalog.Response, error) {
-	ids, err := cl.EvaluateAll(q)
-	if err != nil {
-		return nil, err
-	}
-	return cl.BuildResponse(ids)
-}
-
-// SearchPage evaluates the query and builds responses for one page of
-// the merged result set: entries [offset, offset+limit) of the
-// ascending global-ID order, with the full match count. limit <= 0
-// means no limit. Responses are built only for the page, on the owning
-// shards — so a deep page over a fan-out query still touches each shard
-// for evaluation but builds at most `limit` documents.
-func (cl *Cluster) SearchPage(q *catalog.Query, offset, limit int) ([]catalog.Response, int, error) {
-	var ids []int64
-	var err error
-	if q.Owner != "" {
-		idx := cl.ShardFor(q.Owner)
-		cl.countRoute(idx)
-		locals, lerr := cl.handle(idx).cat.Evaluate(q)
-		if lerr != nil {
-			return nil, 0, lerr
-		}
-		ids = cl.globalize(idx, locals)
-	} else {
-		ids, err = cl.EvaluateAll(q)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	total := len(ids)
-	if offset > 0 {
-		if offset >= len(ids) {
-			return nil, total, nil
-		}
-		ids = ids[offset:]
-	}
-	if limit > 0 && limit < len(ids) {
-		ids = ids[:limit]
-	}
-	resp, err := cl.BuildResponse(ids)
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp, total, nil
 }
 
 // BuildResponse reconstructs the response documents for the given

@@ -3,12 +3,13 @@
 // identical Figure-4 result sets (compared as sorted response-XML
 // multisets — object IDs differ by topology, document content does
 // not), identical fan-out merges, and exact paging: the concatenation
-// of SearchPage pages must equal the full result with no duplicate and
+// of searchPage pages must equal the full result with no duplicate and
 // no drop. Run under -race (see the Makefile shard target); the
 // concurrent phase mixes readers and writers on the 4-shard cluster.
 package shard_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -30,10 +31,17 @@ func equivOwner(i int) string { return fmt.Sprintf("user-%02d", i%equivOwners) }
 // per-document owners.
 func openCluster(t *testing.T, g *workload.Generator, n int, corpus []*workloadDoc) (*shard.Cluster, []int64) {
 	t.Helper()
+	return openClusterWith(t, g, n, corpus, catalog.Options{})
+}
+
+// openClusterWith is openCluster with per-shard catalog options.
+func openClusterWith(t *testing.T, g *workload.Generator, n int, corpus []*workloadDoc, copts catalog.Options) (*shard.Cluster, []int64) {
+	t.Helper()
 	cl, err := shard.Open(shard.Options{
-		Schema: g.Schema,
-		Root:   "cluster",
-		Shards: n,
+		Schema:  g.Schema,
+		Root:    "cluster",
+		Shards:  n,
+		Catalog: copts,
 		Durability: catalog.DurabilityOptions{
 			FS: faultio.NewMemFS(),
 		},
@@ -61,6 +69,30 @@ func openCluster(t *testing.T, g *workload.Generator, n int, corpus []*workloadD
 type workloadDoc struct {
 	owner string
 	doc   *xmldoc.Node
+}
+
+// searchPage is the service's /search flow over a cluster: evaluate
+// (routed, or fanned out), slice entries [offset, offset+limit) of the
+// merged ascending global-ID order, build responses for the page only.
+// limit <= 0 means no limit; the int is the full match count.
+func searchPage(cl *shard.Cluster, q *catalog.Query, fanout bool, offset, limit int) ([]catalog.Response, int, error) {
+	ids, err := cl.EvaluateContext(context.Background(), q, fanout)
+	if err != nil {
+		return nil, 0, err
+	}
+	total := len(ids)
+	ids = ids[min(offset, total):]
+	if limit > 0 && limit < len(ids) {
+		ids = ids[:limit]
+	}
+	resp, err := cl.BuildResponse(ids)
+	return resp, total, err
+}
+
+// search is searchPage over the whole routed result.
+func search(cl *shard.Cluster, q *catalog.Query) ([]catalog.Response, error) {
+	resp, _, err := searchPage(cl, q, false, 0, 0)
+	return resp, err
 }
 
 func TestShardEquivalenceOracle(t *testing.T) {
@@ -148,11 +180,11 @@ func TestShardEquivalenceOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: single: %v", tc.name, err)
 		}
-		oneResp, err := one.Search(tc.q)
+		oneResp, err := search(one, tc.q)
 		if err != nil {
 			t.Fatalf("%s: 1-shard: %v", tc.name, err)
 		}
-		fourResp, err := four.Search(tc.q)
+		fourResp, err := search(four, tc.q)
 		if err != nil {
 			t.Fatalf("%s: 4-shard: %v", tc.name, err)
 		}
@@ -184,7 +216,7 @@ func TestShardEquivalenceOracle(t *testing.T) {
 		pageQueries = append(pageQueries, oq)
 	}
 	for qi, q := range pageQueries {
-		full, total, err := four.SearchPage(q, 0, 0)
+		full, total, err := searchPage(four, q, false, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +226,7 @@ func TestShardEquivalenceOracle(t *testing.T) {
 		for _, size := range []int{1, 3, 7} {
 			var paged []catalog.Response
 			for off := 0; ; off += size {
-				page, ptotal, err := four.SearchPage(q, off, size)
+				page, ptotal, err := searchPage(four, q, false, off, size)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -242,7 +274,7 @@ func TestShardEquivalenceOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := four.SearchAll(q)
+		got, _, err := searchPage(four, q, true, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +283,7 @@ func TestShardEquivalenceOracle(t *testing.T) {
 		}
 		// The routed read must return a subset of the fan-out read: the
 		// owner's shard's view misses only published objects elsewhere.
-		routed, err := four.Search(q)
+		routed, err := search(four, q)
 		if err != nil {
 			t.Fatal(err)
 		}
