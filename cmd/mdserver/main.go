@@ -35,7 +35,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -60,10 +59,7 @@ func main() {
 		loadPath   = flag.String("load", "", "load a catalog snapshot at startup (ignored when -wal already has a snapshot)")
 		savePath   = flag.String("save", "", "write a catalog snapshot on shutdown (snapshot-only mode; implied by -wal)")
 		ontPath    = flag.String("ontology", "", "term hierarchy file enabling ?expand=1 queries")
-		qWorkers   = flag.Int("query-workers", 0, "worker pool size for intra-query fan-out (0 = GOMAXPROCS, 1 = sequential)")
-		cacheSize  = flag.Int("cache-size", 0, "entries per read-cache layer (0 = default)")
-		cacheOff   = flag.Bool("cache-off", false, "disable the generation-stamped read caches")
-		bitmapsOff = flag.Bool("bitmaps-off", false, "evaluate queries on the row-at-a-time oracle path instead of compressed bitmap posting lists")
+		cacheSize  = flag.Int("cache-size", 0, "entries per read-cache layer (0 = default, negative = read caches off)")
 		textOff    = flag.Bool("textindex-off", false, "disable the BM25 text index: POST /search rank clauses answer 400, structural queries are unaffected")
 		metricsOn  = flag.Bool("metrics", true, "expose the metrics registry at GET /metrics and record query traces at /debug/tracez")
 		traceDepth = flag.Int("trace-depth", 0, "slow-query trace ring size (0 = default, negative = tracing off)")
@@ -85,10 +81,7 @@ func main() {
 	}
 	opts := catalog.Options{
 		AutoRegister:     *autoReg,
-		QueryWorkers:     *qWorkers,
 		CacheSize:        *cacheSize,
-		DisableCache:     *cacheOff,
-		DisableBitmaps:   *bitmapsOff,
 		DisableTextIndex: *textOff,
 		TraceDepth:       *traceDepth,
 	}
@@ -213,12 +206,8 @@ func main() {
 		}
 	}()
 
-	workers := *qWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	caching := "read caches off"
-	if !*cacheOff && *cacheSize >= 0 {
+	if *cacheSize >= 0 {
 		size := *cacheSize
 		if size == 0 {
 			size = catalog.DefaultCacheSize
@@ -232,8 +221,8 @@ func main() {
 			observing += ", pprof on (/debug/pprof/)"
 		}
 	}
-	log.Printf("mdserver: schema %s, %d metadata attributes, listening on %s (concurrent reads, %d query workers, %s, %s, %s)",
-		schema.Name, len(schema.Attributes), *addr, workers, caching, durable, observing)
+	log.Printf("mdserver: schema %s, %d metadata attributes, listening on %s (concurrent reads, %s, %s, %s)",
+		schema.Name, len(schema.Attributes), *addr, caching, durable, observing)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal("mdserver: ", err)
 	}

@@ -57,7 +57,11 @@ import (
 // RegisterAttr, RegisterElem, Delete, Objects.
 type Catalog = catalog.Catalog
 
-// Options configures a catalog.
+// Options configures a catalog: ingest policy (AutoRegister, Lenient),
+// the read caches' size (CacheSize; negative turns them off), the
+// instrumentation registry (Metrics, TraceDepth), and three switches
+// kept for ablations and test oracles (DisableInvertedList,
+// DisableBitmaps, DisableTextIndex).
 type Options = catalog.Options
 
 // Query is an unordered query over metadata attributes: an object
@@ -78,8 +82,9 @@ type Response = catalog.Response
 // ObjectInfo describes a cataloged object.
 type ObjectInfo = catalog.ObjectInfo
 
-// CacheStats reports the per-layer read-cache counters and the data and
-// registry generations entries are stamped with.
+// CacheStats reports the counters of the three read-cache layers
+// (evaluate, postings, response), the data generation entries are
+// stamped with, and the registry generation.
 type CacheStats = catalog.CacheStats
 
 // ErrUnknownDefinition is returned when a query names an attribute or

@@ -324,9 +324,9 @@ func (rs *randSchema) hasAttrContent(doc *xmldoc.Node) bool {
 
 // FuzzConcurrentIngestEvaluate interleaves a writer — ingesting random
 // conforming documents as "alice" and publishing a byte-selected subset
-// — with concurrent Figure-4 evaluations on the forced-parallel read
-// path. The invariants are the privacy and progress guarantees the
-// reader/writer lock split must preserve under race: no evaluation
+// — with concurrent Figure-4 evaluations. The invariants are the
+// privacy and progress guarantees the reader/writer lock split must
+// preserve under race: no evaluation
 // panics or errors, a superuser evaluation never reports an object ID
 // that no ingest could have produced yet, and an evaluation by a
 // stranger who owns nothing only ever reports objects whose publication
@@ -347,7 +347,7 @@ func FuzzConcurrentIngestEvaluate(f *testing.F) {
 		if err != nil {
 			t.Skip("degenerate schema")
 		}
-		cat, err := rs.buildCatalog(catalog.Options{QueryWorkers: 4, ParallelRowThreshold: -1})
+		cat, err := rs.buildCatalog(catalog.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,7 +75,7 @@ func C2CacheEffect(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	uncachedCat, err := openHybrid(catalog.Options{DisableCache: true})
+	uncachedCat, err := openHybrid(catalog.Options{CacheSize: -1})
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func C2CacheEffect(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ou, err := openHybrid(catalog.Options{DisableCache: true})
+	ou, err := openHybrid(catalog.Options{CacheSize: -1})
 	if err != nil {
 		return nil, err
 	}
@@ -225,9 +225,9 @@ func C2CacheEffect(o Options) (*Table, error) {
 	st := cachedCat.CacheStats()
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("oracle: %d lockstep steps with interleaved ingests, cached and uncached results identical throughout", oracleOps),
-		fmt.Sprintf("cached store counters: evaluate %d hits/%d misses/%d stale, probe %d hits, response %d hits, %d singleflight collapses",
-			st.Evaluate.Hits, st.Evaluate.Misses, st.Evaluate.Stale, st.Probe.Hits, st.Response.Hits,
-			st.Evaluate.Collapses+st.Resolve.Collapses+st.Probe.Collapses),
+		fmt.Sprintf("cached store counters: evaluate %d hits/%d misses/%d stale, response %d hits, %d singleflight collapses",
+			st.Evaluate.Hits, st.Evaluate.Misses, st.Evaluate.Stale, st.Response.Hits,
+			st.Evaluate.Collapses+st.Postings.Collapses),
 		"expected shape: warm hybrid+cache is several times faster than uncached hybrid; mutating narrows the gap; cold is a wash")
 	return t, nil
 }

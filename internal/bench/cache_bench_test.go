@@ -47,7 +47,7 @@ func BenchmarkEvaluateWarmCached(b *testing.B) {
 // BenchmarkEvaluateUncached measures the same repeated query with the
 // caches disabled — the full Figure-4 pipeline every iteration.
 func BenchmarkEvaluateUncached(b *testing.B) {
-	c, g := benchCatalog(b, catalog.Options{DisableCache: true})
+	c, g := benchCatalog(b, catalog.Options{CacheSize: -1})
 	q := g.PointQuery(0, 0, 0)
 	if _, err := c.Evaluate(q); err != nil {
 		b.Fatal(err)

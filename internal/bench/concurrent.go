@@ -14,10 +14,7 @@ import (
 // C1ConcurrentReaders measures read-path scaling under the catalog's
 // reader/writer lock split: aggregate query throughput as 1, 2, 4, and
 // 8 goroutines evaluate the Figure-4 pipeline against a loaded catalog,
-// for the hybrid store and the CLOB-only baseline. A final section
-// reports single-threaded latency with the parallel fan-out enabled vs
-// forced sequential, which bounds the coordination overhead the fan-out
-// adds when there is nothing to gain from it.
+// for the hybrid store and the CLOB-only baseline.
 func C1ConcurrentReaders(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "C1",
@@ -85,29 +82,20 @@ func C1ConcurrentReaders(o Options) (*Table, error) {
 		return wall, nil
 	}
 
-	openHybrid := func(opts catalog.Options) (baseline.Store, error) {
-		// C1 measures lock scaling of the evaluation pipeline itself; with
-		// the read caches on, repeated queries would measure cache hits
-		// instead (that comparison is experiment C2).
-		opts.DisableCache = true
-		c, err := catalog.Open(g.Schema, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.RegisterDefinitions(c); err != nil {
-			return nil, err
-		}
-		for _, d := range docs {
-			if _, err := c.Ingest("bench", d); err != nil {
-				return nil, err
-			}
-		}
-		return baseline.Adapter{C: c}, nil
-	}
-
-	hybrid, err := openHybrid(catalog.Options{})
+	// C1 measures lock scaling of the evaluation pipeline itself; with
+	// the read caches on, repeated queries would measure cache hits
+	// instead (that comparison is experiment C2).
+	c, err := catalog.Open(g.Schema, catalog.Options{CacheSize: -1})
 	if err != nil {
 		return nil, err
+	}
+	if err := g.RegisterDefinitions(c); err != nil {
+		return nil, err
+	}
+	for _, d := range docs {
+		if _, err := c.Ingest("bench", d); err != nil {
+			return nil, err
+		}
 	}
 	clob, _, err := loadStore(KindClob, g, docs, o)
 	if err != nil {
@@ -116,7 +104,7 @@ func C1ConcurrentReaders(o Options) (*Table, error) {
 	for _, store := range []struct {
 		kind StoreKind
 		st   baseline.Store
-	}{{KindHybrid, hybrid}, {KindClob, clob}} {
+	}{{KindHybrid, baseline.Adapter{C: c}}, {KindClob, clob}} {
 		var base time.Duration
 		for _, readers := range []int{1, 2, 4, 8} {
 			wall, err := sweep(store.st, readers)
@@ -132,28 +120,7 @@ func C1ConcurrentReaders(o Options) (*Table, error) {
 		}
 	}
 
-	// Single-thread overhead of the intra-query fan-out: the same query
-	// stream on one goroutine, with the worker pool forced on vs forced
-	// sequential. The fan-out must cost near zero when rows are few.
-	seq, err := openHybrid(catalog.Options{QueryWorkers: 1})
-	if err != nil {
-		return nil, err
-	}
-	par, err := openHybrid(catalog.Options{QueryWorkers: 4, ParallelRowThreshold: -1})
-	if err != nil {
-		return nil, err
-	}
-	seqWall, err := sweep(seq, 1)
-	if err != nil {
-		return nil, err
-	}
-	parWall, err := sweep(par, 1)
-	if err != nil {
-		return nil, err
-	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("single-thread latency, forced-parallel vs sequential: %s vs %s (%s overhead)",
-			fmtDuration(parWall), fmtDuration(seqWall), ratio(int64(parWall), int64(seqWall))),
 		"expected shape: qps grows with readers up to the core count for both stores, since evaluation takes only the read lock",
 		fmt.Sprintf("GOMAXPROCS=%d on this machine — with a single CPU no parallel speedup is observable", runtime.GOMAXPROCS(0)))
 	return t, nil

@@ -141,7 +141,7 @@ func IR1RankedSearch(o Options) (*Table, error) {
 	// construction — mirroring how the cold structural cell still uses
 	// the already-built B-tree indexes.
 	coldReg := obs.NewRegistry()
-	cold, err := load(catalog.Options{DisableCache: true}, coldReg)
+	cold, err := load(catalog.Options{CacheSize: -1}, coldReg)
 	if err != nil {
 		return nil, err
 	}

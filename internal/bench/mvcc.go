@@ -61,7 +61,7 @@ func MV1Contention(o Options) (*Table, error) {
 	// CheckpointEvery matters for the emulation: the pre-MVCC design held
 	// the write lock across automatic checkpoints too, so the rwlock
 	// writer periodically stalls readers for a full snapshot save.
-	c, err := catalog.OpenDurable(g.Schema, catalog.Options{DisableCache: true}, catalog.DurabilityOptions{
+	c, err := catalog.OpenDurable(g.Schema, catalog.Options{CacheSize: -1}, catalog.DurabilityOptions{
 		WALPath: filepath.Join(dir, "cat.wal"), CheckpointEvery: 64,
 	})
 	if err != nil {

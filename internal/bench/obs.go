@@ -51,7 +51,7 @@ func O1MetricsOverhead(o Options) (*Table, error) {
 	total := o.scale(400)
 
 	open := func(opts catalog.Options) (baseline.Store, error) {
-		opts.DisableCache = true
+		opts.CacheSize = -1
 		c, err := catalog.Open(g.Schema, opts)
 		if err != nil {
 			return nil, err

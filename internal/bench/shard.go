@@ -72,7 +72,7 @@ func S1ShardScaling(o Options) (*Table, error) {
 			Schema:     g.Schema,
 			Root:       fmt.Sprintf("s1-%d", n),
 			Shards:     n,
-			Catalog:    catalog.Options{DisableCache: true},
+			Catalog:    catalog.Options{CacheSize: -1},
 			Durability: catalog.DurabilityOptions{FS: faultio.NewMemFS()},
 		})
 		if err != nil {
@@ -186,7 +186,7 @@ func S1ShardScaling(o Options) (*Table, error) {
 		fmt.Sprintf("%d docs across %d owners; every routed query names one owner, so the router sends it to hash(owner) %% N without touching other shards", len(docs), owners),
 		"routed speedup comes from data reduction (each shard holds 1/N of the corpus) plus shard-level concurrency; it holds even on one core",
 		"fan-out queries evaluate on every shard and k-way merge, so their per-query work is constant in N — the row bounds the scatter-gather overhead",
-		"in-memory filesystems and DisableCache isolate routing+evaluation; fsync cost is R1/R2 territory and cache hits are C2",
+		"in-memory filesystems and CacheSize -1 isolate routing+evaluation; fsync cost is R1/R2 territory and cache hits are C2",
 		fmt.Sprintf("GOMAXPROCS=%d on this machine", runtime.GOMAXPROCS(0)))
 	return t, nil
 }

@@ -15,25 +15,19 @@ import (
 //
 //   - evaluate: whole Figure-4 results ([]int64 object IDs) keyed by a
 //     canonical serialization of (Owner, criteria tree),
-//   - resolve: the shredded-and-resolved criteria nodes for the same key,
-//     stamped by the *registry* generation so they survive data ingest,
-//   - probe: per-criterion directly-satisfied instance rows keyed by the
-//     resolved definition IDs and predicates, shared across queries that
-//     repeat a criterion (row-path oracle only),
-//   - postings: the bitmap pipeline's twin of the probe layer — the same
-//     keys, but holding compressed posting lists (*bitset.Set) instead
-//     of row slices; cached sets are immutable and shared read-only
-//     across concurrent evaluations,
+//   - postings: per-criterion directly-satisfied instances as compressed
+//     posting lists (*bitset.Set), keyed by the resolved definition IDs
+//     and predicates and shared across queries that repeat a criterion;
+//     cached sets are immutable and shared read-only across concurrent
+//     evaluations,
 //   - response: per-object rebuilt XML documents keyed by object ID, so
 //     repeated fetches and overlapping result sets skip the §5
 //     HashJoin/ancestor reconstruction.
 //
-// All four are generation-stamped: evaluate/probe/response by the
-// epoch of the reader's pinned snapshot (every committed transaction —
-// ingest, delete, publish, membership, definition mirroring — publishes
-// a new epoch), resolve by the pinned registry generation (bumped by
-// dynamic registration). A mutation invalidates by publishing a new
-// epoch; no cache entry is ever tracked or walked.
+// All three are stamped with the epoch of the reader's pinned snapshot
+// (every committed transaction — ingest, delete, publish, membership,
+// definition mirroring — publishes a new epoch). A mutation invalidates
+// by publishing a new epoch; no cache entry is ever tracked or walked.
 //
 // Consistency argument: a reader pins an immutable snapshot at epoch g
 // before touching any table, computes only from that snapshot, and
@@ -43,50 +37,34 @@ import (
 // reader pinned at g can never see a value computed at any other epoch,
 // even while writers publish g+1, g+2, ... concurrently. (A
 // behind-the-current reader may re-store an old-stamped value over a
-// newer one; that costs a recompute later, never correctness.) The
-// resolve layer stamps with the pinned *registry* generation, which
-// survives data-only epochs; resolved trees are pure functions of the
-// pinned definition set, so equal generation means equal resolution.
+// newer one; that costs a recompute later, never correctness.)
 
 // DefaultCacheSize is the per-layer entry cap when Options.CacheSize is
 // zero.
 const DefaultCacheSize = 4096
 
-// catCaches groups the four read-cache layers. All nil means caching is
+// catCaches groups the three read-cache layers. All nil means caching is
 // disabled; the layers are enabled and sized together.
 type catCaches struct {
 	eval     *cache.Cache[string, []int64]
-	resolve  *cache.Cache[string, resolvedQuery]
-	probe    *cache.Cache[string, []relstore.Row]
 	postings *cache.Cache[string, *bitset.Set]
 	response *cache.Cache[int64, string]
-}
-
-// resolvedQuery is a cached resolve() result. qNodes are immutable after
-// resolution, so one resolved tree is shared by any number of concurrent
-// evaluations.
-type resolvedQuery struct {
-	all, tops []*qNode
 }
 
 // initCaches builds the cache layers per the catalog options; called
 // from Open.
 func (c *Catalog) initCaches() {
 	size := c.opts.CacheSize
-	if c.opts.DisableCache || size < 0 {
+	if size < 0 {
 		return
 	}
 	if size == 0 {
 		size = DefaultCacheSize
 	}
 	c.caches.eval = cache.New[string, []int64](size, cache.StringHash)
-	c.caches.resolve = cache.New[string, resolvedQuery](size, cache.StringHash)
-	c.caches.probe = cache.New[string, []relstore.Row](size, cache.StringHash)
 	c.caches.postings = cache.New[string, *bitset.Set](size, cache.StringHash)
 	c.caches.response = cache.New[int64, string](size, cache.Int64Hash)
 	c.caches.eval.Instrument(c.obsv.reg, "evaluate")
-	c.caches.resolve.Instrument(c.obsv.reg, "resolve")
-	c.caches.probe.Instrument(c.obsv.reg, "probe")
 	c.caches.postings.Instrument(c.obsv.reg, "postings")
 	c.caches.response.Instrument(c.obsv.reg, "response")
 }
@@ -94,16 +72,15 @@ func (c *Catalog) initCaches() {
 // CachingEnabled reports whether the read caches are active.
 func (c *Catalog) CachingEnabled() bool { return c.caches.eval != nil }
 
-// CacheStats reports the per-layer cache counters and the two
-// generations entries are stamped with. Zero layers with Enabled=false
-// mean caching is off.
+// CacheStats reports the per-layer cache counters, the data generation
+// (snapshot epoch) entries are stamped with, and the registry
+// generation dynamic registration advances. Zero layers with
+// Enabled=false mean caching is off.
 type CacheStats struct {
 	Enabled            bool        `json:"enabled"`
 	DataGeneration     uint64      `json:"data_generation"`
 	RegistryGeneration uint64      `json:"registry_generation"`
 	Evaluate           cache.Stats `json:"evaluate"`
-	Resolve            cache.Stats `json:"resolve"`
-	Probe              cache.Stats `json:"probe"`
 	Postings           cache.Stats `json:"postings"`
 	Response           cache.Stats `json:"response"`
 }
@@ -115,38 +92,13 @@ func (c *Catalog) CacheStats() CacheStats {
 		DataGeneration:     c.DB.Generation(),
 		RegistryGeneration: c.Reg.Generation(),
 		Evaluate:           c.caches.eval.Stats(),
-		Resolve:            c.caches.resolve.Stats(),
-		Probe:              c.caches.probe.Stats(),
 		Postings:           c.caches.postings.Stats(),
 		Response:           c.caches.response.Stats(),
 	}
 }
 
-// resolveCached resolves the query through the resolve layer, keyed by
-// the same canonical query key as the evaluate layer but stamped by the
-// pinned registry generation, so resolved criteria trees survive data
-// mutations. Resolution errors are never cached: a criterion that fails
-// today may resolve after the next registration.
-func (v *view) resolveCached(q *Query, key string) ([]*qNode, []*qNode, error) {
-	c := v.c
-	if c.caches.resolve == nil || key == "" {
-		return v.resolve(q)
-	}
-	rq, err := c.caches.resolve.GetOrCompute(v.reg.Generation(), key, func() (resolvedQuery, error) {
-		all, tops, err := v.resolve(q)
-		if err != nil {
-			return resolvedQuery{}, err
-		}
-		return resolvedQuery{all: all, tops: tops}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return rq.all, rq.tops, nil
-}
-
 // queryCacheKey canonically serializes (Owner, criteria tree) into the
-// evaluate/resolve cache key. Every variable-length field is
+// evaluate cache key. Every variable-length field is
 // length-prefixed, so distinct queries can never collide.
 func queryCacheKey(q *Query) string {
 	var b strings.Builder
@@ -212,10 +164,11 @@ func writeValueKey(b *strings.Builder, v relstore.Value) {
 	}
 }
 
-// probeKeyOf builds a criteria node's probe-layer key from its resolved
-// definition IDs and predicates. Two nodes with the same key — within
-// one query or across queries — satisfy identical instance sets, so the
-// probe layer memoizes the stage-1+2 rows once per data generation.
+// probeKeyOf builds a criteria node's postings-layer key from its
+// resolved definition IDs and predicates. Two nodes with the same key —
+// within one query or across queries — satisfy identical instance sets,
+// so the postings layer memoizes the stage-1+2 set once per data
+// generation.
 func probeKeyOf(n *qNode) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "d%d", n.def.ID)

@@ -1,9 +1,12 @@
 package catalog
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/relstore"
 	"github.com/gridmeta/hybridcat/internal/xmldoc"
 	"github.com/gridmeta/hybridcat/internal/xmlschema"
@@ -89,31 +92,22 @@ func TestCacheInvalidationOnPublish(t *testing.T) {
 	}
 }
 
-func TestRegistrationInvalidatesResolveCache(t *testing.T) {
+func TestRegistrationInvalidatesCachedEvaluations(t *testing.T) {
 	c := newLEADCatalog(t, Options{})
 	ingestFig3(t, c)
 
 	q := dxEqQuery(1000)
-	if _, err := c.Evaluate(q); err != nil {
-		t.Fatal(err)
-	}
-	// A data mutation leaves the resolve layer warm (it is stamped by the
-	// registry generation, not the data generation): re-evaluating after
-	// an ingest misses the evaluate cache but reuses the resolution.
-	if _, err := c.IngestXML("scientist", fig3Variant(t, "4242")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Evaluate(q); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ { // twice, so the second answer comes from cache
+		if _, err := c.Evaluate(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := c.CacheStats()
-	if before.Resolve.Hits == 0 {
-		t.Fatalf("resolve cache never hit: %+v", before.Resolve)
-	}
 
-	// Dynamic registration bumps the registry generation; the next
-	// evaluation must drop and recompute its cached resolution (a newly
-	// registered user-private definition may shadow the admin one).
+	// Dynamic registration bumps the registry generation and mirrors the
+	// definition into the tables — a new epoch — so the next evaluation
+	// resolves afresh (a newly registered user-private definition may
+	// shadow the admin one).
 	if _, err := c.RegisterAttr("extra", "SRC", 0, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +115,6 @@ func TestRegistrationInvalidatesResolveCache(t *testing.T) {
 		t.Fatalf("evaluate after registration = %v, %v", ids, err)
 	}
 	after := c.CacheStats()
-	if after.Resolve.Stale != before.Resolve.Stale+1 {
-		t.Fatalf("registration did not invalidate resolve cache: %+v -> %+v", before.Resolve, after.Resolve)
-	}
 	if after.RegistryGeneration <= before.RegistryGeneration {
 		t.Fatalf("registry generation did not advance: %d -> %d", before.RegistryGeneration, after.RegistryGeneration)
 	}
@@ -140,6 +131,81 @@ func TestRegistrationInvalidatesResolveCache(t *testing.T) {
 	}
 	if _, err := c.Evaluate(uq); err != nil {
 		t.Fatalf("resolve error was cached past registration: %v", err)
+	}
+}
+
+// TestPrivateShadowingDefinitionReachesWarmQueries: resolution is not
+// cached on its own, so the only thing standing between a registration
+// and an already-warm owner-scoped query is the epoch stamp. A
+// user-private definition shadowing the admin one must change that
+// owner's next answer and nobody else's, exactly as on an uncached
+// catalog driven in lockstep.
+func TestPrivateShadowingDefinitionReachesWarmQueries(t *testing.T) {
+	cached := newLEADCatalog(t, Options{})
+	plain := newLEADCatalog(t, Options{CacheSize: -1})
+	cats := []*Catalog{cached, plain}
+
+	var id int64
+	for _, c := range cats {
+		var err error
+		if id, err = c.IngestXML("alice", xmlschema.Figure3Document); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetPublished(id, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// evaluate answers on both catalogs and requires them to agree.
+	evaluate := func(owner string) ([]int64, error) {
+		t.Helper()
+		q := dxEqQuery(1000)
+		q.Owner = owner
+		got, gerr := cached.Evaluate(q)
+		want, werr := plain.Evaluate(q)
+		if (gerr == nil) != (werr == nil) || !slices.Equal(got, want) {
+			t.Fatalf("owner %q: cached %v, %v != uncached %v, %v", owner, got, gerr, want, werr)
+		}
+		return got, gerr
+	}
+	for i := 0; i < 2; i++ { // twice, so the second answer comes from cache
+		for _, owner := range []string{"alice", "bob"} {
+			if ids, err := evaluate(owner); err != nil || !slices.Equal(ids, []int64{id}) {
+				t.Fatalf("%s before registration = %v, %v", owner, ids, err)
+			}
+		}
+	}
+	if cached.CacheStats().Evaluate.Hits < 2 {
+		t.Fatalf("owner-scoped queries never answered warm: %+v", cached.CacheStats().Evaluate)
+	}
+
+	// Alice's private grid/ARPS has no dx element yet: her query stops
+	// resolving; Bob still resolves the admin definition.
+	priv := make([]*core.AttrDef, len(cats))
+	for i, c := range cats {
+		var err error
+		if priv[i], err = c.RegisterAttr("grid", "ARPS", 0, "alice"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := evaluate("alice"); !errors.Is(err, ErrUnknownDefinition) {
+		t.Fatalf("alice after shadowing attribute: err = %v, want ErrUnknownDefinition", err)
+	}
+	if ids, err := evaluate("bob"); err != nil || !slices.Equal(ids, []int64{id}) {
+		t.Fatalf("bob after alice's registration = %v, %v", ids, err)
+	}
+
+	// With a private dx too, her query resolves again — against her own
+	// definition, under which nothing is stored.
+	for i, c := range cats {
+		if _, err := c.RegisterElem("dx", "ARPS", priv[i].ID, core.DTFloat, "alice"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ids, err := evaluate("alice"); err != nil || len(ids) != 0 {
+		t.Fatalf("alice under her private definition = %v, %v", ids, err)
+	}
+	if ids, err := evaluate("bob"); err != nil || !slices.Equal(ids, []int64{id}) {
+		t.Fatalf("bob after alice's element registration = %v, %v", ids, err)
 	}
 }
 
@@ -184,16 +250,12 @@ func TestResponseCacheServesCurrentDocuments(t *testing.T) {
 
 func TestCacheOffMatchesCacheOn(t *testing.T) {
 	cached := newLEADCatalog(t, Options{})
-	plain := newLEADCatalog(t, Options{DisableCache: true})
+	plain := newLEADCatalog(t, Options{CacheSize: -1})
 	if plain.CachingEnabled() {
-		t.Fatal("DisableCache ignored")
+		t.Fatal("negative CacheSize should disable caching")
 	}
 	if st := plain.CacheStats(); st.Enabled || st.Evaluate.Hits != 0 {
 		t.Fatalf("disabled cache stats = %+v", st)
-	}
-	neg := newLEADCatalog(t, Options{CacheSize: -1})
-	if neg.CachingEnabled() {
-		t.Fatal("negative CacheSize should disable caching")
 	}
 
 	docs := []string{

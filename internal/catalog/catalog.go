@@ -49,22 +49,11 @@ type Options struct {
 	// lists (bitmap.go). The row path is the correctness oracle for the
 	// equivalence suite and the baseline for bench experiment B1.
 	DisableBitmaps bool
-	// QueryWorkers bounds the per-query worker pool that fans out the
-	// Figure-4 per-criterion probes and per-object response construction.
-	// 0 uses runtime.GOMAXPROCS(0); 1 forces the sequential path.
-	QueryWorkers int
-	// ParallelRowThreshold is the indexed-row count below which a query
-	// runs sequentially even when QueryWorkers allows fan-out, so small
-	// catalogs pay no goroutine overhead. 0 uses
-	// DefaultParallelRowThreshold; negative always fans out.
-	ParallelRowThreshold int
-	// CacheSize bounds each read-cache layer (evaluate, resolve, probe,
+	// CacheSize bounds each read-cache layer (evaluate, postings,
 	// response) in entries. 0 uses DefaultCacheSize; negative disables
-	// caching entirely.
+	// caching entirely: every evaluation and response build recomputes
+	// from the base tables.
 	CacheSize int
-	// DisableCache turns the generation-stamped read caches off; every
-	// evaluation and response build recomputes from the base tables.
-	DisableCache bool
 	// DisableTextIndex turns off the BM25 text index; ranked queries
 	// (Query.Rank) fail with ErrTextIndexDisabled while the structural
 	// pipeline is unaffected.
@@ -102,10 +91,10 @@ type Catalog struct {
 	mu    sync.RWMutex
 	clock func() time.Time
 
-	// caches are the generation-stamped read caches (see cache.go). Cache
-	// reads and writes happen only under the read lock, so every stored
-	// value was computed from exactly the table state of the generation
-	// it is stamped with.
+	// caches are the three epoch-stamped read caches (see cache.go): a
+	// reader stamps what it stores with its pinned snapshot's epoch, so
+	// every stored value was computed from exactly the table state of the
+	// epoch it is stamped with.
 	caches catCaches
 
 	// Write-ahead capture (see durable.go). capturing/captured are only

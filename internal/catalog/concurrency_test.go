@@ -168,9 +168,7 @@ func stressIterations(t *testing.T) int {
 }
 
 func TestConcurrentReadersWritersStress(t *testing.T) {
-	// Force the fan-out path regardless of table size so the per-query
-	// worker pool itself runs under the race detector.
-	c := newLEADCatalog(t, Options{QueryWorkers: 4, ParallelRowThreshold: -1})
+	c := newLEADCatalog(t, Options{})
 	iters := stressIterations(t)
 
 	// Pre-flight: validate the withExtraTheme oracle sequentially before
@@ -490,8 +488,8 @@ func formatDx(dx float64) string {
 // path under the race detector. A DOM oracle pins the reconstructed
 // documents to the ingested originals.
 func TestCachedUncachedOracleStress(t *testing.T) {
-	cached := newLEADCatalog(t, Options{QueryWorkers: 4, ParallelRowThreshold: -1})
-	plain := newLEADCatalog(t, Options{DisableCache: true})
+	cached := newLEADCatalog(t, Options{})
+	plain := newLEADCatalog(t, Options{CacheSize: -1})
 	iters := stressIterations(t) * 3
 
 	// pair: writers take the write side to mutate both catalogs and the

@@ -37,7 +37,7 @@ func TestEvaluateContextCancelledAtEveryStage(t *testing.T) {
 	for _, bitmaps := range []bool{false, true} {
 		// The cache layers are off so every call runs the pipeline (and
 		// therefore hits every stage-boundary check).
-		c := newLEADCatalog(t, Options{DisableBitmaps: !bitmaps, DisableCache: true})
+		c := newLEADCatalog(t, Options{DisableBitmaps: !bitmaps, CacheSize: -1})
 		ingestFig3(t, c)
 		q := dxQuery("")
 

@@ -14,15 +14,14 @@ import (
 	"github.com/gridmeta/hybridcat/internal/workload"
 )
 
-// TestParallelSequentialOracleEquivalence proves the fan-out and the
-// set representation change no results: for 200 seeded workload
-// queries — point, range, nested, structural theme, multi-criteria,
-// and ontology-expanded OneOf — a catalog forced onto the parallel
-// path, a catalog forced sequential (both on the default bitmap
-// posting-list pipeline), a catalog forced onto the row-at-a-time
-// oracle path (DisableBitmaps), and the DOM oracle must agree exactly,
-// and containment-scoped context queries must agree as well.
-func TestParallelSequentialOracleEquivalence(t *testing.T) {
+// TestBitmapRowOracleEquivalence proves the set representation changes
+// no results: for 200 seeded workload queries — point, range, nested,
+// structural theme, multi-criteria, and ontology-expanded OneOf — a
+// catalog on the default bitmap posting-list pipeline, a catalog forced
+// onto the row-at-a-time oracle path (DisableBitmaps), and the DOM
+// oracle must agree exactly, and containment-scoped context queries
+// must agree as well.
+func TestBitmapRowOracleEquivalence(t *testing.T) {
 	cfg := workload.Default()
 	cfg.Docs = 120
 	g := workload.New(cfg)
@@ -48,11 +47,7 @@ func TestParallelSequentialOracleEquivalence(t *testing.T) {
 		}
 		return c
 	}
-	// Forced parallel: fan out even though the corpus is small, with more
-	// workers than this machine has cores.
-	par := open(catalog.Options{QueryWorkers: 8, ParallelRowThreshold: -1})
-	// Forced sequential: the pre-fan-out code path.
-	seq := open(catalog.Options{QueryWorkers: 1})
+	bm := open(catalog.Options{})
 	// Row-at-a-time oracle path: bitmaps off, volcano iterators between
 	// the Figure-4 stages.
 	rows := open(catalog.Options{DisableBitmaps: true})
@@ -108,26 +103,19 @@ func TestParallelSequentialOracleEquivalence(t *testing.T) {
 	nonEmpty := 0
 	for _, tc := range cases {
 		want := oracle(tc.q)
-		pids, err := par.Evaluate(tc.q)
+		bids, err := bm.Evaluate(tc.q)
 		if err != nil {
-			t.Fatalf("%s: parallel evaluate: %v", tc.name, err)
-		}
-		sids, err := seq.Evaluate(tc.q)
-		if err != nil {
-			t.Fatalf("%s: sequential evaluate: %v", tc.name, err)
+			t.Fatalf("%s: bitmap evaluate: %v", tc.name, err)
 		}
 		rids, err := rows.Evaluate(tc.q)
 		if err != nil {
 			t.Fatalf("%s: row-path evaluate: %v", tc.name, err)
 		}
-		if !equalIDs(pids, sids) {
-			t.Errorf("%s: parallel %v != sequential %v", tc.name, pids, sids)
+		if !equalIDs(bids, rids) {
+			t.Errorf("%s: bitmap %v != row path %v", tc.name, bids, rids)
 		}
-		if !equalIDs(pids, rids) {
-			t.Errorf("%s: bitmap %v != row path %v", tc.name, pids, rids)
-		}
-		if !equalIDs(pids, want) {
-			t.Errorf("%s: catalog %v != DOM oracle %v", tc.name, pids, want)
+		if !equalIDs(bids, want) {
+			t.Errorf("%s: catalog %v != DOM oracle %v", tc.name, bids, want)
 		}
 		if len(want) > 0 {
 			nonEmpty++
@@ -137,23 +125,23 @@ func TestParallelSequentialOracleEquivalence(t *testing.T) {
 		t.Fatalf("only %d/%d queries matched anything — workload too sparse to prove equivalence", nonEmpty, len(cases))
 	}
 
-	// Search must agree too: the parallel chunked response builder and
-	// the sequential one must produce identical XML for the same query.
+	// Search must agree too: evaluation plus the §5 response build must
+	// produce identical XML under both strategies.
 	for _, tc := range cases[:24] {
-		presp, err := par.Search(tc.q)
+		bresp, err := bm.Search(tc.q)
 		if err != nil {
-			t.Fatalf("%s: parallel search: %v", tc.name, err)
+			t.Fatalf("%s: bitmap search: %v", tc.name, err)
 		}
-		sresp, err := seq.Search(tc.q)
+		rresp, err := rows.Search(tc.q)
 		if err != nil {
-			t.Fatalf("%s: sequential search: %v", tc.name, err)
+			t.Fatalf("%s: row-path search: %v", tc.name, err)
 		}
-		if len(presp) != len(sresp) {
-			t.Fatalf("%s: search sizes diverge: %d vs %d", tc.name, len(presp), len(sresp))
+		if len(bresp) != len(rresp) {
+			t.Fatalf("%s: search sizes diverge: %d vs %d", tc.name, len(bresp), len(rresp))
 		}
-		for i := range presp {
-			if presp[i].ObjectID != sresp[i].ObjectID || presp[i].XML != sresp[i].XML {
-				t.Errorf("%s: search response %d diverges between parallel and sequential", tc.name, i)
+		for i := range bresp {
+			if bresp[i].ObjectID != rresp[i].ObjectID || bresp[i].XML != rresp[i].XML {
+				t.Errorf("%s: search response %d diverges between bitmap and row path", tc.name, i)
 			}
 		}
 	}
@@ -162,7 +150,7 @@ func TestParallelSequentialOracleEquivalence(t *testing.T) {
 	// then context-scoped evaluation must equal oracle ∩ scope.
 	scope := map[int64]bool{}
 	var rootID int64
-	for _, c := range []*catalog.Catalog{par, seq, rows} {
+	for _, c := range []*catalog.Catalog{bm, rows} {
 		root, err := c.CreateCollection("experiment", "lab", 0)
 		if err != nil {
 			t.Fatal(err)
@@ -195,26 +183,19 @@ func TestParallelSequentialOracleEquivalence(t *testing.T) {
 				scopedWant = append(scopedWant, id)
 			}
 		}
-		pids, err := par.EvaluateInContext(rootID, tc.q)
+		bids, err := bm.EvaluateInContext(rootID, tc.q)
 		if err != nil {
-			t.Fatalf("%s: parallel context evaluate: %v", tc.name, err)
-		}
-		sids, err := seq.EvaluateInContext(rootID, tc.q)
-		if err != nil {
-			t.Fatalf("%s: sequential context evaluate: %v", tc.name, err)
+			t.Fatalf("%s: bitmap context evaluate: %v", tc.name, err)
 		}
 		rids, err := rows.EvaluateInContext(rootID, tc.q)
 		if err != nil {
 			t.Fatalf("%s: row-path context evaluate: %v", tc.name, err)
 		}
-		if !equalIDs(pids, sids) {
-			t.Errorf("%s: scoped parallel %v != sequential %v", tc.name, pids, sids)
+		if !equalIDs(bids, rids) {
+			t.Errorf("%s: scoped bitmap %v != row path %v", tc.name, bids, rids)
 		}
-		if !equalIDs(pids, rids) {
-			t.Errorf("%s: scoped bitmap %v != row path %v", tc.name, pids, rids)
-		}
-		if !equalIDs(pids, scopedWant) {
-			t.Errorf("%s: scoped catalog %v != oracle∩scope %v", tc.name, pids, scopedWant)
+		if !equalIDs(bids, scopedWant) {
+			t.Errorf("%s: scoped catalog %v != oracle∩scope %v", tc.name, bids, scopedWant)
 		}
 	}
 }

@@ -15,8 +15,9 @@ import (
 // posting lists (the default) or row slices (the oracle behind
 // Options.DisableBitmaps, and the per-evaluation fallback when instance
 // keys overflow the bitmap packing). The stage names, histograms, trace
-// spans, cache layers, and path counters are identical under both
-// strategies; only what flows between the stages differs.
+// spans are identical under both strategies; only what flows between
+// the stages differs, and only the bitmap strategy's probes are cached
+// (the postings layer).
 
 // instSet is a criterion's satisfied-instance collection under some
 // materialization; the executor and explain renderer see cardinality
@@ -40,9 +41,9 @@ func (x rowsInst) card() int     { return len(x.rows) }
 func (x rowsInst) shape() string { return "" }
 
 // execStrategy is one physical materialization of the plan operators.
-// probe runs one criterion's scan node (through that strategy's cache
-// layer, reporting hits), rollup one containment-rollup node, and
-// intersect the final cross-criteria object AND plus visibility.
+// probe runs one criterion's scan node (reporting whether a cache layer
+// answered it), rollup one containment-rollup node, and intersect the
+// final cross-criteria object AND plus visibility.
 type execStrategy interface {
 	name() string
 	probe(v *view, sc *planNode) (instSet, bool, error)
@@ -55,7 +56,7 @@ type execStrategy interface {
 // cache outcome as it goes. It returns the visible matching object IDs
 // ascending (row strategy: sorted; set strategy: set iteration order)
 // together with the annotated plan for ExplainQuery.
-func (v *view) execPlan(q *Query, key string, tr *obs.Trace, st execStrategy) ([]int64, *queryPlan, error) {
+func (v *view) execPlan(q *Query, tr *obs.Trace, st execStrategy) ([]int64, *queryPlan, error) {
 	c := v.c
 	tr.Annotate("repr=" + st.name())
 	if err := v.ctxErr(); err != nil {
@@ -65,11 +66,11 @@ func (v *view) execPlan(q *Query, key string, tr *obs.Trace, st execStrategy) ([
 	// Stage 1+2: compile, then per criteria node the instances directly
 	// satisfying its element predicates.
 	endProbe := c.stageTimer(tr, "probe", c.obsv.stageProbe)
-	p, err := v.compile(q, key)
+	p, err := v.compile(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	sets, err := v.probeStage(p, tr, st)
+	sets, err := v.probeStage(p, st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -108,31 +109,20 @@ func (v *view) execPlan(q *Query, key string, tr *obs.Trace, st execStrategy) ([
 	return visible, p, nil
 }
 
-// probeStage runs every scan node, fanning out across the worker pool
-// when the criteria count and indexed-row volume warrant it. This is
-// the one home of the fan-out decision and its instrumentation (path
-// counters, per-criterion cardinality, bitmap container census) that
-// the row and bitmap pipelines used to duplicate.
-func (v *view) probeStage(p *queryPlan, tr *obs.Trace, st execStrategy) (map[int]instSet, error) {
+// probeStage runs every scan node in criteria order. This is the one
+// home of the per-criterion instrumentation (cardinality, bitmap
+// container census) that the row and bitmap pipelines used to
+// duplicate.
+func (v *view) probeStage(p *queryPlan, st execStrategy) (map[int]instSet, error) {
 	c := v.c
-	workers := c.fanoutWorkers(len(p.all), v.tab(TElemData).Len())
-	if workers > 1 {
-		c.obsv.pathParallel.Inc()
-		if tr != nil {
-			tr.Annotate(fmt.Sprintf("path=parallel workers=%d", workers))
-		}
-	} else {
-		c.obsv.pathSequential.Inc()
-		tr.Annotate("path=sequential")
-	}
-	results := make([]instSet, len(p.all))
-	err := runParallel(workers, len(p.all), func(i int) error {
+	sets := make(map[int]instSet, len(p.all))
+	for i, n := range p.all {
 		sc := p.scans[i]
 		s, hit, err := st.probe(v, sc)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		results[i] = s
+		sets[n.id] = s
 		sc.card = s.card()
 		sc.shape = s.shape()
 		sc.cacheHit = hit
@@ -143,14 +133,6 @@ func (v *view) probeStage(p *queryPlan, tr *obs.Trace, st execStrategy) (map[int
 			c.obsv.bitmapContainersBitmap.Add(uint64(cs.Bitmap))
 			c.obsv.bitmapContainersRun.Add(uint64(cs.Run))
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sets := make(map[int]instSet, len(p.all))
-	for i, n := range p.all {
-		sets[n.id] = results[i]
 	}
 	return sets, nil
 }
@@ -228,27 +210,14 @@ type rowStrategy struct{}
 
 func (rowStrategy) name() string { return "rows" }
 
-// probe answers the scan node from the probe cache layer when enabled
-// (same key and stamp contract as the postings layer), computing via
-// scanRows on a miss. Cached row slices are shared read-only; every
-// consumer builds its own cursor.
+// probe runs the scan node via scanRows, uncached: the oracle recomputes
+// every criterion from the base tables.
 func (rowStrategy) probe(v *view, sc *planNode) (instSet, bool, error) {
-	if v.c.caches.probe == nil {
-		rows, err := v.scanRows(sc)
-		if err != nil {
-			return nil, false, err
-		}
-		return rowsInst{rows}, false, nil
-	}
-	hit := true
-	rows, err := v.c.caches.probe.GetOrCompute(v.snap.Epoch(), sc.q.probeKey, func() ([]relstore.Row, error) {
-		hit = false
-		return v.scanRows(sc)
-	})
+	rows, err := v.scanRows(sc)
 	if err != nil {
 		return nil, false, err
 	}
-	return rowsInst{rows}, hit, nil
+	return rowsInst{rows}, false, nil
 }
 
 func (rowStrategy) rollup(v *view, rn *planNode, sets map[int]instSet) (instSet, error) {

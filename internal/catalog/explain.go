@@ -9,7 +9,7 @@ import (
 // executed plan: the operator tree, then per plan node the resolved
 // definition, the instance count flowing through it, its physical
 // shape (posting-list container mix under the bitmap strategy), and
-// whether the probe/postings cache layer answered it — and finally the
+// whether the postings cache layer answered it — and finally the
 // matching object count. The trace is the textual analogue of the
 // paper's Figure 4 flow diagram; mdcat prints it for -explain queries.
 //
@@ -36,10 +36,10 @@ func (c *Catalog) ExplainQuery(q *Query) ([]string, error) {
 		suffix = ""
 		st = rowStrategy{}
 	}
-	visible, p, err := v.execPlan(&structural, "", nil, st)
+	visible, p, err := v.execPlan(&structural, nil, st)
 	if err != nil && !c.opts.DisableBitmaps && errors.Is(err, errBitmapRange) {
 		suffix = ""
-		visible, p, err = v.execPlan(&structural, "", nil, rowStrategy{})
+		visible, p, err = v.execPlan(&structural, nil, rowStrategy{})
 	}
 	if err != nil {
 		return nil, err

@@ -36,7 +36,7 @@ func FuzzSnapshotSwapInterleavings(f *testing.F) {
 		if len(ops) > 24 {
 			ops = ops[:24]
 		}
-		c := newLEADCatalog(t, Options{QueryWorkers: 4, ParallelRowThreshold: -1})
+		c := newLEADCatalog(t, Options{})
 		tr := &tracker{objs: map[int64]*objState{}, everPublished: map[int64]bool{}}
 
 		// Seed two objects so readers have work from the first iteration.

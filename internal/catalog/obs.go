@@ -20,7 +20,6 @@ const DefaultTraceDepth = 32
 //	query_stage_nanos{stage}  Figure-4 stage latency
 //	query_criterion_rows      materialized rows (or posting-list
 //	                          cardinality) per criterion probe
-//	query_path_total{path}    parallel vs sequential fan-out decisions
 //	query_bitmap_containers_total{kind}  containers (array/bitmap/run)
 //	                          across criterion posting lists
 //	query_intersect_cardinality          per-criterion object-set size
@@ -51,9 +50,7 @@ type catObs struct {
 
 	textBuilds *obs.Counter
 
-	criterionRows  *obs.Histogram
-	pathParallel   *obs.Counter
-	pathSequential *obs.Counter
+	criterionRows *obs.Histogram
 
 	bitmapContainersArray  *obs.Counter
 	bitmapContainersBitmap *obs.Counter
@@ -103,9 +100,7 @@ func (c *Catalog) initObs() {
 
 		textBuilds: reg.Counter("textindex_builds_total"),
 
-		criterionRows:  reg.Histogram("query_criterion_rows"),
-		pathParallel:   reg.Counter("query_path_total", obs.L("path", "parallel")),
-		pathSequential: reg.Counter("query_path_total", obs.L("path", "sequential")),
+		criterionRows: reg.Histogram("query_criterion_rows"),
 
 		bitmapContainersArray:  reg.Counter("query_bitmap_containers_total", obs.L("kind", "array")),
 		bitmapContainersBitmap: reg.Counter("query_bitmap_containers_total", obs.L("kind", "bitmap")),

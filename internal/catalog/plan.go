@@ -78,7 +78,7 @@ type planNode struct {
 	card       int    // instances (or objects, for intersect) produced
 	beforeCard int    // rollup only: instances before narrowing
 	shape      string // physical representation, e.g. "[set: card=…]"; "" for rows
-	cacheHit   bool   // served from the probe/postings cache layer
+	cacheHit   bool   // served from the postings cache layer
 }
 
 // topObjects is the intersect stage's per-top-criterion annotation:
@@ -105,10 +105,10 @@ type queryPlan struct {
 	topObjs []topObjects
 }
 
-// compile resolves the query (through the resolve cache when key is
-// non-empty) and lowers it into a plan tree.
-func (v *view) compile(q *Query, key string) (*queryPlan, error) {
-	all, tops, err := v.resolveCached(q, key)
+// compile resolves the query against the pinned registry and lowers it
+// into a plan tree.
+func (v *view) compile(q *Query) (*queryPlan, error) {
+	all, tops, err := v.resolve(q)
 	if err != nil {
 		return nil, err
 	}

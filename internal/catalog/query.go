@@ -82,9 +82,7 @@ func (q *Query) Attr(name, source string) *AttrCriteria {
 	return a
 }
 
-// qNode is one resolved criteria node, numbered in DFS order. Nodes are
-// immutable after resolve, so a resolved tree may be cached and shared
-// by concurrent evaluations.
+// qNode is one resolved criteria node, numbered in DFS order.
 type qNode struct {
 	id       int
 	parent   *qNode
@@ -92,7 +90,7 @@ type qNode struct {
 	elems    []qElem
 	children []*qNode
 	// probeKey identifies the node's directly-satisfied instance set in
-	// the probe cache layer: definition IDs plus predicates (cache.go).
+	// the postings cache layer: definition IDs plus predicates (cache.go).
 	probeKey string
 }
 
@@ -180,13 +178,12 @@ func (v *view) evaluateTraced(q *Query, tr *obs.Trace) ([]int64, error) {
 		return nil, fmt.Errorf("catalog: query has no attribute criteria")
 	}
 	if c.caches.eval == nil {
-		return v.evaluateUncached(q, "", tr)
+		return v.evaluateUncached(q, tr)
 	}
-	key := queryCacheKey(q)
 	computed := false
-	ids, err := c.caches.eval.GetOrCompute(v.snap.Epoch(), key, func() ([]int64, error) {
+	ids, err := c.caches.eval.GetOrCompute(v.snap.Epoch(), queryCacheKey(q), func() ([]int64, error) {
 		computed = true
-		return v.evaluateUncached(q, key, tr)
+		return v.evaluateUncached(q, tr)
 	})
 	if err != nil {
 		if !computed && v.ctxErr() == nil &&
@@ -194,7 +191,7 @@ func (v *view) evaluateTraced(q *Query, tr *obs.Trace) ([]int64, error) {
 			// We joined another caller's in-flight computation and
 			// inherited *its* cancellation; our own context is live, so
 			// run the pipeline ourselves.
-			return v.evaluateUncached(q, key, tr)
+			return v.evaluateUncached(q, tr)
 		}
 		return nil, err
 	}
@@ -207,10 +204,8 @@ func (v *view) evaluateTraced(q *Query, tr *obs.Trace) ([]int64, error) {
 }
 
 // evaluateUncached is the Figure-4 pipeline body, run entirely against
-// the view's pinned snapshot. key is the canonical query key when
-// caching is on ("" otherwise), reused for the resolve layer. tr (which
-// may be nil) receives one span per pipeline stage; the stage
-// histograms are recorded regardless.
+// the view's pinned snapshot. tr (which may be nil) receives one span
+// per pipeline stage; the stage histograms are recorded regardless.
 //
 // The query compiles to one plan (plan.go) that a single executor
 // (exec.go) walks. By default it runs under the compressed-bitmap
@@ -218,15 +213,15 @@ func (v *view) evaluateTraced(q *Query, tr *obs.Trace) ([]int64, error) {
 // the original row-at-a-time pipeline, kept as the correctness oracle —
 // and a query whose IDs cannot be packed into instance keys falls back
 // to it for that evaluation only.
-func (v *view) evaluateUncached(q *Query, key string, tr *obs.Trace) ([]int64, error) {
+func (v *view) evaluateUncached(q *Query, tr *obs.Trace) ([]int64, error) {
 	if !v.c.opts.DisableBitmaps {
-		ids, _, err := v.execPlan(q, key, tr, setStrategy{})
+		ids, _, err := v.execPlan(q, tr, setStrategy{})
 		if err == nil || !errors.Is(err, errBitmapRange) {
 			return ids, err
 		}
 		tr.Annotate("bitmap-range fallback to row path")
 	}
-	ids, _, err := v.execPlan(q, key, tr, rowStrategy{})
+	ids, _, err := v.execPlan(q, tr, rowStrategy{})
 	return ids, err
 }
 

@@ -48,11 +48,7 @@ func (c *Catalog) BuildResponse(ids []int64) ([]Response, error) {
 // buildResponseTraced builds responses against the view's pinned
 // snapshot; the whole build is one "response" stage span on the
 // (possibly nil) trace, annotated with the response-cache hit/miss
-// split. The per-object builds are independent, so with enough CLOB
-// rows the requested IDs split into contiguous chunks built by a
-// bounded worker pool; each worker runs the full sorted-outer-union
-// plan over only its chunk's rows, and the chunk maps merge back in the
-// caller's order.
+// split.
 //
 // With the response cache on, per-object documents recalled at the
 // pinned epoch skip the build entirely; only cache misses go through
@@ -91,33 +87,13 @@ func (v *view) buildResponseTraced(ids []int64, tr *obs.Trace) ([]Response, erro
 		}
 	}
 	if len(need) > 0 {
-		workers := c.fanoutWorkers(len(need), v.tab(TClobs).Len())
-		if workers <= 1 {
-			m, err := v.buildResponseChunk(need)
-			if err != nil {
-				return nil, err
-			}
-			for id, xml := range m {
-				byObject[id] = xml
-				c.caches.response.Put(gen, id, xml)
-			}
-		} else {
-			chunks := chunkContiguous(need, workers)
-			maps := make([]map[int64]string, len(chunks))
-			err := runParallel(workers, len(chunks), func(i int) error {
-				m, err := v.buildResponseChunk(chunks[i])
-				maps[i] = m
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range maps {
-				for id, xml := range m {
-					byObject[id] = xml
-					c.caches.response.Put(gen, id, xml)
-				}
-			}
+		m, err := v.buildResponseChunk(need)
+		if err != nil {
+			return nil, err
+		}
+		for id, xml := range m {
+			byObject[id] = xml
+			c.caches.response.Put(gen, id, xml)
 		}
 	}
 	var out []Response

@@ -11,9 +11,9 @@ import (
 // snapshot plus a registry snapshot, taken together at the operation's
 // start. Everything the Figure-4 pipeline and the §5 response builder
 // touch resolves through the view, so a whole query — probes, rollups,
-// intersection, response construction, worker-pool fan-out — observes
-// exactly one epoch and runs without any lock, concurrently with
-// writers publishing later versions.
+// intersection, response construction — observes exactly one epoch and
+// runs without any lock, concurrently with writers publishing later
+// versions.
 //
 // Pin order is database first, then registry. Dynamic registration
 // mutates the registry before mirroring it into the definition tables,

@@ -11,7 +11,7 @@ func TestTraceStages(t *testing.T) {
 	end := tr.StartStage("probe")
 	time.Sleep(time.Millisecond)
 	end(42)
-	tr.Annotate("path=sequential")
+	tr.Annotate("repr=bitmap")
 	tr.AddStage("rollup", time.Now(), 5*time.Millisecond, 7)
 	if len(tr.Stages) != 2 {
 		t.Fatalf("stages = %d, want 2", len(tr.Stages))
@@ -25,7 +25,7 @@ func TestTraceStages(t *testing.T) {
 	if tr.Stages[1].DurNS != (5 * time.Millisecond).Nanoseconds() {
 		t.Errorf("rollup duration = %d", tr.Stages[1].DurNS)
 	}
-	if len(tr.Notes) != 1 || tr.Notes[0] != "path=sequential" {
+	if len(tr.Notes) != 1 || tr.Notes[0] != "repr=bitmap" {
 		t.Errorf("notes = %v", tr.Notes)
 	}
 

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
@@ -51,7 +53,7 @@ func TestCachezEndpoint(t *testing.T) {
 }
 
 func TestCachezEndpointDisabled(t *testing.T) {
-	cat, err := catalog.Open(xmlschema.MustLEAD(), catalog.Options{DisableCache: true})
+	cat, err := catalog.Open(xmlschema.MustLEAD(), catalog.Options{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,5 +68,61 @@ func TestCachezEndpointDisabled(t *testing.T) {
 	}
 	if st.Enabled {
 		t.Fatalf("cache should be disabled: %s", got)
+	}
+}
+
+// TestCacheSurfacePinned pins what an operator sees of the read caches
+// after a cold and a warm /search: the exact key set of /debug/cachez
+// and the exact layer labels of cache_hits_total. A layer cannot be
+// added (or come back) without this table changing.
+func TestCacheSurfacePinned(t *testing.T) {
+	ts := newObsServer(t)
+	if code, got := post(t, ts+"/ingest?owner=alice", "application/xml", xmlschema.Figure3Document); code != http.StatusCreated {
+		t.Fatalf("ingest: %d %s", code, got)
+	}
+	q := `{"attrs":[{"name":"theme","elems":[{"name":"themekey","op":"=","value":"convective_precipitation_amount"}]}]}`
+	for i := 0; i < 2; i++ {
+		if code, got := post(t, ts+"/search", "application/json", q); code != http.StatusOK {
+			t.Fatalf("search %d: %d %s", i, code, got)
+		}
+	}
+
+	jsonKeys := func(body string) []string {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(body), &m); err != nil {
+			t.Fatalf("not a JSON object: %v\n%s", err, body)
+		}
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		return keys
+	}
+	hitLayers := func(body string) []string {
+		var layers []string
+		for _, line := range strings.Split(body, "\n") {
+			if rest, ok := strings.CutPrefix(line, `cache_hits_total{layer="`); ok {
+				layers = append(layers, rest[:strings.IndexByte(rest, '"')])
+			}
+		}
+		return layers
+	}
+	for _, tc := range []struct {
+		path  string
+		names func(body string) []string
+		want  []string
+	}{
+		{"/debug/cachez", jsonKeys, []string{"data_generation", "enabled", "evaluate", "postings", "registry_generation", "response"}},
+		{"/metrics", hitLayers, []string{"evaluate", "postings", "response"}},
+	} {
+		code, body := get(t, ts+tc.path)
+		if code != http.StatusOK {
+			t.Fatalf("%s: %d %s", tc.path, code, body)
+		}
+		got := tc.names(body)
+		slices.Sort(got)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s exposes %v, want exactly %v", tc.path, got, tc.want)
+		}
 	}
 }

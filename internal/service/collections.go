@@ -1,9 +1,11 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
@@ -128,8 +130,7 @@ func (s *Server) handleContaining(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	q = s.maybeExpand(r, q)
-	ids, err := s.cat().CollectionsContaining(q)
+	ids, err := s.cat().CollectionsContaining(s.maybeExpand(r.URL.Query(), q))
 	if err != nil {
 		writeErr(w, queryStatus(err), err)
 		return
@@ -141,8 +142,8 @@ func (s *Server) handleContaining(w http.ResponseWriter, r *http.Request) {
 }
 
 // maybeExpand applies ontology expansion when requested and configured.
-func (s *Server) maybeExpand(r *http.Request, q *catalog.Query) *catalog.Query {
-	if s.ont != nil && r.URL.Query().Get("expand") == "1" {
+func (s *Server) maybeExpand(qv url.Values, q *catalog.Query) *catalog.Query {
+	if s.ont != nil && qv.Get("expand") == "1" {
 		return ontology.Expand(s.ont, q)
 	}
 	return q
@@ -153,10 +154,10 @@ var errBadScope = errors.New("service: bad collection")
 
 // evaluateScoped runs the query on the backend, or scoped to
 // ?collection=N where the server has collections (a cluster has none).
-// The request's context rides along: when the client disconnects, the
-// pipeline aborts at its next stage boundary.
-func (s *Server) evaluateScoped(r *http.Request, q *catalog.Query) ([]int64, error) {
-	if cs := r.URL.Query().Get("collection"); cs != "" {
+// ctx is the request's: when the client disconnects, the pipeline
+// aborts at its next stage boundary.
+func (s *Server) evaluateScoped(ctx context.Context, qv url.Values, q *catalog.Query) ([]int64, error) {
+	if cs := qv.Get("collection"); cs != "" {
 		if s.cluster != nil {
 			return nil, fmt.Errorf("%w: a sharded server has no collections", errBadScope)
 		}
@@ -164,7 +165,7 @@ func (s *Server) evaluateScoped(r *http.Request, q *catalog.Query) ([]int64, err
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadScope, err)
 		}
-		return s.cat().EvaluateInContextCtx(r.Context(), cid, q)
+		return s.cat().EvaluateInContextCtx(ctx, cid, q)
 	}
-	return s.backend().EvaluateContext(r.Context(), q, fanout(r))
+	return s.backend().EvaluateContext(ctx, q, fanout(qv))
 }

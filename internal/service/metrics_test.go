@@ -149,7 +149,6 @@ func testMetricsEndpoint(t *testing.T, ts string, extra map[string]string) {
 		"catalog_wal_commit_nanos":  "histogram",
 		"catalog_op_nanos":          "histogram", // query engine
 		"query_stage_nanos":         "histogram",
-		"query_path_total":          "counter",
 		"http_requests_total":       "counter", // service layer
 		"http_request_nanos":        "histogram",
 	}

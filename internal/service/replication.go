@@ -118,12 +118,18 @@ const maxStreamWait = 60 * time.Second
 // from /wal/snapshot.
 func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	c := s.cat()
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
-	if err != nil && r.URL.Query().Get("from") != "" {
+	qv := r.URL.Query()
+	from, err := strconv.ParseUint(qv.Get("from"), 10, 64)
+	if err != nil && qv.Get("from") != "" {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: bad from: %w", err))
 		return
 	}
-	wait := time.Duration(queryInt(r, "wait_ms", 0)) * time.Millisecond
+	waitMS, err := queryInt(qv, "wait_ms")
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	wait := time.Duration(waitMS) * time.Millisecond
 	if wait > maxStreamWait {
 		wait = maxStreamWait
 	}

@@ -268,6 +268,10 @@ func TestWALStreamGapAndBadFrom(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("stream with bad from: %d, want 400", code)
 	}
+	code, _ = get(t, ts.URL+"/wal/stream?from=7&wait_ms=soon")
+	if code != http.StatusBadRequest {
+		t.Fatalf("stream with bad wait_ms: %d, want 400", code)
+	}
 }
 
 func TestWALSnapshotBootstrapsFollower(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
@@ -236,7 +237,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: ranked queries use POST /search"))
 		return
 	}
-	ids, err := s.evaluateScoped(r, s.maybeExpand(r, q))
+	qv := r.URL.Query()
+	ids, err := s.evaluateScoped(r.Context(), qv, s.maybeExpand(qv, q))
 	if err != nil {
 		writeErr(w, queryStatus(err), err)
 		return
@@ -259,27 +261,34 @@ func (s *Server) handleDefs(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleSearch runs the query and returns reconstructed documents;
-// ?offset and ?limit paginate, and the response carries the total
+// ?offset and ?limit paginate (a malformed or negative value is a 400,
+// not a silently unpaged reply), and the response carries the total
 // match count. A structural query pages over the ascending ID order and
 // rebuilds only the page; a query with a "rank" clause returns BM25
 // top-k results in score order, each carrying its score (see
 // handleSearchRanked).
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	qv := r.URL.Query()
+	pg, err := readPaging(qv)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
 	q, ok := s.readQuery(w, r)
 	if !ok {
 		return
 	}
-	q = s.maybeExpand(r, q)
+	q = s.maybeExpand(qv, q)
 	if q.Rank != nil {
-		s.handleSearchRanked(w, r, q)
+		s.handleSearchRanked(w, r, qv, pg, q)
 		return
 	}
-	ids, err := s.evaluateScoped(r, q)
+	ids, err := s.evaluateScoped(r.Context(), qv, q)
 	if err != nil {
 		writeErr(w, queryStatus(err), err)
 		return
 	}
-	resp, err := s.backend().BuildResponse(page(r, ids))
+	resp, err := s.backend().BuildResponse(page(pg, ids))
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -298,13 +307,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // handleSearchRanked is the ranked arm of POST /search: BM25 top-k
 // composed with the query's structural criteria, results in descending
 // score order with ?offset/?limit slicing the ranked list.
-func (s *Server) handleSearchRanked(w http.ResponseWriter, r *http.Request, q *catalog.Query) {
-	if r.URL.Query().Get("collection") != "" {
+func (s *Server) handleSearchRanked(w http.ResponseWriter, r *http.Request, qv url.Values, pg paging, q *catalog.Query) {
+	if qv.Get("collection") != "" {
 		writeErr(w, http.StatusBadRequest,
 			fmt.Errorf("service: ranked search does not support ?collection"))
 		return
 	}
-	resp, err := s.backend().SearchRanked(r.Context(), q, fanout(r))
+	resp, err := s.backend().SearchRanked(r.Context(), q, fanout(qv))
 	if err != nil {
 		writeErr(w, queryStatus(err), err)
 		return
@@ -314,37 +323,51 @@ func (s *Server) handleSearchRanked(w http.ResponseWriter, r *http.Request, q *c
 		Score float64 `json:"score"`
 		XML   string  `json:"xml"`
 	}
-	pg := page(r, resp)
-	results := make([]result, 0, len(pg))
-	for _, rr := range pg {
+	hits := page(pg, resp)
+	results := make([]result, 0, len(hits))
+	for _, rr := range hits {
 		results = append(results, result{ID: rr.ObjectID, Score: rr.Score, XML: rr.XML})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"total": len(resp), "results": results})
 }
 
-// page slices an ordered result list to ?offset and ?limit.
-func page[T any](r *http.Request, items []T) []T {
-	items = items[min(queryInt(r, "offset", 0), len(items)):]
-	if lim := queryInt(r, "limit", 0); lim > 0 && lim < len(items) {
-		items = items[:lim]
+// paging is a request's ?offset and ?limit; a zero limit means no limit.
+type paging struct{ offset, limit int }
+
+func readPaging(qv url.Values) (pg paging, err error) {
+	if pg.offset, err = queryInt(qv, "offset"); err != nil {
+		return pg, err
+	}
+	pg.limit, err = queryInt(qv, "limit")
+	return pg, err
+}
+
+// page slices an ordered result list to the request's paging.
+func page[T any](pg paging, items []T) []T {
+	items = items[min(pg.offset, len(items)):]
+	if pg.limit > 0 && pg.limit < len(items) {
+		items = items[:pg.limit]
 	}
 	return items
 }
 
 // fanout reports the request's ?fanout=1 flag, which the backend
 // receives with every read.
-func fanout(r *http.Request) bool { return r.URL.Query().Get("fanout") == "1" }
+func fanout(qv url.Values) bool { return qv.Get("fanout") == "1" }
 
-func queryInt(r *http.Request, name string, def int) int {
-	v := r.URL.Query().Get(name)
+// queryInt reads a non-negative integer query parameter. Absent is 0;
+// a malformed or negative value is an error — the caller's 400 — so a
+// typo is never mistaken for the default.
+func queryInt(qv url.Values, name string) (int, error) {
+	v := qv.Get(name)
 	if v == "" {
-		return def
+		return 0, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {
-		return def
+		return 0, fmt.Errorf("service: bad %s %q: want a non-negative integer", name, v)
 	}
-	return n
+	return n, nil
 }
 
 func (s *Server) handleObjects(w http.ResponseWriter, _ *http.Request) {

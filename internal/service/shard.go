@@ -34,12 +34,13 @@ func (s *Server) handleShardz(w http.ResponseWriter, _ *http.Request) {
 // the completed move (or its failure, which leaves the old shard
 // serving).
 func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	idx, err := strconv.Atoi(r.URL.Query().Get("shard"))
+	qv := r.URL.Query()
+	idx, err := strconv.Atoi(qv.Get("shard"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, errors.New("service: ?shard=N required"))
 		return
 	}
-	dir := r.URL.Query().Get("dir")
+	dir := qv.Get("dir")
 	if dir == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("service: ?dir=path required"))
 		return

@@ -270,9 +270,14 @@ func TestShardedWireParity(t *testing.T) {
 		{"POST", "/search", matchAll, 200},
 		{"POST", "/search?offset=1&limit=1", matchAll, 200},
 		{"POST", "/search?offset=9", matchAll, 200},
+		{"POST", "/search?limit=abc", matchAll, 400},
+		{"POST", "/search?offset=-3", matchAll, 400},
+		{"POST", "/search?limit=1e3", matchAll, 400},
 		{"POST", "/search", ranked, 200},
 		{"POST", "/search?fanout=1&offset=1&limit=1", ranked, 200},
 		{"POST", "/search?collection=1", ranked, 400},
+		{"POST", "/search?limit=abc", ranked, 400},
+		{"POST", "/search?offset=-3&limit=1", ranked, 400},
 		{"GET", "/objects", "", 200},
 		{"GET", "/fetch?id=1", "", 200},
 		{"GET", "/fetch?id=99", "", 404},
@@ -348,7 +353,7 @@ func (c *cancelAfter) Err() error {
 // instead of running it to completion for nobody.
 func TestShardedQueryClientDisconnect(t *testing.T) {
 	reg := obs.NewRegistry()
-	cl := openShardCluster(t, 4, catalog.Options{DisableCache: true, Metrics: reg})
+	cl := openShardCluster(t, 4, catalog.Options{CacheSize: -1, Metrics: reg})
 	for i := 0; i < 8; i++ {
 		if _, err := cl.IngestXML(fmt.Sprintf("tenant-%d", i), shardDocXML(i)); err != nil {
 			t.Fatal(err)

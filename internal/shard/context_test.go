@@ -55,7 +55,7 @@ func TestShardContextCancelled(t *testing.T) {
 	// every stage-boundary check); a registry so the stage histograms
 	// show which stages ran.
 	reg := obs.NewRegistry()
-	four, _ := openClusterWith(t, g, 4, corpus, catalog.Options{DisableCache: true, Metrics: reg})
+	four, _ := openClusterWith(t, g, 4, corpus, catalog.Options{CacheSize: -1, Metrics: reg})
 	stageRuns := func(stage string) uint64 {
 		return reg.Histogram("query_stage_nanos", obs.L("stage", stage)).Count()
 	}
