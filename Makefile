@@ -75,15 +75,20 @@ shard:
 	$(GO) run ./cmd/mdbench -exp S1 -quick
 
 # Ranked-retrieval verification under the race detector: the tokenizer
-# fuzz target's seed corpus and the BM25 top-k brute-force property
-# test, the ranked equivalence suites (planner strategies vs the DOM
-# oracle, 1-shard and 4-shard clusters vs a single catalog under
-# globally merged statistics, ranked paging over the wire), the
-# epoch-rebuild and concurrent reader/writer tests, and a one-repetition
+# and Apply-sequence fuzz targets' seed corpora, the BM25 top-k
+# brute-force and Apply-vs-rebuild property tests, the row-page diff the
+# index advance reads (TableMark), the ranked equivalence suites
+# (planner strategies vs the DOM oracle, 1-shard and 4-shard clusters vs
+# a single catalog under globally merged statistics with writes between
+# the queries, ranked paging over the wire), the index coherence oracle
+# (served index vs scratch build across every mutation kind, recovery
+# and a WAL-tailing follower), the epoch-advance, snapshot-isolation,
+# pinned-memory and concurrent reader/writer tests, and a one-repetition
 # smoke of the IR1 experiment (DESIGN.md "Ranked retrieval").
 search:
-	$(GO) test -race -run 'Fuzz|TopK|Token|Stats' -count=1 ./internal/textindex/
-	$(GO) test -race -run 'Ranked|QueryLog' -count=1 ./internal/catalog/ ./internal/shard/ ./internal/service/ ./internal/workload/
+	$(GO) test -race -run 'Fuzz|TopK|Token|Stats|Apply' -count=1 ./internal/textindex/
+	$(GO) test -race -run 'TableMark' -count=1 ./internal/relstore/
+	$(GO) test -race -run 'Ranked|QueryLog|TextIndex' -count=1 ./internal/catalog/ ./internal/shard/ ./internal/service/ ./internal/workload/
 	$(GO) run ./cmd/mdbench -exp IR1 -quick
 
 cover:

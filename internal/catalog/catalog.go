@@ -129,9 +129,10 @@ type Catalog struct {
 	// obs.go); zero-valued (all no-ops) without Options.Metrics.
 	obsv catObs
 
-	// text holds the epoch-stamped BM25 text index (rank.go), rebuilt
-	// lazily on the first ranked query after a mutation; textMu
-	// serializes rebuilds so concurrent ranked queries build it once.
+	// text holds the epoch-stamped BM25 text index (rank.go), built on
+	// the first ranked query and advanced by snapshot diff on the first
+	// one after a mutation; textMu serializes that work so concurrent
+	// ranked queries do it once.
 	text   atomic.Pointer[stampedText]
 	textMu sync.Mutex
 }

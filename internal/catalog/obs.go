@@ -48,7 +48,9 @@ type catObs struct {
 	stageResponse  *obs.Histogram
 	stageRank      *obs.Histogram
 
-	textBuilds *obs.Counter
+	textBuilds    *obs.Counter // from-scratch index builds
+	textAdvances  *obs.Counter // snapshot-diff advances of an existing index
+	textDeltaRows *obs.Counter // elem_data row slots those diffs visited
 
 	criterionRows *obs.Histogram
 
@@ -98,7 +100,9 @@ func (c *Catalog) initObs() {
 		stageResponse:  stage("response"),
 		stageRank:      stage("rank"),
 
-		textBuilds: reg.Counter("textindex_builds_total"),
+		textBuilds:    reg.Counter("textindex_builds_total"),
+		textAdvances:  reg.Counter("textindex_advances_total"),
+		textDeltaRows: reg.Counter("textindex_delta_rows_total"),
 
 		criterionRows: reg.Histogram("query_criterion_rows"),
 

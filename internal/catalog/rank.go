@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"github.com/gridmeta/hybridcat/internal/obs"
+	"github.com/gridmeta/hybridcat/internal/relstore"
 	"github.com/gridmeta/hybridcat/internal/textindex"
 )
 
@@ -16,8 +17,10 @@ import (
 // attribute criteria, only objects the structural plan admits are
 // scored; without criteria, ranking runs over everything the owner may
 // see. The index is epoch-stamped like every other read-cache layer —
-// built lazily from the pinned snapshot on the first ranked query after
-// a mutation, then shared read-only by concurrent rankers.
+// built lazily from the pinned snapshot on the first ranked query,
+// advanced by snapshot diff on the first ranked query after a mutation
+// (the writer does no index work), and shared read-only by concurrent
+// rankers.
 //
 // For sharded deployments, scoring is a two-phase scatter: TextStats
 // collects each shard's corpus statistics, the router sums them
@@ -47,18 +50,38 @@ type ScoredID struct {
 }
 
 // stampedText is the epoch-stamped immutable text index held in
-// Catalog.text.
+// Catalog.text. mark pins the elem_data row pages of the version idx
+// describes — those pages and nothing else of that version — so the
+// next reader can diff its own version against them.
 type stampedText struct {
 	epoch uint64
 	idx   *textindex.Index
+	mark  *relstore.TableMark
 }
 
-// textIndexAt returns the text index for the view's pinned epoch,
-// building (and publishing) it when the cached one is missing or
-// stale. The double-checked mutex makes concurrent ranked queries
-// after a mutation build once; the publish keeps the newest epoch, so
-// a reader pinned behind the current version never regresses the
-// shared index.
+// textDiffPageDivisor bounds the incremental path: when more than
+// 1/textDiffPageDivisor of elem_data's row pages differ between the
+// indexed version and the reader's, the diff is abandoned and the index
+// rebuilt from a full scan, which also re-pins the mark.
+const textDiffPageDivisor = 4
+
+// elem_data columns the text index reads: every textual element value
+// of every attribute instance, credited to its object.
+const (
+	elemColObject = 0
+	elemColSval   = 5
+)
+
+// textIndexAt returns the text index for the view's pinned epoch. When
+// the published one is of another epoch it is advanced to the view's
+// version by diffing elem_data's row pages (relstore.TableMark.Diff)
+// and re-indexing only the objects whose rows changed; a full scan
+// remains for the first ranked query and for a table that cannot be
+// diffed. The diff runs in either direction, so a reader pinned behind
+// the published index gets its own epoch's index the same way; only an
+// index at or ahead of the published epoch is published, so such a
+// reader never regresses the shared one. The double-checked mutex makes
+// concurrent ranked queries after a mutation advance once.
 func (c *Catalog) textIndexAt(v *view) (*textindex.Index, error) {
 	if c.opts.DisableTextIndex {
 		return nil, ErrTextIndexDisabled
@@ -69,19 +92,71 @@ func (c *Catalog) textIndexAt(v *view) (*textindex.Index, error) {
 	}
 	c.textMu.Lock()
 	defer c.textMu.Unlock()
-	if cur := c.text.Load(); cur != nil && cur.epoch == epoch {
+	cur := c.text.Load()
+	if cur != nil && cur.epoch == epoch {
 		return cur.idx, nil
 	}
-	b := textindex.NewBuilder()
-	// elem_data: object_id at column 0, sval at column 5 — every textual
-	// element value of every attribute instance, credited to its object.
-	v.tab(TElemData).ScanTextPostings(0, 5, b.Add)
-	idx := b.Build()
-	c.obsv.textBuilds.Inc()
-	if cur := c.text.Load(); cur == nil || cur.epoch <= epoch {
-		c.text.Store(&stampedText{epoch: epoch, idx: idx})
+	elem := v.tab(TElemData)
+	next := &stampedText{epoch: epoch, mark: elem.Mark()}
+	if cur != nil {
+		next.idx = c.advanceText(cur, elem, next.mark)
 	}
-	return idx, nil
+	if next.idx == nil {
+		next.idx = scanTextIndex(elem)
+		c.obsv.textBuilds.Inc()
+	}
+	if cur == nil || cur.epoch <= epoch {
+		c.text.Store(next)
+	}
+	return next.idx, nil
+}
+
+// scanTextIndex builds the text index of the version elem reads from a
+// full scan.
+func scanTextIndex(elem *relstore.Table) *textindex.Index {
+	b := textindex.NewBuilder()
+	elem.ScanTextPostings(elemColObject, elemColSval, b.Add)
+	return b.Build()
+}
+
+// advanceText moves cur's index to the version elem reads (whose pages
+// are marked by to), or returns nil when the table cannot be diffed.
+// An object with any changed text row is re-indexed whole from elem, so
+// partial changes (AddAttribute) and reused row slots need no special
+// case.
+func (c *Catalog) advanceText(cur *stampedText, elem *relstore.Table, to *relstore.TableMark) *textindex.Index {
+	touched := make(map[int64]struct{})
+	var rows uint64
+	limit := (max(cur.mark.Pages(), to.Pages()) + textDiffPageDivisor - 1) / textDiffPageDivisor
+	if !cur.mark.Diff(to, limit, func(_ int64, old, new relstore.Row) {
+		rows++
+		for _, r := range [2]relstore.Row{old, new} {
+			if r != nil && r[elemColSval].K == relstore.KString {
+				touched[r[elemColObject].I] = struct{}{}
+			}
+		}
+	}) {
+		return nil
+	}
+	c.obsv.textAdvances.Inc()
+	c.obsv.textDeltaRows.Add(rows)
+	if len(touched) == 0 {
+		return cur.idx
+	}
+	removed := make([]int64, 0, len(touched))
+	added := textindex.NewBuilder()
+	for doc := range touched {
+		removed = append(removed, doc)
+		// The index exists on every version of elem_data, so the lookup
+		// cannot fail; an object with no rows left is just removed.
+		ids, _ := elem.LookupEqual("elem_data_by_object", relstore.Int(doc))
+		for _, id := range ids {
+			if r := elem.Get(id); r[elemColSval].K == relstore.KString {
+				added.Add(doc, r[elemColSval].S)
+			}
+		}
+	}
+	return cur.idx.Apply(removed, added)
 }
 
 // EvaluateRanked runs a ranked query and returns the BM25 top-k object

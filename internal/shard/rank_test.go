@@ -3,8 +3,9 @@
 // must be bit-identical (by score, with documents compared as XML so
 // topology-dependent IDs drop out) to a single catalog holding the
 // union of the shards — for pure ranked queries and for
-// content-and-structure compositions. Run under -race by the Makefile
-// search target.
+// content-and-structure compositions, with ingests and deletes between
+// the queries so every shard's text index gets there by snapshot diff.
+// Run under -race by the Makefile search target.
 package shard_test
 
 import (
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
+	"github.com/gridmeta/hybridcat/internal/obs"
 	"github.com/gridmeta/hybridcat/internal/workload"
 )
 
@@ -27,7 +29,10 @@ func TestShardRankedEquivalence(t *testing.T) {
 		corpus[i] = &workloadDoc{owner: equivOwner(i), doc: d}
 	}
 
-	single, err := catalog.Open(g.Schema, catalog.Options{})
+	// One registry per topology, to show below that the writes between
+	// the ranked queries were absorbed by index advances, not rebuilds.
+	regs := map[string]*obs.Registry{"single": obs.NewRegistry(), "1-shard": obs.NewRegistry(), "4-shard": obs.NewRegistry()}
+	single, err := catalog.Open(g.Schema, catalog.Options{Metrics: regs["single"]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +45,8 @@ func TestShardRankedEquivalence(t *testing.T) {
 		}
 	}
 
-	one, _ := openCluster(t, g, 1, corpus)
-	four, _ := openCluster(t, g, 4, corpus)
+	one, _ := openClusterWith(t, g, 1, corpus, catalog.Options{Metrics: regs["1-shard"]})
+	four, _ := openClusterWith(t, g, 4, corpus, catalog.Options{Metrics: regs["4-shard"]})
 
 	// A ranked result set normalized for cross-topology comparison:
 	// (score, response XML) pairs sorted score-desc then XML, so shards'
@@ -80,8 +85,46 @@ func TestShardRankedEquivalence(t *testing.T) {
 		return normalize(resp)
 	}
 
+	// Between ranked queries every topology takes the same write: a new
+	// document each round, and every third round the delete of one added
+	// two rounds earlier. Each shard's index therefore reaches the next
+	// query by snapshot diff, and the two-phase scores must stay
+	// bit-identical to the single catalog's through it.
+	type added struct{ single, one, four int64 }
+	var written []added
+	write := func(round int) {
+		n := cfg.Docs + round
+		var a added
+		var err error
+		if a.single, err = single.Ingest(equivOwner(n), g.Document(n)); err != nil {
+			t.Fatal(err)
+		}
+		if a.one, err = one.Ingest(equivOwner(n), g.Document(n)); err != nil {
+			t.Fatal(err)
+		}
+		if a.four, err = four.Ingest(equivOwner(n), g.Document(n)); err != nil {
+			t.Fatal(err)
+		}
+		written = append(written, a)
+		if round%3 == 2 {
+			d := written[round-2]
+			for _, del := range []func() (bool, error){
+				func() (bool, error) { return single.Delete(d.single) },
+				func() (bool, error) { return one.Delete(d.one) },
+				func() (bool, error) { return four.Delete(d.four) },
+			} {
+				if ok, err := del(); err != nil || !ok {
+					t.Fatalf("round %d delete: %v %v", round, ok, err)
+				}
+			}
+		}
+	}
+
 	nonEmpty := 0
 	for i := 0; i < 30; i++ {
+		if i > 0 {
+			write(i - 1)
+		}
 		var q *catalog.Query
 		if i%2 == 0 {
 			q = g.RankedQuery(i)
@@ -127,6 +170,12 @@ func TestShardRankedEquivalence(t *testing.T) {
 	if nonEmpty < 10 {
 		t.Fatalf("only %d/30 ranked queries matched anything — workload too sparse", nonEmpty)
 	}
+	for name, shards := range map[string]float64{"single": 1, "1-shard": 1, "4-shard": 4} {
+		s := regs[name].Snapshot()
+		if b, a := s["textindex_builds_total"], s["textindex_advances_total"]; b != shards || a < 10 {
+			t.Errorf("%s: %v index builds and %v advances across 29 writes, want %v builds and the rest advances", name, b, a, shards)
+		}
+	}
 
 	// Unbounded rankings (k past the corpus size) have no truncation
 	// boundary, so every topology must produce the identical (score,
@@ -134,6 +183,7 @@ func TestShardRankedEquivalence(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q := g.RankedQuery(i)
 		q.Rank.K = cfg.Docs * 2
+		write(29 + i)
 		want := singleRanked(q)
 		for _, pair := range []struct {
 			label string

@@ -1,6 +1,7 @@
 package textindex
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -42,6 +43,12 @@ func TestAnalyzeTermsDedupes(t *testing.T) {
 	}
 }
 
+// postings returns the term's live posting list in ascending document
+// order: what a single-segment index would hold for it.
+func (ix *Index) postings(term string) []Posting {
+	return mergePostings(ix.base.post[term], ix.delta.post[term], ix.dead)
+}
+
 func TestIndexBasics(t *testing.T) {
 	b := NewBuilder()
 	b.Add(1, "storm surge storm")
@@ -55,11 +62,11 @@ func TestIndexBasics(t *testing.T) {
 	if ix.DocFreq("storm") != 1 || ix.DocFreq("surge") != 2 || ix.DocFreq("absent") != 0 {
 		t.Fatalf("unexpected doc freqs: storm=%d surge=%d", ix.DocFreq("storm"), ix.DocFreq("surge"))
 	}
-	pl := ix.Postings("surge")
+	pl := ix.postings("surge")
 	if len(pl) != 2 || pl[0].Doc != 1 || pl[1].Doc != 2 {
 		t.Fatalf("postings not sorted by doc: %v", pl)
 	}
-	if pl := ix.Postings("storm"); pl[0].TF != 2 {
+	if pl := ix.postings("storm"); pl[0].TF != 2 {
 		t.Fatalf("tf(storm, doc1) = %d, want 2", pl[0].TF)
 	}
 
@@ -237,7 +244,8 @@ func corpusDocs(rng *rand.Rand, n int) map[int64]string {
 // ranked-search issue: for randomized corpora, query term sets, k
 // values, and admission filters, the index's TopK equals an independent
 // brute-force score-and-sort oracle exactly (same docs, same order,
-// same float64 scores).
+// same float64 scores). The admission filter is asked at most once per
+// document per query, however many query terms the document matches.
 func TestTopKMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -268,7 +276,20 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 			allow = func(d int64) bool { return d%mod == 0 }
 		}
 
-		got := ix.TopK(terms, k, nil, allow)
+		asked := map[int64]int{}
+		counting := allow
+		if allow != nil {
+			counting = func(d int64) bool {
+				asked[d]++
+				return allow(d)
+			}
+		}
+		got := ix.TopK(terms, k, nil, counting)
+		for d, n := range asked {
+			if n > 1 {
+				t.Fatalf("trial %d: allow asked %d times about document %d (%d terms)", trial, n, d, len(terms))
+			}
+		}
 		want := bruteForceTopK(docs, terms, k, allow)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d results, oracle %d\ngot:  %v\nwant: %v", trial, len(got), len(want), got, want)
@@ -336,5 +357,146 @@ func FuzzTokenize(f *testing.F) {
 		if len(toks) == 0 && ix.Docs() != 0 {
 			t.Fatal("tokenless text should index no documents")
 		}
+	})
+}
+
+// requireSameAsScratch asserts that ix answers exactly as an index
+// built from scratch over model does: the same dimensions, statistics
+// and posting lists, and bit-identical TopK under local and external
+// statistics, with and without an admission filter.
+func requireSameAsScratch(t *testing.T, ix *Index, model map[int64]string) {
+	t.Helper()
+	b := NewBuilder()
+	for doc, text := range model {
+		b.Add(doc, text)
+	}
+	want := b.Build()
+	if ix.Docs() != want.Docs() || ix.Terms() != want.Terms() {
+		t.Fatalf("docs/terms = %d/%d, scratch %d/%d", ix.Docs(), ix.Terms(), want.Docs(), want.Terms())
+	}
+	vocab := append([]string{"absent"}, corpusVocab...)
+	if got, w := ix.StatsFor(vocab), want.StatsFor(vocab); !reflect.DeepEqual(got, w) {
+		t.Fatalf("StatsFor = %+v, scratch %+v", got, w)
+	}
+	for _, term := range vocab {
+		if got, w := ix.DocFreq(term), want.DocFreq(term); got != w {
+			t.Fatalf("DocFreq(%q) = %d, scratch %d", term, got, w)
+		}
+		got, w := ix.postings(term), want.postings(term)
+		if len(got) != len(w) || (len(w) > 0 && !reflect.DeepEqual(got, w)) {
+			t.Fatalf("postings(%q) = %v, scratch %v", term, got, w)
+		}
+	}
+	global := want.StatsFor(vocab)
+	global.Merge(global) // any statistics other than the index's own
+	even := func(d int64) bool { return d%2 == 0 }
+	for i := 0; i+2 < len(corpusVocab); i += 3 {
+		terms := corpusVocab[i : i+3]
+		for _, st := range []*Stats{nil, &global} {
+			for _, allow := range []func(int64) bool{nil, even} {
+				got, w := ix.TopK(terms, 7, st, allow), want.TopK(terms, 7, st, allow)
+				if !reflect.DeepEqual(got, w) {
+					t.Fatalf("TopK(%v) = %v, scratch %v", terms, got, w)
+				}
+			}
+		}
+	}
+}
+
+// applyOps drives an index through a scripted sequence of Apply calls
+// against a model map and checks it against a scratch build after every
+// step, as well as the immutability of the index each step started
+// from. Each op byte removes or (re)writes a few documents of a small
+// ID space, so IDs collide: replaced documents, documents removed from
+// the delta, terms whose last document dies, repeated compactions.
+func applyOps(t *testing.T, ops []byte) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(len(ops))))
+	model := map[int64]string{}
+	ix := NewBuilder().Build()
+	for i := 0; i < len(ops); i++ {
+		before, beforeModel := ix, make(map[int64]string, len(model))
+		for d, s := range model {
+			beforeModel[d] = s
+		}
+		var removed []int64
+		added := NewBuilder()
+		n := 1 + int(ops[i]>>6)
+		for j := 0; j < n; j++ {
+			doc := int64(ops[i]&0x1f) + int64(j)*7
+			switch {
+			case ops[i]&0x20 != 0:
+				removed = append(removed, doc)
+				delete(model, doc)
+			default:
+				words := make([]string, rng.Intn(6)) // zero words: the document vanishes
+				for w := range words {
+					words[w] = corpusVocab[(int(ops[i])+w*int(doc+1)+rng.Intn(3))%len(corpusVocab)]
+				}
+				text := strings.Join(words, " ")
+				removed = append(removed, doc)
+				added.Add(doc, text)
+				if text == "" {
+					delete(model, doc)
+				} else {
+					model[doc] = text
+				}
+			}
+		}
+		ix = before.Apply(removed, added)
+		requireSameAsScratch(t, ix, model)
+		requireSameAsScratch(t, before, beforeModel)
+	}
+}
+
+// TestApplyMatchesRebuild: an index advanced by any sequence of Apply
+// calls answers exactly as one rebuilt from scratch, and Apply never
+// disturbs the index it was called on.
+func TestApplyMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		ops := make([]byte, 10+rng.Intn(60))
+		rng.Read(ops)
+		applyOps(t, ops)
+	}
+}
+
+// TestApplyCompacts pins the layout rule: a change within
+// 1/compactDivisor of the base stays in the delta, sharing the base
+// segment, and the change that crosses it leaves a single segment.
+func TestApplyCompacts(t *testing.T) {
+	b := NewBuilder()
+	for d := int64(0); d < 8*compactDivisor; d++ {
+		b.Add(d, "storm surge")
+	}
+	ix := b.Build()
+	for d := int64(100); d < 108; d++ {
+		one := NewBuilder()
+		one.Add(d, "radar")
+		ix = ix.Apply(nil, one)
+		if len(ix.delta.docLen) != int(d-99) || len(ix.base.docLen) != 8*compactDivisor {
+			t.Fatalf("after %d small changes: base %d, delta %d docs", d-99, len(ix.base.docLen), len(ix.delta.docLen))
+		}
+	}
+	ix = ix.Apply([]int64{0}, NewBuilder())
+	if len(ix.delta.docLen) != 0 || len(ix.dead) != 0 || len(ix.base.docLen) != 8*compactDivisor+7 {
+		t.Fatalf("crossing the bound did not compact: base %d, delta %d, dead %d",
+			len(ix.base.docLen), len(ix.delta.docLen), len(ix.dead))
+	}
+}
+
+// FuzzIndexApply fuzzes Apply sequences against a rebuild (see
+// applyOps for how the bytes are read).
+func FuzzIndexApply(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x01, 0x21, 0x01, 0x41, 0x61})
+	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x29, 0x28, 0x09})
+	f.Add([]byte{0xc0, 0xc1, 0xe0, 0xc2, 0xe1, 0x03, 0x23, 0x03, 0xff, 0xdf})
+	f.Add(bytes.Repeat([]byte{0x05, 0x25}, 12))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		applyOps(t, ops)
 	})
 }

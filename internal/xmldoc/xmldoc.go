@@ -304,17 +304,18 @@ func (n *Node) write(w *errWriter, indent, depth int) {
 	}
 }
 
+// A Replacer builds its lookup tables on first use and is safe for
+// concurrent use, so one of each serves every serialization.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+)
+
 // EscapeText escapes character data.
-func EscapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+func EscapeText(s string) string { return textEscaper.Replace(s) }
 
 // EscapeAttr escapes attribute values.
-func EscapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func EscapeAttr(s string) string { return attrEscaper.Replace(s) }
 
 // Equal compares two trees structurally: tags, sorted attributes, leaf
 // text, and child order must all match.

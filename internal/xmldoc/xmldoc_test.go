@@ -195,3 +195,41 @@ func TestSerializeParsePropertyRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+func TestEscape(t *testing.T) {
+	if got, want := EscapeText(`a<b & "c">d`), `a&lt;b &amp; "c"&gt;d`; got != want {
+		t.Errorf("EscapeText = %q, want %q", got, want)
+	}
+	if got, want := EscapeAttr(`a<b & "c">d`), `a&lt;b &amp; &quot;c&quot;&gt;d`; got != want {
+		t.Errorf("EscapeAttr = %q, want %q", got, want)
+	}
+}
+
+var escapeSink string
+
+// BenchmarkEscape prices the escapers on the two inputs a response
+// build sees: a plain value (the common case, returned as is) and one
+// that needs rewriting. It runs both from several goroutines because
+// the replacers are shared package state.
+func BenchmarkEscape(b *testing.B) {
+	for _, esc := range []struct {
+		name string
+		fn   func(string) string
+	}{{"text", EscapeText}, {"attr", EscapeAttr}} {
+		for _, in := range []struct{ name, s string }{
+			{"plain", "Convective_Precipitation_Amount 2km"},
+			{"special", `wind<10 & gust>"20"`},
+		} {
+			b.Run(esc.name+"/"+in.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.RunParallel(func(pb *testing.PB) {
+					var s string
+					for pb.Next() {
+						s = esc.fn(in.s)
+					}
+					escapeSink = s
+				})
+			})
+		}
+	}
+}
