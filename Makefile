@@ -41,15 +41,15 @@ mvcc:
 	$(GO) run ./cmd/mdbench -exp MV1 -quick
 
 # Bitmap posting-list verification: the bitset fuzz target's seed
-# corpus against the map-of-ints oracle, the operator/ablation matrix
-# and the workload equivalence suite comparing the bitmap pipeline to
-# the row-at-a-time path under the race detector, and a one-repetition
-# smoke of the B1 set-operations experiment (DESIGN.md "Posting lists
-# and vectorized set operations").
+# corpus against the map-of-ints oracle, and under the race detector
+# the operator/ablation matrix and the workload equivalence suite
+# judging the bitmap pipeline against the DOM oracle, the instance-key
+# packing and its ingest bound, and the relstore posting-list emitters
+# (DESIGN.md "Posting lists and vectorized set operations").
 bitmap:
 	$(GO) test -race -run 'Fuzz|Bitset|Set' -count=1 ./internal/bitset/
-	$(GO) test -race -run 'Bitmap|Postings' -count=1 ./internal/catalog/ ./internal/relstore/
-	$(GO) run ./cmd/mdbench -exp B1 -quick
+	$(GO) test -race -run 'Bitmap|InstKey|SeqBound|Postings' -count=1 ./internal/catalog/ ./internal/relstore/
+	$(GO) test -race -run 'ShredRefusesOrdinal' -count=1 ./internal/core/
 
 # Replication fault suite under the race detector: the WAL-stream
 # tailer driven through scripted network faults (torn responses at

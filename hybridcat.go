@@ -59,9 +59,10 @@ type Catalog = catalog.Catalog
 
 // Options configures a catalog: ingest policy (AutoRegister, Lenient),
 // the read caches' size (CacheSize; negative turns them off), the
-// instrumentation registry (Metrics, TraceDepth), and three switches
-// kept for ablations and test oracles (DisableInvertedList,
-// DisableBitmaps, DisableTextIndex).
+// instrumentation registry (Metrics, TraceDepth), the A1 inverted-list
+// ablation (DisableInvertedList), and DisableTextIndex, which turns
+// ranked retrieval off. Structural queries have one executor, over
+// compressed bitmap posting lists; there is no switch for it.
 type Options = catalog.Options
 
 // Query is an unordered query over metadata attributes: an object

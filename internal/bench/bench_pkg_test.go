@@ -39,7 +39,7 @@ func TestFmtDuration(t *testing.T) {
 
 func TestRegistryAndUnknown(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 25 {
+	if len(ids) != 24 {
 		t.Errorf("experiments = %v", ids)
 	}
 	if _, ok := Lookup("F1"); !ok {

@@ -37,7 +37,6 @@ var experiments = map[string]Experiment{
 	"R1":  {"R1", "WAL durability: ingest overhead and recovery time", R1Durability},
 	"R2":  {"R2", "group commit and replication: writer scaling and replica lag", R2Replication},
 	"O1":  {"O1", "observability overhead: metrics+tracing on vs off", O1MetricsOverhead},
-	"B1":  {"B1", "bitmap posting lists: multi-criterion set ops vs row-at-a-time", B1BitmapSetOps},
 	"S1":  {"S1", "owner-hash sharding: throughput vs shard count", S1ShardScaling},
 	"IR1": {"IR1", "ranked retrieval: BM25 top-k vs structural keyword baseline", IR1RankedSearch},
 }

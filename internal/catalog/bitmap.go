@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -9,36 +8,33 @@ import (
 	"github.com/gridmeta/hybridcat/internal/relstore"
 )
 
-// Bitmap set algebra for the plan executor's set strategy (exec.go).
-// What flows between the Figure-4 stages under that strategy is a
-// compressed bitset of attribute-instance keys instead of
-// []relstore.Row: probes emit posting lists straight off the B-tree
-// (relstore postings.go), element predicates and the rollup combine
-// them with word-at-a-time ANDs ordered by ascending cardinality, and
-// the intersect stage ANDs per-criterion *object* sets the same way.
-// Any query whose keys cannot be packed falls back to the row strategy
-// per evaluation (errBitmapRange).
+// Bitmap set algebra for the plan executor (exec.go). What flows
+// between the Figure-4 stages is a compressed bitset of
+// attribute-instance keys: probes emit posting lists straight off the
+// B-tree (relstore postings.go), element predicates and the rollup
+// combine them with word-at-a-time ANDs ordered by ascending
+// cardinality, and the intersect stage ANDs per-criterion *object* sets
+// the same way.
 
 // An attribute instance (object_id, seq_id) packs into one uint64 key:
 // object in the high bits, seq in the low instSeqBits. Sequence IDs are
-// per-object attribute-instance ordinals, so 2^20 of them is far past
-// any real document; objects get the remaining 43 bits (the top bit
-// stays clear so keys round-trip through int64 arithmetic).
+// per-object, per-definition instance ordinals; the shredder refuses an
+// object whose ordinal would pass instSeqMask (core's maxAttrSeq, pinned
+// equal by TestSeqBoundMatchesInstKey), so every stored instance packs.
+// Objects get the remaining 43 bits (the top bit stays clear so keys
+// round-trip through int64 arithmetic).
 const (
 	instSeqBits   = 20
 	instSeqMask   = 1<<instSeqBits - 1
 	maxInstObject = int64(1)<<(63-instSeqBits) - 1
 )
 
-// errBitmapRange aborts a bitmap evaluation whose IDs cannot be packed
-// into instance keys; evaluateUncached catches it and reruns the query
-// on the row path.
-var errBitmapRange = errors.New("catalog: id out of bitmap instance-key range")
-
-// instKey packs (object, seq) into one set key.
+// instKey packs (object, seq) into one set key. An unpackable pair can
+// only come from state the ingest bound did not guard (a snapshot or
+// log written before it); the query fails rather than answer partially.
 func instKey(object, seq int64) (uint64, error) {
 	if object < 0 || object > maxInstObject || seq < 0 || seq > instSeqMask {
-		return 0, fmt.Errorf("%w: object %d seq %d", errBitmapRange, object, seq)
+		return 0, fmt.Errorf("catalog: instance (object %d, seq %d) outside the bitmap key range", object, seq)
 	}
 	return uint64(object)<<instSeqBits | uint64(seq), nil
 }
@@ -152,9 +148,10 @@ func (v *view) rollupSet(n *qNode, sets map[int]*bitset.Set) (*bitset.Set, error
 	return andAscending(covers), nil
 }
 
-// recursiveRollupSet is the bitmap twin of recursiveRollup: with only
-// depth-1 links stored, each child's cover set is found by chasing
-// parents level by level.
+// recursiveRollupSet is the A1 ablation's rollup: with only depth-1
+// links stored, each child's cover set is found by chasing parents
+// level by level — the per-level self-joins that hinder the edge-table
+// approach (§6).
 func (v *view) recursiveRollupSet(n *qNode, sets map[int]*bitset.Set) (*bitset.Set, error) {
 	subT := v.tab(TSubAttrs)
 	type inst struct{ object, attrID, seq int64 }

@@ -318,9 +318,7 @@ func TestCacheOffMatchesCacheOn(t *testing.T) {
 			}
 		}
 	}
-	// The default bitmap pipeline memoizes criterion probes in the
-	// postings layer; the row-slice probe layer only sees traffic with
-	// DisableBitmaps.
+	// The pipeline memoizes criterion probes in the postings layer.
 	if st := cached.CacheStats(); st.Evaluate.Hits == 0 || st.Postings.Hits == 0 || st.Response.Hits == 0 {
 		t.Fatalf("warm rounds should have hit all layers: %+v", st)
 	}

@@ -44,11 +44,6 @@ type Options struct {
 	// and forces queries onto a recursive fallback; for the A1 ablation
 	// only.
 	DisableInvertedList bool
-	// DisableBitmaps runs the Figure-4 pipeline on the original
-	// row-at-a-time representation instead of compressed bitmap posting
-	// lists (bitmap.go). The row path is the correctness oracle for the
-	// equivalence suite and the baseline for bench experiment B1.
-	DisableBitmaps bool
 	// CacheSize bounds each read-cache layer (evaluate, postings,
 	// response) in entries. 0 uses DefaultCacheSize; negative disables
 	// caching entirely: every evaluation and response build recomputes

@@ -3,6 +3,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,6 +64,32 @@ func fig3Variant(t *testing.T, dx string) string {
 		}
 	}
 	return doc.String()
+}
+
+// TestOptionsSurfacePinned pins the catalog's configuration surface:
+// exactly these Options fields, in this order. An option cannot be
+// added (or come back) without this list changing, as
+// TestCacheSurfacePinned and scripts/flagdoc.sh do for the cache
+// layers and mdserver's flags.
+func TestOptionsSurfacePinned(t *testing.T) {
+	want := []string{
+		"AutoRegister bool",
+		"Lenient bool",
+		"DisableInvertedList bool",
+		"CacheSize int",
+		"DisableTextIndex bool",
+		"Metrics *obs.Registry",
+		"TraceDepth int",
+	}
+	typ := reflect.TypeOf(Options{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		got = append(got, f.Name+" "+f.Type.String())
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("catalog.Options fields:\n got %q\nwant %q", got, want)
+	}
 }
 
 func TestIngestStoresAllRowKinds(t *testing.T) {

@@ -34,35 +34,32 @@ func allow(n int64) *countdownCtx {
 }
 
 func TestEvaluateContextCancelledAtEveryStage(t *testing.T) {
-	for _, bitmaps := range []bool{false, true} {
-		// The cache layers are off so every call runs the pipeline (and
-		// therefore hits every stage-boundary check).
-		c := newLEADCatalog(t, Options{DisableBitmaps: !bitmaps, CacheSize: -1})
-		ingestFig3(t, c)
-		q := dxQuery("")
+	// The cache layers are off so every call runs the pipeline (and
+	// therefore hits every stage-boundary check).
+	c := newLEADCatalog(t, Options{CacheSize: -1})
+	ingestFig3(t, c)
+	q := dxQuery("")
 
-		// Fully-live context: sanity-check the query has a match.
-		ids, err := c.EvaluateContext(context.Background(), q)
-		if err != nil || len(ids) != 1 {
-			t.Fatalf("bitmaps=%v: live evaluate = %v, %v", bitmaps, ids, err)
-		}
+	// Fully-live context: sanity-check the query has a match.
+	ids, err := c.EvaluateContext(context.Background(), q)
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("live evaluate = %v, %v", ids, err)
+	}
 
-		// Count how many boundary checks one full run makes, then rerun
-		// cancelling at each boundary in turn.
-		probe := allow(1 << 30)
-		if _, err := c.EvaluateContext(probe, q); err != nil {
-			t.Fatal(err)
-		}
-		boundaries := 1<<30 - probe.checks.Load()
-		if boundaries < 3 {
-			t.Fatalf("bitmaps=%v: expected >= 3 boundary checks, saw %d", bitmaps, boundaries)
-		}
-		for n := int64(0); n < boundaries; n++ {
-			ids, err := c.EvaluateContext(allow(n), q)
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("bitmaps=%v: cancel at check %d: got %v, %v; want context.Canceled",
-					bitmaps, n, ids, err)
-			}
+	// Count how many boundary checks one full run makes, then rerun
+	// cancelling at each boundary in turn.
+	probe := allow(1 << 30)
+	if _, err := c.EvaluateContext(probe, q); err != nil {
+		t.Fatal(err)
+	}
+	boundaries := 1<<30 - probe.checks.Load()
+	if boundaries < 3 {
+		t.Fatalf("expected >= 3 boundary checks, saw %d", boundaries)
+	}
+	for n := int64(0); n < boundaries; n++ {
+		ids, err := c.EvaluateContext(allow(n), q)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancel at check %d: got %v, %v; want context.Canceled", n, ids, err)
 		}
 	}
 }

@@ -7,20 +7,20 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/gridmeta/hybridcat/internal/baseline"
 	"github.com/gridmeta/hybridcat/internal/catalog"
 	"github.com/gridmeta/hybridcat/internal/ontology"
 	"github.com/gridmeta/hybridcat/internal/relstore"
 	"github.com/gridmeta/hybridcat/internal/workload"
+	"github.com/gridmeta/hybridcat/internal/xmldoc"
 )
 
-// TestBitmapRowOracleEquivalence proves the set representation changes
-// no results: for 200 seeded workload queries — point, range, nested,
-// structural theme, multi-criteria, and ontology-expanded OneOf — a
-// catalog on the default bitmap posting-list pipeline, a catalog forced
-// onto the row-at-a-time oracle path (DisableBitmaps), and the DOM
-// oracle must agree exactly, and containment-scoped context queries
-// must agree as well.
+// TestBitmapRowOracleEquivalence judges the bitmap pipeline against the
+// DOM oracle on a generated workload: for 200 seeded queries — point,
+// range, nested, structural theme, multi-criteria, and
+// ontology-expanded OneOf — the catalog must return exactly the objects
+// baseline.DocMatches admits; Search must return the same IDs with each
+// reply's XML equal to FetchDocument's; and containment-scoped context
+// queries must return oracle ∩ scope.
 func TestBitmapRowOracleEquivalence(t *testing.T) {
 	cfg := workload.Default()
 	cfg.Docs = 120
@@ -47,10 +47,7 @@ func TestBitmapRowOracleEquivalence(t *testing.T) {
 		}
 		return c
 	}
-	bm := open(catalog.Options{})
-	// Row-at-a-time oracle path: bitmaps off, volcano iterators between
-	// the Figure-4 stages.
-	rows := open(catalog.Options{DisableBitmaps: true})
+	c := open(catalog.Options{})
 
 	ont, err := ontology.Parse(ontology.CFKeywords)
 	if err != nil {
@@ -90,32 +87,15 @@ func TestBitmapRowOracleEquivalence(t *testing.T) {
 		}
 	}
 
-	oracle := func(q *catalog.Query) []int64 {
-		var ids []int64
-		for i, d := range corpus {
-			if baseline.DocMatches(g.Schema, d, q) {
-				ids = append(ids, int64(i+1))
-			}
-		}
-		return ids
-	}
-
 	nonEmpty := 0
 	for _, tc := range cases {
-		want := oracle(tc.q)
-		bids, err := bm.Evaluate(tc.q)
+		want := domIDs(g.Schema, corpus, tc.q)
+		ids, err := c.Evaluate(tc.q)
 		if err != nil {
-			t.Fatalf("%s: bitmap evaluate: %v", tc.name, err)
+			t.Fatalf("%s: evaluate: %v", tc.name, err)
 		}
-		rids, err := rows.Evaluate(tc.q)
-		if err != nil {
-			t.Fatalf("%s: row-path evaluate: %v", tc.name, err)
-		}
-		if !equalIDs(bids, rids) {
-			t.Errorf("%s: bitmap %v != row path %v", tc.name, bids, rids)
-		}
-		if !equalIDs(bids, want) {
-			t.Errorf("%s: catalog %v != DOM oracle %v", tc.name, bids, want)
+		if !equalIDs(ids, want) {
+			t.Errorf("%s: catalog %v != DOM oracle %v", tc.name, ids, want)
 		}
 		if len(want) > 0 {
 			nonEmpty++
@@ -125,77 +105,73 @@ func TestBitmapRowOracleEquivalence(t *testing.T) {
 		t.Fatalf("only %d/%d queries matched anything — workload too sparse to prove equivalence", nonEmpty, len(cases))
 	}
 
-	// Search must agree too: evaluation plus the §5 response build must
-	// produce identical XML under both strategies.
+	// Search: evaluation plus the §5 response build, over one pinned
+	// snapshot, must answer the oracle's objects with the documents a
+	// plain fetch rebuilds.
 	for _, tc := range cases[:24] {
-		bresp, err := bm.Search(tc.q)
+		resp, err := c.Search(tc.q)
 		if err != nil {
-			t.Fatalf("%s: bitmap search: %v", tc.name, err)
+			t.Fatalf("%s: search: %v", tc.name, err)
 		}
-		rresp, err := rows.Search(tc.q)
-		if err != nil {
-			t.Fatalf("%s: row-path search: %v", tc.name, err)
-		}
-		if len(bresp) != len(rresp) {
-			t.Fatalf("%s: search sizes diverge: %d vs %d", tc.name, len(bresp), len(rresp))
-		}
-		for i := range bresp {
-			if bresp[i].ObjectID != rresp[i].ObjectID || bresp[i].XML != rresp[i].XML {
-				t.Errorf("%s: search response %d diverges between bitmap and row path", tc.name, i)
+		ids := make([]int64, len(resp))
+		for i, r := range resp {
+			ids[i] = r.ObjectID
+			doc, err := c.FetchDocument(r.ObjectID)
+			if err != nil {
+				t.Fatalf("%s: fetch %d: %v", tc.name, r.ObjectID, err)
 			}
+			got, err := xmldoc.ParseString(r.XML)
+			if err != nil {
+				t.Fatalf("%s: search reply %d: %v", tc.name, i, err)
+			}
+			if got.String() != doc.String() {
+				t.Errorf("%s: search reply for object %d differs from FetchDocument", tc.name, r.ObjectID)
+			}
+		}
+		if want := domIDs(g.Schema, corpus, tc.q); !equalIDs(ids, want) {
+			t.Errorf("%s: search IDs %v != DOM oracle %v", tc.name, ids, want)
 		}
 	}
 
-	// Containment scope: identical collection trees on both catalogs,
-	// then context-scoped evaluation must equal oracle ∩ scope.
+	// Containment scope: context-scoped evaluation must equal
+	// oracle ∩ scope.
 	scope := map[int64]bool{}
-	var rootID int64
-	for _, c := range []*catalog.Catalog{bm, rows} {
-		root, err := c.CreateCollection("experiment", "lab", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		child, err := c.CreateCollection("run-1", "lab", root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rootID = root
-		for i := range corpus {
-			id := int64(i + 1)
-			switch {
-			case i%3 == 0:
-				if err := c.AddToCollection(root, id); err != nil {
-					t.Fatal(err)
-				}
-				scope[id] = true
-			case i%3 == 1:
-				if err := c.AddToCollection(child, id); err != nil {
-					t.Fatal(err)
-				}
-				scope[id] = true
+	root, err := c.CreateCollection("experiment", "lab", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := c.CreateCollection("run-1", "lab", root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range corpus {
+		id := int64(i + 1)
+		switch i % 3 {
+		case 0:
+			if err := c.AddToCollection(root, id); err != nil {
+				t.Fatal(err)
 			}
+			scope[id] = true
+		case 1:
+			if err := c.AddToCollection(child, id); err != nil {
+				t.Fatal(err)
+			}
+			scope[id] = true
 		}
 	}
 	for _, tc := range cases[:48] {
 		var scopedWant []int64
-		for _, id := range oracle(tc.q) {
+		for _, id := range domIDs(g.Schema, corpus, tc.q) {
 			if scope[id] {
 				scopedWant = append(scopedWant, id)
 			}
 		}
-		bids, err := bm.EvaluateInContext(rootID, tc.q)
+		ids, err := c.EvaluateInContext(root, tc.q)
 		if err != nil {
-			t.Fatalf("%s: bitmap context evaluate: %v", tc.name, err)
+			t.Fatalf("%s: context evaluate: %v", tc.name, err)
 		}
-		rids, err := rows.EvaluateInContext(rootID, tc.q)
-		if err != nil {
-			t.Fatalf("%s: row-path context evaluate: %v", tc.name, err)
-		}
-		if !equalIDs(bids, rids) {
-			t.Errorf("%s: scoped bitmap %v != row path %v", tc.name, bids, rids)
-		}
-		if !equalIDs(bids, scopedWant) {
-			t.Errorf("%s: scoped catalog %v != oracle∩scope %v", tc.name, bids, scopedWant)
+		if !equalIDs(ids, scopedWant) {
+			t.Errorf("%s: scoped catalog %v != oracle∩scope %v", tc.name, ids, scopedWant)
 		}
 	}
 }

@@ -1,23 +1,19 @@
 package catalog
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // ExplainQuery runs the Figure-4 pipeline and renders its compiled,
 // executed plan: the operator tree, then per plan node the resolved
 // definition, the instance count flowing through it, its physical
-// shape (posting-list container mix under the bitmap strategy), and
-// whether the postings cache layer answered it — and finally the
-// matching object count. The trace is the textual analogue of the
-// paper's Figure 4 flow diagram; mdcat prints it for -explain queries.
+// shape (the posting list's container mix), and whether the postings
+// cache layer answered it — and finally the matching object count. The
+// trace is the textual analogue of the paper's Figure 4 flow diagram;
+// mdcat prints it for -explain queries.
 //
-// The explain executes under the same strategy Evaluate would pick
-// (bitmap by default, rows under Options.DisableBitmaps or on
-// instance-key overflow), so cardinalities and cache hits reflect what
-// a real evaluation of the query sees. A ranked query appends the rank
-// operator's term statistics and result count.
+// The explain executes the same plan Evaluate would, so cardinalities
+// and cache hits reflect what a real evaluation of the query sees. A
+// ranked query appends the rank operator's term statistics and result
+// count.
 func (c *Catalog) ExplainQuery(q *Query) ([]string, error) {
 	if len(q.Attrs) == 0 && q.Rank == nil {
 		return nil, fmt.Errorf("catalog: query has no attribute criteria")
@@ -30,22 +26,12 @@ func (c *Catalog) ExplainQuery(q *Query) ([]string, error) {
 
 	structural := *q
 	structural.Rank = nil
-	suffix := " (bitmap set ops)"
-	var st execStrategy = setStrategy{}
-	if c.opts.DisableBitmaps {
-		suffix = ""
-		st = rowStrategy{}
-	}
-	visible, p, err := v.execPlan(&structural, nil, st)
-	if err != nil && !c.opts.DisableBitmaps && errors.Is(err, errBitmapRange) {
-		suffix = ""
-		visible, p, err = v.execPlan(&structural, nil, rowStrategy{})
-	}
+	visible, p, err := v.execPlan(&structural, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	lines := renderPlan(q, p, len(visible), suffix)
+	lines := renderPlan(q, p, len(visible))
 	if q.Rank != nil {
 		rl, err := v.explainRank(q, visible, false)
 		if err != nil {
@@ -68,27 +54,20 @@ func nodeHeader(n *qNode) string {
 
 // renderPlan turns an executed plan's node annotations into explain
 // lines, one per operator in execution order.
-func renderPlan(q *Query, p *queryPlan, visible int, suffix string) []string {
+func renderPlan(q *Query, p *queryPlan, visible int) []string {
 	var lines []string
-	lines = append(lines, fmt.Sprintf("query: %d criteria node(s), %d top-level%s", len(p.all), len(p.tops), suffix))
+	lines = append(lines, fmt.Sprintf("query: %d criteria node(s), %d top-level (bitmap set ops)", len(p.all), len(p.tops)))
 	lines = append(lines, "plan: "+p.planString())
 	for _, sc := range p.scans {
-		line := fmt.Sprintf("%s -> %d directly satisfied instance(s)", nodeHeader(sc.q), sc.card)
-		if sc.shape != "" {
-			line += " " + sc.shape
-		}
+		line := fmt.Sprintf("%s -> %d directly satisfied instance(s) %s", nodeHeader(sc.q), sc.card, sc.shape)
 		if sc.cacheHit {
 			line += " [cache hit]"
 		}
 		lines = append(lines, line)
 	}
 	for _, rn := range p.rollups {
-		line := fmt.Sprintf("node %d: containment rollup over %d child criterion(s): %d -> %d instance(s)",
-			rn.q.id, len(rn.q.children), rn.beforeCard, rn.card)
-		if rn.shape != "" {
-			line += " " + rn.shape
-		}
-		lines = append(lines, line)
+		lines = append(lines, fmt.Sprintf("node %d: containment rollup over %d child criterion(s): %d -> %d instance(s) %s",
+			rn.q.id, len(rn.q.children), rn.beforeCard, rn.card, rn.shape))
 	}
 	for _, to := range p.topObjs {
 		lines = append(lines, fmt.Sprintf("top node %d: %d candidate object(s) %s", to.id, to.card, to.shape))

@@ -45,21 +45,6 @@ func TestExplainQueryTracesPipeline(t *testing.T) {
 		t.Fatalf("evaluate = %v, %v", ids, err)
 	}
 
-	// The row-path oracle explains the same pipeline without set shapes.
-	cOff := newLEADCatalog(t, Options{DisableBitmaps: true})
-	ingestFig3(t, cOff)
-	offLines, err := cOff.ExplainQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offJoined := strings.Join(offLines, "\n")
-	if strings.Contains(offJoined, "[set:") || strings.Contains(offJoined, "bitmap set ops") {
-		t.Errorf("row-path explain should not report set shapes:\n%s", offJoined)
-	}
-	if !strings.Contains(offJoined, "containment rollup over 1 child criterion(s)") {
-		t.Errorf("row-path explain missing rollup line:\n%s", offJoined)
-	}
-
 	// Errors propagate.
 	if _, err := c.ExplainQuery(&Query{}); err == nil {
 		t.Error("empty query should fail")

@@ -8,15 +8,13 @@ import (
 )
 
 // Query planner. compile lowers a resolved criteria tree (query.go)
-// into an explicit plan: a tree of operator nodes that one executor
-// (exec.go) walks under either physical materialization — compressed
-// bitmap posting lists or row slices. The criterion dispatch that used
-// to be hand-woven three times (row path, bitmap path, explain) happens
-// exactly once here: every element predicate compiles to a probeSpec
-// naming the index, the equality key or range bounds, and the residual
-// row filter, and both materialization strategies execute the same
-// spec. ExplainQuery renders the plan after an execution annotated it
-// with per-node cardinalities, physical shapes, and cache hits.
+// into an explicit plan: a tree of operator nodes that the executor
+// (exec.go) walks over compressed bitmap posting lists. The criterion
+// dispatch happens exactly once here: every element predicate compiles
+// to a probeSpec naming the index, the equality key or range bounds,
+// and the residual row filter. ExplainQuery renders the plan after an
+// execution annotated it with per-node cardinalities, physical shapes,
+// and cache hits.
 //
 // Operator vocabulary:
 //
@@ -45,8 +43,9 @@ const (
 
 // probeSpec is one element predicate compiled to a physical index
 // probe: which index to hit, the equality key or range bounds, and the
-// residual row filter both materializations must apply. This is the
-// single home of the operator/index dispatch.
+// residual row filter the executor applies while converting row IDs to
+// instance keys. This is the single home of the operator/index
+// dispatch.
 type probeSpec struct {
 	index  string
 	eq     []relstore.Value // equality probe key (nil when ranged)
@@ -58,7 +57,7 @@ type probeSpec struct {
 // probePlan is one element predicate's compiled probe: its operator
 // (postings-scan, range-scan, or an or-union of equality probes) plus
 // the specs to execute. An unsupported comparison operator compiles to
-// zero specs — an empty result, matching the legacy paths.
+// zero specs — an empty result.
 type probePlan struct {
 	op    string
 	elem  qElem
@@ -77,14 +76,13 @@ type planNode struct {
 
 	card       int    // instances (or objects, for intersect) produced
 	beforeCard int    // rollup only: instances before narrowing
-	shape      string // physical representation, e.g. "[set: card=…]"; "" for rows
+	shape      string // physical representation, e.g. "[set: card=…]"
 	cacheHit   bool   // served from the postings cache layer
 }
 
 // topObjects is the intersect stage's per-top-criterion annotation:
 // each top-level criterion's candidate object set entering the AND
-// chain (bitmap strategy only — the row strategy counts objects in one
-// group-by and has no per-top set to describe).
+// chain.
 type topObjects struct {
 	id    int
 	card  int
@@ -199,8 +197,7 @@ func excl(vals ...relstore.Value) relstore.RangeBound {
 // compileSpec maps (definition, operator, value) to the physical probe:
 // typed numeric predicates hit the nval B-tree, everything else the
 // sval B-tree. ok=false means the operator is unsupported and the probe
-// produces nothing — the same silent-empty contract the legacy dispatch
-// had.
+// produces nothing.
 func compileSpec(defID int64, pred ElemPred) (probeSpec, bool) {
 	eid := relstore.Int(defID)
 	if f, isNum := pred.Value.AsFloat(); isNum && (pred.Value.K == relstore.KInt || pred.Value.K == relstore.KFloat) {

@@ -204,141 +204,11 @@ func (v *view) evaluateTraced(q *Query, tr *obs.Trace) ([]int64, error) {
 }
 
 // evaluateUncached is the Figure-4 pipeline body, run entirely against
-// the view's pinned snapshot. tr (which may be nil) receives one span
-// per pipeline stage; the stage histograms are recorded regardless.
-//
-// The query compiles to one plan (plan.go) that a single executor
-// (exec.go) walks. By default it runs under the compressed-bitmap
-// strategy; Options.DisableBitmaps selects the row-slice strategy —
-// the original row-at-a-time pipeline, kept as the correctness oracle —
-// and a query whose IDs cannot be packed into instance keys falls back
-// to it for that evaluation only.
+// the view's pinned snapshot: the query compiles to one plan (plan.go)
+// that the executor (exec.go) walks over bitmap posting lists. tr
+// (which may be nil) receives one span per pipeline stage; the stage
+// histograms are recorded regardless.
 func (v *view) evaluateUncached(q *Query, tr *obs.Trace) ([]int64, error) {
-	if !v.c.opts.DisableBitmaps {
-		ids, _, err := v.execPlan(q, tr, setStrategy{})
-		if err == nil || !errors.Is(err, errBitmapRange) {
-			return ids, err
-		}
-		tr.Annotate("bitmap-range fallback to row path")
-	}
-	ids, _, err := v.execPlan(q, tr, rowStrategy{})
+	ids, _, err := v.execPlan(q, tr)
 	return ids, err
-}
-
-// satisfiedCols is the row layout flowing between the pipeline stages.
-var satisfiedCols = []string{"object_id", "seq_id"}
-
-// containmentRollup narrows n's directly-satisfied instances to those
-// containing a satisfied instance of every child criterion, via the
-// sub-attribute inverted list — set-based, no recursion over the data
-// (§4). With the inverted list disabled (A1 ablation) it falls back to
-// recursive parent-chasing over direct-parent links, which the ablation
-// benchmark contrasts.
-func (v *view) containmentRollup(n *qNode, satisfied map[int]relstore.Iterator) (relstore.Iterator, error) {
-	if v.c.opts.DisableInvertedList {
-		return v.recursiveRollup(n, satisfied)
-	}
-	subT := v.tab(TSubAttrs)
-	var parts []relstore.Iterator
-	for _, child := range n.children {
-		// Inverted-list rows of the child's definition, narrowed to
-		// ancestors of n's definition.
-		ids, err := subT.LookupEqual("sub_attrs_by_child", relstore.Int(child.def.ID))
-		if err != nil {
-			return nil, err
-		}
-		links := relstore.Filter(relstore.ScanRowIDs(subT, ids), func(r relstore.Row) bool {
-			return r[3].I == n.def.ID
-		})
-		// Join with the child's satisfied instances on (object, child
-		// instance) to get the ancestor instances covering this child.
-		joined := relstore.HashJoin(links, satisfied[child.id], []int{0, 2}, []int{0, 1}, relstore.SemiJoin)
-		anc := relstore.Project(joined, []int{0, 4}, []string{"object_id", "seq_id"})
-		parts = append(parts, tagIter(relstore.Distinct(anc), int64(child.id)))
-	}
-	counted := relstore.GroupBy(relstore.Union(parts...), []int{0, 1}, []relstore.AggSpec{
-		{Func: relstore.AggCountDistinct, Col: 2, Name: "n_children"},
-	})
-	need := int64(len(n.children))
-	covered := relstore.Filter(counted, func(r relstore.Row) bool { return r[2].I == need })
-	coveredProj := relstore.Project(covered, []int{0, 1}, []string{"object_id", "seq_id"})
-	// Intersect with the node's own directly-satisfied instances.
-	return relstore.HashJoin(satisfied[n.id], coveredProj, []int{0, 1}, []int{0, 1}, relstore.SemiJoin), nil
-}
-
-// recursiveRollup is the non-inverted-list fallback (A1 ablation): with
-// only direct-parent (depth-1) links stored, the ancestor instances of
-// each satisfied child must be found by chasing parents level by level —
-// the per-level self-joins that hinder the edge-table approach (§6).
-func (v *view) recursiveRollup(n *qNode, satisfied map[int]relstore.Iterator) (relstore.Iterator, error) {
-	subT := v.tab(TSubAttrs)
-	type inst struct{ object, attrID, seq int64 }
-	var parts []relstore.Iterator
-	for _, child := range n.children {
-		var frontier []inst
-		for _, r := range relstore.Collect(satisfied[child.id]) {
-			frontier = append(frontier, inst{r[0].I, child.def.ID, r[1].I})
-		}
-		seen := make(map[inst]bool)
-		var anc []relstore.Row
-		for len(frontier) > 0 {
-			var next []inst
-			for _, f := range frontier {
-				// Depth-1 rows with this instance as the child.
-				ids, err := subT.LookupEqual("sub_attrs_by_child", relstore.Int(f.attrID))
-				if err != nil {
-					return nil, err
-				}
-				for _, rid := range ids {
-					r := subT.Get(rid)
-					// r: object, child_attr, child_seq, anc_attr, anc_seq, depth
-					if r == nil || r[5].I != 1 || r[0].I != f.object || r[2].I != f.seq {
-						continue
-					}
-					parent := inst{r[0].I, r[3].I, r[4].I}
-					if seen[parent] {
-						continue
-					}
-					seen[parent] = true
-					if parent.attrID == n.def.ID {
-						anc = append(anc, relstore.Row{r[0], r[4]})
-					}
-					next = append(next, parent)
-				}
-			}
-			frontier = next
-		}
-		parts = append(parts, tagIter(relstore.NewSliceIter([]string{"object_id", "seq_id"}, anc), int64(child.id)))
-	}
-	counted := relstore.GroupBy(relstore.Union(parts...), []int{0, 1}, []relstore.AggSpec{
-		{Func: relstore.AggCountDistinct, Col: 2, Name: "n_children"},
-	})
-	need := int64(len(n.children))
-	covered := relstore.Filter(counted, func(r relstore.Row) bool { return r[2].I == need })
-	coveredProj := relstore.Project(covered, []int{0, 1}, []string{"object_id", "seq_id"})
-	return relstore.HashJoin(satisfied[n.id], coveredProj, []int{0, 1}, []int{0, 1}, relstore.SemiJoin), nil
-}
-
-// tagIter appends a constant tag column to every row.
-func tagIter(in relstore.Iterator, tag int64) relstore.Iterator {
-	cols := append(append([]string{}, in.Columns()...), "tag")
-	return &taggedIter{in: in, cols: cols, tag: relstore.Int(tag)}
-}
-
-type taggedIter struct {
-	in   relstore.Iterator
-	cols []string
-	tag  relstore.Value
-}
-
-func (t *taggedIter) Columns() []string { return t.cols }
-
-func (t *taggedIter) Next() (relstore.Row, bool) {
-	r, ok := t.in.Next()
-	if !ok {
-		return nil, false
-	}
-	out := make(relstore.Row, 0, len(r)+1)
-	out = append(out, r...)
-	return append(out, t.tag), true
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"github.com/gridmeta/hybridcat/internal/xmldoc"
@@ -101,6 +102,13 @@ func NewShredder(schema *xmlschema.Schema, reg *Registry) *Shredder {
 	return &Shredder{Schema: schema, Reg: reg}
 }
 
+// maxAttrSeq bounds an attribute definition's instance ordinal
+// (seq_id) within one object. The catalog packs (object, seq) into one
+// bitmap key with 20 bits for seq (its instSeqMask), so Shred and
+// ShredAttribute refuse an object that would pass it — before any row
+// is written — instead of its queries failing later.
+const maxAttrSeq = 1<<20 - 1
+
 // shredState carries per-document counters.
 type shredState struct {
 	res      ShredResult
@@ -108,6 +116,15 @@ type shredState struct {
 	attrSeq  map[int64]int // attr def -> next sequence
 	problems []string
 	opts     Options
+}
+
+// newShredState starts the counters at the given values (nil starts a
+// fresh document).
+func newShredState(opts Options, clobSeqStart map[int]int, attrSeqStart map[int64]int) *shredState {
+	st := &shredState{clobSeq: make(map[int]int), attrSeq: make(map[int64]int), opts: opts}
+	maps.Copy(st.clobSeq, clobSeqStart)
+	maps.Copy(st.attrSeq, attrSeqStart)
+	return st
 }
 
 func (st *shredState) nextClobSeq(order int) int {
@@ -122,6 +139,21 @@ func (st *shredState) nextAttrSeq(id int64) int {
 
 func (st *shredState) problemf(format string, args ...any) {
 	st.problems = append(st.problems, fmt.Sprintf(format, args...))
+}
+
+// result returns the shredding, or a ValidationError listing every
+// problem, including the first instance ordinal past maxAttrSeq.
+func (st *shredState) result() (*ShredResult, error) {
+	for _, a := range st.res.Attrs {
+		if a.Seq > maxAttrSeq {
+			st.problemf("attribute definition %d: instance ordinal %d exceeds %d per object", a.AttrID, a.Seq, maxAttrSeq)
+			break
+		}
+	}
+	if len(st.problems) > 0 {
+		return nil, &ValidationError{Problems: st.problems}
+	}
+	return &st.res, nil
 }
 
 // instRef names an attribute instance for inverted-list linking.
@@ -142,49 +174,37 @@ func (s *Shredder) ShredAttribute(node *xmldoc.Node, decl *xmlschema.Node, opts 
 	if node.Tag != decl.Tag {
 		return nil, fmt.Errorf("core: fragment root <%s> does not match attribute <%s>", node.Tag, decl.Tag)
 	}
-	st := &shredState{
-		clobSeq: make(map[int]int, len(clobSeqStart)),
-		attrSeq: make(map[int64]int, len(attrSeqStart)),
-		opts:    opts,
-	}
-	for k, v := range clobSeqStart {
-		st.clobSeq[k] = v
-	}
-	for k, v := range attrSeqStart {
-		st.attrSeq[k] = v
-	}
+	st := newShredState(opts, clobSeqStart, attrSeqStart)
 	s.shredAttribute(node, decl, st)
-	if len(st.problems) > 0 {
-		return nil, &ValidationError{Problems: st.problems}
-	}
-	return &st.res, nil
+	return st.result()
 }
 
 // Shred validates the document against the schema partitioning and
 // produces the hybrid representation: one CLOB per metadata attribute
 // instance plus shredded rows for the queryable attributes.
 func (s *Shredder) Shred(doc *xmldoc.Node, opts Options) (*ShredResult, error) {
+	return s.shred(doc, newShredState(opts, nil, nil))
+}
+
+// shred is Shred over the given counters.
+func (s *Shredder) shred(doc *xmldoc.Node, st *shredState) (*ShredResult, error) {
 	if doc == nil {
 		return nil, fmt.Errorf("core: nil document")
 	}
 	if doc.Tag != s.Schema.Root.Tag {
 		return nil, fmt.Errorf("core: document root <%s> does not match schema root <%s>", doc.Tag, s.Schema.Root.Tag)
 	}
-	st := &shredState{
-		clobSeq: make(map[int]int),
-		attrSeq: make(map[int64]int),
-		opts:    opts,
-	}
 	if err := s.walkAbove(doc, s.Schema.Root, st); err != nil {
 		return nil, err
 	}
-	if len(st.problems) > 0 {
-		return nil, &ValidationError{Problems: st.problems}
+	res, err := st.result()
+	if err != nil {
+		return nil, err
 	}
-	if len(st.res.Clobs) == 0 {
+	if len(res.Clobs) == 0 {
 		return nil, fmt.Errorf("core: document contains no metadata attributes")
 	}
-	return &st.res, nil
+	return res, nil
 }
 
 // walkAbove descends the region of the document above metadata

@@ -279,6 +279,48 @@ func TestShredValidationFailures(t *testing.T) {
 	}
 }
 
+// TestShredRefusesOrdinalPastBound pins the per-definition ordinal
+// bound on both shredder entry points without a million-instance
+// document: the counters are seeded just below and at maxAttrSeq. The
+// Figure 3 document carries two theme instances, so a theme ordinal
+// seeded at maxAttrSeq-2 ends exactly on the bound and one more pushes
+// the second past it. Shred is what Ingest and IngestBatch call; the
+// catalog's AddAttribute test covers ShredAttribute end to end.
+func TestShredRefusesOrdinalPastBound(t *testing.T) {
+	s, reg := newFig3Shredder(t)
+	themeDef := reg.LookupAttr("theme", "", 0, "")
+	seeded := func(start int) (*ShredResult, error) {
+		return s.shred(fig3Doc(t), newShredState(Options{}, nil, map[int64]int{themeDef.ID: start}))
+	}
+	res, err := seeded(maxAttrSeq - 2)
+	if err != nil {
+		t.Fatalf("ordinals ending on the bound: %v", err)
+	}
+	var last int
+	for _, a := range res.Attrs {
+		if a.AttrID == themeDef.ID {
+			last = a.Seq
+		}
+	}
+	if last != maxAttrSeq {
+		t.Fatalf("last theme ordinal = %d, want %d", last, maxAttrSeq)
+	}
+	var verr *ValidationError
+	if _, err := seeded(maxAttrSeq - 1); !errorsAs(err, &verr) || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("ordinal past the bound: err = %v, want a ValidationError", err)
+	}
+
+	theme := s.Schema.AttributeByTag("theme")
+	frag, _ := xmldoc.ParseString("<theme><themekt>x</themekt></theme>")
+	if _, err := s.ShredAttribute(frag, theme, Options{}, nil, map[int64]int{themeDef.ID: maxAttrSeq}); !errorsAs(err, &verr) {
+		t.Fatalf("ShredAttribute past the bound: err = %v, want a ValidationError", err)
+	}
+	// A fresh document is nowhere near it.
+	if _, err := s.Shred(fig3Doc(t), Options{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // errorsAs is a tiny local wrapper to avoid importing errors just for As.
 func errorsAs(err error, target **ValidationError) bool {
 	v, ok := err.(*ValidationError)

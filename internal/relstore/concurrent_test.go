@@ -139,7 +139,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 				}
 				// Aggregation over a join of two independent scans.
 				counts := GroupBy(
-					HashJoin(ScanTable(tab), ScanTable(tab), []int{0}, []int{0}, SemiJoin),
+					HashJoin(ScanTable(tab), ScanTable(tab), []int{0}, []int{0}, InnerJoin),
 					[]int{0}, []AggSpec{{Func: AggCount, Col: 0, Name: "n"}},
 				)
 				for {

@@ -33,8 +33,8 @@ func (s *sliceIter) Next() (Row, bool) {
 	return r, true
 }
 
-// NewSliceIter wraps rows in an Iterator.
-func NewSliceIter(cols []string, rows []Row) Iterator {
+// newSliceIter wraps rows in an Iterator.
+func newSliceIter(cols []string, rows []Row) Iterator {
 	return &sliceIter{cols: cols, rows: rows}
 }
 
@@ -58,7 +58,7 @@ func ScanTable(t *Table) Iterator {
 		rows = append(rows, r)
 		return true
 	})
-	return NewSliceIter(colNames(t.Schema), rows)
+	return newSliceIter(colNames(t.Schema), rows)
 }
 
 // ScanRowIDs streams the rows stored under ids (skipping deleted ones), in
@@ -70,7 +70,7 @@ func ScanRowIDs(t *Table, ids []int64) Iterator {
 			rows = append(rows, r)
 		}
 	}
-	return NewSliceIter(colNames(t.Schema), rows)
+	return newSliceIter(colNames(t.Schema), rows)
 }
 
 func colNames(s *Schema) []string {
@@ -149,10 +149,6 @@ const (
 	// LeftJoin additionally emits left rows with NULL right columns when
 	// unmatched.
 	LeftJoin
-	// SemiJoin emits each left row at most once when a match exists.
-	SemiJoin
-	// AntiJoin emits each left row only when no match exists.
-	AntiJoin
 )
 
 // HashJoin joins left and right on equality of the keyed columns. The
@@ -172,14 +168,7 @@ func HashJoin(left, right Iterator, leftKey, rightKey []int, kind JoinKind) Iter
 		k := string(KeyOfColumns(r, rightKey))
 		build[k] = append(build[k], r)
 	}
-	leftCols := left.Columns()
-	var outCols []string
-	switch kind {
-	case SemiJoin, AntiJoin:
-		outCols = leftCols
-	default:
-		outCols = append(append([]string{}, leftCols...), rightCols...)
-	}
+	outCols := append(append([]string{}, left.Columns()...), rightCols...)
 	return &hashJoinIter{
 		left: left, build: build, leftKey: leftKey, kind: kind,
 		cols: outCols, nright: len(rightCols),
@@ -218,14 +207,6 @@ func (h *hashJoinIter) Next() (Row, bool) {
 			matches = h.build[string(KeyOfColumns(l, h.leftKey))]
 		}
 		switch h.kind {
-		case SemiJoin:
-			if len(matches) > 0 {
-				return l, true
-			}
-		case AntiJoin:
-			if len(matches) == 0 {
-				return l, true
-			}
 		case LeftJoin:
 			if len(matches) == 0 {
 				return concatRows(l, make(Row, h.nright)), true
@@ -276,7 +257,7 @@ func Sort(in Iterator, specs ...SortSpec) Iterator {
 		}
 		return false
 	})
-	return NewSliceIter(in.Columns(), rows)
+	return newSliceIter(in.Columns(), rows)
 }
 
 // AggFunc enumerates the supported aggregates.
@@ -369,7 +350,7 @@ func GroupBy(in Iterator, keyCols []int, aggs []AggSpec) Iterator {
 		}
 		rows = append(rows, out)
 	}
-	return NewSliceIter(cols, rows)
+	return newSliceIter(cols, rows)
 }
 
 func updateAgg(st *aggState, a AggSpec, r Row) {
@@ -469,7 +450,7 @@ func Distinct(in Iterator) Iterator {
 		seen[k] = struct{}{}
 		rows = append(rows, r)
 	}
-	return NewSliceIter(in.Columns(), rows)
+	return newSliceIter(in.Columns(), rows)
 }
 
 // Limit truncates the stream after n rows (skipping offset rows first).
@@ -502,7 +483,7 @@ func (l *limitIter) Next() (Row, bool) {
 // Union concatenates streams with identical arity.
 func Union(its ...Iterator) Iterator {
 	if len(its) == 0 {
-		return NewSliceIter(nil, nil)
+		return newSliceIter(nil, nil)
 	}
 	return &unionIter{its: its}
 }

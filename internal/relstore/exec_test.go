@@ -58,7 +58,7 @@ func TestScanTableAndFilter(t *testing.T) {
 }
 
 func TestProject(t *testing.T) {
-	in := NewSliceIter([]string{"a", "b", "c"}, rowsOf([]any{1, "x", 2.5}))
+	in := newSliceIter([]string{"a", "b", "c"}, rowsOf([]any{1, "x", 2.5}))
 	out := Project(in, []int{2, 0}, []string{"c2", "a2"})
 	rows := Collect(out)
 	if len(rows) != 1 || rows[0][0].F != 2.5 || rows[0][1].I != 1 {
@@ -68,7 +68,7 @@ func TestProject(t *testing.T) {
 		t.Errorf("Project cols = %v", cols)
 	}
 	// nil names reuse input names.
-	in2 := NewSliceIter([]string{"a", "b"}, rowsOf([]any{1, 2}))
+	in2 := newSliceIter([]string{"a", "b"}, rowsOf([]any{1, 2}))
 	out2 := Project(in2, []int{1}, nil)
 	if cols := out2.Columns(); cols[0] != "b" {
 		t.Errorf("default names = %v", cols)
@@ -76,9 +76,9 @@ func TestProject(t *testing.T) {
 }
 
 func TestHashJoinInner(t *testing.T) {
-	left := NewSliceIter([]string{"id", "name"}, rowsOf(
+	left := newSliceIter([]string{"id", "name"}, rowsOf(
 		[]any{1, "a"}, []any{2, "b"}, []any{3, "c"}, []any{nil, "n"}))
-	right := NewSliceIter([]string{"pid", "score"}, rowsOf(
+	right := newSliceIter([]string{"pid", "score"}, rowsOf(
 		[]any{1, 10}, []any{1, 11}, []any{3, 30}, []any{nil, 99}))
 	out := Collect(HashJoin(left, right, []int{0}, []int{0}, InnerJoin))
 	if len(out) != 3 {
@@ -98,8 +98,8 @@ func TestHashJoinInner(t *testing.T) {
 }
 
 func TestHashJoinLeft(t *testing.T) {
-	left := NewSliceIter([]string{"id"}, rowsOf([]any{1}, []any{2}))
-	right := NewSliceIter([]string{"pid", "v"}, rowsOf([]any{1, "x"}))
+	left := newSliceIter([]string{"id"}, rowsOf([]any{1}, []any{2}))
+	right := newSliceIter([]string{"pid", "v"}, rowsOf([]any{1, "x"}))
 	out := Collect(HashJoin(left, right, []int{0}, []int{0}, LeftJoin))
 	if len(out) != 2 {
 		t.Fatalf("left join returned %d rows", len(out))
@@ -118,23 +118,8 @@ func TestHashJoinLeft(t *testing.T) {
 	}
 }
 
-func TestHashJoinSemiAnti(t *testing.T) {
-	left := NewSliceIter([]string{"id"}, rowsOf([]any{1}, []any{2}, []any{3}))
-	right := NewSliceIter([]string{"pid"}, rowsOf([]any{1}, []any{1}, []any{3}))
-	semi := Collect(HashJoin(left, right, []int{0}, []int{0}, SemiJoin))
-	if len(semi) != 2 {
-		t.Errorf("semi join = %s", dumpRows(semi))
-	}
-	left2 := NewSliceIter([]string{"id"}, rowsOf([]any{1}, []any{2}, []any{3}))
-	right2 := NewSliceIter([]string{"pid"}, rowsOf([]any{1}, []any{3}))
-	anti := Collect(HashJoin(left2, right2, []int{0}, []int{0}, AntiJoin))
-	if len(anti) != 1 || anti[0][0].I != 2 {
-		t.Errorf("anti join = %s", dumpRows(anti))
-	}
-}
-
 func TestSortMultiKey(t *testing.T) {
-	in := NewSliceIter([]string{"a", "b"}, rowsOf(
+	in := newSliceIter([]string{"a", "b"}, rowsOf(
 		[]any{2, "x"}, []any{1, "z"}, []any{2, "a"}, []any{1, "a"}))
 	out := Collect(Sort(in, SortSpec{Col: 0}, SortSpec{Col: 1, Desc: true}))
 	want := "[1 \"z\"];[1 \"a\"];[2 \"x\"];[2 \"a\"];"
@@ -144,7 +129,7 @@ func TestSortMultiKey(t *testing.T) {
 }
 
 func TestGroupByAggregates(t *testing.T) {
-	in := NewSliceIter([]string{"g", "v"}, rowsOf(
+	in := newSliceIter([]string{"g", "v"}, rowsOf(
 		[]any{"a", 1}, []any{"a", 2}, []any{"a", 2}, []any{"b", 10}, []any{"b", nil}))
 	out := Collect(GroupBy(in, []int{0}, []AggSpec{
 		{Func: AggCount, Name: "n"},
@@ -171,7 +156,7 @@ func TestGroupByAggregates(t *testing.T) {
 }
 
 func TestGroupByEmptyKeyGlobalAggregate(t *testing.T) {
-	in := NewSliceIter([]string{"v"}, rowsOf([]any{1}, []any{2}, []any{3}))
+	in := newSliceIter([]string{"v"}, rowsOf([]any{1}, []any{2}, []any{3}))
 	out := Collect(GroupBy(in, nil, []AggSpec{{Func: AggSum, Col: 0, Name: "s"}}))
 	if len(out) != 1 || out[0][0].I != 6 {
 		t.Errorf("global sum = %s", dumpRows(out))
@@ -179,17 +164,17 @@ func TestGroupByEmptyKeyGlobalAggregate(t *testing.T) {
 }
 
 func TestDistinctLimitUnion(t *testing.T) {
-	in := NewSliceIter([]string{"a"}, rowsOf([]any{1}, []any{2}, []any{1}, []any{3}, []any{2}))
+	in := newSliceIter([]string{"a"}, rowsOf([]any{1}, []any{2}, []any{1}, []any{3}, []any{2}))
 	if got := Collect(Distinct(in)); len(got) != 3 {
 		t.Errorf("distinct = %s", dumpRows(got))
 	}
-	in2 := NewSliceIter([]string{"a"}, rowsOf([]any{1}, []any{2}, []any{3}, []any{4}))
+	in2 := newSliceIter([]string{"a"}, rowsOf([]any{1}, []any{2}, []any{3}, []any{4}))
 	if got := Collect(Limit(in2, 1, 2)); len(got) != 2 || got[0][0].I != 2 {
 		t.Errorf("limit = %s", dumpRows(got))
 	}
 	u := Union(
-		NewSliceIter([]string{"a"}, rowsOf([]any{1})),
-		NewSliceIter([]string{"a"}, rowsOf([]any{2}, []any{3})),
+		newSliceIter([]string{"a"}, rowsOf([]any{1})),
+		newSliceIter([]string{"a"}, rowsOf([]any{2}, []any{3})),
 	)
 	if got := Collect(u); len(got) != 3 {
 		t.Errorf("union = %s", dumpRows(got))

@@ -13,7 +13,8 @@ import (
 // clustered order, so the set's last-chunk fast path makes each insert
 // O(1) and the result compresses to run containers under Optimize.
 // These feed the catalog's Figure-4 bitmap pipeline (posting lists per
-// criterion probe); the slice forms remain the row-at-a-time oracle.
+// criterion probe); the slice forms serve point lookups and the SQL
+// layer.
 
 // LookupEqualPostings adds to dst the row IDs whose indexed columns
 // equal vals, using the named index. Validation and index-lookup

@@ -251,11 +251,13 @@ func TestReplicaSurvivesTearAtEveryRecordOffset(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no records to tear")
 	}
-	offsets := []int64{0}
+	// No cut at the end of the stream: it tears nothing, and a replica
+	// that converges in one request there has not exercised the tear.
+	var offsets []int64
 	var pos int64
 	for _, rec := range recs {
 		n := int64(len(wal.EncodeRecord(rec.Seq, rec.Payload)))
-		offsets = append(offsets, pos+1, pos+n/2, pos+n-1, pos+n)
+		offsets = append(offsets, pos, pos+1, pos+n/2, pos+n-1)
 		pos += n
 	}
 	seen := map[int64]bool{}
