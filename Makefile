@@ -32,13 +32,12 @@ crash:
 	$(GO) test -race -run 'Crash|Fault' -count=1 ./...
 
 # MVCC verification: the snapshot-isolation oracle suite and the
-# swap-point crash matrix under the race detector, the fuzz targets'
-# seed corpora, and a one-repetition smoke of the MV1 contention
-# experiment (DESIGN.md "MVCC snapshots and the lock-free read path").
+# swap-point crash matrix under the race detector, and the fuzz
+# targets' seed corpora (DESIGN.md "MVCC snapshots and the lock-free
+# read path").
 mvcc:
 	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints' -count=1 ./internal/relstore/ ./internal/catalog/
 	$(GO) test -race -run 'Fuzz' -count=1 ./internal/catalog/ ./internal/baseline/
-	$(GO) run ./cmd/mdbench -exp MV1 -quick
 
 # Bitmap posting-list verification: the bitset fuzz target's seed
 # corpus against the map-of-ints oracle, and under the race detector
@@ -66,13 +65,11 @@ replica:
 # equivalence oracle (identical Figure-4 results and paging boundaries
 # across topologies), the rebalance crash matrix bracketing the
 # routing-table flip, the live-rebalance and concurrency suites,
-# cancellation through the scatter, the sharded wire surface (parity
-# with the single-catalog service, and /metrics over both
-# constructors), and a one-repetition smoke of the S1 scaling
-# experiment (DESIGN.md "Sharding").
+# cancellation through the scatter, and the sharded wire surface:
+# parity with the single-catalog service, and /metrics over both
+# constructors (DESIGN.md "Sharding").
 shard:
 	$(GO) test -race -run 'Shard|Rebalance|Metrics(Endpoint|Disabled)' -count=1 ./internal/shard/ ./internal/service/
-	$(GO) run ./cmd/mdbench -exp S1 -quick
 
 # Ranked-retrieval verification under the race detector: the tokenizer
 # and Apply-sequence fuzz targets' seed corpora, the BM25 top-k
@@ -82,14 +79,13 @@ shard:
 # a single catalog under globally merged statistics with writes between
 # the queries, ranked paging over the wire), the index coherence oracle
 # (served index vs scratch build across every mutation kind, recovery
-# and a WAL-tailing follower), the epoch-advance, snapshot-isolation,
-# pinned-memory and concurrent reader/writer tests, and a one-repetition
-# smoke of the IR1 experiment (DESIGN.md "Ranked retrieval").
+# and a WAL-tailing follower), and the epoch-advance,
+# snapshot-isolation, pinned-memory and concurrent reader/writer tests
+# (DESIGN.md "Ranked retrieval").
 search:
 	$(GO) test -race -run 'Fuzz|TopK|Token|Stats|Apply' -count=1 ./internal/textindex/
 	$(GO) test -race -run 'TableMark' -count=1 ./internal/relstore/
 	$(GO) test -race -run 'Ranked|QueryLog|TextIndex' -count=1 ./internal/catalog/ ./internal/shard/ ./internal/service/ ./internal/workload/
-	$(GO) run ./cmd/mdbench -exp IR1 -quick
 
 cover:
 	$(GO) test -cover ./...
@@ -106,7 +102,8 @@ docs: vet
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Printable tables for every figure reproduction and claim experiment.
+# Printable tables for every figure reproduction, claim, ablation and
+# durability experiment.
 experiments:
 	$(GO) run ./cmd/mdbench -all
 

@@ -57,7 +57,7 @@ func loaded(b *testing.B, kind bench.StoreKind, mutate func(*workload.Config)) (
 		mutate(&cfg)
 	}
 	g := workload.New(cfg)
-	st, err := bench.NewStore(kind, g, bench.Options{})
+	st, err := bench.NewStore(kind, g)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func benchIngest(b *testing.B, kind bench.StoreKind) {
 	for i := range docs {
 		docs[i] = g.Document(i)
 	}
-	st, err := bench.NewStore(kind, g, bench.Options{})
+	st, err := bench.NewStore(kind, g)
 	if err != nil {
 		b.Fatal(err)
 	}

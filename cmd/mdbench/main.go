@@ -2,7 +2,7 @@
 //
 //	mdbench -list
 //	mdbench -exp E3
-//	mdbench -exp C1,C2 -json > results.json
+//	mdbench -exp R1,R2 -json > results.json
 //	mdbench -all [-quick]
 //
 // Experiment IDs and the paper claims they quantify are listed in
@@ -15,11 +15,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"github.com/gridmeta/hybridcat/internal/bench"
-	"github.com/gridmeta/hybridcat/internal/obs"
 )
 
 func main() {
@@ -29,15 +27,11 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment IDs")
 		quick   = flag.Bool("quick", false, "shrink corpora for a fast smoke run")
 		asJSON  = flag.Bool("json", false, "emit the result tables as a JSON array instead of text")
-		instr   = flag.Bool("instruments", false, "attach a metrics registry to every hybrid catalog and report per-experiment counter deltas")
 		results []*bench.Table
 	)
 	flag.Parse()
 
 	opts := bench.Options{Quick: *quick}
-	if *instr {
-		opts.Metrics = obs.NewRegistry()
-	}
 	switch {
 	case *list:
 		for _, id := range bench.IDs() {
@@ -75,18 +69,6 @@ func run(id string, opts bench.Options, quiet bool) *bench.Table {
 	}
 	if !quiet {
 		fmt.Println(tab)
-		if len(tab.Instruments) > 0 {
-			keys := make([]string, 0, len(tab.Instruments))
-			for k := range tab.Instruments {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			fmt.Println("instruments:")
-			for _, k := range keys {
-				fmt.Printf("  %-60s %.0f\n", k, tab.Instruments[k])
-			}
-			fmt.Println()
-		}
 	}
 	return tab
 }

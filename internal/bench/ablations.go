@@ -94,11 +94,11 @@ func A2ClobGranularity(o Options) (*Table, error) {
 	cfg.Docs = o.scale(300)
 	g := workload.New(cfg)
 	corpus := g.Corpus()
-	hybrid, _, err := loadStore(KindHybrid, g, corpus, o)
+	hybrid, _, err := loadStore(KindHybrid, g, corpus)
 	if err != nil {
 		return nil, err
 	}
-	clob, _, err := loadStore(KindClob, g, corpus, o)
+	clob, _, err := loadStore(KindClob, g, corpus)
 	if err != nil {
 		return nil, err
 	}

@@ -18,24 +18,18 @@ import (
 	"github.com/gridmeta/hybridcat/internal/baseline/inlining"
 	"github.com/gridmeta/hybridcat/internal/catalog"
 	"github.com/gridmeta/hybridcat/internal/nativexml"
-	"github.com/gridmeta/hybridcat/internal/obs"
 	"github.com/gridmeta/hybridcat/internal/workload"
 	"github.com/gridmeta/hybridcat/internal/xmldoc"
 )
 
-// Table is one experiment's printable result. Instruments carries the
-// registry counter deltas observed across the run when the harness was
-// given a metrics registry (mdbench -instruments), so exported JSON
-// results pair every wall-clock number with the instrument-derived
-// work counts (rows read, cache hits, WAL fsyncs, ...) behind it.
+// Table is one experiment's printable result.
 type Table struct {
-	ID          string
-	Title       string
-	Claim       string
-	Columns     []string
-	Rows        [][]string
-	Notes       []string
-	Instruments map[string]float64 `json:",omitempty"`
+	ID      string
+	Title   string
+	Claim   string
+	Columns []string
+	Rows    [][]string
+	Notes   []string
 }
 
 // AddRow appends a row, stringifying each cell.
@@ -127,12 +121,10 @@ var AllKinds = []StoreKind{KindHybrid, KindInlining, KindEdge, KindClob, KindNat
 
 // NewStore builds an empty store of the given kind over the LEAD schema,
 // with the workload's dynamic definitions registered where applicable.
-// A hybrid store attaches the harness's metrics registry (if any), so
-// instrumented runs count the catalog work each experiment induces.
-func NewStore(kind StoreKind, g *workload.Generator, o Options) (baseline.Store, error) {
+func NewStore(kind StoreKind, g *workload.Generator) (baseline.Store, error) {
 	switch kind {
 	case KindHybrid:
-		c, err := catalog.Open(g.Schema, catalog.Options{Metrics: o.Metrics})
+		c, err := catalog.Open(g.Schema, catalog.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -154,8 +146,8 @@ func NewStore(kind StoreKind, g *workload.Generator, o Options) (baseline.Store,
 
 // loadStore fills a fresh store of the given kind with the corpus,
 // returning the store and the total ingest wall time.
-func loadStore(kind StoreKind, g *workload.Generator, docs []*xmldoc.Node, o Options) (baseline.Store, time.Duration, error) {
-	st, err := NewStore(kind, g, o)
+func loadStore(kind StoreKind, g *workload.Generator, docs []*xmldoc.Node) (baseline.Store, time.Duration, error) {
+	st, err := NewStore(kind, g)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -186,12 +178,8 @@ func median(runs int, f func() error) (time.Duration, error) {
 }
 
 // Options tunes experiment scale; Quick shrinks corpora for smoke runs.
-// A non-nil Metrics registry is attached to every hybrid catalog the
-// experiments open, and Run diffs its snapshot across the experiment
-// into Table.Instruments.
 type Options struct {
-	Quick   bool
-	Metrics *obs.Registry
+	Quick bool
 }
 
 func (o Options) scale(n int) int {

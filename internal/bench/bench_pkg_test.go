@@ -38,9 +38,11 @@ func TestFmtDuration(t *testing.T) {
 }
 
 func TestRegistryAndUnknown(t *testing.T) {
-	ids := IDs()
-	if len(ids) != 24 {
-		t.Errorf("experiments = %v", ids)
+	// The paper's figures, claims and ablations, plus the two durability
+	// experiments no over-the-wire workload covers.
+	want := []string{"A1", "A2", "A3", "A4", "A5", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "F1", "F2", "F3", "F4", "R1", "R2"}
+	if ids := IDs(); strings.Join(ids, ",") != strings.Join(want, ",") {
+		t.Errorf("experiments = %v, want %v", ids, want)
 	}
 	if _, ok := Lookup("F1"); !ok {
 		t.Error("F1 missing")

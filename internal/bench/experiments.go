@@ -28,7 +28,7 @@ func E1Throughput(o Options) (*Table, error) {
 		g := workload.New(cfg)
 		corpus := g.Corpus()
 		for _, kind := range []StoreKind{KindHybrid, KindNativeXML} {
-			st, ingest, err := loadStore(kind, g, corpus, o)
+			st, ingest, err := loadStore(kind, g, corpus)
 			if err != nil {
 				return nil, err
 			}
@@ -69,7 +69,7 @@ func E2QueryScale(o Options) (*Table, error) {
 		g := workload.New(cfg)
 		corpus := g.Corpus()
 		for _, kind := range AllKinds {
-			st, _, err := loadStore(kind, g, corpus, o)
+			st, _, err := loadStore(kind, g, corpus)
 			if err != nil {
 				return nil, err
 			}
@@ -123,7 +123,7 @@ func E3NestingDepth(o Options) (*Table, error) {
 	corpus := g.Corpus()
 	stores := map[StoreKind]baseline.Store{}
 	for _, kind := range []StoreKind{KindHybrid, KindEdge, KindInlining} {
-		st, _, err := loadStore(kind, g, corpus, o)
+		st, _, err := loadStore(kind, g, corpus)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +165,7 @@ func E4ResponseBuild(o Options) (*Table, error) {
 	corpus := g.Corpus()
 	stores := map[StoreKind]baseline.Store{}
 	for _, kind := range []StoreKind{KindHybrid, KindInlining, KindEdge} {
-		st, _, err := loadStore(kind, g, corpus, o)
+		st, _, err := loadStore(kind, g, corpus)
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +214,7 @@ func E5Storage(o Options) (*Table, error) {
 		rawBytes += int64(len(d.String()))
 	}
 	for _, kind := range AllKinds {
-		st, _, err := loadStore(kind, g, corpus, o)
+		st, _, err := loadStore(kind, g, corpus)
 		if err != nil {
 			return nil, err
 		}
@@ -270,11 +270,11 @@ func E6DynamicAttrs(o Options) (*Table, error) {
 		g := workload.New(cfg)
 		corpus := g.Corpus()
 
-		_, hybridIngest, err := loadStore(KindHybrid, g, corpus, o)
+		_, hybridIngest, err := loadStore(KindHybrid, g, corpus)
 		if err != nil {
 			return nil, err
 		}
-		_, edgeIngest, err := loadStore(KindEdge, g, corpus, o)
+		_, edgeIngest, err := loadStore(KindEdge, g, corpus)
 		if err != nil {
 			return nil, err
 		}

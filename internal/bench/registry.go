@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"sort"
-
-	"github.com/gridmeta/hybridcat/internal/obs"
 )
 
 // Experiment is one runnable experiment.
@@ -15,30 +13,24 @@ type Experiment struct {
 }
 
 var experiments = map[string]Experiment{
-	"F1":  {"F1", "Figure 1 pipeline round trip", F1RoundTrip},
-	"F2":  {"F2", "Figure 2 schema partitioning and ordering", F2SchemaOrdering},
-	"F3":  {"F3", "Figure 3 shredding example", F3Shred},
-	"F4":  {"F4", "Figure 4 worked query", F4WorkedQuery},
-	"E1":  {"E1", "relational vs native XML throughput", E1Throughput},
-	"E2":  {"E2", "query latency vs corpus size", E2QueryScale},
-	"E3":  {"E3", "query latency vs nesting depth", E3NestingDepth},
-	"E4":  {"E4", "response construction time", E4ResponseBuild},
-	"E5":  {"E5", "storage per approach", E5Storage},
-	"E6":  {"E6", "dynamic attribute ingest and validation", E6DynamicAttrs},
-	"E7":  {"E7", "ordering maintenance on insert", E7OrderingUpdate},
-	"A1":  {"A1", "ablation: inverted list", A1InvertedList},
-	"A2":  {"A2", "ablation: CLOB granularity", A2ClobGranularity},
-	"A3":  {"A3", "ablation: typed columns", A3TypedColumns},
-	"A4":  {"A4", "ablation: SQL layer overhead", A4SQLOverhead},
-	"A5":  {"A5", "ablation: parallel batch ingest", A5ParallelIngest},
-	"C1":  {"C1", "concurrent readers: query throughput scaling", C1ConcurrentReaders},
-	"MV1": {"MV1", "MVCC snapshots: reader throughput under writer contention", MV1Contention},
-	"C2":  {"C2", "read caching: cold vs warm vs mutating workloads", C2CacheEffect},
-	"R1":  {"R1", "WAL durability: ingest overhead and recovery time", R1Durability},
-	"R2":  {"R2", "group commit and replication: writer scaling and replica lag", R2Replication},
-	"O1":  {"O1", "observability overhead: metrics+tracing on vs off", O1MetricsOverhead},
-	"S1":  {"S1", "owner-hash sharding: throughput vs shard count", S1ShardScaling},
-	"IR1": {"IR1", "ranked retrieval: BM25 top-k vs structural keyword baseline", IR1RankedSearch},
+	"F1": {"F1", "Figure 1 pipeline round trip", F1RoundTrip},
+	"F2": {"F2", "Figure 2 schema partitioning and ordering", F2SchemaOrdering},
+	"F3": {"F3", "Figure 3 shredding example", F3Shred},
+	"F4": {"F4", "Figure 4 worked query", F4WorkedQuery},
+	"E1": {"E1", "relational vs native XML throughput", E1Throughput},
+	"E2": {"E2", "query latency vs corpus size", E2QueryScale},
+	"E3": {"E3", "query latency vs nesting depth", E3NestingDepth},
+	"E4": {"E4", "response construction time", E4ResponseBuild},
+	"E5": {"E5", "storage per approach", E5Storage},
+	"E6": {"E6", "dynamic attribute ingest and validation", E6DynamicAttrs},
+	"E7": {"E7", "ordering maintenance on insert", E7OrderingUpdate},
+	"A1": {"A1", "ablation: inverted list", A1InvertedList},
+	"A2": {"A2", "ablation: CLOB granularity", A2ClobGranularity},
+	"A3": {"A3", "ablation: typed columns", A3TypedColumns},
+	"A4": {"A4", "ablation: SQL layer overhead", A4SQLOverhead},
+	"A5": {"A5", "ablation: parallel batch ingest", A5ParallelIngest},
+	"R1": {"R1", "WAL durability: ingest overhead and recovery time", R1Durability},
+	"R2": {"R2", "group commit and replication: writer scaling and replica lag", R2Replication},
 }
 
 // IDs lists the experiment IDs in a stable order.
@@ -57,23 +49,11 @@ func Lookup(id string) (Experiment, bool) {
 	return e, ok
 }
 
-// Run executes one experiment by ID. With a metrics registry in the
-// options, the registry is snapshotted around the run and the counter
-// deltas land in Table.Instruments — wall-clock numbers come out paired
-// with the instrument-derived work counts that produced them.
+// Run executes one experiment by ID.
 func Run(id string, o Options) (*Table, error) {
 	e, ok := experiments[id]
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, IDs())
 	}
-	if o.Metrics == nil {
-		return e.Run(o)
-	}
-	before := o.Metrics.Snapshot()
-	tab, err := e.Run(o)
-	if err != nil {
-		return nil, err
-	}
-	tab.Instruments = obs.DiffSnapshots(before, o.Metrics.Snapshot())
-	return tab, nil
+	return e.Run(o)
 }

@@ -172,7 +172,7 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 	// Replay all intact records into one relstore transaction: later
 	// records must observe earlier ones (content-based row lookup), and
 	// one commit publishes the whole recovered state at a single epoch.
-	replayed := 0
+	rp := replayer{c: c}
 	var w *wal.Writer
 	err := c.withTx(func() error {
 		var werr error
@@ -180,16 +180,12 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 			if rec.Seq <= fromSeq {
 				return nil // already contained in the snapshot
 			}
-			ops, err := decodeOps(rec.Payload)
+			nops, err := rp.apply(rec)
 			if err != nil {
 				return fmt.Errorf("record %d: %w", rec.Seq, err)
 			}
-			if err := c.replayOps(ops); err != nil {
-				return fmt.Errorf("record %d: %w", rec.Seq, err)
-			}
-			replayed++
 			c.obsv.replayRecords.Inc()
-			c.obsv.replayOps.Add(uint64(len(ops)))
+			c.obsv.replayOps.Add(uint64(nops))
 			return nil
 		})
 		return werr
@@ -200,14 +196,9 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 		}
 		return nil, fmt.Errorf("catalog: recovering log %s: %w", dopts.WALPath, err)
 	}
-	if replayed > 0 {
-		// Replayed records may have added dynamic definitions; rebuild the
-		// registry from the (journaled, hence replayed) definition tables.
-		if err := c.restoreRegistryFromTables(); err != nil {
-			w.Close()
-			return nil, fmt.Errorf("catalog: recovery: %w", err)
-		}
-		c.fixAutoIDs()
+	if err := rp.finish(); err != nil {
+		w.Close()
+		return nil, fmt.Errorf("catalog: recovery: %w", err)
 	}
 	w.SetNextSeq(fromSeq + 1)
 	w.NoSync = dopts.NoSync
@@ -504,9 +495,56 @@ func decodeOps(payload []byte) ([]walOp, error) {
 	return ops, nil
 }
 
-// replayOps applies one log record's operations during recovery. It
-// runs inside the recovery transaction (see OpenDurable), so each
-// record's content-based row lookups observe every earlier record.
+// replayer is the one record-replay funnel that crash recovery
+// (OpenDurable), follower apply (ApplyWAL) and rebalance import
+// (ImportWAL) share. apply decodes a record and replays its row
+// operations into the catalog's open transaction, noting whether they
+// touched state the rows alone do not restore; finish rebuilds that
+// state once the run is in. Each caller keeps its own record policy:
+// the snapshot-watermark skip, the cursor check, re-journaling.
+type replayer struct {
+	c          *Catalog
+	defTouched bool // attr_def/elem_def rows: the registry must be rebuilt
+	idTouched  bool // objects/collections rows: the ID allocators must advance
+}
+
+// apply replays one log record, returning its operation count.
+func (r *replayer) apply(rec wal.Record) (int, error) {
+	ops, err := decodeOps(rec.Payload)
+	if err != nil {
+		return 0, err
+	}
+	for _, op := range ops {
+		switch op.Table {
+		case TAttrDef, TElemDef:
+			r.defTouched = true
+		case TObjects, TCollections:
+			r.idTouched = true
+		}
+	}
+	if err := r.c.replayOps(ops); err != nil {
+		return 0, err
+	}
+	return len(ops), nil
+}
+
+// finish rebuilds the registry from the replayed definition tables and
+// advances the ID allocators past replayed IDs, as the run requires.
+func (r *replayer) finish() error {
+	if r.defTouched {
+		if err := r.c.restoreRegistryFromTables(); err != nil {
+			return err
+		}
+	}
+	if r.idTouched {
+		r.c.fixAutoIDs()
+	}
+	return nil
+}
+
+// replayOps applies one log record's operations inside the open
+// transaction, so each record's content-based row lookups observe every
+// earlier record of the run.
 func (c *Catalog) replayOps(ops []walOp) error {
 	for _, op := range ops {
 		t := c.tx.Table(op.Table)
@@ -539,18 +577,35 @@ func (c *Catalog) replayOps(ops []walOp) error {
 	return nil
 }
 
-// findRowID locates a live row by content. Duplicate rows are
+// findRowID locates a live row by content: it probes each of the
+// table's indexes with the row's key columns and confirms the shortest
+// candidate list row by row. Every table the catalog journals is
+// indexed, so there is no scan fallback. Duplicate rows are
 // interchangeable — deleting either yields the same table state.
 func findRowID(t *relstore.Table, row relstore.Row) (int64, bool) {
-	found, ok := int64(0), false
-	t.Scan(func(id int64, r relstore.Row) bool {
-		if rowsIdentical(r, row) {
-			found, ok = id, true
-			return false
+	var best []int64
+	for _, ix := range t.Indexes() {
+		key := make([]relstore.Value, len(ix.Cols))
+		for i, col := range ix.Cols {
+			if col >= len(row) {
+				return 0, false
+			}
+			key[i] = row[col]
 		}
-		return true
-	})
-	return found, ok
+		ids, err := t.LookupEqual(ix.Name, key...)
+		if err != nil || len(ids) == 0 {
+			return 0, false
+		}
+		if best == nil || len(ids) < len(best) {
+			best = ids
+		}
+	}
+	for _, id := range best {
+		if rowsIdentical(t.Get(id), row) {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // rowsIdentical is exact (kind-sensitive, bit-exact for floats) row

@@ -70,7 +70,7 @@ func (c *Catalog) ApplyWAL(recs []wal.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	next := c.applied
-	defTouched, idTouched := false, false
+	rp := replayer{c: c}
 	err := c.withTx(func() error {
 		for _, rec := range recs {
 			if rec.Seq <= next {
@@ -79,19 +79,7 @@ func (c *Catalog) ApplyWAL(recs []wal.Record) error {
 			if rec.Seq != next+1 {
 				return fmt.Errorf("catalog: replication hole: record %d after %d", rec.Seq, next)
 			}
-			ops, err := decodeOps(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("catalog: record %d: %w", rec.Seq, err)
-			}
-			for _, op := range ops {
-				switch op.Table {
-				case TAttrDef, TElemDef:
-					defTouched = true
-				case TObjects, TCollections:
-					idTouched = true
-				}
-			}
-			if err := c.replayOps(ops); err != nil {
+			if _, err := rp.apply(rec); err != nil {
 				return fmt.Errorf("catalog: record %d: %w", rec.Seq, err)
 			}
 			next = rec.Seq
@@ -101,15 +89,8 @@ func (c *Catalog) ApplyWAL(recs []wal.Record) error {
 	if err != nil {
 		return err
 	}
-	if defTouched {
-		// The run added dynamic definitions; rebuild the registry from
-		// the replayed definition tables so resolution sees them.
-		if err := c.restoreRegistryFromTables(); err != nil {
-			return err
-		}
-	}
-	if idTouched {
-		c.fixAutoIDs()
+	if err := rp.finish(); err != nil {
+		return err
 	}
 	c.applied = next
 	return nil

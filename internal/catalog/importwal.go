@@ -22,22 +22,10 @@ func (c *Catalog) ImportWAL(recs []wal.Record) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defTouched, idTouched := false, false
+	rp := replayer{c: c}
 	err := c.mutateLocked(func() error {
 		for _, rec := range recs {
-			ops, err := decodeOps(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("catalog: import record %d: %w", rec.Seq, err)
-			}
-			for _, op := range ops {
-				switch op.Table {
-				case TAttrDef, TElemDef:
-					defTouched = true
-				case TObjects, TCollections:
-					idTouched = true
-				}
-			}
-			if err := c.replayOps(ops); err != nil {
+			if _, err := rp.apply(rec); err != nil {
 				return fmt.Errorf("catalog: import record %d: %w", rec.Seq, err)
 			}
 		}
@@ -46,15 +34,5 @@ func (c *Catalog) ImportWAL(recs []wal.Record) error {
 	if err != nil {
 		return err
 	}
-	if defTouched {
-		// Imported records may carry dynamic definitions; rebuild the
-		// registry from the replayed definition tables.
-		if err := c.restoreRegistryFromTables(); err != nil {
-			return err
-		}
-	}
-	if idTouched {
-		c.fixAutoIDs()
-	}
-	return nil
+	return rp.finish()
 }

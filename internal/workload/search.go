@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
@@ -79,49 +78,6 @@ func (g *Generator) RankedStructuralQuery(i int) *catalog.Query {
 	q.Attr("place", "").AddElem("placekey", "", relstore.OpEq,
 		relstore.Str(placeKeys[i%len(placeKeys)]))
 	return q
-}
-
-// RankedQueries generates the first n queries of the ranked stream,
-// mixing pure ranked (two of three) and ranked+structural shapes.
-func (g *Generator) RankedQueries(n int) []*catalog.Query {
-	qs := make([]*catalog.Query, n)
-	for i := range qs {
-		if i%3 == 2 {
-			qs[i] = g.RankedStructuralQuery(i)
-		} else {
-			qs[i] = g.RankedQuery(i)
-		}
-	}
-	return qs
-}
-
-// TermHistogram counts each vocabulary term's occurrences across the
-// first n ranked queries, most frequent first — the observed Zipf skew,
-// for experiment notes.
-func (g *Generator) TermHistogram(n int) []TermCount {
-	counts := map[string]int{}
-	for i := 0; i < n; i++ {
-		for _, t := range g.RankedQuery(i).Rank.Terms {
-			counts[t]++
-		}
-	}
-	out := make([]TermCount, 0, len(counts))
-	for t, c := range counts {
-		out = append(out, TermCount{Term: t, Count: c})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Count != out[b].Count {
-			return out[a].Count > out[b].Count
-		}
-		return out[a].Term < out[b].Term
-	})
-	return out
-}
-
-// TermCount is one term's frequency in a generated query stream.
-type TermCount struct {
-	Term  string
-	Count int
 }
 
 // WriteQueryLog writes queries as a JSON-lines log (one compact wire-
