@@ -10,8 +10,8 @@ import (
 
 // Bitmap set algebra for the plan executor (exec.go). What flows
 // between the Figure-4 stages is a compressed bitset of
-// attribute-instance keys: probes emit posting lists straight off the
-// B-tree (relstore postings.go), element predicates and the rollup
+// attribute-instance keys: probes decode them straight off the B-tree
+// keys (relstore.LookupRangeTails), element predicates and the rollup
 // combine them with word-at-a-time ANDs ordered by ascending
 // cardinality, and the intersect stage ANDs per-criterion *object* sets
 // the same way.
@@ -77,38 +77,14 @@ func andAscending(sets []*bitset.Set) *bitset.Set {
 	return out
 }
 
-// instanceSet converts a posting list of tab's row IDs into the set of
-// instance keys, applying the optional row post-filter. Both attr_data
-// and elem_data carry object_id at column 0 and seq_id at column 2.
-func (v *view) instanceSet(tab *relstore.Table, rowSet *bitset.Set, post func(relstore.Row) bool) (*bitset.Set, error) {
-	out := bitset.New()
-	var err error
-	rowSet.Iterate(func(id uint64) bool {
-		r := tab.Get(int64(id))
-		if r == nil || (post != nil && !post(r)) {
-			return true
-		}
-		var k uint64
-		if k, err = instKey(r[0].I, r[2].I); err != nil {
-			return false
-		}
-		out.Add(k)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.Optimize()
-	return out, nil
-}
-
 // rollupSet narrows n's posting list to instances containing a
 // satisfied instance of every child criterion: for each child, the
-// cover set unions the ancestor instance keys of the inverted-list rows
-// whose (object, child_seq) is in the child's set, and the covers AND
-// against n's own set smallest-first. With the inverted list disabled
-// (A1 ablation) it chases depth-1 parent links recursively instead, so
-// the ablation contrasts like with like.
+// cover set holds the ancestor instance keys of the inverted-list
+// entries under the (child, n) definition pair whose child instance is
+// in the child's set, and the covers AND against n's own set
+// smallest-first. With the inverted list disabled (A1 ablation) it
+// chases depth-1 parent links recursively instead, so the ablation
+// contrasts like with like.
 func (v *view) rollupSet(n *qNode, sets map[int]*bitset.Set) (*bitset.Set, error) {
 	if v.c.opts.DisableInvertedList {
 		return v.recursiveRollupSet(n, sets)
@@ -116,84 +92,73 @@ func (v *view) rollupSet(n *qNode, sets map[int]*bitset.Set) (*bitset.Set, error
 	subT := v.tab(TSubAttrs)
 	covers := make([]*bitset.Set, 0, len(n.children)+1)
 	for _, child := range n.children {
-		ids, err := subT.LookupEqual("sub_attrs_by_child", relstore.Int(child.def.ID))
+		cover, err := coverSet(subT, child.def.ID, n.def.ID, sets[child.id])
 		if err != nil {
 			return nil, err
 		}
-		childSet := sets[child.id]
-		cover := bitset.New()
-		for _, rid := range ids {
-			r := subT.Get(rid)
-			// r: object, child_attr, child_seq, anc_attr, anc_seq, depth
-			if r == nil || r[3].I != n.def.ID {
-				continue
-			}
-			ck, err := instKey(r[0].I, r[2].I)
-			if err != nil {
-				return nil, err
-			}
-			if !childSet.Contains(ck) {
-				continue
-			}
-			ak, err := instKey(r[0].I, r[4].I)
-			if err != nil {
-				return nil, err
-			}
-			cover.Add(ak)
-		}
-		cover.Optimize()
 		covers = append(covers, cover)
 	}
 	covers = append(covers, sets[n.id])
 	return andAscending(covers), nil
 }
 
+// coverSet returns the instances of definition anc that contain an
+// instance of definition child in childSet, read off the
+// sub_attrs_by_child keys under the (child, anc) prefix, which end in
+// (object_id, child_seq, anc_seq); no row is read.
+func coverSet(subT *relstore.Table, child, anc int64, childSet *bitset.Set) (*bitset.Set, error) {
+	cover := bitset.New()
+	var err error
+	pair := incl(relstore.Int(child), relstore.Int(anc))
+	lerr := subT.LookupRangeTails("sub_attrs_by_child", pair, pair, 3, func(tail []int64) bool {
+		var ck, ak uint64
+		if ck, err = instKey(tail[0], tail[1]); err != nil {
+			return false
+		}
+		if !childSet.Contains(ck) {
+			return true
+		}
+		if ak, err = instKey(tail[0], tail[2]); err != nil {
+			return false
+		}
+		cover.Add(ak)
+		return true
+	})
+	if lerr != nil {
+		return nil, lerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	cover.Optimize()
+	return cover, nil
+}
+
 // recursiveRollupSet is the A1 ablation's rollup: with only depth-1
 // links stored, each child's cover set is found by chasing parents
-// level by level — the per-level self-joins that hinder the edge-table
-// approach (§6).
+// level by level up to the root, one self-join of the frontier against
+// the (definition, parent definition) links per level — the per-level
+// joins that hinder the edge-table approach (§6).
 func (v *view) recursiveRollupSet(n *qNode, sets map[int]*bitset.Set) (*bitset.Set, error) {
 	subT := v.tab(TSubAttrs)
-	type inst struct{ object, attrID, seq int64 }
 	covers := make([]*bitset.Set, 0, len(n.children)+1)
 	for _, child := range n.children {
-		var frontier []inst
-		sets[child.id].Iterate(func(k uint64) bool {
-			frontier = append(frontier, inst{int64(k >> instSeqBits), child.def.ID, int64(k & instSeqMask)})
-			return true
-		})
-		seen := make(map[inst]bool)
 		cover := bitset.New()
-		for len(frontier) > 0 {
-			var next []inst
-			for _, f := range frontier {
-				ids, err := subT.LookupEqual("sub_attrs_by_child", relstore.Int(f.attrID))
-				if err != nil {
-					return nil, err
-				}
-				for _, rid := range ids {
-					r := subT.Get(rid)
-					if r == nil || r[5].I != 1 || r[0].I != f.object || r[2].I != f.seq {
-						continue
-					}
-					parent := inst{r[0].I, r[3].I, r[4].I}
-					if seen[parent] {
-						continue
-					}
-					seen[parent] = true
-					if parent.attrID == n.def.ID {
-						k, err := instKey(parent.object, parent.seq)
-						if err != nil {
-							return nil, err
-						}
-						cover.Add(k)
-					}
-					next = append(next, parent)
-				}
+		frontier := sets[child.id]
+		for def := child.def; def.ParentID != 0 && !frontier.IsEmpty(); {
+			parent := v.reg.AttrByID(def.ParentID)
+			if parent == nil {
+				break
 			}
-			frontier = next
+			next, err := coverSet(subT, def.ID, parent.ID, frontier)
+			if err != nil {
+				return nil, err
+			}
+			if parent.ID == n.def.ID {
+				cover = next
+			}
+			frontier, def = next, parent
 		}
-		cover.Optimize()
 		covers = append(covers, cover)
 	}
 	covers = append(covers, sets[n.id])

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/gridmeta/hybridcat/internal/bitset"
 	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/obs"
 	"github.com/gridmeta/hybridcat/internal/relstore"
@@ -266,14 +267,20 @@ func (c *Catalog) createTables() error {
 		unique      bool
 		cols        []string
 	}
+	// The Figure-4 indexes (attr_data_by_attr, elem_data_by_sval/nval,
+	// sub_attrs_by_child, objects_by_owner/published) end in the instance
+	// columns, so the executor reads (object, seq) straight off the keys
+	// (relstore.LookupRangeTails) and never fetches a row.
 	indexes := []idef{
 		{TObjects, "objects_pk", relstore.BTreeIndex, true, []string{"object_id"}},
-		{TAttrData, "attr_data_by_attr", relstore.HashIndex, false, []string{"attr_id"}},
+		{TObjects, "objects_by_owner", relstore.BTreeIndex, false, []string{"owner", "object_id"}},
+		{TObjects, "objects_by_published", relstore.BTreeIndex, false, []string{"published", "object_id"}},
+		{TAttrData, "attr_data_by_attr", relstore.BTreeIndex, false, []string{"attr_id", "object_id", "seq_id"}},
 		{TAttrData, "attr_data_by_object", relstore.HashIndex, false, []string{"object_id"}},
-		{TElemData, "elem_data_by_sval", relstore.BTreeIndex, false, []string{"elem_id", "sval"}},
-		{TElemData, "elem_data_by_nval", relstore.BTreeIndex, false, []string{"elem_id", "nval"}},
+		{TElemData, "elem_data_by_sval", relstore.BTreeIndex, false, []string{"elem_id", "sval", "object_id", "seq_id"}},
+		{TElemData, "elem_data_by_nval", relstore.BTreeIndex, false, []string{"elem_id", "nval", "object_id", "seq_id"}},
 		{TElemData, "elem_data_by_object", relstore.HashIndex, false, []string{"object_id"}},
-		{TSubAttrs, "sub_attrs_by_child", relstore.HashIndex, false, []string{"child_attr_id"}},
+		{TSubAttrs, "sub_attrs_by_child", relstore.BTreeIndex, false, []string{"child_attr_id", "anc_attr_id", "object_id", "child_seq", "anc_seq"}},
 		{TSubAttrs, "sub_attrs_by_object", relstore.HashIndex, false, []string{"object_id"}},
 		{TClobs, "clobs_by_object", relstore.BTreeIndex, false, []string{"object_id", "node_order", "clob_seq"}},
 		{TAttrDef, "attr_def_pk", relstore.BTreeIndex, true, []string{"attr_id"}},
@@ -681,32 +688,28 @@ func (c *Catalog) SetPublished(id int64, published bool) error {
 	})
 }
 
-// visibleTo reports whether the object may appear in results for the
-// given querying user: owners see their own objects, everyone sees
-// published ones, and the empty user is the catalog-internal superuser.
-func (v *view) visibleTo(user string, objectID int64) bool {
+// visibleSet returns the objects that may appear in results for the
+// given querying user: owners see their own objects and everyone sees
+// published ones, so the set is the owner's objects_by_owner entries
+// united with the published ones, read off the index keys. The empty
+// user is the catalog-internal superuser and sees everything: the set
+// is nil, meaning unrestricted.
+func (v *view) visibleSet(user string) (*bitset.Set, error) {
 	if user == "" {
-		return true
+		return nil, nil
 	}
 	objT := v.tab(TObjects)
-	ids, _ := objT.LookupEqual("objects_pk", relstore.Int(objectID))
-	if len(ids) == 0 {
-		return false
+	out := bitset.New()
+	add := func(tail []int64) bool {
+		out.Add(uint64(tail[0]))
+		return true
 	}
-	r := objT.Get(ids[0])
-	return r[2].S == user || r[4].AsBool()
-}
-
-// filterVisible keeps the object IDs visible to the user.
-func (v *view) filterVisible(user string, ids []int64) []int64 {
-	if user == "" {
-		return ids
+	if err := objT.LookupRangeTails("objects_by_owner", incl(relstore.Str(user)), incl(relstore.Str(user)), 1, add); err != nil {
+		return nil, err
 	}
-	out := ids[:0]
-	for _, id := range ids {
-		if v.visibleTo(user, id) {
-			out = append(out, id)
-		}
+	if err := objT.LookupRangeTails("objects_by_published", incl(relstore.Bool(true)), incl(relstore.Bool(true)), 1, add); err != nil {
+		return nil, err
 	}
-	return out
+	out.Optimize()
+	return out, nil
 }

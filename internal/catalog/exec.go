@@ -63,7 +63,10 @@ func (v *view) execPlan(q *Query, tr *obs.Trace) ([]int64, *queryPlan, error) {
 	// Stage 4: objects containing a satisfying instance of every
 	// top-level criterion, restricted to what the owner may see.
 	endIntersect := c.stageTimer(tr, "intersect", c.obsv.stageIntersect)
-	visible := v.intersect(q, p, sets)
+	visible, err := v.intersect(q, p, sets)
+	if err != nil {
+		return nil, nil, err
+	}
 	p.root.card = len(visible)
 	endIntersect(int64(len(visible)))
 	return visible, p, nil
@@ -115,8 +118,9 @@ func (v *view) probe(sc *planNode) (*bitset.Set, bool, error) {
 
 // intersect projects each top-level criterion's instance set onto
 // objects, then chains bitmap ANDs from the smallest set up, recording
-// each candidate set's cardinality and shape on the plan.
-func (v *view) intersect(q *Query, p *queryPlan, sets map[int]*bitset.Set) []int64 {
+// each candidate set's cardinality and shape on the plan; a non-empty
+// result is finally ANDed with the objects the owner may see.
+func (v *view) intersect(q *Query, p *queryPlan, sets map[int]*bitset.Set) ([]int64, error) {
 	c := v.c
 	objSets := make([]*bitset.Set, len(p.tops))
 	for i, top := range p.tops {
@@ -126,32 +130,38 @@ func (v *view) intersect(q *Query, p *queryPlan, sets map[int]*bitset.Set) []int
 		objSets[i] = os
 	}
 	result := andAscending(objSets)
+	if !result.IsEmpty() {
+		visible, err := v.visibleSet(q.Owner)
+		if err != nil {
+			return nil, err
+		}
+		if visible != nil {
+			result = result.And(visible)
+		}
+	}
 	ids := make([]int64, 0, result.Card())
 	result.Iterate(func(k uint64) bool {
 		ids = append(ids, int64(k))
 		return true
 	})
-	return v.filterVisible(q.Owner, ids)
+	return ids, nil
 }
 
 // scanSet executes one scan node as a posting list: each child probe's
-// specs stream row IDs off the B-tree into a bitset, convert to packed
-// instance keys, and the per-predicate sets AND smallest-first (an
-// instance satisfies the criterion when it satisfies every predicate).
+// specs stream instance keys off the B-tree into a bitset, and the
+// per-predicate sets AND smallest-first (an instance satisfies the
+// criterion when it satisfies every predicate).
 func (v *view) scanSet(sc *planNode) (*bitset.Set, error) {
 	n := sc.q
 	if len(n.elems) == 0 {
-		// scan-all: every instance of the definition.
-		attrT := v.tab(TAttrData)
-		rowSet := bitset.New()
-		if err := attrT.LookupEqualPostings("attr_data_by_attr", rowSet, relstore.Int(n.def.ID)); err != nil {
-			return nil, err
-		}
-		return v.instanceSet(attrT, rowSet, nil)
+		// scan-all: every instance of the definition, off the
+		// (attr_id, object_id, seq_id) keys.
+		def := relstore.Int(n.def.ID)
+		return instanceKeys(v.tab(TAttrData), []probeSpec{{index: "attr_data_by_attr", lo: incl(def), hi: incl(def)}})
 	}
 	sets := make([]*bitset.Set, len(sc.children))
 	for k, pc := range sc.children {
-		s, err := v.probeSet(pc.probe)
+		s, err := instanceKeys(v.tab(TElemData), pc.probe.specs)
 		if err != nil {
 			return nil, err
 		}
@@ -160,35 +170,29 @@ func (v *view) scanSet(sc *planNode) (*bitset.Set, error) {
 	return andAscending(sets), nil
 }
 
-// probeSet executes one compiled probe as an instance-key set. An
-// or-union streams every member spec into one row-ID set before a
-// single row→instance conversion (members are equality probes, so
-// there is never a post-filter to thread through the union).
-func (v *view) probeSet(pp *probePlan) (*bitset.Set, error) {
-	elemT := v.tab(TElemData)
-	rowSet := bitset.New()
-	if pp.op == opOrUnion {
-		for _, spec := range pp.specs {
-			if err := emitSpec(elemT, spec, rowSet); err != nil {
-				return nil, err
-			}
+// instanceKeys unions the instance keys of every index entry in the
+// specs' ranges. Each index probed ends in (object_id, seq_id), so the
+// keys are decoded from the index entries and no row is read; an
+// or-union or an Ne probe is simply several ranges.
+func instanceKeys(t *relstore.Table, specs []probeSpec) (*bitset.Set, error) {
+	out := bitset.New()
+	var err error
+	add := func(tail []int64) bool {
+		var k uint64
+		if k, err = instKey(tail[0], tail[1]); err != nil {
+			return false
 		}
-		return v.instanceSet(elemT, rowSet, nil)
+		out.Add(k)
+		return true
 	}
-	if len(pp.specs) == 0 {
-		return bitset.New(), nil
+	for _, spec := range specs {
+		if lerr := t.LookupRangeTails(spec.index, spec.lo, spec.hi, 2, add); lerr != nil {
+			return nil, lerr
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	spec := pp.specs[0]
-	if err := emitSpec(elemT, spec, rowSet); err != nil {
-		return nil, err
-	}
-	return v.instanceSet(elemT, rowSet, spec.post)
-}
-
-// emitSpec streams one spec's matching row IDs into dst.
-func emitSpec(t *relstore.Table, spec probeSpec, dst *bitset.Set) error {
-	if spec.ranged {
-		return t.LookupRangePostings(spec.index, dst, spec.lo, spec.hi)
-	}
-	return t.LookupEqualPostings(spec.index, dst, spec.eq...)
+	out.Optimize()
+	return out, nil
 }

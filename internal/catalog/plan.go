@@ -11,15 +11,16 @@ import (
 // into an explicit plan: a tree of operator nodes that the executor
 // (exec.go) walks over compressed bitmap posting lists. The criterion
 // dispatch happens exactly once here: every element predicate compiles
-// to a probeSpec naming the index, the equality key or range bounds,
-// and the residual row filter. ExplainQuery renders the plan after an
+// to probeSpecs naming the index and the key ranges whose entries
+// satisfy it. ExplainQuery renders the plan after an
 // execution annotated it with per-node cardinalities, physical shapes,
 // and cache hits.
 //
 // Operator vocabulary:
 //
 //	postings-scan  equality probe emitting the index's posting list
-//	range-scan     B-tree range probe (bounds from the predicate)
+//	range-scan     B-tree range probe (bounds from the predicate; Ne is
+//	               the two ranges either side of the value)
 //	or             union of equality probes (OneOf / ontology expansion)
 //	scan-all       every instance of the definition (no element criteria)
 //	scan           per-criterion AND over its element probes (stage 1+2)
@@ -41,17 +42,15 @@ const (
 	opPage         = "page"
 )
 
-// probeSpec is one element predicate compiled to a physical index
-// probe: which index to hit, the equality key or range bounds, and the
-// residual row filter the executor applies while converting row IDs to
-// instance keys. This is the single home of the operator/index
-// dispatch.
+// probeSpec is one key range of an element predicate's physical index
+// probe: which index to hit and the bounds. An equality probe is the
+// inclusive range of one key prefix. Every range is exact — the
+// executor decodes the instance keys of all the entries in it — so no
+// residual row filter exists. This is the single home of the
+// operator/index dispatch.
 type probeSpec struct {
 	index  string
-	eq     []relstore.Value // equality probe key (nil when ranged)
-	ranged bool
 	lo, hi relstore.RangeBound
-	post   func(relstore.Row) bool // residual filter; nil for exact probes
 }
 
 // probePlan is one element predicate's compiled probe: its operator
@@ -166,21 +165,13 @@ func compileProbe(qe qElem) (*probePlan, error) {
 			single := qe.pred
 			single.OneOf = nil
 			single.Value = val
-			spec, ok := compileSpec(qe.def.ID, single)
-			if !ok {
-				continue
-			}
-			pp.specs = append(pp.specs, spec)
+			pp.specs = append(pp.specs, compileSpecs(qe.def.ID, single)...)
 		}
 		return pp, nil
 	}
-	spec, ok := compileSpec(qe.def.ID, qe.pred)
-	pp := &probePlan{op: opPostingsScan, elem: qe}
-	if ok {
-		if spec.ranged {
-			pp.op = opRangeScan
-		}
-		pp.specs = []probeSpec{spec}
+	pp := &probePlan{op: opPostingsScan, elem: qe, specs: compileSpecs(qe.def.ID, qe.pred)}
+	if len(pp.specs) > 0 && qe.pred.Op != relstore.OpEq {
+		pp.op = opRangeScan
 	}
 	return pp, nil
 }
@@ -194,56 +185,42 @@ func excl(vals ...relstore.Value) relstore.RangeBound {
 	return relstore.RangeBound{Vals: vals, Inclusive: false, Set: true}
 }
 
-// compileSpec maps (definition, operator, value) to the physical probe:
-// typed numeric predicates hit the nval B-tree, everything else the
-// sval B-tree. ok=false means the operator is unsupported and the probe
-// produces nothing.
-func compileSpec(defID int64, pred ElemPred) (probeSpec, bool) {
+// compileSpecs maps (definition, operator, value) to the key ranges of
+// the physical probe: typed numeric predicates hit the nval B-tree,
+// everything else the sval B-tree. Both indexes are keyed (elem_id,
+// value, object_id, seq_id). No specs means the operator is unsupported
+// and the probe produces nothing.
+func compileSpecs(defID int64, pred ElemPred) []probeSpec {
 	eid := relstore.Int(defID)
+	// below is the lower bound of the definition's values. The shredder
+	// writes every element's text to sval, never NULL, so for strings it
+	// is the whole definition; an element whose text is not numeric has
+	// a NULL nval, which sorts first and is skipped.
+	ix, val, below := "elem_data_by_sval", relstore.Value{}, incl(eid)
 	if f, isNum := pred.Value.AsFloat(); isNum && (pred.Value.K == relstore.KInt || pred.Value.K == relstore.KFloat) {
-		const ix = "elem_data_by_nval"
-		nv := relstore.Float(f)
-		switch pred.Op {
-		case relstore.OpEq:
-			return probeSpec{index: ix, eq: []relstore.Value{eid, nv}}, true
-		case relstore.OpLt:
-			return probeSpec{index: ix, ranged: true, lo: incl(eid), hi: excl(eid, nv), post: notNullNval}, true
-		case relstore.OpLe:
-			return probeSpec{index: ix, ranged: true, lo: incl(eid), hi: incl(eid, nv), post: notNullNval}, true
-		case relstore.OpGt:
-			return probeSpec{index: ix, ranged: true, lo: excl(eid, nv), hi: incl(eid)}, true
-		case relstore.OpGe:
-			return probeSpec{index: ix, ranged: true, lo: incl(eid, nv), hi: incl(eid)}, true
-		case relstore.OpNe:
-			// Inequality: scan the definition's rows and filter.
-			return probeSpec{index: ix, ranged: true, lo: incl(eid), hi: incl(eid),
-				post: func(r relstore.Row) bool { return !r[6].IsNull() && r[6].F != f }}, true
-		}
-		return probeSpec{}, false
+		ix, val, below = "elem_data_by_nval", relstore.Float(f), excl(eid, relstore.Null())
+	} else {
+		val = relstore.Str(pred.Value.AsString())
 	}
-	const ix = "elem_data_by_sval"
-	sv := relstore.Str(pred.Value.AsString())
+	spec := func(lo, hi relstore.RangeBound) []probeSpec {
+		return []probeSpec{{index: ix, lo: lo, hi: hi}}
+	}
 	switch pred.Op {
 	case relstore.OpEq:
-		return probeSpec{index: ix, eq: []relstore.Value{eid, sv}}, true
-	case relstore.OpNe:
-		return probeSpec{index: ix, ranged: true, lo: incl(eid), hi: incl(eid),
-			post: func(r relstore.Row) bool { return r[5].S != sv.S }}, true
+		return spec(incl(eid, val), incl(eid, val))
 	case relstore.OpLt:
-		return probeSpec{index: ix, ranged: true, lo: incl(eid), hi: excl(eid, sv)}, true
+		return spec(below, excl(eid, val))
 	case relstore.OpLe:
-		return probeSpec{index: ix, ranged: true, lo: incl(eid), hi: incl(eid, sv)}, true
+		return spec(below, incl(eid, val))
 	case relstore.OpGt:
-		return probeSpec{index: ix, ranged: true, lo: excl(eid, sv), hi: incl(eid)}, true
+		return spec(excl(eid, val), incl(eid))
 	case relstore.OpGe:
-		return probeSpec{index: ix, ranged: true, lo: incl(eid, sv), hi: incl(eid)}, true
+		return spec(incl(eid, val), incl(eid))
+	case relstore.OpNe:
+		return append(spec(below, excl(eid, val)), spec(excl(eid, val), incl(eid))...)
 	}
-	return probeSpec{}, false
+	return nil
 }
-
-// notNullNval filters out rows whose numeric column is null (a string
-// value landed in the range scan's key space).
-func notNullNval(r relstore.Row) bool { return !r[6].IsNull() }
 
 // planString renders the operator tree in one line, e.g.
 // "intersect(rollup#1(scan#1[range-scan], scan#2[postings-scan]))".

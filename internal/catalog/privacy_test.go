@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/gridmeta/hybridcat/internal/relstore"
@@ -85,6 +86,52 @@ func TestPublishingMakesObjectsVisible(t *testing.T) {
 	if err := c.SetPublished(999, true); err == nil {
 		t.Error("publishing a missing object should fail")
 	}
+}
+
+// TestIndexOnlyVisibilityFollowsEpoch publishes and then unpublishes an
+// object: a third user's structural and rank-only answers change at
+// each next epoch, while views pinned before each flip keep answering
+// from their own epoch's owner/published index entries.
+func TestIndexOnlyVisibilityFollowsEpoch(t *testing.T) {
+	c, aliceObj, _ := privacyFixture(t)
+	ranked := &Query{Owner: "carol", Rank: &RankSpec{Terms: []string{"convective"}}}
+	answers := func(v *view) (structural, rankOnly []int64) {
+		t.Helper()
+		ids, err := v.evaluateTraced(dxQuery("carol"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scored, err := v.evaluateRanked(ranked, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range scored {
+			rankOnly = append(rankOnly, s.ID)
+		}
+		return ids, rankOnly
+	}
+	expect := func(label string, v *view, want []int64) {
+		t.Helper()
+		s, r := answers(v)
+		if !slices.Equal(s, want) || !slices.Equal(r, want) {
+			t.Fatalf("%s: carol sees structural %v, ranked %v; want %v", label, s, r, want)
+		}
+	}
+
+	private := c.pinView()
+	expect("before publish", private, nil)
+	if err := c.SetPublished(aliceObj, true); err != nil {
+		t.Fatal(err)
+	}
+	published := c.pinView()
+	expect("after publish", published, []int64{aliceObj})
+	expect("view pinned before publish", private, nil)
+	if err := c.SetPublished(aliceObj, false); err != nil {
+		t.Fatal(err)
+	}
+	expect("after unpublish", c.pinView(), nil)
+	expect("view pinned before unpublish", published, []int64{aliceObj})
+	expect("view pinned before publish, again", private, nil)
 }
 
 func TestPrivacySurvivesSnapshot(t *testing.T) {

@@ -209,8 +209,8 @@ func (v *view) evaluateRanked(q *Query, st *textindex.Stats, tr *obs.Trace) ([]S
 			member[id] = true
 		}
 		allow = func(id int64) bool { return member[id] }
-	} else {
-		allow = func(id int64) bool { return v.visibleTo(q.Owner, id) }
+	} else if allow, err = v.visibleFilter(q.Owner); err != nil {
+		return nil, err
 	}
 	if err := v.ctxErr(); err != nil {
 		return nil, err
@@ -228,6 +228,17 @@ func (v *view) evaluateRanked(q *Query, st *textindex.Stats, tr *obs.Trace) ([]S
 		out[i] = ScoredID{ID: s.Doc, Score: s.Score}
 	}
 	return out, nil
+}
+
+// visibleFilter is the rank operator's admission test for a query
+// without structural criteria: membership in the owner's visible set.
+// It is nil, admitting everything, for the superuser.
+func (v *view) visibleFilter(owner string) (func(int64) bool, error) {
+	visible, err := v.visibleSet(owner)
+	if visible == nil {
+		return nil, err
+	}
+	return func(id int64) bool { return visible.Contains(uint64(id)) }, nil
 }
 
 // TextStats returns this catalog's corpus statistics for the analyzed
@@ -302,7 +313,9 @@ func (v *view) explainRank(q *Query, structural []int64, rankOnly bool) ([]strin
 	}
 	var allow func(int64) bool
 	if rankOnly {
-		allow = func(id int64) bool { return v.visibleTo(q.Owner, id) }
+		if allow, err = v.visibleFilter(q.Owner); err != nil {
+			return nil, err
+		}
 	} else {
 		member := make(map[int64]bool, len(structural))
 		for _, id := range structural {

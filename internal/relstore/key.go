@@ -1,9 +1,11 @@
 package relstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Order-preserving key encoding. Composite keys built from Values encode to
@@ -34,6 +36,11 @@ const (
 	tagString byte = 0x04
 	tagBytes  byte = 0x05
 )
+
+// numberKeyLen is the fixed encoded width of an INT or FLOAT: the tag,
+// the float-ordered prefix, then the int payload (for an INT, the value
+// itself with its sign bit flipped).
+const numberKeyLen = 1 + 8 + 8
 
 // AppendKey appends the order-preserving encoding of v to dst.
 func AppendKey(dst []byte, v Value) []byte {
@@ -90,6 +97,9 @@ func appendFloatOrdered(dst []byte, f float64) []byte {
 	if math.IsNaN(f) {
 		return appendUint64Ordered(dst, 0)
 	}
+	if f == 0 {
+		f = 0 // -0 compares equal to 0, so it must encode the same
+	}
 	bits := math.Float64bits(f)
 	if bits&(1<<63) != 0 {
 		bits = ^bits // negative: flip all bits
@@ -123,11 +133,34 @@ func EncodeKey(vals ...Value) []byte {
 	return dst
 }
 
-// KeyOfColumns encodes the projection of row onto cols.
+// KeyOfColumns encodes the projection of row onto cols. The buffer is
+// sized once for the encoding plus a row-ID suffix, so an index entry
+// (Index.add) is built in a single allocation.
 func KeyOfColumns(row Row, cols []int) []byte {
-	var dst []byte
+	n := rowIDSuffixLen
+	for _, c := range cols {
+		n += keyLen(row[c])
+	}
+	dst := make([]byte, 0, n)
 	for _, c := range cols {
 		dst = AppendKey(dst, row[c])
 	}
 	return dst
+}
+
+// keyLen is the length of v's AppendKey encoding.
+func keyLen(v Value) int {
+	switch v.K {
+	case KNull:
+		return 1
+	case KBool:
+		return 2
+	case KInt, KFloat:
+		return numberKeyLen
+	case KString:
+		return 3 + len(v.S) + strings.Count(v.S, "\x00")
+	case KBytes:
+		return 3 + len(v.B) + bytes.Count(v.B, []byte{0})
+	}
+	return 0
 }

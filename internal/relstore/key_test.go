@@ -29,7 +29,7 @@ func TestKeyOrderSingleValues(t *testing.T) {
 	vals := []Value{
 		Null(), Bool(false), Bool(true),
 		Float(math.Inf(-1)), Int(math.MinInt64 + 2), Int(-1000000), Float(-3.5),
-		Int(-1), Float(-0.0), Int(0), Float(0.0), Float(1e-10), Int(1),
+		Int(-1), Float(math.Copysign(0, -1)), Int(0), Float(0.0), Float(1e-10), Int(1),
 		Float(1.5), Int(2), Int(1000000), Float(1e300), Float(math.Inf(1)),
 		Str(""), Str("\x00"), Str("\x00a"), Str("a"), Str("a\x00"), Str("ab"), Str("b"),
 		Bytes(nil), Bytes([]byte{0}), Bytes([]byte{0, 0}), Bytes([]byte{1}),
@@ -162,5 +162,11 @@ func TestKeyOfColumns(t *testing.T) {
 	want := EncodeKey(Float(2.5), Int(1))
 	if !bytes.Equal(got, want) {
 		t.Error("KeyOfColumns should project in the given order")
+	}
+	// Sized exactly for the row-ID suffix an index entry appends.
+	r = Row{Str("a\x00b"), Null(), Bool(true), Bytes([]byte{0, 1}), Int(-3)}
+	got = KeyOfColumns(r, []int{0, 1, 2, 3, 4})
+	if cap(got) != len(got)+rowIDSuffixLen {
+		t.Errorf("KeyOfColumns: len %d cap %d, want cap len+%d", len(got), cap(got), rowIDSuffixLen)
 	}
 }

@@ -1,55 +1,25 @@
 package relstore
 
 import (
+	"encoding/binary"
 	"fmt"
-
-	"github.com/gridmeta/hybridcat/internal/bitset"
 )
 
-// Posting-list emission: the bitmap twins of LookupEqual/LookupRange.
-// Instead of materializing an intermediate []int64, each matching row
-// ID streams from the B-tree callback straight into a compressed
-// bitset. Sequentially assigned row IDs arrive in nearly ascending
-// clustered order, so the set's last-chunk fast path makes each insert
-// O(1) and the result compresses to run containers under Optimize.
-// These feed the catalog's Figure-4 bitmap pipeline (posting lists per
-// criterion probe); the slice forms serve point lookups and the SQL
-// layer.
+// Index-only reads. A B-tree entry's key holds the encoded indexed
+// columns, so a query that needs nothing but trailing integer columns of
+// the matching rows can decode them from the keys and never fetch a row
+// — the covering-index scan the catalog's Figure-4 probes, rollups and
+// visibility filter are built on.
 
-// LookupEqualPostings adds to dst the row IDs whose indexed columns
-// equal vals, using the named index. Validation and index-lookup
-// accounting match LookupEqual exactly.
-func (t *Table) LookupEqualPostings(indexName string, dst *bitset.Set, vals ...Value) error {
-	tv := t.version()
-	if tv == nil {
-		return fmt.Errorf("relstore: no table %q", t.name)
-	}
-	ix := tv.indexes[indexName]
-	if ix == nil {
-		return fmt.Errorf("relstore: table %s: no index %q", t.name, indexName)
-	}
-	if len(vals) != len(ix.Cols) {
-		return fmt.Errorf("relstore: index %s: got %d key values, want %d", indexName, len(vals), len(ix.Cols))
-	}
-	tv.state.countLookup()
-	key := EncodeKey(vals...)
-	if ix.Unique {
-		if id, ok := ix.tree.Get(key); ok {
-			dst.Add(uint64(id))
-		}
-		return nil
-	}
-	ix.tree.AscendPrefix(key, func(_ []byte, v int64) bool {
-		dst.Add(uint64(v))
-		return true
-	})
-	return nil
-}
-
-// LookupRangePostings adds to dst the row IDs whose indexed key falls
-// within [lo, hi] per the bounds' inclusivity. Requires a B-tree index;
-// bound encoding matches LookupRange exactly.
-func (t *Table) LookupRangePostings(indexName string, dst *bitset.Set, lo, hi RangeBound) error {
+// LookupRangeTails calls fn with the last n indexed columns of every
+// entry whose key falls within [lo, hi] per the bounds' inclusivity, in
+// key order, until fn returns false; an equality probe on a key prefix
+// is lo = hi = that prefix, inclusive. Each of the n tail columns must
+// be a NOT NULL INT column, whose encoding has a fixed width, so the
+// values are decoded from the key bytes and no row is read. tail is
+// reused between calls. Bound encoding matches LookupRange; the call
+// counts one index lookup.
+func (t *Table) LookupRangeTails(indexName string, lo, hi RangeBound, n int, fn func(tail []int64) bool) error {
 	tv := t.version()
 	if tv == nil {
 		return fmt.Errorf("relstore: no table %q", t.name)
@@ -61,39 +31,31 @@ func (t *Table) LookupRangePostings(indexName string, dst *bitset.Set, lo, hi Ra
 	if ix.Kind != BTreeIndex {
 		return fmt.Errorf("relstore: index %s: range scan requires a B-tree index", indexName)
 	}
+	if n < 1 || n > len(ix.Cols) {
+		return fmt.Errorf("relstore: index %s: cannot decode %d tail columns of %d", indexName, n, len(ix.Cols))
+	}
+	for _, c := range ix.Cols[len(ix.Cols)-n:] {
+		if col := tv.state.schema.Columns[c]; col.Type != KInt || !col.NotNull {
+			return fmt.Errorf("relstore: index %s: tail column %q is not a NOT NULL INT", indexName, col.Name)
+		}
+	}
 	tv.state.countLookup()
-	var loKey, hiKey []byte
-	if lo.Set {
-		loKey = EncodeKey(lo.Vals...)
-		if !lo.Inclusive {
-			loKey = prefixEnd(loKey)
-		}
+	suffix := rowIDSuffixLen
+	if ix.Unique {
+		suffix = 0
 	}
-	if hi.Set {
-		hiKey = EncodeKey(hi.Vals...)
-		if hi.Inclusive {
-			hiKey = prefixEnd(hiKey)
+	tail := make([]int64, n)
+	loKey, hiKey := rangeKeys(lo, hi)
+	ix.tree.Ascend(loKey, hiKey, func(key []byte, _ int64) bool {
+		cells := key[len(key)-suffix-n*numberKeyLen:]
+		for i := range tail {
+			// The cell's last 8 bytes are the int with its sign bit flipped.
+			payload := cells[i*numberKeyLen+numberKeyLen-8:]
+			tail[i] = int64(binary.BigEndian.Uint64(payload) ^ 1<<63)
 		}
-	}
-	ix.tree.Ascend(loKey, hiKey, func(_ []byte, v int64) bool {
-		dst.Add(uint64(v))
-		return true
+		return fn(tail)
 	})
 	return nil
-}
-
-// ScanRowIDPostings adds every live row ID to dst in row-ID order —
-// the full-table posting list, used when a criterion has no usable
-// index. The whole scan observes one version, even on a live handle.
-func (t *Table) ScanRowIDPostings(dst *bitset.Set) {
-	tv := t.version()
-	if tv == nil {
-		return
-	}
-	tv.scan(func(id int64, _ Row) bool {
-		dst.Add(uint64(id))
-		return true
-	})
 }
 
 // ScanTextPostings calls fn(doc, text) for every live row whose textCol

@@ -21,9 +21,9 @@ const (
 // Indexes are maintained synchronously by Insert/Update/Delete inside
 // the writing transaction. Both kinds are physically backed by the
 // copy-on-write B-tree — the order-preserving key encoding makes an
-// equality probe a prefix scan — so the Kind only gates LookupRange,
-// preserving the paper's distinction between equality-only and ordered
-// access paths.
+// equality probe a prefix scan — so the Kind only gates the range scans
+// (LookupRange, LookupRangeTails), preserving the paper's distinction
+// between equality-only and ordered access paths.
 type Index struct {
 	Name   string
 	Cols   []int
@@ -33,21 +33,22 @@ type Index struct {
 	tree *btree
 }
 
-func rowIDSuffix(key []byte, rowID int64) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(rowID))
-	return append(key, buf[:]...)
-}
+// rowIDSuffixLen is the width of the row-ID suffix that keeps a
+// non-unique index's entries distinct.
+const rowIDSuffixLen = 8
 
+// add and remove take ownership of key, a fresh KeyOfColumns encoding:
+// the entry is stored (or the suffix appended, within the capacity
+// KeyOfColumns reserved) without copying it.
 func (ix *Index) add(key []byte, rowID int64) error {
 	if ix.Unique {
 		if _, exists := ix.tree.Get(key); exists {
 			return fmt.Errorf("relstore: unique index %s violated", ix.Name)
 		}
-		ix.tree.Insert(append([]byte(nil), key...), rowID)
+		ix.tree.Insert(key, rowID)
 		return nil
 	}
-	ix.tree.Insert(rowIDSuffix(append([]byte(nil), key...), rowID), rowID)
+	ix.tree.Insert(binary.BigEndian.AppendUint64(key, uint64(rowID)), rowID)
 	return nil
 }
 
@@ -56,7 +57,7 @@ func (ix *Index) remove(key []byte, rowID int64) {
 		ix.tree.Delete(key)
 		return
 	}
-	ix.tree.Delete(rowIDSuffix(append([]byte(nil), key...), rowID))
+	ix.tree.Delete(binary.BigEndian.AppendUint64(key, uint64(rowID)))
 }
 
 // lookupEqual collects the row IDs whose indexed columns encode to key.
@@ -322,7 +323,18 @@ func (t *Table) LookupRange(indexName string, lo, hi RangeBound) ([]int64, error
 		return nil, fmt.Errorf("relstore: index %s: range scan requires a B-tree index", indexName)
 	}
 	tv.state.countLookup()
-	var loKey, hiKey []byte
+	loKey, hiKey := rangeKeys(lo, hi)
+	var out []int64
+	ix.tree.Ascend(loKey, hiKey, func(_ []byte, v int64) bool {
+		out = append(out, v)
+		return true
+	})
+	return out, nil
+}
+
+// rangeKeys encodes the bounds as the B-tree's half-open [lo, hi) byte
+// range; nil is unbounded.
+func rangeKeys(lo, hi RangeBound) (loKey, hiKey []byte) {
 	if lo.Set {
 		loKey = EncodeKey(lo.Vals...)
 		if !lo.Inclusive {
@@ -336,10 +348,5 @@ func (t *Table) LookupRange(indexName string, lo, hi RangeBound) ([]int64, error
 			hiKey = prefixEnd(hiKey)
 		}
 	}
-	var out []int64
-	ix.tree.Ascend(loKey, hiKey, func(_ []byte, v int64) bool {
-		out = append(out, v)
-		return true
-	})
-	return out, nil
+	return loKey, hiKey
 }

@@ -65,7 +65,7 @@ type tableState struct {
 type tableMetrics struct {
 	reads   *obs.Counter // rows surfaced by Get and Scan
 	writes  *obs.Counter // successful Insert/Update/Delete
-	lookups *obs.Counter // index probes (LookupEqual/LookupRange calls)
+	lookups *obs.Counter // index probes (LookupEqual/LookupRange/LookupRangeTails calls)
 }
 
 func (st *tableState) countReads(n uint64) {
