@@ -60,7 +60,6 @@ func main() {
 		savePath   = flag.String("save", "", "write a catalog snapshot on shutdown (snapshot-only mode; implied by -wal)")
 		ontPath    = flag.String("ontology", "", "term hierarchy file enabling ?expand=1 queries")
 		cacheSize  = flag.Int("cache-size", 0, "entries per read-cache layer (0 = default, negative = read caches off)")
-		textOff    = flag.Bool("textindex-off", false, "disable the BM25 text index: POST /search rank clauses answer 400, structural queries are unaffected")
 		metricsOn  = flag.Bool("metrics", true, "expose the metrics registry at GET /metrics and record query traces at /debug/tracez")
 		traceDepth = flag.Int("trace-depth", 0, "slow-query trace ring size (0 = default, negative = tracing off)")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/ and expvar at /debug/vars")
@@ -80,10 +79,9 @@ func main() {
 		log.Fatal("mdserver: ", err)
 	}
 	opts := catalog.Options{
-		AutoRegister:     *autoReg,
-		CacheSize:        *cacheSize,
-		DisableTextIndex: *textOff,
-		TraceDepth:       *traceDepth,
+		AutoRegister: *autoReg,
+		CacheSize:    *cacheSize,
+		TraceDepth:   *traceDepth,
 	}
 	if *metricsOn {
 		opts.Metrics = obs.NewRegistry()

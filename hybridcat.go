@@ -59,10 +59,11 @@ type Catalog = catalog.Catalog
 
 // Options configures a catalog: ingest policy (AutoRegister, Lenient),
 // the read caches' size (CacheSize; negative turns them off), the
-// instrumentation registry (Metrics, TraceDepth), the A1 inverted-list
-// ablation (DisableInvertedList), and DisableTextIndex, which turns
-// ranked retrieval off. Structural queries have one executor, over
-// compressed bitmap posting lists; there is no switch for it.
+// instrumentation registry (Metrics, TraceDepth), and the A1
+// inverted-list ablation (DisableInvertedList). Structural queries have
+// one executor, over sorted instance-key lists, and ranked queries one
+// text index, built on the first ranked query; there is no switch for
+// either.
 type Options = catalog.Options
 
 // Query is an unordered query over metadata attributes: an object
@@ -102,10 +103,6 @@ type ScoredID = catalog.ScoredID
 
 // RankedResponse is one ranked search result with its rebuilt document.
 type RankedResponse = catalog.RankedResponse
-
-// ErrTextIndexDisabled is returned for ranked queries when the catalog
-// was opened with Options.DisableTextIndex.
-var ErrTextIndexDisabled = catalog.ErrTextIndexDisabled
 
 // DefaultRankK is the ranked-result bound when RankSpec.K is zero.
 const DefaultRankK = catalog.DefaultRankK

@@ -103,7 +103,7 @@ func nestedQuery(op relstore.CmpOp, v relstore.Value, dzmin int64) *catalog.Quer
 
 // TestBitmapMatchesDOMOperators sweeps every comparison operator,
 // numeric and string values, OneOf expansion, and the nested rollup,
-// asserting the bitmap pipeline returns exactly the object IDs the DOM
+// asserting the Figure-4 pipeline returns exactly the object IDs the DOM
 // oracle admits.
 func TestBitmapMatchesDOMOperators(t *testing.T) {
 	c, docs := fig3Catalog(t, catalog.Options{})

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"github.com/gridmeta/hybridcat/internal/bitset"
 	"github.com/gridmeta/hybridcat/internal/cache"
 	"github.com/gridmeta/hybridcat/internal/relstore"
 )
@@ -15,11 +14,11 @@ import (
 //
 //   - evaluate: whole Figure-4 results ([]int64 object IDs) keyed by a
 //     canonical serialization of (Owner, criteria tree),
-//   - postings: per-criterion directly-satisfied instances as compressed
-//     posting lists (*bitset.Set), keyed by the resolved definition IDs
-//     and predicates and shared across queries that repeat a criterion;
-//     cached sets are immutable and shared read-only across concurrent
-//     evaluations,
+//   - postings: per-criterion directly-satisfied instances as sorted
+//     instance-key lists ([]uint64), keyed by the resolved definition
+//     IDs and predicates and shared across queries that repeat a
+//     criterion; cached lists are immutable and shared read-only across
+//     concurrent evaluations,
 //   - response: per-object rebuilt XML documents keyed by object ID, so
 //     repeated fetches and overlapping result sets skip the §5
 //     HashJoin/ancestor reconstruction.
@@ -47,7 +46,7 @@ const DefaultCacheSize = 4096
 // disabled; the layers are enabled and sized together.
 type catCaches struct {
 	eval     *cache.Cache[string, []int64]
-	postings *cache.Cache[string, *bitset.Set]
+	postings *cache.Cache[string, []uint64]
 	response *cache.Cache[int64, string]
 }
 
@@ -62,7 +61,7 @@ func (c *Catalog) initCaches() {
 		size = DefaultCacheSize
 	}
 	c.caches.eval = cache.New[string, []int64](size, cache.StringHash)
-	c.caches.postings = cache.New[string, *bitset.Set](size, cache.StringHash)
+	c.caches.postings = cache.New[string, []uint64](size, cache.StringHash)
 	c.caches.response = cache.New[int64, string](size, cache.Int64Hash)
 	c.caches.eval.Instrument(c.obsv.reg, "evaluate")
 	c.caches.postings.Instrument(c.obsv.reg, "postings")

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/gridmeta/hybridcat/internal/bitset"
 	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/obs"
 	"github.com/gridmeta/hybridcat/internal/relstore"
@@ -50,10 +49,6 @@ type Options struct {
 	// caching entirely: every evaluation and response build recomputes
 	// from the base tables.
 	CacheSize int
-	// DisableTextIndex turns off the BM25 text index; ranked queries
-	// (Query.Rank) fail with ErrTextIndexDisabled while the structural
-	// pipeline is unaffected.
-	DisableTextIndex bool
 	// Metrics, when non-nil, instruments the catalog and everything under
 	// it (relstore tables, cache layers, the WAL, the query pipeline)
 	// onto the given registry, and enables the slow-query trace ring.
@@ -690,18 +685,15 @@ func (c *Catalog) SetPublished(id int64, published bool) error {
 
 // visibleSet returns the objects that may appear in results for the
 // given querying user: owners see their own objects and everyone sees
-// published ones, so the set is the owner's objects_by_owner entries
+// published ones, so the list is the owner's objects_by_owner entries
 // united with the published ones, read off the index keys. The empty
-// user is the catalog-internal superuser and sees everything: the set
-// is nil, meaning unrestricted.
-func (v *view) visibleSet(user string) (*bitset.Set, error) {
-	if user == "" {
-		return nil, nil
-	}
+// user is the catalog-internal superuser, who sees everything; callers
+// skip the filter for it rather than ask for this list.
+func (v *view) visibleSet(user string) ([]uint64, error) {
 	objT := v.tab(TObjects)
-	out := bitset.New()
+	var out []uint64
 	add := func(tail []int64) bool {
-		out.Add(uint64(tail[0]))
+		out = append(out, uint64(tail[0]))
 		return true
 	}
 	if err := objT.LookupRangeTails("objects_by_owner", incl(relstore.Str(user)), incl(relstore.Str(user)), 1, add); err != nil {
@@ -710,6 +702,5 @@ func (v *view) visibleSet(user string) (*bitset.Set, error) {
 	if err := objT.LookupRangeTails("objects_by_published", incl(relstore.Bool(true)), incl(relstore.Bool(true)), 1, add); err != nil {
 		return nil, err
 	}
-	out.Optimize()
-	return out, nil
+	return sortedKeys(out), nil
 }

@@ -77,7 +77,6 @@ func TestOptionsSurfacePinned(t *testing.T) {
 		"Lenient bool",
 		"DisableInvertedList bool",
 		"CacheSize int",
-		"DisableTextIndex bool",
 		"Metrics *obs.Registry",
 		"TraceDepth int",
 	}

@@ -101,26 +101,3 @@ func (c *Catalog) DumpDefinitionsJSON() ([]byte, error) {
 	}
 	return json.MarshalIndent(out, "", "  ")
 }
-
-// SearchPage evaluates the query and builds responses for one page of the
-// result set: objects [offset, offset+limit) of the ascending ID order.
-// total is the full match count. limit <= 0 means no limit.
-func (c *Catalog) SearchPage(q *Query, offset, limit int) (resp []Response, total int, err error) {
-	// One pinned view covers the evaluation and the page's response
-	// build, so the page is internally consistent.
-	v := c.pinView()
-	ids, err := v.evaluateTraced(q, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	total = len(ids)
-	if offset >= len(ids) {
-		return nil, total, nil
-	}
-	ids = ids[offset:]
-	if limit > 0 && limit < len(ids) {
-		ids = ids[:limit]
-	}
-	resp, err = v.buildResponseTraced(ids, nil)
-	return resp, total, err
-}

@@ -84,32 +84,3 @@ func TestLoadDefinitionsJSONErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestSearchPage(t *testing.T) {
-	c := newLEADCatalog(t, Options{})
-	for i := 0; i < 7; i++ {
-		if _, err := c.IngestXML("u", fig3Variant(t, "1000")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := &Query{}
-	q.Attr("grid", "ARPS").AddElem("dx", "ARPS", relstore.OpEq, relstore.Int(1000))
-
-	resp, total, err := c.SearchPage(q, 0, 3)
-	if err != nil || total != 7 || len(resp) != 3 || resp[0].ObjectID != 1 {
-		t.Fatalf("page0 = %d results, total %d, %v", len(resp), total, err)
-	}
-	resp, total, _ = c.SearchPage(q, 6, 3)
-	if total != 7 || len(resp) != 1 || resp[0].ObjectID != 7 {
-		t.Fatalf("last page = %d results, total %d", len(resp), total)
-	}
-	resp, total, _ = c.SearchPage(q, 10, 3)
-	if total != 7 || len(resp) != 0 {
-		t.Fatalf("past-end page = %d results", len(resp))
-	}
-	// limit <= 0 means everything.
-	resp, _, _ = c.SearchPage(q, 2, 0)
-	if len(resp) != 5 {
-		t.Fatalf("unlimited tail = %d results", len(resp))
-	}
-}

@@ -1,23 +1,20 @@
 package catalog
 
 import (
-	"fmt"
-
-	"github.com/gridmeta/hybridcat/internal/bitset"
 	"github.com/gridmeta/hybridcat/internal/obs"
 	"github.com/gridmeta/hybridcat/internal/relstore"
 )
 
 // Plan executor. execPlan walks a compiled plan (plan.go) through the
 // Figure-4 stages — probe, containment rollup, cross-criteria intersect
-// — and what flows between the stages is one compressed bitmap of
-// packed instance keys per criterion (bitmap.go holds the set algebra).
+// — and what flows between the stages is one sorted list of packed
+// instance keys per criterion (keylist.go holds the set algebra).
 // Probes are memoized in the postings cache layer. A key that cannot be
 // packed fails the query; the shredder refuses the documents that would
 // produce one (core's per-definition ordinal bound).
 
 // execPlan compiles the query and executes the plan tree, annotating
-// every plan node with its cardinality, set shape, and cache outcome as
+// every plan node with its cardinality and cache outcome as
 // it goes. It returns the visible matching object IDs ascending
 // together with the annotated plan for ExplainQuery.
 func (v *view) execPlan(q *Query, tr *obs.Trace) ([]int64, *queryPlan, error) {
@@ -46,14 +43,13 @@ func (v *view) execPlan(q *Query, tr *obs.Trace) ([]int64, *queryPlan, error) {
 	// in reverse-DFS order).
 	endRollup := c.stageTimer(tr, "rollup", c.obsv.stageRollup)
 	for _, rn := range p.rollups {
-		rn.beforeCard = sets[rn.q.id].Card()
+		rn.beforeCard = len(sets[rn.q.id])
 		narrowed, err := v.rollupSet(rn.q, sets)
 		if err != nil {
 			return nil, nil, err
 		}
 		sets[rn.q.id] = narrowed
-		rn.card = narrowed.Card()
-		rn.shape = setShape(narrowed)
+		rn.card = len(narrowed)
 	}
 	endRollup(int64(len(p.rollups)))
 	if err := v.ctxErr(); err != nil {
@@ -72,14 +68,11 @@ func (v *view) execPlan(q *Query, tr *obs.Trace) ([]int64, *queryPlan, error) {
 	return visible, p, nil
 }
 
-// setShape renders a set's container census for the explain output.
-func setShape(s *bitset.Set) string { return fmt.Sprintf("[set: %s]", s.Stats()) }
-
 // probeStage runs every scan node in criteria order, recording each
-// criterion's cardinality and bitmap container census.
-func (v *view) probeStage(p *queryPlan) (map[int]*bitset.Set, error) {
+// criterion's cardinality.
+func (v *view) probeStage(p *queryPlan) (map[int][]uint64, error) {
 	c := v.c
-	sets := make(map[int]*bitset.Set, len(p.all))
+	sets := make(map[int][]uint64, len(p.all))
 	for i, n := range p.all {
 		sc := p.scans[i]
 		s, hit, err := v.probe(sc)
@@ -87,14 +80,9 @@ func (v *view) probeStage(p *queryPlan) (map[int]*bitset.Set, error) {
 			return nil, err
 		}
 		sets[n.id] = s
-		sc.card = s.Card()
-		sc.shape = setShape(s)
+		sc.card = len(s)
 		sc.cacheHit = hit
-		c.obsv.criterionRows.Observe(int64(s.Card()))
-		cs := s.Stats()
-		c.obsv.bitmapContainersArray.Add(uint64(cs.Array))
-		c.obsv.bitmapContainersBitmap.Add(uint64(cs.Bitmap))
-		c.obsv.bitmapContainersRun.Add(uint64(cs.Run))
+		c.obsv.criterionRows.Observe(int64(len(s)))
 	}
 	return sets, nil
 }
@@ -103,55 +91,53 @@ func (v *view) probeStage(p *queryPlan) (map[int]*bitset.Set, error) {
 // enabled (keyed by the criterion's probeKey, stamped with the pinned
 // epoch; cached sets are shared read-only), computing via scanSet on a
 // miss. It reports whether the cache answered.
-func (v *view) probe(sc *planNode) (*bitset.Set, bool, error) {
+func (v *view) probe(sc *planNode) ([]uint64, bool, error) {
 	if v.c.caches.postings == nil {
 		s, err := v.scanSet(sc)
 		return s, false, err
 	}
 	hit := true
-	s, err := v.c.caches.postings.GetOrCompute(v.snap.Epoch(), sc.q.probeKey, func() (*bitset.Set, error) {
+	s, err := v.c.caches.postings.GetOrCompute(v.snap.Epoch(), sc.q.probeKey, func() ([]uint64, error) {
 		hit = false
 		return v.scanSet(sc)
 	})
 	return s, hit, err
 }
 
-// intersect projects each top-level criterion's instance set onto
-// objects, then chains bitmap ANDs from the smallest set up, recording
-// each candidate set's cardinality and shape on the plan; a non-empty
-// result is finally ANDed with the objects the owner may see.
-func (v *view) intersect(q *Query, p *queryPlan, sets map[int]*bitset.Set) ([]int64, error) {
+// intersect projects each top-level criterion's instance list onto
+// objects, then merges them from the shortest up, recording each
+// candidate list's cardinality on the plan; unless the querying user is
+// the superuser, a non-empty result is finally ANDed with the objects
+// the owner may see.
+func (v *view) intersect(q *Query, p *queryPlan, sets map[int][]uint64) ([]int64, error) {
 	c := v.c
-	objSets := make([]*bitset.Set, len(p.tops))
+	objSets := make([][]uint64, len(p.tops))
 	for i, top := range p.tops {
 		os := objectSet(sets[top.id])
-		c.obsv.intersectCardinality.Observe(int64(os.Card()))
-		p.topObjs = append(p.topObjs, topObjects{id: top.id, card: os.Card(), shape: setShape(os)})
+		c.obsv.intersectCardinality.Observe(int64(len(os)))
+		p.topObjs = append(p.topObjs, topObjects{id: top.id, card: len(os)})
 		objSets[i] = os
 	}
 	result := andAscending(objSets)
-	if !result.IsEmpty() {
+	if len(result) > 0 && q.Owner != "" {
 		visible, err := v.visibleSet(q.Owner)
 		if err != nil {
 			return nil, err
 		}
-		if visible != nil {
-			result = result.And(visible)
-		}
+		result = and(result, visible)
 	}
-	ids := make([]int64, 0, result.Card())
-	result.Iterate(func(k uint64) bool {
-		ids = append(ids, int64(k))
-		return true
-	})
+	ids := make([]int64, len(result))
+	for i, k := range result {
+		ids[i] = int64(k)
+	}
 	return ids, nil
 }
 
 // scanSet executes one scan node as a posting list: each child probe's
-// specs stream instance keys off the B-tree into a bitset, and the
-// per-predicate sets AND smallest-first (an instance satisfies the
+// specs stream instance keys off the B-tree into a key list, and the
+// per-predicate lists AND shortest-first (an instance satisfies the
 // criterion when it satisfies every predicate).
-func (v *view) scanSet(sc *planNode) (*bitset.Set, error) {
+func (v *view) scanSet(sc *planNode) ([]uint64, error) {
 	n := sc.q
 	if len(n.elems) == 0 {
 		// scan-all: every instance of the definition, off the
@@ -159,7 +145,7 @@ func (v *view) scanSet(sc *planNode) (*bitset.Set, error) {
 		def := relstore.Int(n.def.ID)
 		return instanceKeys(v.tab(TAttrData), []probeSpec{{index: "attr_data_by_attr", lo: incl(def), hi: incl(def)}})
 	}
-	sets := make([]*bitset.Set, len(sc.children))
+	sets := make([][]uint64, len(sc.children))
 	for k, pc := range sc.children {
 		s, err := instanceKeys(v.tab(TElemData), pc.probe.specs)
 		if err != nil {
@@ -174,15 +160,15 @@ func (v *view) scanSet(sc *planNode) (*bitset.Set, error) {
 // specs' ranges. Each index probed ends in (object_id, seq_id), so the
 // keys are decoded from the index entries and no row is read; an
 // or-union or an Ne probe is simply several ranges.
-func instanceKeys(t *relstore.Table, specs []probeSpec) (*bitset.Set, error) {
-	out := bitset.New()
+func instanceKeys(t *relstore.Table, specs []probeSpec) ([]uint64, error) {
+	var out []uint64
 	var err error
 	add := func(tail []int64) bool {
 		var k uint64
 		if k, err = instKey(tail[0], tail[1]); err != nil {
 			return false
 		}
-		out.Add(k)
+		out = append(out, k)
 		return true
 	}
 	for _, spec := range specs {
@@ -193,6 +179,5 @@ func instanceKeys(t *relstore.Table, specs []probeSpec) (*bitset.Set, error) {
 			return nil, err
 		}
 	}
-	out.Optimize()
-	return out, nil
+	return sortedKeys(out), nil
 }

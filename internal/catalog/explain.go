@@ -4,9 +4,9 @@ import "fmt"
 
 // ExplainQuery runs the Figure-4 pipeline and renders its compiled,
 // executed plan: the operator tree, then per plan node the resolved
-// definition, the instance count flowing through it, its physical
-// shape (the posting list's container mix), and whether the postings
-// cache layer answered it — and finally the matching object count. The
+// definition, the instance count flowing through it, and whether the
+// postings cache layer answered it — and finally the matching object
+// count. The
 // trace is the textual analogue of the paper's Figure 4 flow diagram;
 // mdcat prints it for -explain queries.
 //
@@ -56,21 +56,21 @@ func nodeHeader(n *qNode) string {
 // lines, one per operator in execution order.
 func renderPlan(q *Query, p *queryPlan, visible int) []string {
 	var lines []string
-	lines = append(lines, fmt.Sprintf("query: %d criteria node(s), %d top-level (bitmap set ops)", len(p.all), len(p.tops)))
+	lines = append(lines, fmt.Sprintf("query: %d criteria node(s), %d top-level (sorted key-list set ops)", len(p.all), len(p.tops)))
 	lines = append(lines, "plan: "+p.planString())
 	for _, sc := range p.scans {
-		line := fmt.Sprintf("%s -> %d directly satisfied instance(s) %s", nodeHeader(sc.q), sc.card, sc.shape)
+		line := fmt.Sprintf("%s -> %d directly satisfied instance(s)", nodeHeader(sc.q), sc.card)
 		if sc.cacheHit {
 			line += " [cache hit]"
 		}
 		lines = append(lines, line)
 	}
 	for _, rn := range p.rollups {
-		lines = append(lines, fmt.Sprintf("node %d: containment rollup over %d child criterion(s): %d -> %d instance(s) %s",
-			rn.q.id, len(rn.q.children), rn.beforeCard, rn.card, rn.shape))
+		lines = append(lines, fmt.Sprintf("node %d: containment rollup over %d child criterion(s): %d -> %d instance(s)",
+			rn.q.id, len(rn.q.children), rn.beforeCard, rn.card))
 	}
 	for _, to := range p.topObjs {
-		lines = append(lines, fmt.Sprintf("top node %d: %d candidate object(s) %s", to.id, to.card, to.shape))
+		lines = append(lines, fmt.Sprintf("top node %d: %d candidate object(s)", to.id, to.card))
 	}
 	lines = append(lines, fmt.Sprintf("objects satisfying all %d top-level criteria (visible to %q): %d",
 		len(p.tops), q.Owner, visible))

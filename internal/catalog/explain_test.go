@@ -26,12 +26,13 @@ func TestExplainQueryTracesPipeline(t *testing.T) {
 	}
 	joined := strings.Join(lines, "\n")
 	for _, want := range []string{
-		"2 criteria node(s), 1 top-level (bitmap set ops)",
+		"2 criteria node(s), 1 top-level (sorted key-list set ops)",
 		`dynamic attribute "grid"`,
 		`dynamic attribute "grid-stretching"`,
-		"containment rollup over 1 child criterion(s)",
-		"[set: card=", // posting-list representation per node
-		"candidate object(s) [set:",
+		"-> 1 directly satisfied instance(s)",
+		"-> 2 directly satisfied instance(s)",
+		"containment rollup over 1 child criterion(s): 1 -> 1 instance(s)",
+		"top node 1: 1 candidate object(s)",
 		"objects satisfying all 1 top-level criteria",
 		": 1", // final match count
 	} {

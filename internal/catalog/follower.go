@@ -45,9 +45,6 @@ func LoadFollower(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog
 	return c, nil
 }
 
-// IsFollower reports whether the catalog is a read-only replica.
-func (c *Catalog) IsFollower() bool { return c.follower }
-
 // AppliedSeq returns the follower's replication cursor: the sequence of
 // the last primary log record whose effects are visible to readers.
 func (c *Catalog) AppliedSeq() uint64 {

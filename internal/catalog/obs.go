@@ -20,10 +20,8 @@ const DefaultTraceDepth = 32
 //	query_stage_nanos{stage}  Figure-4 stage latency
 //	query_criterion_rows      materialized rows (or posting-list
 //	                          cardinality) per criterion probe
-//	query_bitmap_containers_total{kind}  containers (array/bitmap/run)
-//	                          across criterion posting lists
-//	query_intersect_cardinality          per-criterion object-set size
-//	                          entering the bitmap intersect stage
+//	query_intersect_cardinality  per-criterion object-set size
+//	                          entering the intersect stage
 //	catalog_wal_commit_nanos  full WAL commit (append + fsync) latency
 //	catalog_checkpoints_total
 //	catalog_recovery_replayed_records_total / _ops_total
@@ -54,10 +52,7 @@ type catObs struct {
 
 	criterionRows *obs.Histogram
 
-	bitmapContainersArray  *obs.Counter
-	bitmapContainersBitmap *obs.Counter
-	bitmapContainersRun    *obs.Counter
-	intersectCardinality   *obs.Histogram
+	intersectCardinality *obs.Histogram
 
 	walCommitNanos *obs.Histogram
 	checkpoints    *obs.Counter
@@ -106,10 +101,7 @@ func (c *Catalog) initObs() {
 
 		criterionRows: reg.Histogram("query_criterion_rows"),
 
-		bitmapContainersArray:  reg.Counter("query_bitmap_containers_total", obs.L("kind", "array")),
-		bitmapContainersBitmap: reg.Counter("query_bitmap_containers_total", obs.L("kind", "bitmap")),
-		bitmapContainersRun:    reg.Counter("query_bitmap_containers_total", obs.L("kind", "run")),
-		intersectCardinality:   reg.Histogram("query_intersect_cardinality"),
+		intersectCardinality: reg.Histogram("query_intersect_cardinality"),
 
 		walCommitNanos: reg.Histogram("catalog_wal_commit_nanos"),
 		checkpoints:    reg.Counter("catalog_checkpoints_total"),

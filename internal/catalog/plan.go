@@ -9,12 +9,11 @@ import (
 
 // Query planner. compile lowers a resolved criteria tree (query.go)
 // into an explicit plan: a tree of operator nodes that the executor
-// (exec.go) walks over compressed bitmap posting lists. The criterion
+// (exec.go) walks over sorted instance-key lists. The criterion
 // dispatch happens exactly once here: every element predicate compiles
 // to probeSpecs naming the index and the key ranges whose entries
 // satisfy it. ExplainQuery renders the plan after an
-// execution annotated it with per-node cardinalities, physical shapes,
-// and cache hits.
+// execution annotated it with per-node cardinalities and cache hits.
 //
 // Operator vocabulary:
 //
@@ -64,8 +63,8 @@ type probePlan struct {
 }
 
 // planNode is one operator in a compiled query plan. The executor
-// annotates nodes as it runs them — cardinality, physical shape, cache
-// hit — and ExplainQuery renders those annotations; plans are compiled
+// annotates nodes as it runs them — cardinality, cache hit — and
+// ExplainQuery renders those annotations; plans are compiled
 // per evaluation, so annotating is race-free.
 type planNode struct {
 	op       string
@@ -73,19 +72,17 @@ type planNode struct {
 	probe    *probePlan // probe-leaf detail
 	children []*planNode
 
-	card       int    // instances (or objects, for intersect) produced
-	beforeCard int    // rollup only: instances before narrowing
-	shape      string // physical representation, e.g. "[set: card=…]"
-	cacheHit   bool   // served from the postings cache layer
+	card       int  // instances (or objects, for intersect) produced
+	beforeCard int  // rollup only: instances before narrowing
+	cacheHit   bool // served from the postings cache layer
 }
 
 // topObjects is the intersect stage's per-top-criterion annotation:
 // each top-level criterion's candidate object set entering the AND
 // chain.
 type topObjects struct {
-	id    int
-	card  int
-	shape string
+	id   int
+	card int
 }
 
 // queryPlan is a compiled query: the resolved criteria nodes plus the

@@ -205,7 +205,7 @@ func (v *view) evaluateTraced(q *Query, tr *obs.Trace) ([]int64, error) {
 
 // evaluateUncached is the Figure-4 pipeline body, run entirely against
 // the view's pinned snapshot: the query compiles to one plan (plan.go)
-// that the executor (exec.go) walks over bitmap posting lists. tr
+// that the executor (exec.go) walks over sorted instance-key lists. tr
 // (which may be nil) receives one span per pipeline stage; the stage
 // histograms are recorded regardless.
 func (v *view) evaluateUncached(q *Query, tr *obs.Trace) ([]int64, error) {

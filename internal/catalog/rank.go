@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/gridmeta/hybridcat/internal/obs"
@@ -30,10 +29,6 @@ import (
 
 // DefaultRankK is the result bound when RankSpec.K is zero.
 const DefaultRankK = 10
-
-// ErrTextIndexDisabled is returned for ranked queries when the catalog
-// was opened with Options.DisableTextIndex.
-var ErrTextIndexDisabled = errors.New("catalog: text index disabled")
 
 // RankSpec asks for BM25 ranked retrieval: free-text terms (analyzed by
 // the same tokenizer that indexes values) and the result bound k.
@@ -83,9 +78,6 @@ const (
 // reader never regresses the shared one. The double-checked mutex makes
 // concurrent ranked queries after a mutation advance once.
 func (c *Catalog) textIndexAt(v *view) (*textindex.Index, error) {
-	if c.opts.DisableTextIndex {
-		return nil, ErrTextIndexDisabled
-	}
 	epoch := v.snap.Epoch()
 	if cur := c.text.Load(); cur != nil && cur.epoch == epoch {
 		return cur.idx, nil
@@ -234,11 +226,14 @@ func (v *view) evaluateRanked(q *Query, st *textindex.Stats, tr *obs.Trace) ([]S
 // without structural criteria: membership in the owner's visible set.
 // It is nil, admitting everything, for the superuser.
 func (v *view) visibleFilter(owner string) (func(int64) bool, error) {
+	if owner == "" {
+		return nil, nil
+	}
 	visible, err := v.visibleSet(owner)
-	if visible == nil {
+	if err != nil {
 		return nil, err
 	}
-	return func(id int64) bool { return visible.Contains(uint64(id)) }, nil
+	return func(id int64) bool { return contains(visible, uint64(id)) }, nil
 }
 
 // TextStats returns this catalog's corpus statistics for the analyzed

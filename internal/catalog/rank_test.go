@@ -8,7 +8,6 @@ package catalog_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -62,16 +61,6 @@ func TestRankedGuards(t *testing.T) {
 	}
 	if _, err := c.EvaluateRanked(&catalog.Query{Rank: &catalog.RankSpec{}}); err == nil {
 		t.Fatal("EvaluateRanked accepted an empty term list")
-	}
-
-	// DisableTextIndex turns every ranked entry point into a typed
-	// refusal.
-	off := openRanked(t, g, catalog.Options{DisableTextIndex: true}, g.Corpus())
-	if _, err := off.EvaluateRanked(rq); !errors.Is(err, catalog.ErrTextIndexDisabled) {
-		t.Fatalf("disabled index: got %v, want ErrTextIndexDisabled", err)
-	}
-	if _, err := off.TextStats([]string{"pressure"}); !errors.Is(err, catalog.ErrTextIndexDisabled) {
-		t.Fatalf("disabled TextStats: got %v, want ErrTextIndexDisabled", err)
 	}
 }
 

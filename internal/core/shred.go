@@ -104,7 +104,7 @@ func NewShredder(schema *xmlschema.Schema, reg *Registry) *Shredder {
 
 // maxAttrSeq bounds an attribute definition's instance ordinal
 // (seq_id) within one object. The catalog packs (object, seq) into one
-// bitmap key with 20 bits for seq (its instSeqMask), so Shred and
+// set key with 20 bits for seq (its instSeqMask), so Shred and
 // ShredAttribute refuse an object that would pass it — before any row
 // is written — instead of its queries failing later.
 const maxAttrSeq = 1<<20 - 1

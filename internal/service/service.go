@@ -184,12 +184,10 @@ func mutationStatus(err error, fallback int) int {
 }
 
 // queryStatus maps a failed read to a status: a query naming an unknown
-// definition, ranking with the text index off, or asking for a
-// ?collection scope the server cannot apply is the client's 400;
-// anything else is a 500.
+// definition or asking for a ?collection scope the server cannot apply
+// is the client's 400; anything else is a 500.
 func queryStatus(err error) int {
-	if errors.Is(err, catalog.ErrUnknownDefinition) || errors.Is(err, catalog.ErrTextIndexDisabled) ||
-		errors.Is(err, errBadScope) {
+	if errors.Is(err, catalog.ErrUnknownDefinition) || errors.Is(err, errBadScope) {
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
