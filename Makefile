@@ -33,11 +33,12 @@ crash:
 
 # MVCC verification: the snapshot-isolation oracle suite and the
 # swap-point crash matrix under the race detector, and the fuzz
-# targets' seed corpora (DESIGN.md "MVCC snapshots and the lock-free
-# read path").
+# targets' seed corpora — the swap interleavings, and the row and log
+# record codecs that decode bytes from other processes (DESIGN.md "MVCC
+# snapshots and the lock-free read path", "Record format").
 mvcc:
 	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints' -count=1 ./internal/relstore/ ./internal/catalog/
-	$(GO) test -race -run 'Fuzz' -count=1 ./internal/catalog/ ./internal/baseline/
+	$(GO) test -race -run 'Fuzz' -count=1 ./internal/catalog/ ./internal/baseline/ ./internal/relstore/
 
 # Posting-list verification under the race detector: the key-list
 # algebra (build, AND, object projection, membership) and its fuzz

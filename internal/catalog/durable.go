@@ -2,7 +2,7 @@ package catalog
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -260,16 +260,13 @@ func (c *Catalog) mutateLocked(fn func() error) error {
 		return c.groupCommitLocked(tr, tx, ops)
 	}
 	if c.dur != nil && len(ops) > 0 {
-		payload, derr := encodeOps(ops)
-		var seq uint64
+		payload := encodeOps(ops)
+		start := time.Now()
+		seq, derr := c.dur.w.Commit(payload)
 		if derr == nil {
-			start := time.Now()
-			seq, derr = c.dur.w.Commit(payload)
-			if derr == nil {
-				d := time.Since(start)
-				c.obsv.walCommitNanos.Observe(d.Nanoseconds())
-				tr.AddStage("wal_commit", start, d, int64(len(ops)))
-			}
+			d := time.Since(start)
+			c.obsv.walCommitNanos.Observe(d.Nanoseconds())
+			tr.AddStage("wal_commit", start, d, int64(len(ops)))
 		}
 		if derr == nil && c.crashAfterWALCommit != nil {
 			// Fault-injection point for the crash matrix: the record is
@@ -326,15 +323,9 @@ func (c *Catalog) mutateLocked(fn func() error) error {
 // published state exists that replay would not rebuild.
 func (c *Catalog) groupCommitLocked(tr *obs.Trace, tx *relstore.Tx, ops []relstore.TableOp) error {
 	d := c.dur
-	payload, derr := encodeOps(ops)
-	if derr != nil {
-		c.tx = nil
-		tx.Abort()
-		return fmt.Errorf("%w: %v", ErrDurability, derr)
-	}
 	c.tx = nil
 	staged := tx.Precommit()
-	sc := &stagedCommit{staged: staged, ticket: d.gw.Enqueue(payload), nops: len(ops)}
+	sc := &stagedCommit{staged: staged, ticket: d.gw.Enqueue(encodeOps(ops)), nops: len(ops)}
 	d.staged = append(d.staged, sc)
 
 	c.mu.Unlock()
@@ -466,7 +457,7 @@ func (c *Catalog) wtab(name string) *relstore.Table {
 	return c.DB.MustTable(name)
 }
 
-// walOp is the serialized form of one journaled row operation. RowID is
+// walOp is the decoded form of one journaled row operation. RowID is
 // deliberately absent: it is meaningless in another process.
 type walOp struct {
 	Table string
@@ -475,22 +466,83 @@ type walOp struct {
 	Prev  relstore.Row // deleted/old row
 }
 
-func encodeOps(ops []relstore.TableOp) ([]byte, error) {
-	out := make([]walOp, len(ops))
-	for i, op := range ops {
-		out[i] = walOp{Table: op.Table, Kind: uint8(op.Kind), Row: op.Row, Prev: op.Prev}
+// Presence bits of a log record operation: which of its rows follow.
+const (
+	opHasRow  = 1 << 0
+	opHasPrev = 1 << 1
+)
+
+// encodeOps serializes one mutation's row operations as a log record
+// payload: a uvarint op count, then per op the table name (uvarint
+// length + bytes), the kind byte, a presence byte (opHasRow|opHasPrev)
+// and the present rows in relstore's row codec.
+func encodeOps(ops []relstore.TableOp) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(ops)))
+	for _, op := range ops {
+		buf = binary.AppendUvarint(buf, uint64(len(op.Table)))
+		buf = append(buf, op.Table...)
+		var has byte
+		if op.Row != nil {
+			has |= opHasRow
+		}
+		if op.Prev != nil {
+			has |= opHasPrev
+		}
+		buf = append(buf, byte(op.Kind), has)
+		if op.Row != nil {
+			buf = relstore.AppendRow(buf, op.Row)
+		}
+		if op.Prev != nil {
+			buf = relstore.AppendRow(buf, op.Prev)
+		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(out); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return buf
 }
 
+// decodeOps parses a log record payload written by encodeOps. Payloads
+// also arrive from other processes (the replication stream, rebalance
+// import), so malformed input — including trailing bytes — is an error,
+// never a panic, and a corrupt count cannot drive a large allocation:
+// every op takes at least three bytes.
 func decodeOps(payload []byte) ([]walOp, error) {
-	var ops []walOp
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ops); err != nil {
-		return nil, err
+	n, k := binary.Uvarint(payload)
+	if k <= 0 {
+		return nil, errors.New("corrupt payload: bad op count")
+	}
+	src := payload[k:]
+	if n > uint64(len(src)/3) {
+		return nil, fmt.Errorf("corrupt payload: %d ops in %d bytes", n, len(src))
+	}
+	ops := make([]walOp, n)
+	for i := range ops {
+		l, k := binary.Uvarint(src)
+		if k <= 0 || l > uint64(len(src)-k) {
+			return nil, fmt.Errorf("corrupt payload: op %d: bad table name", i)
+		}
+		src = src[k:]
+		op := &ops[i]
+		op.Table = string(src[:l])
+		src = src[l:]
+		if len(src) < 2 || src[1]&^(opHasRow|opHasPrev) != 0 {
+			return nil, fmt.Errorf("corrupt payload: op %d: bad kind or presence byte", i)
+		}
+		op.Kind = src[0]
+		has := src[1]
+		src = src[2:]
+		var err error
+		if has&opHasRow != 0 {
+			if op.Row, src, err = relstore.ReadRow(nil, src); err != nil {
+				return nil, fmt.Errorf("corrupt payload: op %d row: %w", i, err)
+			}
+		}
+		if has&opHasPrev != 0 {
+			if op.Prev, src, err = relstore.ReadRow(nil, src); err != nil {
+				return nil, fmt.Errorf("corrupt payload: op %d prev row: %w", i, err)
+			}
+		}
+	}
+	if len(src) != 0 {
+		return nil, fmt.Errorf("corrupt payload: %d trailing bytes", len(src))
 	}
 	return ops, nil
 }
@@ -689,7 +741,7 @@ func (c *Catalog) checkpointLocked() error {
 		c.publishStagedLocked()
 		c.healGroupLocked()
 	}
-	if err := c.saveFileLocked(d.fs, d.snapPath); err != nil {
+	if err := saveFile(d.fs, d.snapPath, c.Schema, c.pinLocked()); err != nil {
 		return fmt.Errorf("%w: checkpoint snapshot: %v", ErrDurability, err)
 	}
 	// The snapshot is durable: recovery no longer needs the log records.
@@ -786,15 +838,18 @@ func (c *Catalog) CommitNotify() <-chan struct{} {
 
 // ReplicationSnapshot writes a bootstrap snapshot for a replica that
 // hit a log gap, returning the watermark the snapshot contains (the
-// replica resumes streaming from it). Requires durability.
+// replica resumes streaming from it). Requires durability. The catalog
+// lock is held only to pin the state, not while it is encoded and
+// written, so mutations proceed while a slow reader drains w.
 func (c *Catalog) ReplicationSnapshot(w io.Writer) (uint64, error) {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
 	if c.dur == nil {
+		c.mu.RUnlock()
 		return 0, fmt.Errorf("catalog: not opened with durability")
 	}
-	seq := c.dur.publishedSeq
-	return seq, c.saveLocked(w)
+	p := c.pinLocked()
+	c.mu.RUnlock()
+	return p.walSeq, writeSnapshot(c.Schema, p, w)
 }
 
 // DurabilityStats returns the durability counters; zero-valued when the

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/gridmeta/hybridcat/internal/faultio"
 	"github.com/gridmeta/hybridcat/internal/obs"
@@ -342,6 +343,102 @@ func TestDurableSnapshotCompatibleWithPlainLoad(t *testing.T) {
 	runWorkload(t, oracle)
 	if got, want := stateFingerprint(loaded), stateFingerprint(oracle); got != want {
 		t.Fatalf("plain load of checkpoint snapshot diverges:\n%s", diffFingerprint(want, got))
+	}
+}
+
+// gatedWriter blocks its first Write until release is closed, or until
+// timeout passes, which it records: the snapshot writer is still inside
+// ReplicationSnapshot while the test runs a mutation.
+type gatedWriter struct {
+	writing  chan struct{} // closed on the first Write
+	release  chan struct{}
+	timeout  time.Duration
+	timedOut bool
+	buf      bytes.Buffer
+}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	if w.buf.Len() == 0 {
+		close(w.writing)
+		select {
+		case <-w.release:
+		case <-time.After(w.timeout):
+			w.timedOut = true
+		}
+	}
+	return w.buf.Write(p)
+}
+
+// TestReplicationSnapshotDoesNotBlockWriters: a replica bootstrap whose
+// reader stalls must not stall ingest. The catalog lock covers only the
+// pin, so an Ingest completes while the snapshot is mid-write, and the
+// snapshot holds the pinned state, not the later ingest.
+func TestReplicationSnapshotDoesNotBlockWriters(t *testing.T) {
+	c, err := openDurableLEAD(t, faultio.NewMemFS(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestFig3(t, c)
+	before, seq := c.ObjectCount(), c.PublishedSeq()
+
+	w := &gatedWriter{writing: make(chan struct{}), release: make(chan struct{}), timeout: 5 * time.Second}
+	type result struct {
+		seq uint64
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		s, err := c.ReplicationSnapshot(w)
+		done <- result{s, err}
+	}()
+	<-w.writing
+	if _, err := c.IngestXML("scientist", fig3Variant(t, "77")); err != nil {
+		t.Fatal(err)
+	}
+	close(w.release)
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if w.timedOut {
+		t.Fatalf("Ingest waited %v for the snapshot writer: ReplicationSnapshot held the catalog lock while writing", w.timeout)
+	}
+	if res.seq != seq {
+		t.Fatalf("snapshot watermark %d, want the pinned %d", res.seq, seq)
+	}
+	f, err := LoadFollower(xmlschema.MustLEAD(), Options{}, &w.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.ObjectCount(); got != before {
+		t.Fatalf("snapshot holds %d objects, want the %d pinned before the ingest", got, before)
+	}
+}
+
+// TestOldFormatsRefusedByVersion: a data directory from the gob-format
+// release — snapshot container HCSNAP02, log HCWAL01 — is refused at
+// open with an error naming the version found and the one expected, not
+// misread or reported as corruption.
+func TestOldFormatsRefusedByVersion(t *testing.T) {
+	oldSnap := append([]byte("HCSNAP02"), make([]byte, 12)...)
+	cases := []struct {
+		name, path string
+		data       []byte
+		want       string
+	}{
+		{"snapshot", crashWAL + ".snap", oldSnap, "snapshot format HCSNAP02, this build reads HCSNAP03"},
+		{"log", crashWAL, []byte("HCWAL01\n"), "log format HCWAL01, this build reads HCWAL02"},
+	}
+	for _, tc := range cases {
+		mem := faultio.NewMemFS()
+		mem.SetBytes(tc.path, tc.data)
+		if _, err := openDurableLEAD(t, mem, 0); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: OpenDurable err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	_, err := LoadFollower(xmlschema.MustLEAD(), Options{}, bytes.NewReader(oldSnap))
+	if want := cases[0].want; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("LoadFollower err = %v, want %q", err, want)
 	}
 }
 

@@ -2,13 +2,18 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/gridmeta/hybridcat/internal/core"
+	"github.com/gridmeta/hybridcat/internal/faultio"
+	"github.com/gridmeta/hybridcat/internal/relstore"
 	"github.com/gridmeta/hybridcat/internal/xmldoc"
+	"github.com/gridmeta/hybridcat/internal/xmlschema"
 )
 
 // FuzzSnapshotSwapInterleavings drives fuzz-chosen interleavings of
@@ -258,4 +263,82 @@ func FuzzSnapshotSwapInterleavings(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDecodeOps checks the log record payload codec on arbitrary bytes,
+// as they may arrive over the replication stream or a rebalance import:
+// decodeOps returns an error or operations, never panics, allocates a
+// bounded multiple of its input, and any operations it returns survive
+// encodeOps → decodeOps exactly. Seeds are the records a durable
+// catalog logs for an insert, an update and a delete, payloads of
+// edge-case rows, and malformed payloads.
+func FuzzDecodeOps(f *testing.F) {
+	c, err := OpenDurable(xmlschema.MustLEAD(), Options{AutoRegister: true},
+		DurabilityOptions{FS: faultio.NewMemFS(), WALPath: "fuzz.wal"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	id, err := c.IngestXML("scientist", xmlschema.Figure3Document)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := c.SetPublished(id, true); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := c.Delete(id); err != nil {
+		f.Fatal(err)
+	}
+	recs, _, _, err := c.WALSince(0)
+	if err != nil || len(recs) != 3 {
+		f.Fatalf("logged %d records, err %v; want 3", len(recs), err)
+	}
+	for _, rec := range recs {
+		f.Add(rec.Payload)
+	}
+	odd := relstore.Row{relstore.Float(math.Float64frombits(0x7ff8_0000_0000_0001)), relstore.Float(math.Copysign(0, -1)),
+		relstore.Int(math.MinInt64), relstore.Str("\x00\xff"), relstore.Bytes([]byte{}), relstore.Null()}
+	f.Add(encodeOps(nil))
+	f.Add(encodeOps([]relstore.TableOp{
+		{Table: TObjects, Kind: relstore.OpInsert, Row: odd},
+		{Table: TElemData, Kind: relstore.OpUpdate, Row: relstore.Row{}, Prev: odd},
+		{Table: "", Kind: relstore.OpDelete, Prev: relstore.Row{relstore.Bool(true)}},
+	}))
+	f.Add(append(encodeOps([]relstore.TableOp{{Table: TClobs, Kind: relstore.OpInsert, Row: odd}}), 0)) // trailing byte
+	f.Add([]byte{1, 1, 'x', 0, 4})                                                                      // unknown presence bit
+	f.Add([]byte{0xe8, 0x07, 0, 0, 0})                                                                  // 1000 ops in 3 bytes
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ops []walOp
+		var err error
+		if n := allocatedBytes(func() { ops, err = decodeOps(data) }); n > 128*uint64(len(data))+4096 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		tops := make([]relstore.TableOp, len(ops))
+		for i, op := range ops {
+			tops[i] = relstore.TableOp{Table: op.Table, Kind: relstore.OpKind(op.Kind), Row: op.Row, Prev: op.Prev}
+		}
+		got, err := decodeOps(encodeOps(tops))
+		if err != nil || len(got) != len(ops) {
+			t.Fatalf("re-encoded %d ops decode as %d, err %v", len(ops), len(got), err)
+		}
+		for i, op := range ops {
+			g := got[i]
+			if g.Table != op.Table || g.Kind != op.Kind ||
+				(g.Row == nil) != (op.Row == nil) || !rowsIdentical(g.Row, op.Row) ||
+				(g.Prev == nil) != (op.Prev == nil) || !rowsIdentical(g.Prev, op.Prev) {
+				t.Fatalf("op %d: %+v re-decodes as %+v", i, op, g)
+			}
+		}
+	})
+}
+
+// allocatedBytes returns the heap bytes fn allocates.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -1,12 +1,14 @@
 package catalog
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strings"
 
 	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/faultio"
@@ -20,26 +22,37 @@ import (
 // provided schema matches by name and ordering signature, then replays
 // the rows through the normal insert path so all indexes rebuild.
 //
-// On-disk container (version 2):
+// On-disk container (version 3):
 //
-//	magic    8 bytes  "HCSNAP02"
-//	length   u64      gob payload length
-//	crc      u32      CRC-32C of the gob payload
-//	payload  gob-encoded snapshot struct
+//	magic    8 bytes  "HCSNAP03"
+//	payload  uvarint header length, gob-encoded snapshot header;
+//	         then per dataTables entry, in order: uvarint row count and
+//	         the rows in relstore's row codec
+//	length   u64      payload length
+//	crc      u32      CRC-32C of the payload
 //
-// The header makes truncation and bit rot loud: Load verifies the length
-// and checksum before decoding, so a torn or corrupted snapshot returns
-// an error instead of half-loading. SaveFile writes the container
-// atomically (temp file + fsync + rename), the checkpoint protocol's
-// first half; see durable.go for the WAL side.
+// The length and checksum trail the payload so the writer can stream it
+// from a pinned version without buffering the catalog. The trailer makes
+// truncation and bit rot loud: Load verifies the length and checksum
+// before decoding, so a torn or corrupted snapshot returns an error
+// instead of half-loading. SaveFile writes the container atomically
+// (temp file + fsync + rename), the checkpoint protocol's first half;
+// see durable.go for the WAL side.
 
 const (
-	snapshotMagic = "HCSNAP02"
-	// snapshotVersion guards the gob payload format. Version 2 added the
-	// checksummed container and the WalSeq watermark.
-	snapshotVersion = 2
-	// maxSnapshotBytes bounds the decoded payload so a corrupt length
-	// field cannot drive a giant allocation.
+	snapshotMagic = "HCSNAP03"
+	// snapshotMagicFamily prefixes every container version's magic, so an
+	// older format is refused by name rather than as garbage.
+	snapshotMagicFamily = "HCSNAP"
+	// snapshotVersion guards the payload format. Version 2 added the
+	// checksummed container and the WalSeq watermark; version 3 replaced
+	// the gob-encoded rows with relstore's row codec and moved the length
+	// and checksum to a trailer.
+	snapshotVersion = 3
+	// snapshotTrailer is the u64 payload length plus the u32 CRC.
+	snapshotTrailer = 12
+	// maxSnapshotBytes bounds the payload Load reads, so a stream that
+	// never ends cannot exhaust memory.
 	maxSnapshotBytes = int64(1) << 40
 )
 
@@ -47,6 +60,7 @@ const (
 // schema tables are re-derived at load.
 var dataTables = []string{TObjects, TAttrData, TElemData, TSubAttrs, TClobs, TCollections, TMembers}
 
+// snapshot is the container's header: everything but the data rows.
 type snapshot struct {
 	Version    int
 	SchemaName string
@@ -56,7 +70,6 @@ type snapshot struct {
 	WalSeq uint64
 	Attrs  []core.AttrDef
 	Elems  []core.ElemDef
-	Tables map[string][]relstore.Row
 }
 
 // schemaSig fingerprints the global ordering so Load rejects a
@@ -69,63 +82,121 @@ func schemaSig(s *xmlschema.Schema) string {
 	return sig
 }
 
-// Save writes a snapshot of the catalog (definitions plus all object,
-// shredded, CLOB, and collection rows) in the checksummed container
-// format.
-func (c *Catalog) Save(w io.Writer) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.saveLocked(w)
+// pin is an immutable view of everything a snapshot carries: one
+// relstore version, the registry's definitions and the log watermark
+// the version contains. Writing it needs no lock.
+type pin struct {
+	db     *relstore.Snapshot
+	attrs  []*core.AttrDef
+	elems  []*core.ElemDef
+	walSeq uint64
 }
 
-// saveLocked is Save with c.mu already held (read or write).
-func (c *Catalog) saveLocked(w io.Writer) error {
-	// The watermark is the PUBLISHED sequence, not the log's LastSeq: in
-	// group-commit mode the log may hold records whose staged versions
-	// are not yet visible, and the snapshot's tables do not contain
-	// them — claiming their sequences would make recovery skip them.
-	var seq uint64
+// pinLocked captures a pin; c.mu must be held (read or write). The
+// database is pinned before the registry, so every definition a pinned
+// row references is present (registry versions are copy-on-write, so
+// the definition pointers stay valid). The watermark is the PUBLISHED
+// sequence, not the log's LastSeq: in group-commit mode the log may hold
+// records whose staged versions are not yet visible, and the pinned
+// version does not contain them — claiming their sequences would make
+// recovery skip them.
+func (c *Catalog) pinLocked() pin {
+	p := pin{db: c.DB.Snapshot()}
+	p.attrs = c.Reg.Attrs()
+	p.elems = c.Reg.Elems()
 	if c.dur != nil {
-		seq = c.dur.publishedSeq
+		p.walSeq = c.dur.publishedSeq
 	}
-	snap := snapshot{
-		Version:    snapshotVersion,
-		SchemaName: c.Schema.Name,
-		SchemaSig:  schemaSig(c.Schema),
-		WalSeq:     seq,
-		Tables:     make(map[string][]relstore.Row, len(dataTables)),
-	}
-	for _, d := range c.Reg.Attrs() {
-		snap.Attrs = append(snap.Attrs, *d)
-	}
-	for _, d := range c.Reg.Elems() {
-		snap.Elems = append(snap.Elems, *d)
-	}
-	for _, name := range dataTables {
-		t := c.DB.MustTable(name)
-		rows := make([]relstore.Row, 0, t.Len())
-		t.Scan(func(_ int64, r relstore.Row) bool {
-			rows = append(rows, r)
-			return true
-		})
-		snap.Tables[name] = rows
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&snap); err != nil {
-		return err
-	}
-	var header [20]byte
-	copy(header[:8], snapshotMagic)
-	binary.LittleEndian.PutUint64(header[8:], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(header[16:], crc32.Checksum(payload.Bytes(), snapshotCRC))
-	if _, err := w.Write(header[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
-	return err
+	return p
+}
+
+// Save writes a snapshot of the catalog (definitions plus all object,
+// shredded, CLOB, and collection rows) in the checksummed container
+// format. The catalog lock is held only to pin the state; encoding and
+// writing run without it.
+func (c *Catalog) Save(w io.Writer) error {
+	c.mu.RLock()
+	p := c.pinLocked()
+	c.mu.RUnlock()
+	return writeSnapshot(c.Schema, p, w)
 }
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// snapshotWriter streams a container through one buffer, keeping the
+// running length and checksum of the payload bytes for the trailer.
+type snapshotWriter struct {
+	bw  *bufio.Writer
+	n   uint64
+	crc uint32
+}
+
+// payload writes b as payload bytes. b may be bw.AvailableBuffer()
+// extended in place, which saves a copy.
+func (s *snapshotWriter) payload(b []byte) error {
+	s.n += uint64(len(b))
+	s.crc = crc32.Update(s.crc, snapshotCRC, b)
+	_, err := s.bw.Write(b)
+	return err
+}
+
+// writeSnapshot streams p in the container format to w.
+func writeSnapshot(schema *xmlschema.Schema, p pin, w io.Writer) error {
+	hdr := snapshot{
+		Version:    snapshotVersion,
+		SchemaName: schema.Name,
+		SchemaSig:  schemaSig(schema),
+		WalSeq:     p.walSeq,
+		Attrs:      make([]core.AttrDef, len(p.attrs)),
+		Elems:      make([]core.ElemDef, len(p.elems)),
+	}
+	for i, d := range p.attrs {
+		hdr.Attrs[i] = *d
+	}
+	for i, d := range p.elems {
+		hdr.Elems[i] = *d
+	}
+	var hb bytes.Buffer
+	if err := gob.NewEncoder(&hb).Encode(&hdr); err != nil {
+		return err
+	}
+	s := snapshotWriter{bw: bufio.NewWriterSize(w, 64<<10)}
+	if _, err := s.bw.WriteString(snapshotMagic); err != nil {
+		return err
+	}
+	if err := s.payload(binary.AppendUvarint(s.bw.AvailableBuffer(), uint64(hb.Len()))); err != nil {
+		return err
+	}
+	if err := s.payload(hb.Bytes()); err != nil {
+		return err
+	}
+	// The definitions go out in a write of their own, ahead of the rows,
+	// as the version-2 container's header did: a crash can then tear the
+	// file between the two sections as well as inside either.
+	if err := s.bw.Flush(); err != nil {
+		return err
+	}
+	for _, name := range dataTables {
+		t := p.db.MustTable(name)
+		if err := s.payload(binary.AppendUvarint(s.bw.AvailableBuffer(), uint64(t.Len()))); err != nil {
+			return err
+		}
+		var err error
+		t.Scan(func(_ int64, r relstore.Row) bool {
+			err = s.payload(relstore.AppendRow(s.bw.AvailableBuffer(), r))
+			return err == nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	trailer := binary.LittleEndian.AppendUint64(s.bw.AvailableBuffer(), s.n)
+	trailer = binary.LittleEndian.AppendUint32(trailer, s.crc)
+	if _, err := s.bw.Write(trailer); err != nil {
+		return err
+	}
+	return s.bw.Flush()
+}
 
 // Load rebuilds a catalog from a snapshot over the given schema. The
 // schema must match the one the snapshot was written against. Truncated
@@ -138,7 +209,7 @@ func Load(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog, error)
 // loadSnapshot is Load exposing the snapshot's WAL watermark, which
 // recovery needs to know where replay starts.
 func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog, uint64, error) {
-	snap, err := readSnapshot(r)
+	snap, rows, err := readSnapshot(r)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -174,15 +245,30 @@ func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog
 		if err := c.syncDefTables(); err != nil {
 			return err
 		}
-		// Replay data rows through the normal insert path so every index
-		// rebuilds.
+		// Replay data rows through the normal insert path, as they decode,
+		// so every index rebuilds. Insert stores a copy, so each row is
+		// decoded into the same scratch row: a fresh one per row would
+		// leave a garbage row between live ones and fragment the heap.
+		var row relstore.Row
 		for _, name := range dataTables {
 			t := c.wtab(name)
-			for _, row := range snap.Tables[name] {
+			n, k := binary.Uvarint(rows)
+			if k <= 0 || n > uint64(len(rows)-k) {
+				return fmt.Errorf("catalog: corrupt snapshot: bad %s row count", name)
+			}
+			rows = rows[k:]
+			for ; n > 0; n-- {
+				var err error
+				if row, rows, err = relstore.ReadRow(row, rows); err != nil {
+					return fmt.Errorf("catalog: corrupt snapshot: %s: %w", name, err)
+				}
 				if _, err := t.Insert(row); err != nil {
 					return fmt.Errorf("catalog: restoring %s: %w", name, err)
 				}
 			}
+		}
+		if len(rows) != 0 {
+			return fmt.Errorf("catalog: corrupt snapshot: %d trailing payload bytes", len(rows))
 		}
 		return nil
 	})
@@ -194,38 +280,46 @@ func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog
 	return c, snap.WalSeq, nil
 }
 
-// readSnapshot validates the container header and decodes the payload.
-func readSnapshot(r io.Reader) (*snapshot, error) {
-	var header [20]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, fmt.Errorf("catalog: corrupt snapshot: short header: %w", err)
+// readSnapshot validates the container — magic, trailer length against
+// the bytes present, checksum — and decodes the header, returning it
+// with the undecoded row section of the payload.
+func readSnapshot(r io.Reader) (*snapshot, []byte, error) {
+	var magic [len(snapshotMagic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return nil, nil, fmt.Errorf("catalog: corrupt snapshot: short header: %w", err)
 	}
-	if string(header[:8]) != snapshotMagic {
-		return nil, fmt.Errorf("catalog: corrupt snapshot: bad magic %q", header[:8])
+	if got := string(magic[:]); got != snapshotMagic {
+		if strings.HasPrefix(got, snapshotMagicFamily) {
+			return nil, nil, fmt.Errorf("catalog: snapshot format %s, this build reads %s", got, snapshotMagic)
+		}
+		return nil, nil, fmt.Errorf("catalog: corrupt snapshot: bad magic %q", got)
 	}
-	length := binary.LittleEndian.Uint64(header[8:])
-	sum := binary.LittleEndian.Uint32(header[16:])
-	if int64(length) < 0 || int64(length) > maxSnapshotBytes {
-		return nil, fmt.Errorf("catalog: corrupt snapshot: implausible payload length %d", length)
+	rest, err := io.ReadAll(io.LimitReader(r, maxSnapshotBytes+snapshotTrailer+1))
+	if err != nil {
+		return nil, nil, fmt.Errorf("catalog: reading snapshot: %w", err)
 	}
-	// The declared length is unverified input: read incrementally rather
-	// than allocating it up front, so a rotted length field costs at most
-	// the bytes actually present before EOF.
-	var payload bytes.Buffer
-	if length < 1<<20 {
-		payload.Grow(int(length))
+	if len(rest) < snapshotTrailer {
+		return nil, nil, fmt.Errorf("catalog: corrupt snapshot: truncated trailer (%d bytes)", len(rest))
 	}
-	if n, err := io.CopyN(&payload, r, int64(length)); err != nil {
-		return nil, fmt.Errorf("catalog: corrupt snapshot: truncated payload (%d of %d bytes): %w", n, length, err)
+	if int64(len(rest)) > maxSnapshotBytes+snapshotTrailer {
+		return nil, nil, fmt.Errorf("catalog: corrupt snapshot: payload exceeds %d bytes", maxSnapshotBytes)
 	}
-	if crc32.Checksum(payload.Bytes(), snapshotCRC) != sum {
-		return nil, fmt.Errorf("catalog: corrupt snapshot: checksum mismatch")
+	payload, trailer := rest[:len(rest)-snapshotTrailer], rest[len(rest)-snapshotTrailer:]
+	if length := binary.LittleEndian.Uint64(trailer); length != uint64(len(payload)) {
+		return nil, nil, fmt.Errorf("catalog: corrupt snapshot: trailer claims %d payload bytes, %d present", length, len(payload))
+	}
+	if crc32.Checksum(payload, snapshotCRC) != binary.LittleEndian.Uint32(trailer[8:]) {
+		return nil, nil, fmt.Errorf("catalog: corrupt snapshot: checksum mismatch")
+	}
+	n, k := binary.Uvarint(payload)
+	if k <= 0 || n > uint64(len(payload)-k) {
+		return nil, nil, fmt.Errorf("catalog: corrupt snapshot: bad header length")
 	}
 	var snap snapshot
-	if err := gob.NewDecoder(&payload).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("catalog: corrupt snapshot: %w", err)
+	if err := gob.NewDecoder(bytes.NewReader(payload[k : k+int(n)])).Decode(&snap); err != nil {
+		return nil, nil, fmt.Errorf("catalog: corrupt snapshot: %w", err)
 	}
-	return &snap, nil
+	return &snap, payload[k+int(n):], nil
 }
 
 // fixAutoIDs advances the auto-ID counters past the highest restored
@@ -249,15 +343,17 @@ func (c *Catalog) fixAutoIDs() {
 // SaveFile atomically writes a snapshot to path: the container is
 // written to path+".tmp", synced to stable storage, and renamed over
 // path, so a crash at any instant leaves either the old snapshot or the
-// new one — never a torn file. A nil fs uses the real filesystem.
+// new one — never a torn file. A nil fs uses the real filesystem. As
+// with Save, the catalog lock is held only to pin the state.
 func (c *Catalog) SaveFile(fs faultio.FS, path string) error {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.saveFileLocked(fs, path)
+	p := c.pinLocked()
+	c.mu.RUnlock()
+	return saveFile(fs, path, c.Schema, p)
 }
 
-// saveFileLocked is SaveFile with c.mu already held (read or write).
-func (c *Catalog) saveFileLocked(fs faultio.FS, path string) error {
+// saveFile atomically writes the pinned state p to path (see SaveFile).
+func saveFile(fs faultio.FS, path string, schema *xmlschema.Schema, p pin) error {
 	if fs == nil {
 		fs = faultio.OS{}
 	}
@@ -266,7 +362,7 @@ func (c *Catalog) saveFileLocked(fs faultio.FS, path string) error {
 	if err != nil {
 		return err
 	}
-	err = c.saveLocked(f)
+	err = writeSnapshot(schema, p, f)
 	if err == nil {
 		err = f.Sync()
 	}

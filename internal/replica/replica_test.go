@@ -232,15 +232,34 @@ func TestReplicaConverges(t *testing.T) {
 	}
 }
 
+// fixedTearCuts are stream offsets that do not move with the payload
+// encoding. They were the record-derived cuts of the version-1 (gob)
+// log; in the current encoding most of them land at unaligned positions
+// inside records, which adds tears the per-record cuts do not reach.
+var fixedTearCuts = []int64{
+	0, 1, 109, 217, 218, 219, 324, 430, 431, 432, 546, 661, 662, 663,
+	770, 877, 878, 879, 991, 1104, 1105, 1106, 2158, 3211, 3212, 3213,
+	4265, 5318, 5319, 5320, 6372, 7425, 7426, 7427, 7530, 7633, 7634,
+	7635, 7731, 7827, 7828, 7829, 7925, 8021, 8022, 8023, 8198, 8373,
+	8374, 8375, 9448, 10522,
+}
+
 // TestReplicaSurvivesTearAtEveryRecordOffset tears the very first
 // stream response at byte offsets covering every record: at each
 // record's frame start, one byte in (split length prefix), mid-payload,
 // and one byte before its end. Whatever intact prefix arrives must be
 // applied; the torn tail must be silently re-requested from the cursor,
-// and the replica must still converge to the full primary state.
+// and the replica must still converge to the full primary state. It
+// also tears at the fixed offsets in fixedTearCuts.
 func TestReplicaSurvivesTearAtEveryRecordOffset(t *testing.T) {
 	p := newPrimary(t, 1000)
 	workload(t, p.cat)
+	// More ingests, so the stream runs past the last fixed cut.
+	for i := 0; i < 5; i++ {
+		if _, err := p.cat.IngestXML("scientist", xmlschema.Figure3Document); err != nil {
+			t.Fatal(err)
+		}
+	}
 	target := p.cat.PublishedSeq()
 	want := fingerprint(t, p.cat)
 
@@ -260,6 +279,12 @@ func TestReplicaSurvivesTearAtEveryRecordOffset(t *testing.T) {
 		offsets = append(offsets, pos, pos+1, pos+n/2, pos+n-1)
 		pos += n
 	}
+	for _, cut := range fixedTearCuts {
+		if cut >= pos {
+			t.Fatalf("fixed cut %d is not inside the %d-byte stream", cut, pos)
+		}
+	}
+	offsets = append(offsets, fixedTearCuts...)
 	seen := map[int64]bool{}
 	for _, cut := range offsets {
 		if cut < 0 || seen[cut] {

@@ -13,7 +13,7 @@ import (
 
 // Rebalance moves shard idx to newDir while the cluster stays live:
 //
-//  1. Bootstrap — ship the shard's HCSNAP02 snapshot (the replication
+//  1. Bootstrap — ship the shard's snapshot container (the replication
 //     snapshot, carrying its WAL watermark) atomically into
 //     newDir/catalog.wal.snap, and open a fresh durable catalog there;
 //     recovery loads the snapshot exactly as it would after a crash.

@@ -4,7 +4,7 @@
 //
 // On-disk layout:
 //
-//	header:  8 bytes  magic "HCWAL01\n"
+//	header:  8 bytes  magic "HCWAL02\n"
 //	record:  u32 length of (seq + payload)
 //	         u32 CRC-32C of (length ∥ seq ∥ payload)
 //	         u64 sequence number (strictly increasing within a file)
@@ -40,6 +40,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -48,8 +49,14 @@ import (
 )
 
 const (
-	magic      = "HCWAL01\n"
-	headerSize = 8
+	// magic names the log format version: the framing below plus the
+	// payload encoding its writer uses, which the framing cannot tell
+	// apart.
+	magic = "HCWAL02\n"
+	// magicFamily prefixes every version's magic, so a log of another
+	// version is refused by name rather than as corruption.
+	magicFamily = "HCWAL"
+	headerSize  = 8
 	// recHeader is u32 length + u32 crc.
 	recHeader = 8
 	// maxRecord bounds a single record so a corrupt length prefix cannot
@@ -154,8 +161,11 @@ func Open(fs faultio.FS, path string, fn func(Record) error) (*Writer, error) {
 		w.stats.TornTail = int64(len(data))
 		return w, w.create()
 	}
-	if string(data[:headerSize]) != magic {
-		return nil, fmt.Errorf("wal: %s: bad magic %q: %w", path, data[:headerSize], ErrCorrupt)
+	if got := string(data[:headerSize]); got != magic {
+		if strings.HasPrefix(got, magicFamily) {
+			return nil, fmt.Errorf("wal: %s: log format %s, this build reads %s", path, strings.TrimSpace(got), strings.TrimSpace(magic))
+		}
+		return nil, fmt.Errorf("wal: %s: bad magic %q: %w", path, got, ErrCorrupt)
 	}
 	end, err := w.scan(data, fn)
 	if err != nil {
