@@ -174,7 +174,7 @@ func main() {
 	}
 	httpSrv := &http.Server{
 		Addr:    *addr,
-		Handler: logRequests(handler),
+		Handler: handler,
 		// Slow-client ceilings: a peer that trickles its headers or holds
 		// an idle keep-alive connection cannot pin a goroutine forever.
 		ReadHeaderTimeout: 10 * time.Second,
@@ -315,11 +315,4 @@ func withProfiling(next http.Handler) http.Handler {
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/", next)
 	return mux
-}
-
-func logRequests(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		log.Printf("%s %s", r.Method, r.URL.Path)
-		next.ServeHTTP(w, r)
-	})
 }

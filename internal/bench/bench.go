@@ -124,14 +124,7 @@ var AllKinds = []StoreKind{KindHybrid, KindInlining, KindEdge, KindClob, KindNat
 func NewStore(kind StoreKind, g *workload.Generator) (baseline.Store, error) {
 	switch kind {
 	case KindHybrid:
-		c, err := catalog.Open(g.Schema, catalog.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if err := g.RegisterDefinitions(c); err != nil {
-			return nil, err
-		}
-		return baseline.Adapter{C: c}, nil
+		return openHybrid(g, catalog.Options{})
 	case KindInlining:
 		return inlining.New(g.Schema)
 	case KindEdge:
@@ -144,6 +137,19 @@ func NewStore(kind StoreKind, g *workload.Generator) (baseline.Store, error) {
 	return nil, fmt.Errorf("bench: unknown store kind %q", kind)
 }
 
+// openHybrid opens an empty hybrid catalog with opts and registers the
+// workload's dynamic definitions.
+func openHybrid(g *workload.Generator, opts catalog.Options) (baseline.Store, error) {
+	c, err := catalog.Open(g.Schema, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.RegisterDefinitions(c); err != nil {
+		return nil, err
+	}
+	return baseline.Adapter{C: c}, nil
+}
+
 // loadStore fills a fresh store of the given kind with the corpus,
 // returning the store and the total ingest wall time.
 func loadStore(kind StoreKind, g *workload.Generator, docs []*xmldoc.Node) (baseline.Store, time.Duration, error) {
@@ -151,10 +157,15 @@ func loadStore(kind StoreKind, g *workload.Generator, docs []*xmldoc.Node) (base
 	if err != nil {
 		return nil, 0, err
 	}
+	return fill(st, docs)
+}
+
+// fill ingests docs into st, returning st and the total ingest wall time.
+func fill(st baseline.Store, docs []*xmldoc.Node) (baseline.Store, time.Duration, error) {
 	start := time.Now()
 	for _, d := range docs {
 		if _, err := st.Ingest("bench", d); err != nil {
-			return nil, 0, fmt.Errorf("%s ingest: %w", kind, err)
+			return nil, 0, fmt.Errorf("%s ingest: %w", st.Name(), err)
 		}
 	}
 	return st, time.Since(start), nil

@@ -2,7 +2,7 @@
 // the catalog's relational schema (attribute/element data, sub-attribute
 // inverted lists, per-attribute CLOBs, and the schema-level global
 // ordering tables), the Figure-4 set-based query pipeline, and the §5
-// set-based response builder.
+// response builder.
 package catalog
 
 import (
@@ -651,15 +651,15 @@ type ObjectInfo struct {
 
 // Objects lists cataloged objects in ID order.
 func (c *Catalog) Objects() []ObjectInfo {
+	objT := c.pinView().tab(TObjects)
+	// objects_pk is created with the table, so the lookup cannot fail.
+	rowIDs, _ := objT.LookupRange("objects_pk", relstore.RangeBound{}, relstore.RangeBound{})
 	var out []ObjectInfo
-	it := relstore.Sort(relstore.ScanTable(c.DB.MustTable(TObjects)), relstore.SortSpec{Col: 0})
-	for {
-		r, ok := it.Next()
-		if !ok {
-			return out
-		}
+	for _, rid := range rowIDs {
+		r := objT.Get(rid)
 		out = append(out, ObjectInfo{ID: r[0].I, Name: r[1].S, Owner: r[2].S, Created: r[3].S, Published: r[4].AsBool()})
 	}
+	return out
 }
 
 // SetPublished publishes or unpublishes an object. Unpublished objects

@@ -321,6 +321,26 @@ func TestResponseMultipleObjectsOrderedAndTagged(t *testing.T) {
 	}
 }
 
+func TestBuildResponseRejectsUnknownNodeOrder(t *testing.T) {
+	c := newLEADCatalog(t, Options{})
+	id := ingestFig3(t, c)
+	bad := int64(len(c.Schema.Ordered) + 1)
+	if err := c.mutate(func() error {
+		_, err := c.wtab(TClobs).Insert(relstore.Row{
+			relstore.Int(id), relstore.Int(bad), relstore.Int(1), relstore.Null(), relstore.Null(), relstore.Str("<x/>"),
+		})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.BuildResponse([]int64{id}); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("node order %d", bad)) {
+		t.Fatalf("BuildResponse over a CLOB at order %d: err = %v", bad, err)
+	}
+	if _, err := c.FetchDocument(id); err == nil {
+		t.Fatal("FetchDocument over an unknown node order succeeded")
+	}
+}
+
 func TestFetchDocumentAndDelete(t *testing.T) {
 	c := newLEADCatalog(t, Options{})
 	id := ingestFig3(t, c)

@@ -7,6 +7,7 @@ import (
 	"github.com/gridmeta/hybridcat/internal/obs"
 	"github.com/gridmeta/hybridcat/internal/relstore"
 	"github.com/gridmeta/hybridcat/internal/xmldoc"
+	"github.com/gridmeta/hybridcat/internal/xmlschema"
 )
 
 // Response is one tagged XML document built for a query result.
@@ -15,30 +16,12 @@ type Response struct {
 	XML      string
 }
 
-// Event kinds in the sorted outer union. The numeric order makes the
-// final sort place an opening tag before the content at the same global
-// order, and content before closing tags anchored at the same last-child
-// order.
-const (
-	evOpen    = 0
-	evContent = 1
-	evClose   = 2
-)
-
 // BuildResponse reconstructs the schema-ordered XML documents for the
-// given object IDs using only set operations (§5):
-//
-//  1. fetch the objects' CLOB rows (index join; the CLOB column is not
-//     touched until the final concatenation),
-//  2. join the node-ancestor inverted list for the distinct required
-//     ancestors,
-//  3. join the global-ordering table for each ancestor's tag, last-child
-//     order, and depth, emitting opening and closing tag events,
-//  4. union with the CLOB content events and sort by (object, order,
-//     kind, tie) — the concatenated result is already tagged, with no
-//     external tagger.
-//
-// Responses come back in the order of ids; unknown IDs are skipped.
+// given object IDs from their per-attribute CLOBs and the schema-level
+// global ordering (§5): the concatenated result is already tagged, with
+// no external tagger. Responses come back in the order of ids; unknown
+// IDs are skipped. A CLOB row whose node order is not in the schema is
+// an error.
 func (c *Catalog) BuildResponse(ids []int64) ([]Response, error) {
 	tr, done := c.beginOp("response", c.obsv.opResponse)
 	defer done()
@@ -106,120 +89,62 @@ func (v *view) buildResponseTraced(ids []int64, tr *obs.Trace) ([]Response, erro
 	return out, nil
 }
 
-// buildResponseChunk runs the §5 set-based plan for one batch of object
-// IDs against the pinned snapshot and returns each object's tagged XML.
+// buildResponseChunk runs the §5 plan for one batch of object IDs
+// against the pinned snapshot and returns each object's tagged XML.
+//
+// An object's CLOB rows come off clobs_by_object in (node_order,
+// clob_seq) order, which is document order, so one merge with the
+// schema-level global ordering tags them: before a CLOB at order n,
+// close every open schema node whose last-child order is below n, then
+// open n's remaining ancestors. The ancestor lists and last-child orders
+// are the schema's own (the same relation node_ancestors and
+// schema_nodes hold), so the merge needs no join and no sort.
 func (v *view) buildResponseChunk(ids []int64) (map[int64]string, error) {
 	clobT := v.tab(TClobs)
-	ancT := v.tab(TNodeAncestors)
-	nodeT := v.tab(TSchemaNodes)
-
-	// Step 1: CLOB rows for the requested objects, via the per-object
-	// B-tree index.
-	var clobRowIDs []int64
+	schema := v.c.Schema
+	out := make(map[int64]string, len(ids))
+	var open []*xmlschema.Node
 	for _, id := range ids {
-		rowIDs, err := clobT.LookupRange("clobs_by_object",
-			relstore.RangeBound{Vals: []relstore.Value{relstore.Int(id)}, Inclusive: true, Set: true},
-			relstore.RangeBound{Vals: []relstore.Value{relstore.Int(id)}, Inclusive: true, Set: true})
+		rowIDs, err := clobT.LookupRange("clobs_by_object", incl(relstore.Int(id)), incl(relstore.Int(id)))
 		if err != nil {
 			return nil, err
 		}
-		clobRowIDs = append(clobRowIDs, rowIDs...)
-	}
-	if len(clobRowIDs) == 0 {
-		return map[int64]string{}, nil
-	}
-
-	// Content events: [object, order, kind, tie, text]. The CLOB column
-	// is carried only here, in the final union input.
-	content := relstore.Project(relstore.ScanRowIDs(clobT, clobRowIDs),
-		[]int{0, 1, 2, 5}, []string{"object_id", "node_order", "clob_seq", "clob"})
-	contentEvents := &eventIter{
-		in:   content,
-		cols: eventCols,
-		make: func(r relstore.Row) []relstore.Row {
-			return []relstore.Row{{r[0], r[1], relstore.Int(evContent), r[2], r[3]}}
-		},
-	}
-
-	// Step 2: distinct (object, node_order) pairs joined with the
-	// ancestor inverted list -> distinct (object, anc_order).
-	positions := relstore.Distinct(relstore.Project(relstore.ScanRowIDs(clobT, clobRowIDs),
-		[]int{0, 1}, []string{"object_id", "node_order"}))
-	ancRows := relstore.HashJoin(positions, relstore.ScanTable(ancT), []int{1}, []int{0}, relstore.InnerJoin)
-	required := relstore.Distinct(relstore.Project(ancRows, []int{0, 3}, []string{"object_id", "anc_order"}))
-
-	// Step 3: join the global ordering for tags and last-child orders;
-	// each required ancestor yields an open and a close event.
-	withTags := relstore.HashJoin(required, relstore.ScanTable(nodeT), []int{1}, []int{0}, relstore.InnerJoin)
-	// Columns: object_id, anc_order, node_order, tag, parent, last_child, depth, is_attr
-	tagEvents := &eventIter{
-		in:   withTags,
-		cols: eventCols,
-		make: func(r relstore.Row) []relstore.Row {
-			object, order := r[0], r[1]
-			tag, last, depth := r[3].S, r[5], r[6].I
-			return []relstore.Row{
-				{object, order, relstore.Int(evOpen), relstore.Int(depth), relstore.Str("<" + tag + ">")},
-				{object, last, relstore.Int(evClose), relstore.Int(-depth), relstore.Str("</" + tag + ">")},
+		if len(rowIDs) == 0 {
+			continue
+		}
+		var b strings.Builder
+		open = open[:0]
+		for _, rid := range rowIDs {
+			r := clobT.Get(rid)
+			order := int(r[1].I)
+			if schema.NodeByOrder(order) == nil {
+				return nil, fmt.Errorf("catalog: object %d: CLOB at node order %d, which is not in schema %s", id, order, schema.Name)
 			}
-		},
-	}
-
-	// Step 4: sorted outer union.
-	events := relstore.Sort(relstore.Union(contentEvents, tagEvents),
-		relstore.SortSpec{Col: 0}, // object
-		relstore.SortSpec{Col: 1}, // global order
-		relstore.SortSpec{Col: 2}, // kind: open, content, close
-		relstore.SortSpec{Col: 3}, // tie: depth / clob_seq / -depth
-	)
-
-	// Concatenate per object.
-	byObject := make(map[int64]*strings.Builder)
-	for {
-		r, ok := events.Next()
-		if !ok {
-			break
+			for len(open) > 0 && open[len(open)-1].LastChild < order {
+				writeClose(&b, open[len(open)-1].Tag)
+				open = open[:len(open)-1]
+			}
+			for _, a := range schema.Ancestors(order)[len(open):] {
+				n := schema.NodeByOrder(a)
+				b.WriteByte('<')
+				b.WriteString(n.Tag)
+				b.WriteByte('>')
+				open = append(open, n)
+			}
+			b.WriteString(r[5].S)
 		}
-		b := byObject[r[0].I]
-		if b == nil {
-			b = &strings.Builder{}
-			byObject[r[0].I] = b
+		for i := len(open) - 1; i >= 0; i-- {
+			writeClose(&b, open[i].Tag)
 		}
-		b.WriteString(r[4].S)
-	}
-	out := make(map[int64]string, len(byObject))
-	for id, b := range byObject {
 		out[id] = b.String()
 	}
 	return out, nil
 }
 
-// eventCols is the shared layout of response events.
-var eventCols = []string{"object_id", "pos", "kind", "tie", "text"}
-
-// eventIter expands each input row into one or more event rows.
-type eventIter struct {
-	in      relstore.Iterator
-	cols    []string
-	make    func(relstore.Row) []relstore.Row
-	pending []relstore.Row
-}
-
-func (e *eventIter) Columns() []string { return e.cols }
-
-func (e *eventIter) Next() (relstore.Row, bool) {
-	for {
-		if len(e.pending) > 0 {
-			r := e.pending[0]
-			e.pending = e.pending[1:]
-			return r, true
-		}
-		r, ok := e.in.Next()
-		if !ok {
-			return nil, false
-		}
-		e.pending = e.make(r)
-	}
+func writeClose(b *strings.Builder, tag string) {
+	b.WriteString("</")
+	b.WriteString(tag)
+	b.WriteByte('>')
 }
 
 // Search evaluates a query and builds the tagged responses for every

@@ -119,10 +119,9 @@ func TestConcurrentReadersWriters(t *testing.T) {
 					return
 				}
 				// Snapshot scan feeding an operator tree, the way the
-				// catalog's response builder composes them.
+				// SQL surface composes them.
 				it := Sort(
-					Project(Filter(ScanTable(tab), func(row Row) bool { return !row[2].IsNull() }),
-						[]int{0, 1}, []string{"k", "s"}),
+					Filter(ScanTable(tab), func(row Row) bool { return !row[2].IsNull() }),
 					SortSpec{Col: 0},
 				)
 				var prev int64 = -1 << 62

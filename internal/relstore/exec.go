@@ -106,40 +106,6 @@ func Filter(in Iterator, pred func(Row) bool) Iterator {
 	return &filterIter{in: in, pred: pred}
 }
 
-// projectIter remaps columns lazily.
-type projectIter struct {
-	in   Iterator
-	cols []string
-	idx  []int
-}
-
-func (p *projectIter) Columns() []string { return p.cols }
-
-func (p *projectIter) Next() (Row, bool) {
-	r, ok := p.in.Next()
-	if !ok {
-		return nil, false
-	}
-	out := make(Row, len(p.idx))
-	for i, j := range p.idx {
-		out[i] = r[j]
-	}
-	return out, true
-}
-
-// Project keeps the given input column positions under new names. names
-// may be nil to reuse the input names.
-func Project(in Iterator, idx []int, names []string) Iterator {
-	if names == nil {
-		inCols := in.Columns()
-		names = make([]string, len(idx))
-		for i, j := range idx {
-			names[i] = inCols[j]
-		}
-	}
-	return &projectIter{in: in, cols: names, idx: idx}
-}
-
 // JoinKind selects join semantics.
 type JoinKind uint8
 
@@ -478,31 +444,6 @@ func (l *limitIter) Next() (Row, bool) {
 	}
 	l.n--
 	return l.in.Next()
-}
-
-// Union concatenates streams with identical arity.
-func Union(its ...Iterator) Iterator {
-	if len(its) == 0 {
-		return newSliceIter(nil, nil)
-	}
-	return &unionIter{its: its}
-}
-
-type unionIter struct {
-	its []Iterator
-	pos int
-}
-
-func (u *unionIter) Columns() []string { return u.its[0].Columns() }
-
-func (u *unionIter) Next() (Row, bool) {
-	for u.pos < len(u.its) {
-		if r, ok := u.its[u.pos].Next(); ok {
-			return r, true
-		}
-		u.pos++
-	}
-	return nil, false
 }
 
 // InsertFrom drains it into table t, returning the number of rows

@@ -57,24 +57,6 @@ func TestScanTableAndFilter(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	in := newSliceIter([]string{"a", "b", "c"}, rowsOf([]any{1, "x", 2.5}))
-	out := Project(in, []int{2, 0}, []string{"c2", "a2"})
-	rows := Collect(out)
-	if len(rows) != 1 || rows[0][0].F != 2.5 || rows[0][1].I != 1 {
-		t.Errorf("Project rows = %v", rows)
-	}
-	if cols := out.Columns(); cols[0] != "c2" || cols[1] != "a2" {
-		t.Errorf("Project cols = %v", cols)
-	}
-	// nil names reuse input names.
-	in2 := newSliceIter([]string{"a", "b"}, rowsOf([]any{1, 2}))
-	out2 := Project(in2, []int{1}, nil)
-	if cols := out2.Columns(); cols[0] != "b" {
-		t.Errorf("default names = %v", cols)
-	}
-}
-
 func TestHashJoinInner(t *testing.T) {
 	left := newSliceIter([]string{"id", "name"}, rowsOf(
 		[]any{1, "a"}, []any{2, "b"}, []any{3, "c"}, []any{nil, "n"}))
@@ -163,7 +145,7 @@ func TestGroupByEmptyKeyGlobalAggregate(t *testing.T) {
 	}
 }
 
-func TestDistinctLimitUnion(t *testing.T) {
+func TestDistinctLimit(t *testing.T) {
 	in := newSliceIter([]string{"a"}, rowsOf([]any{1}, []any{2}, []any{1}, []any{3}, []any{2}))
 	if got := Collect(Distinct(in)); len(got) != 3 {
 		t.Errorf("distinct = %s", dumpRows(got))
@@ -171,16 +153,6 @@ func TestDistinctLimitUnion(t *testing.T) {
 	in2 := newSliceIter([]string{"a"}, rowsOf([]any{1}, []any{2}, []any{3}, []any{4}))
 	if got := Collect(Limit(in2, 1, 2)); len(got) != 2 || got[0][0].I != 2 {
 		t.Errorf("limit = %s", dumpRows(got))
-	}
-	u := Union(
-		newSliceIter([]string{"a"}, rowsOf([]any{1})),
-		newSliceIter([]string{"a"}, rowsOf([]any{2}, []any{3})),
-	)
-	if got := Collect(u); len(got) != 3 {
-		t.Errorf("union = %s", dumpRows(got))
-	}
-	if got := Collect(Union()); len(got) != 0 {
-		t.Errorf("empty union = %s", dumpRows(got))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"github.com/gridmeta/hybridcat/internal/catalog"
 	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/obs"
-	"github.com/gridmeta/hybridcat/internal/xmldoc"
 )
 
 // Backend is the catalog contract the shared handlers are written
@@ -34,8 +33,6 @@ type Backend interface {
 	// BuildResponse rebuilds the tagged XML for the given IDs, in the
 	// given order, skipping IDs that no longer exist.
 	BuildResponse(ids []int64) ([]catalog.Response, error)
-	// FetchDocument reconstructs one object's full document.
-	FetchDocument(id int64) (*xmldoc.Node, error)
 	// Objects lists every object in ascending ID order.
 	Objects() []catalog.ObjectInfo
 	// RegisterAttr registers a dynamic attribute definition.

@@ -389,13 +389,16 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: bad id: %w", err))
 		return
 	}
-	doc, err := s.backend().FetchDocument(id)
+	resp, err := s.backend().BuildResponse([]int64{id})
+	if err == nil && len(resp) == 0 {
+		err = fmt.Errorf("service: no object %d", id)
+	}
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/xml")
-	_ = doc.WriteTo(w, 2)
+	_, _ = io.WriteString(w, resp[0].XML)
 }
 
 func (s *Server) handleSchema(w http.ResponseWriter, _ *http.Request) {

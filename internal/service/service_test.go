@@ -147,6 +147,10 @@ func TestServiceEndToEnd(t *testing.T) {
 	if !xmldoc.Equal(want, got) {
 		t.Errorf("fetched document differs: %s", xmldoc.Diff(want, got))
 	}
+	// The reply is the §5 build itself, not a re-serialisation of it.
+	if body != want.String() {
+		t.Errorf("fetch body is not the ingested document's canonical bytes:\n got %q\nwant %q", body, want.String())
+	}
 
 	// Schema ordering table.
 	code, body = get(t, ts.URL+"/schema")

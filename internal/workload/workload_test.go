@@ -39,30 +39,39 @@ func TestGenerationDeterministic(t *testing.T) {
 func TestDocumentsValidAgainstSchemaAndDefs(t *testing.T) {
 	cfg := smallConfig()
 	g := New(cfg)
-	c, err := catalog.Open(g.Schema, catalog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.RegisterDefinitions(c); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < cfg.Docs; i++ {
-		if _, err := c.Ingest("bench", g.Document(i)); err != nil {
-			t.Fatalf("doc %d failed ingest: %v", i, err)
-		}
-	}
-	if c.ObjectCount() != cfg.Docs {
-		t.Errorf("objects = %d", c.ObjectCount())
-	}
-	// Nothing skipped: every document round-trips.
-	for i := 1; i <= 5; i++ {
-		doc, err := c.FetchDocument(int64(i))
+	for _, opts := range []catalog.Options{{CacheSize: -1}, {}} {
+		c, err := catalog.Open(g.Schema, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := g.Document(i - 1)
-		if !xmldoc.Equal(want, doc) {
-			t.Fatalf("doc %d round trip: %s", i, xmldoc.Diff(want, doc))
+		if err := g.RegisterDefinitions(c); err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]int64, cfg.Docs)
+		for i := range ids {
+			if ids[i], err = c.Ingest("bench", g.Document(i)); err != nil {
+				t.Fatalf("doc %d failed ingest: %v", i, err)
+			}
+		}
+		if c.ObjectCount() != cfg.Docs {
+			t.Errorf("objects = %d", c.ObjectCount())
+		}
+		// Nothing skipped: every document rebuilds byte for byte, on a
+		// cold build and again from the response cache when it is on.
+		for pass := 0; pass < 2; pass++ {
+			resp, err := c.BuildResponse(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resp) != len(ids) {
+				t.Fatalf("CacheSize %d pass %d: %d responses for %d objects", opts.CacheSize, pass, len(resp), len(ids))
+			}
+			for i, r := range resp {
+				if want := g.Document(i).String(); r.ObjectID != ids[i] || r.XML != want {
+					t.Fatalf("CacheSize %d pass %d: doc %d (object %d) rebuilt as\n%s\nwant\n%s",
+						opts.CacheSize, pass, i, r.ObjectID, r.XML, want)
+				}
+			}
 		}
 	}
 }
