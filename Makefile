@@ -31,13 +31,15 @@ stress:
 crash:
 	$(GO) test -race -run 'Crash|Fault' -count=1 ./...
 
-# MVCC verification: the snapshot-isolation oracle suite and the
-# swap-point crash matrix under the race detector, and the fuzz
-# targets' seed corpora — the swap interleavings, and the row and log
-# record codecs that decode bytes from other processes (DESIGN.md "MVCC
+# MVCC verification: the snapshot-isolation oracle suite, the
+# post-fsync crash of every workload step (the version is durable but
+# not yet published) and the acknowledgement that does not wait for the
+# next writer's build, under the race detector, and the fuzz targets'
+# seed corpora — the swap interleavings, and the row and log record
+# codecs that decode bytes from other processes (DESIGN.md "MVCC
 # snapshots and the lock-free read path", "Record format").
 mvcc:
-	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints' -count=1 ./internal/relstore/ ./internal/catalog/
+	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints|PostFsyncPreAck|AckDoesNotWait' -count=1 ./internal/relstore/ ./internal/catalog/
 	$(GO) test -race -run 'Fuzz' -count=1 ./internal/catalog/ ./internal/baseline/ ./internal/relstore/
 
 # Posting-list verification under the race detector: the key-list
@@ -56,12 +58,13 @@ bitmap:
 # Replication fault suite under the race detector: the WAL-stream
 # tailer driven through scripted network faults (torn responses at
 # every record offset, refused connections, primary restarts,
-# checkpoint-truncated logs), the group-commit crash matrices with
-# their batch-boundary windows, the retry/backoff determinism tests,
-# and a one-repetition smoke of the R2 group-commit/replica-lag
-# experiment (DESIGN.md "Replication").
+# checkpoint-truncated logs), the group writer's batching and poison
+# tests, the crash matrix inside concurrent batches, the
+# retry/backoff determinism tests, and a one-repetition smoke of the R2
+# writer-scaling/replica-lag experiment (DESIGN.md "Replication"). The
+# filesystem crash matrices run under make crash.
 replica:
-	$(GO) test -race -run 'Replica|GroupCommit|GroupCrash|Retry|Backoff|Do|Flaky|WALStream|WALSnapshot|Healthz|Staleness' -count=1 ./internal/replica/ ./internal/retry/ ./internal/faultio/ ./internal/wal/ ./internal/catalog/ ./internal/service/
+	$(GO) test -race -run 'Replica|GroupCommit|ConcurrentBatches|Retry|Backoff|Do|Flaky|WALStream|WALSnapshot|Healthz|Staleness' -count=1 ./internal/replica/ ./internal/retry/ ./internal/faultio/ ./internal/wal/ ./internal/catalog/ ./internal/service/
 	$(GO) run ./cmd/mdbench -exp R2 -quick
 
 # Sharding verification under the race detector: the shard-vs-single

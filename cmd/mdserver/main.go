@@ -5,7 +5,6 @@
 //	mdserver -addr :8080
 //	mdserver -wal catalog.wal                        # durable: WAL + crash recovery
 //	mdserver -wal catalog.wal -checkpoint-every 256  # bound recovery time
-//	mdserver -wal catalog.wal -group-commit          # coalesce concurrent fsyncs
 //	mdserver -load catalog.snap -save catalog.snap   # snapshot-only persistence
 //	mdserver -ontology terms.txt                     # enable ?expand=1
 //	mdserver -replica-of http://primary:8080 -max-lag 64   # read replica
@@ -18,10 +17,10 @@
 // checkpoint snapshot plus the log; SIGINT/SIGTERM drains in-flight
 // requests and writes a final checkpoint. With -save (and no -wal), a
 // snapshot is written atomically on SIGINT/SIGTERM before exit.
-// -group-commit batches concurrent commits into one fsync (see
-// internal/wal); -replica-of turns the server into a read-only replica
-// that tails the primary's /wal/stream and refuses reads once it lags
-// more than -max-lag records behind.
+// Concurrent commits share one fsync per batch, with no collection
+// window (see internal/wal). -replica-of turns the server into a
+// read-only replica that tails the primary's /wal/stream and refuses
+// reads once it lags more than -max-lag records behind.
 package main
 
 import (
@@ -61,11 +60,7 @@ func main() {
 		ontPath    = flag.String("ontology", "", "term hierarchy file enabling ?expand=1 queries")
 		cacheSize  = flag.Int("cache-size", 0, "entries per read-cache layer (0 = default, negative = read caches off)")
 		metricsOn  = flag.Bool("metrics", true, "expose the metrics registry at GET /metrics and record query traces at /debug/tracez")
-		traceDepth = flag.Int("trace-depth", 0, "slow-query trace ring size (0 = default, negative = tracing off)")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/ and expvar at /debug/vars")
-		groupOn    = flag.Bool("group-commit", false, "with -wal: coalesce concurrent commits into one fsync per batch")
-		groupWait  = flag.Duration("group-commit-wait", 0, "with -group-commit: batch leader's collection window (0 = flush immediately)")
-		groupBatch = flag.Int("group-commit-batch", 0, "with -group-commit: max records per batch (0 = default)")
 		replicaOf  = flag.String("replica-of", "", "run as a read replica of this primary base URL (tails /wal/stream; mutations answer 503)")
 		maxLag     = flag.Uint64("max-lag", 0, "with -replica-of: refuse reads once the replica lags this many log records behind the primary (0 = serve regardless)")
 		shards     = flag.Int("shards", 0, "run an owner-partitioned cluster of this many embedded catalogs (fixed at cluster creation; 0 = single catalog)")
@@ -81,15 +76,11 @@ func main() {
 	opts := catalog.Options{
 		AutoRegister: *autoReg,
 		CacheSize:    *cacheSize,
-		TraceDepth:   *traceDepth,
 	}
 	if *metricsOn {
 		opts.Metrics = obs.NewRegistry()
 	}
-	dopts := catalog.DurabilityOptions{
-		WALPath: *walPath, CheckpointEvery: *ckptEvery,
-		GroupCommit: *groupOn, GroupCommitWait: *groupWait, GroupCommitBatch: *groupBatch,
-	}
+	dopts := catalog.DurabilityOptions{WALPath: *walPath, CheckpointEvery: *ckptEvery}
 
 	// The topology flags pick what sits behind the one service: srv
 	// serves it, final makes its state durable once requests have
@@ -101,10 +92,6 @@ func main() {
 		finalMsg string
 		durable  = "no durability"
 	)
-	group := ""
-	if *groupOn {
-		group = fmt.Sprintf(", group commit (wait %v)", *groupWait)
-	}
 	switch {
 	case *shards > 0 || *shardDirs != "":
 		if *walPath != "" || *savePath != "" || *loadPath != "" || *replicaOf != "" {
@@ -116,8 +103,8 @@ func main() {
 		}
 		srv, final = service.NewSharded(cl), cl.Close
 		finalMsg = fmt.Sprintf("%d shard checkpoints written under %s", cl.Shards(), *shardRoot)
-		durable = fmt.Sprintf("%d-shard cluster under %s (%d objects recovered), checkpoint every %d%s",
-			cl.Shards(), *shardRoot, cl.ObjectCount(), *ckptEvery, group)
+		durable = fmt.Sprintf("%d-shard cluster under %s (%d objects recovered), checkpoint every %d",
+			cl.Shards(), *shardRoot, cl.ObjectCount(), *ckptEvery)
 	case *replicaOf != "":
 		if *walPath != "" || *savePath != "" || *loadPath != "" {
 			log.Fatal("mdserver: -replica-of is incompatible with -wal/-save/-load (a replica's state is the primary's log)")
@@ -149,7 +136,7 @@ func main() {
 		srv = service.New(cat)
 		if *walPath != "" {
 			final, finalMsg = cat.Close, "final checkpoint written to "+*walPath+".snap"
-			durable = fmt.Sprintf("WAL %s, checkpoint every %d%s", *walPath, *ckptEvery, group)
+			durable = fmt.Sprintf("WAL %s, checkpoint every %d", *walPath, *ckptEvery)
 		} else if *savePath != "" {
 			final = func() error { return cat.SaveFile(nil, *savePath) }
 			finalMsg = "snapshot written to " + *savePath

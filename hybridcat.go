@@ -59,7 +59,7 @@ type Catalog = catalog.Catalog
 
 // Options configures a catalog: ingest policy (AutoRegister, Lenient),
 // the read caches' size (CacheSize; negative turns them off), the
-// instrumentation registry (Metrics, TraceDepth), and the A1
+// instrumentation registry (Metrics), and the A1
 // inverted-list ablation (DisableInvertedList). Structural queries have
 // one executor, over sorted instance-key lists, and ranked queries one
 // text index, built on the first ranked query; there is no switch for

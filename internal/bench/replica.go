@@ -23,11 +23,11 @@ import (
 // R2Replication quantifies the two halves of the replication design:
 //
 //   - group commit: the same corpus ingested by 1/2/4/8 concurrent
-//     writers with one fsync per commit vs batched group commit. With a
-//     single writer the two are equivalent (every batch holds one
-//     record); with concurrent writers group commit amortizes the fsync
-//     across the batch, so throughput should scale with writers instead
-//     of being serialized behind the sync queue.
+//     writers through the one durable commit path. A single writer pays
+//     one fsync per record with no collection window; concurrent writers
+//     queue behind the batch that is syncing and share the next fsync,
+//     so throughput should scale with writers instead of being
+//     serialized behind the sync queue.
 //   - replica lag: a live tailer follows the primary over HTTP while
 //     writers ingest at increasing rates; the lag samples show how far
 //     a replica trails (in log records) at each ingest rate and how
@@ -58,14 +58,13 @@ func R2Replication(o Options) (*Table, error) {
 	// exists to amortize.
 	const syncDelay = 2 * time.Millisecond
 
-	open := func(name string, fs faultio.FS, group bool) (*catalog.Catalog, error) {
+	open := func(name string, fs faultio.FS) (*catalog.Catalog, error) {
 		walPath := filepath.Join(dir, name, "cat.wal")
 		if err := os.MkdirAll(filepath.Dir(walPath), 0o755); err != nil {
 			return nil, err
 		}
 		return catalog.OpenDurable(g.Schema, catalog.Options{}, catalog.DurabilityOptions{
 			FS: fs, WALPath: walPath, CheckpointEvery: 0,
-			GroupCommit: group, GroupCommitWait: 200 * time.Microsecond,
 		})
 	}
 
@@ -100,30 +99,24 @@ func R2Replication(o Options) (*Table, error) {
 	}
 
 	for _, writers := range []int{1, 2, 4, 8} {
-		for _, mode := range []struct {
-			config string
-			group  bool
-		}{{"fsync-per-commit", false}, {"group-commit", true}} {
-			c, err := open(fmt.Sprintf("ingest-%s-%d", mode.config, writers),
-				faultio.NewSlowFS(faultio.OS{}, syncDelay), mode.group)
-			if err != nil {
-				return nil, err
-			}
-			wall, err := ingestConcurrent(c, writers)
-			if err != nil {
-				return nil, err
-			}
-			st := c.DurabilityStats()
-			detail := fmt.Sprintf("%.0f docs/s", float64(len(docs))/wall.Seconds())
-			if mode.group && st.Group.Batches > 0 {
-				detail += fmt.Sprintf(", %.2f recs/batch",
-					float64(st.Group.Records)/float64(st.Group.Batches))
-			}
-			t.AddRow("ingest", mode.config, writers, len(docs), wall,
-				wall/time.Duration(len(docs)), detail)
-			if err := c.Close(); err != nil {
-				return nil, err
-			}
+		c, err := open(fmt.Sprintf("ingest-%d", writers), faultio.NewSlowFS(faultio.OS{}, syncDelay))
+		if err != nil {
+			return nil, err
+		}
+		wall, err := ingestConcurrent(c, writers)
+		if err != nil {
+			return nil, err
+		}
+		st := c.DurabilityStats()
+		detail := fmt.Sprintf("%.0f docs/s", float64(len(docs))/wall.Seconds())
+		if st.Group.Batches > 0 {
+			detail += fmt.Sprintf(", %.2f recs/batch",
+				float64(st.Group.Records)/float64(st.Group.Batches))
+		}
+		t.AddRow("ingest", "group-commit", writers, len(docs), wall,
+			wall/time.Duration(len(docs)), detail)
+		if err := c.Close(); err != nil {
+			return nil, err
 		}
 	}
 
@@ -132,7 +125,7 @@ func R2Replication(o Options) (*Table, error) {
 	// while the ingest runs; convergence is timed after it stops.
 	lagDocs := o.scale(120)
 	for _, rate := range []int{100, 400, 0} { // docs/sec; 0 = unthrottled
-		c, err := open(fmt.Sprintf("lag-%d", rate), faultio.OS{}, true)
+		c, err := open(fmt.Sprintf("lag-%d", rate), faultio.OS{})
 		if err != nil {
 			return nil, err
 		}
@@ -228,9 +221,9 @@ func R2Replication(o Options) (*Table, error) {
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("ingest runs on a latency-modeled filesystem (%s per fsync) so the sync cost is realistic; replica-lag runs on the plain OS filesystem", syncDelay),
-		"both ingest configs fsync before acknowledging; group commit batches concurrent commits into one fsync (recs/batch shows the amortization)",
-		"with one writer group commit degenerates to fsync-per-commit (every batch holds one record), so those rows should match",
+		"every commit is fsynced before it is acknowledged; commits that queue while a batch syncs share the next fsync (recs/batch shows the amortization)",
+		"with one writer every batch holds one record and no collection window delays it: one fsync per document",
 		"replica lag is sampled every 2ms as primary published seq minus replica applied seq; catch-up is the drain time after the last commit",
-		"expected shape: fsync-per-commit throughput is flat in writers (serialized syncs); group commit scales with writers; lag grows with ingest rate but converges quickly once ingest stops")
+		"expected shape: throughput scales with writers as batches grow; lag grows with ingest rate but converges quickly once ingest stops")
 	return t, nil
 }

@@ -106,10 +106,8 @@ func (c *Catalog) IngestBatch(owner string, docs []*xmldoc.Node, workers int) ([
 	// Phase 2: ordered insertion. The whole batch runs as one mutation
 	// and so becomes one write-ahead log record: all-or-nothing on disk,
 	// and one fsync amortized over every document.
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var ids []int64
-	err := c.mutateLocked(func() error {
+	err := c.mutate(func() error {
 		if c.opts.AutoRegister {
 			if err := c.syncDefTables(); err != nil {
 				return err

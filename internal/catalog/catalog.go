@@ -51,13 +51,10 @@ type Options struct {
 	CacheSize int
 	// Metrics, when non-nil, instruments the catalog and everything under
 	// it (relstore tables, cache layers, the WAL, the query pipeline)
-	// onto the given registry, and enables the slow-query trace ring.
-	// Nil — the default — disables all instrumentation at nil-check cost.
+	// onto the given registry, and enables the slow-query trace ring of
+	// DefaultTraceDepth entries. Nil — the default — disables all
+	// instrumentation at nil-check cost.
 	Metrics *obs.Registry
-	// TraceDepth bounds the ring of slowest per-query traces kept for
-	// /debug/tracez. 0 uses DefaultTraceDepth; negative disables tracing
-	// while keeping metrics. Ignored without Metrics.
-	TraceDepth int
 }
 
 // Catalog is a hybrid XML-relational metadata catalog over one community
@@ -70,15 +67,16 @@ type Catalog struct {
 	shredder *core.Shredder
 	opts     Options
 
-	// mu serializes mutations (ingest, delete, publish, collection
-	// membership, dynamic registration) and guards the durability state
-	// (c.dur, c.tx, capture buffers). The read path does NOT
-	// take it: every read operation pins an immutable snapshot via
+	// mu serializes mutations' version builds (ingest, delete, publish,
+	// collection membership, dynamic registration) and guards c.dur,
+	// c.tx and the capture buffers. A durable writer releases it before
+	// waiting for its batch fsync (see durable.go). The read path does
+	// NOT take it: every read operation pins an immutable snapshot via
 	// pinView and runs lock-free against it (see view.go), overlapping
 	// freely with writers — who build the next version copy-on-write and
 	// publish it with one atomic pointer swap. Only Save and
-	// DurabilityStats still take the read side, to exclude writers while
-	// walking multiple live tables or the durability counters.
+	// DurabilityStats still take the read side, to exclude builds while
+	// pinning or reading the durability counters.
 	mu    sync.RWMutex
 	clock func() time.Time
 
@@ -91,8 +89,8 @@ type Catalog struct {
 	// Write-ahead capture (see durable.go). capturing/captured are only
 	// touched under the write lock: the relstore journal hook appends
 	// every applied row operation to captured while a mutation runs, so
-	// mutateLocked can commit them as one log record before the version
-	// swap, or abort the builder.
+	// mutate can commit them as one log record before the version swap,
+	// or abort the builder.
 	capturing bool
 	captured  []relstore.TableOp
 	dur       *durability
@@ -102,12 +100,6 @@ type Catalog struct {
 	// tables through c.wtab so their writes land in this builder instead
 	// of auto-committing per row. Guarded by the write lock.
 	tx *relstore.Tx
-
-	// crashAfterWALCommit, when set by the fault-injection tests, runs
-	// after the WAL record is durable but before the version swap; a
-	// non-nil return aborts the builder, simulating a crash in that
-	// window.
-	crashAfterWALCommit func() error
 
 	// follower marks a read-only replica catalog: every local mutation
 	// is refused with ErrReadOnlyReplica, and state advances only
@@ -410,10 +402,8 @@ func (c *Catalog) Ingest(owner string, doc *xmldoc.Node) (int64, error) {
 		return 0, err
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var id int64
-	err = c.mutateLocked(func() error {
+	err = c.mutate(func() error {
 		if c.opts.AutoRegister {
 			if err := c.syncDefTables(); err != nil {
 				return err
@@ -519,13 +509,11 @@ func (c *Catalog) AddAttribute(objectID int64, owner string, frag *xmldoc.Node) 
 	if decl == nil {
 		return fmt.Errorf("catalog: <%s> is not a metadata attribute of schema %s", frag.Tag, c.Schema.Name)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// All reads run inside the mutation's transaction (c.wtab): under
-	// group commit another writer's staged-but-unpublished version may
-	// be the base of this transaction, and reading the published tables
-	// instead would compute stale sibling counters.
-	return c.mutateLocked(func() error {
+	// All reads run inside the mutation's transaction (c.wtab): another
+	// writer's staged-but-unpublished version may be the base of this
+	// transaction, and reading the published tables instead would
+	// compute stale sibling counters.
+	return c.mutate(func() error {
 		ids, err := c.wtab(TObjects).LookupEqual("objects_pk", relstore.Int(objectID))
 		if err != nil {
 			return err
@@ -582,12 +570,10 @@ func (c *Catalog) AddAttribute(objectID int64, owner string, frag *xmldoc.Node) 
 // Delete removes an object and all its rows, reporting whether it
 // existed. A durability failure leaves the object in place.
 func (c *Catalog) Delete(id int64) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	existed := false
-	if err := c.mutateLocked(func() error {
+	if err := c.mutate(func() error {
 		// The existence check reads the transaction's view: a staged
-		// (group-committed, not yet published) ingest of this object must
+		// (durable-pending, not yet published) ingest of this object must
 		// count as existing or the delete would silently no-op.
 		ids, _ := c.wtab(TObjects).LookupEqual("objects_pk", relstore.Int(id))
 		if len(ids) == 0 {
@@ -666,9 +652,7 @@ func (c *Catalog) Objects() []ObjectInfo {
 // are visible only to their owner's queries (§1: the catalog must
 // "ensure the privacy of unpublished data and results").
 func (c *Catalog) SetPublished(id int64, published bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mutateLocked(func() error {
+	return c.mutate(func() error {
 		t := c.wtab(TObjects)
 		ids, err := t.LookupEqual("objects_pk", relstore.Int(id))
 		if err != nil {

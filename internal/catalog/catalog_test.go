@@ -72,22 +72,39 @@ func fig3Variant(t *testing.T, dx string) string {
 // TestCacheSurfacePinned and scripts/flagdoc.sh do for the cache
 // layers and mdserver's flags.
 func TestOptionsSurfacePinned(t *testing.T) {
-	want := []string{
+	pinFields(t, Options{},
 		"AutoRegister bool",
 		"Lenient bool",
 		"DisableInvertedList bool",
 		"CacheSize int",
 		"Metrics *obs.Registry",
-		"TraceDepth int",
-	}
-	typ := reflect.TypeOf(Options{})
+	)
+}
+
+// TestDurabilityOptionsSurfacePinned pins DurabilityOptions the same
+// way: the durable commit path has one policy, so no collection window,
+// batch size or per-commit fsync switch can come back as a field.
+func TestDurabilityOptionsSurfacePinned(t *testing.T) {
+	pinFields(t, DurabilityOptions{},
+		"FS faultio.FS",
+		"WALPath string",
+		"SnapshotPath string",
+		"CheckpointEvery int",
+		"NoSync bool",
+	)
+}
+
+// pinFields fails unless v's struct fields are exactly want, in order.
+func pinFields(t *testing.T, v any, want ...string) {
+	t.Helper()
+	typ := reflect.TypeOf(v)
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		got = append(got, f.Name+" "+f.Type.String())
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("catalog.Options fields:\n got %q\nwant %q", got, want)
+		t.Fatalf("%s fields:\n got %q\nwant %q", typ, got, want)
 	}
 }
 

@@ -71,12 +71,10 @@ func (c *Catalog) CreateCollection(name, owner string, parentID int64) (int64, e
 	if name == "" {
 		return 0, fmt.Errorf("catalog: collection needs a name")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var id int64
-	if err := c.mutateLocked(func() error {
+	if err := c.mutate(func() error {
 		// Reads run inside the mutation so they see the staged base, not a
-		// published version that may lag it under group-commit pipelining.
+		// published version that lags it while earlier commits sync.
 		collT := c.wtab(TCollections)
 		if parentID != 0 {
 			ids, err := collT.LookupEqual("collections_pk", relstore.Int(parentID))
@@ -103,9 +101,7 @@ func (c *Catalog) CreateCollection(name, owner string, parentID int64) (int64, e
 // AddToCollection places an object into a collection. Membership is
 // idempotent; an object may belong to several collections.
 func (c *Catalog) AddToCollection(collID, objectID int64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mutateLocked(func() error {
+	return c.mutate(func() error {
 		// All checks run against the staged base (see CreateCollection).
 		ids, err := c.wtab(TCollections).LookupEqual("collections_pk", relstore.Int(collID))
 		if err != nil {
@@ -137,9 +133,7 @@ func (c *Catalog) AddToCollection(collID, objectID int64) error {
 // RemoveFromCollection removes a membership, reporting whether it
 // existed. A durability failure leaves the membership in place.
 func (c *Catalog) RemoveFromCollection(collID, objectID int64) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.mutateLocked(func() error {
+	if err := c.mutate(func() error {
 		// Lookup runs against the staged base (see CreateCollection).
 		t := c.wtab(TMembers)
 		ids, _ := t.LookupEqual("members_pk", relstore.Int(collID), relstore.Int(objectID))

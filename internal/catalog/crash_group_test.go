@@ -11,93 +11,68 @@ import (
 	"github.com/gridmeta/hybridcat/internal/xmlschema"
 )
 
-// The group-commit crash matrix. Group commit moves the durability
-// boundary: a batch of records from concurrent writers becomes durable
-// with ONE fsync, and every follower in the batch is acknowledged only
-// after that fsync returns. Three crash windows need proof beyond the
-// base matrix:
+// Crash windows of the batched commit path beyond the sequential matrix
+// (crash_test.go). A batch of records from concurrent writers becomes
+// durable with ONE fsync, every writer in it is acknowledged only after
+// that fsync returns, and the commit that owes a checkpoint takes it
+// after its batch published:
 //
-//   - every filesystem crash point with group commit enabled (the
-//     sequential matrix re-run through the batching path),
+//   - a checkpoint after every commit: every mutation kind crosses the
+//     snapshot and log-reset crash points its own commit triggers,
 //   - mid-batch: the crash lands inside a batch's single write or
 //     fsync, so the batch is torn — recovery must keep every
 //     acknowledged operation and admit nothing that was never issued,
-//   - post-fsync-pre-ack: the batch is durable but no follower has
-//     been told — recovery must surface the whole batch (acked+batch),
-//     the group-commit analogue of the single-writer swap-point window.
+//   - post-fsync-pre-ack with the crashed record directly above a
+//     checkpoint's watermark.
 
-// openDurableGroupLEAD mirrors openDurableLEAD with group commit on and
-// an immediate (zero-wait) collection window, so the sequential matrix
-// stays deterministic while still exercising the batch path.
-func openDurableGroupLEAD(t *testing.T, fs faultio.FS, every int) (*Catalog, error) {
-	t.Helper()
-	c, err := OpenDurable(xmlschema.MustLEAD(), Options{}, DurabilityOptions{
-		FS: fs, WALPath: crashWAL, CheckpointEvery: every,
-		GroupCommit: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.clock = func() time.Time { return crashClock }
-	return c, nil
-}
-
-// TestGroupCrashMatrix re-runs the full filesystem crash matrix with
-// group commit enabled: every write/sync/rename/create/truncate crash
-// point, recovered state checked against the acked / acked+1 oracle.
+// TestGroupCrashMatrix runs the filesystem crash matrix with a
+// checkpoint after every commit: each step's commit publishes, then
+// writes the snapshot and resets the log, so every mutation kind meets
+// every snapshot and log-reset crash point.
 func TestGroupCrashMatrix(t *testing.T) {
-	ops := crashWorkload(t)
-	counts := countCrashPoints(t, ops, openDurableGroupLEAD)
-	total := 0
-	for _, kind := range []faultio.OpKind{faultio.OpWrite, faultio.OpSync, faultio.OpRename, faultio.OpCreate, faultio.OpTruncate} {
-		n := counts[kind]
-		total += n
-		for i := 1; i <= n; i++ {
-			kind, i := kind, i
-			t.Run(fmt.Sprintf("%s-%d", kind, i), func(t *testing.T) {
-				runCrashPoint(t, ops, faultio.Fault{
-					Op: kind, N: i, Mode: faultio.CrashOp, Torn: (i * 7) % 23,
-				}, openDurableGroupLEAD)
-			})
-		}
-	}
-	t.Logf("group crash matrix: %d fault points (%v)", total, counts)
+	runCrashMatrix(t, 1)
 }
 
 // TestGroupCrashMatrixConcurrentBatches crashes inside real multi-writer
-// batches: eight writers race single-record mutations through the group
-// path while the filesystem dies at the Nth write or sync. Concurrency
-// makes "the operation in flight" a set, so the oracle is containment,
-// checked per follower: every ACKED operation must survive recovery
-// (the fsync its leader reported covered its record), and nothing that
-// was never issued may appear.
+// batches: eight writers race single-record mutations while the
+// filesystem dies at the Nth write or sync. The device has a real flush
+// cost, so commits queue behind the batch that is syncing and batches
+// form with no collection window. Concurrency makes "the operation in
+// flight" a set, so the oracle is containment, checked per writer: every
+// ACKED operation must survive recovery (the fsync its batch reported
+// covered its record), and nothing that was never issued may appear.
 func TestGroupCrashMatrixConcurrentBatches(t *testing.T) {
+	largest := 0
 	for _, kind := range []faultio.OpKind{faultio.OpSync, faultio.OpWrite} {
 		// Crash points past the run's actual op count simply never fire
 		// and degrade to a fault-free run — still a valid oracle check.
 		for i := 1; i <= 12; i++ {
-			kind, i := kind, i
 			t.Run(fmt.Sprintf("%s-%d", kind, i), func(t *testing.T) {
-				runGroupBatchCrash(t, faultio.Fault{
+				largest = max(largest, runGroupBatchCrash(t, faultio.Fault{
 					Op: kind, N: i, Mode: faultio.CrashOp, Torn: (i * 5) % 17,
-				})
+				}))
 			})
 		}
 	}
+	if largest < 2 {
+		t.Errorf("largest batch held %d records: the writers never shared an fsync", largest)
+	}
 }
 
-func runGroupBatchCrash(t *testing.T, fault faultio.Fault) {
+// runGroupBatchCrash runs one concurrent crash point and returns the
+// largest batch the crashed catalog flushed.
+func runGroupBatchCrash(t *testing.T, fault faultio.Fault) int {
 	const writers, perWriter = 8, 6
 	mem := faultio.NewMemFS()
-	faulty := faultio.NewFaulty(mem, fault)
+	faulty := faultio.NewFaulty(faultio.NewSlowFS(mem, 500*time.Microsecond), fault)
 
 	var mu sync.Mutex
 	acked := map[string]bool{}
 	issued := map[string]bool{}
 
+	largest := 0
 	c, err := OpenDurable(xmlschema.MustLEAD(), Options{}, DurabilityOptions{
 		FS: faulty, WALPath: crashWAL, CheckpointEvery: 1000,
-		GroupCommit: true, GroupCommitWait: 200 * time.Microsecond,
 	})
 	if err == nil {
 		var wg sync.WaitGroup
@@ -125,13 +100,14 @@ func runGroupBatchCrash(t *testing.T, fault faultio.Fault) {
 			}(w)
 		}
 		wg.Wait()
+		largest = c.DurabilityStats().Group.LargestBatch
 	}
 	if t.Failed() {
-		return
+		return largest
 	}
 
 	mem.Crash()
-	rec, err := openDurableGroupLEAD(t, mem, 1000)
+	rec, err := openDurableLEAD(t, mem, 1000)
 	if err != nil {
 		t.Fatalf("recovery after batch crash at %+v (%d acked): %v", fault, len(acked), err)
 	}
@@ -156,55 +132,13 @@ func runGroupBatchCrash(t *testing.T, fault faultio.Fault) {
 	if err := rec.Close(); err != nil {
 		t.Fatalf("close after recovery: %v", err)
 	}
+	return largest
 }
 
-// TestGroupCrashPostFsyncPreAck pins the batch-boundary window the
-// filesystem matrix cannot name: the batch's fsync has returned, no
-// follower has been acknowledged, and the process dies. The AfterSync
-// hook snapshots the page cache (MemFS.Crash) at exactly that instant
-// for every workload step; recovery from the snapshot must land on
-// acked+batch — the durable record is in the log even though no caller
-// ever saw success.
+// TestGroupCrashPostFsyncPreAck runs the post-fsync-pre-ack crash of
+// every workload step with a checkpoint after every commit, so the
+// durable, unacknowledged record is the only one above the snapshot's
+// watermark: recovery is the snapshot plus exactly that record.
 func TestGroupCrashPostFsyncPreAck(t *testing.T) {
-	ops := crashWorkload(t)
-	for k := range ops {
-		k := k
-		t.Run(fmt.Sprintf("batch-%d-%s", k, ops[k].name), func(t *testing.T) {
-			mem := faultio.NewMemFS()
-			oracle := newOracleLEAD(t)
-			c, err := openDurableGroupLEAD(t, mem, 1000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < k; i++ {
-				if err := ops[i].run(c); err != nil {
-					t.Fatalf("%s: %v", ops[i].name, err)
-				}
-				if err := ops[i].run(oracle); err != nil {
-					t.Fatalf("oracle %s: %v", ops[i].name, err)
-				}
-			}
-			// Arm the window: the batch carrying ops[k] fsyncs, then the
-			// page cache freezes before any follower is acked.
-			c.dur.gw.AfterSync = func() { mem.Crash() }
-			if err := ops[k].run(c); err != nil {
-				// The fsync succeeded before the hook fired, so the live
-				// process still acks normally.
-				t.Fatalf("%s: %v", ops[k].name, err)
-			}
-			c.dur.gw.AfterSync = nil
-
-			rec, err := openDurableGroupLEAD(t, mem, 1000)
-			if err != nil {
-				t.Fatalf("recovery after post-fsync-pre-ack crash at %q: %v", ops[k].name, err)
-			}
-			if err := ops[k].run(oracle); err != nil {
-				t.Fatalf("oracle %s: %v", ops[k].name, err)
-			}
-			if got, want := stateFingerprint(rec), stateFingerprint(oracle); got != want {
-				t.Fatalf("post-fsync-pre-ack crash during %q: recovery must replay the durable batch (acked+batch):\n%s",
-					ops[k].name, diffFingerprint(want, got))
-			}
-		})
-	}
+	runPostFsyncCrashes(t, "batch", 1)
 }

@@ -201,16 +201,12 @@ func newOracleLEAD(t *testing.T) *Catalog {
 // their crash windows) interleave with the workload several times.
 const matrixCheckpointEvery = 4
 
-// durableOpener builds the catalog under test; the matrix runs once
-// with the plain fsync-per-commit opener and once with group commit.
-type durableOpener func(t *testing.T, fs faultio.FS, every int) (*Catalog, error)
-
 // countCrashPoints runs the workload fault-free on a counting wrapper
 // and returns the per-kind operation totals that size the matrix.
-func countCrashPoints(t *testing.T, ops []crashOp, open durableOpener) map[faultio.OpKind]int {
+func countCrashPoints(t *testing.T, ops []crashOp, every int) map[faultio.OpKind]int {
 	t.Helper()
 	faulty := faultio.NewFaulty(faultio.NewMemFS(), faultio.Fault{})
-	c, err := open(t, faulty, matrixCheckpointEvery)
+	c, err := openDurableLEAD(t, faulty, every)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +219,15 @@ func countCrashPoints(t *testing.T, ops []crashOp, open durableOpener) map[fault
 }
 
 func TestCrashMatrix(t *testing.T) {
+	runCrashMatrix(t, matrixCheckpointEvery)
+}
+
+// runCrashMatrix injects a crash at every write/sync/rename/create/
+// truncate the workload performs with a checkpoint every `every` commits,
+// one subtest per fault point.
+func runCrashMatrix(t *testing.T, every int) {
 	ops := crashWorkload(t)
-	counts := countCrashPoints(t, ops, openDurableLEAD)
+	counts := countCrashPoints(t, ops, every)
 	total := 0
 	for _, kind := range []faultio.OpKind{faultio.OpWrite, faultio.OpSync, faultio.OpRename, faultio.OpCreate, faultio.OpTruncate} {
 		n := counts[kind]
@@ -235,28 +238,27 @@ func TestCrashMatrix(t *testing.T) {
 		}
 		total += n
 		for i := 1; i <= n; i++ {
-			kind, i := kind, i
 			t.Run(fmt.Sprintf("%s-%d", kind, i), func(t *testing.T) {
 				runCrashPoint(t, ops, faultio.Fault{
 					Op: kind, N: i, Mode: faultio.CrashOp, Torn: (i * 7) % 23,
-				}, openDurableLEAD)
+				}, every)
 			})
 		}
 	}
-	t.Logf("crash matrix: %d fault points (%v)", total, counts)
+	t.Logf("crash matrix (checkpoint every %d): %d fault points (%v)", every, total, counts)
 }
 
 // runCrashPoint drives the workload into one crash point, recovers from
 // the surviving bytes, and checks the recovered state against the
 // oracle.
-func runCrashPoint(t *testing.T, ops []crashOp, fault faultio.Fault, open durableOpener) {
+func runCrashPoint(t *testing.T, ops []crashOp, fault faultio.Fault, every int) {
 	mem := faultio.NewMemFS()
 	faulty := faultio.NewFaulty(mem, fault)
 	oracle := newOracleLEAD(t)
 
 	acked := 0
 	var inFlight *crashOp
-	c, err := open(t, faulty, matrixCheckpointEvery)
+	c, err := openDurableLEAD(t, faulty, every)
 	if err == nil {
 		for i := range ops {
 			op := &ops[i]
@@ -278,7 +280,7 @@ func runCrashPoint(t *testing.T, ops []crashOp, fault faultio.Fault, open durabl
 
 	// The process dies: unsynced page-cache contents are dropped.
 	mem.Crash()
-	rec, err := open(t, mem, matrixCheckpointEvery)
+	rec, err := openDurableLEAD(t, mem, every)
 	if err != nil {
 		t.Fatalf("recovery after crash at %+v (acked %d): %v", fault, acked, err)
 	}
@@ -323,22 +325,26 @@ func diffFingerprint(want, got string) string {
 }
 
 // TestCrashMatrixSwapPoints covers the crash window the filesystem
-// matrix cannot name precisely: after the WAL record is durable but
-// before the version-pointer swap publishes it. The crashAfterWALCommit
-// hook kills each workload step exactly there. Two things must hold:
-// the live catalog must not have published the record (the snapshot
-// epoch is unchanged and the caller got ErrDurability, so the op is
-// unacknowledged), and recovery from the surviving bytes must land on
-// the acked+1 branch of the oracle, because the record did reach the
-// log before the process died.
+// matrix cannot name precisely: the record's batch fsync has returned,
+// but the version is neither published nor acknowledged.
 func TestCrashMatrixSwapPoints(t *testing.T) {
+	runPostFsyncCrashes(t, "swap", matrixCheckpointEvery)
+}
+
+// runPostFsyncCrashes kills each workload step at the group writer's
+// AfterSync hook, the one point between a batch's fsync and its
+// acknowledgement. The hook asserts that the live catalog has not
+// published the version (the epoch has not moved), then freezes the
+// disk as a crash would leave it. Recovery from the frozen disk must
+// land on the oracle's acked+1 branch: the record reached the log
+// before the process died.
+func runPostFsyncCrashes(t *testing.T, prefix string, every int) {
 	ops := crashWorkload(t)
 	for k := range ops {
-		k := k
-		t.Run(fmt.Sprintf("swap-%d-%s", k, ops[k].name), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s-%d-%s", prefix, k, ops[k].name), func(t *testing.T) {
 			mem := faultio.NewMemFS()
 			oracle := newOracleLEAD(t)
-			c, err := openDurableLEAD(t, mem, matrixCheckpointEvery)
+			c, err := openDurableLEAD(t, mem, every)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,33 +357,42 @@ func TestCrashMatrixSwapPoints(t *testing.T) {
 				}
 			}
 
-			injected := errors.New("crash between WAL append and pointer swap")
-			c.crashAfterWALCommit = func() error { return injected }
 			preEpoch := c.DB.Generation()
-			err = ops[k].run(c)
-			if err == nil {
-				t.Fatalf("%s succeeded despite the swap-point crash", ops[k].name)
+			var disk *faultio.MemFS
+			c.dur.gw.AfterSync = func() {
+				if disk != nil {
+					return
+				}
+				if got := c.DB.Generation(); got != preEpoch {
+					t.Errorf("%s: epoch %d -> %d before the batch was acknowledged", ops[k].name, preEpoch, got)
+				}
+				// The process dies here: only synced bytes survive.
+				mem.Crash()
+				disk = faultio.NewMemFS()
+				for _, name := range []string{crashWAL, crashWAL + ".snap"} {
+					if b := mem.Bytes(name); b != nil {
+						disk.SetBytes(name, b)
+					}
+				}
 			}
-			if !errors.Is(err, ErrDurability) {
-				t.Fatalf("%s failed with %v, want ErrDurability", ops[k].name, err)
+			// The live process, had it lived, acks normally.
+			if err := ops[k].run(c); err != nil {
+				t.Fatalf("%s: %v", ops[k].name, err)
 			}
-			if got := c.DB.Generation(); got != preEpoch {
-				t.Fatalf("%s: version pointer swapped (epoch %d -> %d) although the commit failed",
-					ops[k].name, preEpoch, got)
+			c.dur.gw.AfterSync = nil
+			if disk == nil {
+				t.Fatalf("%s committed no batch", ops[k].name)
 			}
 
-			// The process dies; the page cache is dropped. The WAL record
-			// was fsynced before the hook fired, so it survives.
-			mem.Crash()
-			rec, err := openDurableLEAD(t, mem, matrixCheckpointEvery)
+			rec, err := openDurableLEAD(t, disk, every)
 			if err != nil {
-				t.Fatalf("recovery after swap-point crash at %q: %v", ops[k].name, err)
+				t.Fatalf("recovery after post-fsync crash at %q: %v", ops[k].name, err)
 			}
 			if err := ops[k].run(oracle); err != nil {
 				t.Fatalf("oracle %s: %v", ops[k].name, err)
 			}
 			if got, want := stateFingerprint(rec), stateFingerprint(oracle); got != want {
-				t.Fatalf("swap-point crash during %q: recovery must replay the durable record (acked+1):\n%s",
+				t.Fatalf("post-fsync crash during %q: recovery must replay the durable record (acked+1):\n%s",
 					ops[k].name, diffFingerprint(want, got))
 			}
 			if _, err := rec.CreateCollection("post-crash", "ops", 0); err != nil {

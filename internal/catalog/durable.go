@@ -9,28 +9,36 @@ import (
 	"math"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/faultio"
-	"github.com/gridmeta/hybridcat/internal/obs"
 	"github.com/gridmeta/hybridcat/internal/relstore"
 	"github.com/gridmeta/hybridcat/internal/wal"
 	"github.com/gridmeta/hybridcat/internal/xmlschema"
 )
 
-// Durability: every mutating catalog operation runs inside mutateLocked,
+// Durability: every mutating catalog operation runs through mutate,
 // which applies fn's row operations to a copy-on-write relstore
-// transaction, captures them (via the relstore journal hook), commits
-// them as ONE write-ahead log record, and only then publishes the built
-// version with the atomic pointer swap. The journaled commit is
-// therefore build-version → append WAL → swap pointer: a mutation that
-// fails, or whose record cannot be made durable, simply aborts the
-// builder — there is no rollback code to get wrong, and readers never
-// observe a state the log does not contain. A multi-table mutation — an
-// ingest touching five tables, a whole batch — is atomic both on disk
-// and in memory: after a crash it is replayed entirely or not at all,
-// and no concurrent reader ever sees it half-applied.
+// transaction, captures them (via the relstore journal hook), freezes the
+// built version as the staging head (invisible to readers, but the base
+// of the next mutation's build), enqueues the operations as ONE
+// write-ahead log record with the group writer, and publishes the
+// version with an atomic pointer swap only once the record's batch is
+// durable. The journaled commit is therefore build-version → append WAL
+// → swap pointer: a mutation that fails, or whose record cannot be made
+// durable, never becomes visible — there is no rollback code to get
+// wrong, and readers never observe a state the log does not contain. A
+// multi-table mutation — an ingest touching five tables, a whole batch —
+// is atomic both on disk and in memory: after a crash it is replayed
+// entirely or not at all, and no concurrent reader ever sees it
+// half-applied.
+//
+// The catalog lock covers only the build: a writer releases it before
+// waiting for its batch fsync, so the next writer builds (on the staged
+// head) while this one syncs, and concurrent commits share one fsync. The
+// wait and the publish take only durability.mu.
 //
 // The log is physical (row contents), not logical (catalog operations),
 // so replay is deterministic: it does not depend on the clock, on
@@ -39,12 +47,13 @@ import (
 // stable across restarts; replay locates rows to delete or update by
 // content instead.
 //
-// Checkpoints bound recovery time: every CheckpointEvery commits the
-// catalog writes an atomic snapshot (temp + fsync + rename) carrying the
-// WAL high-water mark, then swaps in a fresh log. Replay skips records
-// at or below the snapshot's mark, so a crash between the snapshot
-// rename and the log swap — which leaves old records behind — recovers
-// correctly: the stale records are recognized and ignored.
+// Checkpoints bound recovery time: the commit that brings the count of
+// published records since the last checkpoint to CheckpointEvery writes
+// an atomic snapshot (temp + fsync + rename) carrying the WAL high-water
+// mark, then swaps in a fresh log. Replay skips records at or below the
+// snapshot's mark, so a crash between the snapshot rename and the log
+// swap — which leaves old records behind — recovers correctly: the stale
+// records are recognized and ignored.
 
 // ErrDurability marks a mutation that failed because its write-ahead
 // record (or a checkpoint) could not be made durable. The in-memory
@@ -65,65 +74,53 @@ type DurabilityOptions struct {
 	// CheckpointEvery checkpoints after that many committed records;
 	// 0 disables automatic checkpoints (explicit Checkpoint/Close only).
 	CheckpointEvery int
-	// NoSync skips the per-commit fsync; for measuring fsync cost only.
+	// NoSync skips the per-batch fsync; for measuring fsync cost only.
 	NoSync bool
-	// GroupCommit coalesces concurrent mutations' log records into
-	// shared fsyncs: each mutation stages its version (invisible to
-	// readers), enqueues its record with the batching group writer, and
-	// publishes only after the batch fsync — so "readers never observe a
-	// state the log does not contain" holds exactly as in
-	// fsync-per-commit mode, while N concurrent writers pay ~1 fsync per
-	// batch instead of N.
-	GroupCommit bool
-	// GroupCommitWait is the batch leader's collection window; 0 flushes
-	// immediately (still coalescing whatever queued while the previous
-	// batch synced). Ignored without GroupCommit.
-	GroupCommitWait time.Duration
-	// GroupCommitBatch caps a batch's record count (values < 1 default
-	// to 64). Ignored without GroupCommit.
-	GroupCommitBatch int
 }
 
-// durability is the catalog's attached log + checkpoint state; all
-// fields are guarded by the catalog's write lock except where noted.
+// durability is the catalog's attached log + checkpoint state. The
+// fields above mu are fixed at OpenDurable; the catalog's write lock
+// guards the checkpoint counters; mu guards the rest, which writers
+// update after releasing the catalog lock.
 type durability struct {
 	fs       faultio.FS
 	w        *wal.Writer
-	gw       *wal.GroupWriter // nil in fsync-per-commit mode
+	gw       *wal.GroupWriter
 	snapPath string
 	every    int
 
+	checkpoints       uint64
+	lastCheckpointErr error
+
+	mu sync.Mutex
 	// publishedSeq is the log sequence of the last mutation whose
 	// version readers can see — the replication watermark a snapshot
-	// carries. In group-commit mode it trails the log's LastSeq while
-	// staged commits await their batch fsync.
+	// carries. It trails the log's LastSeq while staged commits await
+	// their batch fsync. Written together with the published version, so
+	// a pin taken under mu sees a matching pair.
 	publishedSeq uint64
-	// staged is the chain of precommitted-but-unpublished group commits,
-	// in epoch (= enqueue = log sequence) order.
+	// staged is the chain of precommitted-but-unpublished commits, in
+	// epoch (= enqueue = log sequence) order.
 	staged []*stagedCommit
 	// notify is closed and replaced on every publish; the replication
 	// stream's long poll waits on it instead of busy-polling.
 	notify chan struct{}
-
-	sinceCheckpoint   int
-	checkpoints       uint64
-	lastCheckpointErr error
+	// sinceCheckpoint counts records published since the last checkpoint.
+	sinceCheckpoint int
 }
 
-// stagedCommit pairs one group-committed mutation's frozen version with
-// the log ticket that will make its record durable.
+// stagedCommit pairs one mutation's frozen version with the log ticket
+// that will make its record durable.
 type stagedCommit struct {
 	staged *relstore.Staged
 	ticket *wal.Ticket
-	nops   int
 }
 
 // DurabilityStats reports the durability subsystem's counters.
 type DurabilityStats struct {
 	Enabled             bool           `json:"enabled"`
 	WAL                 wal.Stats      `json:"wal"`
-	GroupCommit         bool           `json:"group_commit"`
-	Group               wal.GroupStats `json:"group,omitempty"`
+	Group               wal.GroupStats `json:"group"`
 	PublishedSeq        uint64         `json:"published_seq"`
 	StagedDepth         int            `json:"staged_depth"`
 	Checkpoints         uint64         `json:"checkpoints"`
@@ -203,45 +200,34 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 	w.SetNextSeq(fromSeq + 1)
 	w.NoSync = dopts.NoSync
 	w.SetMetrics(c.obsv.reg)
+	gw := wal.NewGroupWriter(w)
+	gw.SetMetrics(c.obsv.reg)
 	c.dur = &durability{
 		fs:           fs,
 		w:            w,
+		gw:           gw,
 		snapPath:     snapPath,
 		every:        dopts.CheckpointEvery,
 		publishedSeq: w.LastSeq(),
 		notify:       make(chan struct{}),
 	}
-	if dopts.GroupCommit {
-		c.dur.gw = wal.NewGroupWriter(w, dopts.GroupCommitWait, dopts.GroupCommitBatch)
-		c.dur.gw.SetMetrics(c.obsv.reg)
-	}
 	return c, nil
 }
 
-// mutate runs fn under the write lock with durability semantics.
-func (c *Catalog) mutate(fn func() error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mutateLocked(fn)
-}
-
-// mutateLocked is the single funnel every mutation goes through,
-// implementing the journaled commit as build-version → append WAL →
-// swap pointer. fn's row operations apply to a copy-on-write relstore
+// mutate is the single funnel every mutation goes through. Under the
+// catalog lock, fn's row operations apply to a copy-on-write relstore
 // transaction (fn must address tables through c.wtab) and are captured
-// via the journal hook; if fn fails, or the captured operations cannot
-// be committed to the write-ahead log, the builder is aborted and the
-// published version never changes — readers cannot observe a state
-// recovery would not rebuild. Requires c.mu held for writing.
-func (c *Catalog) mutateLocked(fn func() error) error {
-	if c.capturing {
-		// Nested mutation (a caller composing mutating helpers): the
-		// outermost frame owns the transaction, capture, and commit.
-		return fn()
-	}
+// via the journal hook. A failed fn, or one that changed nothing, aborts
+// the builder, so the published version never moves. On a durable
+// catalog the built version is staged and its record enqueued before the
+// lock is released; the writer then waits for the batch fsync without
+// the lock and publishes (see the package comment above). On a catalog
+// without a log the version is published at once.
+func (c *Catalog) mutate(fn func() error) error {
 	if c.follower {
 		return ErrReadOnlyReplica
 	}
+	c.mu.Lock()
 	tr, done := c.beginOp("mutate", c.obsv.opMutate)
 	defer done()
 	tx := c.DB.Begin()
@@ -249,124 +235,66 @@ func (c *Catalog) mutateLocked(fn func() error) error {
 	c.capturing = true
 	c.captured = c.captured[:0]
 	err := fn()
-	ops := c.captured
 	c.capturing = false
-	if err != nil {
-		c.tx = nil
+	c.tx = nil
+	nops := len(c.captured)
+	d := c.dur
+	switch {
+	case err != nil || nops == 0:
 		tx.Abort()
+		c.mu.Unlock()
 		return err
-	}
-	if c.dur != nil && len(ops) > 0 && c.dur.gw != nil {
-		return c.groupCommitLocked(tr, tx, ops)
-	}
-	if c.dur != nil && len(ops) > 0 {
-		payload := encodeOps(ops)
-		start := time.Now()
-		seq, derr := c.dur.w.Commit(payload)
-		if derr == nil {
-			d := time.Since(start)
-			c.obsv.walCommitNanos.Observe(d.Nanoseconds())
-			tr.AddStage("wal_commit", start, d, int64(len(ops)))
-		}
-		if derr == nil && c.crashAfterWALCommit != nil {
-			// Fault-injection point for the crash matrix: the record is
-			// durable but the pointer swap has not happened yet.
-			derr = c.crashAfterWALCommit()
-		}
-		if derr != nil {
-			c.tx = nil
-			tx.Abort()
-			return fmt.Errorf("%w: %v", ErrDurability, derr)
-		}
-		c.tx = nil
+	case d == nil:
 		tx.Commit()
 		c.obsv.versionSwaps.Inc()
-		c.dur.publishedSeq = seq
-		c.notifyCommitLocked()
-		c.dur.sinceCheckpoint++
-		if c.dur.every > 0 && c.dur.sinceCheckpoint >= c.dur.every {
-			// A failed automatic checkpoint must not fail the mutation —
-			// the record IS durable in the log; surface it via stats. The
-			// snapshot runs after the swap, so it sees the new version.
-			c.dur.lastCheckpointErr = c.checkpointLocked()
-		}
+		c.mu.Unlock()
 		return nil
 	}
-	if c.dur != nil && c.dur.gw != nil && len(ops) == 0 {
-		// A no-op mutation in group mode must NOT publish: its builder
-		// was based on the staged (possibly not yet durable) head, and
-		// committing it would leak staged writes to readers before their
-		// batch fsync. Nothing changed, so aborting loses nothing.
-		c.tx = nil
-		tx.Abort()
-		return nil
-	}
-	c.tx = nil
-	tx.Commit()
-	c.obsv.versionSwaps.Inc()
-	return nil
-}
-
-// groupCommitLocked finishes a mutation on the group-commit path: it
-// freezes the built version as the staging head (invisible to readers,
-// but the base for the next mutation — so writers pipeline), enqueues
-// the record with the batching group writer, releases the catalog lock
-// for the duration of the shared fsync, and on reacquiring it publishes
-// every staged version whose record is durable, in log order. A batch
-// failure runs the heal protocol instead: publish the durable prefix of
-// the staged chain, abandon the rest, and un-poison the group.
-//
-// fn-visible reads during a group-committed mutation observe the staged
-// chain (relstore.Begin bases on the staging head), which is exactly
-// the state the log will contain once the already-enqueued batches
-// sync — so the recovery invariant is preserved: no acknowledged or
-// published state exists that replay would not rebuild.
-func (c *Catalog) groupCommitLocked(tr *obs.Trace, tx *relstore.Tx, ops []relstore.TableOp) error {
-	d := c.dur
-	c.tx = nil
-	staged := tx.Precommit()
-	sc := &stagedCommit{staged: staged, ticket: d.gw.Enqueue(encodeOps(ops)), nops: len(ops)}
+	// Enqueue order must be epoch order, so both happen under the lock.
+	sc := &stagedCommit{staged: tx.Precommit(), ticket: d.gw.Enqueue(encodeOps(c.captured))}
+	d.mu.Lock()
 	d.staged = append(d.staged, sc)
-
+	d.mu.Unlock()
 	c.mu.Unlock()
+
 	start := time.Now()
 	_, werr := sc.ticket.Wait()
-	dur := time.Since(start)
-	c.mu.Lock()
-
-	if c.dur == nil {
-		// Closed while we waited: Close drained and published the whole
-		// staged chain before detaching, so a successful ticket's version
-		// is already visible; Publish is an idempotent no-op. A failed
-		// ticket's version was abandoned by the close-time heal.
-		if werr == nil {
-			c.DB.Publish(staged)
-			return nil
-		}
-		return fmt.Errorf("%w: %v", ErrDurability, werr)
-	}
+	wait := time.Since(start)
 	if werr != nil {
-		c.healGroupLocked()
+		c.mu.Lock()
+		if c.dur == d {
+			c.healGroupLocked()
+		}
+		c.mu.Unlock()
 		return fmt.Errorf("%w: %v", ErrDurability, werr)
 	}
-	c.obsv.walCommitNanos.Observe(dur.Nanoseconds())
-	tr.AddStage("wal_commit", start, dur, int64(len(ops)))
-	c.publishStagedLocked()
-	if d.every > 0 && d.sinceCheckpoint >= d.every {
-		d.lastCheckpointErr = c.checkpointLocked()
+	c.obsv.walCommitNanos.Observe(wait.Nanoseconds())
+	tr.AddStage("wal_commit", start, wait, int64(nops))
+	c.publishDurable(d)
+	if d.checkpointDue() {
+		c.mu.Lock()
+		if c.dur == d && d.checkpointDue() {
+			// A failed automatic checkpoint must not fail the mutation —
+			// the record IS durable in the log; surface it via stats.
+			d.lastCheckpointErr = c.checkpointLocked()
+		}
+		c.mu.Unlock()
 	}
 	return nil
 }
 
-// publishStagedLocked publishes the longest prefix of the staged chain
-// whose records are durable, advancing the replication watermark and
-// waking stream long-polls. Stops at the first still-pending or failed
-// entry; the heal path owns failed suffixes.
-func (c *Catalog) publishStagedLocked() {
-	d := c.dur
-	published := false
-	for len(d.staged) > 0 {
-		sc := d.staged[0]
+// publishDurable publishes the longest prefix of d's staged chain whose
+// records are durable, advancing the replication watermark and waking
+// stream long-polls. It stops at the first still-pending or failed
+// entry; the heal path owns failed suffixes. A writer whose ticket
+// succeeded always finds its own entry in that prefix (or already
+// published by another writer): batches are acknowledged in log order,
+// and a failure fails everything after it.
+func (c *Catalog) publishDurable(d *durability) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	for _, sc := range d.staged {
 		if !sc.ticket.Done() {
 			break
 		}
@@ -376,14 +304,23 @@ func (c *Catalog) publishStagedLocked() {
 		}
 		c.DB.Publish(sc.staged)
 		d.publishedSeq = seq
-		d.staged = d.staged[1:]
-		d.sinceCheckpoint++
-		c.obsv.versionSwaps.Inc()
-		published = true
+		n++
 	}
-	if published {
-		c.notifyCommitLocked()
+	if n > 0 {
+		d.staged = d.staged[n:]
+		d.sinceCheckpoint += n
+		c.obsv.versionSwaps.Add(uint64(n))
+		close(d.notify)
+		d.notify = make(chan struct{})
 	}
+}
+
+// checkpointDue reports whether the published records since the last
+// checkpoint reached CheckpointEvery.
+func (d *durability) checkpointDue() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.every > 0 && d.sinceCheckpoint >= d.every
 }
 
 // healGroupLocked reconciles in-memory state with the log after a group
@@ -391,12 +328,14 @@ func (c *Catalog) publishStagedLocked() {
 // the failed suffix — whose records were rolled back out of the log and
 // whose sequence numbers were never consumed — is abandoned (the next
 // Begin bases on the published version again), and the group writer is
-// un-poisoned so later mutations proceed. Idempotent: every failed
-// waiter calls it on reacquiring the lock, and all but the first find
-// nothing to do.
+// un-poisoned so later mutations proceed. Requires c.mu, which keeps
+// every build out while the staging head is reset. Idempotent: every
+// failed waiter calls it, and all but the first find nothing to do.
 func (c *Catalog) healGroupLocked() {
 	d := c.dur
-	c.publishStagedLocked()
+	c.publishDurable(d)
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if len(d.staged) == 0 {
 		return
 	}
@@ -411,20 +350,13 @@ func (c *Catalog) healGroupLocked() {
 	if _, err := head.ticket.Result(); err == nil {
 		return
 	}
-	d.staged = d.staged[:0]
+	d.staged = nil
 	c.DB.ResetHead()
 	if d.gw.Poisoned() != nil {
 		// Heal fails only if the log writer itself is wedged; leave the
 		// poison in place then — Wedged()/healthz surface it.
 		_ = d.gw.Heal()
 	}
-}
-
-// notifyCommitLocked wakes everything blocked on CommitNotify by
-// closing and replacing the notification channel.
-func (c *Catalog) notifyCommitLocked() {
-	close(c.dur.notify)
-	c.dur.notify = make(chan struct{})
 }
 
 // withTx runs fn with c.tx bound to one relstore transaction, without
@@ -552,7 +484,7 @@ func decodeOps(payload []byte) ([]walOp, error) {
 // (ImportWAL) share. apply decodes a record and replays its row
 // operations into the catalog's open transaction, noting whether they
 // touched state the rows alone do not restore; finish rebuilds that
-// state once the run is in. Each caller keeps its own record policy:
+// state once the run is in (ImportWAL does the two halves itself). Each caller keeps its own record policy:
 // the snapshot-watermark skip, the cursor check, re-journaling.
 type replayer struct {
 	c          *Catalog
@@ -679,11 +611,12 @@ func rowsIdentical(a, b relstore.Row) bool {
 }
 
 // restoreRegistryFromTables rebuilds the attribute/element registry from
-// the mirrored definition tables; used after log replay, which restores
-// those tables but cannot touch the registry directly.
+// the mirrored definition tables (through c.wtab); used after log
+// replay, which restores those tables but cannot touch the registry
+// directly.
 func (c *Catalog) restoreRegistryFromTables() error {
 	var attrs []core.AttrDef
-	c.DB.MustTable(TAttrDef).Scan(func(_ int64, r relstore.Row) bool {
+	c.wtab(TAttrDef).Scan(func(_ int64, r relstore.Row) bool {
 		attrs = append(attrs, core.AttrDef{
 			ID: r[0].I, Name: r[1].S, Source: r[2].S, ParentID: r[3].I,
 			SchemaOrder: int(r[4].I), Queryable: r[5].AsBool(),
@@ -693,7 +626,7 @@ func (c *Catalog) restoreRegistryFromTables() error {
 	})
 	var elems []core.ElemDef
 	var elemErr error
-	c.DB.MustTable(TElemDef).Scan(func(_ int64, r relstore.Row) bool {
+	c.wtab(TElemDef).Scan(func(_ int64, r relstore.Row) bool {
 		dt, err := core.ParseDataType(r[4].S)
 		if err != nil {
 			elemErr = fmt.Errorf("elem_def %d: %w", r[0].I, err)
@@ -731,21 +664,21 @@ func (c *Catalog) Checkpoint() error {
 // snapshot's mark.
 func (c *Catalog) checkpointLocked() error {
 	d := c.dur
-	if d.gw != nil {
-		// Quiesce the group first: wait out in-flight batches (their
-		// flushes run on waiter goroutines that do not need the catalog
-		// lock we hold), publish everything durable, and heal any failed
-		// suffix — so the snapshot sees a state where publishedSeq equals
-		// the log's last sequence and the log swap below loses nothing.
-		d.gw.Drain()
-		c.publishStagedLocked()
-		c.healGroupLocked()
-	}
+	// Quiesce the group first: wait out in-flight batches (their flushes
+	// run on waiter goroutines that do not need the catalog lock we
+	// hold), publish everything durable, and heal any failed suffix — so
+	// the snapshot sees a state where publishedSeq equals the log's last
+	// sequence and the log swap below loses nothing. The lock keeps new
+	// records out until the swap.
+	d.gw.Drain()
+	c.healGroupLocked()
 	if err := saveFile(d.fs, d.snapPath, c.Schema, c.pinLocked()); err != nil {
 		return fmt.Errorf("%w: checkpoint snapshot: %v", ErrDurability, err)
 	}
 	// The snapshot is durable: recovery no longer needs the log records.
+	d.mu.Lock()
 	d.sinceCheckpoint = 0
+	d.mu.Unlock()
 	d.checkpoints++
 	c.obsv.checkpoints.Inc()
 	if err := d.w.Reset(d.w.LastSeq() + 1); err != nil {
@@ -788,11 +721,14 @@ func (c *Catalog) Wedged() error {
 // effects readers can observe: the replication watermark.
 func (c *Catalog) PublishedSeq() uint64 {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.dur == nil {
+	d := c.dur
+	c.mu.RUnlock()
+	if d == nil {
 		return 0
 	}
-	return c.dur.publishedSeq
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.publishedSeq
 }
 
 // WALSince returns the durable log records with sequence numbers above
@@ -827,13 +763,16 @@ func (c *Catalog) durWriter() *wal.Writer {
 // busy-polling WALSince.
 func (c *Catalog) CommitNotify() <-chan struct{} {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.dur == nil {
+	d := c.dur
+	c.mu.RUnlock()
+	if d == nil {
 		closed := make(chan struct{})
 		close(closed)
 		return closed
 	}
-	return c.dur.notify
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.notify
 }
 
 // ReplicationSnapshot writes a bootstrap snapshot for a replica that
@@ -860,21 +799,21 @@ func (c *Catalog) DurabilityStats() DurabilityStats {
 	if c.dur == nil {
 		return DurabilityStats{}
 	}
+	d := c.dur
 	s := DurabilityStats{
 		Enabled:         true,
-		WAL:             c.dur.w.Stats(),
-		GroupCommit:     c.dur.gw != nil,
-		PublishedSeq:    c.dur.publishedSeq,
-		StagedDepth:     len(c.dur.staged),
-		Checkpoints:     c.dur.checkpoints,
-		SinceCheckpoint: c.dur.sinceCheckpoint,
-		CheckpointEvery: c.dur.every,
+		WAL:             d.w.Stats(),
+		Group:           d.gw.Stats(),
+		Checkpoints:     d.checkpoints,
+		CheckpointEvery: d.every,
 	}
-	if c.dur.gw != nil {
-		s.Group = c.dur.gw.Stats()
+	if d.lastCheckpointErr != nil {
+		s.LastCheckpointError = d.lastCheckpointErr.Error()
 	}
-	if c.dur.lastCheckpointErr != nil {
-		s.LastCheckpointError = c.dur.lastCheckpointErr.Error()
-	}
+	d.mu.Lock()
+	s.PublishedSeq = d.publishedSeq
+	s.StagedDepth = len(d.staged)
+	s.SinceCheckpoint = d.sinceCheckpoint
+	d.mu.Unlock()
 	return s
 }

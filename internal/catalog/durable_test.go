@@ -302,6 +302,77 @@ func TestFaultConcurrentMutationsAndReads(t *testing.T) {
 	}
 }
 
+// TestEmptyMutationPublishesNothing: a mutation that changes no row —
+// here a repeated AddToCollection — aborts on a durable catalog and on
+// one without a log alike, so the published epoch, which stamps every
+// cache entry, does not move.
+func TestEmptyMutationPublishesNothing(t *testing.T) {
+	durable, err := openDurableLEAD(t, faultio.NewMemFS(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := crashWorkload(t)
+	for name, c := range map[string]*Catalog{"open": newOracleLEAD(t), "durable": durable} {
+		for _, op := range ops[:10] { // through add-member-1
+			if err := op.run(c); err != nil {
+				t.Fatalf("%s: %s: %v", name, op.name, err)
+			}
+		}
+		gen := c.DB.Generation()
+		if err := c.AddToCollection(1, 1); err != nil {
+			t.Fatalf("%s: repeated AddToCollection: %v", name, err)
+		}
+		if got := c.DB.Generation(); got != gen {
+			t.Errorf("%s: repeated AddToCollection moved the epoch %d -> %d", name, gen, got)
+		}
+	}
+}
+
+// TestGroupCommitAckDoesNotWaitForNextBuild: a writer whose batch is
+// durable publishes and returns without the catalog lock, so the next
+// writer's build, which holds that lock, cannot delay the
+// acknowledgement. Writer B is parked inside its mutation once A's
+// record is synced; A's ingest must still return, already visible.
+func TestGroupCommitAckDoesNotWaitForNextBuild(t *testing.T) {
+	c, err := openDurableLEAD(t, faultio.NewMemFS(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	bDone := make(chan error, 1)
+	c.dur.gw.AfterSync = func() {
+		go func() {
+			bDone <- c.mutate(func() error {
+				close(parked)
+				<-release
+				return nil
+			})
+		}()
+		<-parked // B holds the build lock; A's batch is durable
+	}
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := c.IngestXML("scientist", xmlschema.Figure3Document)
+		aDone <- err
+	}()
+	select {
+	case err := <-aDone:
+		if err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("the acknowledgement waited for the next writer's build")
+	}
+	if n := c.ObjectCount(); n != 1 {
+		t.Errorf("acknowledged ingest not published: %d objects", n)
+	}
+	close(release)
+	if err := <-bDone; err != nil {
+		t.Fatalf("parked writer: %v", err)
+	}
+}
+
 // TestFaultCorruptWALRefusedAtBoot: rotted interior log bytes must stop
 // recovery rather than silently load partial history.
 func TestFaultCorruptWALRefusedAtBoot(t *testing.T) {

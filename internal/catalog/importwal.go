@@ -20,19 +20,32 @@ func (c *Catalog) ImportWAL(recs []wal.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	rp := replayer{c: c}
-	err := c.mutateLocked(func() error {
+	err := c.mutate(func() error {
 		for _, rec := range recs {
 			if _, err := rp.apply(rec); err != nil {
 				return fmt.Errorf("catalog: import record %d: %w", rec.Seq, err)
 			}
 		}
+		// The ID allocators live outside the versioned state, so they
+		// advance inside the build: no later build can hand out an
+		// imported ID, and an aborted import only skips IDs.
+		if rp.idTouched {
+			c.fixAutoIDs()
+		}
 		return nil
 	})
-	if err != nil {
+	if err != nil || !rp.defTouched {
 		return err
 	}
-	return rp.finish()
+	// The registry is rebuilt once the import is durable. The lock keeps
+	// builds out, and a transaction on the staging head sees the
+	// definition rows of commits still waiting for their fsync too.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tx := c.DB.Begin()
+	defer tx.Abort()
+	c.tx = tx
+	defer func() { c.tx = nil }()
+	return c.restoreRegistryFromTables()
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // DefaultTraceDepth is the slow-trace ring capacity when Options.Metrics
-// is set and Options.TraceDepth is zero.
+// is set.
 const DefaultTraceDepth = 32
 
 // catObs groups the catalog's instrument handles. Every field is nil
@@ -22,7 +22,8 @@ const DefaultTraceDepth = 32
 //	                          cardinality) per criterion probe
 //	query_intersect_cardinality  per-criterion object-set size
 //	                          entering the intersect stage
-//	catalog_wal_commit_nanos  full WAL commit (append + fsync) latency
+//	catalog_wal_commit_nanos  WAL commit wait: enqueue to durable batch
+//	                          (append + fsync, plus any batch ahead)
 //	catalog_checkpoints_total
 //	catalog_recovery_replayed_records_total / _ops_total
 //	catalog_wedged                    1 when durability refuses mutations
@@ -71,17 +72,13 @@ func (c *Catalog) initObs() {
 	if reg == nil {
 		return
 	}
-	depth := c.opts.TraceDepth
-	if depth == 0 {
-		depth = DefaultTraceDepth
-	}
 	op := func(name string) *obs.Histogram { return reg.Histogram("catalog_op_nanos", obs.L("op", name)) }
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("query_stage_nanos", obs.L("stage", name))
 	}
 	c.obsv = catObs{
 		reg:  reg,
-		ring: obs.NewTraceRing(depth), // negative depth disables tracing
+		ring: obs.NewTraceRing(DefaultTraceDepth),
 
 		opEvaluate: op("evaluate"),
 		opSearch:   op("search"),
@@ -144,8 +141,8 @@ func (c *Catalog) initObs() {
 // catalog was opened without one.
 func (c *Catalog) Metrics() *obs.Registry { return c.obsv.reg }
 
-// Traces returns the ring of slowest recorded traces, or nil when
-// tracing is off (no registry, or a negative TraceDepth).
+// Traces returns the ring of slowest recorded traces, or nil when the
+// catalog was opened without a metrics registry.
 func (c *Catalog) Traces() *obs.TraceRing { return c.obsv.ring }
 
 // noopStage is the shared no-op stage closure for uninstrumented paths.

@@ -96,17 +96,23 @@ type pin struct {
 // database is pinned before the registry, so every definition a pinned
 // row references is present (registry versions are copy-on-write, so
 // the definition pointers stay valid). The watermark is the PUBLISHED
-// sequence, not the log's LastSeq: in group-commit mode the log may hold
-// records whose staged versions are not yet visible, and the pinned
-// version does not contain them — claiming their sequences would make
-// recovery skip them.
+// sequence, not the log's LastSeq: the log may hold records whose staged
+// versions are not yet visible, and the pinned version does not contain
+// them — claiming their sequences would make recovery skip them. Writers
+// publish without c.mu, so the version and its sequence are read
+// together under the durability mutex they publish under.
 func (c *Catalog) pinLocked() pin {
-	p := pin{db: c.DB.Snapshot()}
+	var p pin
+	if d := c.dur; d != nil {
+		d.mu.Lock()
+		p.db = c.DB.Snapshot()
+		p.walSeq = d.publishedSeq
+		d.mu.Unlock()
+	} else {
+		p.db = c.DB.Snapshot()
+	}
 	p.attrs = c.Reg.Attrs()
 	p.elems = c.Reg.Elems()
-	if c.dur != nil {
-		p.walSeq = c.dur.publishedSeq
-	}
 	return p
 }
 
@@ -323,21 +329,17 @@ func readSnapshot(r io.Reader) (*snapshot, []byte, error) {
 }
 
 // fixAutoIDs advances the auto-ID counters past the highest restored
-// IDs. The caller holds no locks the tables care about (recovery is
-// single-goroutine).
+// IDs, reading the open transaction when one is bound (see c.wtab).
 func (c *Catalog) fixAutoIDs() {
-	maxID := func(name string, col int) int64 {
+	for _, name := range []string{TObjects, TCollections} {
+		t := c.wtab(name)
 		var m int64
-		c.DB.MustTable(name).Scan(func(_ int64, r relstore.Row) bool {
-			if r[col].I > m {
-				m = r[col].I
-			}
+		t.Scan(func(_ int64, r relstore.Row) bool {
+			m = max(m, r[0].I)
 			return true
 		})
-		return m
+		t.EnsureAutoID(m)
 	}
-	c.DB.MustTable(TObjects).EnsureAutoID(maxID(TObjects, 0))
-	c.DB.MustTable(TCollections).EnsureAutoID(maxID(TCollections, 0))
 }
 
 // SaveFile atomically writes a snapshot to path: the container is

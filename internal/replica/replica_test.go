@@ -31,7 +31,7 @@ import (
 
 const testWAL = "primary.wal"
 
-// primary bundles a durable group-commit catalog with its HTTP server.
+// primary bundles a durable catalog with its HTTP server.
 type primary struct {
 	mem *faultio.MemFS
 	cat *catalog.Catalog
@@ -71,7 +71,6 @@ func (p *primary) open(t *testing.T, every int) {
 	t.Helper()
 	c, err := catalog.OpenDurable(xmlschema.MustLEAD(), catalog.Options{}, catalog.DurabilityOptions{
 		FS: p.mem, WALPath: testWAL, CheckpointEvery: every,
-		GroupCommit: true, GroupCommitWait: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,13 +15,12 @@ import (
 	"github.com/gridmeta/hybridcat/internal/xmlschema"
 )
 
-// newDurableServer serves a durable catalog (group commit on) from an
-// in-memory filesystem, for the replication endpoint tests.
+// newDurableServer serves a durable catalog from an in-memory
+// filesystem, for the replication endpoint tests.
 func newDurableServer(t *testing.T, fs faultio.FS, every int) (*httptest.Server, *catalog.Catalog) {
 	t.Helper()
 	cat, err := catalog.OpenDurable(xmlschema.MustLEAD(), catalog.Options{}, catalog.DurabilityOptions{
 		FS: fs, WALPath: "svc.wal", CheckpointEvery: every,
-		GroupCommit: true,
 	})
 	if err != nil {
 		t.Fatal(err)

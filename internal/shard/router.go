@@ -14,7 +14,7 @@ import (
 
 // Router semantics. Writes are single-shard: a document belongs to its
 // owner's shard, so ingest, delete, and publish go through exactly one
-// catalog's group-commit path and the acknowledged-write guarantees are
+// catalog's durable commit path and the acknowledged-write guarantees are
 // the single-node ones. Reads split by query owner:
 //
 //   - Owner != "": routed to the owner's shard. This is exact for the

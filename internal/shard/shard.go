@@ -68,9 +68,9 @@ type Options struct {
 	// here is shared by every shard (counters aggregate across shards)
 	// and carries the cluster's own shard_* instruments.
 	Catalog catalog.Options
-	// Durability is the per-shard durability template: FS, NoSync,
-	// CheckpointEvery and the group-commit knobs apply to every shard;
-	// WALPath and SnapshotPath are derived per shard and ignored here.
+	// Durability is the per-shard durability template: FS, NoSync and
+	// CheckpointEvery apply to every shard; WALPath and SnapshotPath are
+	// derived per shard and ignored here.
 	Durability catalog.DurabilityOptions
 }
 

@@ -3,7 +3,6 @@ package wal
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/gridmeta/hybridcat/internal/obs"
 )
@@ -11,12 +10,13 @@ import (
 // GroupWriter coalesces concurrent commits into shared fsyncs. Callers
 // Enqueue a payload (cheap, non-blocking) and then Wait on the returned
 // Ticket; the first waiter of an idle writer is promoted to batch
-// leader, collects followers for up to MaxWait (or until MaxBatch
-// payloads are queued), flushes the whole batch with one concatenated
-// append and one fsync via Writer.CommitBatch, and acknowledges every
-// ticket only after the batch is durable. Leadership hands off to the
-// head of the queue that accumulated during the flush, so a saturated
-// writer pipelines: batch N+1 collects while batch N syncs.
+// leader, takes whatever is queued (up to maxBatch records) without
+// waiting for more, flushes it with one concatenated append and one
+// fsync via Writer.CommitBatch, and acknowledges every ticket only after
+// the batch is durable. Leadership hands off to the head of the queue
+// that accumulated during the flush, so a saturated writer pipelines:
+// batch N+1 collects while batch N syncs, and a lone writer pays one
+// fsync with no added delay.
 //
 // Failure model: a failed batch poisons the group — every ticket in the
 // failed batch and everything queued behind it fails, and further
@@ -26,26 +26,26 @@ import (
 // would leave a log that replays to a state no reader ever observed.
 type GroupWriter struct {
 	// AfterSync, when non-nil, runs after a batch's fsync succeeds and
-	// before any of its tickets are acknowledged. Crash-matrix tests use
-	// it to probe the post-fsync-pre-ack boundary; the hook must be
-	// followed by simulated process death, because the records it
-	// observes are durable but not yet acknowledged to their committers.
-	// Set before the writer is shared between goroutines.
+	// before any of its tickets are acknowledged: the records are durable
+	// but not yet acknowledged to their committers. Tests use it to crash
+	// or stall a commit at exactly that boundary. Set before the writer
+	// is shared between goroutines.
 	AfterSync func()
 
-	w        *Writer
-	maxWait  time.Duration
-	maxBatch int
+	w *Writer
 
 	mu     sync.Mutex
 	cond   *sync.Cond // broadcast whenever the queue drains or a leader retires
 	queue  []*Ticket
-	leader bool // a promoted leader is collecting or flushing
+	leader bool // a promoted leader is flushing
 	poison error
-	full   chan struct{} // buffered(1): queue reached maxBatch
 	stats  GroupStats
 	m      groupMetrics
 }
+
+// maxBatch caps the records one batch flushes; a longer queue is left
+// for the next leader.
+const maxBatch = 64
 
 // GroupStats are a GroupWriter's lifetime counters.
 type GroupStats struct {
@@ -77,24 +77,9 @@ func (gw *GroupWriter) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// NewGroupWriter wraps w with group commit. maxWait is the leader's
-// collection window (0 flushes as soon as the leader is promoted, which
-// still batches whatever queued in the meantime); maxBatch caps a
-// batch's record count and cuts the window short when reached (values
-// < 1 default to 64).
-func NewGroupWriter(w *Writer, maxWait time.Duration, maxBatch int) *GroupWriter {
-	if maxBatch < 1 {
-		maxBatch = 64
-	}
-	if maxWait < 0 {
-		maxWait = 0
-	}
-	gw := &GroupWriter{
-		w:        w,
-		maxWait:  maxWait,
-		maxBatch: maxBatch,
-		full:     make(chan struct{}, 1),
-	}
+// NewGroupWriter wraps w with group commit.
+func NewGroupWriter(w *Writer) *GroupWriter {
+	gw := &GroupWriter{w: w}
 	gw.cond = sync.NewCond(&gw.mu)
 	return gw
 }
@@ -133,11 +118,6 @@ func (gw *GroupWriter) Enqueue(payload []byte) *Ticket {
 	if !gw.leader {
 		gw.leader = true
 		t.promote <- struct{}{}
-	} else if len(gw.queue) >= gw.maxBatch {
-		select {
-		case gw.full <- struct{}{}:
-		default:
-		}
 	}
 	gw.mu.Unlock()
 	return t
@@ -172,29 +152,15 @@ func (t *Ticket) Done() bool {
 // after Wait returned or Done reported true.
 func (t *Ticket) Result() (uint64, error) { return t.seq, t.err }
 
-// runBatch runs one batch on the promoted waiter's goroutine: collect,
-// flush, acknowledge, hand off leadership.
+// runBatch runs one batch on the promoted waiter's goroutine: take the
+// queue, flush, acknowledge, hand off leadership.
 func (gw *GroupWriter) runBatch() {
-	if gw.maxWait > 0 {
-		gw.mu.Lock()
-		n := len(gw.queue)
-		gw.mu.Unlock()
-		if n < gw.maxBatch {
-			timer := time.NewTimer(gw.maxWait)
-			select {
-			case <-timer.C:
-			case <-gw.full:
-				timer.Stop()
-			}
-		}
-	}
-
 	gw.mu.Lock()
 	batch := gw.queue
 	gw.queue = nil
-	select { // clear a full signal raced in after the take
-	case <-gw.full:
-	default:
+	if len(batch) > maxBatch {
+		gw.queue = append(gw.queue, batch[maxBatch:]...)
+		batch = batch[:maxBatch]
 	}
 	gw.mu.Unlock()
 

@@ -12,7 +12,7 @@ import (
 )
 
 // enqueueN enqueues n numbered payloads before anyone waits, so the
-// whole set lands in one deterministic batch once maxBatch is reached.
+// whole set (up to maxBatch) lands in one deterministic batch.
 func enqueueN(gw *GroupWriter, n int) []*Ticket {
 	ts := make([]*Ticket, n)
 	for i := range ts {
@@ -44,7 +44,7 @@ func TestGroupCommitSingleBatch(t *testing.T) {
 	fs := faultio.NewMemFS()
 	_, w := collect(t, fs, "wal")
 	defer w.Close()
-	gw := NewGroupWriter(w, time.Second, 8)
+	gw := NewGroupWriter(w)
 
 	ts := enqueueN(gw, 8)
 	seqs := waitAll(t, ts)
@@ -73,11 +73,13 @@ func TestGroupCommitSingleBatch(t *testing.T) {
 	}
 }
 
+// TestGroupCommitZeroWaitStillCommits: a lone commit is flushed by its
+// own Wait, with no collection window to sit out.
 func TestGroupCommitZeroWaitStillCommits(t *testing.T) {
 	fs := faultio.NewMemFS()
 	_, w := collect(t, fs, "wal")
 	defer w.Close()
-	gw := NewGroupWriter(w, 0, 4)
+	gw := NewGroupWriter(w)
 	tk := gw.Enqueue([]byte("solo"))
 	seq, err := tk.Wait()
 	if err != nil || seq != 1 {
@@ -88,11 +90,14 @@ func TestGroupCommitZeroWaitStillCommits(t *testing.T) {
 	}
 }
 
+// TestGroupCommitConcurrentStress: concurrent writers on a device with
+// a real flush cost coalesce into shared fsyncs with no collection
+// window — commits queue behind the batch that is syncing.
 func TestGroupCommitConcurrentStress(t *testing.T) {
 	fs := faultio.NewMemFS()
-	_, w := collect(t, fs, "wal")
+	_, w := collect(t, faultio.NewSlowFS(fs, 200*time.Microsecond), "wal")
 	defer w.Close()
-	gw := NewGroupWriter(w, time.Millisecond, 16)
+	gw := NewGroupWriter(w)
 
 	const writers, per = 8, 25
 	seen := make([][]uint64, writers)
@@ -139,13 +144,31 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 	}
 }
 
+// TestGroupCommitBatchCap: a queue longer than maxBatch is flushed in
+// capped batches, in enqueue order.
+func TestGroupCommitBatchCap(t *testing.T) {
+	fs := faultio.NewMemFS()
+	_, w := collect(t, fs, "wal")
+	defer w.Close()
+	gw := NewGroupWriter(w)
+	seqs := waitAll(t, enqueueN(gw, maxBatch+1))
+	for i, seq := range seqs {
+		if seq != uint64(i+1) {
+			t.Fatalf("ticket %d got seq %d, want %d", i, seq, i+1)
+		}
+	}
+	if st := gw.Stats(); st.Batches != 2 || st.LargestBatch != maxBatch {
+		t.Fatalf("stats = %+v, want 2 batches, the largest of %d", st, maxBatch)
+	}
+}
+
 func TestGroupCommitFailurePoisonsAndHeals(t *testing.T) {
 	mem := faultio.NewMemFS()
 	// The log's create() costs one sync; fail the next one (the batch).
 	fs := faultio.NewFaulty(mem, faultio.Fault{Op: faultio.OpSync, N: 2, Mode: faultio.FailOp})
 	_, w := collect(t, fs, "wal")
 	defer w.Close()
-	gw := NewGroupWriter(w, time.Second, 4)
+	gw := NewGroupWriter(w)
 
 	ts := enqueueN(gw, 4)
 	for i, tk := range ts {
@@ -232,7 +255,7 @@ func TestGroupCommitPoisonFailsQueuedBehind(t *testing.T) {
 	g := &gateFS{FS: faultio.NewMemFS(), entered: make(chan struct{}), release: make(chan struct{}), fail: true}
 	_, w := collect(t, g, "wal")
 	defer w.Close()
-	gw := NewGroupWriter(w, 0, 8)
+	gw := NewGroupWriter(w)
 
 	g.mu.Lock()
 	g.armed = true
@@ -262,7 +285,7 @@ func TestGroupCommitAfterSyncRunsBeforeAck(t *testing.T) {
 	fs := faultio.NewMemFS()
 	_, w := collect(t, fs, "wal")
 	defer w.Close()
-	gw := NewGroupWriter(w, time.Second, 3)
+	gw := NewGroupWriter(w)
 
 	var ts []*Ticket
 	hookSawPending := false
@@ -401,7 +424,7 @@ func TestGroupCommitDrain(t *testing.T) {
 	fs := faultio.NewMemFS()
 	_, w := collect(t, fs, "wal")
 	defer w.Close()
-	gw := NewGroupWriter(w, time.Millisecond, 4)
+	gw := NewGroupWriter(w)
 	ts := enqueueN(gw, 6)
 	done := make(chan struct{})
 	go func() { waitAll(t, ts); close(done) }()
