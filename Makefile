@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress crash mvcc bitmap replica shard search cover bench experiments quick-experiments examples docs clean
+.PHONY: all build vet test race stress crash mvcc bitmap replica shard search wire cover bench experiments quick-experiments examples docs clean
 
 all: build vet test
 
@@ -93,6 +93,17 @@ search:
 	$(GO) test -race -run 'TableMark' -count=1 ./internal/relstore/
 	$(GO) test -race -run 'Ranked|QueryLog|TextIndex' -count=1 ./internal/catalog/ ./internal/shard/ ./internal/service/ ./internal/workload/
 
+# Wire-format verification: the hand-appended /search reply writers
+# against encoding/json (the differential fuzz target's seeds under the
+# race detector, then 15 s of fuzzing), the single-vs-sharded byte
+# parity table with the read caches on (second replies built from
+# cached, already-escaped documents) and off, the end-to-end flow, and
+# the /fetch status mapping (404 missing, 500 build failure)
+# (DESIGN.md "Caching & invalidation").
+wire:
+	$(GO) test -race -run 'FuzzSearchReplyMatchesEncodingJSON|ShardedWireParity|ServiceEndToEnd|FetchStatus' -count=1 ./internal/service/
+	$(GO) test -run XXX -fuzz FuzzSearchReplyMatchesEncodingJSON -fuzztime 15s ./internal/service
+
 cover:
 	$(GO) test -cover ./...
 
@@ -101,7 +112,7 @@ cover:
 # comment (scripts/doclint.sh) — and a check that OPERATIONS.md's flag
 # table lists exactly the flags mdserver accepts (scripts/flagdoc.sh).
 docs: vet
-	sh scripts/doclint.sh internal/cache/*.go internal/wal/*.go internal/faultio/*.go internal/obs/*.go internal/shard/*.go internal/replica/*.go internal/retry/*.go internal/textindex/*.go internal/service/backend.go internal/catalog/plan.go internal/catalog/exec.go internal/catalog/rank.go internal/catalog/response.go hybridcat.go
+	sh scripts/doclint.sh internal/cache/*.go internal/wal/*.go internal/faultio/*.go internal/obs/*.go internal/shard/*.go internal/replica/*.go internal/retry/*.go internal/textindex/*.go internal/service/backend.go internal/service/service.go internal/catalog/plan.go internal/catalog/exec.go internal/catalog/rank.go internal/catalog/response.go hybridcat.go
 	GO=$(GO) sh scripts/flagdoc.sh
 
 # One testing.B benchmark per experiment (see DESIGN.md).

@@ -20,8 +20,10 @@ import (
 //     criterion; cached lists are immutable and shared read-only across
 //     concurrent evaluations,
 //   - response: per-object rebuilt XML documents keyed by object ID, so
-//     repeated fetches and overlapping result sets skip the §5
-//     HashJoin/ancestor reconstruction.
+//     repeated fetches and overlapping result sets skip the §5 merge;
+//     each entry also keeps the document's JSON string literal once a
+//     /search reply has needed it, so a cached document is escaped once
+//     per epoch, not once per reply.
 //
 // All three are stamped with the epoch of the reader's pinned snapshot
 // (every committed transaction — ingest, delete, publish, membership,
@@ -47,7 +49,7 @@ const DefaultCacheSize = 4096
 type catCaches struct {
 	eval     *cache.Cache[string, []int64]
 	postings *cache.Cache[string, []uint64]
-	response *cache.Cache[int64, string]
+	response *cache.Cache[int64, *builtDoc]
 }
 
 // initCaches builds the cache layers per the catalog options; called
@@ -62,7 +64,7 @@ func (c *Catalog) initCaches() {
 	}
 	c.caches.eval = cache.New[string, []int64](size, cache.StringHash)
 	c.caches.postings = cache.New[string, []uint64](size, cache.StringHash)
-	c.caches.response = cache.New[int64, string](size, cache.Int64Hash)
+	c.caches.response = cache.New[int64, *builtDoc](size, cache.Int64Hash)
 	c.caches.eval.Instrument(c.obsv.reg, "evaluate")
 	c.caches.postings.Instrument(c.obsv.reg, "postings")
 	c.caches.response.Instrument(c.obsv.reg, "response")

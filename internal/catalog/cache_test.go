@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"slices"
 	"strings"
@@ -399,5 +401,77 @@ func TestCachedDocumentsStayWellFormed(t *testing.T) {
 		if !strings.Contains(resp[0].XML, "<LEADresource>") {
 			t.Fatalf("build %d lost root tag", i)
 		}
+	}
+}
+
+// TestResponseJSONFormOncePerEpoch: a built document's JSON string
+// literal is encoding/json's bytes, is computed on first wire use (not
+// by BuildResponse), and lives with the response-cache entry, so a
+// later build at the same epoch, a ranked pairing and a routed copy all
+// reuse it; a new epoch starts from a fresh entry.
+func TestResponseJSONFormOncePerEpoch(t *testing.T) {
+	wantJSON := func(s string) string {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimSuffix(b.String(), "\n")
+	}
+	c := newLEADCatalog(t, Options{})
+	id, err := c.IngestXML("scientist", strings.Replace(xmlschema.Figure3Document,
+		"<resourceID>", "<resourceID>\"q\" \\ &amp; &lt;&gt; \u2028\t", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() Response {
+		t.Helper()
+		resp, err := c.BuildResponse([]int64{id})
+		if err != nil || len(resp) != 1 {
+			t.Fatalf("BuildResponse = %v, %v", resp, err)
+		}
+		return resp[0]
+	}
+	first := build()
+	if first.doc.json.Load() != nil {
+		t.Fatal("BuildResponse escaped the document; the JSON form is for the wire to fill")
+	}
+	want := wantJSON(first.XML)
+	if got := string(first.AppendJSONString([]byte("x"))); got != "x"+want {
+		t.Fatalf("AppendJSONString = %s, want x%s", got, want)
+	}
+	if first.doc.json.Load() == nil {
+		t.Fatal("the JSON form was not kept with the cache entry")
+	}
+	again := build()
+	if again.doc != first.doc || string(again.AppendJSONString(nil)) != want {
+		t.Fatal("a second build at the same epoch did not reuse the cached JSON form")
+	}
+	if r := again.Ranked(2.5); r.doc != first.doc || string(r.AppendJSONString(nil)) != want || r.Score != 2.5 {
+		t.Fatalf("Ranked lost the memo: %+v", r)
+	}
+	edited := first
+	edited.XML = "<x>\u2029</x>"
+	if got := string(edited.AppendJSONString(nil)); got != wantJSON(edited.XML) {
+		t.Fatalf("a Response whose XML was replaced appended %s", got)
+	}
+	if got := string((Response{XML: "a\"b"}).AppendJSONString(nil)); got != `"a\"b"` {
+		t.Fatalf("a hand-built Response appended %s", got)
+	}
+
+	ingestFig3(t, c) // a new epoch: the old entry is stale
+	if next := build(); next.doc == first.doc || next.doc.json.Load() != nil {
+		t.Fatal("a build at a new epoch reused the previous epoch's entry")
+	}
+
+	off := newLEADCatalog(t, Options{CacheSize: -1})
+	offID := ingestFig3(t, off)
+	resp, err := off.BuildResponse([]int64{offID})
+	if err != nil || len(resp) != 1 {
+		t.Fatalf("BuildResponse with caches off = %v, %v", resp, err)
+	}
+	if got := string(resp[0].AppendJSONString(nil)); got != wantJSON(resp[0].XML) {
+		t.Fatalf("caches off: AppendJSONString = %s", got)
 	}
 }

@@ -252,6 +252,13 @@ type RankedResponse struct {
 	ObjectID int64
 	Score    float64
 	XML      string
+	doc      *builtDoc // see Response.doc
+}
+
+// AppendJSONString appends r.XML as a JSON string literal; see
+// Response.AppendJSONString.
+func (r RankedResponse) AppendJSONString(dst []byte) []byte {
+	return appendJSONString(dst, r.XML, r.doc)
 }
 
 // SearchRanked evaluates a ranked query and builds the tagged response
@@ -276,7 +283,7 @@ func (c *Catalog) SearchRanked(ctx context.Context, q *Query) ([]RankedResponse,
 	}
 	out := make([]RankedResponse, len(resp))
 	for i, r := range resp {
-		out[i] = RankedResponse{ObjectID: r.ObjectID, Score: scoreOf[r.ObjectID], XML: r.XML}
+		out[i] = r.Ranked(scoreOf[r.ObjectID])
 	}
 	return out, nil
 }

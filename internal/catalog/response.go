@@ -1,8 +1,12 @@
 package catalog
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"github.com/gridmeta/hybridcat/internal/obs"
 	"github.com/gridmeta/hybridcat/internal/relstore"
@@ -14,6 +18,62 @@ import (
 type Response struct {
 	ObjectID int64
 	XML      string
+	// doc is the built document this response came from, shared with
+	// the response-cache entry so its JSON form is computed once per
+	// epoch; nil on a Response constructed outside BuildResponse.
+	doc *builtDoc
+}
+
+// AppendJSONString appends r.XML as a JSON string literal, quotes
+// included, byte-identical to what encoding/json with SetEscapeHTML(false)
+// writes for it. The escaped form of a built document is computed on
+// first use and kept with it, so repeated replies carrying the same
+// cached document escape it once.
+func (r Response) AppendJSONString(dst []byte) []byte {
+	return appendJSONString(dst, r.XML, r.doc)
+}
+
+// Ranked pairs the response with its rank score, keeping the memoized
+// JSON form.
+func (r Response) Ranked(score float64) RankedResponse {
+	return RankedResponse{ObjectID: r.ObjectID, Score: score, XML: r.XML, doc: r.doc}
+}
+
+// builtDoc is one object's rebuilt document as the response cache holds
+// it: the tagged XML, and its JSON string literal, filled on first wire
+// use. Two readers racing to fill json compute identical bytes, so
+// either store is correct.
+type builtDoc struct {
+	xml  string
+	json atomic.Pointer[string]
+}
+
+// appendJSONString appends xml as a JSON string literal, through doc's
+// memo when doc holds that same XML.
+func appendJSONString(dst []byte, xml string, doc *builtDoc) []byte {
+	if doc == nil || doc.xml != xml {
+		return appendEscaped(dst, xml)
+	}
+	if p := doc.json.Load(); p != nil {
+		return append(dst, *p...)
+	}
+	start := len(dst)
+	dst = appendEscaped(dst, xml)
+	lit := string(dst[start:])
+	doc.json.Store(&lit)
+	return dst
+}
+
+// appendEscaped appends s as encoding/json writes a string with HTML
+// escaping off: the escape is encoding/json's own, so the bytes match it
+// by construction (invalid UTF-8, U+2028 and U+2029 included).
+func appendEscaped(dst []byte, s string) []byte {
+	b := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(b)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(s) // a string always encodes
+	out := b.Bytes()
+	return out[:len(out)-1] // Encode ends every value with a newline
 }
 
 // BuildResponse reconstructs the schema-ordered XML documents for the
@@ -54,19 +114,19 @@ func (v *view) buildResponseTraced(ids []int64, tr *obs.Trace) ([]Response, erro
 		}
 	}
 	gen := v.snap.Epoch()
-	byObject := make(map[int64]string, len(uniq))
+	byObject := make(map[int64]*builtDoc, len(uniq))
 	need := uniq
 	if c.caches.response != nil {
 		need = make([]int64, 0, len(uniq))
 		for _, id := range uniq {
-			if xml, ok := c.caches.response.Get(gen, id); ok {
-				byObject[id] = xml
+			if doc, ok := c.caches.response.Get(gen, id); ok {
+				byObject[id] = doc
 			} else {
 				need = append(need, id)
 			}
 		}
 		if tr != nil {
-			tr.Annotate(fmt.Sprintf("response-cache hits=%d misses=%d", len(uniq)-len(need), len(need)))
+			tr.Annotate("response-cache hits=" + strconv.Itoa(len(uniq)-len(need)) + " misses=" + strconv.Itoa(len(need)))
 		}
 	}
 	if len(need) > 0 {
@@ -75,14 +135,15 @@ func (v *view) buildResponseTraced(ids []int64, tr *obs.Trace) ([]Response, erro
 			return nil, err
 		}
 		for id, xml := range m {
-			byObject[id] = xml
-			c.caches.response.Put(gen, id, xml)
+			doc := &builtDoc{xml: xml}
+			byObject[id] = doc
+			c.caches.response.Put(gen, id, doc)
 		}
 	}
 	var out []Response
 	for _, id := range uniq {
-		if xml, ok := byObject[id]; ok {
-			out = append(out, Response{ObjectID: id, XML: xml})
+		if doc, ok := byObject[id]; ok {
+			out = append(out, Response{ObjectID: id, XML: doc.xml, doc: doc})
 		}
 	}
 	end(int64(len(out)))

@@ -49,12 +49,7 @@ func reqJSON(t *testing.T, method, url, body string) (int, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var sb strings.Builder
-	if _, err := jsonCopy(&sb, resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, sb.String()
+	return readReply(t, resp)
 }
 
 func TestCollectionEndpoints(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
+	"github.com/gridmeta/hybridcat/internal/obs"
 	"github.com/gridmeta/hybridcat/internal/xmlschema"
 )
 
@@ -18,9 +19,11 @@ import (
 // that the catalog's reader/writer discipline holds across the service
 // boundary: every response must be a well-formed success or a defined
 // client error, never a 500. Run under -race it also proves the handler
-// plumbing itself shares no mutable state.
+// plumbing itself shares no mutable state beyond what it synchronizes:
+// metrics are on, so every request also goes through the per-endpoint
+// request counters, and /search replies share pooled buffers.
 func TestServiceConcurrentTraffic(t *testing.T) {
-	cat, err := catalog.Open(xmlschema.MustLEAD(), catalog.Options{AutoRegister: true})
+	cat, err := catalog.Open(xmlschema.MustLEAD(), catalog.Options{AutoRegister: true, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +129,26 @@ func TestServiceConcurrentTraffic(t *testing.T) {
 						t.Errorf("reader %d: search: %v", r, err)
 						return
 					}
+					// Replies come out of pooled buffers: each must
+					// still decode to whole documents.
+					var reply struct {
+						Total   int `json:"total"`
+						Results []struct {
+							XML string `json:"xml"`
+						} `json:"results"`
+					}
+					decErr := json.NewDecoder(resp.Body).Decode(&reply)
 					code = resp.StatusCode
 					resp.Body.Close()
-					if code != http.StatusOK {
-						t.Errorf("reader %d: search status %d", r, code)
+					if code != http.StatusOK || decErr != nil || len(reply.Results) != reply.Total {
+						t.Errorf("reader %d: search status %d, %v, %d of %d results", r, code, decErr, len(reply.Results), reply.Total)
 						return
+					}
+					for _, res := range reply.Results {
+						if !strings.HasPrefix(res.XML, "<LEADresource>") || !strings.HasSuffix(res.XML, "</LEADresource>") {
+							t.Errorf("reader %d: search returned a torn document: %.80q", r, res.XML)
+							return
+						}
 					}
 				}
 			}

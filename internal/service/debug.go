@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/gridmeta/hybridcat/internal/obs"
@@ -90,24 +91,43 @@ func (sw *statusWriter) WriteHeader(code int) {
 
 // instrument wraps a handler with per-endpoint metrics: a latency
 // histogram http_request_nanos{endpoint} (created once, here) and a
-// request counter http_requests_total{endpoint,code} resolved per
-// request once the status code is known. With metrics off the handler
-// is returned untouched — zero overhead.
+// request counter http_requests_total{endpoint,code}, resolved once per
+// status code the endpoint answers with (see codeCounters). With
+// metrics off the handler is returned untouched — zero overhead.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	reg := s.backend().Metrics()
 	if reg == nil {
 		return h
 	}
 	lat := reg.Histogram("http_request_nanos", obs.L("endpoint", endpoint))
+	requests := &codeCounters{reg: reg, endpoint: endpoint}
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
 		h(sw, r)
 		lat.Observe(time.Since(start).Nanoseconds())
-		reg.Counter("http_requests_total",
-			obs.L("endpoint", endpoint),
-			obs.L("code", strconv.Itoa(sw.code))).Inc()
+		requests.get(sw.code).Inc()
 	}
+}
+
+// codeCounters is one endpoint's http_requests_total counters by status
+// code. The registry formats and hashes a label identity on every
+// lookup, so each code is looked up once and kept here; a code appears
+// in the registry only once the endpoint has answered with it. Two
+// requests racing on a new code get the same counter from the registry.
+type codeCounters struct {
+	reg      *obs.Registry
+	endpoint string
+	byCode   sync.Map // int status code -> *obs.Counter
+}
+
+func (cc *codeCounters) get(code int) *obs.Counter {
+	if c, ok := cc.byCode.Load(code); ok {
+		return c.(*obs.Counter)
+	}
+	c := cc.reg.Counter("http_requests_total", obs.L("endpoint", cc.endpoint), obs.L("code", strconv.Itoa(code)))
+	cc.byCode.Store(code, c)
+	return c
 }
 
 // route registers an instrumented handler behind the replica staleness

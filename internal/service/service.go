@@ -9,9 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
 	"github.com/gridmeta/hybridcat/internal/core"
@@ -291,15 +293,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	type result struct {
-		ID  int64  `json:"id"`
-		XML string `json:"xml"`
-	}
-	results := make([]result, 0, len(resp))
-	for _, rr := range resp {
-		results = append(results, result{ID: rr.ObjectID, XML: rr.XML})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"total": len(ids), "results": results})
+	writeReply(w, func(b []byte) []byte { return appendSearchReply(b, resp, len(ids)) })
 }
 
 // handleSearchRanked is the ranked arm of POST /search: BM25 top-k
@@ -316,17 +310,103 @@ func (s *Server) handleSearchRanked(w http.ResponseWriter, r *http.Request, qv u
 		writeErr(w, queryStatus(err), err)
 		return
 	}
-	type result struct {
-		ID    int64   `json:"id"`
-		Score float64 `json:"score"`
-		XML   string  `json:"xml"`
-	}
 	hits := page(pg, resp)
-	results := make([]result, 0, len(hits))
-	for _, rr := range hits {
-		results = append(results, result{ID: rr.ObjectID, Score: rr.Score, XML: rr.XML})
+	for _, h := range hits {
+		if math.IsNaN(h.Score) || math.IsInf(h.Score, 0) {
+			writeErr(w, http.StatusInternalServerError, fmt.Errorf("service: object %d scored %v, which JSON cannot carry", h.ObjectID, h.Score))
+			return
+		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"total": len(resp), "results": results})
+	writeReply(w, func(b []byte) []byte { return appendRankedReply(b, hits, len(resp)) })
+}
+
+// The /search reply is appended into one buffer rather than run through
+// encoding/json: each document's JSON string literal is memoized beside
+// its response-cache entry (catalog.Response.AppendJSONString), so a
+// reply of cached documents escapes nothing. The bytes are the ones
+// writeJSON would send for map[string]any{"total": T, "results": R}, R
+// a slice of {id, xml} or {id, score, xml}:
+//
+//	{"results":[{"id":N[,"score":S],"xml":"..."},...],"total":T}\n
+//
+// FuzzSearchReplyMatchesEncodingJSON holds the two to the same bytes.
+
+// replyBufs recycles reply buffers across requests, so a reply (about
+// 70 KB for 20 documents) does not allocate its own size each time.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledReply is the largest buffer replyBufs keeps, so one unpaged
+// reply over a large corpus does not stay pinned.
+const maxPooledReply = 1 << 20
+
+// writeReply sends the 200 reply build appends into a pooled buffer.
+func writeReply(w http.ResponseWriter, build func([]byte) []byte) {
+	bp := replyBufs.Get().(*[]byte)
+	b := build((*bp)[:0])
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledReply {
+		*bp = b
+		replyBufs.Put(bp)
+	}
+}
+
+// appendSearchReply appends a structural /search reply: the page's
+// documents and the total match count.
+func appendSearchReply(dst []byte, resp []catalog.Response, total int) []byte {
+	dst = append(dst, `{"results":[`...)
+	for i, r := range resp {
+		dst = appendResultID(dst, i, r.ObjectID)
+		dst = append(dst, `,"xml":`...)
+		dst = append(r.AppendJSONString(dst), '}')
+	}
+	return appendReplyTotal(dst, total)
+}
+
+// appendRankedReply appends a ranked /search reply. Every score must be
+// finite: encoding/json refuses NaN and ±Inf.
+func appendRankedReply(dst []byte, resp []catalog.RankedResponse, total int) []byte {
+	dst = append(dst, `{"results":[`...)
+	for i, r := range resp {
+		dst = appendResultID(dst, i, r.ObjectID)
+		dst = append(dst, `,"score":`...)
+		dst = appendJSONFloat(dst, r.Score)
+		dst = append(dst, `,"xml":`...)
+		dst = append(r.AppendJSONString(dst), '}')
+	}
+	return appendReplyTotal(dst, total)
+}
+
+// appendResultID opens the i-th result object with its "id" member.
+func appendResultID(dst []byte, i int, id int64) []byte {
+	if i > 0 {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `{"id":`...)
+	return strconv.AppendInt(dst, id, 10)
+}
+
+func appendReplyTotal(dst []byte, total int) []byte {
+	dst = append(dst, `],"total":`...)
+	dst = strconv.AppendInt(dst, int64(total), 10)
+	return append(dst, "}\n"...)
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64:
+// the shortest 'f' form, or 'e' below 1e-6 and from 1e21 up, with a
+// two-digit negative exponent shortened (1e-07 becomes 1e-7).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // paging is a request's ?offset and ?limit; a zero limit means no limit.
@@ -390,11 +470,12 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := s.backend().BuildResponse([]int64{id})
-	if err == nil && len(resp) == 0 {
-		err = fmt.Errorf("service: no object %d", id)
-	}
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	if len(resp) == 0 {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("service: no object %d", id))
 		return
 	}
 	w.Header().Set("Content-Type", "application/xml")

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -29,28 +30,18 @@ func post(t *testing.T, url, contentType, body string) (int, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var sb strings.Builder
-	if _, err := jsonCopy(&sb, resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, sb.String()
+	return readReply(t, resp)
 }
 
-func jsonCopy(sb *strings.Builder, resp *http.Response) (int64, error) {
-	buf := make([]byte, 64<<10)
-	var n int64
-	for {
-		k, err := resp.Body.Read(buf)
-		sb.Write(buf[:k])
-		n += int64(k)
-		if err != nil {
-			if err.Error() == "EOF" {
-				return n, nil
-			}
-			return n, err
-		}
+// readReply reads and closes a response, returning its status and body.
+func readReply(t *testing.T, resp *http.Response) (int, string) {
+	t.Helper()
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return resp.StatusCode, string(body)
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -59,12 +50,7 @@ func get(t *testing.T, url string) (int, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var sb strings.Builder
-	if _, err := jsonCopy(&sb, resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, sb.String()
+	return readReply(t, resp)
 }
 
 func TestServiceEndToEnd(t *testing.T) {

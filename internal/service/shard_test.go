@@ -225,15 +225,24 @@ func TestShardedOntologyExpansion(t *testing.T) {
 // NewSharded over a 1-shard cluster, where a global ID equals the local
 // one. Status, Content-Type and body must be identical, except the
 // "shards" field a cluster adds to /healthz (and the ingest clock in
-// /objects' "created").
+// /objects' "created"). Every successful /search reply must also be the
+// bytes encoding/json writes for what it decodes to. The table runs
+// with the read caches on, where a repeated /search is built from
+// cached, already-escaped documents, and with them off.
 func TestShardedWireParity(t *testing.T) {
-	cat, err := catalog.Open(xmlschema.MustLEAD(), catalog.Options{})
+	for _, copts := range []catalog.Options{{}, {CacheSize: -1}} {
+		t.Run(fmt.Sprintf("CacheSize=%d", copts.CacheSize), func(t *testing.T) { wireParity(t, copts) })
+	}
+}
+
+func wireParity(t *testing.T, copts catalog.Options) {
+	cat, err := catalog.Open(xmlschema.MustLEAD(), copts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	single := httptest.NewServer(New(cat).Handler())
 	defer single.Close()
-	sharded := httptest.NewServer(NewSharded(openShardCluster(t, 1, catalog.Options{})).Handler())
+	sharded := httptest.NewServer(NewSharded(openShardCluster(t, 1, copts)).Handler())
 	defer sharded.Close()
 
 	themeQuery := func(i int, owner string) string {
@@ -268,11 +277,13 @@ func TestShardedWireParity(t *testing.T) {
 		{"POST", "/query", `{"name":"` + strings.Repeat("x", maxJSONBody) + `"}`, 413},
 		{"POST", "/query", `{not json`, 400},
 		{"POST", "/search", matchAll, 200},
+		{"POST", "/search", matchAll, 200},
 		{"POST", "/search?offset=1&limit=1", matchAll, 200},
 		{"POST", "/search?offset=9", matchAll, 200},
 		{"POST", "/search?limit=abc", matchAll, 400},
 		{"POST", "/search?offset=-3", matchAll, 400},
 		{"POST", "/search?limit=1e3", matchAll, 400},
+		{"POST", "/search", ranked, 200},
 		{"POST", "/search", ranked, 200},
 		{"POST", "/search?fanout=1&offset=1&limit=1", ranked, 200},
 		{"POST", "/search?collection=1", ranked, 400},
@@ -301,6 +312,11 @@ func TestShardedWireParity(t *testing.T) {
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if strings.HasPrefix(st.path, "/search") && resp.StatusCode == http.StatusOK {
+			if want := reencodeSearchReply(t, body); string(body) != string(want) {
+				t.Errorf("%s %s: reply is not encoding/json's bytes\n got: %s\nwant: %s", base, st.path, body, want)
+			}
 		}
 		out := created.ReplaceAllString(string(body), `"created":""`)
 		if st.path == "/healthz" {

@@ -137,7 +137,7 @@ func (cl *Cluster) SearchRanked(ctx context.Context, q *catalog.Query, fanout bo
 	}
 	out := make([]catalog.RankedResponse, len(resp))
 	for i, r := range resp {
-		out[i] = catalog.RankedResponse{ObjectID: r.ObjectID, Score: scoreOf[r.ObjectID], XML: r.XML}
+		out[i] = r.Ranked(scoreOf[r.ObjectID])
 	}
 	return out, nil
 }

@@ -246,14 +246,13 @@ func (cl *Cluster) mergeIDs(perShard [][]int64) []int64 {
 // the single-catalog contract.
 func (cl *Cluster) BuildResponse(gids []int64) ([]catalog.Response, error) {
 	// Group the page by shard, keeping each shard's locals in request
-	// order, then reassemble in the caller's order.
+	// order, then reassemble in the caller's order. An ID SplitID
+	// refuses names no object on any shard: skip it.
 	byShard := make(map[int][]int64)
 	for _, gid := range gids {
-		idx, local, err := cl.SplitID(gid)
-		if err != nil {
-			return nil, err
+		if idx, local, err := cl.SplitID(gid); err == nil {
+			byShard[idx] = append(byShard[idx], local)
 		}
-		byShard[idx] = append(byShard[idx], local)
 	}
 	built := make(map[int64]catalog.Response, len(gids))
 	var mu sync.Mutex
@@ -270,8 +269,10 @@ func (cl *Cluster) BuildResponse(gids []int64) ([]catalog.Response, error) {
 			}
 			mu.Lock()
 			for _, r := range resp {
-				gid := cl.GlobalID(idx, r.ObjectID)
-				built[gid] = catalog.Response{ObjectID: gid, XML: r.XML}
+				// Only the ID changes: the response keeps its tie to
+				// the shard's cache entry and that entry's JSON form.
+				r.ObjectID = cl.GlobalID(idx, r.ObjectID)
+				built[r.ObjectID] = r
 			}
 			mu.Unlock()
 		}(idx, locals)
