@@ -5,7 +5,6 @@
 //	mdserver -addr :8080
 //	mdserver -wal catalog.wal                        # durable: WAL + crash recovery
 //	mdserver -wal catalog.wal -checkpoint-every 256  # bound recovery time
-//	mdserver -load catalog.snap -save catalog.snap   # snapshot-only persistence
 //	mdserver -ontology terms.txt                     # enable ?expand=1
 //	mdserver -replica-of http://primary:8080 -max-lag 64   # read replica
 //	mdserver -shards 4 -shard-root /data/shards      # owner-partitioned cluster
@@ -15,12 +14,13 @@
 // With -wal, every mutation is committed to the write-ahead log before
 // its HTTP response is sent, and startup recovers from the latest
 // checkpoint snapshot plus the log; SIGINT/SIGTERM drains in-flight
-// requests and writes a final checkpoint. With -save (and no -wal), a
-// snapshot is written atomically on SIGINT/SIGTERM before exit.
-// Concurrent commits share one fsync per batch, with no collection
-// window (see internal/wal). -replica-of turns the server into a
-// read-only replica that tails the primary's /wal/stream and refuses
-// reads once it lags more than -max-lag records behind.
+// requests and writes a final checkpoint. To start a durable server
+// from a snapshot (catalog.SaveFile, GET /wal/snapshot), place it at
+// <wal>.snap beside an empty or absent log. Without -wal the catalog
+// lives in memory only. Concurrent commits share one fsync per batch,
+// with no collection window (see internal/wal). -replica-of turns the
+// server into a read-only replica that tails the primary's /wal/stream
+// and refuses reads once it lags more than -max-lag records behind.
 package main
 
 import (
@@ -55,8 +55,6 @@ func main() {
 		autoReg    = flag.Bool("autoregister", false, "auto-register unknown dynamic attributes at ingest")
 		walPath    = flag.String("wal", "", "write-ahead log file: mutations are durable before they are acknowledged, startup recovers snapshot+log")
 		ckptEvery  = flag.Int("checkpoint-every", 1024, "with -wal: checkpoint after this many committed records (0 = only at shutdown)")
-		loadPath   = flag.String("load", "", "load a catalog snapshot at startup (ignored when -wal already has a snapshot)")
-		savePath   = flag.String("save", "", "write a catalog snapshot on shutdown (snapshot-only mode; implied by -wal)")
 		ontPath    = flag.String("ontology", "", "term hierarchy file enabling ?expand=1 queries")
 		cacheSize  = flag.Int("cache-size", 0, "entries per read-cache layer (0 = default, negative = read caches off)")
 		metricsOn  = flag.Bool("metrics", true, "expose the metrics registry at GET /metrics and record query traces at /debug/tracez")
@@ -94,8 +92,8 @@ func main() {
 	)
 	switch {
 	case *shards > 0 || *shardDirs != "":
-		if *walPath != "" || *savePath != "" || *loadPath != "" || *replicaOf != "" {
-			log.Fatal("mdserver: -shards is incompatible with -wal/-save/-load/-replica-of (each shard has its own WAL under its directory)")
+		if *walPath != "" || *replicaOf != "" {
+			log.Fatal("mdserver: -shards is incompatible with -wal/-replica-of (each shard has its own WAL under its directory)")
 		}
 		cl, err := openCluster(schema, opts, dopts, *shards, *shardRoot, *shardDirs)
 		if err != nil {
@@ -106,8 +104,8 @@ func main() {
 		durable = fmt.Sprintf("%d-shard cluster under %s (%d objects recovered), checkpoint every %d",
 			cl.Shards(), *shardRoot, cl.ObjectCount(), *ckptEvery)
 	case *replicaOf != "":
-		if *walPath != "" || *savePath != "" || *loadPath != "" {
-			log.Fatal("mdserver: -replica-of is incompatible with -wal/-save/-load (a replica's state is the primary's log)")
+		if *walPath != "" {
+			log.Fatal("mdserver: -replica-of is incompatible with -wal (a replica's state is the primary's log)")
 		}
 		rep, err := replica.New(replica.Options{
 			Primary: *replicaOf,
@@ -129,7 +127,7 @@ func main() {
 		final = func() error { tailCancel(); return nil }
 		durable = fmt.Sprintf("read replica of %s (max lag %d)", *replicaOf, *maxLag)
 	default:
-		cat, err := openCatalog(schema, opts, dopts, *loadPath)
+		cat, err := openCatalog(schema, opts, dopts)
 		if err != nil {
 			log.Fatal("mdserver: ", err)
 		}
@@ -137,9 +135,6 @@ func main() {
 		if *walPath != "" {
 			final, finalMsg = cat.Close, "final checkpoint written to "+*walPath+".snap"
 			durable = fmt.Sprintf("WAL %s, checkpoint every %d", *walPath, *ckptEvery)
-		} else if *savePath != "" {
-			final = func() error { return cat.SaveFile(nil, *savePath) }
-			finalMsg = "snapshot written to " + *savePath
 		}
 	}
 	if *ontPath != "" {
@@ -169,8 +164,7 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM: stop accepting, drain in-flight requests, then make
-	// the final state durable (a checkpoint per WAL, an atomic snapshot
-	// with -save).
+	// the final state durable (a checkpoint per WAL).
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -234,44 +228,19 @@ func openCluster(schema *xmlschema.Schema, opts catalog.Options, dopts catalog.D
 }
 
 // openCatalog builds the catalog according to the persistence flags:
-// -wal recovers snapshot+log and attaches durability; a legacy -load
-// snapshot seeds a durable catalog only when the WAL has no state yet;
-// plain -load and in-memory modes are unchanged.
-func openCatalog(schema *xmlschema.Schema, opts catalog.Options, dopts catalog.DurabilityOptions, loadPath string) (*catalog.Catalog, error) {
-	if walPath := dopts.WALPath; walPath != "" {
-		cat, err := catalog.OpenDurable(schema, opts, dopts)
-		if err != nil {
-			return nil, err
-		}
-		if cat.ObjectCount() == 0 && loadPath != "" {
-			// Migrate a legacy snapshot into the durable store: load it,
-			// checkpoint it, and continue on the WAL.
-			cat.Close()
-			loaded, err := catalog.LoadFile(schema, opts, nil, loadPath)
-			if err != nil {
-				return nil, fmt.Errorf("migrating %s: %w", loadPath, err)
-			}
-			if err := loaded.SaveFile(nil, walPath+".snap"); err != nil {
-				return nil, fmt.Errorf("migrating %s: %w", loadPath, err)
-			}
-			if cat, err = catalog.OpenDurable(schema, opts, dopts); err != nil {
-				return nil, err
-			}
-			log.Printf("mdserver: migrated %d objects from %s into the durable store", cat.ObjectCount(), loadPath)
-		}
-		st := cat.DurabilityStats()
-		log.Printf("mdserver: recovered %d objects (WAL seq %d, %d bytes)", cat.ObjectCount(), st.WAL.LastSeq, st.WAL.Size)
-		return cat, nil
+// -wal recovers snapshot+log and attaches durability; without it the
+// catalog lives in memory only.
+func openCatalog(schema *xmlschema.Schema, opts catalog.Options, dopts catalog.DurabilityOptions) (*catalog.Catalog, error) {
+	if dopts.WALPath == "" {
+		return catalog.Open(schema, opts)
 	}
-	if loadPath != "" {
-		cat, err := catalog.LoadFile(schema, opts, nil, loadPath)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("mdserver: loaded %d objects from %s", cat.ObjectCount(), loadPath)
-		return cat, nil
+	cat, err := catalog.OpenDurable(schema, opts, dopts)
+	if err != nil {
+		return nil, err
 	}
-	return catalog.Open(schema, opts)
+	st := cat.DurabilityStats()
+	log.Printf("mdserver: recovered %d objects (WAL seq %d, %d bytes)", cat.ObjectCount(), st.WAL.LastSeq, st.WAL.Size)
+	return cat, nil
 }
 
 func loadSchema(path string) (*xmlschema.Schema, error) {

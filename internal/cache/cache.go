@@ -1,22 +1,21 @@
 // Package cache provides the catalog's read-cache substrate: a sharded
-// LRU keyed by any comparable type, with singleflight request collapsing
-// and generation-stamped invalidation.
+// LRU keyed by any comparable type, with generation-stamped
+// invalidation.
 //
 // Every entry is stamped with the generation the caller observed when it
 // was stored. A lookup presents the generation it currently observes; an
-// entry whose stamp differs is treated as a miss and dropped. Mutators
-// (catalog ingest, delete, publish, registration) bump the generation
-// once, so invalidating every derived result — evaluated query IDs,
-// rebuilt response documents, memoized index probes — is a single atomic
-// increment with no per-entry dependency tracking.
+// entry whose stamp differs is treated as a miss and dropped. The
+// catalog's generation is the epoch of its published snapshot, and
+// every commit (ingest, delete, publish, registration) publishes a new
+// one, so invalidating every derived result — evaluated query IDs,
+// rebuilt response documents, memoized index probes — costs nothing
+// beyond the commit, with no per-entry dependency tracking.
 //
-// The monotonicity contract: a value stored under generation g must have
-// been computed from state that was current while the generation was
-// still g (the catalog guarantees this by computing and storing under
-// its read lock, which excludes generation bumps). Values computed from
-// *newer* state than their stamp are harmless only for grow-only state
-// (the definitions registry); see the catalog wiring for where that
-// weaker contract is relied on.
+// The stamping contract: a value stored under generation g must have
+// been computed from exactly the state of generation g. The catalog
+// meets it by computing from the immutable snapshot a reader pinned at
+// epoch g and stamping with that snapshot's epoch; no lock is held
+// across the computation.
 package cache
 
 import (
@@ -30,8 +29,7 @@ type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	Stale     uint64 `json:"stale"`     // entries dropped on generation mismatch
-	Collapses uint64 `json:"collapses"` // loads answered by joining an in-flight compute
+	Stale     uint64 `json:"stale"` // entries dropped on generation mismatch
 	Entries   int    `json:"entries"`
 	Capacity  int    `json:"capacity"`
 }
@@ -47,7 +45,7 @@ type Cache[K comparable, V any] struct {
 	// Counters are obs handles so a registry can adopt them; New starts
 	// them detached. They are swapped only by Instrument, before the
 	// cache is shared (see Instrument).
-	hits, misses, evictions, stale, collapses *obs.Counter
+	hits, misses, evictions, stale *obs.Counter
 }
 
 // entry is one cached value; entries form the shard's LRU list.
@@ -58,18 +56,9 @@ type entry[K comparable, V any] struct {
 	prev, next *entry[K, V]
 }
 
-// call is one in-flight computation joiners wait on.
-type call[V any] struct {
-	gen  uint64
-	done chan struct{}
-	val  V
-	err  error
-}
-
 type shard[K comparable, V any] struct {
-	mu       sync.Mutex
-	entries  map[K]*entry[K, V]
-	inflight map[K]*call[V]
+	mu      sync.Mutex
+	entries map[K]*entry[K, V]
 	// LRU list: head is most recent, tail next to be evicted.
 	head, tail *entry[K, V]
 	cap        int
@@ -88,13 +77,12 @@ func New[K comparable, V any](capacity int, hash func(K) uint64) *Cache[K, V] {
 		nShards /= 2
 	}
 	c := &Cache[K, V]{shards: make([]shard[K, V], nShards), hash: hash, cap: capacity}
-	c.hits, c.misses, c.evictions = obs.NewCounter(), obs.NewCounter(), obs.NewCounter()
-	c.stale, c.collapses = obs.NewCounter(), obs.NewCounter()
+	c.hits, c.misses = obs.NewCounter(), obs.NewCounter()
+	c.evictions, c.stale = obs.NewCounter(), obs.NewCounter()
 	per := (capacity + nShards - 1) / nShards
 	for i := range c.shards {
 		c.shards[i].cap = per
 		c.shards[i].entries = make(map[K]*entry[K, V])
-		c.shards[i].inflight = make(map[K]*call[V])
 	}
 	return c
 }
@@ -112,14 +100,7 @@ func (c *Cache[K, V]) Get(gen uint64, key K) (V, bool) {
 	}
 	s := c.shardFor(key)
 	s.mu.Lock()
-	v, ok := s.get(c, gen, key)
-	s.mu.Unlock()
-	return v, ok
-}
-
-// get is Get under the shard lock.
-func (s *shard[K, V]) get(c *Cache[K, V], gen uint64, key K) (V, bool) {
-	var zero V
+	defer s.mu.Unlock()
 	e := s.entries[key]
 	if e == nil {
 		c.misses.Inc()
@@ -145,12 +126,7 @@ func (c *Cache[K, V]) Put(gen uint64, key K, val V) {
 	}
 	s := c.shardFor(key)
 	s.mu.Lock()
-	s.put(c, gen, key, val)
-	s.mu.Unlock()
-}
-
-// put is Put under the shard lock.
-func (s *shard[K, V]) put(c *Cache[K, V], gen uint64, key K, val V) {
+	defer s.mu.Unlock()
 	if e := s.entries[key]; e != nil {
 		e.gen, e.val = gen, val
 		s.moveFront(e)
@@ -168,66 +144,28 @@ func (s *shard[K, V]) put(c *Cache[K, V], gen uint64, key K, val V) {
 }
 
 // GetOrCompute returns the cached value for key at the given generation,
-// or runs load to produce it. Concurrent callers for the same key at the
-// same generation collapse onto one load (singleflight); the others
-// block and share its result. Errors are returned to every collapsed
-// caller and never cached. A caller presenting a different generation
-// than an in-flight load computes independently rather than joining.
+// or runs load and stores what it returns. Concurrent misses for one key
+// each run load; the last store wins. Errors are returned and never
+// cached.
 func (c *Cache[K, V]) GetOrCompute(gen uint64, key K, load func() (V, error)) (V, error) {
-	if c == nil {
-		return load()
-	}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if v, ok := s.get(c, gen, key); ok {
-		s.mu.Unlock()
+	if v, ok := c.Get(gen, key); ok {
 		return v, nil
 	}
-	if fl := s.inflight[key]; fl != nil && fl.gen == gen {
-		s.mu.Unlock()
-		<-fl.done
-		c.collapses.Inc()
-		return fl.val, fl.err
+	v, err := load()
+	if err == nil {
+		c.Put(gen, key, v)
 	}
-	fl := &call[V]{gen: gen, done: make(chan struct{})}
-	s.inflight[key] = fl
-	s.mu.Unlock()
-
-	fl.val, fl.err = load()
-	s.mu.Lock()
-	if s.inflight[key] == fl {
-		delete(s.inflight, key)
-	}
-	if fl.err == nil {
-		s.put(c, gen, key, fl.val)
-	}
-	s.mu.Unlock()
-	close(fl.done)
-	return fl.val, fl.err
-}
-
-// Purge drops every entry. In-flight computations are unaffected.
-func (c *Cache[K, V]) Purge() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[K]*entry[K, V])
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
-	}
+	return v, err
 }
 
 // Instrument re-homes the cache's counters onto reg under the
 // cache_hits_total / cache_misses_total / cache_evictions_total /
-// cache_stale_total / cache_collapses_total families labeled
-// {layer="..."}, and registers cache_entries and cache_capacity gauges
-// sampled at exposition time. Stats keeps reporting the same numbers
-// through the shared handles. Call it once, after New and before the
-// cache is shared between goroutines; counts recorded while detached
-// are not carried over. No-op on a nil cache or nil registry.
+// cache_stale_total families labeled {layer="..."}, and registers
+// cache_entries and cache_capacity gauges sampled at exposition time.
+// Stats keeps reporting the same numbers through the shared handles.
+// Call it once, after New and before the cache is shared between
+// goroutines; counts recorded while detached are not carried over.
+// No-op on a nil cache or nil registry.
 func (c *Cache[K, V]) Instrument(reg *obs.Registry, layer string) {
 	if c == nil || reg == nil {
 		return
@@ -237,7 +175,6 @@ func (c *Cache[K, V]) Instrument(reg *obs.Registry, layer string) {
 	c.misses = reg.Counter("cache_misses_total", l)
 	c.evictions = reg.Counter("cache_evictions_total", l)
 	c.stale = reg.Counter("cache_stale_total", l)
-	c.collapses = reg.Counter("cache_collapses_total", l)
 	reg.GaugeFunc("cache_entries", func() int64 { return int64(c.Len()) }, l)
 	cap := int64(c.cap)
 	reg.GaugeFunc("cache_capacity", func() int64 { return cap }, l)
@@ -248,21 +185,14 @@ func (c *Cache[K, V]) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	st := Stats{
+	return Stats{
 		Hits:      c.hits.Value(),
 		Misses:    c.misses.Value(),
 		Evictions: c.evictions.Value(),
 		Stale:     c.stale.Value(),
-		Collapses: c.collapses.Value(),
+		Entries:   c.Len(),
 		Capacity:  c.cap,
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Entries += len(s.entries)
-		s.mu.Unlock()
-	}
-	return st
 }
 
 // Len returns the number of live entries.

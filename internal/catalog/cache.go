@@ -70,9 +70,6 @@ func (c *Catalog) initCaches() {
 	c.caches.response.Instrument(c.obsv.reg, "response")
 }
 
-// CachingEnabled reports whether the read caches are active.
-func (c *Catalog) CachingEnabled() bool { return c.caches.eval != nil }
-
 // CacheStats reports the per-layer cache counters, the data generation
 // (snapshot epoch) entries are stamped with, and the registry
 // generation dynamic registration advances. Zero layers with
@@ -89,7 +86,7 @@ type CacheStats struct {
 // CacheStats snapshots the read-cache counters.
 func (c *Catalog) CacheStats() CacheStats {
 	return CacheStats{
-		Enabled:            c.CachingEnabled(),
+		Enabled:            c.caches.eval != nil,
 		DataGeneration:     c.DB.Generation(),
 		RegistryGeneration: c.Reg.Generation(),
 		Evaluate:           c.caches.eval.Stats(),
@@ -100,22 +97,15 @@ func (c *Catalog) CacheStats() CacheStats {
 
 // queryCacheKey canonically serializes (Owner, criteria tree) into the
 // evaluate cache key. Every variable-length field is
-// length-prefixed, so distinct queries can never collide.
+// length-prefixed, so distinct queries can never collide. Rank is not
+// part of the key: evaluateTraced refuses ranked queries before it
+// builds one.
 func queryCacheKey(q *Query) string {
 	var b strings.Builder
 	b.WriteByte('o')
 	writeLenPrefixed(&b, q.Owner)
 	for _, a := range q.Attrs {
 		writeCritKey(&b, a)
-	}
-	if q.Rank != nil {
-		// Defensive: ranked queries strip Rank before the evaluate cache,
-		// but a keyed rank can never alias a structural query.
-		b.WriteString("R(")
-		for _, t := range q.Rank.Terms {
-			writeLenPrefixed(&b, t)
-		}
-		fmt.Fprintf(&b, "k%d)", q.Rank.K)
 	}
 	return b.String()
 }

@@ -22,7 +22,7 @@ func dxEqQuery(dx int64) *Query {
 
 func TestCacheHitAndMutationInvalidation(t *testing.T) {
 	c := newLEADCatalog(t, Options{})
-	if !c.CachingEnabled() {
+	if !c.CacheStats().Enabled {
 		t.Fatal("caching should default on")
 	}
 	first := ingestFig3(t, c)
@@ -253,11 +253,8 @@ func TestResponseCacheServesCurrentDocuments(t *testing.T) {
 func TestCacheOffMatchesCacheOn(t *testing.T) {
 	cached := newLEADCatalog(t, Options{})
 	plain := newLEADCatalog(t, Options{CacheSize: -1})
-	if plain.CachingEnabled() {
-		t.Fatal("negative CacheSize should disable caching")
-	}
 	if st := plain.CacheStats(); st.Enabled || st.Evaluate.Hits != 0 {
-		t.Fatalf("disabled cache stats = %+v", st)
+		t.Fatalf("negative CacheSize should disable caching; stats = %+v", st)
 	}
 
 	docs := []string{

@@ -88,7 +88,6 @@ func TestDurabilityOptionsSurfacePinned(t *testing.T) {
 	pinFields(t, DurabilityOptions{},
 		"FS faultio.FS",
 		"WALPath string",
-		"SnapshotPath string",
 		"CheckpointEvery int",
 		"NoSync bool",
 	)

@@ -484,9 +484,9 @@ func formatDx(dx float64) string {
 // every reader observation the two are byte-identical state machines:
 // any divergence in evaluated IDs or reconstructed XML is a stale cache
 // read. Readers repeat each query, so most answers come from the cache,
-// and several readers share keys concurrently, driving the singleflight
-// path under the race detector. A DOM oracle pins the reconstructed
-// documents to the ingested originals.
+// and several readers share keys concurrently, racing misses that
+// compute and store the same key under the race detector. A DOM oracle
+// pins the reconstructed documents to the ingested originals.
 func TestCachedUncachedOracleStress(t *testing.T) {
 	cached := newLEADCatalog(t, Options{})
 	plain := newLEADCatalog(t, Options{CacheSize: -1})

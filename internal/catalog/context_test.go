@@ -84,7 +84,8 @@ func TestEvaluateContextPreCancelled(t *testing.T) {
 // TestEvaluateContextSingleflightCancel drives concurrent evaluations of
 // one query where some callers' contexts are cancelled mid-flight:
 // callers with live contexts must never surface another caller's
-// context.Canceled out of a shared singleflight computation.
+// context.Canceled, whether the evaluate cache answers them or they
+// compute.
 func TestEvaluateContextSingleflightCancel(t *testing.T) {
 	c := newLEADCatalog(t, Options{})
 	ingestFig3(t, c)

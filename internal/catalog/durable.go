@@ -66,11 +66,9 @@ type DurabilityOptions struct {
 	// FS is the filesystem the log and snapshots live on; nil uses the
 	// real one. Tests inject a faultio.Faulty/MemFS here.
 	FS faultio.FS
-	// WALPath is the write-ahead log file. Required.
+	// WALPath is the write-ahead log file. Required. Checkpoint
+	// snapshots live beside it, at WALPath + ".snap".
 	WALPath string
-	// SnapshotPath is the checkpoint snapshot file; defaults to
-	// WALPath + ".snap".
-	SnapshotPath string
 	// CheckpointEvery checkpoints after that many committed records;
 	// 0 disables automatic checkpoints (explicit Checkpoint/Close only).
 	CheckpointEvery int
@@ -143,10 +141,7 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 	if fs == nil {
 		fs = faultio.OS{}
 	}
-	snapPath := dopts.SnapshotPath
-	if snapPath == "" {
-		snapPath = dopts.WALPath + ".snap"
-	}
+	snapPath := dopts.WALPath + ".snap"
 
 	var c *Catalog
 	var fromSeq uint64

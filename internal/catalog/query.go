@@ -166,9 +166,8 @@ func (c *Catalog) EvaluateContext(ctx context.Context, q *Query) ([]int64, error
 
 // evaluateTraced answers the query through the evaluate cache layer,
 // stamping tr (which may be nil) along the way. A hit skips the whole
-// pipeline; concurrent misses for the same key at the same pinned epoch
-// collapse onto one computation (singleflight). The cached slice is
-// cloned on every hit so callers may mutate their result freely.
+// pipeline. The cached slice is cloned on every hit so callers may
+// mutate their result freely.
 func (v *view) evaluateTraced(q *Query, tr *obs.Trace) ([]int64, error) {
 	c := v.c
 	if q.Rank != nil {
@@ -186,18 +185,9 @@ func (v *view) evaluateTraced(q *Query, tr *obs.Trace) ([]int64, error) {
 		return v.evaluateUncached(q, tr)
 	})
 	if err != nil {
-		if !computed && v.ctxErr() == nil &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			// We joined another caller's in-flight computation and
-			// inherited *its* cancellation; our own context is live, so
-			// run the pipeline ourselves.
-			return v.evaluateUncached(q, tr)
-		}
 		return nil, err
 	}
 	if !computed {
-		// Answered from the evaluate cache (or by joining another
-		// caller's in-flight computation) — no pipeline stages ran.
 		tr.Annotate("evaluate-cache hit")
 	}
 	return slices.Clone(ids), nil

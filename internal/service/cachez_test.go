@@ -73,8 +73,9 @@ func TestCachezEndpointDisabled(t *testing.T) {
 
 // TestCacheSurfacePinned pins what an operator sees of the read caches
 // after a cold and a warm /search: the exact key set of /debug/cachez
-// and the exact layer labels of cache_hits_total. A layer cannot be
-// added (or come back) without this table changing.
+// and of each layer in it, the exact cache_* metric families, and the
+// exact layer labels of cache_hits_total. A layer or a counter cannot
+// be added (or come back) without this table changing.
 func TestCacheSurfacePinned(t *testing.T) {
 	ts := newObsServer(t)
 	if code, got := post(t, ts+"/ingest?owner=alice", "application/xml", xmlschema.Figure3Document); code != http.StatusCreated {
@@ -98,6 +99,24 @@ func TestCacheSurfacePinned(t *testing.T) {
 		}
 		return keys
 	}
+	layerKeys := func(layer string) func(body string) []string {
+		return func(body string) []string {
+			var m map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(body), &m); err != nil {
+				t.Fatalf("not a JSON object: %v\n%s", err, body)
+			}
+			return jsonKeys(string(m[layer]))
+		}
+	}
+	cacheFamilies := func(body string) []string {
+		var fams []string
+		for _, line := range strings.Split(body, "\n") {
+			if rest, ok := strings.CutPrefix(line, "# TYPE cache_"); ok {
+				fams = append(fams, "cache_"+strings.Fields(rest)[0])
+			}
+		}
+		return fams
+	}
 	hitLayers := func(body string) []string {
 		var layers []string
 		for _, line := range strings.Split(body, "\n") {
@@ -107,12 +126,17 @@ func TestCacheSurfacePinned(t *testing.T) {
 		}
 		return layers
 	}
+	layerFields := []string{"capacity", "entries", "evictions", "hits", "misses", "stale"}
 	for _, tc := range []struct {
 		path  string
 		names func(body string) []string
 		want  []string
 	}{
 		{"/debug/cachez", jsonKeys, []string{"data_generation", "enabled", "evaluate", "postings", "registry_generation", "response"}},
+		{"/debug/cachez", layerKeys("evaluate"), layerFields},
+		{"/debug/cachez", layerKeys("postings"), layerFields},
+		{"/debug/cachez", layerKeys("response"), layerFields},
+		{"/metrics", cacheFamilies, []string{"cache_capacity", "cache_entries", "cache_evictions_total", "cache_hits_total", "cache_misses_total", "cache_stale_total"}},
 		{"/metrics", hitLayers, []string{"evaluate", "postings", "response"}},
 	} {
 		code, body := get(t, ts+tc.path)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -165,6 +166,67 @@ func testMetricsEndpoint(t *testing.T, ts string, extra map[string]string) {
 	}
 	if sample := `http_requests_total{code="200",endpoint="POST /search"} 1`; !strings.Contains(body, sample+"\n") {
 		t.Errorf("no per-endpoint request sample %s in\n%s", sample, body)
+	}
+}
+
+// TestMetricsFamiliesDocumented pins OPERATIONS.md's metrics table to
+// what the server exposes, as scripts/flagdoc.sh does for the flag
+// table: a durable catalog and a 2-shard cluster are driven through
+// ingest, query, search, ranked search and fetch, and every # TYPE
+// family either exposes must have a table row, while every family the
+// table names must be exposed by at least one of them. The replica_*
+// families need a running tailer and are exempt.
+func TestMetricsFamiliesDocumented(t *testing.T) {
+	doc, err := os.ReadFile("../../OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "\n## Metrics reference\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		for _, name := range strings.Split(cells[1], ",") {
+			documented[strings.Trim(strings.TrimSpace(name), "`")] = true
+		}
+	}
+	if len(documented) == 0 {
+		t.Fatal("found no families in OPERATIONS.md's metrics table")
+	}
+
+	exposed := map[string]bool{}
+	for _, topo := range metricsTopologies {
+		ts := topo.open(t, true)
+		driveTraffic(t, ts)
+		code, body := post(t, ts+"/search", "application/json", `{"rank":{"terms":["convective"],"k":10}}`)
+		if code != http.StatusOK {
+			t.Fatalf("%s ranked search: %d %s", topo.name, code, body)
+		}
+		var reply struct{ Results []struct{ ID int64 } }
+		if err := json.Unmarshal([]byte(body), &reply); err != nil || len(reply.Results) == 0 {
+			t.Fatalf("%s ranked search found nothing (%v): %s", topo.name, err, body)
+		}
+		if code, body := get(t, ts+"/fetch?id="+strconv.FormatInt(reply.Results[0].ID, 10)); code != http.StatusOK {
+			t.Fatalf("%s fetch: %d %s", topo.name, code, body)
+		}
+		_, body = get(t, ts+"/metrics")
+		for _, line := range strings.Split(body, "\n") {
+			if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				fam := strings.Fields(rest)[0]
+				exposed[fam] = true
+				if !documented[fam] {
+					t.Errorf("%s exposes %s, which OPERATIONS.md's metrics table does not list", topo.name, fam)
+				}
+			}
+		}
+	}
+	for fam := range documented {
+		if !exposed[fam] && !strings.HasPrefix(fam, "replica_") {
+			t.Errorf("OPERATIONS.md lists %s, which neither topology exposes", fam)
+		}
 	}
 }
 

@@ -69,8 +69,8 @@ type Options struct {
 	// and carries the cluster's own shard_* instruments.
 	Catalog catalog.Options
 	// Durability is the per-shard durability template: FS, NoSync and
-	// CheckpointEvery apply to every shard; WALPath and SnapshotPath are
-	// derived per shard and ignored here.
+	// CheckpointEvery apply to every shard; WALPath is derived per shard
+	// and ignored here.
 	Durability catalog.DurabilityOptions
 }
 
@@ -275,7 +275,6 @@ func (cl *Cluster) openShardCatalog(dir string) (*catalog.Catalog, error) {
 	dopts := cl.opts.Durability
 	dopts.FS = cl.fs
 	dopts.WALPath = filepath.Join(dir, walFile)
-	dopts.SnapshotPath = ""
 	return catalog.OpenDurable(cl.schema, cl.opts.Catalog, dopts)
 }
 
