@@ -35,7 +35,8 @@ crash:
 # post-fsync crash of every workload step (the version is durable but
 # not yet published) and the acknowledgement that does not wait for the
 # next writer's build, under the race detector, and the fuzz targets'
-# seed corpora — the swap interleavings, and the row and log record
+# seed corpora — the swap interleavings, the B-tree versions pinned
+# across aborts and staged-chain resets, and the row and log record
 # codecs that decode bytes from other processes (DESIGN.md "MVCC
 # snapshots and the lock-free read path", "Record format").
 mvcc:

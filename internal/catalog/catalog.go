@@ -670,21 +670,28 @@ func (c *Catalog) SetPublished(id int64, published bool) error {
 // visibleSet returns the objects that may appear in results for the
 // given querying user: owners see their own objects and everyone sees
 // published ones, so the list is the owner's objects_by_owner entries
-// united with the published ones, read off the index keys. The empty
-// user is the catalog-internal superuser, who sees everything; callers
-// skip the filter for it rather than ask for this list.
+// united with the published ones, read off the index keys. Each
+// equality range arrives in ascending object order, so one linear merge
+// unites them. The empty user is the catalog-internal superuser, who
+// sees everything; callers skip the filter for it rather than ask for
+// this list.
 func (v *view) visibleSet(user string) ([]uint64, error) {
 	objT := v.tab(TObjects)
-	var out []uint64
-	add := func(tail []int64) bool {
-		out = append(out, uint64(tail[0]))
-		return true
+	objects := func(index string, val relstore.Value) ([]uint64, error) {
+		var out []uint64
+		err := objT.LookupRangeTails(index, incl(val), incl(val), 1, func(tail []int64) bool {
+			out = append(out, uint64(tail[0]))
+			return true
+		})
+		return out, err
 	}
-	if err := objT.LookupRangeTails("objects_by_owner", incl(relstore.Str(user)), incl(relstore.Str(user)), 1, add); err != nil {
+	owned, err := objects("objects_by_owner", relstore.Str(user))
+	if err != nil {
 		return nil, err
 	}
-	if err := objT.LookupRangeTails("objects_by_published", incl(relstore.Bool(true)), incl(relstore.Bool(true)), 1, add); err != nil {
+	published, err := objects("objects_by_published", relstore.Bool(true))
+	if err != nil {
 		return nil, err
 	}
-	return sortedKeys(out), nil
+	return or(owned, published), nil
 }

@@ -11,8 +11,9 @@ import (
 // between the Figure-4 stages is a sorted, duplicate-free []uint64 of
 // attribute-instance keys: probes decode them straight off the B-tree
 // keys (relstore.LookupRangeTails), element predicates and the rollup
-// combine them with linear merges ordered by ascending length, and the
-// intersect stage merges per-criterion *object* lists the same way.
+// combine them with linear merges ordered by ascending length, the
+// intersect stage merges per-criterion *object* lists the same way, and
+// the visible set is the union of two object lists.
 // Every list is read-only once built, which is what lets the postings
 // cache hand one list to every concurrent reader at the same epoch.
 
@@ -74,6 +75,29 @@ func and(a, b []uint64) []uint64 {
 		}
 	}
 	return out
+}
+
+// or returns the union of two key lists as a new list; neither operand
+// is mutated.
+func or(a, b []uint64) []uint64 {
+	out := make([]uint64, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // objectSet projects an instance-key list onto its distinct object IDs.

@@ -146,6 +146,17 @@ func (o keyOracle) and(p keyOracle) keyOracle {
 	return out
 }
 
+func (o keyOracle) or(p keyOracle) keyOracle {
+	out := keyOracle{}
+	for k := range o {
+		out[k] = true
+	}
+	for k := range p {
+		out[k] = true
+	}
+	return out
+}
+
 func (o keyOracle) objects() keyOracle {
 	out := keyOracle{}
 	for k := range o {
@@ -177,7 +188,7 @@ func checkKeys(t *testing.T, label string, got []uint64, o keyOracle) {
 }
 
 // checkKeyAlgebra builds two key lists from raw keys and checks build,
-// and, andAscending, objectSet and membership against the oracle, and
+// and, andAscending, or, objectSet and membership against the oracle, and
 // that no operation mutates its operands.
 func checkKeyAlgebra(t *testing.T, rawA, rawB []uint64) {
 	t.Helper()
@@ -189,6 +200,8 @@ func checkKeyAlgebra(t *testing.T, rawA, rawB []uint64) {
 	checkKeys(t, "and", and(a, b), oa.and(ob))
 	checkKeys(t, "and reversed", and(b, a), oa.and(ob))
 	checkKeys(t, "andAscending", andAscending([][]uint64{a, b, a}), oa.and(ob))
+	checkKeys(t, "or", or(a, b), oa.or(ob))
+	checkKeys(t, "or reversed", or(b, a), oa.or(ob))
 	checkKeys(t, "objectSet", objectSet(a), oa.objects())
 	checkKeys(t, "objectSet of and", objectSet(and(a, b)), oa.and(ob).objects())
 	if !slices.Equal(a, beforeA) || !slices.Equal(b, beforeB) {

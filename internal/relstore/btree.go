@@ -1,6 +1,10 @@
 package relstore
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+	"slices"
+)
 
 // btree is a copy-on-write B+ tree mapping order-preserving encoded keys
 // to row IDs. Keys are unique: non-unique indexes append the row ID to
@@ -18,6 +22,40 @@ import "bytes"
 // There is deliberately no leaf chain — a next pointer would make every
 // leaf split mutate its left sibling, destroying structural sharing.
 // Range scans descend with an in-order walk instead.
+//
+// Key storage. A node keeps its keys in one byte arena, each as a
+// uvarint length followed by the key bytes, in the order they were
+// added; offs holds the keys' arena positions in key order. A path copy
+// copies offs and vals or children (12 bytes an entry) and shares the
+// arena: the copy appends the keys it adds after the bytes it inherited,
+// into the same backing array while its capacity lasts. A node's keys
+// therefore sit in one block of memory, and storing a key copies it, so
+// callers may reuse the buffer they pass in. Splits and merges give the
+// nodes they build fresh arenas; a separator is copied into its parent's
+// arena. Keys a node drops (deletes, borrows, replaced separators) stay
+// behind as dead bytes until an append must grow the arena and finds
+// them dominating (more dead bytes than live ones), when it packs the
+// live keys into a fresh arena instead of growing the old one.
+//
+// Sharing a mutable backing array between versions is safe because:
+//
+//   - Only the single writer appends, and only to nodes it copied from
+//     the head version (the newest committed or staged one), at
+//     positions at or past the length it inherited from that node.
+//   - An older copy never reads past its own offsets, which all lie
+//     below the arena length it was published with; bytes below that
+//     length are never written again. A reader and the writer never
+//     touch the same byte, and the version swap orders everything a
+//     reader can reach before the reader pins it.
+//   - A node the head version references has the longest length of every
+//     reachable copy sharing its arena: copies are made from the head,
+//     and a committed or staged copy replaces its source in the new
+//     head. After Abort or ResetHead, the next copy of a node may
+//     overwrite bytes that only the discarded, unreachable copies
+//     referenced.
+//   - Keys handed to Ascend callbacks alias the arena (with capacity
+//     clipped to the key, so an append cannot write into it). No caller
+//     may keep one past its callback; none does.
 type btree struct {
 	root  *bnode
 	size  int
@@ -35,9 +73,10 @@ const (
 type bnode struct {
 	epoch    uint64
 	leaf     bool
-	keys     [][]byte
-	vals     []int64  // leaf only, parallel to keys
-	children []*bnode // internal only, len(children) == len(keys)+1
+	arena    []byte   // uvarint length + key bytes per key, in insertion order
+	offs     []uint32 // arena positions of the keys, in key order
+	vals     []int64  // leaf only, parallel to offs
+	children []*bnode // internal only, len(children) == len(offs)+1
 }
 
 func newBtree() *btree {
@@ -52,15 +91,16 @@ func (t *btree) clone(epoch uint64) *btree {
 }
 
 // mut returns n if it already belongs to this tree's epoch, otherwise a
-// private copy tagged with it. Aborted transactions simply drop their
-// copies: nothing reachable from a published root ever carries an
-// unpublished epoch, so epoch reuse after an abort is safe.
+// private copy tagged with it that shares n's arena. Aborted
+// transactions simply drop their copies: nothing reachable from a
+// published root ever carries an unpublished epoch, so epoch reuse after
+// an abort is safe.
 func (t *btree) mut(n *bnode) *bnode {
 	if n.epoch == t.epoch {
 		return n
 	}
-	c := &bnode{epoch: t.epoch, leaf: n.leaf}
-	c.keys = append(make([][]byte, 0, len(n.keys)+1), n.keys...)
+	c := &bnode{epoch: t.epoch, leaf: n.leaf, arena: n.arena}
+	c.offs = append(make([]uint32, 0, len(n.offs)+1), n.offs...)
 	if n.leaf {
 		c.vals = append(make([]int64, 0, len(n.vals)+1), n.vals...)
 	} else {
@@ -72,18 +112,109 @@ func (t *btree) mut(n *bnode) *bnode {
 // Len returns the number of entries.
 func (t *btree) Len() int { return t.size }
 
-// searchKeys returns the index of the first key in keys >= key.
-func searchKeys(keys [][]byte, key []byte) int {
-	lo, hi := 0, len(keys)
+// key returns n's i'th key in key order (entryKey).
+func (n *bnode) key(i int) []byte { return entryKey(n.arena[n.offs[i]:]) }
+
+// entryKey returns the key of the arena entry e starts with. It aliases
+// the arena, with its capacity clipped to the key.
+func entryKey(e []byte) []byte {
+	if l := int(e[0]); l < 0x80 {
+		return e[1:][:l:l]
+	}
+	return longEntryKey(e)
+}
+
+// longEntryKey is entryKey for a length prefix of more than one byte,
+// kept apart so entryKey inlines into the scan loop.
+func longEntryKey(e []byte) []byte {
+	l, w := binary.Uvarint(e)
+	return e[w:][:l:l]
+}
+
+// entryLen is the arena bytes one key occupies.
+func entryLen(key []byte) int {
+	n := len(key) + 1
+	for l := len(key); l >= 0x80; l >>= 7 {
+		n++
+	}
+	return n
+}
+
+// liveBytes is the arena bytes n's keys [from, to) occupy.
+func (n *bnode) liveBytes(from, to int) int {
+	size := 0
+	for i := from; i < to; i++ {
+		size += entryLen(n.key(i))
+	}
+	return size
+}
+
+// addKey copies key into n's arena and returns its position. n must be
+// private to the writer. An append that has to grow the arena packs the
+// live keys into a fresh one instead when dead bytes outnumber live
+// ones; offs is rewritten in place then, so a caller holding n.offs
+// across the call still sees every key.
+func (n *bnode) addKey(key []byte) uint32 {
+	if len(n.arena)+entryLen(key) > cap(n.arena) && 2*n.liveBytes(0, len(n.offs)) < len(n.arena) {
+		arena, offs := n.packed(0, len(n.offs))
+		n.arena = arena
+		copy(n.offs, offs)
+	}
+	off := uint32(len(n.arena))
+	n.arena = append(binary.AppendUvarint(n.arena, uint64(len(key))), key...)
+	return off
+}
+
+// pushKeys copies src's keys [from, to) into n, after n's own keys.
+func (n *bnode) pushKeys(src *bnode, from, to int) {
+	for i := from; i < to; i++ {
+		n.offs = append(n.offs, n.addKey(src.key(i)))
+	}
+}
+
+// arenaCap is the capacity a fresh arena gets for keys taking live
+// bytes: half as much again, so the next keys append in place. A
+// node's arena never shrinks until it is rebuilt, so the room is a
+// trade between the copies a growing arena makes and the bytes every
+// node holds unused.
+func arenaCap(live int) int {
+	return live + live/2
+}
+
+// packed returns a fresh arena and offsets holding n's keys [from, to).
+// n's own arena is left as it is, so keys taken from it stay valid.
+func (n *bnode) packed(from, to int) ([]byte, []uint32) {
+	p := bnode{
+		arena: make([]byte, 0, arenaCap(n.liveBytes(from, to))),
+		offs:  make([]uint32, 0, to-from+1),
+	}
+	p.pushKeys(n, from, to)
+	return p.arena, p.offs
+}
+
+// search returns the index of the first key of n >= key, and whether
+// that key equals key.
+func (n *bnode) search(key []byte) (int, bool) {
+	lo, hi := 0, len(n.offs)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(keys[mid], key) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(n.key(mid), key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	return lo, lo < len(n.offs) && bytes.Equal(n.key(lo), key)
+}
+
+// childFor returns the index of the child of internal node n whose
+// subtree holds key: a separator equal to key sends it right.
+func (n *bnode) childFor(key []byte) int {
+	i, eq := n.search(key)
+	if eq {
+		i++
+	}
+	return i
 }
 
 // Get returns the value stored under key. Safe for concurrent use with
@@ -91,21 +222,17 @@ func searchKeys(keys [][]byte, key []byte) int {
 func (t *btree) Get(key []byte) (int64, bool) {
 	n := t.root
 	for !n.leaf {
-		i := searchKeys(n.keys, key)
-		if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
-			i++ // separator equal to key: key lives in the right subtree
-		}
-		n = n.children[i]
+		n = n.children[n.childFor(key)]
 	}
-	i := searchKeys(n.keys, key)
-	if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
+	if i, eq := n.search(key); eq {
 		return n.vals[i], true
 	}
 	return 0, false
 }
 
-// Insert stores val under key, replacing any existing entry. Must only
-// be called on a tree private to the writing transaction.
+// Insert stores val under key, replacing any existing entry. The tree
+// copies key; the caller may reuse it. Must only be called on a tree
+// private to the writing transaction.
 func (t *btree) Insert(key []byte, val int64) {
 	t.root = t.mut(t.root)
 	promoted, right, replaced := t.insert(t.root, key, val)
@@ -113,11 +240,9 @@ func (t *btree) Insert(key []byte, val int64) {
 		t.size++
 	}
 	if right != nil {
-		t.root = &bnode{
-			epoch:    t.epoch,
-			keys:     [][]byte{promoted},
-			children: []*bnode{t.root, right},
-		}
+		root := &bnode{epoch: t.epoch, children: []*bnode{t.root, right}}
+		root.offs = []uint32{root.addKey(promoted)}
+		t.root = root
 	}
 }
 
@@ -126,60 +251,53 @@ func (t *btree) Insert(key []byte, val int64) {
 // sibling.
 func (t *btree) insert(n *bnode, key []byte, val int64) (promoted []byte, right *bnode, replaced bool) {
 	if n.leaf {
-		i := searchKeys(n.keys, key)
-		if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
+		i, eq := n.search(key)
+		if eq {
 			n.vals[i] = val
 			return nil, nil, true
 		}
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.vals = append(n.vals, 0)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = val
+		n.offs = slices.Insert(n.offs, i, n.addKey(key))
+		n.vals = slices.Insert(n.vals, i, val)
 	} else {
-		i := searchKeys(n.keys, key)
-		if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
-			i++
-		}
+		i := n.childFor(key)
 		child := t.mut(n.children[i])
 		n.children[i] = child
 		p, r, rep := t.insert(child, key, val)
 		replaced = rep
 		if r != nil {
-			n.keys = append(n.keys, nil)
-			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = p
-			n.children = append(n.children, nil)
-			copy(n.children[i+2:], n.children[i+1:])
-			n.children[i+1] = r
+			n.offs = slices.Insert(n.offs, i, n.addKey(p))
+			n.children = slices.Insert(n.children, i+1, r)
 		}
 	}
-	if len(n.keys) <= maxKeys {
+	if len(n.offs) <= maxKeys {
 		return nil, nil, replaced
 	}
-	return t.split(n, replaced)
+	promoted, right = t.split(n)
+	return promoted, right, replaced
 }
 
-func (t *btree) split(n *bnode, replaced bool) ([]byte, *bnode, bool) {
-	mid := len(n.keys) / 2
+// split moves the upper half of n's entries into a new right sibling and
+// returns the separator to promote. Both halves get fresh arenas; the
+// separator aliases n's old one, which nothing writes again.
+func (t *btree) split(n *bnode) ([]byte, *bnode) {
+	mid := len(n.offs) / 2
+	r := &bnode{epoch: t.epoch, leaf: n.leaf}
 	if n.leaf {
-		r := &bnode{epoch: t.epoch, leaf: true}
-		r.keys = append(r.keys, n.keys[mid:]...)
-		r.vals = append(r.vals, n.vals[mid:]...)
-		n.keys = n.keys[:mid:mid]
-		n.vals = n.vals[:mid:mid]
 		// For leaves the separator is the first key of the right node and
 		// stays in the leaf (B+ tree style).
-		return r.keys[0], r, replaced
+		r.arena, r.offs = n.packed(mid, len(n.offs))
+		r.vals = append(make([]int64, 0, len(n.vals)-mid+1), n.vals[mid:]...)
+		n.arena, n.offs = n.packed(0, mid)
+		n.vals = n.vals[:mid]
+		return r.key(0), r
 	}
-	r := &bnode{epoch: t.epoch}
-	r.keys = append(r.keys, n.keys[mid+1:]...)
-	r.children = append(r.children, n.children[mid+1:]...)
-	promoted := n.keys[mid]
-	n.keys = n.keys[:mid:mid]
-	n.children = n.children[: mid+1 : mid+1]
-	return promoted, r, replaced
+	promoted := n.key(mid)
+	r.arena, r.offs = n.packed(mid+1, len(n.offs))
+	r.children = append(make([]*bnode, 0, len(n.children)-mid), n.children[mid+1:]...)
+	n.arena, n.offs = n.packed(0, mid)
+	clear(n.children[mid+1:])
+	n.children = n.children[:mid+1]
+	return promoted, r
 }
 
 // Delete removes key, reporting whether it was present. Underfull nodes
@@ -189,7 +307,7 @@ func (t *btree) split(n *bnode, replaced bool) ([]byte, *bnode, bool) {
 func (t *btree) Delete(key []byte) bool {
 	t.root = t.mut(t.root)
 	deleted := t.del(t.root, key)
-	if !t.root.leaf && len(t.root.keys) == 0 {
+	if !t.root.leaf && len(t.root.offs) == 0 {
 		t.root = t.root.children[0]
 	}
 	if deleted {
@@ -202,22 +320,19 @@ func (t *btree) Delete(key []byte) bool {
 // copy.
 func (t *btree) del(n *bnode, key []byte) bool {
 	if n.leaf {
-		i := searchKeys(n.keys, key)
-		if i >= len(n.keys) || !bytes.Equal(n.keys[i], key) {
+		i, eq := n.search(key)
+		if !eq {
 			return false
 		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
+		n.offs = slices.Delete(n.offs, i, i+1)
+		n.vals = slices.Delete(n.vals, i, i+1)
 		return true
 	}
-	i := searchKeys(n.keys, key)
-	if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
-		i++
-	}
+	i := n.childFor(key)
 	child := t.mut(n.children[i])
 	n.children[i] = child
 	deleted := t.del(child, key)
-	if len(child.keys) < minKeys {
+	if len(child.offs) < minKeys {
 		t.rebalance(n, i)
 	}
 	return deleted
@@ -229,41 +344,40 @@ func (t *btree) del(n *bnode, key []byte) bool {
 // before they are touched.
 func (t *btree) rebalance(parent *bnode, i int) {
 	c := parent.children[i]
-	if i > 0 && len(parent.children[i-1].keys) > minKeys {
+	if i > 0 && len(parent.children[i-1].offs) > minKeys {
 		left := t.mut(parent.children[i-1])
 		parent.children[i-1] = left
+		last := len(left.offs) - 1
 		if c.leaf {
-			last := len(left.keys) - 1
-			c.keys = append([][]byte{left.keys[last]}, c.keys...)
-			c.vals = append([]int64{left.vals[last]}, c.vals...)
-			left.keys = left.keys[:last]
+			c.offs = slices.Insert(c.offs, 0, c.addKey(left.key(last)))
+			c.vals = slices.Insert(c.vals, 0, left.vals[last])
 			left.vals = left.vals[:last]
-			parent.keys[i-1] = c.keys[0]
+			parent.offs[i-1] = parent.addKey(c.key(0))
 		} else {
-			last := len(left.keys) - 1
-			c.keys = append([][]byte{parent.keys[i-1]}, c.keys...)
-			c.children = append([]*bnode{left.children[last+1]}, c.children...)
-			parent.keys[i-1] = left.keys[last]
-			left.keys = left.keys[:last]
+			c.offs = slices.Insert(c.offs, 0, c.addKey(parent.key(i-1)))
+			c.children = slices.Insert(c.children, 0, left.children[last+1])
+			parent.offs[i-1] = parent.addKey(left.key(last))
+			left.children[last+1] = nil
 			left.children = left.children[:last+1]
 		}
+		left.offs = left.offs[:last]
 		return
 	}
-	if i < len(parent.children)-1 && len(parent.children[i+1].keys) > minKeys {
+	if i < len(parent.children)-1 && len(parent.children[i+1].offs) > minKeys {
 		right := t.mut(parent.children[i+1])
 		parent.children[i+1] = right
 		if c.leaf {
-			c.keys = append(c.keys, right.keys[0])
+			c.offs = append(c.offs, c.addKey(right.key(0)))
 			c.vals = append(c.vals, right.vals[0])
-			right.keys = right.keys[1:]
-			right.vals = right.vals[1:]
-			parent.keys[i] = right.keys[0]
+			right.vals = slices.Delete(right.vals, 0, 1)
+			right.offs = slices.Delete(right.offs, 0, 1)
+			parent.offs[i] = parent.addKey(right.key(0))
 		} else {
-			c.keys = append(c.keys, parent.keys[i])
+			c.offs = append(c.offs, c.addKey(parent.key(i)))
 			c.children = append(c.children, right.children[0])
-			parent.keys[i] = right.keys[0]
-			right.keys = right.keys[1:]
-			right.children = right.children[1:]
+			parent.offs[i] = parent.addKey(right.key(0))
+			right.offs = slices.Delete(right.offs, 0, 1)
+			right.children = slices.Delete(right.children, 0, 1)
 		}
 		return
 	}
@@ -275,70 +389,79 @@ func (t *btree) rebalance(parent *bnode, i int) {
 	}
 }
 
-// merge folds parent.children[i+1] into parent.children[i]. The right
-// node is discarded, so only the left needs a private copy.
+// merge replaces parent.children[i] and [i+1] with one new node holding
+// both, in a fresh arena; an internal merge pulls the separator between
+// them down from the parent.
 func (t *btree) merge(parent *bnode, i int) {
-	l := t.mut(parent.children[i])
-	parent.children[i] = l
-	r := parent.children[i+1]
-	if l.leaf {
-		l.keys = append(l.keys, r.keys...)
-		l.vals = append(l.vals, r.vals...)
-	} else {
-		l.keys = append(l.keys, parent.keys[i])
-		l.keys = append(l.keys, r.keys...)
-		l.children = append(l.children, r.children...)
+	l, r := parent.children[i], parent.children[i+1]
+	nl, nr := len(l.offs), len(r.offs)
+	m := &bnode{epoch: t.epoch, leaf: l.leaf, offs: make([]uint32, 0, nl+nr+2)}
+	size := l.liveBytes(0, nl) + r.liveBytes(0, nr)
+	if !l.leaf {
+		size += entryLen(parent.key(i))
 	}
-	parent.keys = append(parent.keys[:i], parent.keys[i+1:]...)
-	parent.children = append(parent.children[:i+1], parent.children[i+2:]...)
+	m.arena = make([]byte, 0, arenaCap(size))
+	m.pushKeys(l, 0, nl)
+	if l.leaf {
+		m.vals = append(append(make([]int64, 0, nl+nr+1), l.vals...), r.vals...)
+	} else {
+		m.pushKeys(parent, i, i+1)
+		m.children = append(append(make([]*bnode, 0, nl+nr+3), l.children...), r.children...)
+	}
+	m.pushKeys(r, 0, nr)
+	parent.children[i] = m
+	parent.offs = slices.Delete(parent.offs, i, i+1)
+	parent.children = slices.Delete(parent.children, i+1, i+2)
 }
 
 // Ascend visits entries with lo <= key < hi in key order. A nil lo starts
 // at the smallest key; a nil hi runs to the end. fn returning false stops
-// the scan. The walk is a pure descent over immutable nodes, so it is
-// safe against concurrent writers building a later epoch.
+// the scan; the key it is passed aliases the tree and must not be kept
+// past the call. The walk is a pure descent over immutable nodes, so it
+// is safe against concurrent writers building a later epoch.
 func (t *btree) Ascend(lo, hi []byte, fn func(key []byte, val int64) bool) {
 	ascend(t.root, lo, hi, fn)
 }
 
 // ascend walks the subtree at n in order, reporting whether the scan
 // should continue. lo only constrains the first subtree descended into;
-// every later subtree is bounded below by a separator >= lo already.
+// every later subtree is bounded below by a separator >= lo already. hi
+// is located once per node: every subtree before the one that straddles
+// it is walked with no bound, so no per-key compare runs.
 func ascend(n *bnode, lo, hi []byte, fn func(key []byte, val int64) bool) bool {
+	from, to := 0, len(n.offs)
+	if hi != nil {
+		to, _ = n.search(hi) // keys [to:] are >= hi
+	}
 	if n.leaf {
-		i := 0
 		if lo != nil {
-			i = searchKeys(n.keys, lo)
+			from, _ = n.search(lo)
 		}
-		for ; i < len(n.keys); i++ {
-			if hi != nil && bytes.Compare(n.keys[i], hi) >= 0 {
+		from = min(from, to) // lo >= hi: nothing to visit
+		arena, vals := n.arena, n.vals[from:to]
+		for i, o := range n.offs[from:to] {
+			if !fn(entryKey(arena[o:]), vals[i]) {
 				return false
 			}
-			if !fn(n.keys[i], n.vals[i]) {
-				return false
-			}
 		}
-		return true
+		return to == len(n.offs)
 	}
-	i := 0
 	if lo != nil {
-		i = searchKeys(n.keys, lo)
-		if i < len(n.keys) && bytes.Equal(n.keys[i], lo) {
-			i++
-		}
+		from = n.childFor(lo)
 	}
-	for ; i < len(n.children); i++ {
-		// Keys in children[i] are >= the separator keys[i-1]; once that
-		// separator reaches hi the remaining subtrees are out of range.
-		if i > 0 && hi != nil && bytes.Compare(n.keys[i-1], hi) >= 0 {
-			return false
+	// children[i] for i < to lies wholly below keys[i] < hi; children[to]
+	// may straddle hi; later children start at or past it.
+	for i := from; i <= to; i++ {
+		bound := hi
+		if i < to {
+			bound = nil
 		}
-		if !ascend(n.children[i], lo, hi, fn) {
+		if !ascend(n.children[i], lo, bound, fn) {
 			return false
 		}
 		lo = nil
 	}
-	return true
+	return to == len(n.offs)
 }
 
 // AscendPrefix visits all entries whose key begins with prefix.
@@ -363,50 +486,67 @@ func prefixEnd(prefix []byte) []byte {
 	return nil
 }
 
-// checkInvariants validates ordering, uniform leaf depth, and the
-// occupancy floor of non-root nodes; used by tests.
+// checkInvariants validates that every key lies inside its node's
+// arena, that every key falls within the bounds its ancestors'
+// separators set (left subtree < separator <= right subtree) in strictly
+// ascending order, uniform leaf depth, and the occupancy floor of
+// non-root nodes; used by tests.
 func (t *btree) checkInvariants() error {
-	var prev []byte
-	first := true
 	depth := -1
-	var walk func(n *bnode, d int) error
-	var errf error
-	walk = func(n *bnode, d int) error {
-		if d > 0 && len(n.keys) < minKeys {
+	var walk func(n *bnode, d int, lo, hi []byte) error
+	walk = func(n *bnode, d int, lo, hi []byte) error {
+		if d > 0 && len(n.offs) < minKeys {
 			return errInvariant("non-root node below minimum occupancy")
 		}
+		for _, o := range n.offs {
+			if int(o) >= len(n.arena) {
+				return errInvariant("key offset past the arena")
+			}
+			l, w := binary.Uvarint(n.arena[o:])
+			if w <= 0 || int(o)+w+int(l) > len(n.arena) {
+				return errInvariant("key runs past the arena")
+			}
+		}
+		for i := range n.offs {
+			k := n.key(i)
+			switch {
+			case i > 0 && bytes.Compare(n.key(i-1), k) >= 0:
+				return errInvariant("keys out of order")
+			case lo != nil && bytes.Compare(k, lo) < 0:
+				return errInvariant("key below its subtree's separator")
+			case hi != nil && bytes.Compare(k, hi) >= 0:
+				return errInvariant("key not below the next separator")
+			}
+		}
 		if n.leaf {
+			if len(n.vals) != len(n.offs) {
+				return errInvariant("value count mismatch")
+			}
 			if depth == -1 {
 				depth = d
 			} else if depth != d {
 				return errInvariant("leaf depth not uniform")
 			}
-			for _, k := range n.keys {
-				if !first && bytes.Compare(prev, k) >= 0 {
-					return errInvariant("keys out of order")
-				}
-				prev, first = k, false
-			}
 			return nil
 		}
-		if len(n.children) != len(n.keys)+1 {
+		if len(n.children) != len(n.offs)+1 {
 			return errInvariant("child count mismatch")
 		}
 		for i, c := range n.children {
-			if err := walk(c, d+1); err != nil {
-				return err
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = n.key(i - 1)
 			}
-			if i < len(n.keys) {
-				// keys in left subtree < separator <= keys in right subtree
-				if !first && bytes.Compare(prev, n.keys[i]) > 0 {
-					return errInvariant("separator below left subtree max")
-				}
+			if i < len(n.offs) {
+				chi = n.key(i)
+			}
+			if err := walk(c, d+1, clo, chi); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
-	errf = walk(t.root, 0)
-	return errf
+	return walk(t.root, 0, nil, nil)
 }
 
 type errInvariant string

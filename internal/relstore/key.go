@@ -1,11 +1,9 @@
 package relstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Order-preserving key encoding. Composite keys built from Values encode to
@@ -133,34 +131,16 @@ func EncodeKey(vals ...Value) []byte {
 	return dst
 }
 
-// KeyOfColumns encodes the projection of row onto cols. The buffer is
-// sized once for the encoding plus a row-ID suffix, so an index entry
-// (Index.add) is built in a single allocation.
+// KeyOfColumns encodes the projection of row onto cols.
 func KeyOfColumns(row Row, cols []int) []byte {
-	n := rowIDSuffixLen
-	for _, c := range cols {
-		n += keyLen(row[c])
-	}
-	dst := make([]byte, 0, n)
+	return appendColumnsKey(nil, row, cols)
+}
+
+// appendColumnsKey appends the encoding of row's projection onto cols to
+// dst.
+func appendColumnsKey(dst []byte, row Row, cols []int) []byte {
 	for _, c := range cols {
 		dst = AppendKey(dst, row[c])
 	}
 	return dst
-}
-
-// keyLen is the length of v's AppendKey encoding.
-func keyLen(v Value) int {
-	switch v.K {
-	case KNull:
-		return 1
-	case KBool:
-		return 2
-	case KInt, KFloat:
-		return numberKeyLen
-	case KString:
-		return 3 + len(v.S) + strings.Count(v.S, "\x00")
-	case KBytes:
-		return 3 + len(v.B) + bytes.Count(v.B, []byte{0})
-	}
-	return 0
 }

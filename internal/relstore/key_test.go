@@ -163,10 +163,4 @@ func TestKeyOfColumns(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Error("KeyOfColumns should project in the given order")
 	}
-	// Sized exactly for the row-ID suffix an index entry appends.
-	r = Row{Str("a\x00b"), Null(), Bool(true), Bytes([]byte{0, 1}), Int(-3)}
-	got = KeyOfColumns(r, []int{0, 1, 2, 3, 4})
-	if cap(got) != len(got)+rowIDSuffixLen {
-		t.Errorf("KeyOfColumns: len %d cap %d, want cap len+%d", len(got), cap(got), rowIDSuffixLen)
-	}
 }

@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/gridmeta/hybridcat/internal/obs"
@@ -37,27 +36,21 @@ type Index struct {
 // non-unique index's entries distinct.
 const rowIDSuffixLen = 8
 
-// add and remove take ownership of key, a fresh KeyOfColumns encoding:
-// the entry is stored (or the suffix appended, within the capacity
-// KeyOfColumns reserved) without copying it.
+// add stores rowID under key, an entry key (Tx.indexKey); a unique
+// index refuses a key it already holds. The tree copies key.
 func (ix *Index) add(key []byte, rowID int64) error {
 	if ix.Unique {
 		if _, exists := ix.tree.Get(key); exists {
 			return fmt.Errorf("relstore: unique index %s violated", ix.Name)
 		}
-		ix.tree.Insert(key, rowID)
-		return nil
 	}
-	ix.tree.Insert(binary.BigEndian.AppendUint64(key, uint64(rowID)), rowID)
+	ix.tree.Insert(key, rowID)
 	return nil
 }
 
-func (ix *Index) remove(key []byte, rowID int64) {
-	if ix.Unique {
-		ix.tree.Delete(key)
-		return
-	}
-	ix.tree.Delete(binary.BigEndian.AppendUint64(key, uint64(rowID)))
+// remove deletes the entry under key, an entry key (Tx.indexKey).
+func (ix *Index) remove(key []byte) {
+	ix.tree.Delete(key)
 }
 
 // lookupEqual collects the row IDs whose indexed columns encode to key.

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -166,6 +167,7 @@ type Tx struct {
 	tables map[string]*tableVersion
 	temp   map[string]bool
 	done   bool
+	keyBuf []byte // scratch for index entry keys (indexKey)
 }
 
 // Begin opens a write transaction against the newest version — the
@@ -334,6 +336,17 @@ func (tx *Tx) journalFire(name string, kind OpKind, rowID int64, row, prev Row) 
 	}
 }
 
+// indexKey encodes row's entry in ix — the indexed columns, then for a
+// non-unique index the row ID — into the transaction's scratch buffer.
+// The next call overwrites it; the B-tree copies the keys it stores.
+func (tx *Tx) indexKey(ix *Index, row Row, rowID int64) []byte {
+	tx.keyBuf = appendColumnsKey(tx.keyBuf[:0], row, ix.Cols)
+	if !ix.Unique {
+		tx.keyBuf = binary.BigEndian.AppendUint64(tx.keyBuf, uint64(rowID))
+	}
+	return tx.keyBuf
+}
+
 // insertRow validates and inserts r into the named table, maintaining
 // all indexes, and returns the new row ID.
 func (tx *Tx) insertRow(name string, r Row) (int64, error) {
@@ -360,9 +373,9 @@ func (tx *Tx) insertRow(name string, r Row) (int64, error) {
 	added := make([]*Index, 0, len(tv.indexes))
 	for ixName := range tv.indexes {
 		ix := tx.writableIndex(tv, ixName)
-		if err := ix.add(KeyOfColumns(nr, ix.Cols), id); err != nil {
+		if err := ix.add(tx.indexKey(ix, nr, id), id); err != nil {
 			for _, ix2 := range added {
-				ix2.remove(KeyOfColumns(nr, ix2.Cols), id)
+				ix2.remove(tx.indexKey(ix2, nr, id))
 			}
 			tv.setRow(tx.epoch, id, nil)
 			tv.free = append(tv.free, id)
@@ -388,7 +401,7 @@ func (tx *Tx) deleteRow(name string, id int64) bool {
 	}
 	for ixName := range tv.indexes {
 		ix := tx.writableIndex(tv, ixName)
-		ix.remove(KeyOfColumns(r, ix.Cols), id)
+		ix.remove(tx.indexKey(ix, r, id))
 	}
 	tv.setRow(tx.epoch, id, nil)
 	tv.free = append(tv.free, id)
@@ -414,20 +427,20 @@ func (tx *Tx) updateRow(name string, id int64, r Row) error {
 	}
 	for ixName := range tv.indexes {
 		ix := tx.writableIndex(tv, ixName)
-		ix.remove(KeyOfColumns(old, ix.Cols), id)
+		ix.remove(tx.indexKey(ix, old, id))
 	}
 	added := make([]*Index, 0, len(tv.indexes))
 	for ixName := range tv.indexes {
 		ix := tx.writableIndex(tv, ixName)
-		if err := ix.add(KeyOfColumns(nr, ix.Cols), id); err != nil {
+		if err := ix.add(tx.indexKey(ix, nr, id), id); err != nil {
 			// Un-apply exactly the new entries applied, then restore the
 			// old ones (which cannot conflict: they coexisted before).
 			for _, ix2 := range added {
-				ix2.remove(KeyOfColumns(nr, ix2.Cols), id)
+				ix2.remove(tx.indexKey(ix2, nr, id))
 			}
 			for ixName2 := range tv.indexes {
 				ix2 := tx.writableIndex(tv, ixName2)
-				_ = ix2.add(KeyOfColumns(old, ix2.Cols), id)
+				_ = ix2.add(tx.indexKey(ix2, old, id), id)
 			}
 			return err
 		}
@@ -457,7 +470,7 @@ func (tx *Tx) createIndex(table, name string, kind IndexKind, unique bool, cols 
 	ix.tree.epoch = tx.epoch
 	var addErr error
 	tv.scan(func(id int64, r Row) bool {
-		if err := ix.add(KeyOfColumns(r, ix.Cols), id); err != nil {
+		if err := ix.add(tx.indexKey(ix, r, id), id); err != nil {
 			addErr = err
 			return false
 		}
