@@ -113,7 +113,7 @@ cover:
 # comment (scripts/doclint.sh) — and a check that OPERATIONS.md's flag
 # table lists exactly the flags mdserver accepts (scripts/flagdoc.sh).
 docs: vet
-	sh scripts/doclint.sh internal/cache/*.go internal/wal/*.go internal/faultio/*.go internal/obs/*.go internal/shard/*.go internal/replica/*.go internal/retry/*.go internal/textindex/*.go internal/service/backend.go internal/service/service.go internal/catalog/plan.go internal/catalog/exec.go internal/catalog/rank.go internal/catalog/response.go hybridcat.go
+	sh scripts/doclint.sh internal/cache/*.go internal/wal/*.go internal/faultio/*.go internal/obs/*.go internal/shard/*.go internal/replica/*.go internal/retry/*.go internal/textindex/*.go internal/service/backend.go internal/service/service.go internal/catalog/*.go internal/relstore/*.go hybridcat.go
 	GO=$(GO) sh scripts/flagdoc.sh
 
 # One testing.B benchmark per experiment (see DESIGN.md).

@@ -6,15 +6,12 @@ package hybridcat_test
 
 import (
 	"bytes"
-	"database/sql"
 	"fmt"
 	"testing"
 
 	"github.com/gridmeta/hybridcat"
 	"github.com/gridmeta/hybridcat/internal/baseline"
 	"github.com/gridmeta/hybridcat/internal/bench"
-	"github.com/gridmeta/hybridcat/internal/catalog"
-	"github.com/gridmeta/hybridcat/internal/sqldriver"
 	"github.com/gridmeta/hybridcat/internal/workload"
 	"github.com/gridmeta/hybridcat/internal/xmldoc"
 	"github.com/gridmeta/hybridcat/internal/xmlschema"
@@ -357,49 +354,6 @@ func BenchmarkA3TypedRangeQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- A4: SQL layer overhead ---
-
-// BenchmarkA4SQLOverhead compares the same point lookup through the
-// engine API and through database/sql (per-call parse/plan included).
-func BenchmarkA4SQLOverhead(b *testing.B) {
-	st, _ := loaded(b, bench.KindHybrid, func(cfg *workload.Config) { cfg.Docs = 100 })
-	cat := st.(baseline.Adapter).C
-	dsn := "bench-a4-root"
-	sqldriver.Register(dsn, cat.DB)
-	defer sqldriver.Unregister(dsn)
-	db, err := sql.Open(sqldriver.DriverName, dsn)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	elemT := cat.DB.MustTable(catalog.TElemData)
-	b.Run("engine-api", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := elemT.LookupEqual("elem_data_by_object", hybridcat.Int(1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("database-sql", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rows, err := db.Query("SELECT elem_id FROM elem_data WHERE object_id = ?", int64(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for rows.Next() {
-				var id int64
-				if err := rows.Scan(&id); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := rows.Err(); err != nil {
-				b.Fatal(err)
-			}
-			rows.Close()
-		}
-	})
 }
 
 // BenchmarkIngestThroughputAllStores is the cross-store ingest companion

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"database/sql"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -10,7 +9,6 @@ import (
 	"github.com/gridmeta/hybridcat/internal/catalog"
 	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/relstore"
-	"github.com/gridmeta/hybridcat/internal/sqldriver"
 	"github.com/gridmeta/hybridcat/internal/workload"
 	"github.com/gridmeta/hybridcat/internal/xmldoc"
 )
@@ -192,100 +190,6 @@ func A3TypedColumns(o Options) (*Table, error) {
 		t.AddRow(fmt.Sprintf("%.0f%%", frac*100), indexed, scan, ratio(int64(scan), int64(indexed)))
 	}
 	t.Notes = append(t.Notes, "expected shape: typed index wins at low selectivity; the gap narrows as the range widens")
-	return t, nil
-}
-
-// A4SQLOverhead measures the cost of driving the same relational
-// operations through the database/sql layer instead of the engine API.
-func A4SQLOverhead(o Options) (*Table, error) {
-	t := &Table{
-		ID:      "A4",
-		Title:   "engine API vs database/sql driver overhead",
-		Claim:   "substrate check: the SQL surface adds parse/convert overhead but identical results",
-		Columns: []string{"operation", "engine-api", "database/sql", "overhead"},
-	}
-	cfg := workload.Default()
-	cfg.Docs = o.scale(300)
-	g := workload.New(cfg)
-	c, err := catalog.Open(g.Schema, catalog.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if err := g.RegisterDefinitions(c); err != nil {
-		return nil, err
-	}
-	for _, d := range g.Corpus() {
-		if _, err := c.Ingest("bench", d); err != nil {
-			return nil, err
-		}
-	}
-	dsn := fmt.Sprintf("bench-a4-%d", time.Now().UnixNano())
-	sqldriver.Register(dsn, c.DB)
-	defer sqldriver.Unregister(dsn)
-	db, err := sql.Open(sqldriver.DriverName, dsn)
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-
-	// Same aggregate both ways: elements per attribute definition.
-	elemT := c.DB.MustTable(catalog.TElemData)
-	engine, err := median(o.runs(), func() error {
-		it := relstore.GroupBy(relstore.ScanTable(elemT), []int{1}, []relstore.AggSpec{
-			{Func: relstore.AggCount, Name: "n"},
-		})
-		relstore.Collect(it)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	viaSQL, err := median(o.runs(), func() error {
-		rows, err := db.Query("SELECT attr_id, COUNT(*) AS n FROM elem_data GROUP BY attr_id")
-		if err != nil {
-			return err
-		}
-		defer rows.Close()
-		for rows.Next() {
-			var id, n int64
-			if err := rows.Scan(&id, &n); err != nil {
-				return err
-			}
-		}
-		return rows.Err()
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("group-by count", engine, viaSQL, ratio(int64(viaSQL), int64(engine)))
-
-	// Point lookup both ways.
-	enginePt, err := median(o.runs(), func() error {
-		_, err := elemT.LookupEqual("elem_data_by_object", relstore.Int(1))
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	sqlPt, err := median(o.runs(), func() error {
-		rows, err := db.Query("SELECT elem_id FROM elem_data WHERE object_id = ?", int64(1))
-		if err != nil {
-			return err
-		}
-		defer rows.Close()
-		for rows.Next() {
-			var id int64
-			if err := rows.Scan(&id); err != nil {
-				return err
-			}
-		}
-		return rows.Err()
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("point lookup", enginePt, sqlPt, ratio(int64(sqlPt), int64(enginePt)))
-	t.Notes = append(t.Notes, "the planner serves single-table predicates through indexes; the remaining overhead is per-call parse/plan plus driver value conversion, which is why the catalog pipeline drives the engine API directly")
 	return t, nil
 }
 

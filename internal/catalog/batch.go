@@ -19,10 +19,12 @@ type DocError struct {
 	Err   error
 }
 
+// Error names the document's input index and its failure.
 func (e *DocError) Error() string {
 	return fmt.Sprintf("document %d: %v", e.Index, e.Err)
 }
 
+// Unwrap returns the document's underlying failure, for errors.Is/As.
 func (e *DocError) Unwrap() error { return e.Err }
 
 // BatchError reports every failing document of a batch, ordered by input
@@ -32,6 +34,8 @@ type BatchError struct {
 	Docs []DocError
 }
 
+// Error names the one failing document, or counts the failures and lists
+// each of them.
 func (e *BatchError) Error() string {
 	if len(e.Docs) == 1 {
 		return fmt.Sprintf("catalog: batch document %d: %v", e.Docs[0].Index, e.Docs[0].Err)

@@ -21,15 +21,13 @@ import (
 
 // Table names of the hybrid catalog's relational schema.
 const (
-	TObjects       = "objects"
-	TAttrData      = "attr_data"
-	TElemData      = "elem_data"
-	TSubAttrs      = "sub_attrs"
-	TClobs         = "clobs"
-	TAttrDef       = "attr_def"
-	TElemDef       = "elem_def"
-	TSchemaNodes   = "schema_nodes"
-	TNodeAncestors = "node_ancestors"
+	TObjects  = "objects"
+	TAttrData = "attr_data"
+	TElemData = "elem_data"
+	TSubAttrs = "sub_attrs"
+	TClobs    = "clobs"
+	TAttrDef  = "attr_def"
+	TElemDef  = "elem_def"
 )
 
 // Options configures a catalog instance.
@@ -152,13 +150,7 @@ func Open(schema *xmlschema.Schema, opts Options) (*Catalog, error) {
 	}
 	// Batch the bulk seeding into one transaction: one published version
 	// instead of a copy-on-write commit per row.
-	err = c.withTx(func() error {
-		if err := c.loadSchemaTables(); err != nil {
-			return err
-		}
-		return c.syncDefTables()
-	})
-	if err != nil {
+	if err := c.withTx(c.syncDefTables); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -230,18 +222,6 @@ func (c *Catalog) createTables() error {
 			col("dtype", relstore.KString, false),
 			col("owner", relstore.KString, false),
 		}},
-		{TSchemaNodes, []relstore.Column{
-			col("node_order", relstore.KInt, true),
-			col("tag", relstore.KString, true),
-			col("parent_order", relstore.KInt, false),
-			col("last_child_order", relstore.KInt, true),
-			col("depth", relstore.KInt, true),
-			col("is_attr", relstore.KBool, false),
-		}},
-		{TNodeAncestors, []relstore.Column{
-			col("node_order", relstore.KInt, true),
-			col("anc_order", relstore.KInt, true),
-		}},
 	}
 	for _, td := range tables {
 		if _, err := c.DB.CreateTable(td.name, td.cols...); err != nil {
@@ -272,8 +252,6 @@ func (c *Catalog) createTables() error {
 		{TClobs, "clobs_by_object", relstore.BTreeIndex, false, []string{"object_id", "node_order", "clob_seq"}},
 		{TAttrDef, "attr_def_pk", relstore.BTreeIndex, true, []string{"attr_id"}},
 		{TElemDef, "elem_def_pk", relstore.BTreeIndex, true, []string{"elem_id"}},
-		{TSchemaNodes, "schema_nodes_pk", relstore.BTreeIndex, true, []string{"node_order"}},
-		{TNodeAncestors, "node_ancestors_by_node", relstore.HashIndex, false, []string{"node_order"}},
 	}
 	for _, id := range indexes {
 		if _, err := c.DB.MustTable(id.table).CreateIndex(id.name, id.kind, id.unique, id.cols...); err != nil {
@@ -283,36 +261,10 @@ func (c *Catalog) createTables() error {
 	return nil
 }
 
-// loadSchemaTables fills schema_nodes and node_ancestors from the
-// finalized schema's global ordering (Figure 2).
-func (c *Catalog) loadSchemaTables() error {
-	nodes := c.wtab(TSchemaNodes)
-	ancs := c.wtab(TNodeAncestors)
-	for _, n := range c.Schema.Ordered {
-		parent := 0
-		if n.Parent != nil {
-			parent = n.Parent.Order
-		}
-		_, err := nodes.Insert(relstore.Row{
-			relstore.Int(int64(n.Order)), relstore.Str(n.Tag),
-			relstore.Int(int64(parent)), relstore.Int(int64(n.LastChild)),
-			relstore.Int(int64(n.Depth)), relstore.Bool(n.IsAttribute),
-		})
-		if err != nil {
-			return err
-		}
-		for _, a := range c.Schema.Ancestors(n.Order) {
-			if _, err := ancs.Insert(relstore.Row{relstore.Int(int64(n.Order)), relstore.Int(int64(a))}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // syncDefTables mirrors the registry into attr_def/elem_def. Called at
-// Open and after dynamic registration so the definition tables stay
-// queryable through SQL.
+// Open and after dynamic registration, so every definition reaches the
+// write-ahead log with the mutation that made it: WAL replay rebuilds
+// the registry from these tables (restoreRegistryFromTables).
 func (c *Catalog) syncDefTables() error {
 	attrT := c.wtab(TAttrDef)
 	elemT := c.wtab(TElemDef)

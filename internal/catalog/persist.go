@@ -56,8 +56,8 @@ const (
 	maxSnapshotBytes = int64(1) << 40
 )
 
-// dataTables are the tables whose rows a snapshot carries; definition and
-// schema tables are re-derived at load.
+// dataTables are the tables whose rows a snapshot carries; the
+// definition tables are re-derived at load.
 var dataTables = []string{TObjects, TAttrData, TElemData, TSubAttrs, TClobs, TCollections, TMembers}
 
 // snapshot is the container's header: everything but the data rows.

@@ -158,8 +158,8 @@ func (v *view) buildResponseTraced(ids []int64, tr *obs.Trace) ([]Response, erro
 // schema-level global ordering tags them: before a CLOB at order n,
 // close every open schema node whose last-child order is below n, then
 // open n's remaining ancestors. The ancestor lists and last-child orders
-// are the schema's own (the same relation node_ancestors and
-// schema_nodes hold), so the merge needs no join and no sort.
+// are the schema's own (Figure 2), so the merge needs no join and no
+// sort.
 func (v *view) buildResponseChunk(ids []int64) (map[int64]string, error) {
 	clobT := v.tab(TClobs)
 	schema := v.c.Schema

@@ -1,18 +1,17 @@
 package relstore
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
 
 // TestConcurrentReadersWriters drives the read paths the catalog's
-// parallel query pipeline relies on — index lookups, snapshot scans, and
-// operator trees over them — against racing writers, under the race
-// detector. Iterators are single-use and per-goroutine by contract; what
-// this test pins down is that the shared table state those iterators
-// draw from (row slots, hash and B-tree indexes, the free list) is safe
-// for any number of concurrent readers alongside a mutating writer.
+// query pipeline relies on — index lookups, row fetches and snapshot
+// scans — against racing writers, under the race detector. It pins down
+// that the shared table state those reads draw from (row slots, hash and
+// B-tree indexes, the free list) is safe for any number of concurrent
+// readers alongside a mutating writer, and that a pinned snapshot's scan
+// and index probes agree with each other however the writers move on.
 func TestConcurrentReadersWriters(t *testing.T) {
 	s, err := NewSchema("events",
 		Column{Name: "k", Type: KInt, NotNull: true},
@@ -105,7 +104,11 @@ func TestConcurrentReadersWriters(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				for _, row := range Collect(ScanRowIDs(tab, ids)) {
+				for _, id := range ids {
+					row := tab.Get(id)
+					if row == nil {
+						continue // deleted since the probe
+					}
 					if len(row) != 3 || row[0].IsNull() {
 						t.Errorf("reader %d: malformed row %v", r, row)
 						return
@@ -118,36 +121,33 @@ func TestConcurrentReadersWriters(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// Snapshot scan feeding an operator tree, the way the
-				// SQL surface composes them.
-				it := Sort(
-					Filter(ScanTable(tab), func(row Row) bool { return !row[2].IsNull() }),
-					SortSpec{Col: 0},
-				)
-				var prev int64 = -1 << 62
-				for {
-					row, ok := it.Next()
-					if !ok {
-						break
-					}
-					if row[0].I < prev {
-						t.Errorf("reader %d: sort order violated", r)
-						return
-					}
-					prev = row[0].I
+				// A pinned snapshot: its scan, its row count and its
+				// index probes all read one version.
+				pinned := tab.db.Snapshot().MustTable("events")
+				perKey := map[int64]int{}
+				n := 0
+				pinned.Scan(func(_ int64, row Row) bool {
+					perKey[row[0].I]++
+					n++
+					return true
+				})
+				if n != pinned.Len() {
+					t.Errorf("reader %d: snapshot scan saw %d rows, Len %d", r, n, pinned.Len())
+					return
 				}
-				// Aggregation over a join of two independent scans.
-				counts := GroupBy(
-					HashJoin(ScanTable(tab), ScanTable(tab), []int{0}, []int{0}, InnerJoin),
-					[]int{0}, []AggSpec{{Func: AggCount, Col: 0, Name: "n"}},
-				)
-				for {
-					row, ok := counts.Next()
-					if !ok {
-						break
-					}
-					if row[1].I < 1 {
-						t.Errorf("reader %d: impossible group count %v", r, row)
+				k := int64(i % 16)
+				kids, err := pinned.LookupEqual("by_k", Int(k))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(kids) != perKey[k] {
+					t.Errorf("reader %d: snapshot probe k=%d found %d rows, scan %d", r, k, len(kids), perKey[k])
+					return
+				}
+				for _, id := range kids {
+					if row := pinned.Get(id); row == nil || row[0].I != k {
+						t.Errorf("reader %d: snapshot probe k=%d returned row %v", r, k, row)
 						return
 					}
 				}
@@ -155,48 +155,4 @@ func TestConcurrentReadersWriters(t *testing.T) {
 		}(r)
 	}
 	rg.Wait()
-}
-
-// TestDatabaseConcurrentTempTables checks the documented discipline for
-// scratch tables under concurrency: per-goroutine names plus DropTable,
-// with churn in one goroutine never disturbing readers of shared tables.
-func TestDatabaseConcurrentTempTables(t *testing.T) {
-	db := NewDatabase()
-	base, err := db.CreateTable("base", Column{Name: "v", Type: KInt, NotNull: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if _, err := base.Insert(Row{Int(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			name := fmt.Sprintf("scratch_%d", w)
-			for i := 0; i < 100; i++ {
-				tmp, err := db.CreateTempTable(name, Column{Name: "v", Type: KInt, NotNull: true})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := tmp.Insert(Row{Int(int64(w*1000 + i))}); err != nil {
-					t.Error(err)
-					return
-				}
-				if got := len(Collect(ScanTable(base))); got != 64 {
-					t.Errorf("worker %d: base scan saw %d rows, want 64", w, got)
-					return
-				}
-				if err := db.DropTable(name); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -8,10 +8,9 @@ import (
 	"github.com/gridmeta/hybridcat/internal/obs"
 )
 
-// Database is a named collection of tables. Temp tables share the
-// namespace but are tracked so DropTemp can clear them between queries,
-// mirroring the paper's use of temporary tables for shredded query
-// criteria (§4).
+// Database is a named collection of tables. Tables are created, never
+// dropped, so a table handle resolves in every version from its creation
+// on.
 //
 // Concurrency: the database is multi-version. One immutable version is
 // published behind an atomic pointer; readers pin it (directly via
@@ -20,10 +19,7 @@ import (
 // build the next version copy-on-write and publish it with one pointer
 // swap (see version.go). Mutating methods on Database and on db-bound
 // Table handles auto-commit one transaction per call; multi-op atomic
-// batches go through Begin/Commit. Temp tables are scratch space within
-// that story: they belong to the goroutine that created them between
-// creation and DropTable/DropTemp, because DropTemp clears all of them
-// at once.
+// batches go through Begin/Commit.
 type Database struct {
 	// current is the published version. Load to read, store only while
 	// holding wmu.
@@ -38,35 +34,30 @@ type Database struct {
 	// wmu serializes writers: held from Begin to Commit/Abort.
 	wmu sync.Mutex
 
-	// journal, when set, receives every successful row mutation on the
-	// database's permanent tables (temp tables are scratch space and are
-	// not reported), in apply order under the writer mutex. The
-	// write-ahead capture in the catalog uses it to turn a multi-table
-	// transaction into one replayable log record. The hook must not call
-	// back into the database's write path.
+	// journal, when set, receives every successful row mutation, in
+	// apply order under the writer mutex. The write-ahead capture in the
+	// catalog uses it to turn a multi-table transaction into one
+	// replayable log record. The hook must not call back into the
+	// database's write path.
 	journal atomic.Pointer[func(TableOp)]
 
 	// metrics, when non-nil, supplies per-table row read/write/lookup
-	// counters for permanent tables.
+	// counters.
 	metrics atomic.Pointer[obs.Registry]
 }
 
 // SetMetrics attaches per-table instrumentation from reg to every
-// existing and future permanent table of the database, under the
+// existing and future table of the database, under the
 // relstore_row_reads_total / relstore_row_writes_total /
-// relstore_index_lookups_total families labeled {table="..."}. Temp
-// tables are scratch space and are not instrumented. Passing nil is a
-// no-op (the disabled default).
+// relstore_index_lookups_total families labeled {table="..."}. Passing
+// nil is a no-op (the disabled default).
 func (db *Database) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	db.metrics.Store(reg)
-	v := db.current.Load()
-	for name, tv := range v.tables {
-		if !v.temp[name] {
-			tv.state.setMetrics(reg)
-		}
+	for _, tv := range db.current.Load().tables {
+		tv.state.setMetrics(reg)
 	}
 }
 
@@ -106,30 +97,18 @@ func (db *Database) SetJournal(fn func(TableOp)) {
 // NewDatabase returns an empty database at epoch zero.
 func NewDatabase() *Database {
 	db := &Database{}
-	db.current.Store(&dbVersion{
-		tables: make(map[string]*tableVersion),
-		temp:   make(map[string]bool),
-	})
+	db.current.Store(&dbVersion{tables: make(map[string]*tableVersion)})
 	return db
 }
 
 // CreateTable creates a table from column definitions.
 func (db *Database) CreateTable(name string, cols ...Column) (*Table, error) {
-	return db.createTable(name, false, cols...)
-}
-
-// CreateTempTable creates a table that DropTemp will remove.
-func (db *Database) CreateTempTable(name string, cols ...Column) (*Table, error) {
-	return db.createTable(name, true, cols...)
-}
-
-func (db *Database) createTable(name string, temp bool, cols ...Column) (*Table, error) {
 	s, err := NewSchema(name, cols...)
 	if err != nil {
 		return nil, err
 	}
 	tx := db.Begin()
-	t, err := tx.createTable(s, temp)
+	t, err := tx.createTable(s)
 	if err != nil {
 		tx.Abort()
 		return nil, err
@@ -160,26 +139,6 @@ func (db *Database) MustTable(name string) *Table {
 		panic(fmt.Sprintf("relstore: missing table %q", name))
 	}
 	return t
-}
-
-// DropTable removes a table.
-func (db *Database) DropTable(name string) error {
-	tx := db.Begin()
-	if err := tx.dropTable(name); err != nil {
-		tx.Abort()
-		return err
-	}
-	tx.Commit()
-	return nil
-}
-
-// DropTemp removes every temp table — from all goroutines, not just the
-// caller's; see the Database comment before using temp tables from
-// concurrent queries.
-func (db *Database) DropTemp() {
-	tx := db.Begin()
-	tx.dropTemp()
-	tx.Commit()
 }
 
 // Generation returns the database's mutation generation: the epoch of

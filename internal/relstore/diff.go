@@ -20,13 +20,9 @@ type TableMark struct {
 	pages []*rowPage
 }
 
-// Mark pins the row pages of the version this handle reads. A dropped
-// table yields an empty mark that diffs against nothing.
+// Mark pins the row pages of the version this handle reads.
 func (t *Table) Mark() *TableMark {
 	tv := t.version()
-	if tv == nil {
-		return &TableMark{}
-	}
 	return &TableMark{state: tv.state, pages: tv.pages}
 }
 
@@ -40,11 +36,11 @@ func (m *TableMark) Pages() int { return len(m.pages) }
 // two marks share.
 //
 // It reports false, without calling fn, when the marks are not of the
-// same table (snapshot load, follower bootstrap, drop and re-create) or
+// same table (snapshot load, follower bootstrap) or
 // when more than maxPages pages differ; the caller then rebuilds from a
 // full scan.
 func (m *TableMark) Diff(to *TableMark, maxPages int, fn func(id int64, old, new Row)) bool {
-	if m.state == nil || m.state != to.state {
+	if m.state != to.state {
 		return false
 	}
 	n := max(len(m.pages), len(to.pages))

@@ -131,11 +131,6 @@ func EncodeKey(vals ...Value) []byte {
 	return dst
 }
 
-// KeyOfColumns encodes the projection of row onto cols.
-func KeyOfColumns(row Row, cols []int) []byte {
-	return appendColumnsKey(nil, row, cols)
-}
-
 // appendColumnsKey appends the encoding of row's projection onto cols to
 // dst.
 func appendColumnsKey(dst []byte, row Row, cols []int) []byte {

@@ -155,12 +155,3 @@ func TestPrefixEnd(t *testing.T) {
 		t.Errorf("prefixEnd(FF,FF) = %v, want nil", got)
 	}
 }
-
-func TestKeyOfColumns(t *testing.T) {
-	r := Row{Int(1), Str("x"), Float(2.5)}
-	got := KeyOfColumns(r, []int{2, 0})
-	want := EncodeKey(Float(2.5), Int(1))
-	if !bytes.Equal(got, want) {
-		t.Error("KeyOfColumns should project in the given order")
-	}
-}

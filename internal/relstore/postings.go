@@ -21,9 +21,6 @@ import (
 // counts one index lookup.
 func (t *Table) LookupRangeTails(indexName string, lo, hi RangeBound, n int, fn func(tail []int64) bool) error {
 	tv := t.version()
-	if tv == nil {
-		return fmt.Errorf("relstore: no table %q", t.name)
-	}
 	ix := tv.indexes[indexName]
 	if ix == nil {
 		return fmt.Errorf("relstore: table %s: no index %q", t.name, indexName)
@@ -64,9 +61,6 @@ func (t *Table) LookupRangeTails(indexName string, lo, hi RangeBound, n int, fn 
 // The whole scan observes one version, even on a live handle.
 func (t *Table) ScanTextPostings(docCol, textCol int, fn func(doc int64, text string)) {
 	tv := t.version()
-	if tv == nil {
-		return
-	}
 	tv.scan(func(_ int64, r Row) bool {
 		if textCol < len(r) && docCol < len(r) && r[textCol].K == KString {
 			fn(r[docCol].I, r[textCol].S)

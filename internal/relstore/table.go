@@ -93,8 +93,9 @@ type Table struct {
 	tx    *Tx        // non-nil: bound transaction
 }
 
-// version resolves the tableVersion this handle currently reads, or nil
-// if the table has been dropped from that version.
+// version resolves the tableVersion this handle currently reads. Tables
+// are never removed, so every version at or after the one that created
+// the table holds it.
 func (t *Table) version() *tableVersion {
 	switch {
 	case t.tx != nil:
@@ -142,7 +143,7 @@ func (st *tableState) setMetrics(reg *obs.Registry) {
 func NewTable(s *Schema) *Table {
 	db := NewDatabase()
 	tx := db.Begin()
-	t, err := tx.createTable(s, false)
+	t, err := tx.createTable(s)
 	if err != nil {
 		// Impossible: the private database is empty, so the only failure
 		// (duplicate name) cannot occur.
@@ -173,18 +174,12 @@ func (t *Table) CreateIndex(name string, kind IndexKind, unique bool, cols ...st
 // Index returns the named index, or nil.
 func (t *Table) Index(name string) *Index {
 	tv := t.version()
-	if tv == nil {
-		return nil
-	}
 	return tv.indexes[name]
 }
 
 // Indexes returns the table's indexes (unordered).
 func (t *Table) Indexes() []*Index {
 	tv := t.version()
-	if tv == nil {
-		return nil
-	}
 	out := make([]*Index, 0, len(tv.indexes))
 	for _, ix := range tv.indexes {
 		out = append(out, ix)
@@ -229,9 +224,6 @@ func (t *Table) Insert(r Row) (int64, error) {
 // The row must not be mutated.
 func (t *Table) Get(id int64) Row {
 	tv := t.version()
-	if tv == nil {
-		return nil
-	}
 	r := tv.row(id)
 	if r != nil {
 		tv.state.countReads(1)
@@ -259,9 +251,6 @@ func (t *Table) Update(id int64, r Row) error {
 // Len returns the number of live rows.
 func (t *Table) Len() int {
 	tv := t.version()
-	if tv == nil {
-		return 0
-	}
 	return tv.live
 }
 
@@ -270,9 +259,6 @@ func (t *Table) Len() int {
 // version, even on a live handle.
 func (t *Table) Scan(fn func(id int64, r Row) bool) {
 	tv := t.version()
-	if tv == nil {
-		return
-	}
 	tv.scan(fn)
 }
 
@@ -280,9 +266,6 @@ func (t *Table) Scan(fn func(id int64, r Row) bool) {
 // the named index.
 func (t *Table) LookupEqual(indexName string, vals ...Value) ([]int64, error) {
 	tv := t.version()
-	if tv == nil {
-		return nil, fmt.Errorf("relstore: no table %q", t.name)
-	}
 	ix := tv.indexes[indexName]
 	if ix == nil {
 		return nil, fmt.Errorf("relstore: table %s: no index %q", t.name, indexName)
@@ -305,9 +288,6 @@ type RangeBound struct {
 // the bounds' inclusivity, in key order. Requires a B-tree index.
 func (t *Table) LookupRange(indexName string, lo, hi RangeBound) ([]int64, error) {
 	tv := t.version()
-	if tv == nil {
-		return nil, fmt.Errorf("relstore: no table %q", t.name)
-	}
 	ix := tv.indexes[indexName]
 	if ix == nil {
 		return nil, fmt.Errorf("relstore: table %s: no index %q", t.name, indexName)

@@ -1,12 +1,13 @@
-// Package relstore implements the embedded in-memory relational engine that
+// Package relstore implements the embedded in-memory relational store that
 // backs the hybrid metadata catalog. It provides typed tables, hash and
-// B-tree indexes, and a volcano-style iterator executor with filters,
-// projections, hash joins, grouping, sorting, and set operations.
+// B-tree indexes with index-only range probes, multi-version snapshots,
+// row-page diffs between versions, and a binary row codec. Its one client
+// is the catalog's Go code; there is no query language.
 //
-// The engine stands in for the commercial RDBMS the myLEAD catalog ran on:
+// The store stands in for the commercial RDBMS the myLEAD catalog ran on:
 // the paper's contribution is how metadata maps onto relational set
-// operations, and relstore preserves those asymptotics (index lookups,
-// joins, group-by counting) with stdlib-only Go.
+// operations, and the catalog runs those operations over relstore's
+// index probes with stdlib-only Go.
 package relstore
 
 import (
@@ -298,8 +299,8 @@ func Coerce(v Value, k Kind) (Value, error) {
 	return Value{}, fmt.Errorf("relstore: cannot coerce %s value %s to %s", v.K, v, k)
 }
 
-// Row is a tuple of values. Rows returned by iterators must be treated as
-// read-only; operators that buffer rows copy them first.
+// Row is a tuple of values. Rows returned by tables (Get, Scan) must be
+// treated as read-only.
 type Row []Value
 
 // CloneRow returns a copy of r sharing string/byte backing storage.

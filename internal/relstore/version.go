@@ -152,7 +152,6 @@ func (tv *tableVersion) setRow(epoch uint64, id int64, r Row) {
 type dbVersion struct {
 	epoch  uint64
 	tables map[string]*tableVersion
-	temp   map[string]bool
 }
 
 // Tx is a write transaction: a private builder for the next database
@@ -165,7 +164,6 @@ type Tx struct {
 	base   *dbVersion
 	epoch  uint64
 	tables map[string]*tableVersion
-	temp   map[string]bool
 	done   bool
 	keyBuf []byte // scratch for index entry keys (indexKey)
 }
@@ -185,7 +183,6 @@ func (db *Database) Begin() *Tx {
 		base:   base,
 		epoch:  base.epoch + 1,
 		tables: maps.Clone(base.tables),
-		temp:   maps.Clone(base.temp),
 	}
 }
 
@@ -198,7 +195,7 @@ func (tx *Tx) Commit() {
 		panic("relstore: Commit on finished transaction")
 	}
 	tx.done = true
-	tx.db.current.Store(&dbVersion{epoch: tx.epoch, tables: tx.tables, temp: tx.temp})
+	tx.db.current.Store(&dbVersion{epoch: tx.epoch, tables: tx.tables})
 	tx.db.wmu.Unlock()
 }
 
@@ -236,7 +233,7 @@ func (tx *Tx) Precommit() *Staged {
 		panic("relstore: Precommit on finished transaction")
 	}
 	tx.done = true
-	v := &dbVersion{epoch: tx.epoch, tables: tx.tables, temp: tx.temp}
+	v := &dbVersion{epoch: tx.epoch, tables: tx.tables}
 	tx.db.head.Store(v)
 	tx.db.wmu.Unlock()
 	return &Staged{db: tx.db, v: v}
@@ -293,7 +290,7 @@ func (tx *Tx) MustTable(name string) *Table {
 // version on first touch.
 func (tx *Tx) writable(name string) *tableVersion {
 	tv := tx.tables[name]
-	if tv == nil || tv.epoch == tx.epoch {
+	if tv.epoch == tx.epoch {
 		return tv
 	}
 	c := &tableVersion{
@@ -323,14 +320,10 @@ func (tx *Tx) writableIndex(tv *tableVersion, name string) *Index {
 }
 
 // journalFire reports one applied mutation to the database journal.
-// Temp tables are scratch space and are not reported. Runs under the
-// writer mutex, in apply order; a transaction that later aborts has
-// still reported its ops — the durability layer discards its capture
-// buffer on abort.
+// Runs under the writer mutex, in apply order; a transaction that later
+// aborts has still reported its ops — the durability layer discards its
+// capture buffer on abort.
 func (tx *Tx) journalFire(name string, kind OpKind, rowID int64, row, prev Row) {
-	if tx.temp[name] {
-		return
-	}
 	if fn := tx.db.journal.Load(); fn != nil {
 		(*fn)(TableOp{Table: name, Kind: kind, RowID: rowID, Row: row, Prev: prev})
 	}
@@ -351,9 +344,6 @@ func (tx *Tx) indexKey(ix *Index, row Row, rowID int64) []byte {
 // all indexes, and returns the new row ID.
 func (tx *Tx) insertRow(name string, r Row) (int64, error) {
 	tv := tx.writable(name)
-	if tv == nil {
-		return 0, fmt.Errorf("relstore: no table %q", name)
-	}
 	nr, err := tv.state.schema.CheckRow(r)
 	if err != nil {
 		return 0, err
@@ -392,9 +382,6 @@ func (tx *Tx) insertRow(name string, r Row) (int64, error) {
 // deleteRow removes the row under id, reporting whether it existed.
 func (tx *Tx) deleteRow(name string, id int64) bool {
 	tv := tx.writable(name)
-	if tv == nil {
-		return false
-	}
 	r := tv.row(id)
 	if r == nil {
 		return false
@@ -414,9 +401,6 @@ func (tx *Tx) deleteRow(name string, id int64) bool {
 // updateRow replaces the row under id, maintaining indexes.
 func (tx *Tx) updateRow(name string, id int64, r Row) error {
 	tv := tx.writable(name)
-	if tv == nil {
-		return fmt.Errorf("relstore: no table %q", name)
-	}
 	nr, err := tv.state.schema.CheckRow(r)
 	if err != nil {
 		return err
@@ -456,9 +440,6 @@ func (tx *Tx) updateRow(name string, id int64, r Row) error {
 // indexing existing rows.
 func (tx *Tx) createIndex(table, name string, kind IndexKind, unique bool, cols ...string) (*Index, error) {
 	tv := tx.writable(table)
-	if tv == nil {
-		return nil, fmt.Errorf("relstore: no table %q", table)
-	}
 	if _, dup := tv.indexes[name]; dup {
 		return nil, fmt.Errorf("relstore: table %s: index %q already exists", table, name)
 	}
@@ -484,43 +465,20 @@ func (tx *Tx) createIndex(table, name string, kind IndexKind, unique bool, cols 
 }
 
 // createTable adds a table to the building version.
-func (tx *Tx) createTable(s *Schema, temp bool) (*Table, error) {
+func (tx *Tx) createTable(s *Schema) (*Table, error) {
 	if _, dup := tx.tables[s.Name]; dup {
 		return nil, fmt.Errorf("relstore: table %q already exists", s.Name)
 	}
 	state := &tableState{schema: s}
-	if !temp {
-		if reg := tx.db.metrics.Load(); reg != nil {
-			state.setMetrics(reg)
-		}
+	if reg := tx.db.metrics.Load(); reg != nil {
+		state.setMetrics(reg)
 	}
 	tx.tables[s.Name] = &tableVersion{
 		epoch:   tx.epoch,
 		state:   state,
 		indexes: make(map[string]*Index),
 	}
-	if temp {
-		tx.temp[s.Name] = true
-	}
 	return &Table{Schema: s, name: s.Name, state: state, db: tx.db, tx: tx}, nil
-}
-
-// dropTable removes a table from the building version.
-func (tx *Tx) dropTable(name string) error {
-	if _, ok := tx.tables[name]; !ok {
-		return fmt.Errorf("relstore: no table %q", name)
-	}
-	delete(tx.tables, name)
-	delete(tx.temp, name)
-	return nil
-}
-
-// dropTemp removes every temp table from the building version.
-func (tx *Tx) dropTemp() {
-	for name := range tx.temp {
-		delete(tx.tables, name)
-		delete(tx.temp, name)
-	}
 }
 
 // Snapshot is a pinned, immutable view of the database as of one
