@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress crash mvcc bitmap replica shard search wire cover bench experiments quick-experiments examples docs clean
+.PHONY: all build vet test race stress crash mvcc bitmap replica shard search wire cache cover bench experiments quick-experiments examples docs clean
 
 all: build vet test
 
@@ -104,6 +104,21 @@ search:
 wire:
 	$(GO) test -race -run 'FuzzSearchReplyMatchesEncodingJSON|ShardedWireParity|ServiceEndToEnd|FetchStatus' -count=1 ./internal/service/
 	$(GO) test -run XXX -fuzz FuzzSearchReplyMatchesEncodingJSON -fuzztime 15s ./internal/service
+
+# Response-cache verification under the race detector: the oracle
+# holding every served response to a fresh §5 build on the same pinned
+# view (caches on and off; unrelated ingest, AddAttribute, delete,
+# unpublish, a view pinned before a write, a follower, a 4-shard
+# cluster across a rebalance, racing writers), the JSON literal kept
+# per object content, the object-ID reuse test across restarts,
+# checkpoints, follower bootstrap, log import and an aborted batch,
+# the CLOB-row count the stamp reads, the cache substrate, and the
+# pinned operator surface (DESIGN.md "Caching & invalidation").
+cache:
+	$(GO) test -race -run 'TestResponseCacheOracle|TestResponseJSONFormOncePerContent|TestObjectIDsNeverReissued' -count=1 ./internal/catalog/
+	$(GO) test -race -run 'TestCountPrefix' -count=1 ./internal/relstore/
+	$(GO) test -race -count=1 ./internal/cache/
+	$(GO) test -race -run 'TestCacheSurfacePinned' -count=1 ./internal/service/
 
 cover:
 	$(GO) test -cover ./...

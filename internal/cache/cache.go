@@ -3,19 +3,25 @@
 // invalidation.
 //
 // Every entry is stamped with the generation the caller observed when it
-// was stored. A lookup presents the generation it currently observes; an
-// entry whose stamp differs is treated as a miss and dropped. The
-// catalog's generation is the epoch of its published snapshot, and
-// every commit (ingest, delete, publish, registration) publishes a new
-// one, so invalidating every derived result — evaluated query IDs,
-// rebuilt response documents, memoized index probes — costs nothing
-// beyond the commit, with no per-entry dependency tracking.
+// was stored. A lookup presents the generation it currently observes;
+// with Get, an entry whose stamp differs is treated as a miss and
+// dropped. The catalog's generation is the epoch of its published
+// snapshot, and every commit (ingest, delete, publish, registration)
+// publishes a new one, so invalidating every derived result that any
+// write can change — evaluated query IDs, memoized index probes — costs
+// nothing beyond the commit, with no per-entry dependency tracking.
 //
-// The stamping contract: a value stored under generation g must have
-// been computed from exactly the state of generation g. The catalog
-// meets it by computing from the immutable snapshot a reader pinned at
-// epoch g and stamping with that snapshot's epoch; no lock is held
-// across the computation.
+// GetValid serves values that depend on only part of the state: on a
+// stamp mismatch the caller's check decides whether the entry is still
+// current at the presented generation, and a passing entry is restamped
+// instead of dropped. The catalog's rebuilt response documents use it,
+// so a write keeps the documents of objects it did not touch.
+//
+// The stamping contract: a value stored or restamped under generation g
+// must equal what the state of generation g computes. The catalog meets
+// it by computing (or checking) from the immutable snapshot a reader
+// pinned at epoch g and stamping with that snapshot's epoch; no lock is
+// held across the computation.
 package cache
 
 import (
@@ -29,7 +35,7 @@ type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	Stale     uint64 `json:"stale"` // entries dropped on generation mismatch
+	Stale     uint64 `json:"stale"` // entries dropped on a generation mismatch no check saved
 	Entries   int    `json:"entries"`
 	Capacity  int    `json:"capacity"`
 }
@@ -94,6 +100,17 @@ func (c *Cache[K, V]) shardFor(key K) *shard[K, V] {
 // Get returns the value stored for key at the given generation. An entry
 // stamped with a different generation counts as stale and is dropped.
 func (c *Cache[K, V]) Get(gen uint64, key K) (V, bool) {
+	return c.GetValid(gen, key, nil)
+}
+
+// GetValid is Get for values that can outlive the generation they were
+// stored at. An entry stamped with gen is served as Get serves it. An
+// entry stamped with another generation is served only if valid reports
+// it still current at gen, and is then restamped with gen, so later
+// lookups at gen skip the check; otherwise (or with a nil valid) it
+// counts as stale and is dropped. valid runs under the shard's lock: it
+// must be quick and must not call back into the cache.
+func (c *Cache[K, V]) GetValid(gen uint64, key K, valid func(K, V) bool) (V, bool) {
 	var zero V
 	if c == nil {
 		return zero, false
@@ -107,11 +124,14 @@ func (c *Cache[K, V]) Get(gen uint64, key K) (V, bool) {
 		return zero, false
 	}
 	if e.gen != gen {
-		s.unlink(e)
-		delete(s.entries, key)
-		c.stale.Inc()
-		c.misses.Inc()
-		return zero, false
+		if valid == nil || !valid(key, e.val) {
+			s.unlink(e)
+			delete(s.entries, key)
+			c.stale.Inc()
+			c.misses.Inc()
+			return zero, false
+		}
+		e.gen = gen
 	}
 	s.moveFront(e)
 	c.hits.Inc()

@@ -33,6 +33,38 @@ func TestGetPutAndGenerationInvalidation(t *testing.T) {
 	}
 }
 
+// TestGetValidRestampsOrDrops: on a generation mismatch the check
+// decides. A passing entry is served and restamped, so the next lookup
+// at that generation runs no check; a failing one is dropped as stale.
+func TestGetValidRestampsOrDrops(t *testing.T) {
+	c := New[string, int](64, StringHash)
+	c.Put(1, "a", 10)
+	c.Put(1, "b", 20)
+	checks := 0
+	current := func(k string, v int) bool {
+		checks++
+		return k == "a" && v == 10
+	}
+	if v, ok := c.GetValid(1, "a", current); !ok || v != 10 || checks != 0 {
+		t.Fatalf("same generation: %d,%v after %d checks, want 10,true after none", v, ok, checks)
+	}
+	if v, ok := c.GetValid(2, "a", current); !ok || v != 10 || checks != 1 {
+		t.Fatalf("valid entry at a new generation: %d,%v after %d checks", v, ok, checks)
+	}
+	if v, ok := c.Get(2, "a"); !ok || v != 10 {
+		t.Fatalf("the restamped entry missed a plain Get at its new generation: %d,%v", v, ok)
+	}
+	if _, ok := c.GetValid(2, "b", current); ok {
+		t.Fatal("an entry its check rejects was served")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("len = %d, want 1 after the rejected entry was dropped", c.Len())
+	}
+	if st := c.Stats(); st.Hits != 3 || st.Stale != 1 || st.Misses != 1 {
+		t.Fatalf("hits/stale/misses = %d/%d/%d, want 3/1/1", st.Hits, st.Stale, st.Misses)
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	// Capacity 8 collapses to a single shard of 8.
 	c := New[string, int](8, StringHash)

@@ -23,22 +23,34 @@ import (
 //     repeated fetches and overlapping result sets skip the §5 merge;
 //     each entry also keeps the document's JSON string literal once a
 //     /search reply has needed it, so a cached document is escaped once
-//     per epoch, not once per reply.
+//     for as long as its object's content stays the same, not once per
+//     reply.
 //
-// All three are stamped with the epoch of the reader's pinned snapshot
+// Every entry is stamped with the epoch of the reader's pinned snapshot
 // (every committed transaction — ingest, delete, publish, membership,
-// definition mirroring — publishes a new epoch). A mutation invalidates
-// by publishing a new epoch; no cache entry is ever tracked or walked.
+// definition mirroring — publishes a new epoch). Evaluate and postings
+// entries are served only at that epoch: any new document can match
+// any query, so a mutation invalidates them by publishing a new epoch,
+// and no entry is ever tracked or walked. A response entry depends on
+// its object's CLOB rows alone, so it is stamped at two levels: the
+// epoch it was last verified at, and the number of CLOB rows it was
+// built from (builtDoc). A reader at another epoch re-verifies it by
+// counting the object's rows in its own snapshot, so a write keeps the
+// documents of every object it did not touch.
 //
 // Consistency argument: a reader pins an immutable snapshot at epoch g
 // before touching any table, computes only from that snapshot, and
 // stamps what it stores with g — so a value stamped g was computed from
 // exactly the table state of epoch g, no lock required. The cache
-// serves an entry only to readers presenting the same stamp, so a
-// reader pinned at g can never see a value computed at any other epoch,
-// even while writers publish g+1, g+2, ... concurrently. (A
-// behind-the-current reader may re-store an old-stamped value over a
-// newer one; that costs a recompute later, never correctness.)
+// serves an entry only to readers presenting the same stamp, or, on the
+// response layer, to a reader that has just checked against its own
+// snapshot that the entry equals what that snapshot builds (builtDoc
+// names the two invariants that make the check exact) and then restamps
+// it. So a reader pinned at g never sees a value that differs from what
+// epoch g computes, even while writers publish g+1, g+2, ...
+// concurrently. (A behind-the-current reader may re-store or restamp an
+// entry with its older epoch; that costs a recompute or a re-check
+// later, never correctness.)
 
 // DefaultCacheSize is the per-layer entry cap when Options.CacheSize is
 // zero.
@@ -71,9 +83,9 @@ func (c *Catalog) initCaches() {
 }
 
 // CacheStats reports the per-layer cache counters, the data generation
-// (snapshot epoch) entries are stamped with, and the registry
-// generation dynamic registration advances. Zero layers with
-// Enabled=false mean caching is off.
+// (snapshot epoch) evaluate and postings entries are stamped with, and
+// the registry generation dynamic registration advances. Zero layers
+// with Enabled=false mean caching is off.
 type CacheStats struct {
 	Enabled            bool        `json:"enabled"`
 	DataGeneration     uint64      `json:"data_generation"`

@@ -401,12 +401,13 @@ func TestCachedDocumentsStayWellFormed(t *testing.T) {
 	}
 }
 
-// TestResponseJSONFormOncePerEpoch: a built document's JSON string
+// TestResponseJSONFormOncePerContent: a built document's JSON string
 // literal is encoding/json's bytes, is computed on first wire use (not
 // by BuildResponse), and lives with the response-cache entry, so a
 // later build at the same epoch, a ranked pairing and a routed copy all
-// reuse it; a new epoch starts from a fresh entry.
-func TestResponseJSONFormOncePerEpoch(t *testing.T) {
+// reuse it. A write to another object keeps the entry and its literal;
+// an AddAttribute to the object itself starts from a fresh entry.
+func TestResponseJSONFormOncePerContent(t *testing.T) {
 	wantJSON := func(s string) string {
 		var b bytes.Buffer
 		enc := json.NewEncoder(&b)
@@ -457,9 +458,28 @@ func TestResponseJSONFormOncePerEpoch(t *testing.T) {
 		t.Fatalf("a hand-built Response appended %s", got)
 	}
 
-	ingestFig3(t, c) // a new epoch: the old entry is stale
-	if next := build(); next.doc == first.doc || next.doc.json.Load() != nil {
-		t.Fatal("a build at a new epoch reused the previous epoch's entry")
+	ingestFig3(t, c) // a new epoch, but this object's rows are unchanged
+	before := c.CacheStats().Response
+	if next := build(); next.doc != first.doc || string(next.AppendJSONString(nil)) != want {
+		t.Fatal("an unrelated ingest dropped the entry or its JSON form")
+	}
+	if after := c.CacheStats().Response; after.Hits != before.Hits+1 || after.Stale != before.Stale {
+		t.Fatalf("an unrelated ingest: response stats %+v -> %+v, want one hit and no stale drop", before, after)
+	}
+
+	if err := c.AddAttribute(id, "scientist", themeFrag(t, "added")); err != nil {
+		t.Fatal(err)
+	}
+	before = c.CacheStats().Response
+	next := build()
+	if next.doc == first.doc || next.doc.json.Load() != nil || next.XML == first.XML {
+		t.Fatal("a build after AddAttribute to the object reused its old entry")
+	}
+	if got := string(next.AppendJSONString(nil)); got != wantJSON(next.XML) || !strings.Contains(got, "added") {
+		t.Fatalf("after AddAttribute: AppendJSONString = %s", got)
+	}
+	if after := c.CacheStats().Response; after.Hits != before.Hits || after.Stale != before.Stale+1 {
+		t.Fatalf("AddAttribute to the object: response stats %+v -> %+v, want one stale drop and no hit", before, after)
 	}
 
 	off := newLEADCatalog(t, Options{CacheSize: -1})

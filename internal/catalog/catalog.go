@@ -78,10 +78,12 @@ type Catalog struct {
 	mu    sync.RWMutex
 	clock func() time.Time
 
-	// caches are the three epoch-stamped read caches (see cache.go): a
-	// reader stamps what it stores with its pinned snapshot's epoch, so
-	// every stored value was computed from exactly the table state of the
-	// epoch it is stamped with.
+	// caches are the three read caches (see cache.go): a reader stamps
+	// what it stores with its pinned snapshot's epoch, so every stored
+	// value was computed from exactly the table state of the epoch it is
+	// stamped with; a response entry is restamped by a reader at another
+	// epoch only after that reader has checked it against its own
+	// snapshot (see builtDoc).
 	caches catCaches
 
 	// Write-ahead capture (see durable.go). capturing/captured are only

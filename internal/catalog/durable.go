@@ -484,7 +484,10 @@ func decodeOps(payload []byte) ([]walOp, error) {
 type replayer struct {
 	c          *Catalog
 	defTouched bool // attr_def/elem_def rows: the registry must be rebuilt
-	idTouched  bool // objects/collections rows: the ID allocators must advance
+	// idMarks is the highest ID each objects/collections insert named:
+	// the ID allocators must advance past it, whether or not the row is
+	// still live once the run is in.
+	idMarks map[string]int64
 }
 
 // apply replays one log record, returning its operation count.
@@ -498,7 +501,12 @@ func (r *replayer) apply(rec wal.Record) (int, error) {
 		case TAttrDef, TElemDef:
 			r.defTouched = true
 		case TObjects, TCollections:
-			r.idTouched = true
+			if relstore.OpKind(op.Kind) == relstore.OpInsert && len(op.Row) > 0 {
+				if r.idMarks == nil {
+					r.idMarks = make(map[string]int64, len(idTables))
+				}
+				r.idMarks[op.Table] = max(r.idMarks[op.Table], op.Row[0].I)
+			}
 		}
 	}
 	if err := r.c.replayOps(ops); err != nil {
@@ -515,9 +523,7 @@ func (r *replayer) finish() error {
 			return err
 		}
 	}
-	if r.idTouched {
-		r.c.fixAutoIDs()
-	}
+	r.c.advanceIDs(r.idMarks)
 	return nil
 }
 

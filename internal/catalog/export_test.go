@@ -2,8 +2,10 @@ package catalog
 
 import "github.com/gridmeta/hybridcat/internal/textindex"
 
-// Hooks for the external ranked-retrieval suite (rank_test.go), which
-// cannot live in this package because it imports internal/workload.
+// Hooks for the external suites — ranked retrieval (rank_test.go),
+// which imports internal/workload, and the response-cache oracle
+// (response_oracle_test.go), which imports internal/shard — that cannot
+// live in this package.
 
 // TextIndexVsScratch pins the current version and returns the text
 // index a ranked query would be served there — built, advanced or
@@ -21,4 +23,28 @@ func (c *Catalog) TextIndexVsScratch() (served, scratch *textindex.Index, err er
 func (c *Catalog) PinRanked() func(q *Query) ([]ScoredID, error) {
 	v := c.pinView()
 	return func(q *Query) ([]ScoredID, error) { return v.evaluateRanked(q, nil, nil) }
+}
+
+// PinResponses pins a view now and returns a function that answers, for
+// ids, what a reader pinned there is served (through the response cache
+// when it is on) next to the §5 build run fresh on the same view, keyed
+// by object ID. The response-cache oracle judges the first by the
+// second.
+func (c *Catalog) PinResponses() func(ids []int64) (served []Response, fresh map[int64]string, err error) {
+	v := c.pinView()
+	return func(ids []int64) ([]Response, map[int64]string, error) {
+		served, err := v.buildResponseTraced(ids, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		built, err := v.buildResponseChunk(ids)
+		if err != nil {
+			return nil, nil, err
+		}
+		fresh := make(map[int64]string, len(built))
+		for id, doc := range built {
+			fresh[id] = doc.xml
+		}
+		return served, fresh, nil
+	}
 }

@@ -30,9 +30,7 @@ func (c *Catalog) ImportWAL(recs []wal.Record) error {
 		// The ID allocators live outside the versioned state, so they
 		// advance inside the build: no later build can hand out an
 		// imported ID, and an aborted import only skips IDs.
-		if rp.idTouched {
-			c.fixAutoIDs()
-		}
+		c.advanceIDs(rp.idMarks)
 		return nil
 	})
 	if err != nil || !rp.defTouched {

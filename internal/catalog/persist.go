@@ -70,6 +70,11 @@ type snapshot struct {
 	WalSeq uint64
 	Attrs  []core.AttrDef
 	Elems  []core.ElemDef
+	// IDMarks holds each ID allocator's high-water mark by table
+	// (objects, collections): every ID handed out before the snapshot
+	// was pinned, deleted ones included, is at or below it. Headers
+	// written before the marks were recorded decode it as nil.
+	IDMarks map[string]int64
 }
 
 // schemaSig fingerprints the global ordering so Load rejects a
@@ -86,10 +91,11 @@ func schemaSig(s *xmlschema.Schema) string {
 // relstore version, the registry's definitions and the log watermark
 // the version contains. Writing it needs no lock.
 type pin struct {
-	db     *relstore.Snapshot
-	attrs  []*core.AttrDef
-	elems  []*core.ElemDef
-	walSeq uint64
+	db      *relstore.Snapshot
+	attrs   []*core.AttrDef
+	elems   []*core.ElemDef
+	walSeq  uint64
+	idMarks map[string]int64
 }
 
 // pinLocked captures a pin; c.mu must be held (read or write). The
@@ -100,7 +106,10 @@ type pin struct {
 // versions are not yet visible, and the pinned version does not contain
 // them — claiming their sequences would make recovery skip them. Writers
 // publish without c.mu, so the version and its sequence are read
-// together under the durability mutex they publish under.
+// together under the durability mutex they publish under. The ID
+// allocators are read after the version is pinned: they only advance,
+// so the marks cover every ID the version holds, and an ID handed out
+// since only raises a mark, which skips IDs and never reissues one.
 func (c *Catalog) pinLocked() pin {
 	var p pin
 	if d := c.dur; d != nil {
@@ -113,6 +122,10 @@ func (c *Catalog) pinLocked() pin {
 	}
 	p.attrs = c.Reg.Attrs()
 	p.elems = c.Reg.Elems()
+	p.idMarks = make(map[string]int64, len(idTables))
+	for _, name := range idTables {
+		p.idMarks[name] = c.DB.MustTable(name).AutoID()
+	}
 	return p
 }
 
@@ -153,6 +166,7 @@ func writeSnapshot(schema *xmlschema.Schema, p pin, w io.Writer) error {
 		SchemaName: schema.Name,
 		SchemaSig:  schemaSig(schema),
 		WalSeq:     p.walSeq,
+		IDMarks:    p.idMarks,
 		Attrs:      make([]core.AttrDef, len(p.attrs)),
 		Elems:      make([]core.ElemDef, len(p.elems)),
 	}
@@ -281,8 +295,14 @@ func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog
 	if err != nil {
 		return nil, 0, err
 	}
-	// Advance the auto-ID counters past restored IDs.
-	c.fixAutoIDs()
+	// Advance the ID allocators past every ID the writer handed out.
+	// Headers from before the marks were recorded carry none: the
+	// highest restored ID is then the best bound there is.
+	marks := c.liveIDMarks()
+	for name, m := range snap.IDMarks {
+		marks[name] = max(marks[name], m)
+	}
+	c.advanceIDs(marks)
 	return c, snap.WalSeq, nil
 }
 
@@ -328,17 +348,32 @@ func readSnapshot(r io.Reader) (*snapshot, []byte, error) {
 	return &snap, payload[k+int(n):], nil
 }
 
-// fixAutoIDs advances the auto-ID counters past the highest restored
-// IDs, reading the open transaction when one is bound (see c.wtab).
-func (c *Catalog) fixAutoIDs() {
-	for _, name := range []string{TObjects, TCollections} {
-		t := c.wtab(name)
+// idTables are the tables whose first column is an ID the catalog
+// allocates (NextAutoID). A local ID is never reissued, even after the
+// row is deleted: clients and followers may still hold it, and the
+// response cache's content stamp relies on it (see builtDoc).
+var idTables = []string{TObjects, TCollections}
+
+// liveIDMarks returns the highest live ID of each idTables table,
+// reading the open transaction when one is bound (see c.wtab).
+func (c *Catalog) liveIDMarks() map[string]int64 {
+	marks := make(map[string]int64, len(idTables))
+	for _, name := range idTables {
 		var m int64
-		t.Scan(func(_ int64, r relstore.Row) bool {
+		c.wtab(name).Scan(func(_ int64, r relstore.Row) bool {
 			m = max(m, r[0].I)
 			return true
 		})
-		t.EnsureAutoID(m)
+		marks[name] = m
+	}
+	return marks
+}
+
+// advanceIDs advances each table's ID allocator to at least its mark,
+// so the next ID handed out lies above every ID the marks cover.
+func (c *Catalog) advanceIDs(marks map[string]int64) {
+	for name, m := range marks {
+		c.wtab(name).EnsureAutoID(m)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // composed with the structural pipeline: when the query also has
 // attribute criteria, only objects the structural plan admits are
 // scored; without criteria, ranking runs over everything the owner may
-// see. The index is epoch-stamped like every other read-cache layer —
+// see. The index is epoch-stamped like the evaluate and postings layers —
 // built lazily from the pinned snapshot on the first ranked query,
 // advanced by snapshot diff on the first ranked query after a mutation
 // (the writer does no index work), and shared read-only by concurrent

@@ -19,8 +19,9 @@ type Response struct {
 	ObjectID int64
 	XML      string
 	// doc is the built document this response came from, shared with
-	// the response-cache entry so its JSON form is computed once per
-	// epoch; nil on a Response constructed outside BuildResponse.
+	// the response-cache entry so its JSON form is computed once for as
+	// long as the object's content stays the same; nil on a Response
+	// constructed outside BuildResponse.
 	doc *builtDoc
 }
 
@@ -40,12 +41,51 @@ func (r Response) Ranked(score float64) RankedResponse {
 }
 
 // builtDoc is one object's rebuilt document as the response cache holds
-// it: the tagged XML, and its JSON string literal, filled on first wire
-// use. Two readers racing to fill json compute identical bytes, so
-// either store is correct.
+// it: the tagged XML, the number of CLOB rows it was built from, and its
+// JSON string literal, filled on first wire use. Two readers racing to
+// fill json compute identical bytes, so either store is correct.
+//
+// A §5 build reads only the object's CLOB rows and the schema, which is
+// immutable, so a built document stays current for as long as those
+// rows do. A response-cache entry therefore carries a two-level stamp:
+// the cache generation is the epoch the entry was last verified at, and
+// rows counts the CLOB rows it was built from. A reader pinned at the
+// verified epoch is served with no further work. Any other reader counts
+// the object's clobs_by_object keys in its own snapshot (sameContent):
+// an equal count serves the entry and restamps it with the reader's
+// epoch; a different count, zero included, drops it. The count is an
+// exact stamp because of two invariants:
+//
+//   - While an object exists, its CLOB rows only grow. insertShred only
+//     inserts, AddAttribute appends with continuing sequences, no code
+//     path updates or removes a single CLOB row, and removeObjectLocked
+//     removes the object row together with all of its CLOB rows. So two
+//     published snapshots that hold the same number of CLOB rows for a
+//     live object hold the same rows.
+//   - A local object ID is never reissued, across restarts, followers
+//     and rebalance imports included: the ID allocators advance past
+//     every ID a snapshot header or a replayed log record names (see
+//     idTables). So a deleted object cannot come back under its ID
+//     with other rows at an equal count.
+//
+// The count is read from the reader's own snapshot, whichever path
+// built it, so recovery, followers and ImportWAL carry no stamp of
+// their own. Visibility (ownership, publication) is not part of the document: the
+// evaluate layer, which stays epoch-stamped, decides which objects a
+// reader is shown.
 type builtDoc struct {
 	xml  string
+	rows int
 	json atomic.Pointer[string]
+}
+
+// sameContent reports whether doc, built for object id at an earlier
+// or later epoch, is still that object's document in the view's
+// snapshot: the object's CLOB row count there equals the count doc was
+// built from (see builtDoc). It reads index keys only.
+func (v *view) sameContent(id int64, doc *builtDoc) bool {
+	n, err := v.tab(TClobs).CountPrefix("clobs_by_object", relstore.Int(id))
+	return err == nil && n == doc.rows
 }
 
 // appendJSONString appends xml as a JSON string literal, through doc's
@@ -93,11 +133,12 @@ func (c *Catalog) BuildResponse(ids []int64) ([]Response, error) {
 // (possibly nil) trace, annotated with the response-cache hit/miss
 // split.
 //
-// With the response cache on, per-object documents recalled at the
-// pinned epoch skip the build entirely; only cache misses go through
-// the §5 plan, and their results are stored for the next overlapping
-// result set. Objects that do not exist produce no map entry and are
-// never cached, so a later ingest of that ID is visible immediately.
+// With the response cache on, a cached document verified at the pinned
+// epoch, or whose object still has the CLOB rows it was built from (see
+// builtDoc), skips the build entirely; only cache misses go through the
+// §5 plan, and their results are stored for the next overlapping result
+// set. Objects that do not exist produce no map entry and are never
+// cached, so a later ingest of that ID is visible immediately.
 func (v *view) buildResponseTraced(ids []int64, tr *obs.Trace) ([]Response, error) {
 	c := v.c
 	if len(ids) == 0 {
@@ -118,8 +159,9 @@ func (v *view) buildResponseTraced(ids []int64, tr *obs.Trace) ([]Response, erro
 	need := uniq
 	if c.caches.response != nil {
 		need = make([]int64, 0, len(uniq))
+		current := v.sameContent
 		for _, id := range uniq {
-			if doc, ok := c.caches.response.Get(gen, id); ok {
+			if doc, ok := c.caches.response.GetValid(gen, id, current); ok {
 				byObject[id] = doc
 			} else {
 				need = append(need, id)
@@ -134,8 +176,7 @@ func (v *view) buildResponseTraced(ids []int64, tr *obs.Trace) ([]Response, erro
 		if err != nil {
 			return nil, err
 		}
-		for id, xml := range m {
-			doc := &builtDoc{xml: xml}
+		for id, doc := range m {
 			byObject[id] = doc
 			c.caches.response.Put(gen, id, doc)
 		}
@@ -151,7 +192,7 @@ func (v *view) buildResponseTraced(ids []int64, tr *obs.Trace) ([]Response, erro
 }
 
 // buildResponseChunk runs the §5 plan for one batch of object IDs
-// against the pinned snapshot and returns each object's tagged XML.
+// against the pinned snapshot and returns each object's built document.
 //
 // An object's CLOB rows come off clobs_by_object in (node_order,
 // clob_seq) order, which is document order, so one merge with the
@@ -160,10 +201,10 @@ func (v *view) buildResponseTraced(ids []int64, tr *obs.Trace) ([]Response, erro
 // open n's remaining ancestors. The ancestor lists and last-child orders
 // are the schema's own (Figure 2), so the merge needs no join and no
 // sort.
-func (v *view) buildResponseChunk(ids []int64) (map[int64]string, error) {
+func (v *view) buildResponseChunk(ids []int64) (map[int64]*builtDoc, error) {
 	clobT := v.tab(TClobs)
 	schema := v.c.Schema
-	out := make(map[int64]string, len(ids))
+	out := make(map[int64]*builtDoc, len(ids))
 	var open []*xmlschema.Node
 	for _, id := range ids {
 		rowIDs, err := clobT.LookupRange("clobs_by_object", incl(relstore.Int(id)), incl(relstore.Int(id)))
@@ -197,7 +238,7 @@ func (v *view) buildResponseChunk(ids []int64) (map[int64]string, error) {
 		for i := len(open) - 1; i >= 0; i-- {
 			writeClose(&b, open[i].Tag)
 		}
-		out[id] = b.String()
+		out[id] = &builtDoc{xml: b.String(), rows: len(rowIDs)}
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/gridmeta/hybridcat/internal/obs"
@@ -194,6 +195,12 @@ func (t *Table) NextAutoID() int64 {
 	return t.state.autoID.Add(1)
 }
 
+// AutoID returns the auto-ID counter: the highest ID NextAutoID has
+// handed out or EnsureAutoID has reserved, 0 before either.
+func (t *Table) AutoID() int64 {
+	return t.state.autoID.Load()
+}
+
 // EnsureAutoID advances the auto-ID counter to at least min, so IDs
 // assigned after restoring a snapshot never collide with restored rows.
 func (t *Table) EnsureAutoID(min int64) {
@@ -303,6 +310,38 @@ func (t *Table) LookupRange(indexName string, lo, hi RangeBound) ([]int64, error
 		return true
 	})
 	return out, nil
+}
+
+// CountPrefix returns how many entries of the named B-tree index have
+// leading indexed columns equal to vals. It reads keys only: no row is
+// fetched and no row-ID list is built. The call counts one index lookup.
+func (t *Table) CountPrefix(indexName string, vals ...Value) (int, error) {
+	tv := t.version()
+	ix := tv.indexes[indexName]
+	if ix == nil {
+		return 0, fmt.Errorf("relstore: table %s: no index %q", t.name, indexName)
+	}
+	if ix.Kind != BTreeIndex {
+		return 0, fmt.Errorf("relstore: index %s: prefix count requires a B-tree index", indexName)
+	}
+	if len(vals) == 0 || len(vals) > len(ix.Cols) {
+		return 0, fmt.Errorf("relstore: index %s: got %d key values, want 1..%d", indexName, len(vals), len(ix.Cols))
+	}
+	tv.state.countLookup()
+	var buf [32]byte // an integer key fits, so the common count allocates nothing
+	prefix := buf[:0]
+	for _, v := range vals {
+		prefix = AppendKey(prefix, v)
+	}
+	n := 0
+	ix.tree.Ascend(prefix, nil, func(key []byte, _ int64) bool {
+		if !bytes.HasPrefix(key, prefix) {
+			return false
+		}
+		n++
+		return true
+	})
+	return n, nil
 }
 
 // rangeKeys encodes the bounds as the B-tree's half-open [lo, hi) byte

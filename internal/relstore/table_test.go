@@ -160,6 +160,72 @@ func TestBTreeIndexRange(t *testing.T) {
 	}
 }
 
+// TestCountPrefix: a prefix count equals the length of the range lookup
+// over the same prefix, on a leading column and on the full key, and
+// follows deletes.
+func TestCountPrefix(t *testing.T) {
+	tab := newTestTable(t)
+	if _, err := tab.CreateIndex("by_name_age", BTreeIndex, false, "name", "age"); err != nil {
+		t.Fatal(err)
+	}
+	var evens []int64
+	for i := 0; i < 40; i++ {
+		name := []string{"even", "odd"}[i%2]
+		id, err := tab.Insert(Row{Int(int64(i)), Str(name), Int(int64(i % 4))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "even" {
+			evens = append(evens, id)
+		}
+	}
+	count := func(vals ...Value) int {
+		t.Helper()
+		n, err := tab.CountPrefix("by_name_age", vals...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, _ := tab.LookupRange("by_name_age",
+			RangeBound{Vals: vals, Inclusive: true, Set: true},
+			RangeBound{Vals: vals, Inclusive: true, Set: true})
+		if n != len(ids) {
+			t.Fatalf("CountPrefix(%v) = %d, range lookup found %d", vals, n, len(ids))
+		}
+		return n
+	}
+	if n := count(Str("even")); n != 20 {
+		t.Fatalf("count(even) = %d, want 20", n)
+	}
+	if n := count(Str("odd"), Int(3)); n != 10 {
+		t.Fatalf("count(odd, 3) = %d, want 10", n)
+	}
+	if n := count(Str("none")); n != 0 {
+		t.Fatalf("count(none) = %d, want 0", n)
+	}
+	for _, id := range evens[:5] {
+		tab.Delete(id)
+	}
+	if n := count(Str("even")); n != 15 {
+		t.Fatalf("count(even) after 5 deletes = %d, want 15", n)
+	}
+	if _, err := tab.CreateIndex("by_name", HashIndex, false, "name"); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		index string
+		vals  []Value
+	}{
+		{"by_name", []Value{Str("even")}},
+		{"by_name_age", nil},
+		{"by_name_age", []Value{Str("even"), Int(0), Int(1)}},
+		{"missing", []Value{Str("even")}},
+	} {
+		if _, err := tab.CountPrefix(bad.index, bad.vals...); err == nil {
+			t.Errorf("CountPrefix(%s, %v) should fail", bad.index, bad.vals)
+		}
+	}
+}
+
 func TestUniqueIndexViolationRollsBack(t *testing.T) {
 	tab := newTestTable(t)
 	if _, err := tab.CreateIndex("pk", BTreeIndex, true, "id"); err != nil {
