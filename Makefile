@@ -26,19 +26,24 @@ stress:
 
 # Crash matrix + fault-injection suites under the race detector: kill
 # the durable catalog at every injected fault point and require recovery
-# to match the acked-operations oracle (DESIGN.md "Durability and
-# recovery").
+# to match the acked-operations oracle, then the replay differential
+# (live catalog ≡ log-only recovery ≡ snapshot-plus-tail recovery ≡
+# follower ≡ import, over every logged op kind, concurrent writers and a
+# failed fsync), the shred redone after a racing registration, and the
+# follower that refuses before registering (DESIGN.md "Durability and
+# recovery", "Record format").
 crash:
-	$(GO) test -race -run 'Crash|Fault' -count=1 ./...
+	$(GO) test -race -run 'Crash|Fault|Replay|RacingRegistration|RefusesBeforeRegistering' -count=1 ./...
 
 # MVCC verification: the snapshot-isolation oracle suite, the
 # post-fsync crash of every workload step (the version is durable but
 # not yet published) and the acknowledgement that does not wait for the
 # next writer's build, under the race detector, and the fuzz targets'
 # seed corpora — the swap interleavings, the B-tree versions pinned
-# across aborts and staged-chain resets, and the row and log record
-# codecs that decode bytes from other processes (DESIGN.md "MVCC
-# snapshots and the lock-free read path", "Record format").
+# across aborts and staged-chain resets, and the two codecs that decode
+# bytes from other processes: snapshots' row codec and the logical log
+# record codec (DESIGN.md "MVCC snapshots and the lock-free read path",
+# "Record format").
 mvcc:
 	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints|PostFsyncPreAck|AckDoesNotWait' -count=1 ./internal/relstore/ ./internal/catalog/
 	$(GO) test -race -run 'Fuzz' -count=1 ./internal/catalog/ ./internal/baseline/ ./internal/relstore/

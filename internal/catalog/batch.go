@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/gridmeta/hybridcat/internal/core"
-	"github.com/gridmeta/hybridcat/internal/relstore"
 	"github.com/gridmeta/hybridcat/internal/xmldoc"
 )
 
@@ -70,6 +69,9 @@ func (c *Catalog) IngestBatch(owner string, docs []*xmldoc.Node, workers int) ([
 	if len(docs) == 0 {
 		return nil, nil
 	}
+	if c.follower {
+		return nil, ErrReadOnlyReplica
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -86,7 +88,9 @@ func (c *Catalog) IngestBatch(owner string, docs []*xmldoc.Node, workers int) ([
 		next <- i
 	}
 	close(next)
-	opts := core.Options{Owner: owner, AutoRegister: c.opts.AutoRegister, Lenient: c.opts.Lenient}
+	proto := op{kind: opIngest, owner: owner, lenient: c.opts.Lenient}
+	opts := c.shredOpts(proto, true)
+	defined := c.defined.Load()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -112,30 +116,21 @@ func (c *Catalog) IngestBatch(owner string, docs []*xmldoc.Node, workers int) ([
 	// and one fsync amortized over every document.
 	var ids []int64
 	err := c.mutate(func() error {
-		if c.opts.AutoRegister {
-			if err := c.syncDefTables(); err != nil {
-				return err
-			}
-		}
+		reshred := c.defined.Load() != defined // see c.defined
 		objT := c.wtab(TObjects)
 		ids = make([]int64, 0, len(docs))
 		created := c.clock().UTC().Format(time.RFC3339)
 		for i, doc := range docs {
-			id := objT.NextAutoID()
-			name := doc.Tag
-			if rid := doc.Child("resourceID"); rid != nil {
-				name = rid.Text
+			o := proto
+			o.id, o.created, o.doc = objT.NextAutoID(), created, doc
+			res := results[i]
+			if reshred {
+				res = nil
 			}
-			if _, err := objT.Insert(relstore.Row{
-				relstore.Int(id), relstore.Str(name), relstore.Str(owner), relstore.Str(created),
-				relstore.Bool(false),
-			}); err != nil {
-				return err
-			}
-			if err := c.insertShred(id, results[i]); err != nil {
+			if err := c.applyIngest(o, res, true); err != nil {
 				return &BatchError{Docs: []DocError{{Index: i, Err: err}}}
 			}
-			ids = append(ids, id)
+			ids = append(ids, o.id)
 		}
 		return nil
 	})

@@ -28,7 +28,7 @@ import (
 //
 // Every entry is stamped with the epoch of the reader's pinned snapshot
 // (every committed transaction — ingest, delete, publish, membership,
-// definition mirroring — publishes a new epoch). Evaluate and postings
+// definition registration — publishes a new epoch). Evaluate and postings
 // entries are served only at that epoch: any new document can match
 // any query, so a mutation invalidates them by publishing a new epoch,
 // and no entry is ever tracked or walked. A response entry depends on

@@ -26,8 +26,6 @@ const (
 	TElemData = "elem_data"
 	TSubAttrs = "sub_attrs"
 	TClobs    = "clobs"
-	TAttrDef  = "attr_def"
-	TElemDef  = "elem_def"
 )
 
 // Options configures a catalog instance.
@@ -67,7 +65,7 @@ type Catalog struct {
 
 	// mu serializes mutations' version builds (ingest, delete, publish,
 	// collection membership, dynamic registration) and guards c.dur,
-	// c.tx and the capture buffers. A durable writer releases it before
+	// c.tx and the in-flight record. A durable writer releases it before
 	// waiting for its batch fsync (see durable.go). The read path does
 	// NOT take it: every read operation pins an immutable snapshot via
 	// pinView and runs lock-free against it (see view.go), overlapping
@@ -86,14 +84,22 @@ type Catalog struct {
 	// snapshot (see builtDoc).
 	caches catCaches
 
-	// Write-ahead capture (see durable.go). capturing/captured are only
-	// touched under the write lock: the relstore journal hook appends
-	// every applied row operation to captured while a mutation runs, so
-	// mutate can commit them as one log record before the version swap,
-	// or abort the builder.
-	capturing bool
-	captured  []relstore.TableOp
+	// The in-flight log record (see record.go): while mutate records,
+	// each apply function appends the op it applied to rec, after the
+	// definitions above marks; mutate commits rec as one log record, or
+	// aborts the builder when it stays empty.
+	recording bool
+	rec       []op
+	marks     core.Marks // the highest definition IDs the log carries
 	dur       *durability
+
+	// defined counts the times a mutation journaled new definitions,
+	// bumped under the write lock. A shred that ran outside the lock is
+	// redone under it when the count moved meanwhile: replay resolves a
+	// document against every definition logged before it (a user-private
+	// definition shadows an admin one; a new one turns CLOB-only text
+	// into rows).
+	defined atomic.Uint64
 
 	// tx is the relstore transaction of the mutation currently holding
 	// the write lock (nil outside mutations); interior helpers address
@@ -120,9 +126,9 @@ type Catalog struct {
 	textMu sync.Mutex
 }
 
-// Open builds a catalog for a finalized schema: it creates the relational
-// schema, seeds the definition tables from the registry, and loads the
-// global ordering tables.
+// Open builds a catalog for a finalized schema: it seeds the registry
+// with the schema's structural definitions and creates the relational
+// schema.
 func Open(schema *xmlschema.Schema, opts Options) (*Catalog, error) {
 	reg, err := core.NewRegistry(schema)
 	if err != nil {
@@ -139,20 +145,11 @@ func Open(schema *xmlschema.Schema, opts Options) (*Catalog, error) {
 	c.initObs()
 	c.DB.SetMetrics(c.obsv.reg)
 	c.initCaches()
-	c.DB.SetJournal(func(op relstore.TableOp) {
-		if c.capturing {
-			c.captured = append(c.captured, op)
-		}
-	})
+	c.marks = reg.Snapshot().Marks() // structural definitions are never logged
 	if err := c.createTables(); err != nil {
 		return nil, err
 	}
 	if err := c.initCollections(); err != nil {
-		return nil, err
-	}
-	// Batch the bulk seeding into one transaction: one published version
-	// instead of a copy-on-write commit per row.
-	if err := c.withTx(c.syncDefTables); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -206,24 +203,6 @@ func (c *Catalog) createTables() error {
 			col("seq_id", relstore.KInt, false),
 			col("clob", relstore.KString, true),
 		}},
-		{TAttrDef, []relstore.Column{
-			col("attr_id", relstore.KInt, true),
-			col("name", relstore.KString, true),
-			col("source", relstore.KString, false),
-			col("parent_attr_id", relstore.KInt, false),
-			col("schema_order", relstore.KInt, false),
-			col("queryable", relstore.KBool, false),
-			col("dynamic", relstore.KBool, false),
-			col("owner", relstore.KString, false),
-		}},
-		{TElemDef, []relstore.Column{
-			col("elem_id", relstore.KInt, true),
-			col("attr_id", relstore.KInt, true),
-			col("name", relstore.KString, true),
-			col("source", relstore.KString, false),
-			col("dtype", relstore.KString, false),
-			col("owner", relstore.KString, false),
-		}},
 	}
 	for _, td := range tables {
 		if _, err := c.DB.CreateTable(td.name, td.cols...); err != nil {
@@ -252,8 +231,6 @@ func (c *Catalog) createTables() error {
 		{TSubAttrs, "sub_attrs_by_child", relstore.BTreeIndex, false, []string{"child_attr_id", "anc_attr_id", "object_id", "child_seq", "anc_seq"}},
 		{TSubAttrs, "sub_attrs_by_object", relstore.HashIndex, false, []string{"object_id"}},
 		{TClobs, "clobs_by_object", relstore.BTreeIndex, false, []string{"object_id", "node_order", "clob_seq"}},
-		{TAttrDef, "attr_def_pk", relstore.BTreeIndex, true, []string{"attr_id"}},
-		{TElemDef, "elem_def_pk", relstore.BTreeIndex, true, []string{"elem_id"}},
 	}
 	for _, id := range indexes {
 		if _, err := c.DB.MustTable(id.table).CreateIndex(id.name, id.kind, id.unique, id.cols...); err != nil {
@@ -263,54 +240,9 @@ func (c *Catalog) createTables() error {
 	return nil
 }
 
-// syncDefTables mirrors the registry into attr_def/elem_def. Called at
-// Open and after dynamic registration, so every definition reaches the
-// write-ahead log with the mutation that made it: WAL replay rebuilds
-// the registry from these tables (restoreRegistryFromTables).
-func (c *Catalog) syncDefTables() error {
-	attrT := c.wtab(TAttrDef)
-	elemT := c.wtab(TElemDef)
-	have := make(map[int64]bool)
-	attrT.Scan(func(_ int64, r relstore.Row) bool {
-		have[r[0].I] = true
-		return true
-	})
-	for _, d := range c.Reg.Attrs() {
-		if have[d.ID] {
-			continue
-		}
-		_, err := attrT.Insert(relstore.Row{
-			relstore.Int(d.ID), relstore.Str(d.Name), relstore.Str(d.Source),
-			relstore.Int(d.ParentID), relstore.Int(int64(d.SchemaOrder)),
-			relstore.Bool(d.Queryable), relstore.Bool(d.Dynamic), relstore.Str(d.Owner),
-		})
-		if err != nil {
-			return err
-		}
-	}
-	haveE := make(map[int64]bool)
-	elemT.Scan(func(_ int64, r relstore.Row) bool {
-		haveE[r[0].I] = true
-		return true
-	})
-	for _, d := range c.Reg.Elems() {
-		if haveE[d.ID] {
-			continue
-		}
-		_, err := elemT.Insert(relstore.Row{
-			relstore.Int(d.ID), relstore.Int(d.AttrID), relstore.Str(d.Name),
-			relstore.Str(d.Source), relstore.Str(d.Type.String()), relstore.Str(d.Owner),
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RegisterAttr registers a dynamic attribute definition and mirrors it
-// into the definition tables. parentID 0 registers a top-level dynamic
-// attribute located at the schema's first dynamic container.
+// RegisterAttr registers a dynamic attribute definition; the next log
+// record carries it. parentID 0 registers a top-level dynamic attribute
+// located at the schema's first dynamic container.
 func (c *Catalog) RegisterAttr(name, source string, parentID int64, owner string) (*core.AttrDef, error) {
 	order := 0
 	for _, a := range c.Schema.Attributes {
@@ -322,11 +254,12 @@ func (c *Catalog) RegisterAttr(name, source string, parentID int64, owner string
 	if order == 0 {
 		return nil, fmt.Errorf("catalog: schema %s has no dynamic attribute container", c.Schema.Name)
 	}
-	def, err := c.Reg.RegisterAttr(name, source, parentID, order, owner)
+	var def *core.AttrDef
+	err := c.mutate(func() (err error) {
+		def, err = c.Reg.RegisterAttr(name, source, parentID, order, owner)
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := c.mutate(c.syncDefTables); err != nil {
 		return nil, err
 	}
 	return def, nil
@@ -334,65 +267,97 @@ func (c *Catalog) RegisterAttr(name, source string, parentID int64, owner string
 
 // RegisterElem registers a dynamic element definition under an attribute.
 func (c *Catalog) RegisterElem(name, source string, attrID int64, dt core.DataType, owner string) (*core.ElemDef, error) {
-	def, err := c.Reg.RegisterElem(name, source, attrID, dt, owner)
+	var def *core.ElemDef
+	err := c.mutate(func() (err error) {
+		def, err = c.Reg.RegisterElem(name, source, attrID, dt, owner)
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := c.mutate(c.syncDefTables); err != nil {
 		return nil, err
 	}
 	return def, nil
 }
 
 // Ingest shreds a document and stores it for the given owner, returning
-// the new object ID. On validation failure nothing is stored.
+// the new object ID. On validation failure nothing is stored. The log
+// carries the document's serialization, so a tree built in code must
+// survive xmldoc's parse of its own String (the §5 rebuild assumes the
+// same).
 func (c *Catalog) Ingest(owner string, doc *xmldoc.Node) (int64, error) {
-	res, err := c.shredder.Shred(doc, core.Options{
-		Owner:        owner,
-		AutoRegister: c.opts.AutoRegister,
-		Lenient:      c.opts.Lenient,
-	})
-	if err != nil {
-		return 0, err
-	}
-
-	var id int64
-	err = c.mutate(func() error {
-		if c.opts.AutoRegister {
-			if err := c.syncDefTables(); err != nil {
-				return err
-			}
-		}
-		objT := c.wtab(TObjects)
-		id = objT.NextAutoID()
-		name := doc.Tag
-		if rid := doc.Child("resourceID"); rid != nil {
-			name = rid.Text
-		}
-		if _, err := objT.Insert(relstore.Row{
-			relstore.Int(id), relstore.Str(name), relstore.Str(owner),
-			relstore.Str(c.clock().UTC().Format(time.RFC3339)), relstore.Bool(false),
-		}); err != nil {
-			return err
-		}
-		if err := c.insertShred(id, res); err != nil {
-			return fmt.Errorf("catalog: ingest of object %d failed: %w", id, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return id, nil
+	return c.ingest(owner, "", doc)
 }
 
-// IngestXML parses and ingests a document held in a string.
+// IngestXML parses and ingests a document held in a string; the log
+// carries the string as received.
 func (c *Catalog) IngestXML(owner, xml string) (int64, error) {
 	doc, err := xmldoc.ParseString(xml)
 	if err != nil {
 		return 0, err
 	}
-	return c.Ingest(owner, doc)
+	return c.ingest(owner, xml, doc)
+}
+
+// ingest shreds doc outside the write lock, then decides the object ID
+// and created time under it and applies the ingest.
+func (c *Catalog) ingest(owner, xml string, doc *xmldoc.Node) (int64, error) {
+	if c.follower {
+		return 0, ErrReadOnlyReplica
+	}
+	o := op{kind: opIngest, owner: owner, lenient: c.opts.Lenient, xml: xml, doc: doc}
+	defined := c.defined.Load()
+	res, err := c.shredder.Shred(doc, c.shredOpts(o, true))
+	if err != nil {
+		return 0, err
+	}
+	err = c.mutate(func() error {
+		if c.defined.Load() != defined {
+			res = nil // shred again under the lock (see c.defined)
+		}
+		o.id = c.wtab(TObjects).NextAutoID()
+		o.created = c.clock().UTC().Format(time.RFC3339)
+		return c.applyIngest(o, res, true)
+	})
+	if err != nil {
+		return 0, err
+	}
+	return o.id, nil
+}
+
+// shredOpts returns the shredder options of an ingest or add_attribute
+// op: live calls auto-register per the catalog's options, replay never
+// does.
+func (c *Catalog) shredOpts(o op, live bool) core.Options {
+	return core.Options{Owner: o.owner, AutoRegister: live && c.opts.AutoRegister, Lenient: o.lenient}
+}
+
+// applyIngest stores the object o.id for o.doc: its objects row, then
+// its shredded rows. res is the shred the caller already ran, or nil to
+// shred here.
+func (c *Catalog) applyIngest(o op, res *core.ShredResult, live bool) error {
+	if res == nil {
+		var err error
+		if res, err = c.shredder.Shred(o.doc, c.shredOpts(o, live)); err != nil {
+			return err
+		}
+	}
+	objT := c.wtab(TObjects)
+	// Replay's IDs are the log's: the allocator must pass them.
+	objT.EnsureAutoID(o.id)
+	name := o.doc.Tag
+	if rid := o.doc.Child("resourceID"); rid != nil {
+		name = rid.Text
+	}
+	if _, err := objT.Insert(relstore.Row{
+		relstore.Int(o.id), relstore.Str(name), relstore.Str(o.owner),
+		relstore.Str(o.created), relstore.Bool(false),
+	}); err != nil {
+		return err
+	}
+	if err := c.insertShred(o.id, res); err != nil {
+		return fmt.Errorf("catalog: ingest of object %d failed: %w", o.id, err)
+	}
+	c.journal(o)
+	return nil
 }
 
 func (c *Catalog) insertShred(id int64, res *core.ShredResult) error {
@@ -459,93 +424,102 @@ func (c *Catalog) insertShred(id int64, res *core.ShredResult) error {
 // this O(rows inserted) — no per-document renumbering (the E7
 // experiment's point).
 func (c *Catalog) AddAttribute(objectID int64, owner string, frag *xmldoc.Node) error {
-	decl := c.Schema.AttributeByTag(frag.Tag)
+	return c.mutate(func() error {
+		return c.applyAddAttribute(op{kind: opAddAttribute, id: objectID, owner: owner, lenient: c.opts.Lenient, doc: frag}, true)
+	})
+}
+
+// applyAddAttribute shreds the fragment o.doc into object o.id. The
+// sequence counters are read from the object's rows, not logged: replay
+// has rebuilt those rows identically, so it computes the same starts.
+func (c *Catalog) applyAddAttribute(o op, live bool) error {
+	decl := c.Schema.AttributeByTag(o.doc.Tag)
 	if decl == nil {
-		return fmt.Errorf("catalog: <%s> is not a metadata attribute of schema %s", frag.Tag, c.Schema.Name)
+		return fmt.Errorf("catalog: <%s> is not a metadata attribute of schema %s", o.doc.Tag, c.Schema.Name)
 	}
 	// All reads run inside the mutation's transaction (c.wtab): another
 	// writer's staged-but-unpublished version may be the base of this
 	// transaction, and reading the published tables instead would
 	// compute stale sibling counters.
-	return c.mutate(func() error {
-		ids, err := c.wtab(TObjects).LookupEqual("objects_pk", relstore.Int(objectID))
-		if err != nil {
-			return err
-		}
-		if len(ids) == 0 {
-			return fmt.Errorf("catalog: no object %d", objectID)
-		}
-		// Current same-sibling counters for the object.
-		clobSeq := map[int]int{}
-		clobT := c.wtab(TClobs)
-		rowIDs, err := clobT.LookupRange("clobs_by_object",
-			relstore.RangeBound{Vals: []relstore.Value{relstore.Int(objectID)}, Inclusive: true, Set: true},
-			relstore.RangeBound{Vals: []relstore.Value{relstore.Int(objectID)}, Inclusive: true, Set: true})
-		if err != nil {
-			return err
-		}
-		for _, rid := range rowIDs {
-			if r := clobT.Get(rid); r != nil {
-				if int(r[2].I) > clobSeq[int(r[1].I)] {
-					clobSeq[int(r[1].I)] = int(r[2].I)
-				}
+	ids, err := c.wtab(TObjects).LookupEqual("objects_pk", relstore.Int(o.id))
+	if err != nil {
+		return err
+	}
+	if len(ids) == 0 {
+		return fmt.Errorf("catalog: no object %d", o.id)
+	}
+	// Current same-sibling counters for the object.
+	clobSeq := map[int]int{}
+	clobT := c.wtab(TClobs)
+	rowIDs, err := clobT.LookupRange("clobs_by_object",
+		relstore.RangeBound{Vals: []relstore.Value{relstore.Int(o.id)}, Inclusive: true, Set: true},
+		relstore.RangeBound{Vals: []relstore.Value{relstore.Int(o.id)}, Inclusive: true, Set: true})
+	if err != nil {
+		return err
+	}
+	for _, rid := range rowIDs {
+		if r := clobT.Get(rid); r != nil {
+			if int(r[2].I) > clobSeq[int(r[1].I)] {
+				clobSeq[int(r[1].I)] = int(r[2].I)
 			}
 		}
-		attrSeq := map[int64]int{}
-		attrT := c.wtab(TAttrData)
-		aids, err := attrT.LookupEqual("attr_data_by_object", relstore.Int(objectID))
-		if err != nil {
-			return err
-		}
-		for _, rid := range aids {
-			if r := attrT.Get(rid); r != nil {
-				if int(r[2].I) > attrSeq[r[1].I] {
-					attrSeq[r[1].I] = int(r[2].I)
-				}
+	}
+	attrSeq := map[int64]int{}
+	attrT := c.wtab(TAttrData)
+	aids, err := attrT.LookupEqual("attr_data_by_object", relstore.Int(o.id))
+	if err != nil {
+		return err
+	}
+	for _, rid := range aids {
+		if r := attrT.Get(rid); r != nil {
+			if int(r[2].I) > attrSeq[r[1].I] {
+				attrSeq[r[1].I] = int(r[2].I)
 			}
 		}
-		res, err := c.shredder.ShredAttribute(frag, decl, core.Options{
-			Owner:        owner,
-			AutoRegister: c.opts.AutoRegister,
-			Lenient:      c.opts.Lenient,
-		}, clobSeq, attrSeq)
-		if err != nil {
-			return err
-		}
-		if c.opts.AutoRegister {
-			if err := c.syncDefTables(); err != nil {
-				return err
-			}
-		}
-		return c.insertShred(objectID, res)
-	})
+	}
+	res, err := c.shredder.ShredAttribute(o.doc, decl, c.shredOpts(o, live), clobSeq, attrSeq)
+	if err != nil {
+		return err
+	}
+	if err := c.insertShred(o.id, res); err != nil {
+		return err
+	}
+	c.journal(o)
+	return nil
 }
 
 // Delete removes an object and all its rows, reporting whether it
 // existed. A durability failure leaves the object in place.
 func (c *Catalog) Delete(id int64) (bool, error) {
-	existed := false
-	if err := c.mutate(func() error {
-		// The existence check reads the transaction's view: a staged
-		// (durable-pending, not yet published) ingest of this object must
-		// count as existing or the delete would silently no-op.
-		ids, _ := c.wtab(TObjects).LookupEqual("objects_pk", relstore.Int(id))
-		if len(ids) == 0 {
-			return errNotFound
-		}
-		existed = true
-		c.removeObjectLocked(id)
-		return nil
-	}); err != nil && !errors.Is(err, errNotFound) {
-		return false, err
+	return found(c.mutate(func() error { return c.applyDelete(op{kind: opDelete, id: id}) }))
+}
+
+// applyDelete removes object o.id and all its rows.
+func (c *Catalog) applyDelete(o op) error {
+	// The existence check reads the transaction's view: a staged
+	// (durable-pending, not yet published) ingest of this object must
+	// count as existing or the delete would silently no-op.
+	ids, _ := c.wtab(TObjects).LookupEqual("objects_pk", relstore.Int(o.id))
+	if len(ids) == 0 {
+		return errNotFound
 	}
-	return existed, nil
+	c.removeObjectLocked(o.id)
+	c.journal(o)
+	return nil
 }
 
 // errNotFound is an internal sentinel for mutations whose target does
 // not exist: it aborts the transaction without surfacing an error when
 // the API reports absence through a return value instead.
 var errNotFound = errors.New("catalog: not found")
+
+// found maps such a mutation's outcome to the API's (existed, error).
+func found(err error) (bool, error) {
+	if errors.Is(err, errNotFound) {
+		return false, nil
+	}
+	return err == nil, err
+}
 
 func (c *Catalog) removeObjectLocked(id int64) {
 	for table, index := range map[string]string{
@@ -607,18 +581,27 @@ func (c *Catalog) Objects() []ObjectInfo {
 // "ensure the privacy of unpublished data and results").
 func (c *Catalog) SetPublished(id int64, published bool) error {
 	return c.mutate(func() error {
-		t := c.wtab(TObjects)
-		ids, err := t.LookupEqual("objects_pk", relstore.Int(id))
-		if err != nil {
-			return err
-		}
-		if len(ids) == 0 {
-			return fmt.Errorf("catalog: no object %d", id)
-		}
-		r := relstore.CloneRow(t.Get(ids[0]))
-		r[4] = relstore.Bool(published)
-		return t.Update(ids[0], r)
+		return c.applySetPublished(op{kind: opSetPublished, id: id, published: published})
 	})
+}
+
+// applySetPublished sets object o.id's published flag.
+func (c *Catalog) applySetPublished(o op) error {
+	t := c.wtab(TObjects)
+	ids, err := t.LookupEqual("objects_pk", relstore.Int(o.id))
+	if err != nil {
+		return err
+	}
+	if len(ids) == 0 {
+		return fmt.Errorf("catalog: no object %d", o.id)
+	}
+	r := relstore.CloneRow(t.Get(ids[0]))
+	r[4] = relstore.Bool(o.published)
+	if err := t.Update(ids[0], r); err != nil {
+		return err
+	}
+	c.journal(o)
+	return nil
 }
 
 // visibleSet returns the objects that may appear in results for the

@@ -3,7 +3,6 @@ package catalog
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -71,86 +70,103 @@ func (c *Catalog) CreateCollection(name, owner string, parentID int64) (int64, e
 	if name == "" {
 		return 0, fmt.Errorf("catalog: collection needs a name")
 	}
-	var id int64
+	o := op{kind: opCreateCollection, name: name, owner: owner, coll: parentID}
 	if err := c.mutate(func() error {
-		// Reads run inside the mutation so they see the staged base, not a
-		// published version that lags it while earlier commits sync.
-		collT := c.wtab(TCollections)
-		if parentID != 0 {
-			ids, err := collT.LookupEqual("collections_pk", relstore.Int(parentID))
-			if err != nil {
-				return err
-			}
-			if len(ids) == 0 {
-				return fmt.Errorf("catalog: no collection %d", parentID)
-			}
-		}
-		id = collT.NextAutoID()
-		parent := relstore.Null()
-		if parentID != 0 {
-			parent = relstore.Int(parentID)
-		}
-		_, err := collT.Insert(relstore.Row{relstore.Int(id), relstore.Str(name), relstore.Str(owner), parent})
-		return err
+		o.id = c.wtab(TCollections).NextAutoID()
+		return c.applyCreateCollection(o)
 	}); err != nil {
 		return 0, err
 	}
-	return id, nil
+	return o.id, nil
+}
+
+// applyCreateCollection creates collection o.id under parent o.coll.
+func (c *Catalog) applyCreateCollection(o op) error {
+	// Reads run inside the mutation so they see the staged base, not a
+	// published version that lags it while earlier commits sync.
+	collT := c.wtab(TCollections)
+	parent := relstore.Null()
+	if o.coll != 0 {
+		ids, err := collT.LookupEqual("collections_pk", relstore.Int(o.coll))
+		if err != nil {
+			return err
+		}
+		if len(ids) == 0 {
+			return fmt.Errorf("catalog: no collection %d", o.coll)
+		}
+		parent = relstore.Int(o.coll)
+	}
+	// Replay's IDs are the log's: the allocator must pass them.
+	collT.EnsureAutoID(o.id)
+	if _, err := collT.Insert(relstore.Row{relstore.Int(o.id), relstore.Str(o.name), relstore.Str(o.owner), parent}); err != nil {
+		return err
+	}
+	c.journal(o)
+	return nil
 }
 
 // AddToCollection places an object into a collection. Membership is
 // idempotent; an object may belong to several collections.
 func (c *Catalog) AddToCollection(collID, objectID int64) error {
 	return c.mutate(func() error {
-		// All checks run against the staged base (see CreateCollection).
-		ids, err := c.wtab(TCollections).LookupEqual("collections_pk", relstore.Int(collID))
-		if err != nil {
-			return err
-		}
-		if len(ids) == 0 {
-			return fmt.Errorf("catalog: no collection %d", collID)
-		}
-		objIDs, err := c.wtab(TObjects).LookupEqual("objects_pk", relstore.Int(objectID))
-		if err != nil {
-			return err
-		}
-		if len(objIDs) == 0 {
-			return fmt.Errorf("catalog: no object %d", objectID)
-		}
-		memT := c.wtab(TMembers)
-		existing, err := memT.LookupEqual("members_pk", relstore.Int(collID), relstore.Int(objectID))
-		if err != nil {
-			return err
-		}
-		if len(existing) > 0 {
-			return nil
-		}
-		_, err = memT.Insert(relstore.Row{relstore.Int(collID), relstore.Int(objectID)})
-		return err
+		return c.applyAddMember(op{kind: opAddMember, coll: collID, id: objectID})
 	})
+}
+
+// applyAddMember places object o.id into collection o.coll. An existing
+// membership changes nothing and is not journaled.
+func (c *Catalog) applyAddMember(o op) error {
+	// All checks run against the staged base (see applyCreateCollection).
+	ids, err := c.wtab(TCollections).LookupEqual("collections_pk", relstore.Int(o.coll))
+	if err != nil {
+		return err
+	}
+	if len(ids) == 0 {
+		return fmt.Errorf("catalog: no collection %d", o.coll)
+	}
+	objIDs, err := c.wtab(TObjects).LookupEqual("objects_pk", relstore.Int(o.id))
+	if err != nil {
+		return err
+	}
+	if len(objIDs) == 0 {
+		return fmt.Errorf("catalog: no object %d", o.id)
+	}
+	memT := c.wtab(TMembers)
+	existing, err := memT.LookupEqual("members_pk", relstore.Int(o.coll), relstore.Int(o.id))
+	if err != nil {
+		return err
+	}
+	if len(existing) > 0 {
+		return nil
+	}
+	if _, err := memT.Insert(relstore.Row{relstore.Int(o.coll), relstore.Int(o.id)}); err != nil {
+		return err
+	}
+	c.journal(o)
+	return nil
 }
 
 // RemoveFromCollection removes a membership, reporting whether it
 // existed. A durability failure leaves the membership in place.
 func (c *Catalog) RemoveFromCollection(collID, objectID int64) (bool, error) {
-	if err := c.mutate(func() error {
-		// Lookup runs against the staged base (see CreateCollection).
-		t := c.wtab(TMembers)
-		ids, _ := t.LookupEqual("members_pk", relstore.Int(collID), relstore.Int(objectID))
-		if len(ids) == 0 {
-			return errNotFound
-		}
-		for _, rid := range ids {
-			t.Delete(rid)
-		}
-		return nil
-	}); err != nil {
-		if errors.Is(err, errNotFound) {
-			return false, nil
-		}
-		return false, err
+	return found(c.mutate(func() error {
+		return c.applyRemoveMember(op{kind: opRemoveMember, coll: collID, id: objectID})
+	}))
+}
+
+// applyRemoveMember removes object o.id from collection o.coll.
+func (c *Catalog) applyRemoveMember(o op) error {
+	// Lookup runs against the staged base (see applyCreateCollection).
+	t := c.wtab(TMembers)
+	ids, _ := t.LookupEqual("members_pk", relstore.Int(o.coll), relstore.Int(o.id))
+	if len(ids) == 0 {
+		return errNotFound
 	}
-	return true, nil
+	for _, rid := range ids {
+		t.Delete(rid)
+	}
+	c.journal(o)
+	return nil
 }
 
 // Collections lists all collections in ID order.

@@ -139,13 +139,12 @@ func mustAttrID(c *Catalog, name string) int64 {
 }
 
 // stateFingerprint renders the complete externally observable state of
-// a catalog: every data and definition row (sorted by content, since
-// physical row IDs are not stable across recovery), the registry dump,
-// and the reconstructed XML of every object.
+// a catalog: every data row (sorted by content, since physical row IDs
+// are not stable across recovery), the registry dump, and the
+// reconstructed XML of every object.
 func stateFingerprint(c *Catalog) string {
 	var b strings.Builder
-	tables := append(append([]string{}, dataTables...), TAttrDef, TElemDef)
-	for _, name := range tables {
+	for _, name := range dataTables {
 		rows := []string{}
 		c.DB.MustTable(name).Scan(func(_ int64, r relstore.Row) bool {
 			var rb strings.Builder

@@ -1,14 +1,10 @@
 package catalog
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -21,17 +17,17 @@ import (
 
 // Durability: every mutating catalog operation runs through mutate,
 // which applies fn's row operations to a copy-on-write relstore
-// transaction, captures them (via the relstore journal hook), freezes the
-// built version as the staging head (invisible to readers, but the base
-// of the next mutation's build), enqueues the operations as ONE
-// write-ahead log record with the group writer, and publishes the
-// version with an atomic pointer swap only once the record's batch is
-// durable. The journaled commit is therefore build-version → append WAL
-// → swap pointer: a mutation that fails, or whose record cannot be made
-// durable, never becomes visible — there is no rollback code to get
-// wrong, and readers never observe a state the log does not contain. A
-// multi-table mutation — an ingest touching five tables, a whole batch —
-// is atomic both on disk and in memory: after a crash it is replayed
+// transaction, collects the ops fn's apply functions journaled (see
+// record.go), freezes the built version as the staging head (invisible
+// to readers, but the base of the next mutation's build), enqueues the
+// ops as ONE write-ahead log record with the group writer, and
+// publishes the version with an atomic pointer swap only once the
+// record's batch is durable. The journaled commit is therefore build
+// version → append WAL → swap pointer: a mutation that fails, or whose
+// record cannot be made durable, never becomes visible — there is no
+// rollback code to get wrong, and readers never observe a state the log
+// does not contain. A multi-op mutation — a whole batch, an import — is
+// atomic both on disk and in memory: after a crash it is replayed
 // entirely or not at all, and no concurrent reader ever sees it
 // half-applied.
 //
@@ -40,12 +36,8 @@ import (
 // head) while this one syncs, and concurrent commits share one fsync. The
 // wait and the publish take only durability.mu.
 //
-// The log is physical (row contents), not logical (catalog operations),
-// so replay is deterministic: it does not depend on the clock, on
-// auto-registration ordering, or on any other state the original
-// execution observed. Row IDs are an in-memory artifact and are not
-// stable across restarts; replay locates rows to delete or update by
-// content instead.
+// The log is logical (see record.go): replay calls the live mutation's
+// apply function with the decisions the record pinned.
 //
 // Checkpoints bound recovery time: the commit that brings the count of
 // published records since the last checkpoint to CheckpointEvery writes
@@ -105,6 +97,9 @@ type durability struct {
 	notify chan struct{}
 	// sinceCheckpoint counts records published since the last checkpoint.
 	sinceCheckpoint int
+	// marks are the definition marks of the last published record: a
+	// failed suffix's definitions are journaled again from them.
+	marks core.Marks
 }
 
 // stagedCommit pairs one mutation's frozen version with the log ticket
@@ -112,6 +107,7 @@ type durability struct {
 type stagedCommit struct {
 	staged *relstore.Staged
 	ticket *wal.Ticket
+	marks  core.Marks
 }
 
 // DurabilityStats reports the durability subsystem's counters.
@@ -162,9 +158,8 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 	}
 
 	// Replay all intact records into one relstore transaction: later
-	// records must observe earlier ones (content-based row lookup), and
-	// one commit publishes the whole recovered state at a single epoch.
-	rp := replayer{c: c}
+	// records must observe earlier ones, and one commit publishes the
+	// whole recovered state at a single epoch.
 	var w *wal.Writer
 	err := c.withTx(func() error {
 		var werr error
@@ -172,7 +167,7 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 			if rec.Seq <= fromSeq {
 				return nil // already contained in the snapshot
 			}
-			nops, err := rp.apply(rec)
+			nops, err := c.replayRecord(rec.Payload)
 			if err != nil {
 				return fmt.Errorf("record %d: %w", rec.Seq, err)
 			}
@@ -188,10 +183,7 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 		}
 		return nil, fmt.Errorf("catalog: recovering log %s: %w", dopts.WALPath, err)
 	}
-	if err := rp.finish(); err != nil {
-		w.Close()
-		return nil, fmt.Errorf("catalog: recovery: %w", err)
-	}
+	c.marks = c.Reg.Snapshot().Marks() // all from the schema, snapshot or log
 	w.SetNextSeq(fromSeq + 1)
 	w.NoSync = dopts.NoSync
 	w.SetMetrics(c.obsv.reg)
@@ -205,19 +197,21 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 		every:        dopts.CheckpointEvery,
 		publishedSeq: w.LastSeq(),
 		notify:       make(chan struct{}),
+		marks:        c.marks,
 	}
 	return c, nil
 }
 
 // mutate is the single funnel every mutation goes through. Under the
 // catalog lock, fn's row operations apply to a copy-on-write relstore
-// transaction (fn must address tables through c.wtab) and are captured
-// via the journal hook. A failed fn, or one that changed nothing, aborts
-// the builder, so the published version never moves. On a durable
-// catalog the built version is staged and its record enqueued before the
-// lock is released; the writer then waits for the batch fsync without
-// the lock and publishes (see the package comment above). On a catalog
-// without a log the version is published at once.
+// transaction (fn must address tables through c.wtab), and fn's apply
+// functions journal the ops they applied into the in-flight record. A
+// failed fn, or one that journaled nothing, aborts the builder, so the
+// published version never moves. On a durable catalog the built version
+// is staged and its record enqueued before the lock is released; the
+// writer then waits for the batch fsync without the lock and publishes
+// (see the package comment above). On a catalog without a log the
+// version is published at once.
 func (c *Catalog) mutate(fn func() error) error {
 	if c.follower {
 		return ErrReadOnlyReplica
@@ -227,16 +221,27 @@ func (c *Catalog) mutate(fn func() error) error {
 	defer done()
 	tx := c.DB.Begin()
 	c.tx = tx
-	c.capturing = true
-	c.captured = c.captured[:0]
+	marks := c.marks
+	c.recording = true
+	c.rec = c.rec[:0]
 	err := fn()
-	c.capturing = false
+	if err == nil {
+		// Definitions no op referenced: RegisterAttr/RegisterElem's own.
+		c.journalDefines()
+	}
+	c.recording = false
 	c.tx = nil
-	nops := len(c.captured)
+	nops := len(c.rec)
 	d := c.dur
+	var payload []byte
+	if err == nil && nops > 0 && d != nil {
+		payload = encodeRecord(c.rec)
+	}
+	clear(c.rec) // drop the documents the ops hold
 	switch {
 	case err != nil || nops == 0:
 		tx.Abort()
+		c.marks = marks
 		c.mu.Unlock()
 		return err
 	case d == nil:
@@ -246,7 +251,7 @@ func (c *Catalog) mutate(fn func() error) error {
 		return nil
 	}
 	// Enqueue order must be epoch order, so both happen under the lock.
-	sc := &stagedCommit{staged: tx.Precommit(), ticket: d.gw.Enqueue(encodeOps(c.captured))}
+	sc := &stagedCommit{staged: tx.Precommit(), ticket: d.gw.Enqueue(payload), marks: c.marks}
 	d.mu.Lock()
 	d.staged = append(d.staged, sc)
 	d.mu.Unlock()
@@ -299,6 +304,7 @@ func (c *Catalog) publishDurable(d *durability) {
 		}
 		c.DB.Publish(sc.staged)
 		d.publishedSeq = seq
+		d.marks = sc.marks
 		n++
 	}
 	if n > 0 {
@@ -347,6 +353,7 @@ func (c *Catalog) healGroupLocked() {
 	}
 	d.staged = nil
 	c.DB.ResetHead()
+	c.marks = d.marks
 	if d.gw.Poisoned() != nil {
 		// Heal fails only if the log writer itself is wedged; leave the
 		// poison in place then — Wedged()/healthz surface it.
@@ -355,13 +362,10 @@ func (c *Catalog) healGroupLocked() {
 }
 
 // withTx runs fn with c.tx bound to one relstore transaction, without
-// journal capture or WAL involvement: the recovery paths (log replay,
-// snapshot load) use it to batch restored rows into a single published
-// version, and nested use composes with an already-open transaction.
+// recording or WAL involvement: the recovery paths (log replay, follower
+// apply, snapshot load) use it to batch restored rows into a single
+// published version.
 func (c *Catalog) withTx(fn func() error) error {
-	if c.tx != nil {
-		return fn()
-	}
 	tx := c.DB.Begin()
 	c.tx = tx
 	err := fn()
@@ -382,269 +386,6 @@ func (c *Catalog) wtab(name string) *relstore.Table {
 		return c.tx.MustTable(name)
 	}
 	return c.DB.MustTable(name)
-}
-
-// walOp is the decoded form of one journaled row operation. RowID is
-// deliberately absent: it is meaningless in another process.
-type walOp struct {
-	Table string
-	Kind  uint8
-	Row   relstore.Row // inserted/new row
-	Prev  relstore.Row // deleted/old row
-}
-
-// Presence bits of a log record operation: which of its rows follow.
-const (
-	opHasRow  = 1 << 0
-	opHasPrev = 1 << 1
-)
-
-// encodeOps serializes one mutation's row operations as a log record
-// payload: a uvarint op count, then per op the table name (uvarint
-// length + bytes), the kind byte, a presence byte (opHasRow|opHasPrev)
-// and the present rows in relstore's row codec.
-func encodeOps(ops []relstore.TableOp) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(ops)))
-	for _, op := range ops {
-		buf = binary.AppendUvarint(buf, uint64(len(op.Table)))
-		buf = append(buf, op.Table...)
-		var has byte
-		if op.Row != nil {
-			has |= opHasRow
-		}
-		if op.Prev != nil {
-			has |= opHasPrev
-		}
-		buf = append(buf, byte(op.Kind), has)
-		if op.Row != nil {
-			buf = relstore.AppendRow(buf, op.Row)
-		}
-		if op.Prev != nil {
-			buf = relstore.AppendRow(buf, op.Prev)
-		}
-	}
-	return buf
-}
-
-// decodeOps parses a log record payload written by encodeOps. Payloads
-// also arrive from other processes (the replication stream, rebalance
-// import), so malformed input — including trailing bytes — is an error,
-// never a panic, and a corrupt count cannot drive a large allocation:
-// every op takes at least three bytes.
-func decodeOps(payload []byte) ([]walOp, error) {
-	n, k := binary.Uvarint(payload)
-	if k <= 0 {
-		return nil, errors.New("corrupt payload: bad op count")
-	}
-	src := payload[k:]
-	if n > uint64(len(src)/3) {
-		return nil, fmt.Errorf("corrupt payload: %d ops in %d bytes", n, len(src))
-	}
-	ops := make([]walOp, n)
-	for i := range ops {
-		l, k := binary.Uvarint(src)
-		if k <= 0 || l > uint64(len(src)-k) {
-			return nil, fmt.Errorf("corrupt payload: op %d: bad table name", i)
-		}
-		src = src[k:]
-		op := &ops[i]
-		op.Table = string(src[:l])
-		src = src[l:]
-		if len(src) < 2 || src[1]&^(opHasRow|opHasPrev) != 0 {
-			return nil, fmt.Errorf("corrupt payload: op %d: bad kind or presence byte", i)
-		}
-		op.Kind = src[0]
-		has := src[1]
-		src = src[2:]
-		var err error
-		if has&opHasRow != 0 {
-			if op.Row, src, err = relstore.ReadRow(nil, src); err != nil {
-				return nil, fmt.Errorf("corrupt payload: op %d row: %w", i, err)
-			}
-		}
-		if has&opHasPrev != 0 {
-			if op.Prev, src, err = relstore.ReadRow(nil, src); err != nil {
-				return nil, fmt.Errorf("corrupt payload: op %d prev row: %w", i, err)
-			}
-		}
-	}
-	if len(src) != 0 {
-		return nil, fmt.Errorf("corrupt payload: %d trailing bytes", len(src))
-	}
-	return ops, nil
-}
-
-// replayer is the one record-replay funnel that crash recovery
-// (OpenDurable), follower apply (ApplyWAL) and rebalance import
-// (ImportWAL) share. apply decodes a record and replays its row
-// operations into the catalog's open transaction, noting whether they
-// touched state the rows alone do not restore; finish rebuilds that
-// state once the run is in (ImportWAL does the two halves itself). Each caller keeps its own record policy:
-// the snapshot-watermark skip, the cursor check, re-journaling.
-type replayer struct {
-	c          *Catalog
-	defTouched bool // attr_def/elem_def rows: the registry must be rebuilt
-	// idMarks is the highest ID each objects/collections insert named:
-	// the ID allocators must advance past it, whether or not the row is
-	// still live once the run is in.
-	idMarks map[string]int64
-}
-
-// apply replays one log record, returning its operation count.
-func (r *replayer) apply(rec wal.Record) (int, error) {
-	ops, err := decodeOps(rec.Payload)
-	if err != nil {
-		return 0, err
-	}
-	for _, op := range ops {
-		switch op.Table {
-		case TAttrDef, TElemDef:
-			r.defTouched = true
-		case TObjects, TCollections:
-			if relstore.OpKind(op.Kind) == relstore.OpInsert && len(op.Row) > 0 {
-				if r.idMarks == nil {
-					r.idMarks = make(map[string]int64, len(idTables))
-				}
-				r.idMarks[op.Table] = max(r.idMarks[op.Table], op.Row[0].I)
-			}
-		}
-	}
-	if err := r.c.replayOps(ops); err != nil {
-		return 0, err
-	}
-	return len(ops), nil
-}
-
-// finish rebuilds the registry from the replayed definition tables and
-// advances the ID allocators past replayed IDs, as the run requires.
-func (r *replayer) finish() error {
-	if r.defTouched {
-		if err := r.c.restoreRegistryFromTables(); err != nil {
-			return err
-		}
-	}
-	r.c.advanceIDs(r.idMarks)
-	return nil
-}
-
-// replayOps applies one log record's operations inside the open
-// transaction, so each record's content-based row lookups observe every
-// earlier record of the run.
-func (c *Catalog) replayOps(ops []walOp) error {
-	for _, op := range ops {
-		t := c.tx.Table(op.Table)
-		if t == nil {
-			return fmt.Errorf("replay references unknown table %q", op.Table)
-		}
-		switch relstore.OpKind(op.Kind) {
-		case relstore.OpInsert:
-			if _, err := t.Insert(op.Row); err != nil {
-				return fmt.Errorf("replay insert into %s: %w", op.Table, err)
-			}
-		case relstore.OpDelete:
-			id, ok := findRowID(t, op.Prev)
-			if !ok {
-				return fmt.Errorf("replay delete from %s: row not found", op.Table)
-			}
-			t.Delete(id)
-		case relstore.OpUpdate:
-			id, ok := findRowID(t, op.Prev)
-			if !ok {
-				return fmt.Errorf("replay update of %s: row not found", op.Table)
-			}
-			if err := t.Update(id, op.Row); err != nil {
-				return fmt.Errorf("replay update of %s: %w", op.Table, err)
-			}
-		default:
-			return fmt.Errorf("replay: unknown op kind %d", op.Kind)
-		}
-	}
-	return nil
-}
-
-// findRowID locates a live row by content: it probes each of the
-// table's indexes with the row's key columns and confirms the shortest
-// candidate list row by row. Every table the catalog journals is
-// indexed, so there is no scan fallback. Duplicate rows are
-// interchangeable — deleting either yields the same table state.
-func findRowID(t *relstore.Table, row relstore.Row) (int64, bool) {
-	var best []int64
-	for _, ix := range t.Indexes() {
-		key := make([]relstore.Value, len(ix.Cols))
-		for i, col := range ix.Cols {
-			if col >= len(row) {
-				return 0, false
-			}
-			key[i] = row[col]
-		}
-		ids, err := t.LookupEqual(ix.Name, key...)
-		if err != nil || len(ids) == 0 {
-			return 0, false
-		}
-		if best == nil || len(ids) < len(best) {
-			best = ids
-		}
-	}
-	for _, id := range best {
-		if rowsIdentical(t.Get(id), row) {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// rowsIdentical is exact (kind-sensitive, bit-exact for floats) row
-// equality — stricter than relstore.Compare, which orders numerics
-// across kinds.
-func rowsIdentical(a, b relstore.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		av, bv := a[i], b[i]
-		if av.K != bv.K || av.I != bv.I || av.S != bv.S ||
-			math.Float64bits(av.F) != math.Float64bits(bv.F) ||
-			!bytes.Equal(av.B, bv.B) {
-			return false
-		}
-	}
-	return true
-}
-
-// restoreRegistryFromTables rebuilds the attribute/element registry from
-// the mirrored definition tables (through c.wtab); used after log
-// replay, which restores those tables but cannot touch the registry
-// directly.
-func (c *Catalog) restoreRegistryFromTables() error {
-	var attrs []core.AttrDef
-	c.wtab(TAttrDef).Scan(func(_ int64, r relstore.Row) bool {
-		attrs = append(attrs, core.AttrDef{
-			ID: r[0].I, Name: r[1].S, Source: r[2].S, ParentID: r[3].I,
-			SchemaOrder: int(r[4].I), Queryable: r[5].AsBool(),
-			Dynamic: r[6].AsBool(), Owner: r[7].S,
-		})
-		return true
-	})
-	var elems []core.ElemDef
-	var elemErr error
-	c.wtab(TElemDef).Scan(func(_ int64, r relstore.Row) bool {
-		dt, err := core.ParseDataType(r[4].S)
-		if err != nil {
-			elemErr = fmt.Errorf("elem_def %d: %w", r[0].I, err)
-			return false
-		}
-		elems = append(elems, core.ElemDef{
-			ID: r[0].I, AttrID: r[1].I, Name: r[2].S, Source: r[3].S,
-			Type: dt, Owner: r[5].S,
-		})
-		return true
-	})
-	if elemErr != nil {
-		return elemErr
-	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i].ID < attrs[j].ID })
-	sort.Slice(elems, func(i, j int) bool { return elems[i].ID < elems[j].ID })
-	return c.Reg.Restore(attrs, elems)
 }
 
 // Checkpoint writes an atomic snapshot and swaps in a fresh log. Safe to

@@ -486,10 +486,11 @@ func TestReplicationSnapshotDoesNotBlockWriters(t *testing.T) {
 	}
 }
 
-// TestOldFormatsRefusedByVersion: a data directory from the gob-format
-// release — snapshot container HCSNAP02, log HCWAL01 — is refused at
-// open with an error naming the version found and the one expected, not
-// misread or reported as corruption.
+// TestOldFormatsRefusedByVersion: a data directory from an older
+// release — the gob-format snapshot container HCSNAP02 and log HCWAL01,
+// or the physical row-op log HCWAL02 — is refused at open with an error
+// naming the version found and the one expected, not misread or
+// reported as corruption.
 func TestOldFormatsRefusedByVersion(t *testing.T) {
 	oldSnap := append([]byte("HCSNAP02"), make([]byte, 12)...)
 	cases := []struct {
@@ -498,7 +499,8 @@ func TestOldFormatsRefusedByVersion(t *testing.T) {
 		want       string
 	}{
 		{"snapshot", crashWAL + ".snap", oldSnap, "snapshot format HCSNAP02, this build reads HCSNAP03"},
-		{"log", crashWAL, []byte("HCWAL01\n"), "log format HCWAL01, this build reads HCWAL02"},
+		{"log", crashWAL, []byte("HCWAL01\n"), "log format HCWAL01, this build reads HCWAL03"},
+		{"physical log", crashWAL, []byte("HCWAL02\n"), "log format HCWAL02, this build reads HCWAL03"},
 	}
 	for _, tc := range cases {
 		mem := faultio.NewMemFS()

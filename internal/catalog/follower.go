@@ -11,11 +11,11 @@ import (
 
 // Follower mode: a read-only replica catalog whose state advances only
 // by replaying the primary's write-ahead log records (shipped over the
-// replication stream; see internal/replica). The replay path is the
-// same physical row-op machinery crash recovery uses, so a replica is
-// exactly "a recovery that never finishes": every applied record leaves
-// the replica at a state the primary's log contains, published with the
-// same single pointer swap readers everywhere rely on.
+// replication stream; see internal/replica) through the apply functions
+// the primary's API called, so a replica is "a catalog that ingested the
+// same documents": every applied record leaves it at a state the
+// primary's log contains, published with one pointer swap. A local
+// mutation is refused before it shreds or registers anything.
 
 // ErrReadOnlyReplica marks a mutation attempted on a follower catalog.
 // The service maps it to 503 so clients retry against the primary.
@@ -55,8 +55,9 @@ func (c *Catalog) AppliedSeq() uint64 {
 
 // ApplyWAL replays a run of primary log records into the follower, in
 // one relstore transaction: readers see the whole run or none of it,
-// and a failed apply (decode error, replay divergence) leaves the
-// cursor unmoved so the tailer can retry or re-bootstrap. Records at or
+// and a failed apply (decode error, replay divergence) commits nothing
+// and leaves the cursor unmoved so the tailer can retry (re-adopting
+// definitions is a no-op) or re-bootstrap. Records at or
 // below the cursor are skipped — re-delivery after a torn stream is the
 // normal case, not an error — and a record beyond cursor+1 fails: the
 // stream has a hole and the tailer must resume from the cursor.
@@ -67,7 +68,6 @@ func (c *Catalog) ApplyWAL(recs []wal.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	next := c.applied
-	rp := replayer{c: c}
 	err := c.withTx(func() error {
 		for _, rec := range recs {
 			if rec.Seq <= next {
@@ -76,7 +76,7 @@ func (c *Catalog) ApplyWAL(recs []wal.Record) error {
 			if rec.Seq != next+1 {
 				return fmt.Errorf("catalog: replication hole: record %d after %d", rec.Seq, next)
 			}
-			if _, err := rp.apply(rec); err != nil {
+			if _, err := c.replayRecord(rec.Payload); err != nil {
 				return fmt.Errorf("catalog: record %d: %w", rec.Seq, err)
 			}
 			next = rec.Seq
@@ -84,9 +84,6 @@ func (c *Catalog) ApplyWAL(recs []wal.Record) error {
 		return nil
 	})
 	if err != nil {
-		return err
-	}
-	if err := rp.finish(); err != nil {
 		return err
 	}
 	c.applied = next

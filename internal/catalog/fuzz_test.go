@@ -1,8 +1,8 @@
 package catalog
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -265,73 +265,115 @@ func FuzzSnapshotSwapInterleavings(f *testing.F) {
 	})
 }
 
-// FuzzDecodeOps checks the log record payload codec on arbitrary bytes,
-// as they may arrive over the replication stream or a rebalance import:
-// decodeOps returns an error or operations, never panics, allocates a
-// bounded multiple of its input, and any operations it returns survive
-// encodeOps → decodeOps exactly. Seeds are the records a durable
-// catalog logs for an insert, an update and a delete, payloads of
-// edge-case rows, and malformed payloads.
-func FuzzDecodeOps(f *testing.F) {
-	c, err := OpenDurable(xmlschema.MustLEAD(), Options{AutoRegister: true},
-		DurabilityOptions{FS: faultio.NewMemFS(), WALPath: "fuzz.wal"})
-	if err != nil {
-		f.Fatal(err)
+// FuzzDecodeRecord checks the log record codec on arbitrary bytes, as
+// they may arrive over the replication stream or a rebalance import:
+// decodeRecord returns an error or ops, never panics, allocates a
+// bounded multiple of its input, and any ops it returns survive
+// encodeRecord → decodeRecord exactly. Seeds are the records a durable
+// catalog logs for every op kind, a batch and an import, and malformed
+// payloads: a trailing byte, an unknown kind, and a physical row-op
+// payload of the HCWAL02 era, which must be refused.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, rec := range fuzzRecordSeeds(f) {
+		f.Add(rec)
 	}
-	id, err := c.IngestXML("scientist", xmlschema.Figure3Document)
-	if err != nil {
-		f.Fatal(err)
+	physical := binary.AppendUvarint(nil, 1) // one row op, then the table name
+	physical = binary.AppendUvarint(physical, uint64(len(TObjects)))
+	physical = append(append(physical, TObjects...), 0, 1) // insert, row present
+	physical = relstore.AppendRow(physical, relstore.Row{relstore.Int(1), relstore.Str("r"), relstore.Str("scientist"),
+		relstore.Str("2026-01-02T03:04:05Z"), relstore.Bool(false)})
+	if _, err := decodeRecord(physical); err == nil {
+		f.Fatal("a physical HCWAL02-era payload decoded")
 	}
-	if err := c.SetPublished(id, true); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := c.Delete(id); err != nil {
-		f.Fatal(err)
-	}
-	recs, _, _, err := c.WALSince(0)
-	if err != nil || len(recs) != 3 {
-		f.Fatalf("logged %d records, err %v; want 3", len(recs), err)
-	}
-	for _, rec := range recs {
-		f.Add(rec.Payload)
-	}
-	odd := relstore.Row{relstore.Float(math.Float64frombits(0x7ff8_0000_0000_0001)), relstore.Float(math.Copysign(0, -1)),
-		relstore.Int(math.MinInt64), relstore.Str("\x00\xff"), relstore.Bytes([]byte{}), relstore.Null()}
-	f.Add(encodeOps(nil))
-	f.Add(encodeOps([]relstore.TableOp{
-		{Table: TObjects, Kind: relstore.OpInsert, Row: odd},
-		{Table: TElemData, Kind: relstore.OpUpdate, Row: relstore.Row{}, Prev: odd},
-		{Table: "", Kind: relstore.OpDelete, Prev: relstore.Row{relstore.Bool(true)}},
-	}))
-	f.Add(append(encodeOps([]relstore.TableOp{{Table: TClobs, Kind: relstore.OpInsert, Row: odd}}), 0)) // trailing byte
-	f.Add([]byte{1, 1, 'x', 0, 4})                                                                      // unknown presence bit
-	f.Add([]byte{0xe8, 0x07, 0, 0, 0})                                                                  // 1000 ops in 3 bytes
+	f.Add(physical)
+	f.Add(append(encodeRecord([]op{{kind: opDelete, id: 7}}), 0))   // trailing byte
+	f.Add([]byte{recordFormat, byte(opRemoveMember) + 1, 2, 2})     // unknown kind
+	f.Add([]byte{recordFormat, byte(opIngest), 2, 0xe8, 0x07, 'x'}) // string longer than the input
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ops []walOp
+		var ops []op
 		var err error
-		if n := allocatedBytes(func() { ops, err = decodeOps(data) }); n > 128*uint64(len(data))+4096 {
+		if n := allocatedBytes(func() { ops, err = decodeRecord(data) }); n > 256*uint64(len(data))+4096 {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}
 		if err != nil {
 			return
 		}
-		tops := make([]relstore.TableOp, len(ops))
-		for i, op := range ops {
-			tops[i] = relstore.TableOp{Table: op.Table, Kind: relstore.OpKind(op.Kind), Row: op.Row, Prev: op.Prev}
-		}
-		got, err := decodeOps(encodeOps(tops))
+		got, err := decodeRecord(encodeRecord(ops))
 		if err != nil || len(got) != len(ops) {
 			t.Fatalf("re-encoded %d ops decode as %d, err %v", len(ops), len(got), err)
 		}
-		for i, op := range ops {
-			g := got[i]
-			if g.Table != op.Table || g.Kind != op.Kind ||
-				(g.Row == nil) != (op.Row == nil) || !rowsIdentical(g.Row, op.Row) ||
-				(g.Prev == nil) != (op.Prev == nil) || !rowsIdentical(g.Prev, op.Prev) {
-				t.Fatalf("op %d: %+v re-decodes as %+v", i, op, g)
+		for i := range ops {
+			if !opsEqual(got[i], ops[i]) {
+				t.Fatalf("op %d: %+v re-decodes as %+v", i, ops[i], got[i])
 			}
 		}
 	})
+}
+
+// fuzzRecordSeeds returns the payloads a durable catalog logs for one
+// mutation of every kind, a two-document batch, and the local record of
+// an ImportWAL of all of them.
+func fuzzRecordSeeds(f *testing.F) [][]byte {
+	open := func() *Catalog {
+		c, err := OpenDurable(xmlschema.MustLEAD(), Options{AutoRegister: true, Lenient: true},
+			DurabilityOptions{FS: faultio.NewMemFS(), WALPath: "fuzz.wal"})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return c
+	}
+	c := open()
+	must := func(err error) {
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	grid, err := c.RegisterAttr("grid", "ARPS", 0, "alice")
+	must(err)
+	_, err = c.RegisterElem("dx", "ARPS", grid.ID, core.DTFloat, "alice")
+	must(err)
+	id, err := c.IngestXML("scientist", xmlschema.Figure3Document)
+	must(err)
+	doc, err := xmldoc.ParseString(xmlschema.Figure3Document)
+	must(err)
+	_, err = c.IngestBatch("scientist", []*xmldoc.Node{doc, doc}, 1)
+	must(err)
+	frag, err := xmldoc.ParseString("<theme><themekt>fuzz</themekt><themekey>seed</themekey></theme>")
+	must(err)
+	must(c.AddAttribute(id, "scientist", frag))
+	must(c.SetPublished(id, true))
+	coll, err := c.CreateCollection("storms", "scientist", 0)
+	must(err)
+	must(c.AddToCollection(coll, id))
+	_, err = c.RemoveFromCollection(coll, id)
+	must(err)
+	_, err = c.Delete(id)
+	must(err)
+	recs, _, _, err := c.WALSince(0)
+	must(err)
+	if len(recs) != 10 {
+		f.Fatalf("logged %d records, want 10", len(recs))
+	}
+	dst := open()
+	must(dst.ImportWAL(recs))
+	imported, _, _, err := dst.WALSince(0)
+	must(err)
+	var out [][]byte
+	for _, rec := range append(recs, imported...) {
+		out = append(out, rec.Payload)
+	}
+	return out
+}
+
+// opsEqual compares two decoded ops field by field (a decoded op holds
+// no tree).
+func opsEqual(a, b op) bool {
+	if (a.attr == nil) != (b.attr == nil) || (a.elem == nil) != (b.elem == nil) ||
+		a.attr != nil && *a.attr != *b.attr || a.elem != nil && *a.elem != *b.elem {
+		return false
+	}
+	a.attr, b.attr, a.elem, b.elem = nil, nil, nil, nil
+	return a == b
 }
 
 // allocatedBytes returns the heap bytes fn allocates.

@@ -65,7 +65,8 @@ func TestSeqBoundMatchesInstKey(t *testing.T) {
 	c := newLEADCatalog(t, Options{})
 	id := ingestFig3(t, c)
 	theme := c.Reg.LookupAttr("theme", "", 0, "")
-	if err := c.mutate(func() error {
+	// A direct row write (no mutation API journals one; see withTx).
+	if err := c.withTx(func() error {
 		_, err := c.wtab(TAttrData).Insert(relstore.Row{
 			relstore.Int(id), relstore.Int(theme.ID), relstore.Int(instSeqMask - 1), relstore.Null(),
 		})

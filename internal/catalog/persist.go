@@ -57,7 +57,7 @@ const (
 )
 
 // dataTables are the tables whose rows a snapshot carries; the
-// definition tables are re-derived at load.
+// definitions travel in its header.
 var dataTables = []string{TObjects, TAttrData, TElemData, TSubAttrs, TClobs, TCollections, TMembers}
 
 // snapshot is the container's header: everything but the data rows.
@@ -246,25 +246,10 @@ func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog
 	if err := c.Reg.Restore(snap.Attrs, snap.Elems); err != nil {
 		return nil, 0, err
 	}
+	c.marks = c.Reg.Snapshot().Marks()
 	// The whole restore runs as one relstore transaction: one published
 	// version, not a copy-on-write commit per restored row.
 	err = c.withTx(func() error {
-		// Refresh the mirrored definition tables (Open seeded structural
-		// rows; drop and re-mirror so IDs match the restored registry).
-		for _, name := range []string{TAttrDef, TElemDef} {
-			t := c.wtab(name)
-			var ids []int64
-			t.Scan(func(id int64, _ relstore.Row) bool {
-				ids = append(ids, id)
-				return true
-			})
-			for _, id := range ids {
-				t.Delete(id)
-			}
-		}
-		if err := c.syncDefTables(); err != nil {
-			return err
-		}
 		// Replay data rows through the normal insert path, as they decode,
 		// so every index rebuilds. Insert stores a copy, so each row is
 		// decoded into the same scratch row: a fresh one per row would
@@ -298,11 +283,15 @@ func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog
 	// Advance the ID allocators past every ID the writer handed out.
 	// Headers from before the marks were recorded carry none: the
 	// highest restored ID is then the best bound there is.
-	marks := c.liveIDMarks()
-	for name, m := range snap.IDMarks {
-		marks[name] = max(marks[name], m)
+	for _, name := range idTables {
+		t := c.DB.MustTable(name)
+		m := snap.IDMarks[name]
+		t.Scan(func(_ int64, r relstore.Row) bool {
+			m = max(m, r[0].I)
+			return true
+		})
+		t.EnsureAutoID(m)
 	}
-	c.advanceIDs(marks)
 	return c, snap.WalSeq, nil
 }
 
@@ -353,29 +342,6 @@ func readSnapshot(r io.Reader) (*snapshot, []byte, error) {
 // row is deleted: clients and followers may still hold it, and the
 // response cache's content stamp relies on it (see builtDoc).
 var idTables = []string{TObjects, TCollections}
-
-// liveIDMarks returns the highest live ID of each idTables table,
-// reading the open transaction when one is bound (see c.wtab).
-func (c *Catalog) liveIDMarks() map[string]int64 {
-	marks := make(map[string]int64, len(idTables))
-	for _, name := range idTables {
-		var m int64
-		c.wtab(name).Scan(func(_ int64, r relstore.Row) bool {
-			m = max(m, r[0].I)
-			return true
-		})
-		marks[name] = m
-	}
-	return marks
-}
-
-// advanceIDs advances each table's ID allocator to at least its mark,
-// so the next ID handed out lies above every ID the marks cover.
-func (c *Catalog) advanceIDs(marks map[string]int64) {
-	for name, m := range marks {
-		c.wtab(name).EnsureAutoID(m)
-	}
-}
 
 // SaveFile atomically writes a snapshot to path: the container is
 // written to path+".tmp", synced to stable storage, and renamed over

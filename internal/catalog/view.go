@@ -15,14 +15,14 @@ import (
 // runs without any lock, concurrently with writers publishing later
 // versions.
 //
-// Pin order is database first, then registry. Dynamic registration
-// mutates the registry before mirroring it into the definition tables,
-// so for any database epoch the registry holds at least the definitions
-// that epoch's rows reference; pinning the registry second can only see
-// *more* definitions, and the registry is grow-only, so resolution is
-// never missing a definition the pinned data uses. The reverse order
-// could pin a registry from before a definition whose mirrored rows the
-// data snapshot already contains.
+// Pin order is database first, then registry. Registration (live or
+// replayed) mutates the registry before the version whose rows
+// reference the definition publishes, so for any database epoch the
+// registry holds at least the definitions that epoch's rows reference;
+// pinning the registry second can only see *more* definitions, and the
+// registry is grow-only, so resolution is never missing a definition
+// the pinned data uses. The reverse order could pin a registry from
+// before a definition the data snapshot already references.
 type view struct {
 	c    *Catalog
 	snap *relstore.Snapshot

@@ -94,6 +94,52 @@ func TestRegistryRestore(t *testing.T) {
 	}
 }
 
+// TestRegistryAdopt: replay installs logged definitions at their own
+// IDs. Re-adopting an identical definition (a snapshot already holds
+// it) is a no-op; a different definition at a taken ID, a taken
+// identity or a dangling element is refused; registration resumes
+// above the adopted IDs.
+func TestRegistryAdopt(t *testing.T) {
+	r := newLEADRegistry(t)
+	m := r.Snapshot().Marks()
+	grid := AttrDef{ID: m.Attr + 2, Name: "grid", Source: "ARPS", SchemaOrder: 19, Queryable: true, Dynamic: true, Owner: "alice"}
+	dx := ElemDef{ID: m.Elem + 5, AttrID: grid.ID, Name: "dx", Source: "ARPS", Type: DTFloat}
+	for i := 0; i < 2; i++ {
+		if err := r.AdoptAttr(grid); err != nil {
+			t.Fatalf("adopt %d: %v", i, err)
+		}
+		if err := r.AdoptElem(dx); err != nil {
+			t.Fatalf("adopt %d: %v", i, err)
+		}
+	}
+	if got := r.LookupElem("dx", "ARPS", grid.ID, ""); got == nil || *got != dx {
+		t.Fatalf("adopted dx resolves as %+v", got)
+	}
+	if got := r.Snapshot().Marks(); got != (Marks{grid.ID, dx.ID}) {
+		t.Errorf("marks after adopting = %+v, want {%d %d}", got, grid.ID, dx.ID)
+	}
+	other := grid
+	other.Owner = "bob"
+	if err := r.AdoptAttr(other); err == nil {
+		t.Error("a different definition at a taken ID was adopted")
+	}
+	other.ID++
+	other.Owner = "alice"
+	if err := r.AdoptAttr(other); err == nil {
+		t.Error("a taken identity was adopted under another ID")
+	}
+	if err := r.AdoptElem(ElemDef{ID: dx.ID + 1, AttrID: 999, Name: "e"}); err == nil {
+		t.Error("an element of a missing attribute was adopted")
+	}
+	next, err := r.RegisterAttr("later", "X", 0, 19, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID <= grid.ID {
+		t.Errorf("registration after adopt issued ID %d, not above %d", next.ID, grid.ID)
+	}
+}
+
 func TestEnsureConcurrent(t *testing.T) {
 	r := newLEADRegistry(t)
 	var wg sync.WaitGroup

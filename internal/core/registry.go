@@ -352,54 +352,108 @@ func (s *RegSnap) Attrs() []*AttrDef { return s.v.sortedAttrs() }
 // Elems returns the pinned version's element definitions sorted by ID.
 func (s *RegSnap) Elems() []*ElemDef { return s.v.sortedElems() }
 
+// Marks are the highest attribute and element definition IDs of a
+// registry version. IDs are handed out in increasing order and never
+// reused, so every definition added later lies above them.
+type Marks struct{ Attr, Elem int64 }
+
+// Marks returns the pinned version's marks.
+func (s *RegSnap) Marks() Marks { return Marks{s.v.nextAttrID, s.v.nextElemID} }
+
+// AdoptAttr installs a definition at the ID it was logged with: log
+// replay's counterpart of registration, which never allocates an ID.
+// An identical definition already at that ID is a no-op (a snapshot
+// may hold it); a different one there is an error.
+func (r *Registry) AdoptAttr(d AttrDef) error {
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
+	if cur := r.current.Load().attrs[d.ID]; cur != nil && *cur == d {
+		return nil
+	}
+	return r.publish(func(v *regVersion) error { return v.adoptAttr(d) })
+}
+
+// AdoptElem is AdoptAttr for an element definition.
+func (r *Registry) AdoptElem(d ElemDef) error {
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
+	if cur := r.current.Load().elems[d.ID]; cur != nil && *cur == d {
+		return nil
+	}
+	return r.publish(func(v *regVersion) error { return v.adoptElem(d) })
+}
+
+// publish applies add to a draft of the current version and publishes
+// the draft; r.wmu must be held.
+func (r *Registry) publish(add func(*regVersion) error) error {
+	draft := r.current.Load().clone()
+	if err := add(draft); err != nil {
+		return fmt.Errorf("core: adopt: %w", err)
+	}
+	draft.gen++
+	r.current.Store(draft)
+	return nil
+}
+
+// adoptAttr and adoptElem install a definition at its own ID in a draft
+// version, refusing a taken ID or identity and a missing parent; the ID
+// counter resumes above the adopted ID.
+
+func (v *regVersion) adoptAttr(d AttrDef) error {
+	key := attrKey{d.Name, d.Source, d.ParentID, d.Owner}
+	if _, dup := v.attrByKey[key]; dup {
+		return fmt.Errorf("attribute %q (source %q) already defined", d.Name, d.Source)
+	}
+	if _, dup := v.attrs[d.ID]; dup || d.ID <= 0 {
+		return fmt.Errorf("bad attribute id %d", d.ID)
+	}
+	v.attrs[d.ID] = &d
+	v.attrByKey[key] = d.ID
+	v.nextAttrID = max(v.nextAttrID, d.ID)
+	return nil
+}
+
+func (v *regVersion) adoptElem(d ElemDef) error {
+	if _, ok := v.attrs[d.AttrID]; !ok {
+		return fmt.Errorf("element %q references missing attribute %d", d.Name, d.AttrID)
+	}
+	key := elemKey{d.Name, d.Source, d.AttrID, d.Owner}
+	if _, dup := v.elemByKey[key]; dup {
+		return fmt.Errorf("element %q (source %q) already defined", d.Name, d.Source)
+	}
+	if _, dup := v.elems[d.ID]; dup || d.ID <= 0 {
+		return fmt.Errorf("bad element id %d", d.ID)
+	}
+	v.elems[d.ID] = &d
+	v.elemByKey[key] = d.ID
+	v.nextElemID = max(v.nextElemID, d.ID)
+	return nil
+}
+
 // Restore replaces the registry's contents with the given definitions
 // (used when loading a catalog snapshot). Definitions are copied; the ID
 // counters resume above the highest restored IDs.
 func (r *Registry) Restore(attrs []AttrDef, elems []ElemDef) error {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
-	old := r.current.Load()
 	v := &regVersion{
 		// Restore may shrink or rewrite the definition set, so the
 		// grow-only assumption behind resolution caching does not hold
 		// across it; the bump forces every cached resolution stale.
-		gen:       old.gen + 1,
+		gen:       r.current.Load().gen + 1,
 		attrs:     make(map[int64]*AttrDef, len(attrs)),
 		elems:     make(map[int64]*ElemDef, len(elems)),
 		attrByKey: make(map[attrKey]int64, len(attrs)),
 		elemByKey: make(map[elemKey]int64, len(elems)),
 	}
-	for i := range attrs {
-		d := attrs[i]
-		key := attrKey{d.Name, d.Source, d.ParentID, d.Owner}
-		if _, dup := v.attrByKey[key]; dup {
-			return fmt.Errorf("core: restore: duplicate attribute %q (source %q)", d.Name, d.Source)
-		}
-		if _, dup := v.attrs[d.ID]; dup || d.ID == 0 {
-			return fmt.Errorf("core: restore: bad attribute id %d", d.ID)
-		}
-		v.attrs[d.ID] = &d
-		v.attrByKey[key] = d.ID
-		if d.ID > v.nextAttrID {
-			v.nextAttrID = d.ID
+	for _, d := range attrs {
+		if err := v.adoptAttr(d); err != nil {
+			return fmt.Errorf("core: restore: %w", err)
 		}
 	}
-	for i := range elems {
-		d := elems[i]
-		if _, ok := v.attrs[d.AttrID]; !ok {
-			return fmt.Errorf("core: restore: element %q references missing attribute %d", d.Name, d.AttrID)
-		}
-		key := elemKey{d.Name, d.Source, d.AttrID, d.Owner}
-		if _, dup := v.elemByKey[key]; dup {
-			return fmt.Errorf("core: restore: duplicate element %q (source %q)", d.Name, d.Source)
-		}
-		if _, dup := v.elems[d.ID]; dup || d.ID == 0 {
-			return fmt.Errorf("core: restore: bad element id %d", d.ID)
-		}
-		v.elems[d.ID] = &d
-		v.elemByKey[key] = d.ID
-		if d.ID > v.nextElemID {
-			v.nextElemID = d.ID
+	for _, d := range elems {
+		if err := v.adoptElem(d); err != nil {
+			return fmt.Errorf("core: restore: %w", err)
 		}
 	}
 	r.current.Store(v)

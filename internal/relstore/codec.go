@@ -8,8 +8,7 @@ import (
 	"math"
 )
 
-// Row codec: the binary form rows take in write-ahead log records and
-// checkpoint snapshots. A row is a uvarint column count followed, per
+// Row codec: the binary form rows take in checkpoint snapshots. A row is a uvarint column count followed, per
 // value, by its kind byte and a body:
 //
 //	KNull            no body
@@ -18,8 +17,9 @@ import (
 //	KString, KBytes  uvarint length, then the bytes
 //
 // Floats travel as raw bits, so NaN payloads and negative zero survive
-// bit-exactly — log replay locates rows by exact content. Decoded bytes
-// and strings are copies: a row never aliases the buffer it came from.
+// bit-exactly and a loaded snapshot holds exactly the saved rows.
+// Decoded bytes and strings are copies: a row never aliases the buffer
+// it came from.
 
 // errShortRow reports a row encoding cut off before its end.
 var errShortRow = errors.New("relstore: row codec: short input")

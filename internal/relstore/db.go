@@ -34,13 +34,6 @@ type Database struct {
 	// wmu serializes writers: held from Begin to Commit/Abort.
 	wmu sync.Mutex
 
-	// journal, when set, receives every successful row mutation, in
-	// apply order under the writer mutex. The write-ahead capture in the
-	// catalog uses it to turn a multi-table transaction into one
-	// replayable log record. The hook must not call back into the
-	// database's write path.
-	journal atomic.Pointer[func(TableOp)]
-
 	// metrics, when non-nil, supplies per-table row read/write/lookup
 	// counters.
 	metrics atomic.Pointer[obs.Registry]
@@ -59,39 +52,6 @@ func (db *Database) SetMetrics(reg *obs.Registry) {
 	for _, tv := range db.current.Load().tables {
 		tv.state.setMetrics(reg)
 	}
-}
-
-// OpKind tags one journaled row mutation.
-type OpKind uint8
-
-// Journaled mutation kinds.
-const (
-	OpInsert OpKind = iota
-	OpDelete
-	OpUpdate
-)
-
-// TableOp describes one applied row mutation, as reported to the
-// database journal. Row is the inserted row (insert) or the new row
-// (update); Prev is the removed row (delete) or the old row (update).
-// RowID identifies the row within this process; it is not stable
-// across restarts, so replay locates rows by content instead.
-type TableOp struct {
-	Table string
-	Kind  OpKind
-	RowID int64
-	Row   Row
-	Prev  Row
-}
-
-// SetJournal installs (or, with nil, removes) the database's mutation
-// journal hook.
-func (db *Database) SetJournal(fn func(TableOp)) {
-	if fn == nil {
-		db.journal.Store(nil)
-		return
-	}
-	db.journal.Store(&fn)
 }
 
 // NewDatabase returns an empty database at epoch zero.

@@ -178,16 +178,6 @@ func (t *Table) Index(name string) *Index {
 	return tv.indexes[name]
 }
 
-// Indexes returns the table's indexes (unordered).
-func (t *Table) Indexes() []*Index {
-	tv := t.version()
-	out := make([]*Index, 0, len(tv.indexes))
-	for _, ix := range tv.indexes {
-		out = append(out, ix)
-	}
-	return out
-}
-
 // NextAutoID returns a monotonically increasing int64, 1-based; used for
 // synthetic primary keys. The counter is shared across versions of the
 // table and never rewinds on abort, so IDs are unique but not dense.

@@ -319,16 +319,6 @@ func (tx *Tx) writableIndex(tv *tableVersion, name string) *Index {
 	return &c
 }
 
-// journalFire reports one applied mutation to the database journal.
-// Runs under the writer mutex, in apply order; a transaction that later
-// aborts has still reported its ops — the durability layer discards its
-// capture buffer on abort.
-func (tx *Tx) journalFire(name string, kind OpKind, rowID int64, row, prev Row) {
-	if fn := tx.db.journal.Load(); fn != nil {
-		(*fn)(TableOp{Table: name, Kind: kind, RowID: rowID, Row: row, Prev: prev})
-	}
-}
-
 // indexKey encodes row's entry in ix — the indexed columns, then for a
 // non-unique index the row ID — into the transaction's scratch buffer.
 // The next call overwrites it; the B-tree copies the keys it stores.
@@ -375,7 +365,6 @@ func (tx *Tx) insertRow(name string, r Row) (int64, error) {
 	}
 	tv.live++
 	tv.state.countWrite()
-	tx.journalFire(name, OpInsert, id, nr, nil)
 	return id, nil
 }
 
@@ -394,7 +383,6 @@ func (tx *Tx) deleteRow(name string, id int64) bool {
 	tv.free = append(tv.free, id)
 	tv.live--
 	tv.state.countWrite()
-	tx.journalFire(name, OpDelete, id, nil, r)
 	return true
 }
 
@@ -432,7 +420,6 @@ func (tx *Tx) updateRow(name string, id int64, r Row) error {
 	}
 	tv.setRow(tx.epoch, id, nr)
 	tv.state.countWrite()
-	tx.journalFire(name, OpUpdate, id, nr, old)
 	return nil
 }
 

@@ -232,15 +232,21 @@ func TestReplicaConverges(t *testing.T) {
 }
 
 // fixedTearCuts are stream offsets that do not move with the payload
-// encoding. They were the record-derived cuts of the version-1 (gob)
-// log; in the current encoding most of them land at unaligned positions
-// inside records, which adds tears the per-record cuts do not reach.
+// encoding. They are the record-derived cuts of the version-1 (gob) and
+// version-2 (physical row-op) logs; in the current encoding most of them
+// land at unaligned positions inside records, which adds tears the
+// per-record cuts do not reach.
 var fixedTearCuts = []int64{
-	0, 1, 109, 217, 218, 219, 324, 430, 431, 432, 546, 661, 662, 663,
-	770, 877, 878, 879, 991, 1104, 1105, 1106, 2158, 3211, 3212, 3213,
-	4265, 5318, 5319, 5320, 6372, 7425, 7426, 7427, 7530, 7633, 7634,
-	7635, 7731, 7827, 7828, 7829, 7925, 8021, 8022, 8023, 8198, 8373,
-	8374, 8375, 9448, 10522,
+	0, 1, 26, 52, 53, 54, 79, 104, 105, 106, 109, 137, 168, 169, 170, 196,
+	217, 218, 219, 223, 224, 225, 257, 289, 290, 291, 324, 430, 431, 432,
+	546, 661, 662, 663, 770, 877, 878, 879, 991, 1100, 1104, 1105, 1106,
+	1909, 1910, 1911, 2158, 2720, 3211, 3212, 3213, 3529, 3530, 3531, 4265,
+	4340, 5149, 5150, 5151, 5177, 5203, 5204, 5205, 5225, 5246, 5247, 5248,
+	5268, 5289, 5290, 5291, 5318, 5319, 5320, 5377, 5464, 5465, 5466, 6275,
+	6372, 7084, 7085, 7086, 7425, 7426, 7427, 7530, 7633, 7634, 7635, 7731,
+	7827, 7828, 7829, 7895, 7925, 8021, 8022, 8023, 8198, 8373, 8374, 8375,
+	8704, 8705, 8706, 9448, 9515, 10324, 10325, 10326, 10522, 11135, 11944,
+	11945, 11946, 12755, 13564, 13565, 13566, 14375, 15184,
 }
 
 // TestReplicaSurvivesTearAtEveryRecordOffset tears the very first
@@ -254,7 +260,7 @@ func TestReplicaSurvivesTearAtEveryRecordOffset(t *testing.T) {
 	p := newPrimary(t, 1000)
 	workload(t, p.cat)
 	// More ingests, so the stream runs past the last fixed cut.
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 8; i++ {
 		if _, err := p.cat.IngestXML("scientist", xmlschema.Figure3Document); err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,7 @@
 //
 // On-disk layout:
 //
-//	header:  8 bytes  magic "HCWAL02\n"
+//	header:  8 bytes  magic "HCWAL03\n"
 //	record:  u32 length of (seq + payload)
 //	         u32 CRC-32C of (length ∥ seq ∥ payload)
 //	         u64 sequence number (strictly increasing within a file)
@@ -51,8 +51,9 @@ import (
 const (
 	// magic names the log format version: the framing below plus the
 	// payload encoding its writer uses, which the framing cannot tell
-	// apart.
-	magic = "HCWAL02\n"
+	// apart. Version 2 carried physical row operations; version 3
+	// carries logical records (the catalog's mutations as received).
+	magic = "HCWAL03\n"
 	// magicFamily prefixes every version's magic, so a log of another
 	// version is refused by name rather than as corruption.
 	magicFamily = "HCWAL"
