@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress crash mvcc bitmap replica shard search wire cache cover bench experiments quick-experiments examples docs clean
+.PHONY: all build vet test race stress crash mvcc bitmap replica shard search wire cache cover bench heap experiments quick-experiments examples docs clean
 
 all: build vet test
 
@@ -42,10 +42,11 @@ crash:
 # seed corpora — the swap interleavings, the B-tree versions pinned
 # across aborts and staged-chain resets, and the two codecs that decode
 # bytes from other processes: snapshots' row codec and the logical log
-# record codec (DESIGN.md "MVCC snapshots and the lock-free read path",
-# "Record format").
+# record codec — plus an HCSNAP03 snapshot an older build wrote, which
+# must still load, and the pinned Value size and kind numbers (DESIGN.md
+# "MVCC snapshots and the lock-free read path", "Record format").
 mvcc:
-	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints|PostFsyncPreAck|AckDoesNotWait' -count=1 ./internal/relstore/ ./internal/catalog/
+	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints|PostFsyncPreAck|AckDoesNotWait|ParentSnapshotLoads|ValueLayoutPinned' -count=1 ./internal/relstore/ ./internal/catalog/
 	$(GO) test -race -run 'Fuzz' -count=1 ./internal/catalog/ ./internal/baseline/ ./internal/relstore/
 
 # Posting-list verification under the race detector: the key-list
@@ -139,6 +140,11 @@ docs: vet
 # One testing.B benchmark per experiment (see DESIGN.md).
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# In-process heap census: live heap bytes and relstore values per
+# document after ingesting W1's corpus shape (BenchmarkIngestHeapPerDoc).
+heap:
+	$(GO) test -run=XXX -bench=IngestHeapPerDoc -benchtime=1x .
 
 # Printable tables for every figure reproduction, claim, ablation and
 # durability experiment.

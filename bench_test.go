@@ -7,11 +7,13 @@ package hybridcat_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/gridmeta/hybridcat"
 	"github.com/gridmeta/hybridcat/internal/baseline"
 	"github.com/gridmeta/hybridcat/internal/bench"
+	"github.com/gridmeta/hybridcat/internal/relstore"
 	"github.com/gridmeta/hybridcat/internal/workload"
 	"github.com/gridmeta/hybridcat/internal/xmldoc"
 	"github.com/gridmeta/hybridcat/internal/xmlschema"
@@ -423,6 +425,61 @@ func BenchmarkIngestBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(docs)), "docs/op")
+}
+
+// BenchmarkIngestHeapPerDoc is an in-process heap census of ingest: the
+// live heap a catalog holds per document of W1's corpus shape (the
+// benchmark's corpusConfig: 1 536 documents, 3×3 themes, 4 namelist
+// groups of 8 parameters nested 2 deep, 50 values per parameter, seed 1),
+// measured as HeapAlloc after runtime.GC before and after the ingest,
+// and the relstore values those documents' rows hold. Each document is
+// generated as it is ingested, so no document tree stays live.
+func BenchmarkIngestHeapPerDoc(b *testing.B) {
+	g := workload.New(workload.Config{
+		Seed:               1,
+		Docs:               1536,
+		ThemesPerDoc:       3,
+		KeysPerTheme:       3,
+		DynamicAttrsPerDoc: 4,
+		ParamsPerAttr:      8,
+		NestDepth:          2,
+		ValueCardinality:   50,
+	})
+	docs := g.Config().Docs
+	heapAlloc := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var heap, values float64
+	for i := 0; i < b.N; i++ {
+		before := heapAlloc()
+		cat, err := hybridcat.Open(g.Schema, hybridcat.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := g.RegisterDefinitions(cat); err != nil {
+			b.Fatal(err)
+		}
+		for d := 0; d < docs; d++ {
+			if _, err := cat.Ingest("bench", g.Document(d)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		heap = float64(heapAlloc()) - float64(before)
+		n := 0
+		for _, name := range cat.DB.TableNames() {
+			cat.DB.MustTable(name).Scan(func(_ int64, r relstore.Row) bool {
+				n += len(r)
+				return true
+			})
+		}
+		values = float64(n)
+		runtime.KeepAlive(cat)
+	}
+	b.ReportMetric(heap/float64(docs), "heap-B/doc")
+	b.ReportMetric(values/float64(docs), "values/doc")
 }
 
 // BenchmarkContextQuery measures containment-scoped evaluation.

@@ -63,7 +63,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 func TestPublicAPIValueConstructorsAndOps(t *testing.T) {
 	if hybridcat.Int(5).I != 5 || hybridcat.Float(2.5).F != 2.5 ||
-		hybridcat.Str("x").S != "x" || !hybridcat.Bool(true).AsBool() {
+		hybridcat.Str("x").S != "x" || hybridcat.Bool(true).I != 1 {
 		t.Error("value constructors misbehaved")
 	}
 	ops := []hybridcat.CmpOp{hybridcat.OpEq, hybridcat.OpNe, hybridcat.OpLt,

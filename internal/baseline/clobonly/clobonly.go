@@ -35,7 +35,7 @@ func New(schema *xmlschema.Schema) (*Store, error) {
 	); err != nil {
 		return nil, err
 	}
-	if _, err := db.MustTable("docs").CreateIndex("docs_pk", relstore.BTreeIndex, true, "doc_id"); err != nil {
+	if _, err := db.MustTable("docs").CreateIndex("docs_pk", true, "doc_id"); err != nil {
 		return nil, err
 	}
 	return &Store{Schema: schema, DB: db}, nil

@@ -45,17 +45,11 @@ func New(schema *xmlschema.Schema) (*Store, error) {
 	for name, cols := range map[string][]string{
 		"edges_by_tag_sval": {"tag", "sval"},
 		"edges_by_tag_nval": {"tag", "nval"},
+		"edges_by_doc":      {"doc_id"},
+		"edges_by_parent":   {"doc_id", "parent_id"},
+		"edges_by_tag":      {"tag"},
 	} {
-		if _, err := edges.CreateIndex(name, relstore.BTreeIndex, false, cols...); err != nil {
-			return nil, err
-		}
-	}
-	for name, cols := range map[string][]string{
-		"edges_by_doc":    {"doc_id"},
-		"edges_by_parent": {"doc_id", "parent_id"},
-		"edges_by_tag":    {"tag"},
-	} {
-		if _, err := edges.CreateIndex(name, relstore.HashIndex, false, cols...); err != nil {
+		if _, err := edges.CreateIndex(name, false, cols...); err != nil {
 			return nil, err
 		}
 	}

@@ -57,21 +57,21 @@ func New(schema *xmlschema.Schema) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := t.CreateIndex(f.name+"_pk", relstore.BTreeIndex, true, "frag_id"); err != nil {
+		if _, err := t.CreateIndex(f.name+"_pk", true, "frag_id"); err != nil {
 			return nil, err
 		}
-		if _, err := t.CreateIndex(f.name+"_by_doc", relstore.HashIndex, false, "doc_id"); err != nil {
+		if _, err := t.CreateIndex(f.name+"_by_doc", false, "doc_id"); err != nil {
 			return nil, err
 		}
-		if _, err := t.CreateIndex(f.name+"_by_parent", relstore.HashIndex, false, "parent_table", "parent_id"); err != nil {
+		if _, err := t.CreateIndex(f.name+"_by_parent", false, "parent_table", "parent_id"); err != nil {
 			return nil, err
 		}
 		for _, key := range f.colOrder {
 			base := colName(key)
-			if _, err := t.CreateIndex(f.name+"_ix_"+base, relstore.BTreeIndex, false, base); err != nil {
+			if _, err := t.CreateIndex(f.name+"_ix_"+base, false, base); err != nil {
 				return nil, err
 			}
-			if _, err := t.CreateIndex(f.name+"_ixn_"+base, relstore.BTreeIndex, false, base+"__n"); err != nil {
+			if _, err := t.CreateIndex(f.name+"_ixn_"+base, false, base+"__n"); err != nil {
 				return nil, err
 			}
 		}

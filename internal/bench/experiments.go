@@ -384,7 +384,7 @@ func newDocOrderSim(doc *xmldoc.Node) (*docOrderSim, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if _, err := tab.CreateIndex("by_ord", relstore.BTreeIndex, true, "ord"); err != nil {
+	if _, err := tab.CreateIndex("by_ord", true, "ord"); err != nil {
 		return nil, 0, err
 	}
 	n := 0

@@ -158,8 +158,6 @@ func writeValueKey(b *strings.Builder, v relstore.Value) {
 	case relstore.KString:
 		b.WriteByte('s')
 		writeLenPrefixed(b, v.S)
-	case relstore.KBytes:
-		fmt.Fprintf(b, "b%d:%s", len(v.B), v.B)
 	case relstore.KBool:
 		fmt.Fprintf(b, "t%d", v.I)
 	default:

@@ -211,7 +211,6 @@ func (c *Catalog) createTables() error {
 	}
 	type idef struct {
 		table, name string
-		kind        relstore.IndexKind
 		unique      bool
 		cols        []string
 	}
@@ -220,20 +219,20 @@ func (c *Catalog) createTables() error {
 	// columns, so the executor reads (object, seq) straight off the keys
 	// (relstore.LookupRangeTails) and never fetches a row.
 	indexes := []idef{
-		{TObjects, "objects_pk", relstore.BTreeIndex, true, []string{"object_id"}},
-		{TObjects, "objects_by_owner", relstore.BTreeIndex, false, []string{"owner", "object_id"}},
-		{TObjects, "objects_by_published", relstore.BTreeIndex, false, []string{"published", "object_id"}},
-		{TAttrData, "attr_data_by_attr", relstore.BTreeIndex, false, []string{"attr_id", "object_id", "seq_id"}},
-		{TAttrData, "attr_data_by_object", relstore.HashIndex, false, []string{"object_id"}},
-		{TElemData, "elem_data_by_sval", relstore.BTreeIndex, false, []string{"elem_id", "sval", "object_id", "seq_id"}},
-		{TElemData, "elem_data_by_nval", relstore.BTreeIndex, false, []string{"elem_id", "nval", "object_id", "seq_id"}},
-		{TElemData, "elem_data_by_object", relstore.HashIndex, false, []string{"object_id"}},
-		{TSubAttrs, "sub_attrs_by_child", relstore.BTreeIndex, false, []string{"child_attr_id", "anc_attr_id", "object_id", "child_seq", "anc_seq"}},
-		{TSubAttrs, "sub_attrs_by_object", relstore.HashIndex, false, []string{"object_id"}},
-		{TClobs, "clobs_by_object", relstore.BTreeIndex, false, []string{"object_id", "node_order", "clob_seq"}},
+		{TObjects, "objects_pk", true, []string{"object_id"}},
+		{TObjects, "objects_by_owner", false, []string{"owner", "object_id"}},
+		{TObjects, "objects_by_published", false, []string{"published", "object_id"}},
+		{TAttrData, "attr_data_by_attr", false, []string{"attr_id", "object_id", "seq_id"}},
+		{TAttrData, "attr_data_by_object", false, []string{"object_id"}},
+		{TElemData, "elem_data_by_sval", false, []string{"elem_id", "sval", "object_id", "seq_id"}},
+		{TElemData, "elem_data_by_nval", false, []string{"elem_id", "nval", "object_id", "seq_id"}},
+		{TElemData, "elem_data_by_object", false, []string{"object_id"}},
+		{TSubAttrs, "sub_attrs_by_child", false, []string{"child_attr_id", "anc_attr_id", "object_id", "child_seq", "anc_seq"}},
+		{TSubAttrs, "sub_attrs_by_object", false, []string{"object_id"}},
+		{TClobs, "clobs_by_object", false, []string{"object_id", "node_order", "clob_seq"}},
 	}
 	for _, id := range indexes {
-		if _, err := c.DB.MustTable(id.table).CreateIndex(id.name, id.kind, id.unique, id.cols...); err != nil {
+		if _, err := c.DB.MustTable(id.table).CreateIndex(id.name, id.unique, id.cols...); err != nil {
 			return err
 		}
 	}
@@ -571,7 +570,7 @@ func (c *Catalog) Objects() []ObjectInfo {
 	var out []ObjectInfo
 	for _, rid := range rowIDs {
 		r := objT.Get(rid)
-		out = append(out, ObjectInfo{ID: r[0].I, Name: r[1].S, Owner: r[2].S, Created: r[3].S, Published: r[4].AsBool()})
+		out = append(out, ObjectInfo{ID: r[0].I, Name: r[1].S, Owner: r[2].S, Created: r[3].S, Published: r[4].I != 0})
 	}
 	return out
 }

@@ -42,10 +42,10 @@ func (c *Catalog) initCollections() error {
 		return err
 	}
 	collT := c.DB.MustTable(TCollections)
-	if _, err := collT.CreateIndex("collections_pk", relstore.BTreeIndex, true, "coll_id"); err != nil {
+	if _, err := collT.CreateIndex("collections_pk", true, "coll_id"); err != nil {
 		return err
 	}
-	if _, err := collT.CreateIndex("collections_by_parent", relstore.HashIndex, false, "parent_coll_id"); err != nil {
+	if _, err := collT.CreateIndex("collections_by_parent", false, "parent_coll_id"); err != nil {
 		return err
 	}
 	if _, err := c.DB.CreateTable(TMembers,
@@ -55,10 +55,10 @@ func (c *Catalog) initCollections() error {
 		return err
 	}
 	memT := c.DB.MustTable(TMembers)
-	if _, err := memT.CreateIndex("members_pk", relstore.BTreeIndex, true, "coll_id", "object_id"); err != nil {
+	if _, err := memT.CreateIndex("members_pk", true, "coll_id", "object_id"); err != nil {
 		return err
 	}
-	if _, err := memT.CreateIndex("members_by_object", relstore.HashIndex, false, "object_id"); err != nil {
+	if _, err := memT.CreateIndex("members_by_object", false, "object_id"); err != nil {
 		return err
 	}
 	return nil

@@ -144,11 +144,11 @@ func FuzzBtreeVersions(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		pool := versionKeys(rng)
 		db := NewDatabase()
-		tab, err := db.CreateTable("kv", Column{Name: "k", Type: KBytes, NotNull: true}, Column{Name: "v", Type: KInt})
+		tab, err := db.CreateTable("kv", Column{Name: "k", Type: KString, NotNull: true}, Column{Name: "v", Type: KInt})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tab.CreateIndex("by_k", BTreeIndex, true, "k"); err != nil {
+		if _, err := tab.CreateIndex("by_k", true, "k"); err != nil {
 			t.Fatal(err)
 		}
 		treeOf := func(v *dbVersion) *btree { return v.tables["kv"].indexes["by_k"].tree }
@@ -187,7 +187,7 @@ func FuzzBtreeVersions(f *testing.F) {
 			xt := tx.Table("kv")
 			for ops := 1 + rng.Intn(24); ops > 0; ops-- {
 				k := pool[rng.Intn(len(pool))]
-				ek := string(EncodeKey(Bytes(k)))
+				ek := string(EncodeKey(Str(k)))
 				id, present := want[ek]
 				switch rng.Intn(8) {
 				case 0, 1: // delete
@@ -202,9 +202,9 @@ func FuzzBtreeVersions(f *testing.F) {
 						continue
 					}
 					k2 := pool[rng.Intn(len(pool))]
-					ek2 := string(EncodeKey(Bytes(k2)))
+					ek2 := string(EncodeKey(Str(k2)))
 					_, taken := want[ek2]
-					err := xt.Update(id, Row{Bytes(k2), Int(id)})
+					err := xt.Update(id, Row{Str(k2), Int(id)})
 					switch {
 					case taken && ek2 != ek && err == nil:
 						t.Fatal("update onto a held key succeeded")
@@ -215,7 +215,7 @@ func FuzzBtreeVersions(f *testing.F) {
 						want[ek2] = id
 					}
 				default: // insert
-					nid, err := xt.Insert(Row{Bytes(k), Int(0)})
+					nid, err := xt.Insert(Row{Str(k), Int(0)})
 					if present != (err != nil) {
 						t.Fatalf("insert of a key present=%v: err %v", present, err)
 					}
@@ -253,8 +253,8 @@ func FuzzBtreeVersions(f *testing.F) {
 // versionKeys draws the fuzz target's key pool: short keys, keys long
 // enough to need a two-byte length prefix, keys holding 0x00 (escaped
 // by the encoding), and families sharing long prefixes.
-func versionKeys(rng *rand.Rand) [][]byte {
-	var pool [][]byte
+func versionKeys(rng *rand.Rand) []string {
+	var pool []string
 	long := bytes.Repeat([]byte("L"), 130)
 	for i := 0; i < 260; i++ {
 		var k []byte
@@ -269,7 +269,7 @@ func versionKeys(rng *rand.Rand) [][]byte {
 			k = make([]byte, 1+rng.Intn(200))
 			rng.Read(k)
 		}
-		pool = append(pool, k)
+		pool = append(pool, string(k))
 	}
 	return pool
 }
@@ -278,7 +278,7 @@ func versionKeys(rng *rand.Rand) [][]byte {
 // Len, Get of present and absent keys, and Ascend over the whole tree
 // and over bounds drawn from the oracle's keys, the tree's separators,
 // the key pool and their prefix ends.
-func checkVersion(t *testing.T, label string, bt *btree, want map[string]int64, pool [][]byte, rng *rand.Rand) {
+func checkVersion(t *testing.T, label string, bt *btree, want map[string]int64, pool []string, rng *rand.Rand) {
 	t.Helper()
 	if err := bt.checkInvariants(); err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -295,7 +295,7 @@ func checkVersion(t *testing.T, label string, bt *btree, want map[string]int64, 
 	}
 	slices.Sort(keys)
 	for _, k := range pool {
-		ek := EncodeKey(Bytes(k))
+		ek := EncodeKey(Str(k))
 		if _, ok := want[string(ek)]; !ok {
 			if _, found := bt.Get(ek); found {
 				t.Fatalf("%s: Get(%q) found a key the version never held", label, ek)
@@ -329,9 +329,9 @@ func checkVersion(t *testing.T, label string, bt *btree, want map[string]int64, 
 				return []byte(keys[rng.Intn(len(keys))])
 			}
 		case 4:
-			return prefixEnd(EncodeKey(Bytes(pool[rng.Intn(len(pool))])))
+			return prefixEnd(EncodeKey(Str(pool[rng.Intn(len(pool))])))
 		}
-		return EncodeKey(Bytes(pool[rng.Intn(len(pool))]))
+		return EncodeKey(Str(pool[rng.Intn(len(pool))]))
 	}
 	for trial := 0; trial < 24; trial++ {
 		lo, hi := bound(), bound()

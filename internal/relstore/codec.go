@@ -1,25 +1,28 @@
 package relstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 )
 
-// Row codec: the binary form rows take in checkpoint snapshots. A row is a uvarint column count followed, per
-// value, by its kind byte and a body:
+// Row codec: the binary form rows take in checkpoint snapshots. A row is
+// a uvarint column count followed, per value, by its kind byte and a
+// body:
 //
-//	KNull            no body
-//	KInt, KBool      zigzag varint of I
-//	KFloat           8 little-endian bytes of math.Float64bits(F)
-//	KString, KBytes  uvarint length, then the bytes
+//	0 KNull        no body
+//	1 KInt         zigzag varint of I
+//	2 KFloat       8 little-endian bytes of math.Float64bits(F)
+//	3 KString      uvarint length, then the bytes
+//	5 KBool        zigzag varint of I
 //
-// Floats travel as raw bits, so NaN payloads and negative zero survive
-// bit-exactly and a loaded snapshot holds exactly the saved rows.
-// Decoded bytes and strings are copies: a row never aliases the buffer
-// it came from.
+// Kind byte 4 was a BLOB kind that no column ever had; it is retired and
+// refused like any unknown kind, so snapshots written before its removal
+// decode unchanged. Floats travel as raw bits, so NaN payloads and
+// negative zero survive bit-exactly and a loaded snapshot holds exactly
+// the saved rows. Decoded strings are copies: a row never aliases the
+// buffer it came from.
 
 // errShortRow reports a row encoding cut off before its end.
 var errShortRow = errors.New("relstore: row codec: short input")
@@ -39,9 +42,6 @@ func AppendRow(dst []byte, r Row) []byte {
 		case KString:
 			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
 			dst = append(dst, v.S...)
-		case KBytes:
-			dst = binary.AppendUvarint(dst, uint64(len(v.B)))
-			dst = append(dst, v.B...)
 		default:
 			panic(fmt.Sprintf("relstore: AppendRow: value of unknown kind %d", v.K))
 		}
@@ -57,7 +57,7 @@ func AppendRow(dst []byte, r Row) []byte {
 // count or length larger than the bytes that remain — returns an error,
 // never a panic; since every value takes at least its kind byte, a
 // corrupt column count cannot drive an allocation beyond a fixed
-// multiple of len(src). A zero-length KBytes value decodes as nil.
+// multiple of len(src).
 func ReadRow(dst Row, src []byte) (Row, []byte, error) {
 	n, src, err := readUvarint(src)
 	if err != nil {
@@ -93,16 +93,12 @@ func ReadRow(dst Row, src []byte) (Row, []byte, error) {
 			}
 			r[i] = Value{K: k, F: math.Float64frombits(binary.LittleEndian.Uint64(src))}
 			src = src[8:]
-		case KString, KBytes:
-			var b []byte
-			if b, src, err = readBytes(src); err != nil {
+		case KString:
+			var s string
+			if s, src, err = readString(src); err != nil {
 				return nil, nil, err
 			}
-			if k == KString {
-				r[i] = Value{K: k, S: string(b)}
-			} else {
-				r[i] = Value{K: k, B: bytes.Clone(b)}
-			}
+			r[i] = Value{K: k, S: s}
 		default:
 			return nil, nil, fmt.Errorf("relstore: row codec: unknown kind %d", k)
 		}
@@ -119,18 +115,15 @@ func readUvarint(src []byte) (uint64, []byte, error) {
 	return x, src[m:], nil
 }
 
-// readBytes decodes a uvarint-length-prefixed byte string from the
-// front of src; the result aliases src, and is nil when empty.
-func readBytes(src []byte) ([]byte, []byte, error) {
+// readString decodes a uvarint-length-prefixed string from the front of
+// src, copying its bytes.
+func readString(src []byte) (string, []byte, error) {
 	n, src, err := readUvarint(src)
 	if err != nil {
-		return nil, nil, err
+		return "", nil, err
 	}
 	if n > uint64(len(src)) {
-		return nil, nil, fmt.Errorf("relstore: row codec: length %d with %d bytes left", n, len(src))
+		return "", nil, fmt.Errorf("relstore: row codec: length %d with %d bytes left", n, len(src))
 	}
-	if n == 0 {
-		return nil, src, nil
-	}
-	return src[:n], src[n:], nil
+	return string(src[:n]), src[n:], nil
 }

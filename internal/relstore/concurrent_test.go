@@ -22,10 +22,10 @@ func TestConcurrentReadersWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := NewTable(s)
-	if _, err := tab.CreateIndex("by_k", HashIndex, false, "k"); err != nil {
+	if _, err := tab.CreateIndex("by_k", false, "k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.CreateIndex("by_sn", BTreeIndex, false, "s", "n"); err != nil {
+	if _, err := tab.CreateIndex("by_sn", false, "s", "n"); err != nil {
 		t.Fatal(err)
 	}
 	labels := []string{"alpha", "beta", "gamma", "delta"}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/gridmeta/hybridcat/internal/obs"
 )
@@ -114,8 +115,9 @@ func (db *Database) TableNames() []string {
 }
 
 // StorageBytes estimates the resident bytes of all live rows across all
-// tables of the current version: value payloads plus per-row slice
-// overhead. Used by the storage experiment (E5).
+// tables of the current version: each row's slice header, its Value
+// structs, and its string payloads. Used by the storage experiments (E5,
+// A2).
 func (db *Database) StorageBytes() int64 {
 	var total int64
 	for _, tv := range db.current.Load().tables {
@@ -127,12 +129,11 @@ func (db *Database) StorageBytes() int64 {
 	return total
 }
 
+// rowBytes is one row's share of StorageBytes.
 func rowBytes(r Row) int64 {
-	// 16 bytes of slice header + per-value struct size approximation.
-	b := int64(16)
+	b := int64(unsafe.Sizeof(r)) + int64(len(r))*int64(unsafe.Sizeof(Value{}))
 	for _, v := range r {
-		b += 40 // Value struct
-		b += int64(len(v.S)) + int64(len(v.B))
+		b += int64(len(v.S))
 	}
 	return b
 }

@@ -23,7 +23,7 @@ func benchIndexDB(b *testing.B) *Database {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := db.Table("vals").CreateIndex("by_name", BTreeIndex, false, "name", "obj", "seq"); err != nil {
+	if _, err := db.Table("vals").CreateIndex("by_name", false, "name", "obj", "seq"); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))

@@ -21,7 +21,6 @@ import (
 //	FLOAT   tag for number + marker byte 0x00 + IEEE bits transformed so
 //	        bytewise order equals numeric order
 //	STRING  escaped bytes (0x00 -> 0x00 0xFF) terminated by 0x00 0x00
-//	BYTES   same escaping as STRING
 //
 // Ints and floats share a tag and are both encoded through the float
 // transform when they interact; to keep exact int ordering beyond 2^53 the
@@ -32,7 +31,6 @@ const (
 	tagBool   byte = 0x02
 	tagNumber byte = 0x03
 	tagString byte = 0x04
-	tagBytes  byte = 0x05
 )
 
 // numberKeyLen is the fixed encoded width of an INT or FLOAT: the tag,
@@ -65,10 +63,7 @@ func AppendKey(dst []byte, v Value) []byte {
 		return appendUint64Ordered(dst, floatIntPad(v.F))
 	case KString:
 		dst = append(dst, tagString)
-		return appendEscaped(dst, []byte(v.S))
-	case KBytes:
-		dst = append(dst, tagBytes)
-		return appendEscaped(dst, v.B)
+		return appendEscaped(dst, v.S)
 	}
 	panic(fmt.Sprintf("relstore: AppendKey: unknown kind %d", v.K))
 }
@@ -109,11 +104,11 @@ func appendFloatOrdered(dst []byte, f float64) []byte {
 	return appendUint64Ordered(dst, bits+1)
 }
 
-// appendEscaped writes b with 0x00 escaped as 0x00 0xFF and a 0x00 0x00
+// appendEscaped writes s with 0x00 escaped as 0x00 0xFF and a 0x00 0x00
 // terminator, preserving prefix ordering across variable-length keys.
-func appendEscaped(dst, b []byte) []byte {
-	for _, c := range b {
-		if c == 0x00 {
+func appendEscaped(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == 0x00 {
 			dst = append(dst, 0x00, 0xFF)
 		} else {
 			dst = append(dst, c)

@@ -133,10 +133,10 @@ func newMvccDB(t *testing.T) *Database {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.CreateIndex("pk", BTreeIndex, true, "k"); err != nil {
+	if _, err := tab.CreateIndex("pk", true, "k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.CreateIndex("by_payload", HashIndex, false, "payload"); err != nil {
+	if _, err := tab.CreateIndex("by_payload", false, "payload"); err != nil {
 		t.Fatal(err)
 	}
 	return db

@@ -25,9 +25,6 @@ func (t *Table) LookupRangeTails(indexName string, lo, hi RangeBound, n int, fn 
 	if ix == nil {
 		return fmt.Errorf("relstore: table %s: no index %q", t.name, indexName)
 	}
-	if ix.Kind != BTreeIndex {
-		return fmt.Errorf("relstore: index %s: range scan requires a B-tree index", indexName)
-	}
 	if n < 1 || n > len(ix.Cols) {
 		return fmt.Errorf("relstore: index %s: cannot decode %d tail columns of %d", indexName, n, len(ix.Cols))
 	}

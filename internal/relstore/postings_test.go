@@ -58,7 +58,7 @@ func newTailsFixture(t *testing.T) *tailsFixture {
 		t.Fatal(err)
 	}
 	for _, ix := range tailsIndexes {
-		if _, err := tab.CreateIndex(ix.name, BTreeIndex, ix.unique, ix.cols...); err != nil {
+		if _, err := tab.CreateIndex(ix.name, ix.unique, ix.cols...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,10 +216,7 @@ func TestLookupRangeTailsMatchesRowPath(t *testing.T) {
 func TestLookupRangeTailsRefusesNonIntTail(t *testing.T) {
 	f := newTailsFixture(t)
 	tab := f.db.MustTable("t")
-	if _, err := tab.CreateIndex("by_a_c", BTreeIndex, false, "a", "c"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.CreateIndex("hash_a", HashIndex, false, "a"); err != nil {
+	if _, err := tab.CreateIndex("by_a_c", false, "a", "c"); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []struct {
@@ -232,7 +229,6 @@ func TestLookupRangeTailsRefusesNonIntTail(t *testing.T) {
 		{"by_s_ab", 3, "STRING tail"},
 		{"by_a", 0, "no tail"},
 		{"by_a", 2, "tail wider than the index"},
-		{"hash_a", 1, "hash index"},
 		{"missing", 1, "unknown index"},
 	} {
 		err := tab.LookupRangeTails(bad.index, RangeBound{}, RangeBound{}, bad.n, func([]int64) bool {

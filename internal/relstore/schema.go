@@ -63,27 +63,21 @@ func (s *Schema) ColIndexes(names ...string) ([]int, error) {
 	return idx, nil
 }
 
-// CheckRow validates arity, NOT NULL constraints, and coerces values to the
-// column types, returning the normalized row.
+// CheckRow validates a row against the schema — its arity, NOT NULL
+// constraints, and that each non-NULL value has its column's kind; no
+// value is converted — and returns a copy for the table to store.
 func (s *Schema) CheckRow(r Row) (Row, error) {
 	if len(r) != len(s.Columns) {
 		return nil, fmt.Errorf("relstore: table %s: row has %d values, want %d", s.Name, len(r), len(s.Columns))
 	}
-	out := make(Row, len(r))
 	for i, v := range r {
 		c := s.Columns[i]
-		if v.IsNull() {
-			if c.NotNull {
-				return nil, fmt.Errorf("relstore: table %s: column %q is NOT NULL", s.Name, c.Name)
-			}
-			out[i] = v
-			continue
+		switch {
+		case v.IsNull() && c.NotNull:
+			return nil, fmt.Errorf("relstore: table %s: column %q is NOT NULL", s.Name, c.Name)
+		case !v.IsNull() && v.K != c.Type:
+			return nil, fmt.Errorf("relstore: table %s: column %q holds %s, got %s value %s", s.Name, c.Name, c.Type, v.K, v)
 		}
-		cv, err := Coerce(v, c.Type)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: table %s column %q: %w", s.Name, c.Name, err)
-		}
-		out[i] = cv
 	}
-	return out, nil
+	return CloneRow(r), nil
 }

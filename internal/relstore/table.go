@@ -7,27 +7,14 @@ import (
 	"github.com/gridmeta/hybridcat/internal/obs"
 )
 
-// IndexKind selects the logical index contract.
-type IndexKind uint8
-
-const (
-	// HashIndex supports equality probes only.
-	HashIndex IndexKind = iota
-	// BTreeIndex supports equality and range scans in key order.
-	BTreeIndex
-)
-
-// Index is a secondary index over one or more columns of a table.
+// Index is a secondary index over one or more columns of a table: a
+// copy-on-write B-tree over the order-preserving key encoding, so it
+// answers equality probes (a prefix scan) and range scans alike.
 // Indexes are maintained synchronously by Insert/Update/Delete inside
-// the writing transaction. Both kinds are physically backed by the
-// copy-on-write B-tree — the order-preserving key encoding makes an
-// equality probe a prefix scan — so the Kind only gates the range scans
-// (LookupRange, LookupRangeTails), preserving the paper's distinction
-// between equality-only and ordered access paths.
+// the writing transaction.
 type Index struct {
 	Name   string
 	Cols   []int
-	Kind   IndexKind
 	Unique bool
 
 	tree *btree
@@ -159,11 +146,11 @@ func NewTable(s *Schema) *Table {
 // CreateIndex builds an index over the named columns, indexing existing
 // rows. It fails if the name is taken, a column is unknown, or a unique
 // constraint is already violated.
-func (t *Table) CreateIndex(name string, kind IndexKind, unique bool, cols ...string) (*Index, error) {
+func (t *Table) CreateIndex(name string, unique bool, cols ...string) (*Index, error) {
 	var ix *Index
 	err := t.write(func(tx *Tx) error {
 		var err error
-		ix, err = tx.createIndex(t.name, name, kind, unique, cols...)
+		ix, err = tx.createIndex(t.name, name, unique, cols...)
 		return err
 	})
 	if err != nil {
@@ -282,15 +269,12 @@ type RangeBound struct {
 }
 
 // LookupRange returns row IDs whose indexed key falls within [lo, hi] per
-// the bounds' inclusivity, in key order. Requires a B-tree index.
+// the bounds' inclusivity, in key order.
 func (t *Table) LookupRange(indexName string, lo, hi RangeBound) ([]int64, error) {
 	tv := t.version()
 	ix := tv.indexes[indexName]
 	if ix == nil {
 		return nil, fmt.Errorf("relstore: table %s: no index %q", t.name, indexName)
-	}
-	if ix.Kind != BTreeIndex {
-		return nil, fmt.Errorf("relstore: index %s: range scan requires a B-tree index", indexName)
 	}
 	tv.state.countLookup()
 	loKey, hiKey := rangeKeys(lo, hi)
@@ -302,7 +286,7 @@ func (t *Table) LookupRange(indexName string, lo, hi RangeBound) ([]int64, error
 	return out, nil
 }
 
-// CountPrefix returns how many entries of the named B-tree index have
+// CountPrefix returns how many entries of the named index have
 // leading indexed columns equal to vals. It reads keys only: no row is
 // fetched and no row-ID list is built. The call counts one index lookup.
 func (t *Table) CountPrefix(indexName string, vals ...Value) (int, error) {
@@ -310,9 +294,6 @@ func (t *Table) CountPrefix(indexName string, vals ...Value) (int, error) {
 	ix := tv.indexes[indexName]
 	if ix == nil {
 		return 0, fmt.Errorf("relstore: table %s: no index %q", t.name, indexName)
-	}
-	if ix.Kind != BTreeIndex {
-		return 0, fmt.Errorf("relstore: index %s: prefix count requires a B-tree index", indexName)
 	}
 	if len(vals) == 0 || len(vals) > len(ix.Cols) {
 		return 0, fmt.Errorf("relstore: index %s: got %d key values, want 1..%d", indexName, len(vals), len(ix.Cols))

@@ -1,8 +1,9 @@
 // Package relstore implements the embedded in-memory relational store that
-// backs the hybrid metadata catalog. It provides typed tables, hash and
-// B-tree indexes with index-only range probes, multi-version snapshots,
-// row-page diffs between versions, and a binary row codec. Its one client
-// is the catalog's Go code; there is no query language.
+// backs the hybrid metadata catalog. It provides typed tables, B-tree
+// indexes with index-only range probes, multi-version snapshots, row-page
+// diffs between versions, and a binary row codec. Its one client is the
+// catalog's Go code; there is no query language, and the value kinds are
+// the ones the catalog's columns hold.
 //
 // The store stands in for the commercial RDBMS the myLEAD catalog ran on:
 // the paper's contribution is how metadata maps onto relational set
@@ -20,13 +21,13 @@ import (
 type Kind uint8
 
 // Value kinds. KNull is the zero Kind so that a zero Value is SQL NULL.
+// The numbers are the kind bytes of the row codec; 4 is retired.
 const (
-	KNull Kind = iota
-	KInt
-	KFloat
-	KString
-	KBytes
-	KBool
+	KNull   Kind = 0
+	KInt    Kind = 1
+	KFloat  Kind = 2
+	KString Kind = 3
+	KBool   Kind = 5
 )
 
 // String returns the SQL-ish name of the kind.
@@ -40,8 +41,6 @@ func (k Kind) String() string {
 		return "DOUBLE"
 	case KString:
 		return "TEXT"
-	case KBytes:
-		return "BLOB"
 	case KBool:
 		return "BOOLEAN"
 	}
@@ -49,15 +48,14 @@ func (k Kind) String() string {
 }
 
 // Value is a tagged union holding a single SQL value. The zero Value is
-// NULL. Values are compared with Compare, which defines a total order used
-// by indexes and ORDER BY: NULL < booleans < numbers < strings < blobs,
-// with ints and floats compared numerically against each other.
+// NULL. Values are compared with Compare, which defines the total order
+// the indexes keep: NULL < booleans < numbers < strings, with ints and
+// floats compared numerically against each other.
 type Value struct {
 	K Kind
 	I int64   // KInt; KBool stores 0 or 1 here
 	F float64 // KFloat
 	S string  // KString
-	B []byte  // KBytes
 }
 
 // Null returns the NULL value.
@@ -72,9 +70,6 @@ func Float(f float64) Value { return Value{K: KFloat, F: f} }
 // Str wraps a string.
 func Str(s string) Value { return Value{K: KString, S: s} }
 
-// Bytes wraps a byte slice. The slice is not copied.
-func Bytes(b []byte) Value { return Value{K: KBytes, B: b} }
-
 // Bool wraps a bool.
 func Bool(b bool) Value {
 	v := Value{K: KBool}
@@ -86,21 +81,6 @@ func Bool(b bool) Value {
 
 // IsNull reports whether v is NULL.
 func (v Value) IsNull() bool { return v.K == KNull }
-
-// AsInt returns the value as an int64, truncating floats and parsing
-// numeric strings. ok is false when no numeric interpretation exists.
-func (v Value) AsInt() (i int64, ok bool) {
-	switch v.K {
-	case KInt, KBool:
-		return v.I, true
-	case KFloat:
-		return int64(v.F), true
-	case KString:
-		n, err := strconv.ParseInt(v.S, 10, 64)
-		return n, err == nil
-	}
-	return 0, false
-}
 
 // AsFloat returns the value as a float64 when a numeric interpretation
 // exists.
@@ -128,8 +108,6 @@ func (v Value) AsString() string {
 		return strconv.FormatFloat(v.F, 'g', -1, 64)
 	case KString:
 		return v.S
-	case KBytes:
-		return string(v.B)
 	case KBool:
 		if v.I != 0 {
 			return "true"
@@ -137,24 +115,6 @@ func (v Value) AsString() string {
 		return "false"
 	}
 	return ""
-}
-
-// AsBool interprets the value as a truth value: NULL and zero values are
-// false, everything else true.
-func (v Value) AsBool() bool {
-	switch v.K {
-	case KNull:
-		return false
-	case KInt, KBool:
-		return v.I != 0
-	case KFloat:
-		return v.F != 0
-	case KString:
-		return v.S != ""
-	case KBytes:
-		return len(v.B) > 0
-	}
-	return false
 }
 
 // String implements fmt.Stringer for debugging output.
@@ -180,10 +140,8 @@ func typeRank(k Kind) int {
 		return 2
 	case KString:
 		return 3
-	case KBytes:
-		return 4
 	}
-	return 5
+	return 4
 }
 
 // Compare defines the engine's total order over values, returning -1, 0, or
@@ -218,8 +176,6 @@ func Compare(a, b Value) int {
 			return 1
 		}
 		return 0
-	case KBytes:
-		return cmpBytes(a.B, b.B)
 	}
 	return 0
 }
@@ -258,52 +214,11 @@ func cmpFloat(a, b float64) int {
 	return 1
 }
 
-func cmpBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return cmpInt(int64(len(a)), int64(len(b)))
-}
-
-// Coerce converts v to kind k when a lossless-enough conversion exists;
-// it returns an error otherwise. NULL coerces to any kind (staying NULL).
-func Coerce(v Value, k Kind) (Value, error) {
-	if v.K == KNull || v.K == k {
-		return v, nil
-	}
-	switch k {
-	case KInt:
-		if i, ok := v.AsInt(); ok {
-			return Int(i), nil
-		}
-	case KFloat:
-		if f, ok := v.AsFloat(); ok {
-			return Float(f), nil
-		}
-	case KString:
-		return Str(v.AsString()), nil
-	case KBytes:
-		return Bytes([]byte(v.AsString())), nil
-	case KBool:
-		return Bool(v.AsBool()), nil
-	}
-	return Value{}, fmt.Errorf("relstore: cannot coerce %s value %s to %s", v.K, v, k)
-}
-
 // Row is a tuple of values. Rows returned by tables (Get, Scan) must be
 // treated as read-only.
 type Row []Value
 
-// CloneRow returns a copy of r sharing string/byte backing storage.
+// CloneRow returns a copy of r sharing string backing storage.
 func CloneRow(r Row) Row {
 	c := make(Row, len(r))
 	copy(c, r)

@@ -425,7 +425,7 @@ func (tx *Tx) updateRow(name string, id int64, r Row) error {
 
 // createIndex builds an index over the named columns of the table,
 // indexing existing rows.
-func (tx *Tx) createIndex(table, name string, kind IndexKind, unique bool, cols ...string) (*Index, error) {
+func (tx *Tx) createIndex(table, name string, unique bool, cols ...string) (*Index, error) {
 	tv := tx.writable(table)
 	if _, dup := tv.indexes[name]; dup {
 		return nil, fmt.Errorf("relstore: table %s: index %q already exists", table, name)
@@ -434,7 +434,7 @@ func (tx *Tx) createIndex(table, name string, kind IndexKind, unique bool, cols 
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{Name: name, Cols: idx, Kind: kind, Unique: unique, tree: newBtree()}
+	ix := &Index{Name: name, Cols: idx, Unique: unique, tree: newBtree()}
 	ix.tree.epoch = tx.epoch
 	var addErr error
 	tv.scan(func(id int64, r Row) bool {
