@@ -7,8 +7,12 @@ package hybridcat_test
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"runtime"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"github.com/gridmeta/hybridcat"
 	"github.com/gridmeta/hybridcat/internal/baseline"
@@ -402,49 +406,85 @@ func BenchmarkSnapshotSaveLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestBatch measures batch ingest throughput (shred workers =
-// GOMAXPROCS).
-func BenchmarkIngestBatch(b *testing.B) {
-	cfg := workload.Default()
-	g := workload.New(cfg)
-	docs := make([]*xmldoc.Node, 32)
-	for i := range docs {
-		docs[i] = g.Document(i)
-	}
-	cat, err := hybridcat.Open(g.Schema, hybridcat.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := g.RegisterDefinitions(cat); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cat.IngestBatch("bench", docs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(docs)), "docs/op")
-}
-
-// BenchmarkIngestHeapPerDoc is an in-process heap census of ingest: the
-// live heap a catalog holds per document of W1's corpus shape (the
-// benchmark's corpusConfig: 1 536 documents, 3×3 themes, 4 namelist
-// groups of 8 parameters nested 2 deep, 50 values per parameter, seed 1),
-// measured as HeapAlloc after runtime.GC before and after the ingest,
-// and the relstore values those documents' rows hold. Each document is
-// generated as it is ingested, so no document tree stays live.
-func BenchmarkIngestHeapPerDoc(b *testing.B) {
-	g := workload.New(workload.Config{
+// w1Shape is W1's document shape (the benchmark's corpusConfig at seed
+// 1: about 4 KB of XML a document, 3×3 themes, 4 namelist groups of 8
+// parameters nested 2 deep, 50 values per parameter).
+func w1Shape(docs int) workload.Config {
+	return workload.Config{
 		Seed:               1,
-		Docs:               1536,
+		Docs:               docs,
 		ThemesPerDoc:       3,
 		KeysPerTheme:       3,
 		DynamicAttrsPerDoc: 4,
 		ParamsPerAttr:      8,
 		NestDepth:          2,
 		ValueCardinality:   50,
+	}
+}
+
+// BenchmarkIngestDurableWriters prices ingest's serialized section in
+// process: two goroutines call IngestXML on a durable catalog (real
+// fsync, a checkpoint every 1 024 records) with 256 documents of W1's
+// shape an iteration, serialized before the timer starts. The shred
+// runs under the write lock; the writers overlap parsing and the wait
+// for their batch's fsync. cpu-ms/doc is the process's user+system time
+// (getrusage) over the timed loop.
+func BenchmarkIngestDurableWriters(b *testing.B) {
+	const writers, docs = 2, 256
+	g := workload.New(w1Shape(docs))
+	xml := make([]string, docs)
+	for i := range xml {
+		xml[i] = g.Document(i).String()
+	}
+	cat, err := hybridcat.OpenDurable(g.Schema, hybridcat.Options{}, hybridcat.DurabilityOptions{
+		WALPath: filepath.Join(b.TempDir(), "bench.wal"), CheckpointEvery: 1024,
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cat.Close()
+	if err := g.RegisterDefinitions(cat); err != nil {
+		b.Fatal(err)
+	}
+	cpuTime := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			b.Fatal(err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	cpu := cpuTime()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for d := w; d < docs; d += writers {
+					if _, err := cat.IngestXML("bench", xml[d]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	b.StopTimer()
+	n := float64(b.N * docs)
+	b.ReportMetric(n/b.Elapsed().Seconds(), "docs/s")
+	b.ReportMetric(float64(cpuTime()-cpu)/float64(time.Millisecond)/n, "cpu-ms/doc")
+}
+
+// BenchmarkIngestHeapPerDoc is an in-process heap census of ingest: the
+// live heap a catalog holds per document of W1's shape (1 536
+// documents), measured as HeapAlloc after runtime.GC before and after
+// the ingest, and the relstore values those documents' rows hold. Each
+// document is generated as it is ingested, so no document tree stays
+// live.
+func BenchmarkIngestHeapPerDoc(b *testing.B) {
+	g := workload.New(w1Shape(1536))
 	docs := g.Config().Docs
 	heapAlloc := func() uint64 {
 		var ms runtime.MemStats

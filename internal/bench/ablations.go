@@ -2,15 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
-	"time"
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
-	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/relstore"
 	"github.com/gridmeta/hybridcat/internal/workload"
-	"github.com/gridmeta/hybridcat/internal/xmldoc"
 )
 
 // A1InvertedList ablates the sub-attribute inverted list: the full list
@@ -191,96 +187,4 @@ func A3TypedColumns(o Options) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "expected shape: typed index wins at low selectivity; the gap narrows as the range widens")
 	return t, nil
-}
-
-// A5ParallelIngest measures batch-ingest phase scaling: the shred phase
-// (CPU-bound tree walks, serialization, validation) parallelizes across
-// workers, while index-maintaining row insertion stays serialized for
-// consistency and bounds the end-to-end gain (Amdahl).
-func A5ParallelIngest(o Options) (*Table, error) {
-	t := &Table{
-		ID:      "A5",
-		Title:   "batch ingest: shred-phase scaling vs end-to-end",
-		Claim:   "shredding parallelizes; the serialized insert phase is the end-to-end floor",
-		Columns: []string{"workers", "shred-phase", "shred-speedup", "end-to-end", "e2e-speedup"},
-	}
-	cfg := workload.Default()
-	cfg.Docs = o.scale(400)
-	cfg.ThemesPerDoc = 10
-	cfg.KeysPerTheme = 8
-	cfg.DynamicAttrsPerDoc = 6
-	cfg.ParamsPerAttr = 20
-	cfg.NestDepth = 3
-	g := workload.New(cfg)
-	docs := g.Corpus()
-
-	shredSweep := func(workers int) (time.Duration, error) {
-		c, err := catalog.Open(g.Schema, catalog.Options{})
-		if err != nil {
-			return 0, err
-		}
-		if err := g.RegisterDefinitions(c); err != nil {
-			return 0, err
-		}
-		sh := core.NewShredder(c.Schema, c.Reg)
-		start := time.Now()
-		next := make(chan int, len(docs))
-		for i := range docs {
-			next <- i
-		}
-		close(next)
-		errs := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				for i := range next {
-					if _, err := sh.Shred(docs[i], core.Options{Owner: "bench"}); err != nil {
-						errs <- err
-						return
-					}
-				}
-				errs <- nil
-			}()
-		}
-		for w := 0; w < workers; w++ {
-			if err := <-errs; err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-
-	var shredBase, e2eBase time.Duration
-	for _, workers := range []int{1, 2, 4, 8} {
-		shred, err := shredSweep(workers)
-		if err != nil {
-			return nil, err
-		}
-		c, err := catalog.Open(g.Schema, catalog.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if err := g.RegisterDefinitions(c); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := c.IngestBatch("bench", docs, workers); err != nil {
-			return nil, err
-		}
-		e2e := time.Since(start)
-		if workers == 1 {
-			shredBase, e2eBase = shred, e2e
-		}
-		t.AddRow(workers, shred, ratio(int64(shredBase), int64(shred)),
-			e2e, ratio(int64(e2eBase), int64(e2e)))
-	}
-	t.Notes = append(t.Notes,
-		"expected shape: shred phase scales with available cores; end-to-end is bounded by the serialized index-maintaining insert phase",
-		fmt.Sprintf("GOMAXPROCS=%d on this machine — with a single CPU no parallel speedup is observable", runtime.GOMAXPROCS(0)))
-	return t, nil
-}
-
-// ingestDoc is a tiny helper kept for symmetry with bench_test.go.
-func ingestDoc(c *catalog.Catalog, d *xmldoc.Node) error {
-	_, err := c.Ingest("bench", d)
-	return err
 }

@@ -27,7 +27,6 @@ var experiments = map[string]Experiment{
 	"A1": {"A1", "ablation: inverted list", A1InvertedList},
 	"A2": {"A2", "ablation: CLOB granularity", A2ClobGranularity},
 	"A3": {"A3", "ablation: typed columns", A3TypedColumns},
-	"A5": {"A5", "ablation: parallel batch ingest", A5ParallelIngest},
 	"R1": {"R1", "WAL durability: ingest overhead and recovery time", R1Durability},
 	"R2": {"R2", "group commit and replication: writer scaling and replica lag", R2Replication},
 }

@@ -93,14 +93,6 @@ type Catalog struct {
 	marks     core.Marks // the highest definition IDs the log carries
 	dur       *durability
 
-	// defined counts the times a mutation journaled new definitions,
-	// bumped under the write lock. A shred that ran outside the lock is
-	// redone under it when the count moved meanwhile: replay resolves a
-	// document against every definition logged before it (a user-private
-	// definition shadows an admin one; a new one turns CLOB-only text
-	// into rows).
-	defined atomic.Uint64
-
 	// tx is the relstore transaction of the mutation currently holding
 	// the write lock (nil outside mutations); interior helpers address
 	// tables through c.wtab so their writes land in this builder instead
@@ -296,25 +288,14 @@ func (c *Catalog) IngestXML(owner, xml string) (int64, error) {
 	return c.ingest(owner, xml, doc)
 }
 
-// ingest shreds doc outside the write lock, then decides the object ID
-// and created time under it and applies the ingest.
+// ingest decides the object ID and created time under the write lock
+// and applies the ingest there, like every other mutation.
 func (c *Catalog) ingest(owner, xml string, doc *xmldoc.Node) (int64, error) {
-	if c.follower {
-		return 0, ErrReadOnlyReplica
-	}
 	o := op{kind: opIngest, owner: owner, lenient: c.opts.Lenient, xml: xml, doc: doc}
-	defined := c.defined.Load()
-	res, err := c.shredder.Shred(doc, c.shredOpts(o, true))
-	if err != nil {
-		return 0, err
-	}
-	err = c.mutate(func() error {
-		if c.defined.Load() != defined {
-			res = nil // shred again under the lock (see c.defined)
-		}
+	err := c.mutate(func() error {
 		o.id = c.wtab(TObjects).NextAutoID()
 		o.created = c.clock().UTC().Format(time.RFC3339)
-		return c.applyIngest(o, res, true)
+		return c.applyIngest(o, true)
 	})
 	if err != nil {
 		return 0, err
@@ -329,15 +310,14 @@ func (c *Catalog) shredOpts(o op, live bool) core.Options {
 	return core.Options{Owner: o.owner, AutoRegister: live && c.opts.AutoRegister, Lenient: o.lenient}
 }
 
-// applyIngest stores the object o.id for o.doc: its objects row, then
-// its shredded rows. res is the shred the caller already ran, or nil to
-// shred here.
-func (c *Catalog) applyIngest(o op, res *core.ShredResult, live bool) error {
-	if res == nil {
-		var err error
-		if res, err = c.shredder.Shred(o.doc, c.shredOpts(o, live)); err != nil {
-			return err
-		}
+// applyIngest shreds o.doc and stores it as object o.id: its objects
+// row, then its shredded rows. Live ingest and replay both shred here,
+// under the write lock, so they resolve the document against the same
+// registry state.
+func (c *Catalog) applyIngest(o op, live bool) error {
+	res, err := c.shredder.Shred(o.doc, c.shredOpts(o, live))
+	if err != nil {
+		return err
 	}
 	objT := c.wtab(TObjects)
 	// Replay's IDs are the log's: the allocator must pass them.

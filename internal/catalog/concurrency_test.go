@@ -12,6 +12,7 @@ import (
 
 	"github.com/gridmeta/hybridcat/internal/relstore"
 	"github.com/gridmeta/hybridcat/internal/xmldoc"
+	"github.com/gridmeta/hybridcat/internal/xmlschema"
 )
 
 // The stress test below races writer goroutines (Ingest, AddAttribute,
@@ -671,5 +672,44 @@ func TestCachedUncachedOracleStress(t *testing.T) {
 	stats := cached.CacheStats()
 	if stats.Evaluate.Hits == 0 {
 		t.Errorf("stress never hit the evaluate cache: %+v", stats.Evaluate)
+	}
+}
+
+// TestIngestAutoRegisterRace: 32 concurrent writers ingest Figure 3 on
+// an auto-registering catalog. Each ingest registers what it does not
+// find under the write lock, so the racing registrations of the same
+// dynamic definitions leave exactly one, and all 32 documents resolve
+// to it.
+func TestIngestAutoRegisterRace(t *testing.T) {
+	c, err := Open(xmlschema.MustLEAD(), Options{AutoRegister: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers = 32
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.IngestXML("u", xmlschema.Figure3Document); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	count := 0
+	for _, d := range c.Reg.Attrs() {
+		if d.Name == "grid" && d.Source == "ARPS" {
+			count++
+		}
+	}
+	if count != 1 {
+		t.Errorf("grid registered %d times", count)
+	}
+	q := &Query{}
+	q.Attr("grid", "ARPS")
+	hits, err := c.Evaluate(q)
+	if err != nil || len(hits) != writers {
+		t.Fatalf("query = %d hits, %v", len(hits), err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/faultio"
 	"github.com/gridmeta/hybridcat/internal/relstore"
-	"github.com/gridmeta/hybridcat/internal/xmldoc"
 	"github.com/gridmeta/hybridcat/internal/xmlschema"
 )
 
@@ -45,14 +44,10 @@ func crashWorkload(t *testing.T) []crashOp {
 	t.Helper()
 	docA := xmlschema.Figure3Document
 	docB := fig3Variant(t, "250")
-	batch1, err := xmldoc.ParseString(fig3Variant(t, "375"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch2, err := xmldoc.ParseString(fig3Variant(t, "500"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// docC's detailed attribute names an entity type no step registers,
+	// so its ingest auto-registers the attribute and elements it uses:
+	// one record of define ops plus the ingest, torn like any other.
+	docC := strings.Replace(fig3Variant(t, "375"), "<enttypl>grid</enttypl>", "<enttypl>radar</enttypl>", 1)
 	frag := themeFrag(t, "crash-key")
 	expectOK := func(ok bool, err error, what string) error {
 		if err != nil {
@@ -102,8 +97,8 @@ func crashWorkload(t *testing.T) []crashOp {
 		}},
 		{"add-member-1", func(c *Catalog) error { return c.AddToCollection(1, 1) }},
 		{"publish-1", func(c *Catalog) error { return c.SetPublished(1, true) }},
-		{"ingest-batch", func(c *Catalog) error {
-			_, err := c.IngestBatch("scientist", []*xmldoc.Node{batch1, batch2}, 1)
+		{"ingest-autoregister", func(c *Catalog) error {
+			_, err := c.IngestXML("scientist", docC)
 			return err
 		}},
 		{"add-member-3", func(c *Catalog) error { return c.AddToCollection(1, 3) }},
@@ -122,7 +117,7 @@ func crashWorkload(t *testing.T) []crashOp {
 			_, err := c.CreateCollection("cases", "scientist", 1)
 			return err
 		}},
-		{"add-member-4", func(c *Catalog) error { return c.AddToCollection(2, 4) }},
+		{"add-member-3-cases", func(c *Catalog) error { return c.AddToCollection(2, 3) }},
 		{"unpublish-1", func(c *Catalog) error { return c.SetPublished(1, false) }},
 	}
 }
@@ -174,9 +169,11 @@ func stateFingerprint(c *Catalog) string {
 	return b.String()
 }
 
+// openDurableLEAD and newOracleLEAD auto-register, so the workload's
+// ingest-autoregister step logs its definitions with its ingest.
 func openDurableLEAD(t *testing.T, fs faultio.FS, every int) (*Catalog, error) {
 	t.Helper()
-	c, err := OpenDurable(xmlschema.MustLEAD(), Options{}, DurabilityOptions{
+	c, err := OpenDurable(xmlschema.MustLEAD(), Options{AutoRegister: true}, DurabilityOptions{
 		FS: fs, WALPath: crashWAL, CheckpointEvery: every,
 	})
 	if err != nil {
@@ -188,7 +185,7 @@ func openDurableLEAD(t *testing.T, fs faultio.FS, every int) (*Catalog, error) {
 
 func newOracleLEAD(t *testing.T) *Catalog {
 	t.Helper()
-	c, err := Open(xmlschema.MustLEAD(), Options{})
+	c, err := Open(xmlschema.MustLEAD(), Options{AutoRegister: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +214,37 @@ func countCrashPoints(t *testing.T, ops []crashOp, every int) map[faultio.OpKind
 	return faulty.Counts()
 }
 
+// multiOpSteps runs the workload fault-free and names the steps whose
+// log record holds more than one op.
+func multiOpSteps(t *testing.T, ops []crashOp) []string {
+	t.Helper()
+	c, err := openDurableLEAD(t, faultio.NewMemFS(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var multi []string
+	var seq uint64
+	for _, op := range ops {
+		if err := op.run(c); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		recs, last, _, err := c.WALSince(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if logged, err := decodeRecord(r.Payload); err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			} else if len(logged) > 1 {
+				multi = append(multi, op.name)
+			}
+		}
+		seq = last
+	}
+	return multi
+}
+
 func TestCrashMatrix(t *testing.T) {
 	runCrashMatrix(t, matrixCheckpointEvery)
 }
@@ -226,6 +254,10 @@ func TestCrashMatrix(t *testing.T) {
 // one subtest per fault point.
 func runCrashMatrix(t *testing.T, every int) {
 	ops := crashWorkload(t)
+	multi := multiOpSteps(t, ops)
+	if len(multi) == 0 {
+		t.Fatal("no workload step logs a multi-op record: no fault point tears one")
+	}
 	counts := countCrashPoints(t, ops, every)
 	total := 0
 	for _, kind := range []faultio.OpKind{faultio.OpWrite, faultio.OpSync, faultio.OpRename, faultio.OpCreate, faultio.OpTruncate} {
@@ -244,7 +276,7 @@ func runCrashMatrix(t *testing.T, every int) {
 			})
 		}
 	}
-	t.Logf("crash matrix (checkpoint every %d): %d fault points (%v)", every, total, counts)
+	t.Logf("crash matrix (checkpoint every %d): %d fault points (%v); multi-op records: %v", every, total, counts, multi)
 }
 
 // runCrashPoint drives the workload into one crash point, recovers from

@@ -44,9 +44,11 @@ func TestRecoveryReplayProbesIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids, err := c.IngestBatch("scientist", docs, 1)
-	if err != nil {
-		t.Fatal(err)
+	ids := make([]int64, ndocs)
+	for i, doc := range docs {
+		if ids[i], err = c.Ingest("scientist", doc); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,25 @@
 package catalog
 
-import "github.com/gridmeta/hybridcat/internal/textindex"
+import (
+	"testing"
 
-// Hooks for the external suites — ranked retrieval (rank_test.go),
-// which imports internal/workload, and the response-cache oracle
+	"github.com/gridmeta/hybridcat/internal/textindex"
+	"github.com/gridmeta/hybridcat/internal/xmldoc"
+)
+
+// Hooks for the external suites — ranked retrieval (rank_test.go) and
+// the tree round trip (tree_replay_test.go), which import
+// internal/workload, and the response-cache oracle
 // (response_oracle_test.go), which imports internal/shard — that cannot
 // live in this package.
+
+// StateFingerprint and DiffFingerprint are the crash suites' whole-state
+// comparison (crash_test.go).
+var StateFingerprint, DiffFingerprint = stateFingerprint, diffFingerprint
+
+// LenientDoc is the Figure 3 document with an undeclared element (see
+// lenientDoc).
+func LenientDoc(t *testing.T) *xmldoc.Node { return lenientDoc(t) }
 
 // TextIndexVsScratch pins the current version and returns the text
 // index a ranked query would be served there — built, advanced or

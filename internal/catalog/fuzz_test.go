@@ -311,8 +311,9 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // fuzzRecordSeeds returns the payloads a durable catalog logs for one
-// mutation of every kind, a two-document batch, and the local record of
-// an ImportWAL of all of them.
+// mutation of every kind (an auto-registering ingest's record holds its
+// define ops too; a tree ingest's, the tree's serialization), and the
+// local record of an ImportWAL of all of them.
 func fuzzRecordSeeds(f *testing.F) [][]byte {
 	open := func() *Catalog {
 		c, err := OpenDurable(xmlschema.MustLEAD(), Options{AutoRegister: true, Lenient: true},
@@ -336,7 +337,7 @@ func fuzzRecordSeeds(f *testing.F) [][]byte {
 	must(err)
 	doc, err := xmldoc.ParseString(xmlschema.Figure3Document)
 	must(err)
-	_, err = c.IngestBatch("scientist", []*xmldoc.Node{doc, doc}, 1)
+	_, err = c.Ingest("scientist", doc)
 	must(err)
 	frag, err := xmldoc.ParseString("<theme><themekt>fuzz</themekt><themekey>seed</themekey></theme>")
 	must(err)

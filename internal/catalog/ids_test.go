@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/gridmeta/hybridcat/internal/faultio"
-	"github.com/gridmeta/hybridcat/internal/xmldoc"
 	"github.com/gridmeta/hybridcat/internal/xmlschema"
 )
 
@@ -171,15 +170,8 @@ func TestObjectIDsNeverReissued(t *testing.T) {
 	})
 
 	t.Run("aborted-batch", func(t *testing.T) {
-		// A batch whose commit fsync fails is rolled back; the IDs it
-		// took are skipped, in this process and after restarts.
-		batch := make([]*xmldoc.Node, 3)
-		for i := range batch {
-			var err error
-			if batch[i], err = xmldoc.ParseString(fig3Variant(t, fmt.Sprint(500+i))); err != nil {
-				t.Fatal(err)
-			}
-		}
+		// An ingest whose commit batch fails its fsync is rolled back;
+		// the ID it took is skipped, in this process and after restarts.
 		prefix := func(c *Catalog, l *idLedger) {
 			l.ingest(c)
 			l.remove(c, l.ingest(c))
@@ -199,10 +191,10 @@ func TestObjectIDsNeverReissued(t *testing.T) {
 		}
 		l := &idLedger{t: t}
 		prefix(c, l)
-		if _, err := c.IngestBatch("scientist", batch, 1); !errors.Is(err, ErrDurability) {
-			t.Fatalf("batch under a failing fsync = %v, want ErrDurability", err)
+		if _, err := c.IngestXML("scientist", fig3Variant(t, "500")); !errors.Is(err, ErrDurability) {
+			t.Fatalf("ingest under a failing fsync = %v, want ErrDurability", err)
 		}
-		l.max += int64(len(batch)) // the aborted batch's IDs
+		l.max++ // the aborted ingest's ID
 		l.ingest(c)
 		mem.Crash()
 		if c, err = openDurableLEAD(t, mem, 0); err != nil {

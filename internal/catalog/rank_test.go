@@ -223,7 +223,7 @@ func requireIndexCoherent(t *testing.T, what string, c *catalog.Catalog, vocab [
 // TestRankedIndexCoherenceOracle drives a durable primary and a
 // WAL-tailing follower through a seeded random sequence of every
 // mutation that reaches elem_data or bumps the epoch beside it —
-// Ingest, IngestBatch (small, and large enough to abandon the diff),
+// Ingest (one, a few, and enough between two checks to abandon the diff),
 // Delete, publish/unpublish, AddAttribute (part of a document changes),
 // dynamic definitions, close + recover, follower ApplyWAL and
 // re-bootstrap after a checkpoint gap — and after each step holds the
@@ -295,17 +295,15 @@ func TestRankedIndexCoherenceOracle(t *testing.T) {
 				if op == 8 {
 					n = len(live)/2 + 2 // a third of elem_data's pages: past the diff's budget
 				}
-				what = fmt.Sprintf("batch of %d", n)
-				docs := make([]*xmldoc.Node, n)
-				for i := range docs {
-					docs[i] = g.Document(nextDoc)
+				what = fmt.Sprintf("%d ingests", n)
+				for i := 0; i < n; i++ {
+					id, err := primary.Ingest("lab", g.Document(nextDoc))
+					if err != nil {
+						t.Fatal(err)
+					}
 					nextDoc++
+					live = append(live, id)
 				}
-				ids, err := primary.IngestBatch("lab", docs, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live = append(live, ids...)
 			case op < 13:
 				i, id := pick()
 				what = fmt.Sprintf("delete %d", id)

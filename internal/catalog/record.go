@@ -266,10 +266,7 @@ func (c *Catalog) journalDefines() {
 			c.rec = append(c.rec, op{kind: opDefineElem, elem: d})
 		}
 	}
-	if m != c.marks {
-		c.defined.Add(1)
-		c.marks = m
-	}
+	c.marks = m
 }
 
 // replayRecord decodes one log record payload and applies its ops in
@@ -304,7 +301,7 @@ func (c *Catalog) replay(o *op) error {
 		}
 		o.doc = doc
 		if o.kind == opIngest {
-			return c.applyIngest(*o, nil, false)
+			return c.applyIngest(*o, false)
 		}
 		return c.applyAddAttribute(*o, false)
 	case opDelete:

@@ -128,29 +128,29 @@ func TestCrashReplayEqualsIngest(t *testing.T) {
 	}
 	lenient, err := primary.Ingest("carol", lenientDoc(t))
 	must(err)
-	batch := make([]*xmldoc.Node, 3)
-	for i := range batch {
-		batch[i], err = xmldoc.ParseString(fig3Variant(t, fmt.Sprint(rng.Intn(5000))))
+	treeIDs := make([]int64, 3)
+	for i := range treeIDs {
+		doc, err := xmldoc.ParseString(fig3Variant(t, fmt.Sprint(rng.Intn(5000))))
+		must(err)
+		treeIDs[i], err = primary.Ingest("bob", doc)
 		must(err)
 	}
-	batchIDs, err := primary.IngestBatch("bob", batch, 2)
-	must(err)
 	must(primary.AddAttribute(lenient, "carol", themeFrag(t, "phase-1")))
 	must(primary.AddAttribute(a2, "alice", themeFrag(t, "phase-1")))
 	must(primary.SetPublished(a1, true))
-	must(primary.SetPublished(batchIDs[0], true))
-	must(primary.SetPublished(batchIDs[0], false))
+	must(primary.SetPublished(treeIDs[0], true))
+	must(primary.SetPublished(treeIDs[0], false))
 	root, err := primary.CreateCollection("storms", "alice", 0)
 	must(err)
 	child, err := primary.CreateCollection("cases", "alice", root)
 	must(err)
 	must(primary.AddToCollection(root, a1))
 	must(primary.AddToCollection(child, a2))
-	must(primary.AddToCollection(child, batchIDs[1]))
+	must(primary.AddToCollection(child, treeIDs[1]))
 	if ok, err := primary.RemoveFromCollection(child, a2); err != nil || !ok {
 		t.Fatalf("remove member: ok=%v err=%v", ok, err)
 	}
-	if ok, err := primary.Delete(batchIDs[2]); err != nil || !ok {
+	if ok, err := primary.Delete(treeIDs[2]); err != nil || !ok {
 		t.Fatalf("delete: ok=%v err=%v", ok, err)
 	}
 
@@ -322,7 +322,6 @@ func TestFollowerRefusesBeforeRegistering(t *testing.T) {
 	_, refusals["RegisterElem"] = f.RegisterElem("phantom", "SRC", 1, 0, "")
 	_, refusals["Ingest"] = f.Ingest("scientist", doc)
 	_, refusals["IngestXML"] = f.IngestXML("scientist", dynDoc("r", "phantom", "SRC", "1"))
-	_, refusals["IngestBatch"] = f.IngestBatch("scientist", []*xmldoc.Node{doc}, 1)
 	refusals["AddAttribute"] = f.AddAttribute(1, "scientist", doc.FindAll("detailed")[0])
 	for name, err := range refusals {
 		if !errors.Is(err, ErrReadOnlyReplica) {
@@ -337,13 +336,14 @@ func TestFollowerRefusesBeforeRegistering(t *testing.T) {
 	}
 }
 
-// TestShredRedoneAfterRacingRegistration: alice's ingest shreds outside
-// the write lock while alice registers a private definition of the same
-// name. Replay resolves the document against every definition logged
-// before it, the private one included, so when the registration lands
-// between the shred and the commit the ingest must shred again under
-// the lock; otherwise its rows name the admin definition and a
-// recovered catalog's name the private one.
+// TestShredRedoneAfterRacingRegistration: alice's ingest races alice's
+// registration of a private definition of the same name. Replay resolves
+// the document against every definition logged before it, the private
+// one included, so the live ingest must resolve against the same
+// registry state; otherwise its rows name the admin definition and a
+// recovered catalog's name the private one. Ingest shreds inside its
+// mutation, under the write lock the registration also takes, so this
+// holds by construction; the test pins it.
 func TestShredRedoneAfterRacingRegistration(t *testing.T) {
 	mem := faultio.NewMemFS()
 	c, err := OpenDurable(xmlschema.MustLEAD(), Options{AutoRegister: true}, DurabilityOptions{FS: mem, WALPath: crashWAL})

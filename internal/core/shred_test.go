@@ -284,7 +284,7 @@ func TestShredValidationFailures(t *testing.T) {
 // document: the counters are seeded just below and at maxAttrSeq. The
 // Figure 3 document carries two theme instances, so a theme ordinal
 // seeded at maxAttrSeq-2 ends exactly on the bound and one more pushes
-// the second past it. Shred is what Ingest and IngestBatch call; the
+// the second past it. Shred is what Ingest and IngestXML call; the
 // catalog's AddAttribute test covers ShredAttribute end to end.
 func TestShredRefusesOrdinalPastBound(t *testing.T) {
 	s, reg := newFig3Shredder(t)

@@ -35,23 +35,21 @@ import (
 // Ingest routes a parsed document to its owner's shard and returns the
 // global object ID.
 func (cl *Cluster) Ingest(owner string, doc *xmldoc.Node) (int64, error) {
-	idx := cl.ShardFor(owner)
-	h := cl.writeHandle(idx)
-	defer h.gate.RUnlock()
-	local, err := h.cat.Ingest(owner, doc)
-	if err != nil {
-		return 0, err
-	}
-	cl.countRoute(idx)
-	return cl.GlobalID(idx, local), nil
+	return cl.ingest(owner, func(c *catalog.Catalog) (int64, error) { return c.Ingest(owner, doc) })
 }
 
 // IngestXML parses and routes an XML document to its owner's shard.
 func (cl *Cluster) IngestXML(owner, xml string) (int64, error) {
+	return cl.ingest(owner, func(c *catalog.Catalog) (int64, error) { return c.IngestXML(owner, xml) })
+}
+
+// ingest runs one ingest on the owner's shard under its write gate and
+// returns the new object's global ID.
+func (cl *Cluster) ingest(owner string, fn func(*catalog.Catalog) (int64, error)) (int64, error) {
 	idx := cl.ShardFor(owner)
 	h := cl.writeHandle(idx)
 	defer h.gate.RUnlock()
-	local, err := h.cat.IngestXML(owner, xml)
+	local, err := fn(h.cat)
 	if err != nil {
 		return 0, err
 	}
