@@ -51,15 +51,16 @@ mvcc:
 
 # Posting-list verification under the race detector: the key-list
 # algebra (build, AND, object projection, membership) and its fuzz
-# target's seed corpus against a map oracle, the operator/ablation
-# matrix and the workload equivalence suite judging the Figure-4
-# pipeline against the DOM oracle, the instance-key packing and its
+# target's seed corpus against a map oracle, the operator matrix and
+# the workload equivalence suite judging the Figure-4 pipeline against
+# the DOM oracle, the recursive chase of depth-1 links (A1's contrast)
+# held to the inverted-list rollup, the instance-key packing and its
 # ingest bound, relstore's index-only tail scan against the row path,
 # and the index-only Figure-4 executor (no row reads, bounded index
 # lookups, visibility per epoch) (DESIGN.md "Posting lists and set
 # operations").
 bitmap:
-	$(GO) test -race -run 'KeyList|Bitmap|InstKey|SeqBound|RangeTails|ReadsNoRows|IndexOnly' -count=1 ./internal/catalog/ ./internal/relstore/
+	$(GO) test -race -run 'KeyList|Bitmap|RecursiveChase|InstKey|SeqBound|RangeTails|ReadsNoRows|IndexOnly' -count=1 ./internal/catalog/ ./internal/relstore/
 	$(GO) test -race -run 'ShredRefusesOrdinal' -count=1 ./internal/core/
 
 # Replication fault suite under the race detector: the WAL-stream

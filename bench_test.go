@@ -295,42 +295,6 @@ func BenchmarkE7OrderingUpdateHybrid(b *testing.B) {
 	}
 }
 
-// --- A1: inverted list ablation ---
-
-func BenchmarkA1InvertedList(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "on"
-		if disable {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := workload.Default()
-			cfg.Docs = 150
-			cfg.NestDepth = 4
-			cfg.ParamsPerAttr = 10
-			g := workload.New(cfg)
-			c, err := hybridcat.Open(g.Schema, hybridcat.Options{DisableInvertedList: disable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := g.RegisterDefinitions(c); err != nil {
-				b.Fatal(err)
-			}
-			for _, d := range g.Corpus() {
-				if _, err := c.Ingest("bench", d); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Evaluate(g.NestedQuery(i, i, 4)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- A2: CLOB granularity ablation ---
 
 func BenchmarkA2ClobGranularity(b *testing.B) {

@@ -58,12 +58,12 @@ import (
 type Catalog = catalog.Catalog
 
 // Options configures a catalog: ingest policy (AutoRegister, Lenient),
-// the read caches' size (CacheSize; negative turns them off), the
-// instrumentation registry (Metrics), and the A1
-// inverted-list ablation (DisableInvertedList). Structural queries have
-// one executor, over sorted instance-key lists, and ranked queries one
-// text index, built on the first ranked query; there is no switch for
-// either.
+// the read caches' size (CacheSize; negative turns them off) and the
+// instrumentation registry (Metrics). The catalog has one physical
+// design: structural queries have one executor, over sorted
+// instance-key lists and the full sub-attribute inverted list, and
+// ranked queries one text index, built on the first ranked query;
+// there is no switch for any of them.
 type Options = catalog.Options
 
 // Query is an unordered query over metadata attributes: an object

@@ -9,71 +9,6 @@ import (
 	"github.com/gridmeta/hybridcat/internal/workload"
 )
 
-// A1InvertedList ablates the sub-attribute inverted list: the full list
-// (any-depth links, one join) vs. direct-parent links only (recursive
-// level-by-level chase).
-func A1InvertedList(o Options) (*Table, error) {
-	t := &Table{
-		ID:      "A1",
-		Title:   "sub-attribute inverted list ON vs OFF (recursive fallback)",
-		Claim:   "§4: the inverted list lets containment queries avoid recursion",
-		Columns: []string{"depth", "inverted-list", "recursive", "speedup"},
-	}
-	cfg := workload.Default()
-	cfg.Docs = o.scale(300)
-	cfg.NestDepth = 6
-	cfg.ParamsPerAttr = 14
-	g := workload.New(cfg)
-	corpus := g.Corpus()
-
-	build := func(disable bool) (*catalog.Catalog, error) {
-		c, err := catalog.Open(g.Schema, catalog.Options{DisableInvertedList: disable})
-		if err != nil {
-			return nil, err
-		}
-		if err := g.RegisterDefinitions(c); err != nil {
-			return nil, err
-		}
-		for _, d := range corpus {
-			if _, err := c.Ingest("bench", d); err != nil {
-				return nil, err
-			}
-		}
-		return c, nil
-	}
-	withList, err := build(false)
-	if err != nil {
-		return nil, err
-	}
-	withoutList, err := build(true)
-	if err != nil {
-		return nil, err
-	}
-	for depth := 1; depth <= 6; depth++ {
-		qi := 0
-		on, err := median(o.runs(), func() error {
-			qi++
-			_, err := withList.Evaluate(g.NestedQuery(qi, qi, depth))
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		qi = 0
-		off, err := median(o.runs(), func() error {
-			qi++
-			_, err := withoutList.Evaluate(g.NestedQuery(qi, qi, depth))
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(depth, on, off, ratio(int64(off), int64(on)))
-	}
-	t.Notes = append(t.Notes, "expected shape: inverted list ~flat; recursive fallback grows with depth")
-	return t, nil
-}
-
 // A2ClobGranularity ablates CLOB granularity: per-attribute CLOBs
 // (hybrid) vs one whole-document CLOB, on selective retrieval and
 // storage.
@@ -173,7 +108,7 @@ func A3TypedColumns(o Options) (*Table, error) {
 		scan, err := median(o.runs(), func() error {
 			count := 0
 			elemT.Scan(func(_ int64, r relstore.Row) bool {
-				if f, perr := strconv.ParseFloat(r[5].S, 64); perr == nil && f < hi {
+				if f, perr := strconv.ParseFloat(r[3].S, 64); perr == nil && f < hi {
 					count++
 				}
 				return true

@@ -40,7 +40,7 @@ func TestFmtDuration(t *testing.T) {
 func TestRegistryAndUnknown(t *testing.T) {
 	// The paper's figures, claims and ablations, plus the two durability
 	// experiments no over-the-wire workload covers.
-	want := []string{"A1", "A2", "A3", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "F1", "F2", "F3", "F4", "R1", "R2"}
+	want := []string{"A2", "A3", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "F1", "F2", "F3", "F4", "R1", "R2"}
 	if ids := IDs(); strings.Join(ids, ",") != strings.Join(want, ",") {
 		t.Errorf("experiments = %v, want %v", ids, want)
 	}
@@ -93,7 +93,7 @@ func TestQuickExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiments still ingest corpora; skipped in -short")
 	}
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "A1", "A2", "A3"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "A2", "A3"} {
 		tab, err := Run(id, Options{Quick: true})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

@@ -236,7 +236,7 @@ func E5Storage(o Options) (*Table, error) {
 			c := st.(baseline.Adapter).C
 			var clobBytes int64
 			c.DB.MustTable(catalog.TClobs).Scan(func(_ int64, r relstore.Row) bool {
-				clobBytes += int64(len(r[5].S))
+				clobBytes += int64(len(r[3].S))
 				return true
 			})
 			t.AddRow("hybrid CLOB payload only", clobBytes, clobBytes/int64(cfg.Docs), ratio(clobBytes, rawBytes))

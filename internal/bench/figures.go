@@ -115,30 +115,31 @@ func F3Shred(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	clobT := c.DB.MustTable(catalog.TClobs)
-	clobT.Scan(func(_ int64, r relstore.Row) bool {
-		node := c.Schema.NodeByOrder(int(r[1].I))
+	// The figure's rows are the shredder's output: the catalog stores
+	// only the columns its reads use (DESIGN.md "Relational schema").
+	doc, err := xmldoc.ParseString(xmlschema.Figure3Document)
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.NewShredder(c.Schema, c.Reg).Shred(doc, core.Options{Owner: "scientist"})
+	if err != nil {
+		return nil, err
+	}
+	for _, cl := range res.Clobs {
 		attr := "unshredded"
-		if !r[3].IsNull() {
-			attr = c.Reg.AttrByID(r[3].I).Name
+		if cl.AttrID != 0 {
+			attr = c.Reg.AttrByID(cl.AttrID).Name
 		}
 		t.AddRow("clob", fmt.Sprintf("node %s (order %d) seq %d -> attribute %q, %d bytes",
-			node.Tag, r[1].I, r[2].I, attr, len(r[5].S)))
-		return true
-	})
-	elemT := c.DB.MustTable(catalog.TElemData)
-	elemT.Scan(func(_ int64, r relstore.Row) bool {
-		ed := c.Reg.ElemByID(r[3].I)
-		owner := c.Reg.AttrByID(r[1].I)
-		t.AddRow("element", fmt.Sprintf("%s.%s[%d] = %q", owner.Name, ed.Name, r[4].I, r[5].S))
-		return true
-	})
-	subT := c.DB.MustTable(catalog.TSubAttrs)
-	subT.Scan(func(_ int64, r relstore.Row) bool {
+			c.Schema.NodeByOrder(cl.NodeOrder).Tag, cl.NodeOrder, cl.ClobSeq, attr, len(cl.XML)))
+	}
+	for _, e := range res.Elems {
+		t.AddRow("element", fmt.Sprintf("%s.%s[%d] = %q", c.Reg.AttrByID(e.AttrID).Name, c.Reg.ElemByID(e.ElemID).Name, e.ElemSeq, e.Value))
+	}
+	for _, sa := range res.SubAttrs {
 		t.AddRow("inverted-list", fmt.Sprintf("%s -> %s (depth %d)",
-			c.Reg.AttrByID(r[1].I).Name, c.Reg.AttrByID(r[3].I).Name, r[5].I))
-		return true
-	})
+			c.Reg.AttrByID(sa.ChildAttrID).Name, c.Reg.AttrByID(sa.AncAttrID).Name, sa.Depth))
+	}
 	return t, nil
 }
 

@@ -24,7 +24,6 @@ var experiments = map[string]Experiment{
 	"E5": {"E5", "storage per approach", E5Storage},
 	"E6": {"E6", "dynamic attribute ingest and validation", E6DynamicAttrs},
 	"E7": {"E7", "ordering maintenance on insert", E7OrderingUpdate},
-	"A1": {"A1", "ablation: inverted list", A1InvertedList},
 	"A2": {"A2", "ablation: CLOB granularity", A2ClobGranularity},
 	"A3": {"A3", "ablation: typed columns", A3TypedColumns},
 	"R1": {"R1", "WAL durability: ingest overhead and recovery time", R1Durability},

@@ -28,10 +28,10 @@ func domIDs(schema *xmlschema.Schema, docs []*xmldoc.Node, q *catalog.Query) []i
 // registered and ingests the Figure 3 document plus dx variants, so
 // range and inequality predicates discriminate. It returns the catalog
 // and the documents in object-ID order.
-func fig3Catalog(t *testing.T, opts catalog.Options) (*catalog.Catalog, []*xmldoc.Node) {
+func fig3Catalog(t *testing.T) (*catalog.Catalog, []*xmldoc.Node) {
 	t.Helper()
 	schema := xmlschema.MustLEAD()
-	c, err := catalog.Open(schema, opts)
+	c, err := catalog.Open(schema, catalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func nestedQuery(op relstore.CmpOp, v relstore.Value, dzmin int64) *catalog.Quer
 // asserting the Figure-4 pipeline returns exactly the object IDs the DOM
 // oracle admits.
 func TestBitmapMatchesDOMOperators(t *testing.T) {
-	c, docs := fig3Catalog(t, catalog.Options{})
+	c, docs := fig3Catalog(t)
 
 	dxQ := func(op relstore.CmpOp, v relstore.Value) *catalog.Query {
 		q := &catalog.Query{}
@@ -144,18 +144,5 @@ func TestBitmapMatchesDOMOperators(t *testing.T) {
 
 	if some := requireDOM(t, c, docs, queries); some < len(queries)/3 {
 		t.Fatalf("only %d/%d operator queries matched anything", some, len(queries))
-	}
-}
-
-// TestBitmapMatchesDOMAblation runs the recursive-rollup (A1, inverted
-// list disabled) variant against the DOM oracle, with one sub-criterion
-// every grid satisfies and one none does, so a rollup that ignored the
-// child would be caught.
-func TestBitmapMatchesDOMAblation(t *testing.T) {
-	c, docs := fig3Catalog(t, catalog.Options{DisableInvertedList: true})
-	hit := nestedQuery(relstore.OpLe, relstore.Int(2000), 100)
-	miss := nestedQuery(relstore.OpLe, relstore.Int(2000), 101)
-	if some := requireDOM(t, c, docs, []*catalog.Query{hit, miss}); some != 1 {
-		t.Fatalf("ablation: %d/2 queries matched anything, want exactly the dzmin=100 one", some)
 	}
 }

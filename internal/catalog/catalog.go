@@ -36,10 +36,6 @@ type Options struct {
 	// Lenient ignores unknown structural elements instead of rejecting
 	// the document.
 	Lenient bool
-	// DisableInvertedList drops sub-attribute inverted-list maintenance
-	// and forces queries onto a recursive fallback; for the A1 ablation
-	// only.
-	DisableInvertedList bool
 	// CacheSize bounds each read-cache layer (evaluate, postings,
 	// response) in entries. 0 uses DefaultCacheSize; negative disables
 	// caching entirely: every evaluation and response build recomputes
@@ -156,6 +152,11 @@ func (c *Catalog) createTables() error {
 		name string
 		cols []relstore.Column
 	}
+	// The data tables store only the columns some read uses: the
+	// indexes' keys, the sibling counters AddAttribute reads, and a
+	// CLOB's order, sequence and text for §5. Figure 3's full rows (an element's owning definition and local
+	// order, an inverted-list entry's depth, a CLOB's attribute) are the
+	// shredder's output, core.ShredResult, and are not stored.
 	tables := []tdef{
 		{TObjects, []relstore.Column{
 			col("object_id", relstore.KInt, true),
@@ -168,14 +169,11 @@ func (c *Catalog) createTables() error {
 			col("object_id", relstore.KInt, true),
 			col("attr_id", relstore.KInt, true),
 			col("seq_id", relstore.KInt, true),
-			col("clob_seq", relstore.KInt, false),
 		}},
 		{TElemData, []relstore.Column{
 			col("object_id", relstore.KInt, true),
-			col("attr_id", relstore.KInt, true),
 			col("seq_id", relstore.KInt, true),
 			col("elem_id", relstore.KInt, true),
-			col("elem_seq", relstore.KInt, true),
 			col("sval", relstore.KString, false),
 			col("nval", relstore.KFloat, false),
 		}},
@@ -185,14 +183,11 @@ func (c *Catalog) createTables() error {
 			col("child_seq", relstore.KInt, true),
 			col("anc_attr_id", relstore.KInt, true),
 			col("anc_seq", relstore.KInt, true),
-			col("depth", relstore.KInt, true),
 		}},
 		{TClobs, []relstore.Column{
 			col("object_id", relstore.KInt, true),
 			col("node_order", relstore.KInt, true),
 			col("clob_seq", relstore.KInt, true),
-			col("attr_id", relstore.KInt, false),
-			col("seq_id", relstore.KInt, false),
 			col("clob", relstore.KString, true),
 		}},
 	}
@@ -343,7 +338,7 @@ func (c *Catalog) insertShred(id int64, res *core.ShredResult) error {
 	oid := relstore.Int(id)
 	attrT := c.wtab(TAttrData)
 	for _, a := range res.Attrs {
-		if _, err := attrT.Insert(relstore.Row{oid, relstore.Int(a.AttrID), relstore.Int(int64(a.Seq)), relstore.Null()}); err != nil {
+		if _, err := attrT.Insert(relstore.Row{oid, relstore.Int(a.AttrID), relstore.Int(int64(a.Seq))}); err != nil {
 			return err
 		}
 	}
@@ -354,9 +349,7 @@ func (c *Catalog) insertShred(id int64, res *core.ShredResult) error {
 			nval = relstore.Float(e.Num)
 		}
 		_, err := elemT.Insert(relstore.Row{
-			oid, relstore.Int(e.AttrID), relstore.Int(int64(e.AttrSeq)),
-			relstore.Int(e.ElemID), relstore.Int(int64(e.ElemSeq)),
-			relstore.Str(e.Value), nval,
+			oid, relstore.Int(int64(e.AttrSeq)), relstore.Int(e.ElemID), relstore.Str(e.Value), nval,
 		})
 		if err != nil {
 			return err
@@ -364,15 +357,9 @@ func (c *Catalog) insertShred(id int64, res *core.ShredResult) error {
 	}
 	subT := c.wtab(TSubAttrs)
 	for _, sa := range res.SubAttrs {
-		// With the inverted list disabled (A1 ablation) only direct-parent
-		// links are kept; queries then chase parents recursively.
-		if c.opts.DisableInvertedList && sa.Depth != 1 {
-			continue
-		}
 		_, err := subT.Insert(relstore.Row{
 			oid, relstore.Int(sa.ChildAttrID), relstore.Int(int64(sa.ChildSeq)),
 			relstore.Int(sa.AncAttrID), relstore.Int(int64(sa.AncSeq)),
-			relstore.Int(int64(sa.Depth)),
 		})
 		if err != nil {
 			return err
@@ -380,15 +367,8 @@ func (c *Catalog) insertShred(id int64, res *core.ShredResult) error {
 	}
 	clobT := c.wtab(TClobs)
 	for _, cl := range res.Clobs {
-		attrID := relstore.Null()
-		seq := relstore.Null()
-		if cl.AttrID != 0 {
-			attrID = relstore.Int(cl.AttrID)
-			seq = relstore.Int(int64(cl.AttrSeq))
-		}
 		_, err := clobT.Insert(relstore.Row{
-			oid, relstore.Int(int64(cl.NodeOrder)), relstore.Int(int64(cl.ClobSeq)),
-			attrID, seq, relstore.Str(cl.XML),
+			oid, relstore.Int(int64(cl.NodeOrder)), relstore.Int(int64(cl.ClobSeq)), relstore.Str(cl.XML),
 		})
 		if err != nil {
 			return err

@@ -75,7 +75,6 @@ func TestOptionsSurfacePinned(t *testing.T) {
 	pinFields(t, Options{},
 		"AutoRegister bool",
 		"Lenient bool",
-		"DisableInvertedList bool",
 		"CacheSize int",
 		"Metrics *obs.Registry",
 	)
@@ -345,7 +344,7 @@ func TestBuildResponseRejectsUnknownNodeOrder(t *testing.T) {
 	// order, so none would journal one.
 	if err := c.withTx(func() error {
 		_, err := c.wtab(TClobs).Insert(relstore.Row{
-			relstore.Int(id), relstore.Int(bad), relstore.Int(1), relstore.Null(), relstore.Null(), relstore.Str("<x/>"),
+			relstore.Int(id), relstore.Int(bad), relstore.Int(1), relstore.Str("<x/>"),
 		})
 		return err
 	}); err != nil {
@@ -428,75 +427,65 @@ func TestUnmatchedDynamicAttrStaysClobOnlyButFetchable(t *testing.T) {
 }
 
 func TestDeepSubAttributeQueryAndAblation(t *testing.T) {
-	run := func(opts Options) {
-		c := newLEADCatalog(t, opts)
-		grid := c.Reg.LookupAttr("grid", "ARPS", 0, "")
-		gs := c.Reg.LookupAttr("grid-stretching", "ARPS", grid.ID, "")
-		lvl3, err := c.RegisterAttr("level3", "ARPS", gs.ID, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.RegisterElem("deep", "ARPS", lvl3.ID, core.DTInt, ""); err != nil {
-			t.Fatal(err)
-		}
-		xml := `<LEADresource><resourceID>r</resourceID><data><geospatial><eainfo>
-		  <detailed>
-		    <enttyp><enttypl>grid</enttypl><enttypds>ARPS</enttypds></enttyp>
-		    <attr><attrlabl>grid-stretching</attrlabl><attrdefs>ARPS</attrdefs>
-		      <attr><attrlabl>level3</attrlabl><attrdefs>ARPS</attrdefs>
-		        <attr><attrlabl>deep</attrlabl><attrdefs>ARPS</attrdefs><attrv>7</attrv></attr>
-		      </attr>
-		    </attr>
-		  </detailed>
-		</eainfo></geospatial></data></LEADresource>`
-		id, err := c.IngestXML("u", xml)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Three-level nested criteria.
-		q := &Query{}
-		g := q.Attr("grid", "ARPS")
-		s := &AttrCriteria{Name: "grid-stretching", Source: "ARPS"}
-		l := &AttrCriteria{Name: "level3", Source: "ARPS"}
-		l.AddElem("deep", "ARPS", relstore.OpEq, relstore.Int(7))
-		s.AddSub(l)
-		g.AddSub(s)
-		ids, err := c.Evaluate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ids) != 1 || ids[0] != id {
-			t.Fatalf("opts %+v: deep query = %v", opts, ids)
-		}
-		// Skipping the middle level also matches: containment is
-		// any-depth via the inverted list.
-		if !opts.DisableInvertedList {
-			q = &Query{}
-			g = q.Attr("grid", "ARPS")
-			l = &AttrCriteria{Name: "level3", Source: "ARPS"}
-			l.Elems = nil
-			g.AddSub(l)
-			// level3's parent in the registry is grid-stretching, so the
-			// criteria tree must follow registry identity; resolving
-			// level3 directly under grid fails by definition.
-			if _, err := c.Evaluate(q); !errors.Is(err, ErrUnknownDefinition) {
-				t.Errorf("level3 under grid should be unknown, got %v", err)
-			}
-		}
-		// Wrong deep value does not match.
-		q = &Query{}
-		g = q.Attr("grid", "ARPS")
-		s = &AttrCriteria{Name: "grid-stretching", Source: "ARPS"}
-		l = &AttrCriteria{Name: "level3", Source: "ARPS"}
-		l.AddElem("deep", "ARPS", relstore.OpEq, relstore.Int(8))
-		s.AddSub(l)
-		g.AddSub(s)
-		if ids, _ := c.Evaluate(q); len(ids) != 0 {
-			t.Errorf("opts %+v: wrong value matched %v", opts, ids)
-		}
+	c := newLEADCatalog(t, Options{})
+	grid := c.Reg.LookupAttr("grid", "ARPS", 0, "")
+	gs := c.Reg.LookupAttr("grid-stretching", "ARPS", grid.ID, "")
+	lvl3, err := c.RegisterAttr("level3", "ARPS", gs.ID, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	run(Options{})
-	run(Options{DisableInvertedList: true})
+	if _, err := c.RegisterElem("deep", "ARPS", lvl3.ID, core.DTInt, ""); err != nil {
+		t.Fatal(err)
+	}
+	xml := `<LEADresource><resourceID>r</resourceID><data><geospatial><eainfo>
+	  <detailed>
+	    <enttyp><enttypl>grid</enttypl><enttypds>ARPS</enttypds></enttyp>
+	    <attr><attrlabl>grid-stretching</attrlabl><attrdefs>ARPS</attrdefs>
+	      <attr><attrlabl>level3</attrlabl><attrdefs>ARPS</attrdefs>
+	        <attr><attrlabl>deep</attrlabl><attrdefs>ARPS</attrdefs><attrv>7</attrv></attr>
+	      </attr>
+	    </attr>
+	  </detailed>
+	</eainfo></geospatial></data></LEADresource>`
+	id, err := c.IngestXML("u", xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three-level nested criteria.
+	q := &Query{}
+	g := q.Attr("grid", "ARPS")
+	s := &AttrCriteria{Name: "grid-stretching", Source: "ARPS"}
+	l := &AttrCriteria{Name: "level3", Source: "ARPS"}
+	l.AddElem("deep", "ARPS", relstore.OpEq, relstore.Int(7))
+	s.AddSub(l)
+	g.AddSub(s)
+	ids, err := c.Evaluate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 1 || ids[0] != id {
+		t.Fatalf("deep query = %v", ids)
+	}
+	// Skipping the middle level does not resolve: level3's parent in the
+	// registry is grid-stretching, so the criteria tree must follow
+	// registry identity, and level3 directly under grid is unknown.
+	q = &Query{}
+	g = q.Attr("grid", "ARPS")
+	g.AddSub(&AttrCriteria{Name: "level3", Source: "ARPS"})
+	if _, err := c.Evaluate(q); !errors.Is(err, ErrUnknownDefinition) {
+		t.Errorf("level3 under grid should be unknown, got %v", err)
+	}
+	// Wrong deep value does not match.
+	q = &Query{}
+	g = q.Attr("grid", "ARPS")
+	s = &AttrCriteria{Name: "grid-stretching", Source: "ARPS"}
+	l = &AttrCriteria{Name: "level3", Source: "ARPS"}
+	l.AddElem("deep", "ARPS", relstore.OpEq, relstore.Int(8))
+	s.AddSub(l)
+	g.AddSub(s)
+	if ids, _ := c.Evaluate(q); len(ids) != 0 {
+		t.Errorf("wrong value matched %v", ids)
+	}
 }
 
 func TestMultiInstanceSubAttributeContainment(t *testing.T) {

@@ -1,15 +1,17 @@
 package catalog
 
 import (
+	"maps"
 	"testing"
 
 	"github.com/gridmeta/hybridcat/internal/textindex"
 	"github.com/gridmeta/hybridcat/internal/xmldoc"
 )
 
-// Hooks for the external suites — ranked retrieval (rank_test.go) and
-// the tree round trip (tree_replay_test.go), which import
-// internal/workload, and the response-cache oracle
+// Hooks for the external suites — ranked retrieval (rank_test.go), the
+// tree round trip (tree_replay_test.go) and the rollup chase
+// (rollup_test.go), which import internal/workload, and the
+// response-cache oracle
 // (response_oracle_test.go), which imports internal/shard — that cannot
 // live in this package.
 
@@ -61,4 +63,66 @@ func (c *Catalog) PinResponses() func(ids []int64) (served []Response, fresh map
 		}
 		return served, fresh, nil
 	}
+}
+
+// RollupStages pins a view, compiles q and runs its probe stage, and
+// returns two runs of the rollup stage over those probe sets, each
+// giving every criterion's set afterwards: one through rollupSet, one
+// through chaseRollupSet.
+func (c *Catalog) RollupStages(q *Query) (rollup, chase func() (map[int][]uint64, error), err error) {
+	v := c.pinView()
+	p, err := v.compile(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	probed, err := v.probeStage(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	stage := func(roll func(*view, *qNode, map[int][]uint64) ([]uint64, error)) func() (map[int][]uint64, error) {
+		return func() (map[int][]uint64, error) {
+			sets := maps.Clone(probed)
+			for _, rn := range p.rollups {
+				s, err := roll(v, rn.q, sets)
+				if err != nil {
+					return nil, err
+				}
+				sets[rn.q.id] = s
+			}
+			return sets, nil
+		}
+	}
+	return stage((*view).rollupSet), stage((*view).chaseRollupSet), nil
+}
+
+// chaseRollupSet is the rollup of a design that stores only depth-1
+// parent links (the edge-table approach, §6): each child's cover set is
+// found by chasing parents level by level up to the root, one join of
+// the frontier against the (definition, parent definition) links per
+// level. A definition's parent is fixed in the registry, so the
+// inverted list's (child, parent) prefixes hold exactly those links.
+func (v *view) chaseRollupSet(n *qNode, sets map[int][]uint64) ([]uint64, error) {
+	subT := v.tab(TSubAttrs)
+	covers := make([][]uint64, 0, len(n.children)+1)
+	for _, child := range n.children {
+		var cover []uint64
+		frontier := sets[child.id]
+		for def := child.def; def.ParentID != 0 && len(frontier) > 0; {
+			parent := v.reg.AttrByID(def.ParentID)
+			if parent == nil {
+				break
+			}
+			next, err := coverSet(subT, def.ID, parent.ID, frontier)
+			if err != nil {
+				return nil, err
+			}
+			if parent.ID == n.def.ID {
+				cover = next
+			}
+			frontier, def = next, parent
+		}
+		covers = append(covers, cover)
+	}
+	covers = append(covers, sets[n.id])
+	return andAscending(covers), nil
 }

@@ -141,13 +141,8 @@ func andAscending(sets [][]uint64) []uint64 {
 // cover set holds the ancestor instance keys of the inverted-list
 // entries under the (child, n) definition pair whose child instance is
 // in the child's set, and the covers AND against n's own set
-// shortest-first. With the inverted list disabled (A1 ablation) it
-// chases depth-1 parent links recursively instead, so the ablation
-// contrasts like with like.
+// shortest-first.
 func (v *view) rollupSet(n *qNode, sets map[int][]uint64) ([]uint64, error) {
-	if v.c.opts.DisableInvertedList {
-		return v.recursiveRollupSet(n, sets)
-	}
 	subT := v.tab(TSubAttrs)
 	covers := make([][]uint64, 0, len(n.children)+1)
 	for _, child := range n.children {
@@ -190,35 +185,4 @@ func coverSet(subT *relstore.Table, child, anc int64, childSet []uint64) ([]uint
 		return nil, err
 	}
 	return sortedKeys(cover), nil
-}
-
-// recursiveRollupSet is the A1 ablation's rollup: with only depth-1
-// links stored, each child's cover set is found by chasing parents
-// level by level up to the root, one self-join of the frontier against
-// the (definition, parent definition) links per level — the per-level
-// joins that hinder the edge-table approach (§6).
-func (v *view) recursiveRollupSet(n *qNode, sets map[int][]uint64) ([]uint64, error) {
-	subT := v.tab(TSubAttrs)
-	covers := make([][]uint64, 0, len(n.children)+1)
-	for _, child := range n.children {
-		var cover []uint64
-		frontier := sets[child.id]
-		for def := child.def; def.ParentID != 0 && len(frontier) > 0; {
-			parent := v.reg.AttrByID(def.ParentID)
-			if parent == nil {
-				break
-			}
-			next, err := coverSet(subT, def.ID, parent.ID, frontier)
-			if err != nil {
-				return nil, err
-			}
-			if parent.ID == n.def.ID {
-				cover = next
-			}
-			frontier, def = next, parent
-		}
-		covers = append(covers, cover)
-	}
-	covers = append(covers, sets[n.id])
-	return andAscending(covers), nil
 }

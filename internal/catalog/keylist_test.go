@@ -68,7 +68,7 @@ func TestSeqBoundMatchesInstKey(t *testing.T) {
 	// A direct row write (no mutation API journals one; see withTx).
 	if err := c.withTx(func() error {
 		_, err := c.wtab(TAttrData).Insert(relstore.Row{
-			relstore.Int(id), relstore.Int(theme.ID), relstore.Int(instSeqMask - 1), relstore.Null(),
+			relstore.Int(id), relstore.Int(theme.ID), relstore.Int(instSeqMask - 1),
 		})
 		return err
 	}); err != nil {

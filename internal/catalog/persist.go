@@ -60,6 +60,22 @@ const (
 // definitions travel in its header.
 var dataTables = []string{TObjects, TAttrData, TElemData, TSubAttrs, TClobs, TCollections, TMembers}
 
+// parentLayouts maps each data table whose columns changed to its
+// previous layout: the width of a row written under it and the
+// positions of the columns the table still stores, ascending. Load
+// projects a row of that width onto those positions, so a snapshot an
+// older build wrote still loads; the row codec is unchanged, so the
+// container magic is too.
+var parentLayouts = map[string]struct {
+	width int
+	keep  []int
+}{
+	TAttrData: {4, []int{0, 1, 2}},       // drops clob_seq
+	TElemData: {7, []int{0, 2, 3, 5, 6}}, // drops attr_id, elem_seq
+	TSubAttrs: {6, []int{0, 1, 2, 3, 4}}, // drops depth
+	TClobs:    {6, []int{0, 1, 2, 5}},    // drops attr_id, seq_id
+}
+
 // snapshot is the container's header: everything but the data rows.
 type snapshot struct {
 	Version    int
@@ -257,6 +273,7 @@ func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog
 		var row relstore.Row
 		for _, name := range dataTables {
 			t := c.wtab(name)
+			parent, migrates := parentLayouts[name]
 			n, k := binary.Uvarint(rows)
 			if k <= 0 || n > uint64(len(rows)-k) {
 				return fmt.Errorf("catalog: corrupt snapshot: bad %s row count", name)
@@ -266,6 +283,12 @@ func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog
 				var err error
 				if row, rows, err = relstore.ReadRow(row, rows); err != nil {
 					return fmt.Errorf("catalog: corrupt snapshot: %s: %w", name, err)
+				}
+				if migrates && len(row) == parent.width {
+					for i, p := range parent.keep {
+						row[i] = row[p]
+					}
+					row = row[:len(parent.keep)]
 				}
 				if _, err := t.Insert(row); err != nil {
 					return fmt.Errorf("catalog: restoring %s: %w", name, err)

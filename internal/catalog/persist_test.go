@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -148,5 +149,62 @@ func TestUserPrivateDefsSurviveSnapshot(t *testing.T) {
 	}
 	if loaded.Reg.LookupAttr("tuning", "WRF", 0, "bob") != nil {
 		t.Error("private def leaked to other users after load")
+	}
+}
+
+// TestTableLayoutPinned pins the data tables' columns, in order, so a
+// column without a reader cannot come back unnoticed (DESIGN.md
+// "Relational schema"), and requires Load to refuse, with an error, a
+// snapshot row whose width is neither its table's nor the table's
+// parent layout's.
+func TestTableLayoutPinned(t *testing.T) {
+	c := newLEADCatalog(t, Options{})
+	want := map[string]string{
+		TAttrData: "object_id attr_id seq_id",
+		TElemData: "object_id seq_id elem_id sval nval",
+		TSubAttrs: "object_id child_attr_id child_seq anc_attr_id anc_seq",
+		TClobs:    "object_id node_order clob_seq clob",
+	}
+	for name, cols := range want {
+		var got []string
+		for _, col := range c.DB.MustTable(name).Schema.Columns {
+			got = append(got, col.Name)
+		}
+		if g := strings.Join(got, " "); g != cols {
+			t.Errorf("%s columns %q, want %q", name, g, cols)
+		}
+	}
+	for name, parent := range parentLayouts {
+		// A snapshot whose table name holds one row a column wider than
+		// the parent layout.
+		width := parent.width + 1
+		db := relstore.NewDatabase()
+		for _, tn := range dataTables {
+			cols := c.DB.MustTable(tn).Schema.Columns
+			if tn == name {
+				cols = make([]relstore.Column, width)
+				for i := range cols {
+					cols[i] = col(fmt.Sprintf("c%d", i), relstore.KInt, true)
+				}
+			}
+			if _, err := db.CreateTable(tn, cols...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		row := make(relstore.Row, width)
+		for i := range row {
+			row[i] = relstore.Int(1)
+		}
+		if _, err := db.MustTable(name).Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := writeSnapshot(c.Schema, pin{db: db.Snapshot()}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		msg := fmt.Sprintf("%s: row has %d values, want %d", name, width, len(strings.Fields(want[name])))
+		if _, err := Load(c.Schema, Options{}, &buf); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Errorf("Load of a %d-value %s row: err = %v, want %q", width, name, err, msg)
+		}
 	}
 }

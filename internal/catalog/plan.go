@@ -24,7 +24,6 @@ import (
 //	scan-all       every instance of the definition (no element criteria)
 //	scan           per-criterion AND over its element probes (stage 1+2)
 //	rollup         inverted-list containment rollup (stage 3)
-//	rollup-recursive  depth-1 parent chasing (A1 ablation)
 //	intersect      cross-criteria object AND + visibility (stage 4)
 //	rank           BM25 top-k over the text index (rank.go)
 //	page           offset/limit over the intersect order (EvaluatePage)
@@ -35,7 +34,6 @@ const (
 	opScanAll      = "scan-all"
 	opScan         = "scan"
 	opRollup       = "rollup"
-	opRollupRec    = "rollup-recursive"
 	opIntersect    = "intersect"
 	opRank         = "rank"
 	opPage         = "page"
@@ -123,16 +121,12 @@ func (v *view) compile(q *Query) (*queryPlan, error) {
 		p.scans = append(p.scans, sc)
 		nodeOf[n.id] = sc
 	}
-	rollOp := opRollup
-	if v.c.opts.DisableInvertedList {
-		rollOp = opRollupRec
-	}
 	for i := len(all) - 1; i >= 0; i-- {
 		n := all[i]
 		if len(n.children) == 0 {
 			continue
 		}
-		rn := &planNode{op: rollOp, q: n, children: []*planNode{nodeOf[n.id]}}
+		rn := &planNode{op: opRollup, q: n, children: []*planNode{nodeOf[n.id]}}
 		for _, ch := range n.children {
 			rn.children = append(rn.children, nodeOf[ch.id])
 		}
@@ -242,7 +236,7 @@ func renderPlanNode(b *strings.Builder, pn *planNode) {
 			b.WriteString(c.op)
 		}
 		b.WriteByte(']')
-	case opRollup, opRollupRec:
+	case opRollup:
 		fmt.Fprintf(b, "%s#%d(", pn.op, pn.q.id)
 		for i, c := range pn.children {
 			if i > 0 {

@@ -64,7 +64,7 @@ const textDiffPageDivisor = 4
 // of every attribute instance, credited to its object.
 const (
 	elemColObject = 0
-	elemColSval   = 5
+	elemColSval   = 3
 )
 
 // textIndexAt returns the text index for the view's pinned epoch. When

@@ -233,7 +233,7 @@ func (v *view) buildResponseChunk(ids []int64) (map[int64]*builtDoc, error) {
 				b.WriteByte('>')
 				open = append(open, n)
 			}
-			b.WriteString(r[5].S)
+			b.WriteString(r[3].S)
 		}
 		for i := len(open) - 1; i >= 0; i-- {
 			writeClose(&b, open[i].Tag)

@@ -151,7 +151,7 @@ func TestFetchStatusCorruptCLOB(t *testing.T) {
 	}
 	bad := int64(len(cat.Schema.Ordered) + 1)
 	if _, err := cat.DB.MustTable(catalog.TClobs).Insert(relstore.Row{
-		relstore.Int(id), relstore.Int(bad), relstore.Int(1), relstore.Null(), relstore.Null(), relstore.Str("<x/>"),
+		relstore.Int(id), relstore.Int(bad), relstore.Int(1), relstore.Str("<x/>"),
 	}); err != nil {
 		t.Fatal(err)
 	}
