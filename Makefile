@@ -43,10 +43,14 @@ crash:
 # across aborts and staged-chain resets, and the two codecs that decode
 # bytes from other processes: snapshots' row codec and the logical log
 # record codec — plus an HCSNAP03 snapshot an older build wrote, which
-# must still load, and the pinned Value size and kind numbers (DESIGN.md
-# "MVCC snapshots and the lock-free read path", "Record format").
+# must still load, the pinned Value size and kind numbers, and the
+# bottom-up index build a snapshot load runs: bulk-built indexes equal
+# inserted ones, a duplicate in a unique index publishes nothing, each
+# loaded row counts as a write, and the B-tree versions fuzz target
+# started from a bulk-built tree (DESIGN.md "MVCC snapshots and the
+# lock-free read path", "Record format", "Durability and recovery").
 mvcc:
-	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints|PostFsyncPreAck|AckDoesNotWait|ParentSnapshotLoads|ValueLayoutPinned' -count=1 ./internal/relstore/ ./internal/catalog/
+	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints|PostFsyncPreAck|AckDoesNotWait|ParentSnapshotLoads|ValueLayoutPinned|BulkBuild|BulkLoad|FuzzBtreeVersionsFromBulk' -count=1 ./internal/relstore/ ./internal/catalog/
 	$(GO) test -race -run 'Fuzz' -count=1 ./internal/catalog/ ./internal/baseline/ ./internal/relstore/
 
 # Posting-list verification under the race detector: the key-list
@@ -143,9 +147,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # In-process heap census: live heap bytes and relstore values per
-# document after ingesting W1's corpus shape (BenchmarkIngestHeapPerDoc).
+# document after ingesting W1's corpus shape (BenchmarkIngestHeapPerDoc),
+# and the load time and live heap per document of a snapshot of that
+# shape at 1 536 and 15 360 documents (BenchmarkSnapshotLoad).
 heap:
-	$(GO) test -run=XXX -bench=IngestHeapPerDoc -benchtime=1x .
+	$(GO) test -run=XXX -bench='IngestHeapPerDoc|SnapshotLoad' -benchtime=1x .
 
 # Printable tables for every figure reproduction, claim, ablation and
 # durability experiment.

@@ -441,6 +441,14 @@ func BenchmarkIngestDurableWriters(b *testing.B) {
 	b.ReportMetric(float64(cpuTime()-cpu)/float64(time.Millisecond)/n, "cpu-ms/doc")
 }
 
+// heapAlloc returns the live heap: HeapAlloc right after a collection.
+func heapAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // BenchmarkIngestHeapPerDoc is an in-process heap census of ingest: the
 // live heap a catalog holds per document of W1's shape (1 536
 // documents), measured as HeapAlloc after runtime.GC before and after
@@ -450,12 +458,6 @@ func BenchmarkIngestDurableWriters(b *testing.B) {
 func BenchmarkIngestHeapPerDoc(b *testing.B) {
 	g := workload.New(w1Shape(1536))
 	docs := g.Config().Docs
-	heapAlloc := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	var heap, values float64
 	for i := 0; i < b.N; i++ {
 		before := heapAlloc()
@@ -484,6 +486,61 @@ func BenchmarkIngestHeapPerDoc(b *testing.B) {
 	}
 	b.ReportMetric(heap/float64(docs), "heap-B/doc")
 	b.ReportMetric(values/float64(docs), "values/doc")
+}
+
+// BenchmarkSnapshotLoad prices loading a checkpoint in process, the
+// first step of mdserver recovery, follower bootstrap and rebalance
+// bootstrap: a catalog of W1's shape (1 536 and 15 360 documents) is
+// saved once, and each iteration Loads it from memory. load-us/doc is
+// the Load time a document; heap-B/doc is the live heap (HeapAlloc
+// after runtime.GC) the loaded catalog holds a document. -short runs
+// the smaller size only.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	for _, docs := range []int{1536, 15360} {
+		b.Run(fmt.Sprintf("docs=%d", docs), func(b *testing.B) {
+			if docs > 1536 && testing.Short() {
+				b.Skip("-short runs the 1 536-document size only")
+			}
+			g := workload.New(w1Shape(docs))
+			snap := func() []byte {
+				cat, err := hybridcat.Open(g.Schema, hybridcat.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := g.RegisterDefinitions(cat); err != nil {
+					b.Fatal(err)
+				}
+				for d := 0; d < docs; d++ {
+					if _, err := cat.Ingest("bench", g.Document(d)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var buf bytes.Buffer
+				if err := cat.Save(&buf); err != nil {
+					b.Fatal(err)
+				}
+				return buf.Bytes()
+			}()
+			var heap float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				before := heapAlloc()
+				b.StartTimer()
+				cat, err := hybridcat.LoadCatalog(g.Schema, hybridcat.Options{}, bytes.NewReader(snap))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				heap = float64(heapAlloc()) - float64(before)
+				runtime.KeepAlive(cat)
+				b.StartTimer()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*docs), "load-us/doc")
+			b.ReportMetric(heap/float64(docs), "heap-B/doc")
+		})
+	}
 }
 
 // BenchmarkContextQuery measures containment-scoped evaluation.

@@ -41,15 +41,76 @@ func instKey(object, seq int64) (uint64, error) {
 	return uint64(object)<<instSeqBits | uint64(seq), nil
 }
 
-// sortedKeys turns the keys an index walk appended into a key list in
-// place. One equality range already arrives in (object, seq) order;
-// several ranges, range scans over values, and cover sets do not, and
-// may repeat a key.
+// maxMergeRuns bounds the ascending runs sortedKeys merges; a list
+// arriving in more runs than this is sorted instead.
+const maxMergeRuns = 64
+
+// sortedKeys turns the keys an index walk appended into a key list. One
+// equality range arrives in (object, seq) order; a range over values
+// arrives as one ascending run per distinct value (W1's parameters take
+// 50), and several ranges or a cover set as several runs, which may
+// repeat a key. Up to maxMergeRuns runs are merged pairwise, which reads
+// each key once a round and uses the order the index walk already
+// produced; more are sorted. The result is ks or a new list.
 func sortedKeys(ks []uint64) []uint64 {
-	if !slices.IsSorted(ks) {
-		slices.Sort(ks)
+	var starts [maxMergeRuns]int
+	runs := starts[:1]
+	for i := 1; i < len(ks); i++ {
+		if ks[i] < ks[i-1] {
+			if len(runs) == maxMergeRuns {
+				slices.Sort(ks)
+				return slices.Compact(ks)
+			}
+			runs = append(runs, i)
+		}
+	}
+	if len(runs) > 1 {
+		ks = mergeRuns(ks, runs)
 	}
 	return slices.Compact(ks)
+}
+
+// mergeRuns sorts ks, made of ascending runs beginning at runs, by
+// merging neighbouring runs until one is left, moving the keys between
+// ks and one scratch list of the same length. It returns the list the
+// keys ended in and rewrites runs.
+func mergeRuns(ks []uint64, runs []int) []uint64 {
+	src, dst := ks, make([]uint64, len(ks))
+	for len(runs) > 1 {
+		next := runs[:0]
+		for r := 0; r < len(runs); r += 2 {
+			lo, mid, hi := runs[r], len(src), len(src)
+			if r+1 < len(runs) {
+				mid = runs[r+1]
+			}
+			if r+2 < len(runs) {
+				hi = runs[r+2]
+			}
+			merge(dst[lo:hi], src[lo:mid], src[mid:hi])
+			next = append(next, lo)
+		}
+		runs = next
+		src, dst = dst, src
+	}
+	return src
+}
+
+// merge writes the ascending merge of a and b into out, which holds
+// exactly len(a)+len(b) keys.
+func merge(out, a, b []uint64) {
+	i, j, o := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j] < a[i] {
+			out[o] = b[j]
+			j++
+		} else {
+			out[o] = a[i]
+			i++
+		}
+		o++
+	}
+	o += copy(out[o:], a[i:])
+	copy(out[o:], b[j:])
 }
 
 // contains reports whether key is in the list.

@@ -259,6 +259,58 @@ func TestKeyListOpsAgainstOracle(t *testing.T) {
 	checkKeyAlgebra(t, append(rev, boundaryKeys...), boundaryKeys[3:])
 }
 
+// TestKeyListSortedKeysMergesRuns holds sortedKeys to slices.Sort and
+// slices.Compact on run-structured input, the shape a range over values
+// produces: one ascending run per value. It covers a single run, runs
+// sharing keys (a key repeated across runs and within one), runs of
+// one key, empty input, exactly maxMergeRuns runs (merged) and one more
+// (sorted).
+func TestKeyListSortedKeysMergesRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	runList := func(runs int) []uint64 {
+		var out []uint64
+		for r := 0; r < runs; r++ {
+			run := make([]uint64, rng.Intn(12))
+			for i := range run {
+				run[i] = randomKey(rng)
+			}
+			slices.Sort(run) // duplicates within a run stay
+			out = append(out, run...)
+		}
+		return out
+	}
+	cases := [][]uint64{
+		nil,
+		{7},
+		{1, 2, 2, 3, 9},       // one run
+		{5, 6, 7, 1, 2, 3},    // two disjoint runs
+		{1, 4, 9, 1, 4, 9},    // the same run twice
+		{3, 2, 1},             // three runs of one key
+		{2, 2, 1, 1, 3, 0, 0}, // duplicates within and across runs
+	}
+	for _, runs := range []int{1, 2, 3, 5, 17, 50, maxMergeRuns - 1, maxMergeRuns, maxMergeRuns + 1, 200} {
+		for trial := 0; trial < 20; trial++ {
+			cases = append(cases, runList(runs))
+		}
+	}
+	// Exactly maxMergeRuns runs and one more, each run one key.
+	for _, n := range []int{maxMergeRuns, maxMergeRuns + 1} {
+		desc := make([]uint64, n)
+		for i := range desc {
+			desc[i] = uint64(n - i)
+		}
+		cases = append(cases, desc)
+	}
+	for i, in := range cases {
+		want := slices.Clone(in)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if got := sortedKeys(slices.Clone(in)); !slices.Equal(got, want) {
+			t.Fatalf("case %d (%d keys): sortedKeys = %v, want %v", i, len(in), got, want)
+		}
+	}
+}
+
 func TestKeyListNilAndEmpty(t *testing.T) {
 	one := []uint64{42}
 	for _, s := range [][]uint64{nil, {}} {

@@ -19,8 +19,9 @@ import (
 // Snapshot persistence: Save serializes the catalog's definitions and
 // data rows; Load rebuilds a catalog over the same schema. The schema
 // itself is code (or DSL) and travels separately — Load verifies the
-// provided schema matches by name and ordering signature, then replays
-// the rows through the normal insert path so all indexes rebuild.
+// provided schema matches by name and ordering signature, then fills
+// each table in row-ID order and builds its indexes bottom-up from their
+// sorted entries (relstore.Table.BulkLoad).
 //
 // On-disk container (version 3):
 //
@@ -264,25 +265,25 @@ func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog
 	}
 	c.marks = c.Reg.Snapshot().Marks()
 	// The whole restore runs as one relstore transaction: one published
-	// version, not a copy-on-write commit per restored row.
+	// version. Each table is filled in row-ID order and its indexes are
+	// built bottom-up from sorted entries (relstore.Table.BulkLoad). Each
+	// row decodes into the same scratch row, which BulkLoad copies: a
+	// fresh one per row would leave a garbage row between live ones and
+	// fragment the heap.
 	err = c.withTx(func() error {
-		// Replay data rows through the normal insert path, as they decode,
-		// so every index rebuilds. Insert stores a copy, so each row is
-		// decoded into the same scratch row: a fresh one per row would
-		// leave a garbage row between live ones and fragment the heap.
 		var row relstore.Row
 		for _, name := range dataTables {
-			t := c.wtab(name)
 			parent, migrates := parentLayouts[name]
 			n, k := binary.Uvarint(rows)
 			if k <= 0 || n > uint64(len(rows)-k) {
 				return fmt.Errorf("catalog: corrupt snapshot: bad %s row count", name)
 			}
 			rows = rows[k:]
-			for ; n > 0; n-- {
-				var err error
-				if row, rows, err = relstore.ReadRow(row, rows); err != nil {
-					return fmt.Errorf("catalog: corrupt snapshot: %s: %w", name, err)
+			var corrupt error
+			err := c.wtab(name).BulkLoad(int(n), func() (relstore.Row, error) {
+				if row, rows, corrupt = relstore.ReadRow(row, rows); corrupt != nil {
+					corrupt = fmt.Errorf("catalog: corrupt snapshot: %s: %w", name, corrupt)
+					return nil, corrupt
 				}
 				if migrates && len(row) == parent.width {
 					for i, p := range parent.keep {
@@ -290,9 +291,13 @@ func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog
 					}
 					row = row[:len(parent.keep)]
 				}
-				if _, err := t.Insert(row); err != nil {
-					return fmt.Errorf("catalog: restoring %s: %w", name, err)
-				}
+				return row, nil
+			})
+			if corrupt != nil {
+				return corrupt
+			}
+			if err != nil {
+				return fmt.Errorf("catalog: restoring %s: %w", name, err)
 			}
 		}
 		if len(rows) != 0 {

@@ -79,10 +79,6 @@ type bnode struct {
 	children []*bnode // internal only, len(children) == len(offs)+1
 }
 
-func newBtree() *btree {
-	return &btree{root: &bnode{leaf: true}}
-}
-
 // clone returns a tree sharing this tree's nodes, tagged with the given
 // epoch so its first mutations path-copy instead of modifying shared
 // state.

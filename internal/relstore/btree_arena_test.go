@@ -141,113 +141,147 @@ func FuzzBtreeVersions(f *testing.F) {
 		f.Add(seed, uint8(seed*37))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, txs uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		pool := versionKeys(rng)
-		db := NewDatabase()
-		tab, err := db.CreateTable("kv", Column{Name: "k", Type: KString, NotNull: true}, Column{Name: "v", Type: KInt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tab.CreateIndex("by_k", true, "k"); err != nil {
-			t.Fatal(err)
-		}
-		treeOf := func(v *dbVersion) *btree { return v.tables["kv"].indexes["by_k"].tree }
-		// An oracle maps each encoded key a version holds to its row ID.
-		published := map[string]int64{} // the published version's oracle
-		head := published               // the newest committed or staged version's
-		type staged struct {
-			s    *Staged
-			want map[string]int64
-		}
-		type pinned struct {
-			snap *Snapshot
-			want map[string]int64
-		}
-		var chain []staged
-		var pins []pinned
-		pin := func(want map[string]int64) {
-			pins = append(pins, pinned{snap: db.Snapshot(), want: want})
-		}
-		pin(published)
+		btreeVersions(t, seed, txs, false)
+	})
+}
 
-		for n := 40 + int(txs); n > 0; n-- {
-			switch r := rng.Intn(10); {
-			case r == 0 && len(chain) > 0:
-				db.Publish(chain[0].s)
-				published, chain = chain[0].want, chain[1:]
-				pin(published)
-				continue
-			case r == 1 && len(chain) > 0:
-				db.ResetHead()
-				chain, head = nil, published
-				continue
+// FuzzBtreeVersionsFromBulk is FuzzBtreeVersions starting from a tree
+// BulkLoad built bottom-up — full leaves with exact-size arenas, which
+// the first copy-on-write insert into a leaf must grow and split —
+// instead of an empty one.
+func FuzzBtreeVersionsFromBulk(f *testing.F) {
+	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(seed, uint8(seed*53))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, txs uint8) {
+		btreeVersions(t, seed, txs, true)
+	})
+}
+
+// btreeVersions is the body of the FuzzBtreeVersions targets; bulk
+// first loads the table with a seeded share of the key pool through
+// BulkLoad.
+func btreeVersions(t *testing.T, seed int64, txs uint8, bulk bool) {
+	rng := rand.New(rand.NewSource(seed))
+	pool := versionKeys(rng)
+	db := NewDatabase()
+	tab, err := db.CreateTable("kv", Column{Name: "k", Type: KString, NotNull: true}, Column{Name: "v", Type: KInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.CreateIndex("by_k", true, "k"); err != nil {
+		t.Fatal(err)
+	}
+	// An oracle maps each encoded key a version holds to its row ID.
+	published := map[string]int64{} // the published version's oracle
+	if bulk {
+		var rows []Row
+		for _, k := range pool {
+			ek := string(EncodeKey(Str(k)))
+			if _, dup := published[ek]; !dup && rng.Intn(4) != 0 {
+				published[ek] = int64(len(rows))
+				rows = append(rows, Row{Str(k), Int(0)})
 			}
-			tx := db.Begin()
-			want := maps.Clone(head)
-			xt := tx.Table("kv")
-			for ops := 1 + rng.Intn(24); ops > 0; ops-- {
-				k := pool[rng.Intn(len(pool))]
-				ek := string(EncodeKey(Str(k)))
-				id, present := want[ek]
-				switch rng.Intn(8) {
-				case 0, 1: // delete
-					if present {
-						if !xt.Delete(id) {
-							t.Fatalf("delete of row %d failed", id)
-						}
-						delete(want, ek)
+		}
+		i := 0
+		if err := tab.BulkLoad(len(rows), func() (Row, error) { i++; return rows[i-1], nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	treeOf := func(v *dbVersion) *btree { return v.tables["kv"].indexes["by_k"].tree }
+	head := published // the newest committed or staged version's
+	type staged struct {
+		s    *Staged
+		want map[string]int64
+	}
+	type pinned struct {
+		snap *Snapshot
+		want map[string]int64
+	}
+	var chain []staged
+	var pins []pinned
+	pin := func(want map[string]int64) {
+		pins = append(pins, pinned{snap: db.Snapshot(), want: want})
+	}
+	pin(published)
+
+	for n := 40 + int(txs); n > 0; n-- {
+		switch r := rng.Intn(10); {
+		case r == 0 && len(chain) > 0:
+			db.Publish(chain[0].s)
+			published, chain = chain[0].want, chain[1:]
+			pin(published)
+			continue
+		case r == 1 && len(chain) > 0:
+			db.ResetHead()
+			chain, head = nil, published
+			continue
+		}
+		tx := db.Begin()
+		want := maps.Clone(head)
+		xt := tx.Table("kv")
+		for ops := 1 + rng.Intn(24); ops > 0; ops-- {
+			k := pool[rng.Intn(len(pool))]
+			ek := string(EncodeKey(Str(k)))
+			id, present := want[ek]
+			switch rng.Intn(8) {
+			case 0, 1: // delete
+				if present {
+					if !xt.Delete(id) {
+						t.Fatalf("delete of row %d failed", id)
 					}
-				case 2: // move an existing row to another key
-					if !present {
-						continue
-					}
-					k2 := pool[rng.Intn(len(pool))]
-					ek2 := string(EncodeKey(Str(k2)))
-					_, taken := want[ek2]
-					err := xt.Update(id, Row{Str(k2), Int(id)})
-					switch {
-					case taken && ek2 != ek && err == nil:
-						t.Fatal("update onto a held key succeeded")
-					case (!taken || ek2 == ek) && err != nil:
-						t.Fatalf("update to a free key failed: %v", err)
-					case err == nil:
-						delete(want, ek)
-						want[ek2] = id
-					}
-				default: // insert
-					nid, err := xt.Insert(Row{Str(k), Int(0)})
-					if present != (err != nil) {
-						t.Fatalf("insert of a key present=%v: err %v", present, err)
-					}
-					if err == nil {
-						want[ek] = nid
-					}
+					delete(want, ek)
+				}
+			case 2: // move an existing row to another key
+				if !present {
+					continue
+				}
+				k2 := pool[rng.Intn(len(pool))]
+				ek2 := string(EncodeKey(Str(k2)))
+				_, taken := want[ek2]
+				err := xt.Update(id, Row{Str(k2), Int(id)})
+				switch {
+				case taken && ek2 != ek && err == nil:
+					t.Fatal("update onto a held key succeeded")
+				case (!taken || ek2 == ek) && err != nil:
+					t.Fatalf("update to a free key failed: %v", err)
+				case err == nil:
+					delete(want, ek)
+					want[ek2] = id
+				}
+			default: // insert
+				nid, err := xt.Insert(Row{Str(k), Int(0)})
+				if present != (err != nil) {
+					t.Fatalf("insert of a key present=%v: err %v", present, err)
+				}
+				if err == nil {
+					want[ek] = nid
 				}
 			}
-			var built *dbVersion
-			switch r := rng.Intn(10); {
-			case r < 4:
-				tx.Commit()
-				built = db.current.Load()
-				published, head, chain = want, want, nil
-				pin(published)
-			case r < 6:
-				tx.Abort()
-				continue
-			default:
-				s := tx.Precommit()
-				built = s.v
-				chain = append(chain, staged{s: s, want: want})
-				head = want
-			}
-			if err := treeOf(built).checkInvariants(); err != nil {
-				t.Fatalf("epoch %d: %v", built.epoch, err)
-			}
 		}
-		for i, p := range pins {
-			checkVersion(t, fmt.Sprintf("pin %d (epoch %d)", i, p.snap.Epoch()), treeOf(p.snap.v), p.want, pool, rng)
+		var built *dbVersion
+		switch r := rng.Intn(10); {
+		case r < 4:
+			tx.Commit()
+			built = db.current.Load()
+			published, head, chain = want, want, nil
+			pin(published)
+		case r < 6:
+			tx.Abort()
+			continue
+		default:
+			s := tx.Precommit()
+			built = s.v
+			chain = append(chain, staged{s: s, want: want})
+			head = want
 		}
-	})
+		if err := treeOf(built).checkInvariants(); err != nil {
+			t.Fatalf("epoch %d: %v", built.epoch, err)
+		}
+	}
+	for i, p := range pins {
+		checkVersion(t, fmt.Sprintf("pin %d (epoch %d)", i, p.snap.Epoch()), treeOf(p.snap.v), p.want, pool, rng)
+	}
 }
 
 // versionKeys draws the fuzz target's key pool: short keys, keys long

@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+// newBtree returns an empty tree at epoch 0. The store itself builds
+// every tree bottom-up (bulkKeys.buildTree); tests grow one by inserts.
+func newBtree() *btree {
+	return &btree{root: &bnode{leaf: true}}
+}
+
 func TestBtreeBasicOps(t *testing.T) {
 	bt := newBtree()
 	if bt.Len() != 0 {

@@ -11,7 +11,8 @@ import (
 // copy-on-write B-tree over the order-preserving key encoding, so it
 // answers equality probes (a prefix scan) and range scans alike.
 // Indexes are maintained synchronously by Insert/Update/Delete inside
-// the writing transaction.
+// the writing transaction, and built whole, bottom-up, by BulkLoad and
+// CreateIndex.
 type Index struct {
 	Name   string
 	Cols   []int

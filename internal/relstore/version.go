@@ -65,7 +65,7 @@ type tableState struct {
 // never stored — absence of metrics is a nil tableMetrics pointer.
 type tableMetrics struct {
 	reads   *obs.Counter // rows surfaced by Get and Scan
-	writes  *obs.Counter // successful Insert/Update/Delete
+	writes  *obs.Counter // successful Insert/Update/Delete, and each row BulkLoad stores
 	lookups *obs.Counter // index probes (LookupEqual/LookupRange/LookupRangeTails calls)
 }
 
@@ -75,9 +75,9 @@ func (st *tableState) countReads(n uint64) {
 	}
 }
 
-func (st *tableState) countWrite() {
+func (st *tableState) countWrites(n uint64) {
 	if m := st.metrics.Load(); m != nil {
-		m.writes.Inc()
+		m.writes.Add(n)
 	}
 }
 
@@ -111,25 +111,7 @@ func (tv *tableVersion) row(id int64) Row {
 
 // scan visits every live row in row-ID order until fn returns false.
 func (tv *tableVersion) scan(fn func(id int64, r Row) bool) {
-	var visited uint64
-	defer func() { tv.state.countReads(visited) }()
-	for p, pg := range tv.pages {
-		base := int64(p) * pageSize
-		for s := range pg.rows {
-			id := base + int64(s)
-			if id >= tv.nrows {
-				return
-			}
-			r := pg.rows[s]
-			if r == nil {
-				continue
-			}
-			visited++
-			if !fn(id, r) {
-				return
-			}
-		}
-	}
+	tv.state.countReads(eachRow(tv.pages, tv.nrows, fn))
 }
 
 // setRow stores r under id, allocating or copy-on-writing the page as
@@ -364,7 +346,7 @@ func (tx *Tx) insertRow(name string, r Row) (int64, error) {
 		added = append(added, ix)
 	}
 	tv.live++
-	tv.state.countWrite()
+	tv.state.countWrites(1)
 	return id, nil
 }
 
@@ -382,7 +364,7 @@ func (tx *Tx) deleteRow(name string, id int64) bool {
 	tv.setRow(tx.epoch, id, nil)
 	tv.free = append(tv.free, id)
 	tv.live--
-	tv.state.countWrite()
+	tv.state.countWrites(1)
 	return true
 }
 
@@ -419,12 +401,12 @@ func (tx *Tx) updateRow(name string, id int64, r Row) error {
 		added = append(added, ix)
 	}
 	tv.setRow(tx.epoch, id, nr)
-	tv.state.countWrite()
+	tv.state.countWrites(1)
 	return nil
 }
 
 // createIndex builds an index over the named columns of the table,
-// indexing existing rows.
+// indexing existing rows bottom-up (bulkKeys.buildTree).
 func (tx *Tx) createIndex(table, name string, unique bool, cols ...string) (*Index, error) {
 	tv := tx.writable(table)
 	if _, dup := tv.indexes[name]; dup {
@@ -434,18 +416,9 @@ func (tx *Tx) createIndex(table, name string, unique bool, cols ...string) (*Ind
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{Name: name, Cols: idx, Unique: unique, tree: newBtree()}
-	ix.tree.epoch = tx.epoch
-	var addErr error
-	tv.scan(func(id int64, r Row) bool {
-		if err := ix.add(tx.indexKey(ix, r, id), id); err != nil {
-			addErr = err
-			return false
-		}
-		return true
-	})
-	if addErr != nil {
-		return nil, addErr
+	ix := &Index{Name: name, Cols: idx, Unique: unique}
+	if ix.tree, err = new(bulkKeys).buildTree(ix, tx.epoch, tv.pages, tv.nrows); err != nil {
+		return nil, err
 	}
 	tv.indexes[name] = ix
 	return ix, nil
