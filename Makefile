@@ -45,12 +45,15 @@ crash:
 # record codec — plus an HCSNAP03 snapshot an older build wrote, which
 # must still load, the pinned Value size and kind numbers, and the
 # bottom-up index build a snapshot load runs: bulk-built indexes equal
-# inserted ones, a duplicate in a unique index publishes nothing, each
-# loaded row counts as a write, and the B-tree versions fuzz target
-# started from a bulk-built tree (DESIGN.md "MVCC snapshots and the
-# lock-free read path", "Record format", "Durability and recovery").
+# inserted ones (a nullable indexed column among them), a duplicate in a
+# unique index publishes nothing, each loaded row counts as a write, and
+# the B-tree versions fuzz target started from a bulk-built tree; and
+# the NULL rule on every write path: a row with a NULL in an indexed
+# column has no entry after Insert, Delete, BulkLoad or Abort, so a
+# unique index accepts any number of them (DESIGN.md "MVCC snapshots and
+# the lock-free read path", "Record format", "Durability and recovery").
 mvcc:
-	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints|PostFsyncPreAck|AckDoesNotWait|ParentSnapshotLoads|ValueLayoutPinned|BulkBuild|BulkLoad|FuzzBtreeVersionsFromBulk' -count=1 ./internal/relstore/ ./internal/catalog/
+	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints|PostFsyncPreAck|AckDoesNotWait|ParentSnapshotLoads|ValueLayoutPinned|BulkBuild|BulkLoad|FuzzBtreeVersionsFromBulk|NullKeyedRows|AcceptsNullRows' -count=1 ./internal/relstore/ ./internal/catalog/
 	$(GO) test -race -run 'Fuzz' -count=1 ./internal/catalog/ ./internal/baseline/ ./internal/relstore/
 
 # Posting-list verification under the race detector: the key-list
@@ -60,11 +63,13 @@ mvcc:
 # the DOM oracle, the recursive chase of depth-1 links (A1's contrast)
 # held to the inverted-list rollup, the instance-key packing and its
 # ingest bound, relstore's index-only tail scan against the row path,
-# and the index-only Figure-4 executor (no row reads, bounded index
-# lookups, visibility per epoch) (DESIGN.md "Posting lists and set
-# operations").
+# the index-only Figure-4 executor (no row reads, bounded index
+# lookups, visibility per epoch), and the pinned tables and indexes,
+# with elem_data_by_nval holding one entry per non-NULL nval row, none
+# for the NULL ones a range scan skips (DESIGN.md "Posting lists and set
+# operations", "Relational schema").
 bitmap:
-	$(GO) test -race -run 'KeyList|Bitmap|RecursiveChase|InstKey|SeqBound|RangeTails|ReadsNoRows|IndexOnly' -count=1 ./internal/catalog/ ./internal/relstore/
+	$(GO) test -race -run 'KeyList|Bitmap|RecursiveChase|InstKey|SeqBound|RangeTails|ReadsNoRows|IndexOnly|TableLayoutPinned' -count=1 ./internal/catalog/ ./internal/relstore/
 	$(GO) test -race -run 'ShredRefusesOrdinal' -count=1 ./internal/core/
 
 # Replication fault suite under the race detector: the WAL-stream

@@ -452,13 +452,13 @@ func heapAlloc() uint64 {
 // BenchmarkIngestHeapPerDoc is an in-process heap census of ingest: the
 // live heap a catalog holds per document of W1's shape (1 536
 // documents), measured as HeapAlloc after runtime.GC before and after
-// the ingest, and the relstore values those documents' rows hold. Each
-// document is generated as it is ingested, so no document tree stays
-// live.
+// the ingest, the relstore values those documents' rows hold, and the
+// entries of every declared index. Each document is generated as it is
+// ingested, so no document tree stays live.
 func BenchmarkIngestHeapPerDoc(b *testing.B) {
 	g := workload.New(w1Shape(1536))
 	docs := g.Config().Docs
-	var heap, values float64
+	var heap, values, entries float64
 	for i := 0; i < b.N; i++ {
 		before := heapAlloc()
 		cat, err := hybridcat.Open(g.Schema, hybridcat.Options{})
@@ -474,18 +474,27 @@ func BenchmarkIngestHeapPerDoc(b *testing.B) {
 			}
 		}
 		heap = float64(heapAlloc()) - float64(before)
-		n := 0
+		n, e := 0, 0
 		for _, name := range cat.DB.TableNames() {
-			cat.DB.MustTable(name).Scan(func(_ int64, r relstore.Row) bool {
+			t := cat.DB.MustTable(name)
+			t.Scan(func(_ int64, r relstore.Row) bool {
 				n += len(r)
 				return true
 			})
+			for _, ix := range t.Schema.Indexes {
+				ids, err := t.LookupRange(ix.Name, relstore.RangeBound{}, relstore.RangeBound{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				e += len(ids)
+			}
 		}
-		values = float64(n)
+		values, entries = float64(n), float64(e)
 		runtime.KeepAlive(cat)
 	}
 	b.ReportMetric(heap/float64(docs), "heap-B/doc")
 	b.ReportMetric(values/float64(docs), "values/doc")
+	b.ReportMetric(entries/float64(docs), "entries/doc")
 }
 
 // BenchmarkSnapshotLoad prices loading a checkpoint in process, the

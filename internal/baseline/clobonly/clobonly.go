@@ -29,13 +29,10 @@ type Store struct {
 // New creates the docs table.
 func New(schema *xmlschema.Schema) (*Store, error) {
 	db := relstore.NewDatabase()
-	if _, err := db.CreateTable("docs",
-		relstore.Column{Name: "doc_id", Type: relstore.KInt, NotNull: true},
-		relstore.Column{Name: "clob", Type: relstore.KString, NotNull: true},
-	); err != nil {
-		return nil, err
-	}
-	if _, err := db.MustTable("docs").CreateIndex("docs_pk", true, "doc_id"); err != nil {
+	if _, err := db.CreateTable("docs", []relstore.Column{
+		{Name: "doc_id", Type: relstore.KInt, NotNull: true},
+		{Name: "clob", Type: relstore.KString, NotNull: true},
+	}, relstore.Index{Name: "docs_pk", Unique: true, Cols: []string{"doc_id"}}); err != nil {
 		return nil, err
 	}
 	return &Store{Schema: schema, DB: db}, nil

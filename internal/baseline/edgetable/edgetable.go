@@ -29,29 +29,23 @@ type Store struct {
 // New creates the edge table and its indexes.
 func New(schema *xmlschema.Schema) (*Store, error) {
 	db := relstore.NewDatabase()
-	_, err := db.CreateTable("edges",
-		relstore.Column{Name: "doc_id", Type: relstore.KInt, NotNull: true},
-		relstore.Column{Name: "node_id", Type: relstore.KInt, NotNull: true},
-		relstore.Column{Name: "parent_id", Type: relstore.KInt, NotNull: false},
-		relstore.Column{Name: "ord", Type: relstore.KInt, NotNull: true},
-		relstore.Column{Name: "tag", Type: relstore.KString, NotNull: true},
-		relstore.Column{Name: "sval", Type: relstore.KString, NotNull: false},
-		relstore.Column{Name: "nval", Type: relstore.KFloat, NotNull: false},
+	_, err := db.CreateTable("edges", []relstore.Column{
+		{Name: "doc_id", Type: relstore.KInt, NotNull: true},
+		{Name: "node_id", Type: relstore.KInt, NotNull: true},
+		{Name: "parent_id", Type: relstore.KInt, NotNull: false},
+		{Name: "ord", Type: relstore.KInt, NotNull: true},
+		{Name: "tag", Type: relstore.KString, NotNull: true},
+		{Name: "sval", Type: relstore.KString, NotNull: false},
+		{Name: "nval", Type: relstore.KFloat, NotNull: false},
+	},
+		relstore.Index{Name: "edges_by_tag_sval", Cols: []string{"tag", "sval"}},
+		relstore.Index{Name: "edges_by_tag_nval", Cols: []string{"tag", "nval"}},
+		relstore.Index{Name: "edges_by_doc", Cols: []string{"doc_id"}},
+		relstore.Index{Name: "edges_by_parent", Cols: []string{"doc_id", "parent_id"}},
+		relstore.Index{Name: "edges_by_tag", Cols: []string{"tag"}},
 	)
 	if err != nil {
 		return nil, err
-	}
-	edges := db.MustTable("edges")
-	for name, cols := range map[string][]string{
-		"edges_by_tag_sval": {"tag", "sval"},
-		"edges_by_tag_nval": {"tag", "nval"},
-		"edges_by_doc":      {"doc_id"},
-		"edges_by_parent":   {"doc_id", "parent_id"},
-		"edges_by_tag":      {"tag"},
-	} {
-		if _, err := edges.CreateIndex(name, false, cols...); err != nil {
-			return nil, err
-		}
 	}
 	return &Store{Schema: schema, DB: db}, nil
 }

@@ -46,34 +46,24 @@ func New(schema *xmlschema.Schema) (*Store, error) {
 			{Name: "parent_id", Type: relstore.KInt},
 			{Name: "ord", Type: relstore.KInt, NotNull: true},
 		}
+		indexes := []relstore.Index{
+			{Name: f.name + "_pk", Unique: true, Cols: []string{"frag_id"}},
+			{Name: f.name + "_by_doc", Cols: []string{"doc_id"}},
+			{Name: f.name + "_by_parent", Cols: []string{"parent_table", "parent_id"}},
+		}
 		for _, key := range f.colOrder {
 			base := colName(key)
 			cols = append(cols,
 				relstore.Column{Name: base, Type: relstore.KString},
 				relstore.Column{Name: base + "__n", Type: relstore.KFloat},
 			)
+			indexes = append(indexes,
+				relstore.Index{Name: f.name + "_ix_" + base, Cols: []string{base}},
+				relstore.Index{Name: f.name + "_ixn_" + base, Cols: []string{base + "__n"}},
+			)
 		}
-		t, err := s.DB.CreateTable(f.name, cols...)
-		if err != nil {
+		if _, err := s.DB.CreateTable(f.name, cols, indexes...); err != nil {
 			return nil, err
-		}
-		if _, err := t.CreateIndex(f.name+"_pk", true, "frag_id"); err != nil {
-			return nil, err
-		}
-		if _, err := t.CreateIndex(f.name+"_by_doc", false, "doc_id"); err != nil {
-			return nil, err
-		}
-		if _, err := t.CreateIndex(f.name+"_by_parent", false, "parent_table", "parent_id"); err != nil {
-			return nil, err
-		}
-		for _, key := range f.colOrder {
-			base := colName(key)
-			if _, err := t.CreateIndex(f.name+"_ix_"+base, false, base); err != nil {
-				return nil, err
-			}
-			if _, err := t.CreateIndex(f.name+"_ixn_"+base, false, base+"__n"); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return s, nil

@@ -370,21 +370,18 @@ func E7OrderingUpdate(o Options) (*Table, error) {
 // docOrderSim maintains a per-document global ordering in a relational
 // table, as [19]'s global ordering would.
 type docOrderSim struct {
-	table          *relstore.Table
+	db             *relstore.Database
 	n              int
 	lastRenumbered int
 }
 
 func newDocOrderSim(doc *xmldoc.Node) (*docOrderSim, int, error) {
 	db := relstore.NewDatabase()
-	tab, err := db.CreateTable("doc_order",
-		relstore.Column{Name: "node_id", Type: relstore.KInt, NotNull: true},
-		relstore.Column{Name: "ord", Type: relstore.KInt, NotNull: true},
-	)
+	tab, err := db.CreateTable("doc_order", []relstore.Column{
+		{Name: "node_id", Type: relstore.KInt, NotNull: true},
+		{Name: "ord", Type: relstore.KInt, NotNull: true},
+	}, relstore.Index{Name: "by_ord", Unique: true, Cols: []string{"ord"}})
 	if err != nil {
-		return nil, 0, err
-	}
-	if _, err := tab.CreateIndex("by_ord", true, "ord"); err != nil {
 		return nil, 0, err
 	}
 	n := 0
@@ -400,35 +397,42 @@ func newDocOrderSim(doc *xmldoc.Node) (*docOrderSim, int, error) {
 	if insertErr != nil {
 		return nil, 0, insertErr
 	}
-	return &docOrderSim{table: tab, n: n}, 0, nil
+	return &docOrderSim{db: db, n: n}, 0, nil
 }
 
 // insertMid inserts one node at the document midpoint, renumbering every
-// following node.
+// following node, in one transaction.
 func (s *docOrderSim) insertMid() error {
+	tx := s.db.Begin()
+	tab := tx.Table("doc_order")
 	mid := int64(s.n / 2)
-	ids, err := s.table.LookupRange("by_ord",
+	ids, err := tab.LookupRange("by_ord",
 		relstore.RangeBound{Vals: []relstore.Value{relstore.Int(mid)}, Inclusive: true, Set: true},
 		relstore.RangeBound{})
 	if err != nil {
+		tx.Abort()
 		return err
 	}
 	// Renumber the tail from the back so the unique index never
-	// collides.
+	// collides; each row's update is a Delete and an Insert.
 	for i := len(ids) - 1; i >= 0; i-- {
-		r := s.table.Get(ids[i])
+		r := tab.Get(ids[i])
 		if r == nil {
 			continue
 		}
-		if err := s.table.Update(ids[i], relstore.Row{r[0], relstore.Int(r[1].I + 1)}); err != nil {
+		tab.Delete(ids[i])
+		if _, err := tab.Insert(relstore.Row{r[0], relstore.Int(r[1].I + 1)}); err != nil {
+			tx.Abort()
 			return err
 		}
 	}
-	s.n++
-	s.lastRenumbered = len(ids)
-	if _, err := s.table.Insert(relstore.Row{relstore.Int(int64(s.n)), relstore.Int(mid)}); err != nil {
+	if _, err := tab.Insert(relstore.Row{relstore.Int(int64(s.n + 1)), relstore.Int(mid)}); err != nil {
+		tx.Abort()
 		return err
 	}
+	tx.Commit()
+	s.n++
+	s.lastRenumbered = len(ids)
 	return nil
 }
 

@@ -147,16 +147,29 @@ func col(name string, k relstore.Kind, notNull bool) relstore.Column {
 	return relstore.Column{Name: name, Type: k, NotNull: notNull}
 }
 
+// nonUnique declares a non-unique index over cols.
+func nonUnique(name string, cols ...string) relstore.Index {
+	return relstore.Index{Name: name, Cols: cols}
+}
+
 func (c *Catalog) createTables() error {
 	type tdef struct {
-		name string
-		cols []relstore.Column
+		name    string
+		cols    []relstore.Column
+		indexes []relstore.Index
 	}
 	// The data tables store only the columns some read uses: the
 	// indexes' keys, the sibling counters AddAttribute reads, and a
 	// CLOB's order, sequence and text for §5. Figure 3's full rows (an element's owning definition and local
 	// order, an inverted-list entry's depth, a CLOB's attribute) are the
 	// shredder's output, core.ShredResult, and are not stored.
+	//
+	// The Figure-4 indexes (attr_data_by_attr, elem_data_by_sval/nval,
+	// sub_attrs_by_child, objects_by_owner/published) end in the instance
+	// columns, so the executor reads (object, seq) straight off the keys
+	// (relstore.LookupRangeTails) and never fetches a row. An element
+	// whose text is not numeric has a NULL nval, hence no
+	// elem_data_by_nval entry.
 	tables := []tdef{
 		{TObjects, []relstore.Column{
 			col("object_id", relstore.KInt, true),
@@ -164,11 +177,18 @@ func (c *Catalog) createTables() error {
 			col("owner", relstore.KString, false),
 			col("created", relstore.KString, false),
 			col("published", relstore.KBool, false),
+		}, []relstore.Index{
+			{Name: "objects_pk", Unique: true, Cols: []string{"object_id"}},
+			nonUnique("objects_by_owner", "owner", "object_id"),
+			nonUnique("objects_by_published", "published", "object_id"),
 		}},
 		{TAttrData, []relstore.Column{
 			col("object_id", relstore.KInt, true),
 			col("attr_id", relstore.KInt, true),
 			col("seq_id", relstore.KInt, true),
+		}, []relstore.Index{
+			nonUnique("attr_data_by_attr", "attr_id", "object_id", "seq_id"),
+			nonUnique("attr_data_by_object", "object_id"),
 		}},
 		{TElemData, []relstore.Column{
 			col("object_id", relstore.KInt, true),
@@ -176,6 +196,10 @@ func (c *Catalog) createTables() error {
 			col("elem_id", relstore.KInt, true),
 			col("sval", relstore.KString, false),
 			col("nval", relstore.KFloat, false),
+		}, []relstore.Index{
+			nonUnique("elem_data_by_sval", "elem_id", "sval", "object_id", "seq_id"),
+			nonUnique("elem_data_by_nval", "elem_id", "nval", "object_id", "seq_id"),
+			nonUnique("elem_data_by_object", "object_id"),
 		}},
 		{TSubAttrs, []relstore.Column{
 			col("object_id", relstore.KInt, true),
@@ -183,43 +207,21 @@ func (c *Catalog) createTables() error {
 			col("child_seq", relstore.KInt, true),
 			col("anc_attr_id", relstore.KInt, true),
 			col("anc_seq", relstore.KInt, true),
+		}, []relstore.Index{
+			nonUnique("sub_attrs_by_child", "child_attr_id", "anc_attr_id", "object_id", "child_seq", "anc_seq"),
+			nonUnique("sub_attrs_by_object", "object_id"),
 		}},
 		{TClobs, []relstore.Column{
 			col("object_id", relstore.KInt, true),
 			col("node_order", relstore.KInt, true),
 			col("clob_seq", relstore.KInt, true),
 			col("clob", relstore.KString, true),
+		}, []relstore.Index{
+			nonUnique("clobs_by_object", "object_id", "node_order", "clob_seq"),
 		}},
 	}
 	for _, td := range tables {
-		if _, err := c.DB.CreateTable(td.name, td.cols...); err != nil {
-			return err
-		}
-	}
-	type idef struct {
-		table, name string
-		unique      bool
-		cols        []string
-	}
-	// The Figure-4 indexes (attr_data_by_attr, elem_data_by_sval/nval,
-	// sub_attrs_by_child, objects_by_owner/published) end in the instance
-	// columns, so the executor reads (object, seq) straight off the keys
-	// (relstore.LookupRangeTails) and never fetches a row.
-	indexes := []idef{
-		{TObjects, "objects_pk", true, []string{"object_id"}},
-		{TObjects, "objects_by_owner", false, []string{"owner", "object_id"}},
-		{TObjects, "objects_by_published", false, []string{"published", "object_id"}},
-		{TAttrData, "attr_data_by_attr", false, []string{"attr_id", "object_id", "seq_id"}},
-		{TAttrData, "attr_data_by_object", false, []string{"object_id"}},
-		{TElemData, "elem_data_by_sval", false, []string{"elem_id", "sval", "object_id", "seq_id"}},
-		{TElemData, "elem_data_by_nval", false, []string{"elem_id", "nval", "object_id", "seq_id"}},
-		{TElemData, "elem_data_by_object", false, []string{"object_id"}},
-		{TSubAttrs, "sub_attrs_by_child", false, []string{"child_attr_id", "anc_attr_id", "object_id", "child_seq", "anc_seq"}},
-		{TSubAttrs, "sub_attrs_by_object", false, []string{"object_id"}},
-		{TClobs, "clobs_by_object", false, []string{"object_id", "node_order", "clob_seq"}},
-	}
-	for _, id := range indexes {
-		if _, err := c.DB.MustTable(id.table).CreateIndex(id.name, id.unique, id.cols...); err != nil {
+		if _, err := c.DB.CreateTable(td.name, td.cols, td.indexes...); err != nil {
 			return err
 		}
 	}
@@ -554,9 +556,11 @@ func (c *Catalog) applySetPublished(o op) error {
 	if len(ids) == 0 {
 		return fmt.Errorf("catalog: no object %d", o.id)
 	}
+	// An update is a Delete and an Insert in the mutation's transaction.
 	r := relstore.CloneRow(t.Get(ids[0]))
 	r[4] = relstore.Bool(o.published)
-	if err := t.Update(ids[0], r); err != nil {
+	t.Delete(ids[0])
+	if _, err := t.Insert(r); err != nil {
 		return err
 	}
 	c.journal(o)

@@ -33,35 +33,23 @@ type CollectionInfo struct {
 
 // initCollections creates the collection tables; called from Open.
 func (c *Catalog) initCollections() error {
-	if _, err := c.DB.CreateTable(TCollections,
+	// A root collection's parent_coll_id is NULL, so it has no
+	// collections_by_parent entry.
+	if _, err := c.DB.CreateTable(TCollections, []relstore.Column{
 		col("coll_id", relstore.KInt, true),
 		col("name", relstore.KString, true),
 		col("owner", relstore.KString, false),
 		col("parent_coll_id", relstore.KInt, false),
-	); err != nil {
+	}, relstore.Index{Name: "collections_pk", Unique: true, Cols: []string{"coll_id"}},
+		nonUnique("collections_by_parent", "parent_coll_id")); err != nil {
 		return err
 	}
-	collT := c.DB.MustTable(TCollections)
-	if _, err := collT.CreateIndex("collections_pk", true, "coll_id"); err != nil {
-		return err
-	}
-	if _, err := collT.CreateIndex("collections_by_parent", false, "parent_coll_id"); err != nil {
-		return err
-	}
-	if _, err := c.DB.CreateTable(TMembers,
+	_, err := c.DB.CreateTable(TMembers, []relstore.Column{
 		col("coll_id", relstore.KInt, true),
 		col("object_id", relstore.KInt, true),
-	); err != nil {
-		return err
-	}
-	memT := c.DB.MustTable(TMembers)
-	if _, err := memT.CreateIndex("members_pk", true, "coll_id", "object_id"); err != nil {
-		return err
-	}
-	if _, err := memT.CreateIndex("members_by_object", false, "object_id"); err != nil {
-		return err
-	}
-	return nil
+	}, relstore.Index{Name: "members_pk", Unique: true, Cols: []string{"coll_id", "object_id"}},
+		nonUnique("members_by_object", "object_id"))
+	return err
 }
 
 // CreateCollection creates a collection (aggregation). parentID 0 makes a

@@ -141,12 +141,12 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 
 	var c *Catalog
 	var fromSeq uint64
-	if _, err := fs.Size(snapPath); err == nil {
+	if size, err := fs.Size(snapPath); err == nil {
 		f, err := fs.Open(snapPath)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: recovery: %w", err)
 		}
-		c, fromSeq, err = loadSnapshot(schema, opts, f)
+		c, fromSeq, err = loadSnapshot(schema, opts, f, size)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("catalog: recovering snapshot %s: %w", snapPath, err)

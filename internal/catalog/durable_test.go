@@ -525,8 +525,22 @@ func TestDurableRequiresWALPath(t *testing.T) {
 	}
 }
 
-// TestFaultSnapshotTruncationRefused: Load must error on every strict
-// prefix of a snapshot — never panic, never half-load.
+// loaders are the two ways a snapshot is read: Load from a plain reader
+// (read to its end, bounded) and LoadFile from a file (read into one
+// buffer of the file's size).
+var loaders = map[string]func(snap []byte) (*Catalog, error){
+	"Load": func(snap []byte) (*Catalog, error) {
+		return Load(xmlschema.MustLEAD(), Options{}, bytes.NewReader(snap))
+	},
+	"LoadFile": func(snap []byte) (*Catalog, error) {
+		mem := faultio.NewMemFS()
+		mem.SetBytes("c.snap", snap)
+		return LoadFile(xmlschema.MustLEAD(), Options{}, mem, "c.snap")
+	},
+}
+
+// TestFaultSnapshotTruncationRefused: Load and LoadFile must error on
+// every strict prefix of a snapshot — never panic, never half-load.
 func TestFaultSnapshotTruncationRefused(t *testing.T) {
 	c := newLEADCatalog(t, Options{})
 	ingestFig3(t, c)
@@ -535,13 +549,15 @@ func TestFaultSnapshotTruncationRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := Load(xmlschema.MustLEAD(), Options{}, bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation to %d of %d bytes loaded successfully", cut, len(full))
+	for name, load := range loaders {
+		for cut := 0; cut < len(full); cut++ {
+			if _, err := load(full[:cut]); err == nil {
+				t.Fatalf("%s: truncation to %d of %d bytes loaded successfully", name, cut, len(full))
+			}
 		}
-	}
-	if _, err := Load(xmlschema.MustLEAD(), Options{}, bytes.NewReader(full)); err != nil {
-		t.Fatalf("intact snapshot refused: %v", err)
+		if _, err := load(full); err != nil {
+			t.Fatalf("%s: intact snapshot refused: %v", name, err)
+		}
 	}
 }
 

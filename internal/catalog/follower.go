@@ -36,7 +36,7 @@ func OpenFollower(schema *xmlschema.Schema, opts Options) (*Catalog, error) {
 // ReplicationSnapshot) and returns it with its replication cursor set
 // to the snapshot's watermark: ApplyWAL continues from the next record.
 func LoadFollower(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog, error) {
-	c, seq, err := loadSnapshot(schema, opts, r)
+	c, seq, err := loadSnapshot(schema, opts, r, -1)
 	if err != nil {
 		return nil, err
 	}

@@ -239,14 +239,16 @@ func writeSnapshot(schema *xmlschema.Schema, p pin, w io.Writer) error {
 // schema must match the one the snapshot was written against. Truncated
 // or corrupted snapshot bytes return an error; nothing half-loads.
 func Load(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog, error) {
-	c, _, err := loadSnapshot(schema, opts, r)
+	c, _, err := loadSnapshot(schema, opts, r, -1)
 	return c, err
 }
 
 // loadSnapshot is Load exposing the snapshot's WAL watermark, which
-// recovery needs to know where replay starts.
-func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog, uint64, error) {
-	snap, rows, err := readSnapshot(r)
+// recovery needs to know where replay starts. size is the snapshot's
+// length in bytes when the caller knows it, negative otherwise (see
+// readSnapshot).
+func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader, size int64) (*Catalog, uint64, error) {
+	snap, rows, err := readSnapshot(r, size)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -325,8 +327,11 @@ func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog
 
 // readSnapshot validates the container — magic, trailer length against
 // the bytes present, checksum — and decodes the header, returning it
-// with the undecoded row section of the payload.
-func readSnapshot(r io.Reader) (*snapshot, []byte, error) {
+// with the undecoded row section of the payload. A non-negative size is
+// the container's length (a file's): the bytes after the magic are read
+// into one buffer of exactly that length. A negative size reads to the
+// end of r, at most maxSnapshotBytes of payload.
+func readSnapshot(r io.Reader, size int64) (*snapshot, []byte, error) {
 	var magic [len(snapshotMagic)]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, nil, fmt.Errorf("catalog: corrupt snapshot: short header: %w", err)
@@ -337,7 +342,17 @@ func readSnapshot(r io.Reader) (*snapshot, []byte, error) {
 		}
 		return nil, nil, fmt.Errorf("catalog: corrupt snapshot: bad magic %q", got)
 	}
-	rest, err := io.ReadAll(io.LimitReader(r, maxSnapshotBytes+snapshotTrailer+1))
+	var rest []byte
+	var err error
+	switch n := size - int64(len(magic)); {
+	case size < 0:
+		rest, err = io.ReadAll(io.LimitReader(r, maxSnapshotBytes+snapshotTrailer+1))
+	case n > maxSnapshotBytes+snapshotTrailer:
+		return nil, nil, fmt.Errorf("catalog: corrupt snapshot: payload exceeds %d bytes", maxSnapshotBytes)
+	default:
+		rest = make([]byte, max(n, 0))
+		_, err = io.ReadFull(r, rest)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("catalog: reading snapshot: %w", err)
 	}
@@ -388,23 +403,9 @@ func saveFile(fs faultio.FS, path string, schema *xmlschema.Schema, p pin) error
 	if fs == nil {
 		fs = faultio.OS{}
 	}
-	tmp := path + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = writeSnapshot(schema, p, f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = fs.Remove(tmp)
-		return err
-	}
-	return fs.Rename(tmp, path)
+	return faultio.WriteAtomic(fs, path, func(w io.Writer) error {
+		return writeSnapshot(schema, p, w)
+	})
 }
 
 // LoadFile rebuilds a catalog from a snapshot file written by SaveFile.
@@ -413,10 +414,15 @@ func LoadFile(schema *xmlschema.Schema, opts Options, fs faultio.FS, path string
 	if fs == nil {
 		fs = faultio.OS{}
 	}
+	size, err := fs.Size(path)
+	if err != nil {
+		return nil, err
+	}
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(schema, opts, f)
+	c, _, err := loadSnapshot(schema, opts, f, size)
+	return c, err
 }

@@ -152,9 +152,11 @@ func TestUserPrivateDefsSurviveSnapshot(t *testing.T) {
 	}
 }
 
-// TestTableLayoutPinned pins the data tables' columns, in order, so a
-// column without a reader cannot come back unnoticed (DESIGN.md
-// "Relational schema"), and requires Load to refuse, with an error, a
+// TestTableLayoutPinned pins the data tables' columns, in order, and
+// every table's declared indexes, so a column or an index without a
+// reader cannot come back unnoticed (DESIGN.md "Relational schema"); it
+// requires elem_data_by_nval to hold one entry per row with a non-NULL
+// nval and none for the others, and Load to refuse, with an error, a
 // snapshot row whose width is neither its table's nor the table's
 // parent layout's.
 func TestTableLayoutPinned(t *testing.T) {
@@ -174,6 +176,49 @@ func TestTableLayoutPinned(t *testing.T) {
 			t.Errorf("%s columns %q, want %q", name, g, cols)
 		}
 	}
+	wantIndexes := map[string]string{
+		TObjects:     "objects_pk(object_id) unique; objects_by_owner(owner object_id); objects_by_published(published object_id)",
+		TAttrData:    "attr_data_by_attr(attr_id object_id seq_id); attr_data_by_object(object_id)",
+		TElemData:    "elem_data_by_sval(elem_id sval object_id seq_id); elem_data_by_nval(elem_id nval object_id seq_id); elem_data_by_object(object_id)",
+		TSubAttrs:    "sub_attrs_by_child(child_attr_id anc_attr_id object_id child_seq anc_seq); sub_attrs_by_object(object_id)",
+		TClobs:       "clobs_by_object(object_id node_order clob_seq)",
+		TCollections: "collections_pk(coll_id) unique; collections_by_parent(parent_coll_id)",
+		TMembers:     "members_pk(coll_id object_id) unique; members_by_object(object_id)",
+	}
+	if names := c.DB.TableNames(); len(names) != len(wantIndexes) {
+		t.Errorf("tables %v, want the %d pinned here", names, len(wantIndexes))
+	}
+	for name, ixs := range wantIndexes {
+		var got []string
+		for _, ix := range c.DB.MustTable(name).Schema.Indexes {
+			d := fmt.Sprintf("%s(%s)", ix.Name, strings.Join(ix.Cols, " "))
+			if ix.Unique {
+				d += " unique"
+			}
+			got = append(got, d)
+		}
+		if g := strings.Join(got, "; "); g != ixs {
+			t.Errorf("%s indexes %q, want %q", name, g, ixs)
+		}
+	}
+	ingestFig3(t, c)
+	elem := c.DB.MustTable(TElemData)
+	var nums, nulls int
+	elem.Scan(func(_ int64, r relstore.Row) bool {
+		if r[4].IsNull() {
+			nulls++
+		} else {
+			nums++
+		}
+		return true
+	})
+	entries, err := elem.LookupRange("elem_data_by_nval", relstore.RangeBound{}, relstore.RangeBound{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nums == 0 || nulls == 0 || len(entries) != nums {
+		t.Errorf("elem_data_by_nval holds %d entries over %d numeric and %d NULL nval rows, want one per numeric row", len(entries), nums, nulls)
+	}
 	for name, parent := range parentLayouts {
 		// A snapshot whose table name holds one row a column wider than
 		// the parent layout.
@@ -187,7 +232,7 @@ func TestTableLayoutPinned(t *testing.T) {
 					cols[i] = col(fmt.Sprintf("c%d", i), relstore.KInt, true)
 				}
 			}
-			if _, err := db.CreateTable(tn, cols...); err != nil {
+			if _, err := db.CreateTable(tn, cols); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -183,13 +183,13 @@ func excl(vals ...relstore.Value) relstore.RangeBound {
 // and the probe produces nothing.
 func compileSpecs(defID int64, pred ElemPred) []probeSpec {
 	eid := relstore.Int(defID)
-	// below is the lower bound of the definition's values. The shredder
-	// writes every element's text to sval, never NULL, so for strings it
-	// is the whole definition; an element whose text is not numeric has
-	// a NULL nval, which sorts first and is skipped.
-	ix, val, below := "elem_data_by_sval", relstore.Value{}, incl(eid)
+	// incl(eid) bounds all of the definition's values in either index:
+	// the shredder writes every element's text to sval, never NULL, and
+	// an element whose text is not numeric has a NULL nval and so no
+	// elem_data_by_nval entry.
+	ix, val := "elem_data_by_sval", relstore.Value{}
 	if f, isNum := pred.Value.AsFloat(); isNum && (pred.Value.K == relstore.KInt || pred.Value.K == relstore.KFloat) {
-		ix, val, below = "elem_data_by_nval", relstore.Float(f), excl(eid, relstore.Null())
+		ix, val = "elem_data_by_nval", relstore.Float(f)
 	} else {
 		val = relstore.Str(pred.Value.AsString())
 	}
@@ -200,15 +200,15 @@ func compileSpecs(defID int64, pred ElemPred) []probeSpec {
 	case relstore.OpEq:
 		return spec(incl(eid, val), incl(eid, val))
 	case relstore.OpLt:
-		return spec(below, excl(eid, val))
+		return spec(incl(eid), excl(eid, val))
 	case relstore.OpLe:
-		return spec(below, incl(eid, val))
+		return spec(incl(eid), incl(eid, val))
 	case relstore.OpGt:
 		return spec(excl(eid, val), incl(eid))
 	case relstore.OpGe:
 		return spec(incl(eid, val), incl(eid))
 	case relstore.OpNe:
-		return append(spec(below, excl(eid, val)), spec(excl(eid, val), incl(eid))...)
+		return append(spec(incl(eid), excl(eid, val)), spec(excl(eid, val), incl(eid))...)
 	}
 	return nil
 }

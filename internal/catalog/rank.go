@@ -107,7 +107,12 @@ func (c *Catalog) textIndexAt(v *view) (*textindex.Index, error) {
 // full scan.
 func scanTextIndex(elem *relstore.Table) *textindex.Index {
 	b := textindex.NewBuilder()
-	elem.ScanTextPostings(elemColObject, elemColSval, b.Add)
+	elem.Scan(func(_ int64, r relstore.Row) bool {
+		if r[elemColSval].K == relstore.KString {
+			b.Add(r[elemColObject].I, r[elemColSval].S)
+		}
+		return true
+	})
 	return b.Build()
 }
 

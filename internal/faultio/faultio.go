@@ -96,3 +96,27 @@ func (OS) Size(name string) (int64, error) {
 
 // Truncate implements FS.
 func (OS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
+
+// WriteAtomic replaces path with what write produces, so a crash at any
+// instant leaves either the old file or the complete new one: write
+// fills path+".tmp", which is synced to stable storage and renamed over
+// path. On an error the temp file is removed and path is untouched.
+func WriteAtomic(fs FS, path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = fs.Remove(tmp)
+		return err
+	}
+	return fs.Rename(tmp, path)
+}

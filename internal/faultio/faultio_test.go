@@ -181,3 +181,38 @@ func TestOSRoundTrip(t *testing.T) {
 		t.Fatalf("old path should be gone: %v", err)
 	}
 }
+
+// TestWriteAtomic: a successful write replaces the file with synced
+// bytes that survive a crash; a failing write or fsync leaves the old
+// file as it was and no temp file behind.
+func TestWriteAtomic(t *testing.T) {
+	mem := NewMemFS()
+	put := func(fs FS, body string, err error) error {
+		return WriteAtomic(fs, "snap", func(w io.Writer) error {
+			if _, werr := io.WriteString(w, body); werr != nil {
+				return werr
+			}
+			return err
+		})
+	}
+	if err := put(mem, "old", nil); err != nil {
+		t.Fatal(err)
+	}
+	mem.Crash()
+	if got := string(mem.Bytes("snap")); got != "old" {
+		t.Fatalf("after a crash: %q, want the synced %q", got, "old")
+	}
+	failed := errors.New("write failed")
+	if err := put(mem, "new", failed); !errors.Is(err, failed) {
+		t.Fatalf("a failing write returned %v", err)
+	}
+	if err := put(NewFaulty(mem, Fault{Op: OpSync, N: 1}), "new", nil); !errors.Is(err, ErrInjected) {
+		t.Fatalf("a failing fsync returned %v", err)
+	}
+	if got := string(mem.Bytes("snap")); got != "old" {
+		t.Fatalf("failed replacements left %q, want %q", got, "old")
+	}
+	if _, err := mem.Size("snap.tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a failed replacement left its temp file: %v", err)
+	}
+}

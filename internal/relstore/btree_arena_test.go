@@ -165,11 +165,8 @@ func btreeVersions(t *testing.T, seed int64, txs uint8, bulk bool) {
 	rng := rand.New(rand.NewSource(seed))
 	pool := versionKeys(rng)
 	db := NewDatabase()
-	tab, err := db.CreateTable("kv", Column{Name: "k", Type: KString, NotNull: true}, Column{Name: "v", Type: KInt})
+	tab, err := db.CreateTable("kv", []Column{{Name: "k", Type: KString, NotNull: true}, {Name: "v", Type: KInt}}, uniqueIx("by_k", "k"))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.CreateIndex("by_k", true, "k"); err != nil {
 		t.Fatal(err)
 	}
 	// An oracle maps each encoded key a version holds to its row ID.
@@ -188,7 +185,7 @@ func btreeVersions(t *testing.T, seed int64, txs uint8, bulk bool) {
 			t.Fatal(err)
 		}
 	}
-	treeOf := func(v *dbVersion) *btree { return v.tables["kv"].indexes["by_k"].tree }
+	kvTree := func(v *dbVersion) *btree { return v.tables["kv"].trees[0] }
 	head := published // the newest committed or staged version's
 	type staged struct {
 		s    *Staged
@@ -232,22 +229,30 @@ func btreeVersions(t *testing.T, seed int64, txs uint8, bulk bool) {
 					}
 					delete(want, ek)
 				}
-			case 2: // move an existing row to another key
+			case 2: // move an existing row to another key: delete, insert
 				if !present {
 					continue
 				}
 				k2 := pool[rng.Intn(len(pool))]
 				ek2 := string(EncodeKey(Str(k2)))
 				_, taken := want[ek2]
-				err := xt.Update(id, Row{Str(k2), Int(id)})
+				if !xt.Delete(id) {
+					t.Fatalf("delete of row %d failed", id)
+				}
+				delete(want, ek)
+				nid, err := xt.Insert(Row{Str(k2), Int(id)})
 				switch {
 				case taken && ek2 != ek && err == nil:
-					t.Fatal("update onto a held key succeeded")
+					t.Fatal("a move onto a held key succeeded")
 				case (!taken || ek2 == ek) && err != nil:
-					t.Fatalf("update to a free key failed: %v", err)
+					t.Fatalf("a move to a free key failed: %v", err)
 				case err == nil:
-					delete(want, ek)
-					want[ek2] = id
+					want[ek2] = nid
+				default: // refused: put the row back under its old key
+					if nid, err = xt.Insert(Row{Str(k), Int(id)}); err != nil {
+						t.Fatalf("reinsert after a refused move: %v", err)
+					}
+					want[ek] = nid
 				}
 			default: // insert
 				nid, err := xt.Insert(Row{Str(k), Int(0)})
@@ -275,12 +280,12 @@ func btreeVersions(t *testing.T, seed int64, txs uint8, bulk bool) {
 			chain = append(chain, staged{s: s, want: want})
 			head = want
 		}
-		if err := treeOf(built).checkInvariants(); err != nil {
+		if err := kvTree(built).checkInvariants(); err != nil {
 			t.Fatalf("epoch %d: %v", built.epoch, err)
 		}
 	}
 	for i, p := range pins {
-		checkVersion(t, fmt.Sprintf("pin %d (epoch %d)", i, p.snap.Epoch()), treeOf(p.snap.v), p.want, pool, rng)
+		checkVersion(t, fmt.Sprintf("pin %d (epoch %d)", i, p.snap.Epoch()), kvTree(p.snap.v), p.want, pool, rng)
 	}
 }
 

@@ -9,14 +9,13 @@ import (
 	"slices"
 )
 
-// Bulk build. An index over rows that already exist — a table filled by
-// BulkLoad, or CreateIndex over a populated table — is built bottom-up
-// instead of one Insert at a time: its entries are encoded into one
-// buffer and sorted once, packed left to right into leaves of up to
-// maxKeys keys, each with an arena of exactly its keys' size, and the
-// internal levels are packed the same way over the nodes below. No entry
-// descends the tree and no node splits, so the build costs one sort plus
-// one copy of every key, and the tree comes out full.
+// Bulk build. Each index of a table filled by BulkLoad is built
+// bottom-up instead of one Insert at a time: its entries are encoded
+// into one buffer and sorted once, packed left to right into leaves of
+// up to maxKeys keys, each with an arena of exactly its keys' size, and
+// the internal levels are packed the same way over the nodes below. No
+// entry descends the tree and no node splits, so the build costs one
+// sort plus one copy of every key, and the tree comes out full.
 
 // bulkEntry is one index entry awaiting the build: its key's position
 // and length in the build's key buffer, the row ID it maps to, and pre,
@@ -117,17 +116,17 @@ func eachRow(pages []*rowPage, nrows int64, fn func(id int64, r Row) bool) uint6
 	return visited
 }
 
-// buildTree builds ix's tree over the live rows of pages, its nodes
-// tagged with epoch, using k's buffers. It fails, building nothing, if
-// ix is unique and two rows share a key.
+// buildTree builds ix's tree over the live rows of pages that have an
+// entry in it, its nodes tagged with epoch, using k's buffers. It fails,
+// building nothing, if ix is unique and two rows share a key.
 func (k *bulkKeys) buildTree(ix *Index, epoch uint64, pages []*rowPage, nrows int64) (*btree, error) {
 	k.buf, k.ents = k.buf[:0], slices.Grow(k.ents[:0], int(nrows))
 	var tooLarge bool
 	eachRow(pages, nrows, func(id int64, r Row) bool {
 		off := len(k.buf)
-		k.buf = appendColumnsKey(k.buf, r, ix.Cols)
-		if !ix.Unique {
-			k.buf = binary.BigEndian.AppendUint64(k.buf, uint64(id))
+		var ok bool
+		if k.buf, ok = appendEntryKey(k.buf, ix, r, id); !ok {
+			return true
 		}
 		if len(k.buf) > math.MaxUint32 {
 			tooLarge = true
@@ -261,21 +260,16 @@ func (tx *Tx) bulkLoad(name string, n int, next func() (Row, error)) error {
 		}
 		pages[id/pageSize].rows[id%pageSize] = nr
 	}
-	built := make(map[string]*Index, len(tv.indexes))
+	ixs := tv.state.schema.Indexes
+	trees := make([]*btree, len(ixs))
 	var k bulkKeys
-	for ixName, ix := range tv.indexes {
-		bt, err := k.buildTree(ix, tx.epoch, pages, int64(n))
-		if err != nil {
+	for i := range ixs {
+		var err error
+		if trees[i], err = k.buildTree(&ixs[i], tx.epoch, pages, int64(n)); err != nil {
 			return err
 		}
-		c := *ix
-		c.tree = bt
-		built[ixName] = &c
 	}
-	tv.pages, tv.nrows, tv.live = pages, int64(n), n
-	for ixName, ix := range built {
-		tv.indexes[ixName] = ix
-	}
+	tv.pages, tv.nrows, tv.live, tv.trees = pages, int64(n), n, trees
 	tv.state.countWrites(uint64(n))
 	return nil
 }

@@ -14,10 +14,11 @@ import (
 // answer exactly as one grown by inserts, refuse a duplicate in a unique
 // index without publishing anything, and count its rows as writes.
 
-// bulkRows draws n rows (name STRING, obj INT, seq INT) with few
-// distinct names, so the value index's entries share long prefixes and
-// arrive out of order, and obj ascending, so the by-object index
-// arrives sorted.
+// bulkRows draws n rows (name STRING, obj INT, seq INT, num FLOAT) with
+// few distinct names, so the value index's entries share long prefixes
+// and arrive out of order, obj ascending, so the by-object index
+// arrives sorted, and num NULL in about a third of the rows, as the
+// catalog's nval is for non-numeric text.
 func bulkRows(rng *rand.Rand, n int) []Row {
 	rows := make([]Row, n)
 	for i := range rows {
@@ -25,35 +26,36 @@ func bulkRows(rng *rand.Rand, n int) []Row {
 		if rng.Intn(8) == 0 {
 			name = fmt.Sprintf("%s-%d", name, rng.Intn(1000)) // a longer key sharing the prefix
 		}
-		rows[i] = Row{Str(name), Int(int64(i / 3)), Int(int64(i % 3))}
+		num := Null()
+		if rng.Intn(3) != 0 {
+			num = Float(float64(rng.Intn(40)) / 4)
+		}
+		rows[i] = Row{Str(name), Int(int64(i / 3)), Int(int64(i % 3)), num}
 	}
 	return rows
 }
 
-// bulkTable creates the table the tests load: a non-unique index over
-// (name, obj, seq), a non-unique index over obj and a unique index over
-// (obj, seq).
+// bulkIndexes are the indexes of the table the tests load: a non-unique
+// index over (name, obj, seq), a non-unique index over obj, a unique
+// index over (obj, seq) and a non-unique index over the nullable num.
+var bulkIndexes = []Index{
+	{Name: "by_name", Cols: []string{"name", "obj", "seq"}},
+	{Name: "by_obj", Cols: []string{"obj"}},
+	{Name: "pk", Unique: true, Cols: []string{"obj", "seq"}},
+	{Name: "by_num", Cols: []string{"num", "obj", "seq"}},
+}
+
+// bulkTable creates the table the tests load, with bulkIndexes.
 func bulkTable(t *testing.T, db *Database) *Table {
 	t.Helper()
-	tab, err := db.CreateTable("vals",
-		Column{Name: "name", Type: KString, NotNull: true},
-		Column{Name: "obj", Type: KInt, NotNull: true},
-		Column{Name: "seq", Type: KInt, NotNull: true})
+	tab, err := db.CreateTable("vals", []Column{
+		{Name: "name", Type: KString, NotNull: true},
+		{Name: "obj", Type: KInt, NotNull: true},
+		{Name: "seq", Type: KInt, NotNull: true},
+		{Name: "num", Type: KFloat},
+	}, bulkIndexes...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, ix := range []struct {
-		name   string
-		unique bool
-		cols   []string
-	}{
-		{"by_name", false, []string{"name", "obj", "seq"}},
-		{"by_obj", false, []string{"obj"}},
-		{"pk", true, []string{"obj", "seq"}},
-	} {
-		if _, err := tab.CreateIndex(ix.name, ix.unique, ix.cols...); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return tab
 }
@@ -74,7 +76,8 @@ func rowFeed(rows []Row) func() (Row, error) {
 // by an Insert per row and one by BulkLoad, and requires every index to
 // hold the same entries — same ascending scan, Get of every key, the
 // same LookupEqual and LookupRange answers — with both trees passing
-// checkInvariants, at sizes around one leaf and several levels.
+// checkInvariants, at sizes around one leaf and several levels. The
+// index over the nullable column holds exactly the rows without a NULL.
 func TestBulkBuildEqualsInserted(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 4097, 100_000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
@@ -94,8 +97,17 @@ func TestBulkBuildEqualsInserted(t *testing.T) {
 			if bulk.Len() != n || inserted.Len() != n {
 				t.Fatalf("Len: bulk %d, inserted %d, want %d", bulk.Len(), inserted.Len(), n)
 			}
-			for _, name := range []string{"by_name", "by_obj", "pk"} {
-				compareIndexes(t, name, inserted, bulk, rows)
+			for _, ix := range bulkIndexes {
+				compareIndexes(t, ix.Name, inserted, bulk, rows)
+			}
+			nums := 0
+			for _, r := range rows {
+				if !r[3].IsNull() {
+					nums++
+				}
+			}
+			if n := treeOf(t, bulk, "by_num").Len(); n != nums {
+				t.Fatalf("by_num holds %d entries, want one for each of the %d non-NULL rows", n, nums)
 			}
 		})
 	}
@@ -105,7 +117,7 @@ func TestBulkBuildEqualsInserted(t *testing.T) {
 // tables.
 func compareIndexes(t *testing.T, name string, want, got *Table, rows []Row) {
 	t.Helper()
-	wt, gt := want.Index(name).tree, got.Index(name).tree
+	wt, gt := treeOf(t, want, name), treeOf(t, got, name)
 	for label, bt := range map[string]*btree{"inserted": wt, "bulk": gt} {
 		if err := bt.checkInvariants(); err != nil {
 			t.Fatalf("%s %s: %v", label, name, err)
@@ -138,10 +150,10 @@ func compareIndexes(t *testing.T, name string, want, got *Table, rows []Row) {
 	if _, ok := gt.Get([]byte("\xff absent")); ok {
 		t.Fatalf("%s: Get of an absent key succeeded", name)
 	}
-	ix := got.Index(name)
+	ix, _, _ := got.version().index(name)
 	probe := func(r Row) []Value {
-		vals := make([]Value, len(ix.Cols))
-		for i, c := range ix.Cols {
+		vals := make([]Value, len(ix.cols))
+		for i, c := range ix.cols {
 			vals[i] = r[c]
 		}
 		return vals
@@ -174,8 +186,7 @@ func compareIndexes(t *testing.T, name string, want, got *Table, rows []Row) {
 // unique index to fail the load and publish nothing: the table stays
 // empty, its indexes stay empty, the epoch does not move, and the same
 // handle then loads valid rows. Inside an open transaction the table is
-// left as it was too. CreateIndex over rows that violate a unique index
-// fails and adds no index.
+// left as it was too.
 func TestBulkLoadRefusesDuplicateUnique(t *testing.T) {
 	rows := bulkRows(rand.New(rand.NewSource(1)), 500)
 	dup := append(slices.Clone(rows), slices.Clone(rows[137]))
@@ -195,9 +206,9 @@ func TestBulkLoadRefusesDuplicateUnique(t *testing.T) {
 		if tab.Len() != 0 {
 			t.Fatalf("a refused load left %d rows", tab.Len())
 		}
-		for _, name := range []string{"by_name", "by_obj", "pk"} {
-			if n := tab.Index(name).tree.Len(); n != 0 {
-				t.Fatalf("a refused load left %d entries in %s", n, name)
+		for _, ix := range bulkIndexes {
+			if n := treeOf(t, tab, ix.Name).Len(); n != 0 {
+				t.Fatalf("a refused load left %d entries in %s", n, ix.Name)
 			}
 		}
 	}
@@ -216,22 +227,6 @@ func TestBulkLoadRefusesDuplicateUnique(t *testing.T) {
 	if tab.Len() != len(rows) {
 		t.Fatalf("Len %d after the load, want %d", tab.Len(), len(rows))
 	}
-
-	plain, err := db.CreateTable("plain", Column{Name: "k", Type: KInt, NotNull: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int64{3, 1, 3} {
-		if _, err := plain.Insert(Row{Int(k)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := plain.CreateIndex("k_pk", true, "k"); err == nil {
-		t.Fatal("CreateIndex built a unique index over a duplicate")
-	}
-	if plain.Index("k_pk") != nil {
-		t.Fatal("a refused CreateIndex left its index behind")
-	}
 }
 
 // TestBulkLoadRefusesBadInput requires a row the schema refuses (too
@@ -243,7 +238,7 @@ func TestBulkLoadRefusesBadInput(t *testing.T) {
 	wide := slices.Clone(rows)
 	wide[40] = append(slices.Clone(wide[40]), Int(9))
 	null := slices.Clone(rows)
-	null[70] = Row{Null(), Int(1), Int(2)}
+	null[70] = Row{Null(), Int(1), Int(2), Null()}
 	tab := bulkTable(t, NewDatabase())
 	for label, in := range map[string][]Row{"too wide": wide, "NULL name": null} {
 		if err := tab.BulkLoad(len(in), rowFeed(in)); err == nil {

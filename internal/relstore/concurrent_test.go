@@ -13,19 +13,12 @@ import (
 // readers alongside a mutating writer, and that a pinned snapshot's scan
 // and index probes agree with each other however the writers move on.
 func TestConcurrentReadersWriters(t *testing.T) {
-	s, err := NewSchema("events",
-		Column{Name: "k", Type: KInt, NotNull: true},
-		Column{Name: "s", Type: KString},
-		Column{Name: "n", Type: KFloat},
-	)
+	tab, err := NewDatabase().CreateTable("events", []Column{
+		{Name: "k", Type: KInt, NotNull: true},
+		{Name: "s", Type: KString},
+		{Name: "n", Type: KFloat},
+	}, plainIx("by_k", "k"), plainIx("by_sn", "s", "n"))
 	if err != nil {
-		t.Fatal(err)
-	}
-	tab := NewTable(s)
-	if _, err := tab.CreateIndex("by_k", false, "k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.CreateIndex("by_sn", false, "s", "n"); err != nil {
 		t.Fatal(err)
 	}
 	labels := []string{"alpha", "beta", "gamma", "delta"}
@@ -60,14 +53,23 @@ func TestConcurrentReadersWriters(t *testing.T) {
 						return
 					}
 					if len(ids) > 0 {
-						if r := tab.Get(ids[0]); r != nil {
+						// An update: Delete and Insert in one
+						// transaction. The other writer may have deleted
+						// the row since the probe; then there is nothing
+						// to update.
+						tx := tab.db.Begin()
+						xt := tx.Table("events")
+						if r := xt.Get(ids[0]); r != nil {
 							nr := CloneRow(r)
 							nr[2] = Float(float64(i) + 0.5)
-							// The row may have been deleted by the other
-							// writer between Get and Update; that error is
-							// expected and not a failure.
-							_ = tab.Update(ids[0], nr)
+							xt.Delete(ids[0])
+							if _, err := xt.Insert(nr); err != nil {
+								tx.Abort()
+								t.Error(err)
+								return
+							}
 						}
+						tx.Commit()
 					}
 				case 2:
 					ids, err := tab.LookupEqual("by_k", Int(int64((w*100+i)%16)))

@@ -62,9 +62,10 @@ func NewDatabase() *Database {
 	return db
 }
 
-// CreateTable creates a table from column definitions.
-func (db *Database) CreateTable(name string, cols ...Column) (*Table, error) {
-	s, err := NewSchema(name, cols...)
+// CreateTable creates an empty table from its column and index
+// declarations (see NewSchema). A table's indexes are fixed at creation.
+func (db *Database) CreateTable(name string, cols []Column, indexes ...Index) (*Table, error) {
+	s, err := NewSchema(name, cols, indexes...)
 	if err != nil {
 		return nil, err
 	}

@@ -83,7 +83,7 @@ func pageAt(pages []*rowPage, p int) *rowPage {
 }
 
 // sameRow reports whether two slots hold the identical stored row. Rows
-// are immutable once stored and every Insert/Update stores a fresh
+// are immutable once stored and every Insert stores a fresh
 // slice (Schema.CheckRow), so identity implies equal content; two
 // distinct slices with equal content count as changed, which costs the
 // caller a redundant remove-and-add and is never wrong.

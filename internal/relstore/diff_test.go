@@ -84,7 +84,7 @@ func TestTableMarkDiffReadsOnlyChangedPages(t *testing.T) {
 		}
 	}
 	before := db.Snapshot().MustTable("acct").Mark()
-	if _, err := db.CreateTable("other", Column{Name: "k", Type: KInt}); err != nil {
+	if _, err := db.CreateTable("other", []Column{{Name: "k", Type: KInt}}); err != nil {
 		t.Fatal(err)
 	}
 	visits := 0

@@ -16,14 +16,12 @@ const benchIndexEntries = 100_000
 func benchIndexDB(b *testing.B) *Database {
 	b.Helper()
 	db := NewDatabase()
-	_, err := db.CreateTable("vals",
-		Column{Name: "name", Type: KString, NotNull: true},
-		Column{Name: "obj", Type: KInt, NotNull: true},
-		Column{Name: "seq", Type: KInt, NotNull: true})
+	_, err := db.CreateTable("vals", []Column{
+		{Name: "name", Type: KString, NotNull: true},
+		{Name: "obj", Type: KInt, NotNull: true},
+		{Name: "seq", Type: KInt, NotNull: true},
+	}, plainIx("by_name", "name", "obj", "seq"))
 	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.Table("vals").CreateIndex("by_name", false, "name", "obj", "seq"); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))

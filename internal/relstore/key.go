@@ -126,11 +126,23 @@ func EncodeKey(vals ...Value) []byte {
 	return dst
 }
 
-// appendColumnsKey appends the encoding of row's projection onto cols to
-// dst.
-func appendColumnsKey(dst []byte, row Row, cols []int) []byte {
-	for _, c := range cols {
+// rowIDSuffixLen is the width of the row-ID suffix that keeps a
+// non-unique index's entries distinct.
+const rowIDSuffixLen = 8
+
+// appendEntryKey appends row's entry key in ix to dst — the indexed
+// columns, then for a non-unique index the row ID — and reports whether
+// the row has an entry: a row with a NULL in an indexed column has none.
+func appendEntryKey(dst []byte, ix *Index, row Row, rowID int64) ([]byte, bool) {
+	n := len(dst)
+	for _, c := range ix.cols {
+		if row[c].IsNull() {
+			return dst[:n], false
+		}
 		dst = AppendKey(dst, row[c])
 	}
-	return dst
+	if !ix.Unique {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(rowID))
+	}
+	return dst, true
 }

@@ -125,18 +125,11 @@ func genMvccLog(rng *rand.Rand, txs, keySpace int) []mvccTx {
 func newMvccDB(t *testing.T) *Database {
 	t.Helper()
 	db := NewDatabase()
-	tab, err := db.CreateTable("acct",
-		Column{Name: "k", Type: KInt, NotNull: true},
-		Column{Name: "payload", Type: KString, NotNull: true},
-		Column{Name: "n", Type: KFloat, NotNull: true},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.CreateIndex("pk", true, "k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.CreateIndex("by_payload", false, "payload"); err != nil {
+	if _, err := db.CreateTable("acct", []Column{
+		{Name: "k", Type: KInt, NotNull: true},
+		{Name: "payload", Type: KString, NotNull: true},
+		{Name: "n", Type: KFloat, NotNull: true},
+	}, uniqueIx("pk", "k"), plainIx("by_payload", "payload")); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -158,11 +151,9 @@ func applyMvccTx(db *Database, mtx mvccTx) error {
 			if len(ids) > 0 {
 				tab.Delete(ids[0])
 			}
-		case len(ids) > 0:
-			if err := tab.Update(ids[0], Row{Int(op.key), Str(op.payload), Float(op.n)}); err != nil {
-				tx.Abort()
-				return err
-			}
+		case len(ids) > 0: // an update: Delete, then Insert below
+			tab.Delete(ids[0])
+			fallthrough
 		default:
 			if _, err := tab.Insert(Row{Int(op.key), Str(op.payload), Float(op.n)}); err != nil {
 				tx.Abort()

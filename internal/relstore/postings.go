@@ -21,14 +21,14 @@ import (
 // counts one index lookup.
 func (t *Table) LookupRangeTails(indexName string, lo, hi RangeBound, n int, fn func(tail []int64) bool) error {
 	tv := t.version()
-	ix := tv.indexes[indexName]
-	if ix == nil {
-		return fmt.Errorf("relstore: table %s: no index %q", t.name, indexName)
+	ix, bt, err := tv.index(indexName)
+	if err != nil {
+		return err
 	}
-	if n < 1 || n > len(ix.Cols) {
-		return fmt.Errorf("relstore: index %s: cannot decode %d tail columns of %d", indexName, n, len(ix.Cols))
+	if n < 1 || n > len(ix.cols) {
+		return fmt.Errorf("relstore: index %s: cannot decode %d tail columns of %d", indexName, n, len(ix.cols))
 	}
-	for _, c := range ix.Cols[len(ix.Cols)-n:] {
+	for _, c := range ix.cols[len(ix.cols)-n:] {
 		if col := tv.state.schema.Columns[c]; col.Type != KInt || !col.NotNull {
 			return fmt.Errorf("relstore: index %s: tail column %q is not a NOT NULL INT", indexName, col.Name)
 		}
@@ -40,7 +40,7 @@ func (t *Table) LookupRangeTails(indexName string, lo, hi RangeBound, n int, fn 
 	}
 	tail := make([]int64, n)
 	loKey, hiKey := rangeKeys(lo, hi)
-	ix.tree.Ascend(loKey, hiKey, func(key []byte, _ int64) bool {
+	bt.Ascend(loKey, hiKey, func(key []byte, _ int64) bool {
 		cells := key[len(key)-suffix-n*numberKeyLen:]
 		for i := range tail {
 			// The cell's last 8 bytes are the int with its sign bit flipped.
@@ -50,18 +50,4 @@ func (t *Table) LookupRangeTails(indexName string, lo, hi RangeBound, n int, fn 
 		return fn(tail)
 	})
 	return nil
-}
-
-// ScanTextPostings calls fn(doc, text) for every live row whose textCol
-// holds a string, keyed by docCol's integer value — the emission hook
-// the catalog's text index builds from (one call per elem_data sval).
-// The whole scan observes one version, even on a live handle.
-func (t *Table) ScanTextPostings(docCol, textCol int, fn func(doc int64, text string)) {
-	tv := t.version()
-	tv.scan(func(_ int64, r Row) bool {
-		if textCol < len(r) && docCol < len(r) && r[textCol].K == KString {
-			fn(r[docCol].I, r[textCol].S)
-		}
-		return true
-	})
 }

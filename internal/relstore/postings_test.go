@@ -47,20 +47,20 @@ func newTailsFixture(t *testing.T) *tailsFixture {
 	t.Helper()
 	f := &tailsFixture{db: NewDatabase(), reg: obs.NewRegistry(), rng: rand.New(rand.NewSource(11))}
 	f.db.SetMetrics(f.reg)
-	tab, err := f.db.CreateTable("t",
-		Column{Name: "s", Type: KString, NotNull: true},
-		Column{Name: "f", Type: KFloat},
-		Column{Name: "a", Type: KInt, NotNull: true},
-		Column{Name: "b", Type: KInt, NotNull: true},
-		Column{Name: "c", Type: KInt},
-	)
+	// by_a_c ends in a nullable INT, which no tail scan may decode.
+	indexes := []Index{plainIx("by_a_c", "a", "c")}
+	for _, ti := range tailsIndexes {
+		indexes = append(indexes, Index{Name: ti.name, Unique: ti.unique, Cols: ti.cols})
+	}
+	_, err := f.db.CreateTable("t", []Column{
+		{Name: "s", Type: KString, NotNull: true},
+		{Name: "f", Type: KFloat},
+		{Name: "a", Type: KInt, NotNull: true},
+		{Name: "b", Type: KInt, NotNull: true},
+		{Name: "c", Type: KInt},
+	}, indexes...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, ix := range tailsIndexes {
-		if _, err := tab.CreateIndex(ix.name, ix.unique, ix.cols...); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return f
 }
@@ -173,16 +173,19 @@ func TestLookupRangeTailsMatchesRowPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Delete, update and insert after the pin: the pinned handle must keep
-	// answering from its own version.
+	// Delete, update (Delete and Insert in one transaction) and insert
+	// after the pin: the pinned handle must keep answering from its own
+	// version.
 	for i := 0; i < 400; i += 3 {
-		if i%2 == 0 {
-			live.Delete(int64(i))
-			continue
+		tx := f.db.Begin()
+		xt := tx.Table("t")
+		xt.Delete(int64(i))
+		if i%2 == 1 {
+			if _, err := xt.Insert(f.row()); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := live.Update(int64(i), f.row()); err != nil {
-			t.Fatal(err)
-		}
+		tx.Commit()
 	}
 	for i := 0; i < 50; i++ {
 		if _, err := live.Insert(f.row()); err != nil {
@@ -216,9 +219,6 @@ func TestLookupRangeTailsMatchesRowPath(t *testing.T) {
 func TestLookupRangeTailsRefusesNonIntTail(t *testing.T) {
 	f := newTailsFixture(t)
 	tab := f.db.MustTable("t")
-	if _, err := tab.CreateIndex("by_a_c", false, "a", "c"); err != nil {
-		t.Fatal(err)
-	}
 	for _, bad := range []struct {
 		index string
 		n     int

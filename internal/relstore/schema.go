@@ -9,16 +9,32 @@ type Column struct {
 	NotNull bool
 }
 
-// Schema describes a table's columns. Column names are unique,
-// case-sensitive, and resolved by ColIndex.
+// Index declares one index of a table: a copy-on-write B-tree over the
+// order-preserving encoding of Cols, so it answers equality probes (a
+// prefix scan) and range scans alike. A unique index refuses a second
+// row with the same key. A row with a NULL in any of Cols has no entry:
+// no probe finds it, and a unique index accepts any number of such rows.
+type Index struct {
+	Name   string
+	Unique bool
+	Cols   []string
+
+	cols []int // positions of Cols, resolved by NewSchema
+}
+
+// Schema describes a table: its columns, resolved by ColIndex, and its
+// indexes, in declaration order. Column and index names are unique,
+// case-sensitive.
 type Schema struct {
 	Name    string
 	Columns []Column
+	Indexes []Index
 	byName  map[string]int
 }
 
-// NewSchema builds a schema, validating column-name uniqueness.
-func NewSchema(name string, cols ...Column) (*Schema, error) {
+// NewSchema builds a schema, validating that column and index names are
+// unique and that every index names one or more existing columns.
+func NewSchema(name string, cols []Column, indexes ...Index) (*Schema, error) {
 	s := &Schema{Name: name, Columns: cols, byName: make(map[string]int, len(cols))}
 	for i, c := range cols {
 		if c.Name == "" {
@@ -29,16 +45,21 @@ func NewSchema(name string, cols ...Column) (*Schema, error) {
 		}
 		s.byName[c.Name] = i
 	}
-	return s, nil
-}
-
-// MustSchema is NewSchema that panics on error; for static schemas.
-func MustSchema(name string, cols ...Column) *Schema {
-	s, err := NewSchema(name, cols...)
-	if err != nil {
-		panic(err)
+	s.Indexes = make([]Index, len(indexes))
+	for i, ix := range indexes {
+		if ix.Name == "" || len(ix.Cols) == 0 {
+			return nil, fmt.Errorf("relstore: table %s: index %d needs a name and columns", name, i)
+		}
+		if s.indexPos(ix.Name) >= 0 {
+			return nil, fmt.Errorf("relstore: table %s: duplicate index %q", name, ix.Name)
+		}
+		pos, err := s.ColIndexes(ix.Cols...)
+		if err != nil {
+			return nil, err
+		}
+		s.Indexes[i] = Index{Name: ix.Name, Unique: ix.Unique, Cols: ix.Cols, cols: pos}
 	}
-	return s
+	return s, nil
 }
 
 // ColIndex returns the position of the named column, or -1.
@@ -61,6 +82,17 @@ func (s *Schema) ColIndexes(names ...string) ([]int, error) {
 		idx[i] = j
 	}
 	return idx, nil
+}
+
+// indexPos returns the position of the named index in Indexes, or -1.
+// A table declares a handful of indexes, so a scan serves.
+func (s *Schema) indexPos(name string) int {
+	for i := range s.Indexes {
+		if s.Indexes[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // CheckRow validates a row against the schema — its arity, NOT NULL

@@ -7,57 +7,6 @@ import (
 	"github.com/gridmeta/hybridcat/internal/obs"
 )
 
-// Index is a secondary index over one or more columns of a table: a
-// copy-on-write B-tree over the order-preserving key encoding, so it
-// answers equality probes (a prefix scan) and range scans alike.
-// Indexes are maintained synchronously by Insert/Update/Delete inside
-// the writing transaction, and built whole, bottom-up, by BulkLoad and
-// CreateIndex.
-type Index struct {
-	Name   string
-	Cols   []int
-	Unique bool
-
-	tree *btree
-}
-
-// rowIDSuffixLen is the width of the row-ID suffix that keeps a
-// non-unique index's entries distinct.
-const rowIDSuffixLen = 8
-
-// add stores rowID under key, an entry key (Tx.indexKey); a unique
-// index refuses a key it already holds. The tree copies key.
-func (ix *Index) add(key []byte, rowID int64) error {
-	if ix.Unique {
-		if _, exists := ix.tree.Get(key); exists {
-			return fmt.Errorf("relstore: unique index %s violated", ix.Name)
-		}
-	}
-	ix.tree.Insert(key, rowID)
-	return nil
-}
-
-// remove deletes the entry under key, an entry key (Tx.indexKey).
-func (ix *Index) remove(key []byte) {
-	ix.tree.Delete(key)
-}
-
-// lookupEqual collects the row IDs whose indexed columns encode to key.
-func (ix *Index) lookupEqual(key []byte) []int64 {
-	if ix.Unique {
-		if id, ok := ix.tree.Get(key); ok {
-			return []int64{id}
-		}
-		return nil
-	}
-	var out []int64
-	ix.tree.AscendPrefix(key, func(_ []byte, v int64) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
-}
-
 // Table is a handle onto one table of a Database. Row IDs are stable
 // for the life of the row and may be reused after deletion.
 //
@@ -72,7 +21,7 @@ func (ix *Index) lookupEqual(key []byte) []int64 {
 //   - transactional (Tx.Table): reads observe the transaction's own
 //     uncommitted writes; mutations apply to its building version.
 type Table struct {
-	// Schema is the table's column layout; immutable.
+	// Schema is the table's columns and indexes; immutable.
 	Schema *Schema
 
 	name  string
@@ -126,46 +75,6 @@ func (st *tableState) setMetrics(reg *obs.Registry) {
 	})
 }
 
-// NewTable creates an empty standalone table with the given schema. It
-// is backed by a private single-table database, so it shares the
-// versioned concurrency story of Database-owned tables.
-func NewTable(s *Schema) *Table {
-	db := NewDatabase()
-	tx := db.Begin()
-	t, err := tx.createTable(s)
-	if err != nil {
-		// Impossible: the private database is empty, so the only failure
-		// (duplicate name) cannot occur.
-		tx.Abort()
-		panic(err)
-	}
-	tx.Commit()
-	t.tx = nil
-	return t
-}
-
-// CreateIndex builds an index over the named columns, indexing existing
-// rows. It fails if the name is taken, a column is unknown, or a unique
-// constraint is already violated.
-func (t *Table) CreateIndex(name string, unique bool, cols ...string) (*Index, error) {
-	var ix *Index
-	err := t.write(func(tx *Tx) error {
-		var err error
-		ix, err = tx.createIndex(t.name, name, unique, cols...)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// Index returns the named index, or nil.
-func (t *Table) Index(name string) *Index {
-	tv := t.version()
-	return tv.indexes[name]
-}
-
 // NextAutoID returns a monotonically increasing int64, 1-based; used for
 // synthetic primary keys. The counter is shared across versions of the
 // table and never rewinds on abort, so IDs are unique but not dense.
@@ -190,8 +99,8 @@ func (t *Table) EnsureAutoID(min int64) {
 	}
 }
 
-// Insert validates the row against the schema, appends it, and maintains
-// all indexes. It returns the new row ID.
+// Insert validates the row against the schema, appends it, and adds its
+// entry to each index. It returns the new row ID.
 func (t *Table) Insert(r Row) (int64, error) {
 	var id int64
 	err := t.write(func(tx *Tx) error {
@@ -226,13 +135,6 @@ func (t *Table) Delete(id int64) bool {
 	return ok
 }
 
-// Update replaces the row under id, maintaining indexes.
-func (t *Table) Update(id int64, r Row) error {
-	return t.write(func(tx *Tx) error {
-		return tx.updateRow(t.name, id, r)
-	})
-}
-
 // Len returns the number of live rows.
 func (t *Table) Len() int {
 	tv := t.version()
@@ -248,18 +150,30 @@ func (t *Table) Scan(fn func(id int64, r Row) bool) {
 }
 
 // LookupEqual returns the row IDs whose indexed columns equal vals, using
-// the named index.
+// the named index. A NULL in vals matches no row (see Index).
 func (t *Table) LookupEqual(indexName string, vals ...Value) ([]int64, error) {
 	tv := t.version()
-	ix := tv.indexes[indexName]
-	if ix == nil {
-		return nil, fmt.Errorf("relstore: table %s: no index %q", t.name, indexName)
+	ix, bt, err := tv.index(indexName)
+	if err != nil {
+		return nil, err
 	}
-	if len(vals) != len(ix.Cols) {
-		return nil, fmt.Errorf("relstore: index %s: got %d key values, want %d", indexName, len(vals), len(ix.Cols))
+	if len(vals) != len(ix.cols) {
+		return nil, fmt.Errorf("relstore: index %s: got %d key values, want %d", indexName, len(vals), len(ix.cols))
 	}
 	tv.state.countLookup()
-	return ix.lookupEqual(EncodeKey(vals...)), nil
+	key := EncodeKey(vals...)
+	if ix.Unique {
+		if id, ok := bt.Get(key); ok {
+			return []int64{id}, nil
+		}
+		return nil, nil
+	}
+	var out []int64
+	bt.AscendPrefix(key, func(_ []byte, v int64) bool {
+		out = append(out, v)
+		return true
+	})
+	return out, nil
 }
 
 // RangeBound describes one end of an index range scan.
@@ -273,14 +187,14 @@ type RangeBound struct {
 // the bounds' inclusivity, in key order.
 func (t *Table) LookupRange(indexName string, lo, hi RangeBound) ([]int64, error) {
 	tv := t.version()
-	ix := tv.indexes[indexName]
-	if ix == nil {
-		return nil, fmt.Errorf("relstore: table %s: no index %q", t.name, indexName)
+	_, bt, err := tv.index(indexName)
+	if err != nil {
+		return nil, err
 	}
 	tv.state.countLookup()
 	loKey, hiKey := rangeKeys(lo, hi)
 	var out []int64
-	ix.tree.Ascend(loKey, hiKey, func(_ []byte, v int64) bool {
+	bt.Ascend(loKey, hiKey, func(_ []byte, v int64) bool {
 		out = append(out, v)
 		return true
 	})
@@ -292,12 +206,12 @@ func (t *Table) LookupRange(indexName string, lo, hi RangeBound) ([]int64, error
 // fetched and no row-ID list is built. The call counts one index lookup.
 func (t *Table) CountPrefix(indexName string, vals ...Value) (int, error) {
 	tv := t.version()
-	ix := tv.indexes[indexName]
-	if ix == nil {
-		return 0, fmt.Errorf("relstore: table %s: no index %q", t.name, indexName)
+	ix, bt, err := tv.index(indexName)
+	if err != nil {
+		return 0, err
 	}
-	if len(vals) == 0 || len(vals) > len(ix.Cols) {
-		return 0, fmt.Errorf("relstore: index %s: got %d key values, want 1..%d", indexName, len(vals), len(ix.Cols))
+	if len(vals) == 0 || len(vals) > len(ix.cols) {
+		return 0, fmt.Errorf("relstore: index %s: got %d key values, want 1..%d", indexName, len(vals), len(ix.cols))
 	}
 	tv.state.countLookup()
 	var buf [32]byte // an integer key fits, so the common count allocates nothing
@@ -306,7 +220,7 @@ func (t *Table) CountPrefix(indexName string, vals ...Value) (int, error) {
 		prefix = AppendKey(prefix, v)
 	}
 	n := 0
-	ix.tree.Ascend(prefix, nil, func(key []byte, _ int64) bool {
+	bt.Ascend(prefix, nil, func(key []byte, _ int64) bool {
 		if !bytes.HasPrefix(key, prefix) {
 			return false
 		}

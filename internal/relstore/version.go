@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -65,7 +64,7 @@ type tableState struct {
 // never stored — absence of metrics is a nil tableMetrics pointer.
 type tableMetrics struct {
 	reads   *obs.Counter // rows surfaced by Get and Scan
-	writes  *obs.Counter // successful Insert/Update/Delete, and each row BulkLoad stores
+	writes  *obs.Counter // successful Insert/Delete, and each row BulkLoad stores
 	lookups *obs.Counter // index probes (LookupEqual/LookupRange/LookupRangeTails calls)
 }
 
@@ -88,17 +87,28 @@ func (st *tableState) countLookup() {
 }
 
 // tableVersion is the immutable per-version state of one table: paged
-// row storage, the free list, and the secondary indexes. The epoch
-// records which transaction built this copy, so a transaction clones
-// the spine at most once per table.
+// row storage, the free list, and one B-tree per declared index. The
+// epoch records which transaction built this copy, so a transaction
+// clones the spine at most once per table.
 type tableVersion struct {
-	epoch   uint64
-	state   *tableState
-	pages   []*rowPage
-	nrows   int64 // allocated row-ID space, including freed slots
-	free    []int64
-	live    int
-	indexes map[string]*Index
+	epoch uint64
+	state *tableState
+	pages []*rowPage
+	nrows int64 // allocated row-ID space, including freed slots
+	free  []int64
+	live  int
+	trees []*btree // trees[i] holds the entries of state.schema.Indexes[i]
+}
+
+// index resolves the named index: its declaration and this version's
+// tree.
+func (tv *tableVersion) index(name string) (*Index, *btree, error) {
+	s := tv.state.schema
+	i := s.indexPos(name)
+	if i < 0 {
+		return nil, nil, fmt.Errorf("relstore: table %s: no index %q", s.Name, name)
+	}
+	return &s.Indexes[i], tv.trees[i], nil
 }
 
 // row returns the row stored under id in this version, or nil.
@@ -147,7 +157,7 @@ type Tx struct {
 	epoch  uint64
 	tables map[string]*tableVersion
 	done   bool
-	keyBuf []byte // scratch for index entry keys (indexKey)
+	keyBuf []byte // scratch for index entry keys (entryKey)
 }
 
 // Begin opens a write transaction against the newest version — the
@@ -268,52 +278,50 @@ func (tx *Tx) MustTable(name string) *Table {
 }
 
 // writable returns the transaction-private tableVersion for name,
-// cloning the spine (page pointers, free list, index map) off the base
-// version on first touch.
+// cloning the spine (page pointers, free list, tree pointers) off the
+// base version on first touch.
 func (tx *Tx) writable(name string) *tableVersion {
 	tv := tx.tables[name]
 	if tv.epoch == tx.epoch {
 		return tv
 	}
 	c := &tableVersion{
-		epoch:   tx.epoch,
-		state:   tv.state,
-		pages:   slices.Clone(tv.pages),
-		nrows:   tv.nrows,
-		free:    slices.Clone(tv.free),
-		live:    tv.live,
-		indexes: maps.Clone(tv.indexes),
+		epoch: tx.epoch,
+		state: tv.state,
+		pages: slices.Clone(tv.pages),
+		nrows: tv.nrows,
+		free:  slices.Clone(tv.free),
+		live:  tv.live,
+		trees: slices.Clone(tv.trees),
 	}
 	tx.tables[name] = c
 	return c
 }
 
-// writableIndex returns a transaction-private copy of the named index
-// of tv, cloning it off the shared version on first touch.
-func (tx *Tx) writableIndex(tv *tableVersion, name string) *Index {
-	ix := tv.indexes[name]
-	if ix.tree.epoch == tx.epoch {
-		return ix
+// writableTree returns a transaction-private copy of tv's i'th tree,
+// cloning it off the shared version on first touch.
+func (tx *Tx) writableTree(tv *tableVersion, i int) *btree {
+	bt := tv.trees[i]
+	if bt.epoch != tx.epoch {
+		bt = bt.clone(tx.epoch)
+		tv.trees[i] = bt
 	}
-	c := *ix
-	c.tree = ix.tree.clone(tx.epoch)
-	tv.indexes[name] = &c
-	return &c
+	return bt
 }
 
-// indexKey encodes row's entry in ix — the indexed columns, then for a
-// non-unique index the row ID — into the transaction's scratch buffer.
+// entryKey encodes row's entry key in ix (appendEntryKey) into the
+// transaction's scratch buffer, reporting false for a row without one.
 // The next call overwrites it; the B-tree copies the keys it stores.
-func (tx *Tx) indexKey(ix *Index, row Row, rowID int64) []byte {
-	tx.keyBuf = appendColumnsKey(tx.keyBuf[:0], row, ix.Cols)
-	if !ix.Unique {
-		tx.keyBuf = binary.BigEndian.AppendUint64(tx.keyBuf, uint64(rowID))
-	}
-	return tx.keyBuf
+func (tx *Tx) entryKey(ix *Index, row Row, rowID int64) ([]byte, bool) {
+	var ok bool
+	tx.keyBuf, ok = appendEntryKey(tx.keyBuf[:0], ix, row, rowID)
+	return tx.keyBuf, ok
 }
 
-// insertRow validates and inserts r into the named table, maintaining
-// all indexes, and returns the new row ID.
+// insertRow validates and inserts r into the named table, adding its
+// entries to the indexes in declaration order, and returns the new row
+// ID. On a unique violation it removes the entries already added, so
+// the builder stays consistent for the transaction's remaining ops.
 func (tx *Tx) insertRow(name string, r Row) (int64, error) {
 	tv := tx.writable(name)
 	nr, err := tv.state.schema.CheckRow(r)
@@ -329,21 +337,22 @@ func (tx *Tx) insertRow(name string, r Row) (int64, error) {
 		tv.nrows++
 	}
 	tv.setRow(tx.epoch, id, nr)
-	// Track the indexes actually updated: map iteration order is random,
-	// so a unique violation must un-apply exactly what was applied, so
-	// the builder stays consistent for the transaction's remaining ops.
-	added := make([]*Index, 0, len(tv.indexes))
-	for ixName := range tv.indexes {
-		ix := tx.writableIndex(tv, ixName)
-		if err := ix.add(tx.indexKey(ix, nr, id), id); err != nil {
-			for _, ix2 := range added {
-				ix2.remove(tx.indexKey(ix2, nr, id))
-			}
-			tv.setRow(tx.epoch, id, nil)
-			tv.free = append(tv.free, id)
-			return 0, err
+	ixs := tv.state.schema.Indexes
+	for i := range ixs {
+		key, ok := tx.entryKey(&ixs[i], nr, id)
+		if !ok {
+			continue
 		}
-		added = append(added, ix)
+		bt := tx.writableTree(tv, i)
+		if ixs[i].Unique {
+			if _, taken := bt.Get(key); taken {
+				tx.removeEntries(tv, i, nr, id)
+				tv.setRow(tx.epoch, id, nil)
+				tv.free = append(tv.free, id)
+				return 0, fmt.Errorf("relstore: unique index %s violated", ixs[i].Name)
+			}
+		}
+		bt.Insert(key, id)
 	}
 	tv.live++
 	tv.state.countWrites(1)
@@ -357,10 +366,7 @@ func (tx *Tx) deleteRow(name string, id int64) bool {
 	if r == nil {
 		return false
 	}
-	for ixName := range tv.indexes {
-		ix := tx.writableIndex(tv, ixName)
-		ix.remove(tx.indexKey(ix, r, id))
-	}
+	tx.removeEntries(tv, len(tv.trees), r, id)
 	tv.setRow(tx.epoch, id, nil)
 	tv.free = append(tv.free, id)
 	tv.live--
@@ -368,60 +374,15 @@ func (tx *Tx) deleteRow(name string, id int64) bool {
 	return true
 }
 
-// updateRow replaces the row under id, maintaining indexes.
-func (tx *Tx) updateRow(name string, id int64, r Row) error {
-	tv := tx.writable(name)
-	nr, err := tv.state.schema.CheckRow(r)
-	if err != nil {
-		return err
-	}
-	old := tv.row(id)
-	if old == nil {
-		return fmt.Errorf("relstore: table %s: update of missing row %d", name, id)
-	}
-	for ixName := range tv.indexes {
-		ix := tx.writableIndex(tv, ixName)
-		ix.remove(tx.indexKey(ix, old, id))
-	}
-	added := make([]*Index, 0, len(tv.indexes))
-	for ixName := range tv.indexes {
-		ix := tx.writableIndex(tv, ixName)
-		if err := ix.add(tx.indexKey(ix, nr, id), id); err != nil {
-			// Un-apply exactly the new entries applied, then restore the
-			// old ones (which cannot conflict: they coexisted before).
-			for _, ix2 := range added {
-				ix2.remove(tx.indexKey(ix2, nr, id))
-			}
-			for ixName2 := range tv.indexes {
-				ix2 := tx.writableIndex(tv, ixName2)
-				_ = ix2.add(tx.indexKey(ix2, old, id), id)
-			}
-			return err
+// removeEntries deletes the entries of row r, stored under id, from the
+// first n indexes of tv.
+func (tx *Tx) removeEntries(tv *tableVersion, n int, r Row, id int64) {
+	ixs := tv.state.schema.Indexes
+	for i := range ixs[:n] {
+		if key, ok := tx.entryKey(&ixs[i], r, id); ok {
+			tx.writableTree(tv, i).Delete(key)
 		}
-		added = append(added, ix)
 	}
-	tv.setRow(tx.epoch, id, nr)
-	tv.state.countWrites(1)
-	return nil
-}
-
-// createIndex builds an index over the named columns of the table,
-// indexing existing rows bottom-up (bulkKeys.buildTree).
-func (tx *Tx) createIndex(table, name string, unique bool, cols ...string) (*Index, error) {
-	tv := tx.writable(table)
-	if _, dup := tv.indexes[name]; dup {
-		return nil, fmt.Errorf("relstore: table %s: index %q already exists", table, name)
-	}
-	idx, err := tv.state.schema.ColIndexes(cols...)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{Name: name, Cols: idx, Unique: unique}
-	if ix.tree, err = new(bulkKeys).buildTree(ix, tx.epoch, tv.pages, tv.nrows); err != nil {
-		return nil, err
-	}
-	tv.indexes[name] = ix
-	return ix, nil
 }
 
 // createTable adds a table to the building version.
@@ -433,11 +394,11 @@ func (tx *Tx) createTable(s *Schema) (*Table, error) {
 	if reg := tx.db.metrics.Load(); reg != nil {
 		state.setMetrics(reg)
 	}
-	tx.tables[s.Name] = &tableVersion{
-		epoch:   tx.epoch,
-		state:   state,
-		indexes: make(map[string]*Index),
+	trees := make([]*btree, len(s.Indexes))
+	for i := range trees {
+		trees[i] = &btree{root: &bnode{epoch: tx.epoch, leaf: true}, epoch: tx.epoch}
 	}
+	tx.tables[s.Name] = &tableVersion{epoch: tx.epoch, state: state, trees: trees}
 	return &Table{Schema: s, name: s.Name, state: state, db: tx.db, tx: tx}, nil
 }
 

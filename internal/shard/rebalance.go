@@ -128,7 +128,7 @@ func (cl *Cluster) bootstrapShard(src *catalog.Catalog, newDir string) (*catalog
 			return nil, 0, err
 		}
 	}
-	err := atomicWrite(cl.fs, snapPath, func(w io.Writer) error {
+	err := faultio.WriteAtomic(cl.fs, snapPath, func(w io.Writer) error {
 		var serr error
 		watermark, serr = src.ReplicationSnapshot(w)
 		return serr

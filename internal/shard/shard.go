@@ -236,32 +236,10 @@ func (cl *Cluster) saveRouting(dirs []string) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(cl.fs, cl.routingPath, func(w io.Writer) error {
+	return faultio.WriteAtomic(cl.fs, cl.routingPath, func(w io.Writer) error {
 		_, werr := w.Write(append(data, '\n'))
 		return werr
 	})
-}
-
-// atomicWrite writes path via temp + fsync + rename so a crash leaves
-// either the old file or the complete new one.
-func atomicWrite(fs faultio.FS, path string, write func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = fs.Remove(tmp)
-		return err
-	}
-	return fs.Rename(tmp, path)
 }
 
 // openShardCatalog opens one shard's durable catalog under dir, using
