@@ -151,10 +151,11 @@ docs: vet
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# In-process heap census: live heap bytes and relstore values per
-# document after ingesting W1's corpus shape (BenchmarkIngestHeapPerDoc),
-# and the load time and live heap per document of a snapshot of that
-# shape at 1 536 and 15 360 documents (BenchmarkSnapshotLoad).
+# In-process heap census: live heap bytes, bytes allocated while
+# ingesting, relstore values and index entries per document of W1's
+# corpus shape (BenchmarkIngestHeapPerDoc), and the recovery time and
+# live heap per document of a checkpoint of that shape at 1 536 and
+# 15 360 documents, opened with OpenDurable (BenchmarkSnapshotLoad).
 heap:
 	$(GO) test -run=XXX -bench='IngestHeapPerDoc|SnapshotLoad' -benchtime=1x .
 

@@ -6,7 +6,9 @@ package hybridcat_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -452,13 +454,16 @@ func heapAlloc() uint64 {
 // BenchmarkIngestHeapPerDoc is an in-process heap census of ingest: the
 // live heap a catalog holds per document of W1's shape (1 536
 // documents), measured as HeapAlloc after runtime.GC before and after
-// the ingest, the relstore values those documents' rows hold, and the
-// entries of every declared index. Each document is generated as it is
-// ingested, so no document tree stays live.
+// the ingest, the bytes allocated per document while ingesting
+// (TotalAlloc across the ingest loop, document generation included),
+// the relstore values those documents' rows hold, and the entries of
+// every declared index. Each document is generated as it is ingested,
+// so no document tree stays live.
 func BenchmarkIngestHeapPerDoc(b *testing.B) {
 	g := workload.New(w1Shape(1536))
 	docs := g.Config().Docs
-	var heap, values, entries float64
+	var heap, alloc, values, entries float64
+	var ms runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		before := heapAlloc()
 		cat, err := hybridcat.Open(g.Schema, hybridcat.Options{})
@@ -468,11 +473,15 @@ func BenchmarkIngestHeapPerDoc(b *testing.B) {
 		if err := g.RegisterDefinitions(cat); err != nil {
 			b.Fatal(err)
 		}
+		runtime.ReadMemStats(&ms)
+		total := ms.TotalAlloc
 		for d := 0; d < docs; d++ {
 			if _, err := cat.Ingest("bench", g.Document(d)); err != nil {
 				b.Fatal(err)
 			}
 		}
+		runtime.ReadMemStats(&ms)
+		alloc = float64(ms.TotalAlloc - total)
 		heap = float64(heapAlloc()) - float64(before)
 		n, e := 0, 0
 		for _, name := range cat.DB.TableNames() {
@@ -493,17 +502,21 @@ func BenchmarkIngestHeapPerDoc(b *testing.B) {
 		runtime.KeepAlive(cat)
 	}
 	b.ReportMetric(heap/float64(docs), "heap-B/doc")
+	b.ReportMetric(alloc/float64(docs), "alloc-B/doc")
 	b.ReportMetric(values/float64(docs), "values/doc")
 	b.ReportMetric(entries/float64(docs), "entries/doc")
 }
 
-// BenchmarkSnapshotLoad prices loading a checkpoint in process, the
-// first step of mdserver recovery, follower bootstrap and rebalance
-// bootstrap: a catalog of W1's shape (1 536 and 15 360 documents) is
-// saved once, and each iteration Loads it from memory. load-us/doc is
-// the Load time a document; heap-B/doc is the live heap (HeapAlloc
-// after runtime.GC) the loaded catalog holds a document. -short runs
-// the smaller size only.
+// BenchmarkSnapshotLoad prices recovery from a checkpoint in process,
+// the path mdserver boot, follower bootstrap and rebalance bootstrap
+// take: a catalog of W1's shape (1 536 and 15 360 documents) is saved
+// once to <wal>.snap in a temporary directory, and each iteration
+// recovers it with OpenDurable — the read of exactly the file's size,
+// the bulk index build and an empty log. load-us/doc is the OpenDurable
+// time a document; heap-B/doc is the live heap (HeapAlloc after
+// runtime.GC) the recovered catalog holds a document. The catalog is
+// not closed, since Close checkpoints; the log it created is removed
+// before the next iteration. -short runs the smaller size only.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	for _, docs := range []int{1536, 15360} {
 		b.Run(fmt.Sprintf("docs=%d", docs), func(b *testing.B) {
@@ -511,7 +524,8 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 				b.Skip("-short runs the 1 536-document size only")
 			}
 			g := workload.New(w1Shape(docs))
-			snap := func() []byte {
+			walPath := filepath.Join(b.TempDir(), "bench.wal")
+			func() {
 				cat, err := hybridcat.Open(g.Schema, hybridcat.Options{})
 				if err != nil {
 					b.Fatal(err)
@@ -524,19 +538,20 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				var buf bytes.Buffer
-				if err := cat.Save(&buf); err != nil {
+				if err := cat.SaveFile(nil, walPath+".snap"); err != nil {
 					b.Fatal(err)
 				}
-				return buf.Bytes()
 			}()
 			var heap float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				if err := os.Remove(walPath); err != nil && !errors.Is(err, os.ErrNotExist) {
+					b.Fatal(err)
+				}
 				before := heapAlloc()
 				b.StartTimer()
-				cat, err := hybridcat.LoadCatalog(g.Schema, hybridcat.Options{}, bytes.NewReader(snap))
+				cat, err := hybridcat.OpenDurable(g.Schema, hybridcat.Options{}, hybridcat.DurabilityOptions{WALPath: walPath})
 				if err != nil {
 					b.Fatal(err)
 				}

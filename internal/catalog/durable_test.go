@@ -397,7 +397,7 @@ func TestFaultCorruptWALRefusedAtBoot(t *testing.T) {
 }
 
 // TestDurableSnapshotCompatibleWithPlainLoad: a durable catalog's
-// checkpoint snapshot loads through the plain Load path too.
+// checkpoint snapshot loads alone, with no log beside it.
 func TestDurableSnapshotCompatibleWithPlainLoad(t *testing.T) {
 	mem := faultio.NewMemFS()
 	c, err := openDurableLEAD(t, mem, 0)
@@ -408,7 +408,7 @@ func TestDurableSnapshotCompatibleWithPlainLoad(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(xmlschema.MustLEAD(), Options{}, mem, crashWAL+".snap")
+	loaded, err := openSnapshot(mem.Bytes(crashWAL + ".snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,21 +525,26 @@ func TestDurableRequiresWALPath(t *testing.T) {
 	}
 }
 
+// openSnapshot recovers a catalog from snap alone: OpenDurable over a
+// fresh MemFS holding it as the checkpoint of a log that does not exist
+// yet, the read of exactly the file's size that recovery takes.
+func openSnapshot(snap []byte) (*Catalog, error) {
+	mem := faultio.NewMemFS()
+	mem.SetBytes("c.wal.snap", snap)
+	return OpenDurable(xmlschema.MustLEAD(), Options{}, DurabilityOptions{FS: mem, WALPath: "c.wal"})
+}
+
 // loaders are the two ways a snapshot is read: Load from a plain reader
-// (read to its end, bounded) and LoadFile from a file (read into one
-// buffer of the file's size).
+// (read to its end, bounded) and OpenDurable's recovery from a file
+// (read into one buffer of the file's size).
 var loaders = map[string]func(snap []byte) (*Catalog, error){
 	"Load": func(snap []byte) (*Catalog, error) {
 		return Load(xmlschema.MustLEAD(), Options{}, bytes.NewReader(snap))
 	},
-	"LoadFile": func(snap []byte) (*Catalog, error) {
-		mem := faultio.NewMemFS()
-		mem.SetBytes("c.snap", snap)
-		return LoadFile(xmlschema.MustLEAD(), Options{}, mem, "c.snap")
-	},
+	"OpenDurable": openSnapshot,
 }
 
-// TestFaultSnapshotTruncationRefused: Load and LoadFile must error on
+// TestFaultSnapshotTruncationRefused: Load and OpenDurable must error on
 // every strict prefix of a snapshot — never panic, never half-load.
 func TestFaultSnapshotTruncationRefused(t *testing.T) {
 	c := newLEADCatalog(t, Options{})

@@ -407,22 +407,3 @@ func saveFile(fs faultio.FS, path string, schema *xmlschema.Schema, p pin) error
 		return writeSnapshot(schema, p, w)
 	})
 }
-
-// LoadFile rebuilds a catalog from a snapshot file written by SaveFile.
-// A nil fs uses the real filesystem.
-func LoadFile(schema *xmlschema.Schema, opts Options, fs faultio.FS, path string) (*Catalog, error) {
-	if fs == nil {
-		fs = faultio.OS{}
-	}
-	size, err := fs.Size(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	c, _, err := loadSnapshot(schema, opts, f, size)
-	return c, err
-}

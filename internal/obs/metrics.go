@@ -203,29 +203,20 @@ type instrument struct {
 	h      *Histogram
 }
 
-const regShards = 16
-
-// regShard is one lock-striped slice of the registry.
-type regShard struct {
+// Registry is a concurrency-safe collection of instruments behind one
+// lock. Lookups get-or-create: two callers asking for the same (name,
+// labels) identity share one instrument. Every layer resolves its
+// handles once at setup, so only setup and exposition take the lock. A
+// nil *Registry is a valid disabled registry — every method returns a
+// nil (disabled) handle.
+type Registry struct {
 	mu   sync.RWMutex
 	ents map[string]*instrument
 }
 
-// Registry is a sharded, concurrency-safe collection of instruments.
-// Lookups get-or-create: two callers asking for the same (name, labels)
-// identity share one instrument. A nil *Registry is a valid disabled
-// registry — every method returns a nil (disabled) handle.
-type Registry struct {
-	shards [regShards]regShard
-}
-
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		r.shards[i].ents = make(map[string]*instrument)
-	}
-	return r
+	return &Registry{ents: make(map[string]*instrument)}
 }
 
 // identity renders the canonical name{k="v",...} key. Labels are sorted
@@ -250,40 +241,14 @@ func identity(name string, labels []Label) string {
 	return b.String()
 }
 
-// fnv1a hashes the identity for shard selection.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// get returns the instrument for id, or nil.
-func (r *Registry) get(id string) *instrument {
-	sh := &r.shards[fnv1a(id)%regShards]
-	sh.mu.RLock()
-	ins := sh.ents[id]
-	sh.mu.RUnlock()
-	return ins
-}
-
 // getOrCreate returns the instrument for (name, labels), creating it
 // with mk on first use. A kind mismatch with an existing registration
 // panics: it is a programming error, never data-dependent.
 func (r *Registry) getOrCreate(name string, labels []Label, kind int, mk func(id string, ls []Label) *instrument) *instrument {
 	id := identity(name, labels)
-	if ins := r.get(id); ins != nil {
-		if ins.kind != kind {
-			panic("obs: instrument " + id + " re-registered with a different kind")
-		}
-		return ins
-	}
-	sh := &r.shards[fnv1a(id)%regShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ins := sh.ents[id]; ins != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ins := r.ents[id]; ins != nil {
 		if ins.kind != kind {
 			panic("obs: instrument " + id + " re-registered with a different kind")
 		}
@@ -294,7 +259,7 @@ func (r *Registry) getOrCreate(name string, labels []Label, kind int, mk func(id
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	ins := mk(id, ls)
 	ins.name, ins.labels, ins.id, ins.kind = name, ls, id, kind
-	sh.ents[id] = ins
+	r.ents[id] = ins
 	return ins
 }
 
@@ -330,10 +295,9 @@ func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...Label) {
 	ins := r.getOrCreate(name, labels, kindGaugeFunc, func(string, []Label) *instrument {
 		return &instrument{}
 	})
-	sh := &r.shards[fnv1a(ins.id)%regShards]
-	sh.mu.Lock()
+	r.mu.Lock()
 	ins.gf = fn
-	sh.mu.Unlock()
+	r.mu.Unlock()
 }
 
 // Histogram returns the shared histogram for (name, labels), creating it
@@ -347,12 +311,12 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	}).h
 }
 
-// gaugeFuncValue samples a GaugeFunc under the shard read lock.
+// gaugeFuncValue samples a GaugeFunc, reading its callback under the
+// read lock.
 func (r *Registry) gaugeFuncValue(ins *instrument) int64 {
-	sh := &r.shards[fnv1a(ins.id)%regShards]
-	sh.mu.RLock()
+	r.mu.RLock()
 	fn := ins.gf
-	sh.mu.RUnlock()
+	r.mu.RUnlock()
 	if fn == nil {
 		return 0
 	}
@@ -361,15 +325,12 @@ func (r *Registry) gaugeFuncValue(ins *instrument) int64 {
 
 // all returns every instrument sorted by identity.
 func (r *Registry) all() []*instrument {
-	var out []*instrument
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for _, ins := range sh.ents {
-			out = append(out, ins)
-		}
-		sh.mu.RUnlock()
+	r.mu.RLock()
+	out := make([]*instrument, 0, len(r.ents))
+	for _, ins := range r.ents {
+		out = append(out, ins)
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }

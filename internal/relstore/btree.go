@@ -6,10 +6,18 @@ import (
 	"slices"
 )
 
-// btree is a copy-on-write B+ tree mapping order-preserving encoded keys
-// to row IDs. Keys are unique: non-unique indexes append the row ID to
-// the encoded column key. Deletion rebalances by borrowing from or
-// merging with siblings, keeping every non-root node at least half full.
+// btree is a copy-on-write B+ tree holding a sorted set of
+// order-preserving encoded keys. An index entry is one key: the encoded
+// indexed columns followed by the 8-byte row ID (appendEntryKey), so
+// every key is distinct and the row ID is read off its suffix.
+//
+// Deletion only removes. A leaf left without keys, or an internal node
+// left without children, is unlinked from its parent with one adjacent
+// separator, and a root left internal with one child is replaced by it;
+// no node takes keys from a sibling or is joined to one. Every leaf
+// stays at one depth and no non-root node is empty, but nodes may be
+// sparse after many deletes. A snapshot load builds every tree full
+// (bulk.go).
 //
 // Mutation is by path copying: every node carries the epoch of the
 // transaction that allocated it, and a mutation first replaces each node
@@ -26,13 +34,13 @@ import (
 // Key storage. A node keeps its keys in one byte arena, each as a
 // uvarint length followed by the key bytes, in the order they were
 // added; offs holds the keys' arena positions in key order. A path copy
-// copies offs and vals or children (12 bytes an entry) and shares the
+// copies offs, and children for an internal node, and shares the
 // arena: the copy appends the keys it adds after the bytes it inherited,
 // into the same backing array while its capacity lasts. A node's keys
 // therefore sit in one block of memory, and storing a key copies it, so
-// callers may reuse the buffer they pass in. Splits and merges give the
-// nodes they build fresh arenas; a separator is copied into its parent's
-// arena. Keys a node drops (deletes, borrows, replaced separators) stay
+// callers may reuse the buffer they pass in. Splits give the nodes they
+// build fresh arenas; a separator is copied into its parent's arena.
+// Keys a node drops (deleted keys, separators of unlinked children) stay
 // behind as dead bytes until an append must grow the arena and finds
 // them dominating (more dead bytes than live ones), when it packs the
 // live keys into a fresh arena instead of growing the old one.
@@ -63,19 +71,14 @@ type btree struct {
 }
 
 // maxKeys is the fan-out bound: nodes split when they exceed maxKeys
-// keys; minKeys is the occupancy floor deletion maintains for non-root
-// nodes.
-const (
-	maxKeys = 64
-	minKeys = maxKeys / 2
-)
+// keys.
+const maxKeys = 64
 
 type bnode struct {
 	epoch    uint64
 	leaf     bool
 	arena    []byte   // uvarint length + key bytes per key, in insertion order
 	offs     []uint32 // arena positions of the keys, in key order
-	vals     []int64  // leaf only, parallel to offs
 	children []*bnode // internal only, len(children) == len(offs)+1
 }
 
@@ -97,15 +100,13 @@ func (t *btree) mut(n *bnode) *bnode {
 	}
 	c := &bnode{epoch: t.epoch, leaf: n.leaf, arena: n.arena}
 	c.offs = append(make([]uint32, 0, len(n.offs)+1), n.offs...)
-	if n.leaf {
-		c.vals = append(make([]int64, 0, len(n.vals)+1), n.vals...)
-	} else {
+	if !n.leaf {
 		c.children = append(make([]*bnode, 0, len(n.children)+1), n.children...)
 	}
 	return c
 }
 
-// Len returns the number of entries.
+// Len returns the number of keys.
 func (t *btree) Len() int { return t.size }
 
 // key returns n's i'th key in key order (entryKey).
@@ -213,66 +214,43 @@ func (n *bnode) childFor(key []byte) int {
 	return i
 }
 
-// Get returns the value stored under key. Safe for concurrent use with
-// writers building a later epoch.
-func (t *btree) Get(key []byte) (int64, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[n.childFor(key)]
-	}
-	if i, eq := n.search(key); eq {
-		return n.vals[i], true
-	}
-	return 0, false
-}
-
-// Insert stores val under key, replacing any existing entry. The tree
-// copies key; the caller may reuse it. Must only be called on a tree
-// private to the writing transaction.
-func (t *btree) Insert(key []byte, val int64) {
+// Insert adds key, which the tree must not hold: every entry key ends
+// in its row ID, so no two rows' keys are equal. The tree copies key;
+// the caller may reuse it. Must only be called on a tree private to the
+// writing transaction.
+func (t *btree) Insert(key []byte) {
 	t.root = t.mut(t.root)
-	promoted, right, replaced := t.insert(t.root, key, val)
-	if !replaced {
-		t.size++
-	}
-	if right != nil {
+	if promoted, right := t.insert(t.root, key); right != nil {
 		root := &bnode{epoch: t.epoch, children: []*bnode{t.root, right}}
 		root.offs = []uint32{root.addKey(promoted)}
 		t.root = root
 	}
+	t.size++
 }
 
 // insert adds key to the subtree at n, which is already a private copy.
 // When n splits it returns the promoted separator and the new right
 // sibling.
-func (t *btree) insert(n *bnode, key []byte, val int64) (promoted []byte, right *bnode, replaced bool) {
+func (t *btree) insert(n *bnode, key []byte) (promoted []byte, right *bnode) {
 	if n.leaf {
-		i, eq := n.search(key)
-		if eq {
-			n.vals[i] = val
-			return nil, nil, true
-		}
+		i, _ := n.search(key)
 		n.offs = slices.Insert(n.offs, i, n.addKey(key))
-		n.vals = slices.Insert(n.vals, i, val)
 	} else {
 		i := n.childFor(key)
 		child := t.mut(n.children[i])
 		n.children[i] = child
-		p, r, rep := t.insert(child, key, val)
-		replaced = rep
-		if r != nil {
+		if p, r := t.insert(child, key); r != nil {
 			n.offs = slices.Insert(n.offs, i, n.addKey(p))
 			n.children = slices.Insert(n.children, i+1, r)
 		}
 	}
 	if len(n.offs) <= maxKeys {
-		return nil, nil, replaced
+		return nil, nil
 	}
-	promoted, right = t.split(n)
-	return promoted, right, replaced
+	return t.split(n)
 }
 
-// split moves the upper half of n's entries into a new right sibling and
+// split moves the upper half of n's keys into a new right sibling and
 // returns the separator to promote. Both halves get fresh arenas; the
 // separator aliases n's old one, which nothing writes again.
 func (t *btree) split(n *bnode) ([]byte, *bnode) {
@@ -282,9 +260,7 @@ func (t *btree) split(n *bnode) ([]byte, *bnode) {
 		// For leaves the separator is the first key of the right node and
 		// stays in the leaf (B+ tree style).
 		r.arena, r.offs = n.packed(mid, len(n.offs))
-		r.vals = append(make([]int64, 0, len(n.vals)-mid+1), n.vals[mid:]...)
 		n.arena, n.offs = n.packed(0, mid)
-		n.vals = n.vals[:mid]
 		return r.key(0), r
 	}
 	promoted := n.key(mid)
@@ -296,24 +272,25 @@ func (t *btree) split(n *bnode) ([]byte, *bnode) {
 	return promoted, r
 }
 
-// Delete removes key, reporting whether it was present. Underfull nodes
-// rebalance on the way back up; a root left with a single child is
-// collapsed. Must only be called on a tree private to the writing
-// transaction.
+// Delete removes key, reporting whether it was present. A root left
+// internal with a single child is replaced by that child. Must only be
+// called on a tree private to the writing transaction.
 func (t *btree) Delete(key []byte) bool {
 	t.root = t.mut(t.root)
-	deleted := t.del(t.root, key)
-	if !t.root.leaf && len(t.root.offs) == 0 {
+	if !t.del(t.root, key) {
+		return false
+	}
+	for !t.root.leaf && len(t.root.children) == 1 {
 		t.root = t.root.children[0]
 	}
-	if deleted {
-		t.size--
-	}
-	return deleted
+	t.size--
+	return true
 }
 
 // del removes key from the subtree at n, which is already a private
-// copy.
+// copy. A child left empty — a leaf without keys, an internal node
+// without children — is unlinked with the separator on its left, or on
+// its right when it is the first child.
 func (t *btree) del(n *bnode, key []byte) bool {
 	if n.leaf {
 		i, eq := n.search(key)
@@ -321,101 +298,39 @@ func (t *btree) del(n *bnode, key []byte) bool {
 			return false
 		}
 		n.offs = slices.Delete(n.offs, i, i+1)
-		n.vals = slices.Delete(n.vals, i, i+1)
 		return true
 	}
 	i := n.childFor(key)
 	child := t.mut(n.children[i])
 	n.children[i] = child
-	deleted := t.del(child, key)
-	if len(child.offs) < minKeys {
-		t.rebalance(n, i)
+	if !t.del(child, key) {
+		return false
 	}
-	return deleted
-}
-
-// rebalance restores the occupancy floor of parent.children[i] by
-// borrowing from a sibling with spare keys, or merging with one. The
-// parent and child are private copies already; siblings are copied
-// before they are touched.
-func (t *btree) rebalance(parent *bnode, i int) {
-	c := parent.children[i]
-	if i > 0 && len(parent.children[i-1].offs) > minKeys {
-		left := t.mut(parent.children[i-1])
-		parent.children[i-1] = left
-		last := len(left.offs) - 1
-		if c.leaf {
-			c.offs = slices.Insert(c.offs, 0, c.addKey(left.key(last)))
-			c.vals = slices.Insert(c.vals, 0, left.vals[last])
-			left.vals = left.vals[:last]
-			parent.offs[i-1] = parent.addKey(c.key(0))
-		} else {
-			c.offs = slices.Insert(c.offs, 0, c.addKey(parent.key(i-1)))
-			c.children = slices.Insert(c.children, 0, left.children[last+1])
-			parent.offs[i-1] = parent.addKey(left.key(last))
-			left.children[last+1] = nil
-			left.children = left.children[:last+1]
+	if child.empty() {
+		n.children = slices.Delete(n.children, i, i+1)
+		if j := max(i-1, 0); j < len(n.offs) {
+			n.offs = slices.Delete(n.offs, j, j+1)
 		}
-		left.offs = left.offs[:last]
-		return
 	}
-	if i < len(parent.children)-1 && len(parent.children[i+1].offs) > minKeys {
-		right := t.mut(parent.children[i+1])
-		parent.children[i+1] = right
-		if c.leaf {
-			c.offs = append(c.offs, c.addKey(right.key(0)))
-			c.vals = append(c.vals, right.vals[0])
-			right.vals = slices.Delete(right.vals, 0, 1)
-			right.offs = slices.Delete(right.offs, 0, 1)
-			parent.offs[i] = parent.addKey(right.key(0))
-		} else {
-			c.offs = append(c.offs, c.addKey(parent.key(i)))
-			c.children = append(c.children, right.children[0])
-			parent.offs[i] = parent.addKey(right.key(0))
-			right.offs = slices.Delete(right.offs, 0, 1)
-			right.children = slices.Delete(right.children, 0, 1)
-		}
-		return
-	}
-	// No sibling can spare a key: merge with one.
-	if i > 0 {
-		t.merge(parent, i-1)
-	} else {
-		t.merge(parent, i)
-	}
+	return true
 }
 
-// merge replaces parent.children[i] and [i+1] with one new node holding
-// both, in a fresh arena; an internal merge pulls the separator between
-// them down from the parent.
-func (t *btree) merge(parent *bnode, i int) {
-	l, r := parent.children[i], parent.children[i+1]
-	nl, nr := len(l.offs), len(r.offs)
-	m := &bnode{epoch: t.epoch, leaf: l.leaf, offs: make([]uint32, 0, nl+nr+2)}
-	size := l.liveBytes(0, nl) + r.liveBytes(0, nr)
-	if !l.leaf {
-		size += entryLen(parent.key(i))
+// empty reports whether n holds nothing: a leaf without keys or an
+// internal node without children.
+func (n *bnode) empty() bool {
+	if n.leaf {
+		return len(n.offs) == 0
 	}
-	m.arena = make([]byte, 0, arenaCap(size))
-	m.pushKeys(l, 0, nl)
-	if l.leaf {
-		m.vals = append(append(make([]int64, 0, nl+nr+1), l.vals...), r.vals...)
-	} else {
-		m.pushKeys(parent, i, i+1)
-		m.children = append(append(make([]*bnode, 0, nl+nr+3), l.children...), r.children...)
-	}
-	m.pushKeys(r, 0, nr)
-	parent.children[i] = m
-	parent.offs = slices.Delete(parent.offs, i, i+1)
-	parent.children = slices.Delete(parent.children, i+1, i+2)
+	return len(n.children) == 0
 }
 
-// Ascend visits entries with lo <= key < hi in key order. A nil lo starts
-// at the smallest key; a nil hi runs to the end. fn returning false stops
-// the scan; the key it is passed aliases the tree and must not be kept
-// past the call. The walk is a pure descent over immutable nodes, so it
-// is safe against concurrent writers building a later epoch.
-func (t *btree) Ascend(lo, hi []byte, fn func(key []byte, val int64) bool) {
+// Ascend visits the keys with lo <= key < hi in key order. A nil lo
+// starts at the smallest key; a nil hi runs to the end. fn returning
+// false stops the scan; the key it is passed aliases the tree and must
+// not be kept past the call. The walk is a pure descent over immutable
+// nodes, so it is safe against concurrent writers building a later
+// epoch.
+func (t *btree) Ascend(lo, hi []byte, fn func(key []byte) bool) {
 	ascend(t.root, lo, hi, fn)
 }
 
@@ -424,7 +339,7 @@ func (t *btree) Ascend(lo, hi []byte, fn func(key []byte, val int64) bool) {
 // every later subtree is bounded below by a separator >= lo already. hi
 // is located once per node: every subtree before the one that straddles
 // it is walked with no bound, so no per-key compare runs.
-func ascend(n *bnode, lo, hi []byte, fn func(key []byte, val int64) bool) bool {
+func ascend(n *bnode, lo, hi []byte, fn func(key []byte) bool) bool {
 	from, to := 0, len(n.offs)
 	if hi != nil {
 		to, _ = n.search(hi) // keys [to:] are >= hi
@@ -434,9 +349,9 @@ func ascend(n *bnode, lo, hi []byte, fn func(key []byte, val int64) bool) bool {
 			from, _ = n.search(lo)
 		}
 		from = min(from, to) // lo >= hi: nothing to visit
-		arena, vals := n.arena, n.vals[from:to]
-		for i, o := range n.offs[from:to] {
-			if !fn(entryKey(arena[o:]), vals[i]) {
+		arena := n.arena
+		for _, o := range n.offs[from:to] {
+			if !fn(entryKey(arena[o:])) {
 				return false
 			}
 		}
@@ -460,13 +375,23 @@ func ascend(n *bnode, lo, hi []byte, fn func(key []byte, val int64) bool) bool {
 	return to == len(n.offs)
 }
 
-// AscendPrefix visits all entries whose key begins with prefix.
-func (t *btree) AscendPrefix(prefix []byte, fn func(key []byte, val int64) bool) {
+// AscendPrefix visits all keys that begin with prefix.
+func (t *btree) AscendPrefix(prefix []byte, fn func(key []byte) bool) {
 	if len(prefix) == 0 {
 		t.Ascend(nil, nil, fn)
 		return
 	}
 	t.Ascend(prefix, prefixEnd(prefix), fn)
+}
+
+// HasPrefix reports whether some key begins with prefix.
+func (t *btree) HasPrefix(prefix []byte) bool {
+	found := false
+	t.Ascend(prefix, nil, func(key []byte) bool {
+		found = bytes.HasPrefix(key, prefix)
+		return false
+	})
+	return found
 }
 
 // prefixEnd returns the smallest key greater than every key with the given
@@ -485,14 +410,18 @@ func prefixEnd(prefix []byte) []byte {
 // checkInvariants validates that every key lies inside its node's
 // arena, that every key falls within the bounds its ancestors'
 // separators set (left subtree < separator <= right subtree) in strictly
-// ascending order, uniform leaf depth, and the occupancy floor of
-// non-root nodes; used by tests.
+// ascending order, uniform leaf depth, that no non-root node is empty
+// and an internal root has two children or more, and that Len counts
+// the keys; used by tests.
 func (t *btree) checkInvariants() error {
-	depth := -1
+	depth, keys := -1, 0
 	var walk func(n *bnode, d int, lo, hi []byte) error
 	walk = func(n *bnode, d int, lo, hi []byte) error {
-		if d > 0 && len(n.offs) < minKeys {
-			return errInvariant("non-root node below minimum occupancy")
+		switch {
+		case d > 0 && n.empty():
+			return errInvariant("empty non-root node")
+		case d == 0 && !n.leaf && len(n.children) < 2:
+			return errInvariant("internal root with fewer than two children")
 		}
 		for _, o := range n.offs {
 			if int(o) >= len(n.arena) {
@@ -515,9 +444,7 @@ func (t *btree) checkInvariants() error {
 			}
 		}
 		if n.leaf {
-			if len(n.vals) != len(n.offs) {
-				return errInvariant("value count mismatch")
-			}
+			keys += len(n.offs)
 			if depth == -1 {
 				depth = d
 			} else if depth != d {
@@ -542,7 +469,13 @@ func (t *btree) checkInvariants() error {
 		}
 		return nil
 	}
-	return walk(t.root, 0, nil, nil)
+	if err := walk(t.root, 0, nil, nil); err != nil {
+		return err
+	}
+	if keys != t.size {
+		return errInvariant("Len differs from the keys held")
+	}
+	return nil
 }
 
 type errInvariant string

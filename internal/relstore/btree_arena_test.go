@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -31,7 +32,7 @@ func TestArenaPinnedKeysSurviveAbortAndReappend(t *testing.T) {
 	pinned := newBtree()
 	pinned.epoch = 1
 	for i := 0; ; i++ {
-		pinned.Insert([]byte(fmt.Sprintf("key-%02d", i)), int64(i))
+		pinned.Insert([]byte(fmt.Sprintf("key-%02d", i)))
 		a := pinned.root.arena
 		if cap(a)-len(a) >= entryLen([]byte("key-zz")) {
 			break
@@ -40,45 +41,37 @@ func TestArenaPinnedKeysSurviveAbortAndReappend(t *testing.T) {
 	if !pinned.root.leaf {
 		t.Fatal("fixture should be a single leaf")
 	}
-	var before [][]byte
-	pinned.Ascend(nil, nil, func(k []byte, _ int64) bool {
-		before = append(before, slices.Clone(k))
-		return true
-	})
+	before := treeKeys(pinned, nil, nil)
 	end := arenaEnd(pinned.root.arena)
 
 	aborted := pinned.clone(2)
-	aborted.Insert([]byte("key-zz"), 99)
+	aborted.Insert([]byte("key-zz"))
 	if arenaEnd(aborted.root.arena) != end+uintptr(entryLen([]byte("key-zz"))) {
 		t.Fatal("the aborted copy did not append into the shared arena")
 	}
 	// The transaction aborts: its copy is dropped and epoch 2 is reused.
 	next := pinned.clone(2)
-	next.Insert([]byte("key-yy"), 98)
+	next.Insert([]byte("key-yy"))
 	if arenaEnd(next.root.arena) != arenaEnd(aborted.root.arena) {
 		t.Fatal("the next copy did not append over the aborted copy's bytes")
 	}
-	if _, ok := next.Get([]byte("key-zz")); ok {
+	if treeHas(next, []byte("key-zz")) {
 		t.Error("the aborted key is visible in the next version")
 	}
-	if v, ok := next.Get([]byte("key-yy")); !ok || v != 98 {
-		t.Errorf("Get(key-yy) = %d, %v in the next version", v, ok)
+	if !treeHas(next, []byte("key-yy")) {
+		t.Error("key-yy missing from the next version")
 	}
 
-	var after [][]byte
-	pinned.Ascend(nil, nil, func(k []byte, _ int64) bool {
-		after = append(after, slices.Clone(k))
-		return true
-	})
+	after := treeKeys(pinned, nil, nil)
 	if len(after) != len(before) {
 		t.Fatalf("pinned version holds %d keys, had %d", len(after), len(before))
 	}
 	for i := range before {
-		if !bytes.Equal(before[i], after[i]) {
+		if before[i] != after[i] {
 			t.Fatalf("pinned key %d changed from %q to %q", i, before[i], after[i])
 		}
 	}
-	if _, ok := pinned.Get([]byte("key-yy")); ok {
+	if treeHas(pinned, []byte("key-yy")) {
 		t.Error("the pinned version sees a later key")
 	}
 	for _, bt := range []*btree{pinned, next} {
@@ -93,11 +86,11 @@ func TestArenaPinnedKeysSurviveAbortAndReappend(t *testing.T) {
 // live ones, and the result to still match the reference.
 func TestArenaCompactsWhenDeadKeysDominate(t *testing.T) {
 	bt := newBtree()
-	ref := map[string]int64{}
+	ref := map[string]bool{}
 	for i := 0; i < 4000; i++ {
 		k := fmt.Sprintf("k%02d-%d", i%40, i)
-		bt.Insert([]byte(k), int64(i))
-		ref[k] = int64(i)
+		bt.Insert([]byte(k))
+		ref[k] = true
 		if i >= 20 {
 			old := fmt.Sprintf("k%02d-%d", (i-20)%40, i-20)
 			bt.Delete([]byte(old))
@@ -114,16 +107,8 @@ func TestArenaCompactsWhenDeadKeysDominate(t *testing.T) {
 	if err := bt.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	bt.Ascend(nil, nil, func(k []byte, v int64) bool {
-		if ref[string(k)] != v {
-			t.Fatalf("%s = %d, want %d", k, v, ref[string(k)])
-		}
-		n++
-		return true
-	})
-	if n != len(ref) {
-		t.Fatalf("scan saw %d keys, reference has %d", n, len(ref))
+	if got, want := treeKeys(bt, nil, nil), sortedSet(ref); !slices.Equal(got, want) {
+		t.Fatalf("scan saw %d keys, reference has %d", len(got), len(want))
 	}
 }
 
@@ -131,8 +116,9 @@ func TestArenaCompactsWhenDeadKeysDominate(t *testing.T) {
 // transactions — inserts (some refused as duplicates), deletes, key
 // updates — that commit, abort, or precommit and are later published or
 // abandoned by ResetHead. Every published version stays pinned, and at
-// the end each must still match its own oracle through Get and through
-// Ascend over random bounds, bounds equal to its separators among them.
+// the end each must still hold its oracle's key set, through the prefix
+// probe and through Ascend over random bounds, bounds equal to its
+// separators among them.
 // Keys are short and long (at least 128 encoded bytes, so the arena's
 // length prefix takes two bytes) and share prefixes. checkInvariants
 // runs on every version a commit or precommit builds.
@@ -313,10 +299,12 @@ func versionKeys(rng *rand.Rand) []string {
 	return pool
 }
 
-// checkVersion compares one pinned tree with its oracle: invariants,
-// Len, Get of present and absent keys, and Ascend over the whole tree
-// and over bounds drawn from the oracle's keys, the tree's separators,
-// the key pool and their prefix ends.
+// checkVersion compares one pinned tree with its oracle, which maps the
+// encoded column key of each entry to its row ID: invariants, Len, the
+// prefix probe of present and absent column keys, and the key set —
+// each column key followed by its row ID — over the whole tree and over
+// bounds drawn from the oracle's keys, the tree's separators, the key
+// pool and their prefix ends.
 func checkVersion(t *testing.T, label string, bt *btree, want map[string]int64, pool []string, rng *rand.Rand) {
 	t.Helper()
 	if err := bt.checkInvariants(); err != nil {
@@ -327,18 +315,16 @@ func checkVersion(t *testing.T, label string, bt *btree, want map[string]int64, 
 	}
 	keys := make([]string, 0, len(want))
 	for k, id := range want {
-		keys = append(keys, k)
-		if got, ok := bt.Get([]byte(k)); !ok || got != id {
-			t.Fatalf("%s: Get(%q) = %d, %v, want %d", label, k, got, ok, id)
+		keys = append(keys, string(binary.BigEndian.AppendUint64([]byte(k), uint64(id))))
+		if !bt.HasPrefix([]byte(k)) {
+			t.Fatalf("%s: no entry under %q", label, k)
 		}
 	}
 	slices.Sort(keys)
 	for _, k := range pool {
 		ek := EncodeKey(Str(k))
-		if _, ok := want[string(ek)]; !ok {
-			if _, found := bt.Get(ek); found {
-				t.Fatalf("%s: Get(%q) found a key the version never held", label, ek)
-			}
+		if _, ok := want[string(ek)]; !ok && bt.HasPrefix(ek) {
+			t.Fatalf("%s: an entry under %q, which the version never held", label, ek)
 		}
 	}
 	var seps [][]byte
@@ -383,15 +369,7 @@ func checkVersion(t *testing.T, label string, bt *btree, want map[string]int64, 
 				exp = append(exp, k)
 			}
 		}
-		var got []string
-		bt.Ascend(lo, hi, func(k []byte, v int64) bool {
-			if v != want[string(k)] {
-				t.Fatalf("%s: Ascend gave %q = %d, want %d", label, k, v, want[string(k)])
-			}
-			got = append(got, string(k))
-			return true
-		})
-		if !slices.Equal(got, exp) {
+		if got := treeKeys(bt, lo, hi); !slices.Equal(got, exp) {
 			t.Fatalf("%s: Ascend [%q, %q) = %d keys, want %d", label, lo, hi, len(got), len(exp))
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -14,30 +15,55 @@ func newBtree() *btree {
 	return &btree{root: &bnode{leaf: true}}
 }
 
+// treeKeys returns the keys of bt with lo <= key < hi, in scan order.
+func treeKeys(bt *btree, lo, hi []byte) []string {
+	var out []string
+	bt.Ascend(lo, hi, func(k []byte) bool {
+		out = append(out, string(k))
+		return true
+	})
+	return out
+}
+
+// treeHas reports whether bt holds key.
+func treeHas(bt *btree, key []byte) bool {
+	found := false
+	bt.Ascend(key, nil, func(k []byte) bool {
+		found = bytes.Equal(k, key)
+		return false
+	})
+	return found
+}
+
+// sortedSet returns the members of set in ascending order.
+func sortedSet(set map[string]bool) []string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 func TestBtreeBasicOps(t *testing.T) {
 	bt := newBtree()
 	if bt.Len() != 0 {
 		t.Fatal("new tree not empty")
 	}
-	bt.Insert([]byte("b"), 2)
-	bt.Insert([]byte("a"), 1)
-	bt.Insert([]byte("c"), 3)
+	for _, k := range []string{"b", "a", "c"} {
+		bt.Insert([]byte(k))
+	}
 	if bt.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", bt.Len())
 	}
-	if v, ok := bt.Get([]byte("b")); !ok || v != 2 {
-		t.Errorf("Get(b) = %d, %v", v, ok)
+	if !treeHas(bt, []byte("b")) {
+		t.Error("b missing")
 	}
-	if _, ok := bt.Get([]byte("z")); ok {
-		t.Error("Get(z) should miss")
+	if treeHas(bt, []byte("z")) {
+		t.Error("z should miss")
 	}
-	// Replacement keeps Len stable.
-	bt.Insert([]byte("b"), 20)
-	if bt.Len() != 3 {
-		t.Errorf("Len after replace = %d, want 3", bt.Len())
-	}
-	if v, _ := bt.Get([]byte("b")); v != 20 {
-		t.Errorf("replaced value = %d, want 20", v)
+	if got := treeKeys(bt, nil, nil); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Errorf("keys = %q", got)
 	}
 	if !bt.Delete([]byte("a")) {
 		t.Error("Delete(a) should succeed")
@@ -52,35 +78,22 @@ func TestBtreeBasicOps(t *testing.T) {
 
 func TestBtreeAscendRange(t *testing.T) {
 	bt := newBtree()
+	var all []string
 	for i := 0; i < 100; i++ {
-		bt.Insert([]byte(fmt.Sprintf("k%03d", i)), int64(i))
+		k := fmt.Sprintf("k%03d", i)
+		bt.Insert([]byte(k))
+		all = append(all, k)
 	}
-	var got []int64
-	bt.Ascend([]byte("k010"), []byte("k015"), func(_ []byte, v int64) bool {
-		got = append(got, v)
-		return true
-	})
-	want := []int64{10, 11, 12, 13, 14}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("Ascend range = %v, want %v", got, want)
+	if got := treeKeys(bt, []byte("k010"), []byte("k015")); !slices.Equal(got, all[10:15]) {
+		t.Errorf("Ascend range = %v, want %v", got, all[10:15])
 	}
 	// Unbounded scan returns everything in order.
-	got = got[:0]
-	bt.Ascend(nil, nil, func(_ []byte, v int64) bool {
-		got = append(got, v)
-		return true
-	})
-	if len(got) != 100 {
-		t.Fatalf("full scan returned %d entries", len(got))
-	}
-	for i, v := range got {
-		if v != int64(i) {
-			t.Fatalf("scan out of order at %d: %d", i, v)
-		}
+	if got := treeKeys(bt, nil, nil); !slices.Equal(got, all) {
+		t.Fatalf("full scan returned %d keys out of order or incomplete", len(got))
 	}
 	// Early stop.
 	n := 0
-	bt.Ascend(nil, nil, func(_ []byte, _ int64) bool {
+	bt.Ascend(nil, nil, func([]byte) bool {
 		n++
 		return n < 7
 	})
@@ -92,36 +105,43 @@ func TestBtreeAscendRange(t *testing.T) {
 func TestBtreeAscendPrefix(t *testing.T) {
 	bt := newBtree()
 	for i := 0; i < 10; i++ {
-		bt.Insert([]byte(fmt.Sprintf("a%d", i)), int64(i))
-		bt.Insert([]byte(fmt.Sprintf("b%d", i)), int64(100+i))
+		bt.Insert([]byte(fmt.Sprintf("a%d", i)))
+		bt.Insert([]byte(fmt.Sprintf("b%d", i)))
 	}
-	var got []int64
-	bt.AscendPrefix([]byte("b"), func(_ []byte, v int64) bool {
-		got = append(got, v)
+	var got []string
+	bt.AscendPrefix([]byte("b"), func(k []byte) bool {
+		got = append(got, string(k))
 		return true
 	})
-	if len(got) != 10 || got[0] != 100 || got[9] != 109 {
+	if len(got) != 10 || got[0] != "b0" || got[9] != "b9" {
 		t.Errorf("AscendPrefix(b) = %v", got)
+	}
+	if !bt.HasPrefix([]byte("a")) || bt.HasPrefix([]byte("c")) || bt.HasPrefix([]byte("a0x")) {
+		t.Error("HasPrefix disagrees with the keys held")
 	}
 }
 
-// TestBtreeAgainstReference drives random operations against a Go map +
-// sorted-slice reference model and checks full agreement plus structural
+// TestBtreeAgainstReference drives random inserts and deletes against a
+// set reference model and checks full agreement plus structural
 // invariants.
 func TestBtreeAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	bt := newBtree()
-	ref := make(map[string]int64)
+	ref := make(map[string]bool)
 	for op := 0; op < 20000; op++ {
 		key := []byte(fmt.Sprintf("key-%05d", rng.Intn(5000)))
+		held := ref[string(key)]
 		switch rng.Intn(10) {
 		case 0, 1, 2:
 			delete(ref, string(key))
-			bt.Delete(key)
+			if bt.Delete(key) != held {
+				t.Fatalf("Delete(%s) disagrees with the reference (held %v)", key, held)
+			}
 		default:
-			v := rng.Int63()
-			ref[string(key)] = v
-			bt.Insert(key, v)
+			if !held {
+				ref[string(key)] = true
+				bt.Insert(key)
+			}
 		}
 	}
 	if bt.Len() != len(ref) {
@@ -130,29 +150,13 @@ func TestBtreeAgainstReference(t *testing.T) {
 	if err := bt.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// All reference entries retrievable.
-	for k, v := range ref {
-		got, ok := bt.Get([]byte(k))
-		if !ok || got != v {
-			t.Fatalf("Get(%s) = %d,%v want %d", k, got, ok, v)
-		}
-	}
-	// Full scan equals sorted reference.
-	keys := make([]string, 0, len(ref))
 	for k := range ref {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	i := 0
-	bt.Ascend(nil, nil, func(k []byte, v int64) bool {
-		if i >= len(keys) || string(k) != keys[i] || v != ref[keys[i]] {
-			t.Fatalf("scan mismatch at %d: got %s", i, k)
+		if !treeHas(bt, []byte(k)) {
+			t.Fatalf("%s missing", k)
 		}
-		i++
-		return true
-	})
-	if i != len(keys) {
-		t.Fatalf("scan visited %d of %d", i, len(keys))
+	}
+	if got, want := treeKeys(bt, nil, nil), sortedSet(ref); !slices.Equal(got, want) {
+		t.Fatalf("full scan of %d keys differs from the reference's %d", len(got), len(want))
 	}
 }
 
@@ -161,22 +165,18 @@ func TestBtreeAgainstReference(t *testing.T) {
 func TestBtreeRandomRangesAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	bt := newBtree()
-	ref := make(map[string]int64)
+	ref := make(map[string]bool)
 	for op := 0; op < 5000; op++ {
 		key := []byte(fmt.Sprintf("%04d", rng.Intn(2000)))
 		if rng.Intn(4) == 0 {
 			delete(ref, string(key))
 			bt.Delete(key)
-		} else {
-			ref[string(key)] = int64(op)
-			bt.Insert(key, int64(op))
+		} else if !ref[string(key)] {
+			ref[string(key)] = true
+			bt.Insert(key)
 		}
 	}
-	keys := make([]string, 0, len(ref))
-	for k := range ref {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedSet(ref)
 	for trial := 0; trial < 200; trial++ {
 		lo := []byte(fmt.Sprintf("%04d", rng.Intn(2000)))
 		hi := []byte(fmt.Sprintf("%04d", rng.Intn(2000)))
@@ -189,12 +189,7 @@ func TestBtreeRandomRangesAgainstReference(t *testing.T) {
 				want = append(want, k)
 			}
 		}
-		var got []string
-		bt.Ascend(lo, hi, func(k []byte, _ int64) bool {
-			got = append(got, string(k))
-			return true
-		})
-		if fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := treeKeys(bt, lo, hi); !slices.Equal(got, want) {
 			t.Fatalf("range [%s,%s): got %v want %v", lo, hi, got, want)
 		}
 	}
@@ -203,12 +198,14 @@ func TestBtreeRandomRangesAgainstReference(t *testing.T) {
 func TestBtreeSequentialAndReverseInsertion(t *testing.T) {
 	for _, dir := range []string{"asc", "desc"} {
 		bt := newBtree()
-		for i := 0; i < 3000; i++ {
+		want := make([]string, 3000)
+		for i := range want {
+			want[i] = fmt.Sprintf("%06d", i)
 			k := i
 			if dir == "desc" {
 				k = 2999 - i
 			}
-			bt.Insert([]byte(fmt.Sprintf("%06d", k)), int64(k))
+			bt.Insert([]byte(fmt.Sprintf("%06d", k)))
 		}
 		if err := bt.checkInvariants(); err != nil {
 			t.Fatalf("%s: %v", dir, err)
@@ -216,70 +213,102 @@ func TestBtreeSequentialAndReverseInsertion(t *testing.T) {
 		if bt.Len() != 3000 {
 			t.Fatalf("%s: Len = %d", dir, bt.Len())
 		}
-		prev := int64(-1)
-		bt.Ascend(nil, nil, func(_ []byte, v int64) bool {
-			if v != prev+1 {
-				t.Fatalf("%s: sequence broken at %d", dir, v)
-			}
-			prev = v
-			return true
-		})
+		if got := treeKeys(bt, nil, nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: scan is not the 3000 keys in order", dir)
+		}
 	}
 }
 
-// TestBtreeDrainMaintainsBalance deletes every key from a large tree,
-// checking the occupancy/ordering invariants as the tree shrinks and
-// that the root collapses back to a leaf.
+// TestBtreeDrainMaintainsBalance deletes keys from a tree three levels
+// deep — every key in key order, every key in random order, and 90% of
+// them at random before reinserting them — and runs checkInvariants
+// after every delete: key order and separator bounds, uniform leaf
+// depth, no empty non-root node, an internal root of two children or
+// more, and Len. A drained tree must be one empty leaf that still takes
+// inserts; a churned one must hold exactly its keys.
 func TestBtreeDrainMaintainsBalance(t *testing.T) {
-	bt := newBtree()
-	const n = 5000
-	for i := 0; i < n; i++ {
-		bt.Insert([]byte(fmt.Sprintf("%06d", i)), int64(i))
+	const n = 3000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("%06d", i)) }
+	grow := func(t *testing.T) *btree {
+		bt := newBtree()
+		for i := 0; i < n; i++ {
+			bt.Insert(key(i))
+		}
+		if bt.root.leaf || bt.root.children[0].leaf {
+			t.Fatal("fixture should be three levels deep")
+		}
+		return bt
 	}
 	rng := rand.New(rand.NewSource(3))
-	order := rng.Perm(n)
-	for step, k := range order {
-		if !bt.Delete([]byte(fmt.Sprintf("%06d", k))) {
-			t.Fatalf("delete %d failed", k)
-		}
-		if step%500 == 0 {
+	remove := func(t *testing.T, bt *btree, order []int) {
+		for step, k := range order {
+			if !bt.Delete(key(k)) {
+				t.Fatalf("delete %d failed", k)
+			}
 			if err := bt.checkInvariants(); err != nil {
 				t.Fatalf("after %d deletes: %v", step+1, err)
 			}
+			if treeHas(bt, key(k)) {
+				t.Fatalf("deleted key %d still held", k)
+			}
 		}
 	}
-	if bt.Len() != 0 {
-		t.Fatalf("Len = %d after drain", bt.Len())
+	inOrder := make([]int, n)
+	for i := range inOrder {
+		inOrder[i] = i
 	}
-	if !bt.root.leaf {
-		t.Error("root should collapse to a leaf")
+	for label, order := range map[string][]int{"key order": inOrder, "random order": rng.Perm(n)} {
+		t.Run(label, func(t *testing.T) {
+			bt := grow(t)
+			remove(t, bt, order)
+			if bt.Len() != 0 || !bt.root.leaf || len(bt.root.offs) != 0 {
+				t.Fatalf("drained tree: Len %d, root leaf %v with %d keys; want one empty leaf", bt.Len(), bt.root.leaf, len(bt.root.offs))
+			}
+			if got := treeKeys(bt, nil, nil); len(got) != 0 {
+				t.Fatalf("drained tree still holds %q", got)
+			}
+			// The tree remains usable.
+			bt.Insert([]byte("again"))
+			if !treeHas(bt, []byte("again")) || bt.Len() != 1 {
+				t.Error("tree unusable after drain")
+			}
+		})
 	}
-	bt.Ascend(nil, nil, func(k []byte, _ int64) bool {
-		t.Fatalf("drained tree still holds %q", k)
-		return false
+	t.Run("churn", func(t *testing.T) {
+		bt := grow(t)
+		order := rng.Perm(n)[:n*9/10]
+		remove(t, bt, order)
+		for _, k := range order {
+			bt.Insert(key(k))
+		}
+		if err := bt.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]string, n)
+		for i := range want {
+			want[i] = string(key(i))
+		}
+		if got := treeKeys(bt, nil, nil); !slices.Equal(got, want) {
+			t.Fatalf("after churn the tree holds %d keys, want all %d in order", len(got), n)
+		}
 	})
-	// The tree remains usable.
-	bt.Insert([]byte("again"), 1)
-	if v, ok := bt.Get([]byte("again")); !ok || v != 1 {
-		t.Error("tree unusable after drain")
-	}
 }
 
 // TestBtreeChurnKeepsLeafChainIntact interleaves inserts and deletes and
-// verifies range scans see exactly the live keys (the leaf chain must
-// survive merges).
+// verifies range scans see exactly the live keys, in order, as
+// deletions unlink emptied nodes.
 func TestBtreeChurnKeepsLeafChainIntact(t *testing.T) {
 	bt := newBtree()
-	ref := map[string]int64{}
+	ref := map[string]bool{}
 	rng := rand.New(rand.NewSource(11))
 	for op := 0; op < 30000; op++ {
 		k := fmt.Sprintf("%05d", rng.Intn(3000))
 		if rng.Intn(3) == 0 {
 			delete(ref, k)
 			bt.Delete([]byte(k))
-		} else {
-			ref[k] = int64(op)
-			bt.Insert([]byte(k), int64(op))
+		} else if !ref[k] {
+			ref[k] = true
+			bt.Insert([]byte(k))
 		}
 		if op%5000 == 4999 {
 			if err := bt.checkInvariants(); err != nil {
@@ -287,20 +316,7 @@ func TestBtreeChurnKeepsLeafChainIntact(t *testing.T) {
 			}
 		}
 	}
-	var got []string
-	bt.Ascend(nil, nil, func(k []byte, v int64) bool {
-		got = append(got, string(k))
-		if ref[string(k)] != v {
-			t.Fatalf("value mismatch at %s", k)
-		}
-		return true
-	})
-	if len(got) != len(ref) {
-		t.Fatalf("scan saw %d keys, reference has %d", len(got), len(ref))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatal("scan out of order after churn")
-		}
+	if got, want := treeKeys(bt, nil, nil), sortedSet(ref); !slices.Equal(got, want) {
+		t.Fatalf("scan saw %d keys, reference has %d", len(got), len(want))
 	}
 }

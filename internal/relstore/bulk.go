@@ -18,14 +18,13 @@ import (
 // sort plus one copy of every key, and the tree comes out full.
 
 // bulkEntry is one index entry awaiting the build: its key's position
-// and length in the build's key buffer, the row ID it maps to, and pre,
-// eight of the key's bytes read as a big-endian integer, so most
-// comparisons the sort makes are one integer compare (see sortFrom).
+// and length in the build's key buffer, and pre, eight of the key's
+// bytes read as a big-endian integer, so most comparisons the sort makes
+// are one integer compare (see sortFrom).
 type bulkEntry struct {
 	pre uint64
 	off uint32
 	n   uint32
-	id  int64
 }
 
 // bulkKeys holds one index build's entries. A table's builds run one
@@ -64,7 +63,7 @@ const smallSort = 12
 // on one integer each, and input already in order costs one pass a
 // level. Zero padding past a key's end cannot make two different keys
 // tie: index keys are prefix-free (each value's encoding delimits
-// itself, and a non-unique key ends in a fixed-width row ID), so keys
+// itself, and every key ends in a fixed-width row ID), so keys
 // that tie on a chunk are equal or both continue past it.
 func (k *bulkKeys) sortFrom(ents []bulkEntry, depth int) {
 	if len(ents) <= smallSort {
@@ -118,7 +117,9 @@ func eachRow(pages []*rowPage, nrows int64, fn func(id int64, r Row) bool) uint6
 
 // buildTree builds ix's tree over the live rows of pages that have an
 // entry in it, its nodes tagged with epoch, using k's buffers. It fails,
-// building nothing, if ix is unique and two rows share a key.
+// building nothing, if ix is unique and two rows share their indexed
+// columns: sorted, their keys are adjacent and differ only in the row
+// ID.
 func (k *bulkKeys) buildTree(ix *Index, epoch uint64, pages []*rowPage, nrows int64) (*btree, error) {
 	k.buf, k.ents = k.buf[:0], slices.Grow(k.ents[:0], int(nrows))
 	var tooLarge bool
@@ -137,7 +138,7 @@ func (k *bulkKeys) buildTree(ix *Index, epoch uint64, pages []*rowPage, nrows in
 			// by doubling, copying it each time.
 			k.buf = slices.Grow(k.buf, len(k.buf)*int(nrows-1))
 		}
-		k.ents = append(k.ents, bulkEntry{off: uint32(off), n: uint32(len(k.buf) - off), id: id})
+		k.ents = append(k.ents, bulkEntry{off: uint32(off), n: uint32(len(k.buf) - off)})
 		return true
 	})
 	if tooLarge {
@@ -153,7 +154,8 @@ func (k *bulkKeys) buildTree(ix *Index, epoch uint64, pages []*rowPage, nrows in
 	}
 	if ix.Unique {
 		for i := 1; i < len(k.ents); i++ {
-			if bytes.Equal(k.key(k.ents[i-1]), k.key(k.ents[i])) {
+			a, b := k.key(k.ents[i-1]), k.key(k.ents[i])
+			if bytes.Equal(a[:len(a)-rowIDSuffixLen], b[:len(b)-rowIDSuffixLen]) {
 				return nil, fmt.Errorf("relstore: unique index %s violated", ix.Name)
 			}
 		}
@@ -164,9 +166,7 @@ func (k *bulkKeys) buildTree(ix *Index, epoch uint64, pages []*rowPage, nrows in
 // spread splits n items into the fewest groups of at most max, sizes
 // differing by at most one, and returns the group count and the size of
 // group i. With two or more groups every group holds at least max/2
-// items, rounded up: leaves of up to maxKeys keys and internal nodes of
-// up to maxKeys+1 children therefore keep every non-root node at or
-// above minKeys keys.
+// items, rounded up, so a bulk-built node is at least half full.
 func spread(n, max int) (groups int, size func(i int) int) {
 	groups = (n + max - 1) / max
 	return groups, func(i int) int {
@@ -188,11 +188,8 @@ func (k *bulkKeys) pack(epoch uint64) *bnode {
 	nodes, lows := make([]*bnode, count), make([]bulkEntry, count)
 	for i, start := 0, 0; i < count; i++ {
 		part := k.ents[start : start+size(i)]
-		leaf := &bnode{epoch: epoch, leaf: true, vals: make([]int64, len(part))}
+		leaf := &bnode{epoch: epoch, leaf: true}
 		leaf.arena, leaf.offs = k.arena(part)
-		for j, e := range part {
-			leaf.vals[j] = e.id
-		}
 		nodes[i], lows[i] = leaf, part[0]
 		start += len(part)
 	}

@@ -74,8 +74,9 @@ func rowFeed(rows []Row) func() (Row, error) {
 
 // TestBulkBuildEqualsInserted loads the same rows into two tables, one
 // by an Insert per row and one by BulkLoad, and requires every index to
-// hold the same entries — same ascending scan, Get of every key, the
-// same LookupEqual and LookupRange answers — with both trees passing
+// hold the same keys — same ascending scan, each key its row's columns
+// and row ID, the same LookupEqual and LookupRange answers — with both
+// trees passing
 // checkInvariants, at sizes around one leaf and several levels. The
 // index over the nullable column holds exactly the rows without a NULL.
 func TestBulkBuildEqualsInserted(t *testing.T) {
@@ -123,34 +124,21 @@ func compareIndexes(t *testing.T, name string, want, got *Table, rows []Row) {
 			t.Fatalf("%s %s: %v", label, name, err)
 		}
 	}
-	type entry struct {
-		key string
-		id  int64
-	}
-	scan := func(bt *btree) []entry {
-		var out []entry
-		bt.Ascend(nil, nil, func(k []byte, v int64) bool {
-			out = append(out, entry{string(k), v})
-			return true
-		})
-		return out
-	}
-	ws, gs := scan(wt), scan(gt)
+	ws, gs := treeKeys(wt, nil, nil), treeKeys(gt, nil, nil)
 	if !slices.Equal(ws, gs) {
 		t.Fatalf("%s: ascending scans differ (%d entries inserted, %d bulk)", name, len(ws), len(gs))
 	}
 	if wt.Len() != gt.Len() {
 		t.Fatalf("%s: Len %d inserted, %d bulk", name, wt.Len(), gt.Len())
 	}
-	for _, e := range gs {
-		if v, ok := gt.Get([]byte(e.key)); !ok || v != e.id {
-			t.Fatalf("%s: Get(%q) = %d, %v, want %d", name, e.key, v, ok, e.id)
+	// Every key is its row's indexed columns followed by the row ID.
+	ix, _, _ := got.version().index(name)
+	for _, k := range gs {
+		id := entryRowID([]byte(k))
+		if enc, ok := appendEntryKey(nil, ix, rows[id], id); !ok || string(enc) != k {
+			t.Fatalf("%s: key %q does not encode row %d = %v", name, k, id, rows[id])
 		}
 	}
-	if _, ok := gt.Get([]byte("\xff absent")); ok {
-		t.Fatalf("%s: Get of an absent key succeeded", name)
-	}
-	ix, _, _ := got.version().index(name)
 	probe := func(r Row) []Value {
 		vals := make([]Value, len(ix.cols))
 		for i, c := range ix.cols {

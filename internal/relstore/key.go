@@ -126,13 +126,14 @@ func EncodeKey(vals ...Value) []byte {
 	return dst
 }
 
-// rowIDSuffixLen is the width of the row-ID suffix that keeps a
-// non-unique index's entries distinct.
+// rowIDSuffixLen is the width of the row ID every entry key ends in.
 const rowIDSuffixLen = 8
 
 // appendEntryKey appends row's entry key in ix to dst — the indexed
-// columns, then for a non-unique index the row ID — and reports whether
-// the row has an entry: a row with a NULL in an indexed column has none.
+// columns, then the row ID — and reports whether the row has an entry:
+// a row with a NULL in an indexed column has none. The row ID makes
+// every entry distinct, in a unique index too, whose uniqueness is a
+// check on the key's column prefix (Tx.insertRow, bulkKeys.buildTree).
 func appendEntryKey(dst []byte, ix *Index, row Row, rowID int64) ([]byte, bool) {
 	n := len(dst)
 	for _, c := range ix.cols {
@@ -141,8 +142,10 @@ func appendEntryKey(dst []byte, ix *Index, row Row, rowID int64) ([]byte, bool) 
 		}
 		dst = AppendKey(dst, row[c])
 	}
-	if !ix.Unique {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(rowID))
-	}
-	return dst, true
+	return binary.BigEndian.AppendUint64(dst, uint64(rowID)), true
+}
+
+// entryRowID returns the row ID an entry key ends in.
+func entryRowID(key []byte) int64 {
+	return int64(binary.BigEndian.Uint64(key[len(key)-rowIDSuffixLen:]))
 }

@@ -34,14 +34,10 @@ func (t *Table) LookupRangeTails(indexName string, lo, hi RangeBound, n int, fn 
 		}
 	}
 	tv.state.countLookup()
-	suffix := rowIDSuffixLen
-	if ix.Unique {
-		suffix = 0
-	}
 	tail := make([]int64, n)
 	loKey, hiKey := rangeKeys(lo, hi)
-	bt.Ascend(loKey, hiKey, func(key []byte, _ int64) bool {
-		cells := key[len(key)-suffix-n*numberKeyLen:]
+	bt.Ascend(loKey, hiKey, func(key []byte) bool {
+		cells := key[len(key)-rowIDSuffixLen-n*numberKeyLen:]
 		for i := range tail {
 			// The cell's last 8 bytes are the int with its sign bit flipped.
 			payload := cells[i*numberKeyLen+numberKeyLen-8:]

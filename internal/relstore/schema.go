@@ -10,9 +10,9 @@ type Column struct {
 }
 
 // Index declares one index of a table: a copy-on-write B-tree over the
-// order-preserving encoding of Cols, so it answers equality probes (a
-// prefix scan) and range scans alike. A unique index refuses a second
-// row with the same key. A row with a NULL in any of Cols has no entry:
+// order-preserving encoding of Cols, each entry ending in its row ID, so
+// it answers equality probes (a prefix scan) and range scans alike. A
+// unique index refuses a second row with the same values in Cols. A row with a NULL in any of Cols has no entry:
 // no probe finds it, and a unique index accepts any number of such rows.
 type Index struct {
 	Name   string
@@ -57,7 +57,8 @@ func NewSchema(name string, cols []Column, indexes ...Index) (*Schema, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Indexes[i] = Index{Name: ix.Name, Unique: ix.Unique, Cols: ix.Cols, cols: pos}
+		ix.cols = pos
+		s.Indexes[i] = ix
 	}
 	return s, nil
 }

@@ -161,16 +161,9 @@ func (t *Table) LookupEqual(indexName string, vals ...Value) ([]int64, error) {
 		return nil, fmt.Errorf("relstore: index %s: got %d key values, want %d", indexName, len(vals), len(ix.cols))
 	}
 	tv.state.countLookup()
-	key := EncodeKey(vals...)
-	if ix.Unique {
-		if id, ok := bt.Get(key); ok {
-			return []int64{id}, nil
-		}
-		return nil, nil
-	}
 	var out []int64
-	bt.AscendPrefix(key, func(_ []byte, v int64) bool {
-		out = append(out, v)
+	bt.AscendPrefix(EncodeKey(vals...), func(key []byte) bool {
+		out = append(out, entryRowID(key))
 		return true
 	})
 	return out, nil
@@ -194,8 +187,8 @@ func (t *Table) LookupRange(indexName string, lo, hi RangeBound) ([]int64, error
 	tv.state.countLookup()
 	loKey, hiKey := rangeKeys(lo, hi)
 	var out []int64
-	bt.Ascend(loKey, hiKey, func(_ []byte, v int64) bool {
-		out = append(out, v)
+	bt.Ascend(loKey, hiKey, func(key []byte) bool {
+		out = append(out, entryRowID(key))
 		return true
 	})
 	return out, nil
@@ -220,7 +213,7 @@ func (t *Table) CountPrefix(indexName string, vals ...Value) (int, error) {
 		prefix = AppendKey(prefix, v)
 	}
 	n := 0
-	bt.Ascend(prefix, nil, func(key []byte, _ int64) bool {
+	bt.Ascend(prefix, nil, func(key []byte) bool {
 		if !bytes.HasPrefix(key, prefix) {
 			return false
 		}

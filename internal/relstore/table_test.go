@@ -348,7 +348,8 @@ func TestNullKeyedRowsHaveNoEntries(t *testing.T) {
 			if bt.Len() != want {
 				t.Errorf("%s: %s holds %d entries, want %d", label, name, bt.Len(), want)
 			}
-			bt.Ascend(nil, nil, func(_ []byte, id int64) bool {
+			bt.Ascend(nil, nil, func(k []byte) bool {
+				id := entryRowID(k)
 				if r := tab.Get(id); r == nil || (name != "by_name" && r[2].IsNull()) {
 					t.Errorf("%s: %s holds an entry for row %d = %v", label, name, id, r)
 				}

@@ -320,8 +320,9 @@ func (tx *Tx) entryKey(ix *Index, row Row, rowID int64) ([]byte, bool) {
 
 // insertRow validates and inserts r into the named table, adding its
 // entries to the indexes in declaration order, and returns the new row
-// ID. On a unique violation it removes the entries already added, so
-// the builder stays consistent for the transaction's remaining ops.
+// ID. A unique index refuses the row when it holds a key with the same
+// indexed columns; the entries already added are then removed, so the
+// builder stays consistent for the transaction's remaining ops.
 func (tx *Tx) insertRow(name string, r Row) (int64, error) {
 	tv := tx.writable(name)
 	nr, err := tv.state.schema.CheckRow(r)
@@ -344,15 +345,13 @@ func (tx *Tx) insertRow(name string, r Row) (int64, error) {
 			continue
 		}
 		bt := tx.writableTree(tv, i)
-		if ixs[i].Unique {
-			if _, taken := bt.Get(key); taken {
-				tx.removeEntries(tv, i, nr, id)
-				tv.setRow(tx.epoch, id, nil)
-				tv.free = append(tv.free, id)
-				return 0, fmt.Errorf("relstore: unique index %s violated", ixs[i].Name)
-			}
+		if ixs[i].Unique && bt.HasPrefix(key[:len(key)-rowIDSuffixLen]) {
+			tx.removeEntries(tv, i, nr, id)
+			tv.setRow(tx.epoch, id, nil)
+			tv.free = append(tv.free, id)
+			return 0, fmt.Errorf("relstore: unique index %s violated", ixs[i].Name)
 		}
-		bt.Insert(key, id)
+		bt.Insert(key)
 	}
 	tv.live++
 	tv.state.countWrites(1)

@@ -111,10 +111,11 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 }
 
 // codeCounters is one endpoint's http_requests_total counters by status
-// code. The registry formats and hashes a label identity on every
-// lookup, so each code is looked up once and kept here; a code appears
-// in the registry only once the endpoint has answered with it. Two
-// requests racing on a new code get the same counter from the registry.
+// code. The registry formats a label identity and takes its lock on
+// every lookup, so each code is looked up once and kept here; a code
+// appears in the registry only once the endpoint has answered with it.
+// Two requests racing on a new code get the same counter from the
+// registry.
 type codeCounters struct {
 	reg      *obs.Registry
 	endpoint string
