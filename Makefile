@@ -22,18 +22,21 @@ race:
 # scales the per-goroutine operation count (default in-test is 32).
 STRESS ?= 200
 stress:
-	HYBRIDCAT_STRESS=$(STRESS) $(GO) test -race -run 'Concurrent|OracleStress' -count=1 ./internal/catalog/ ./internal/relstore/ ./internal/core/ ./internal/service/
+	HYBRIDCAT_STRESS=$(STRESS) $(GO) test -race -run 'Concurrent|OracleStress' -count=1 ./internal/catalog/ ./internal/relstore/ ./internal/service/
 
 # Crash matrix + fault-injection suites under the race detector: kill
 # the durable catalog at every injected fault point and require recovery
 # to match the acked-operations oracle, then the replay differential
 # (live catalog ≡ log-only recovery ≡ snapshot-plus-tail recovery ≡
 # follower ≡ import, over every logged op kind, concurrent writers and a
-# failed fsync), the shred redone after a racing registration, and the
-# follower that refuses before registering (DESIGN.md "Durability and
+# failed fsync), the shred redone after a racing registration, the
+# follower that refuses before registering, and the mutations that fail
+# after registering — a registration whose fsync fails, a refused or
+# unsynced auto-registering ingest, a follower record that fails after
+# its define op — and leave no definition (DESIGN.md "Durability and
 # recovery", "Record format").
 crash:
-	$(GO) test -race -run 'Crash|Fault|Replay|RacingRegistration|RefusesBeforeRegistering' -count=1 ./...
+	$(GO) test -race -run 'Crash|Fault|Replay|RacingRegistration|RefusesBeforeRegistering|LeavesNoDefinition' -count=1 ./...
 
 # MVCC verification: the snapshot-isolation oracle suite, the
 # post-fsync crash of every workload step (the version is durable but
@@ -50,10 +53,13 @@ crash:
 # the B-tree versions fuzz target started from a bulk-built tree; and
 # the NULL rule on every write path: a row with a NULL in an indexed
 # column has no entry after Insert, Delete, BulkLoad or Abort, so a
-# unique index accepts any number of them (DESIGN.md "MVCC snapshots and
-# the lock-free read path", "Record format", "Durability and recovery").
+# unique index accepts any number of them; and the value a version
+# carries (the catalog's definitions) following Commit, Abort,
+# Precommit, Publish and ResetHead with the tables (DESIGN.md "MVCC
+# snapshots and the lock-free read path", "Record format", "Durability
+# and recovery").
 mvcc:
-	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints|PostFsyncPreAck|AckDoesNotWait|ParentSnapshotLoads|ValueLayoutPinned|BulkBuild|BulkLoad|FuzzBtreeVersionsFromBulk|NullKeyedRows|AcceptsNullRows' -count=1 ./internal/relstore/ ./internal/catalog/
+	$(GO) test -race -run 'SnapshotIsolation|CrashMatrixSwapPoints|PostFsyncPreAck|AckDoesNotWait|ParentSnapshotLoads|ValueLayoutPinned|BulkBuild|BulkLoad|FuzzBtreeVersionsFromBulk|NullKeyedRows|AcceptsNullRows|VersionValue' -count=1 ./internal/relstore/ ./internal/catalog/
 	$(GO) test -race -run 'Fuzz' -count=1 ./internal/catalog/ ./internal/baseline/ ./internal/relstore/
 
 # Posting-list verification under the race detector: the key-list
@@ -88,7 +94,9 @@ replica:
 # equivalence oracle (identical Figure-4 results and paging boundaries
 # across topologies), the rebalance crash matrix bracketing the
 # routing-table flip, the live-rebalance and concurrency suites,
-# cancellation through the scatter, and the sharded wire surface:
+# cancellation through the scatter, a definition broadcast that an
+# fsync failure cut short converging when re-issued
+# (TestShardBroadcastReissueConverges), and the sharded wire surface:
 # parity with the single-catalog service, and /metrics over both
 # constructors (DESIGN.md "Sharding").
 shard:

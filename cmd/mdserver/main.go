@@ -34,6 +34,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -202,6 +203,10 @@ func main() {
 	}
 	log.Printf("mdserver: schema %s, %d metadata attributes, listening on %s (concurrent reads, %s, %s, %s)",
 		schema.Name, len(schema.Attributes), *addr, caching, durable, observing)
+	// Recovery's garbage (a snapshot's bytes, replayed documents) is
+	// unreachable once the topology is open; return it to the OS now, so
+	// the serving heap does not depend on where recovery's last GC fell.
+	debug.FreeOSMemory()
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal("mdserver: ", err)
 	}

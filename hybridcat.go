@@ -85,8 +85,9 @@ type Response = catalog.Response
 type ObjectInfo = catalog.ObjectInfo
 
 // CacheStats reports the counters of the three read-cache layers
-// (evaluate, postings, response), the data generation entries are
-// stamped with, and the registry generation.
+// (evaluate, postings, response) and the data generation entries are
+// stamped with: the published version's epoch, which a dynamic
+// registration advances like any other commit.
 type CacheStats = catalog.CacheStats
 
 // ErrUnknownDefinition is returned when a query names an attribute or
@@ -188,7 +189,8 @@ func OpenLEAD(opts Options) (*Catalog, error) {
 type DurabilityOptions = catalog.DurabilityOptions
 
 // ErrDurability wraps failures to make an acknowledged mutation durable;
-// the in-memory state is rolled back before it is returned.
+// the in-memory state, the definitions the mutation registered
+// included, is rolled back before it is returned.
 var ErrDurability = catalog.ErrDurability
 
 // OpenDurable builds a catalog whose mutations are committed to a

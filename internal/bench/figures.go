@@ -125,20 +125,21 @@ func F3Shred(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defs := c.Reg.Defs()
 	for _, cl := range res.Clobs {
 		attr := "unshredded"
 		if cl.AttrID != 0 {
-			attr = c.Reg.AttrByID(cl.AttrID).Name
+			attr = defs.AttrByID(cl.AttrID).Name
 		}
 		t.AddRow("clob", fmt.Sprintf("node %s (order %d) seq %d -> attribute %q, %d bytes",
 			c.Schema.NodeByOrder(cl.NodeOrder).Tag, cl.NodeOrder, cl.ClobSeq, attr, len(cl.XML)))
 	}
 	for _, e := range res.Elems {
-		t.AddRow("element", fmt.Sprintf("%s.%s[%d] = %q", c.Reg.AttrByID(e.AttrID).Name, c.Reg.ElemByID(e.ElemID).Name, e.ElemSeq, e.Value))
+		t.AddRow("element", fmt.Sprintf("%s.%s[%d] = %q", defs.AttrByID(e.AttrID).Name, defs.ElemByID(e.ElemID).Name, e.ElemSeq, e.Value))
 	}
 	for _, sa := range res.SubAttrs {
 		t.AddRow("inverted-list", fmt.Sprintf("%s -> %s (depth %d)",
-			c.Reg.AttrByID(sa.ChildAttrID).Name, c.Reg.AttrByID(sa.AncAttrID).Name, sa.Depth))
+			defs.AttrByID(sa.ChildAttrID).Name, defs.AttrByID(sa.AncAttrID).Name, sa.Depth))
 	}
 	return t, nil
 }

@@ -82,28 +82,26 @@ func (c *Catalog) initCaches() {
 	c.caches.response.Instrument(c.obsv.reg, "response")
 }
 
-// CacheStats reports the per-layer cache counters, the data generation
-// (snapshot epoch) evaluate and postings entries are stamped with, and
-// the registry generation dynamic registration advances. Zero layers
-// with Enabled=false mean caching is off.
+// CacheStats reports the per-layer cache counters and the data
+// generation (snapshot epoch) evaluate and postings entries are stamped
+// with; a version carries its definitions, so dynamic registration
+// advances it too. Zero layers with Enabled=false mean caching is off.
 type CacheStats struct {
-	Enabled            bool        `json:"enabled"`
-	DataGeneration     uint64      `json:"data_generation"`
-	RegistryGeneration uint64      `json:"registry_generation"`
-	Evaluate           cache.Stats `json:"evaluate"`
-	Postings           cache.Stats `json:"postings"`
-	Response           cache.Stats `json:"response"`
+	Enabled        bool        `json:"enabled"`
+	DataGeneration uint64      `json:"data_generation"`
+	Evaluate       cache.Stats `json:"evaluate"`
+	Postings       cache.Stats `json:"postings"`
+	Response       cache.Stats `json:"response"`
 }
 
 // CacheStats snapshots the read-cache counters.
 func (c *Catalog) CacheStats() CacheStats {
 	return CacheStats{
-		Enabled:            c.caches.eval != nil,
-		DataGeneration:     c.DB.Generation(),
-		RegistryGeneration: c.Reg.Generation(),
-		Evaluate:           c.caches.eval.Stats(),
-		Postings:           c.caches.postings.Stats(),
-		Response:           c.caches.response.Stats(),
+		Enabled:        c.caches.eval != nil,
+		DataGeneration: c.DB.Generation(),
+		Evaluate:       c.caches.eval.Stats(),
+		Postings:       c.caches.postings.Stats(),
+		Response:       c.caches.response.Stats(),
 	}
 }
 

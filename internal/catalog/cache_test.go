@@ -106,10 +106,10 @@ func TestRegistrationInvalidatesCachedEvaluations(t *testing.T) {
 	}
 	before := c.CacheStats()
 
-	// Dynamic registration bumps the registry generation and mirrors the
-	// definition into the tables — a new epoch — so the next evaluation
-	// resolves afresh (a newly registered user-private definition may
-	// shadow the admin one).
+	// Dynamic registration publishes a new version carrying the
+	// definition — a new epoch — so the next evaluation resolves afresh
+	// (a newly registered user-private definition may shadow the admin
+	// one).
 	if _, err := c.RegisterAttr("extra", "SRC", 0, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,8 @@ func TestRegistrationInvalidatesCachedEvaluations(t *testing.T) {
 		t.Fatalf("evaluate after registration = %v, %v", ids, err)
 	}
 	after := c.CacheStats()
-	if after.RegistryGeneration <= before.RegistryGeneration {
-		t.Fatalf("registry generation did not advance: %d -> %d", before.RegistryGeneration, after.RegistryGeneration)
+	if after.DataGeneration <= before.DataGeneration {
+		t.Fatalf("data generation did not advance: %d -> %d", before.DataGeneration, after.DataGeneration)
 	}
 
 	// Resolution errors must not be cached: an unknown criterion resolves

@@ -53,8 +53,11 @@ type Options struct {
 // schema.
 type Catalog struct {
 	Schema *xmlschema.Schema
-	Reg    *core.Registry
-	DB     *relstore.Database
+	// Reg resolves against the published version's definitions and
+	// cannot register; registration goes through RegisterAttr,
+	// RegisterElem or an auto-registering ingest.
+	Reg *core.Registry
+	DB  *relstore.Database
 
 	shredder *core.Shredder
 	opts     Options
@@ -82,18 +85,20 @@ type Catalog struct {
 
 	// The in-flight log record (see record.go): while mutate records,
 	// each apply function appends the op it applied to rec, after the
-	// definitions above marks; mutate commits rec as one log record, or
+	// definitions it added; mutate commits rec as one log record, or
 	// aborts the builder when it stays empty.
 	recording bool
 	rec       []op
-	marks     core.Marks // the highest definition IDs the log carries
 	dur       *durability
 
 	// tx is the relstore transaction of the mutation currently holding
 	// the write lock (nil outside mutations); interior helpers address
 	// tables through c.wtab so their writes land in this builder instead
-	// of auto-committing per row. Guarded by the write lock.
-	tx *relstore.Tx
+	// of auto-committing per row. draft is the transaction's private
+	// copy of the definitions (see draftDefs), nil until it registers.
+	// Both are guarded by the write lock.
+	tx    *relstore.Tx
+	draft *core.Defs
 
 	// follower marks a read-only replica catalog: every local mutation
 	// is refused with ErrReadOnlyReplica, and state advances only
@@ -114,26 +119,29 @@ type Catalog struct {
 	textMu sync.Mutex
 }
 
-// Open builds a catalog for a finalized schema: it seeds the registry
-// with the schema's structural definitions and creates the relational
-// schema.
+// Open builds a catalog for a finalized schema: its first version
+// carries the schema's structural definitions, which are never logged,
+// and the relational schema.
 func Open(schema *xmlschema.Schema, opts Options) (*Catalog, error) {
-	reg, err := core.NewRegistry(schema)
+	defs, err := core.NewDefs(schema)
 	if err != nil {
 		return nil, err
 	}
 	c := &Catalog{
-		Schema:   schema,
-		Reg:      reg,
-		DB:       relstore.NewDatabase(),
-		shredder: core.NewShredder(schema, reg),
-		opts:     opts,
-		clock:    time.Now,
+		Schema: schema,
+		DB:     relstore.NewDatabase(),
+		opts:   opts,
+		clock:  time.Now,
 	}
+	c.Reg = core.NewRegistry(c.publishedDefs, nil)
+	c.shredder = core.NewShredder(schema, core.NewRegistry(c.txDefs, c.draftDefs))
 	c.initObs()
 	c.DB.SetMetrics(c.obsv.reg)
 	c.initCaches()
-	c.marks = reg.Snapshot().Marks() // structural definitions are never logged
+	c.withTx(func() error {
+		c.tx.SetValue(defs)
+		return nil
+	})
 	if err := c.createTables(); err != nil {
 		return nil, err
 	}
@@ -228,9 +236,33 @@ func (c *Catalog) createTables() error {
 	return nil
 }
 
-// RegisterAttr registers a dynamic attribute definition; the next log
-// record carries it. parentID 0 registers a top-level dynamic attribute
-// located at the schema's first dynamic container.
+// Definitions are the value of the catalog's relstore version (see
+// relstore.Tx.SetValue): a mutation resolves against its transaction's
+// definitions and registers into a private copy of them, so a
+// definition commits, aborts and publishes with the rows of the
+// mutation that created it, and its log record carries it.
+
+// publishedDefs returns the published version's definitions: what
+// Catalog.Reg resolves against.
+func (c *Catalog) publishedDefs() *core.Defs { return c.DB.Value().(*core.Defs) }
+
+// txDefs returns the definitions of the transaction bound to c.tx: its
+// private copy once it registered, its base version's otherwise.
+func (c *Catalog) txDefs() *core.Defs { return c.tx.Value().(*core.Defs) }
+
+// draftDefs returns the bound transaction's private copy of its
+// definitions, cloned from its base version on first use.
+func (c *Catalog) draftDefs() *core.Defs {
+	if c.draft == nil {
+		c.draft = c.txDefs().Clone()
+		c.tx.SetValue(c.draft)
+	}
+	return c.draft
+}
+
+// RegisterAttr registers a dynamic attribute definition; its mutation's
+// log record carries it. parentID 0 registers a top-level dynamic
+// attribute located at the schema's first dynamic container.
 func (c *Catalog) RegisterAttr(name, source string, parentID int64, owner string) (*core.AttrDef, error) {
 	order := 0
 	for _, a := range c.Schema.Attributes {
@@ -244,7 +276,9 @@ func (c *Catalog) RegisterAttr(name, source string, parentID int64, owner string
 	}
 	var def *core.AttrDef
 	err := c.mutate(func() (err error) {
-		def, err = c.Reg.RegisterAttr(name, source, parentID, order, owner)
+		if def, err = c.draftDefs().RegisterAttr(name, source, parentID, order, owner); err == nil {
+			c.journal(op{kind: opDefineAttr, attr: def})
+		}
 		return err
 	})
 	if err != nil {
@@ -257,7 +291,9 @@ func (c *Catalog) RegisterAttr(name, source string, parentID int64, owner string
 func (c *Catalog) RegisterElem(name, source string, attrID int64, dt core.DataType, owner string) (*core.ElemDef, error) {
 	var def *core.ElemDef
 	err := c.mutate(func() (err error) {
-		def, err = c.Reg.RegisterElem(name, source, attrID, dt, owner)
+		if def, err = c.draftDefs().RegisterElem(name, source, attrID, dt, owner); err == nil {
+			c.journal(op{kind: opDefineElem, elem: def})
+		}
 		return err
 	})
 	if err != nil {
@@ -310,7 +346,7 @@ func (c *Catalog) shredOpts(o op, live bool) core.Options {
 // applyIngest shreds o.doc and stores it as object o.id: its objects
 // row, then its shredded rows. Live ingest and replay both shred here,
 // under the write lock, so they resolve the document against the same
-// registry state.
+// definitions: the transaction's.
 func (c *Catalog) applyIngest(o op, live bool) error {
 	res, err := c.shredder.Shred(o.doc, c.shredOpts(o, live))
 	if err != nil {
@@ -332,8 +368,21 @@ func (c *Catalog) applyIngest(o op, live bool) error {
 	if err := c.insertShred(o.id, res); err != nil {
 		return fmt.Errorf("catalog: ingest of object %d failed: %w", o.id, err)
 	}
-	c.journal(o)
+	c.journalShred(res, o)
 	return nil
+}
+
+// journalShred journals the definitions a shred auto-registered, then
+// the op that shredded: every definition precedes the op that
+// references it.
+func (c *Catalog) journalShred(res *core.ShredResult, o op) {
+	for _, d := range res.NewAttrs {
+		c.journal(op{kind: opDefineAttr, attr: d})
+	}
+	for _, d := range res.NewElems {
+		c.journal(op{kind: opDefineElem, elem: d})
+	}
+	c.journal(o)
 }
 
 func (c *Catalog) insertShred(id int64, res *core.ShredResult) error {
@@ -445,7 +494,7 @@ func (c *Catalog) applyAddAttribute(o op, live bool) error {
 	if err := c.insertShred(o.id, res); err != nil {
 		return err
 	}
-	c.journal(o)
+	c.journalShred(res, o)
 	return nil
 }
 

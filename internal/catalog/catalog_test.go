@@ -428,8 +428,8 @@ func TestUnmatchedDynamicAttrStaysClobOnlyButFetchable(t *testing.T) {
 
 func TestDeepSubAttributeQueryAndAblation(t *testing.T) {
 	c := newLEADCatalog(t, Options{})
-	grid := c.Reg.LookupAttr("grid", "ARPS", 0, "")
-	gs := c.Reg.LookupAttr("grid-stretching", "ARPS", grid.ID, "")
+	grid := c.Reg.Defs().LookupAttr("grid", "ARPS", 0, "")
+	gs := c.Reg.Defs().LookupAttr("grid-stretching", "ARPS", grid.ID, "")
 	lvl3, err := c.RegisterAttr("level3", "ARPS", gs.ID, "")
 	if err != nil {
 		t.Fatal(err)

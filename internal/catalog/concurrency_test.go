@@ -698,7 +698,7 @@ func TestIngestAutoRegisterRace(t *testing.T) {
 	}
 	wg.Wait()
 	count := 0
-	for _, d := range c.Reg.Attrs() {
+	for _, d := range c.Reg.Defs().Attrs() {
 		if d.Name == "grid" && d.Source == "ARPS" {
 			count++
 		}

@@ -125,7 +125,7 @@ func crashWorkload(t *testing.T) []crashOp {
 // mustAttrID resolves a registered dynamic attribute's ID by name; the
 // workload uses it so later steps don't depend on captured variables.
 func mustAttrID(c *Catalog, name string) int64 {
-	for _, d := range c.Reg.Attrs() {
+	for _, d := range c.Reg.Defs().Attrs() {
 		if d.Name == name {
 			return d.ID
 		}

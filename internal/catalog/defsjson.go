@@ -73,12 +73,13 @@ func (c *Catalog) LoadDefinitionsJSON(data []byte) error {
 	return nil
 }
 
-// DumpDefinitionsJSON renders the catalog's dynamic definitions in the
+// DumpDefinitionsJSON renders the published dynamic definitions in the
 // DefJSON format (parents before children).
 func (c *Catalog) DumpDefinitionsJSON() ([]byte, error) {
+	defs := c.Reg.Defs()
 	var out []DefJSON
 	attrName := map[int64]string{}
-	for _, a := range c.Reg.Attrs() {
+	for _, a := range defs.Attrs() {
 		attrName[a.ID] = a.Name
 		if !a.Dynamic {
 			continue
@@ -89,8 +90,8 @@ func (c *Catalog) DumpDefinitionsJSON() ([]byte, error) {
 		}
 		out = append(out, d)
 	}
-	for _, e := range c.Reg.Elems() {
-		owner := c.Reg.AttrByID(e.AttrID)
+	for _, e := range defs.Elems() {
+		owner := defs.AttrByID(e.AttrID)
 		if owner == nil || !owner.Dynamic {
 			continue
 		}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/faultio"
 	"github.com/gridmeta/hybridcat/internal/relstore"
 	"github.com/gridmeta/hybridcat/internal/wal"
@@ -49,8 +48,9 @@ import (
 
 // ErrDurability marks a mutation that failed because its write-ahead
 // record (or a checkpoint) could not be made durable. The in-memory
-// state has been rolled back; the catalog still serves reads and may
-// accept later mutations if the underlying fault was transient.
+// state, the definitions the mutation registered included, has been
+// rolled back; the catalog still serves reads and may accept later
+// mutations if the underlying fault was transient.
 var ErrDurability = errors.New("catalog: durability failure")
 
 // DurabilityOptions configures OpenDurable.
@@ -97,9 +97,6 @@ type durability struct {
 	notify chan struct{}
 	// sinceCheckpoint counts records published since the last checkpoint.
 	sinceCheckpoint int
-	// marks are the definition marks of the last published record: a
-	// failed suffix's definitions are journaled again from them.
-	marks core.Marks
 }
 
 // stagedCommit pairs one mutation's frozen version with the log ticket
@@ -107,7 +104,6 @@ type durability struct {
 type stagedCommit struct {
 	staged *relstore.Staged
 	ticket *wal.Ticket
-	marks  core.Marks
 }
 
 // DurabilityStats reports the durability subsystem's counters.
@@ -183,7 +179,6 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 		}
 		return nil, fmt.Errorf("catalog: recovering log %s: %w", dopts.WALPath, err)
 	}
-	c.marks = c.Reg.Snapshot().Marks() // all from the schema, snapshot or log
 	w.SetNextSeq(fromSeq + 1)
 	w.NoSync = dopts.NoSync
 	w.SetMetrics(c.obsv.reg)
@@ -197,7 +192,6 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 		every:        dopts.CheckpointEvery,
 		publishedSeq: w.LastSeq(),
 		notify:       make(chan struct{}),
-		marks:        c.marks,
 	}
 	return c, nil
 }
@@ -219,18 +213,12 @@ func (c *Catalog) mutate(fn func() error) error {
 	c.mu.Lock()
 	tr, done := c.beginOp("mutate", c.obsv.opMutate)
 	defer done()
-	tx := c.DB.Begin()
-	c.tx = tx
-	marks := c.marks
+	tx := c.bind(c.DB.Begin())
 	c.recording = true
 	c.rec = c.rec[:0]
 	err := fn()
-	if err == nil {
-		// Definitions no op referenced: RegisterAttr/RegisterElem's own.
-		c.journalDefines()
-	}
 	c.recording = false
-	c.tx = nil
+	c.bind(nil)
 	nops := len(c.rec)
 	d := c.dur
 	var payload []byte
@@ -241,7 +229,6 @@ func (c *Catalog) mutate(fn func() error) error {
 	switch {
 	case err != nil || nops == 0:
 		tx.Abort()
-		c.marks = marks
 		c.mu.Unlock()
 		return err
 	case d == nil:
@@ -251,7 +238,7 @@ func (c *Catalog) mutate(fn func() error) error {
 		return nil
 	}
 	// Enqueue order must be epoch order, so both happen under the lock.
-	sc := &stagedCommit{staged: tx.Precommit(), ticket: d.gw.Enqueue(payload), marks: c.marks}
+	sc := &stagedCommit{staged: tx.Precommit(), ticket: d.gw.Enqueue(payload)}
 	d.mu.Lock()
 	d.staged = append(d.staged, sc)
 	d.mu.Unlock()
@@ -304,7 +291,6 @@ func (c *Catalog) publishDurable(d *durability) {
 		}
 		c.DB.Publish(sc.staged)
 		d.publishedSeq = seq
-		d.marks = sc.marks
 		n++
 	}
 	if n > 0 {
@@ -353,7 +339,6 @@ func (c *Catalog) healGroupLocked() {
 	}
 	d.staged = nil
 	c.DB.ResetHead()
-	c.marks = d.marks
 	if d.gw.Poisoned() != nil {
 		// Heal fails only if the log writer itself is wedged; leave the
 		// poison in place then — Wedged()/healthz surface it.
@@ -361,15 +346,21 @@ func (c *Catalog) healGroupLocked() {
 	}
 }
 
+// bind makes tx the transaction mutations write through (nil unbinds),
+// with no private definitions yet, and returns it.
+func (c *Catalog) bind(tx *relstore.Tx) *relstore.Tx {
+	c.tx, c.draft = tx, nil
+	return tx
+}
+
 // withTx runs fn with c.tx bound to one relstore transaction, without
 // recording or WAL involvement: the recovery paths (log replay, follower
 // apply, snapshot load) use it to batch restored rows into a single
 // published version.
 func (c *Catalog) withTx(fn func() error) error {
-	tx := c.DB.Begin()
-	c.tx = tx
+	tx := c.bind(c.DB.Begin())
 	err := fn()
-	c.tx = nil
+	c.bind(nil)
 	if err != nil {
 		tx.Abort()
 		return err

@@ -108,7 +108,7 @@ func (v *view) chaseRollupSet(n *qNode, sets map[int][]uint64) ([]uint64, error)
 		var cover []uint64
 		frontier := sets[child.id]
 		for def := child.def; def.ParentID != 0 && len(frontier) > 0; {
-			parent := v.reg.AttrByID(def.ParentID)
+			parent := v.defs.AttrByID(def.ParentID)
 			if parent == nil {
 				break
 			}

@@ -55,9 +55,9 @@ func (c *Catalog) AppliedSeq() uint64 {
 
 // ApplyWAL replays a run of primary log records into the follower, in
 // one relstore transaction: readers see the whole run or none of it,
-// and a failed apply (decode error, replay divergence) commits nothing
-// and leaves the cursor unmoved so the tailer can retry (re-adopting
-// definitions is a no-op) or re-bootstrap. Records at or
+// and a failed apply (decode error, replay divergence) commits nothing,
+// its adopted definitions included, and leaves the cursor unmoved so
+// the tailer can retry or re-bootstrap. Records at or
 // below the cursor are skipped — re-delivery after a torn stream is the
 // normal case, not an error — and a record beyond cursor+1 fails: the
 // stream has a hole and the tailer must resume from the cursor.

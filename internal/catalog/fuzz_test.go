@@ -18,17 +18,16 @@ import (
 
 // FuzzSnapshotSwapInterleavings drives fuzz-chosen interleavings of
 // every mutation class that publishes a new version — ingest, document
-// extension, publication, deletion, and registry rebuilds (dynamic
-// definition registration, which swaps the registry pointer AND commits
-// the def-table mirror) — against concurrent readers on the lock-free
-// snapshot path. It extends the baseline package's
+// extension, publication, deletion, and dynamic definition registration,
+// whose version carries the new definition — against concurrent readers
+// on the lock-free snapshot path. It extends the baseline package's
 // FuzzConcurrentIngestEvaluate to the swap machinery itself: readers
-// assert the database epoch and registry generation never move
-// backwards, and reuse the DOM oracle from concurrency_test.go to pin
-// every fetched document to a version the tracker advertised. Each op
-// byte selects the mutation kind and its publish bit, so the corpus
-// explores orderings (e.g. a registry swap racing a pinned evaluation)
-// that the fixed-schedule stress test never hits.
+// assert the database epoch never moves backwards, and reuse the DOM
+// oracle from concurrency_test.go to pin every fetched document to a
+// version the tracker advertised. Each op byte selects the mutation kind
+// and its publish bit, so the corpus explores orderings (e.g. a
+// registration racing a pinned evaluation) that the fixed-schedule
+// stress test never hits.
 func FuzzSnapshotSwapInterleavings(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(int64(5), []byte{0xff, 0x3c, 0x81, 0x00, 0x42, 0x99})
@@ -143,7 +142,7 @@ func FuzzSnapshotSwapInterleavings(f *testing.F) {
 			go func(r int) {
 				defer rwg.Done()
 				rng := rand.New(rand.NewSource(seed + int64(r)))
-				var lastEpoch, lastReg uint64
+				var lastEpoch uint64
 				for i := 0; ; i++ {
 					select {
 					case <-done:
@@ -151,18 +150,12 @@ func FuzzSnapshotSwapInterleavings(f *testing.F) {
 					default:
 					}
 					// The swap-path invariant: published versions only move
-					// forward, on both atomic pointers.
+					// forward.
 					if e := c.DB.Generation(); e < lastEpoch {
 						t.Errorf("reader %d: db epoch went backwards: %d after %d", r, e, lastEpoch)
 						return
 					} else {
 						lastEpoch = e
-					}
-					if g := c.Reg.Generation(); g < lastReg {
-						t.Errorf("reader %d: registry generation went backwards: %d after %d", r, g, lastReg)
-						return
-					} else {
-						lastReg = g
 					}
 					switch i % 3 {
 					case 0: // DOM oracle on a tracked object

@@ -64,7 +64,7 @@ func TestInstKeyRange(t *testing.T) {
 func TestSeqBoundMatchesInstKey(t *testing.T) {
 	c := newLEADCatalog(t, Options{})
 	id := ingestFig3(t, c)
-	theme := c.Reg.LookupAttr("theme", "", 0, "")
+	theme := c.Reg.Defs().LookupAttr("theme", "", 0, "")
 	// A direct row write (no mutation API journals one; see withTx).
 	if err := c.withTx(func() error {
 		_, err := c.wtab(TAttrData).Insert(relstore.Row{

@@ -28,7 +28,6 @@ const DefaultTraceDepth = 32
 //	catalog_recovery_replayed_records_total / _ops_total
 //	catalog_wedged                    1 when durability refuses mutations
 //	catalog_snapshot_epoch            published relstore version epoch
-//	catalog_registry_generation       definition-registry generation
 //	catalog_version_swaps_total       committed version publications
 //	catalog_snapshot_pins_total       read-path snapshot pins
 type catObs struct {
@@ -125,7 +124,6 @@ func (c *Catalog) initObs() {
 		}
 		return 0
 	})
-	reg.GaugeFunc("catalog_registry_generation", func() int64 { return int64(c.Reg.Generation()) })
 	// catalog_wedged is 1 once the durability layer refuses further
 	// mutations (failed post-failure cleanup left the log tail unknown);
 	// /healthz reports the same condition.

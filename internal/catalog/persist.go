@@ -105,25 +105,21 @@ func schemaSig(s *xmlschema.Schema) string {
 }
 
 // pin is an immutable view of everything a snapshot carries: one
-// relstore version, the registry's definitions and the log watermark
-// the version contains. Writing it needs no lock.
+// relstore version, with its definitions, and the log watermark the
+// version contains. Writing it needs no lock.
 type pin struct {
 	db      *relstore.Snapshot
-	attrs   []*core.AttrDef
-	elems   []*core.ElemDef
 	walSeq  uint64
 	idMarks map[string]int64
 }
 
 // pinLocked captures a pin; c.mu must be held (read or write). The
-// database is pinned before the registry, so every definition a pinned
-// row references is present (registry versions are copy-on-write, so
-// the definition pointers stay valid). The watermark is the PUBLISHED
-// sequence, not the log's LastSeq: the log may hold records whose staged
-// versions are not yet visible, and the pinned version does not contain
-// them — claiming their sequences would make recovery skip them. Writers
-// publish without c.mu, so the version and its sequence are read
-// together under the durability mutex they publish under. The ID
+// watermark is the PUBLISHED sequence, not the log's LastSeq: the log
+// may hold records whose staged versions are not yet visible, and the
+// pinned version does not contain them — claiming their sequences would
+// make recovery skip them. Writers publish without c.mu, so the version
+// and its sequence are read together under the durability mutex they
+// publish under. The ID
 // allocators are read after the version is pinned: they only advance,
 // so the marks cover every ID the version holds, and an ID handed out
 // since only raises a mark, which skips IDs and never reissues one.
@@ -137,8 +133,6 @@ func (c *Catalog) pinLocked() pin {
 	} else {
 		p.db = c.DB.Snapshot()
 	}
-	p.attrs = c.Reg.Attrs()
-	p.elems = c.Reg.Elems()
 	p.idMarks = make(map[string]int64, len(idTables))
 	for _, name := range idTables {
 		p.idMarks[name] = c.DB.MustTable(name).AutoID()
@@ -184,14 +178,13 @@ func writeSnapshot(schema *xmlschema.Schema, p pin, w io.Writer) error {
 		SchemaSig:  schemaSig(schema),
 		WalSeq:     p.walSeq,
 		IDMarks:    p.idMarks,
-		Attrs:      make([]core.AttrDef, len(p.attrs)),
-		Elems:      make([]core.ElemDef, len(p.elems)),
 	}
-	for i, d := range p.attrs {
-		hdr.Attrs[i] = *d
+	defs := p.db.Value().(*core.Defs)
+	for _, d := range defs.Attrs() {
+		hdr.Attrs = append(hdr.Attrs, *d)
 	}
-	for i, d := range p.elems {
-		hdr.Elems[i] = *d
+	for _, d := range defs.Elems() {
+		hdr.Elems = append(hdr.Elems, *d)
 	}
 	var hb bytes.Buffer
 	if err := gob.NewEncoder(&hb).Encode(&hdr); err != nil {
@@ -262,17 +255,18 @@ func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader, size int6
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := c.Reg.Restore(snap.Attrs, snap.Elems); err != nil {
+	defs, err := core.RestoreDefs(snap.Attrs, snap.Elems)
+	if err != nil {
 		return nil, 0, err
 	}
-	c.marks = c.Reg.Snapshot().Marks()
-	// The whole restore runs as one relstore transaction: one published
-	// version. Each table is filled in row-ID order and its indexes are
-	// built bottom-up from sorted entries (relstore.Table.BulkLoad). Each
-	// row decodes into the same scratch row, which BulkLoad copies: a
-	// fresh one per row would leave a garbage row between live ones and
-	// fragment the heap.
+	// The whole restore, definitions included, runs as one relstore
+	// transaction: one published version. Each table is filled in row-ID
+	// order and its indexes are built bottom-up from sorted entries
+	// (relstore.Table.BulkLoad). Each row decodes into the same scratch
+	// row, which BulkLoad copies: a fresh one per row would leave a
+	// garbage row between live ones and fragment the heap.
 	err = c.withTx(func() error {
+		c.tx.SetValue(defs)
 		var row relstore.Row
 		for _, name := range dataTables {
 			parent, migrates := parentLayouts[name]

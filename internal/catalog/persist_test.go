@@ -84,7 +84,7 @@ func TestLoadedCatalogAcceptsNewWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Reg.AttrByID(def.ID) == nil {
+	if loaded.Reg.Defs().AttrByID(def.ID) == nil {
 		t.Error("fresh definition missing")
 	}
 	// New collection IDs don't collide.
@@ -143,11 +143,11 @@ func TestUserPrivateDefsSurviveSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := loaded.Reg.LookupAttr("tuning", "WRF", 0, "alice")
+	got := loaded.Reg.Defs().LookupAttr("tuning", "WRF", 0, "alice")
 	if got == nil || got.ID != alice.ID || got.Owner != "alice" {
 		t.Fatalf("private def after load = %+v", got)
 	}
-	if loaded.Reg.LookupAttr("tuning", "WRF", 0, "bob") != nil {
+	if loaded.Reg.Defs().LookupAttr("tuning", "WRF", 0, "bob") != nil {
 		t.Error("private def leaked to other users after load")
 	}
 }
@@ -224,6 +224,9 @@ func TestTableLayoutPinned(t *testing.T) {
 		// the parent layout.
 		width := parent.width + 1
 		db := relstore.NewDatabase()
+		tx := db.Begin()
+		tx.SetValue(c.Reg.Defs())
+		tx.Commit()
 		for _, tn := range dataTables {
 			cols := c.DB.MustTable(tn).Schema.Columns
 			if tn == name {

@@ -97,7 +97,7 @@ type queryPlan struct {
 	topObjs []topObjects
 }
 
-// compile resolves the query against the pinned registry and lowers it
+// compile resolves the query against the pinned definitions and lowers it
 // into a plan tree.
 func (v *view) compile(q *Query) (*queryPlan, error) {
 	all, tops, err := v.resolve(q)

@@ -110,7 +110,7 @@ func (v *view) resolve(q *Query) ([]*qNode, []*qNode, error) {
 		if parent != nil {
 			parentID = parent.def.ID
 		}
-		def := v.reg.LookupAttr(crit.Name, crit.Source, parentID, q.Owner)
+		def := v.defs.LookupAttr(crit.Name, crit.Source, parentID, q.Owner)
 		if def == nil {
 			return nil, fmt.Errorf("%w: attribute %q (source %q)", ErrUnknownDefinition, crit.Name, crit.Source)
 		}
@@ -120,7 +120,7 @@ func (v *view) resolve(q *Query) ([]*qNode, []*qNode, error) {
 		n := &qNode{id: len(all) + 1, parent: parent, def: def}
 		all = append(all, n)
 		for _, ep := range crit.Elems {
-			edef := v.reg.LookupElem(ep.Name, ep.Source, def.ID, q.Owner)
+			edef := v.defs.LookupElem(ep.Name, ep.Source, def.ID, q.Owner)
 			if edef == nil {
 				return nil, fmt.Errorf("%w: element %q (source %q) in attribute %q", ErrUnknownDefinition, ep.Name, ep.Source, crit.Name)
 			}

@@ -11,8 +11,8 @@ import (
 
 // Log records are logical: a record holds one commit's mutations as the
 // API received them, the decisions made outside the document (IDs, the
-// created time, the Lenient bit) and the definitions the registry
-// gained. A document's rows are a pure function of those, so recovery,
+// created time, the Lenient bit) and the definitions the mutation
+// added. A document's rows are a pure function of those, so recovery,
 // follower apply and rebalance import re-derive them through the apply
 // function the live API calls (catalog.go, collections.go).
 
@@ -66,7 +66,7 @@ var errShortField = errors.New("short field")
 // fieldCodec encodes or decodes one op's fields: out collects encoded
 // bytes; when decoding, in holds the unread input and err the first
 // failure, after which every read is a no-op. Encoding only reads the
-// fields: a define op points at the registry's shared definition.
+// fields: a define op points at the definition set's shared definition.
 type fieldCodec struct {
 	decoding bool
 	out, in  []byte
@@ -235,38 +235,17 @@ func decodeRecord(payload []byte) ([]op, error) {
 }
 
 // journal appends o to the record of the mutation holding the write
-// lock, after the definitions the registry gained since the record's
-// last op (see journalDefines). Apply functions call it once they have
-// changed state, so a mutation that journals nothing changed nothing.
+// lock. Apply functions call it once they have changed state, so a
+// mutation that journals nothing changed nothing. A definition is
+// journaled where it is added to the transaction's definitions, so it
+// precedes every op that references it and follows the ops before it
+// (an import keeps a user-private definition between the two ingests it
+// separates), and a record carries only its own mutation's definitions.
 // Replay outside a mutation (recovery, follower apply) records nothing.
 func (c *Catalog) journal(o op) {
-	if !c.recording {
-		return
+	if c.recording {
+		c.rec = append(c.rec, o)
 	}
-	c.journalDefines()
-	c.rec = append(c.rec, o)
-}
-
-// journalDefines appends a define op for every registry definition
-// above the journaled marks and raises the marks. Called before each
-// op, it logs a definition ahead of every op that references it and
-// after the ops that came before it (an import keeps a user-private
-// definition between the two ingests it separates). One pinned registry
-// version supplies both kinds, so an element never precedes its attribute.
-func (c *Catalog) journalDefines() {
-	s := c.Reg.Snapshot()
-	m := s.Marks()
-	for id := c.marks.Attr + 1; id <= m.Attr; id++ {
-		if d := s.AttrByID(id); d != nil {
-			c.rec = append(c.rec, op{kind: opDefineAttr, attr: d})
-		}
-	}
-	for id := c.marks.Elem + 1; id <= m.Elem; id++ {
-		if d := s.ElemByID(id); d != nil {
-			c.rec = append(c.rec, op{kind: opDefineElem, elem: d})
-		}
-	}
-	c.marks = m
 }
 
 // replayRecord decodes one log record payload and applies its ops in
@@ -285,15 +264,29 @@ func (c *Catalog) replayRecord(payload []byte) (int, error) {
 	return len(ops), nil
 }
 
+// applyDefine adopts a logged definition at its logged ID in the
+// transaction's definitions.
+func (c *Catalog) applyDefine(o op) error {
+	var err error
+	if o.kind == opDefineAttr {
+		err = c.draftDefs().AdoptAttr(*o.attr)
+	} else {
+		err = c.draftDefs().AdoptElem(*o.elem)
+	}
+	if err != nil {
+		return err
+	}
+	c.journal(o)
+	return nil
+}
+
 // replay applies one decoded op. Definitions are adopted at their
 // logged IDs, and documents are re-shredded without auto-registration:
 // every definition they reference precedes them in the log.
 func (c *Catalog) replay(o *op) error {
 	switch o.kind {
-	case opDefineAttr:
-		return c.Reg.AdoptAttr(*o.attr)
-	case opDefineElem:
-		return c.Reg.AdoptElem(*o.elem)
+	case opDefineAttr, opDefineElem:
+		return c.applyDefine(*o)
 	case opIngest, opAddAttribute:
 		doc, err := xmldoc.ParseString(o.xml)
 		if err != nil {

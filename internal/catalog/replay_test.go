@@ -81,8 +81,8 @@ func lenientDoc(t *testing.T) *xmldoc.Node {
 // every definition. The script covers a user-private definition that
 // shadows an admin one between two ingests by the same owner, AddAttribute
 // sequence starts recomputed at replay, concurrent writers whose records
-// share batches, and a failed batch fsync whose definitions the next
-// commit must journal again.
+// share batches, and a failed batch fsync, which leaves no definition
+// behind for a later record to carry.
 func TestCrashReplayEqualsIngest(t *testing.T) {
 	schema := xmlschema.MustLEAD()
 	fs := &syncFailFS{MemFS: faultio.NewMemFS()}
@@ -209,8 +209,9 @@ func TestCrashReplayEqualsIngest(t *testing.T) {
 		t.Errorf("no batch held two records (group stats %+v)", g)
 	}
 
-	// Phase 3: a commit whose batch fsync fails leaves the definitions its
-	// shred registered in the registry; the next commit journals them.
+	// Phase 3: a commit whose batch fsync fails leaves no definition its
+	// shred registered, so the next record carries only its own op, and
+	// the re-issued ingest registers and journals the definitions itself.
 	before := primary.PublishedSeq()
 	failed := dynDoc("f1", "failgrid", "FAIL", "1", "2")
 	fs.fail.Store(true)
@@ -218,6 +219,9 @@ func TestCrashReplayEqualsIngest(t *testing.T) {
 		t.Fatalf("ingest under a failing fsync = %v, want ErrDurability", err)
 	}
 	fs.fail.Store(false)
+	if d := primary.Reg.Defs().LookupAttr("failgrid", "FAIL", 0, ""); d != nil {
+		t.Fatalf("the failed ingest left definition %+v", d)
+	}
 	must(primary.SetPublished(a2, true))
 	recs, _, _, err := primary.WALSince(before)
 	must(err)
@@ -226,15 +230,22 @@ func TestCrashReplayEqualsIngest(t *testing.T) {
 	}
 	ops, err := decodeRecord(recs[0].Payload)
 	must(err)
-	failgrid := primary.Reg.LookupAttr("failgrid", "FAIL", 0, "")
-	if failgrid == nil {
-		t.Fatal("the failed ingest registered no definition")
-	}
-	if len(ops) != 4 || ops[0].kind != opDefineAttr || ops[0].attr.ID != failgrid.ID ||
-		ops[1].kind != opDefineElem || ops[2].kind != opDefineElem || ops[3].kind != opSetPublished {
-		t.Fatalf("record after the failed commit holds %v, want define_attr %d, two define_elem, set_published", kinds(ops), failgrid.ID)
+	if len(ops) != 1 || ops[0].kind != opSetPublished {
+		t.Fatalf("record after the failed commit holds %v, want set_published alone", kinds(ops))
 	}
 	ingest("carol", failed)
+	recs, _, _, err = primary.WALSince(recs[0].Seq)
+	must(err)
+	if len(recs) != 1 {
+		t.Fatalf("%d records after the re-issued ingest, want 1", len(recs))
+	}
+	ops, err = decodeRecord(recs[0].Payload)
+	must(err)
+	failgrid := primary.Reg.Defs().LookupAttr("failgrid", "FAIL", 0, "")
+	if failgrid == nil || len(ops) != 4 || ops[0].kind != opDefineAttr || ops[0].attr.ID != failgrid.ID ||
+		ops[1].kind != opDefineElem || ops[2].kind != opDefineElem || ops[3].kind != opIngest {
+		t.Fatalf("re-issued ingest's record holds %v, want define_attr, two define_elem, ingest", kinds(ops))
+	}
 
 	// The state, plus the ID allocators: every replica must hand out IDs
 	// above the primary's.
@@ -312,7 +323,7 @@ func TestFollowerRefusesBeforeRegistering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attrs, elems := len(f.Reg.Attrs()), len(f.Reg.Elems())
+	attrs, elems := len(f.Reg.Defs().Attrs()), len(f.Reg.Defs().Elems())
 	doc, err := xmldoc.ParseString(dynDoc("r", "phantom", "SRC", "1"))
 	if err != nil {
 		t.Fatal(err)
@@ -328,10 +339,10 @@ func TestFollowerRefusesBeforeRegistering(t *testing.T) {
 			t.Errorf("%s on a follower = %v, want ErrReadOnlyReplica", name, err)
 		}
 	}
-	if a, e := len(f.Reg.Attrs()), len(f.Reg.Elems()); a != attrs || e != elems {
+	if a, e := len(f.Reg.Defs().Attrs()), len(f.Reg.Defs().Elems()); a != attrs || e != elems {
 		t.Errorf("refused mutations changed the registry: %d→%d attributes, %d→%d elements", attrs, a, elems, e)
 	}
-	if f.Reg.LookupAttr("phantom", "SRC", 0, "") != nil {
+	if f.Reg.Defs().LookupAttr("phantom", "SRC", 0, "") != nil {
 		t.Error("a refused mutation's definition resolves")
 	}
 }

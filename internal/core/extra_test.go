@@ -2,7 +2,6 @@ package core
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/gridmeta/hybridcat/internal/xmldoc"
@@ -45,7 +44,7 @@ func TestShredAttributeContinuesSequences(t *testing.T) {
 }
 
 func TestRegistryRestore(t *testing.T) {
-	r := newLEADRegistry(t)
+	r := newLEADDefs(t)
 	grid, err := r.RegisterAttr("grid", "ARPS", 0, 19, "")
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +61,8 @@ func TestRegistryRestore(t *testing.T) {
 		elems = append(elems, *d)
 	}
 
-	fresh := newLEADRegistry(t)
-	if err := fresh.Restore(attrs, elems); err != nil {
+	fresh, err := RestoreDefs(attrs, elems)
+	if err != nil {
 		t.Fatal(err)
 	}
 	got := fresh.LookupAttr("grid", "ARPS", 0, "")
@@ -79,44 +78,46 @@ func TestRegistryRestore(t *testing.T) {
 		t.Errorf("post-restore ID %d <= %d", next.ID, grid.ID)
 	}
 	// Bad restores fail.
-	if err := fresh.Restore([]AttrDef{{ID: 0, Name: "x"}}, nil); err == nil {
+	if _, err := RestoreDefs([]AttrDef{{ID: 0, Name: "x"}}, nil); err == nil {
 		t.Error("zero ID should fail")
 	}
-	if err := fresh.Restore([]AttrDef{{ID: 1, Name: "a"}, {ID: 1, Name: "b"}}, nil); err == nil {
+	if _, err := RestoreDefs([]AttrDef{{ID: 1, Name: "a"}, {ID: 1, Name: "b"}}, nil); err == nil {
 		t.Error("duplicate ID should fail")
 	}
-	if err := fresh.Restore([]AttrDef{{ID: 1, Name: "a"}, {ID: 2, Name: "a"}}, nil); err == nil {
+	if _, err := RestoreDefs([]AttrDef{{ID: 1, Name: "a"}, {ID: 2, Name: "a"}}, nil); err == nil {
 		t.Error("duplicate identity should fail")
 	}
-	if err := fresh.Restore([]AttrDef{{ID: 1, Name: "a"}},
+	if _, err := RestoreDefs([]AttrDef{{ID: 1, Name: "a"}},
 		[]ElemDef{{ID: 1, AttrID: 99, Name: "e"}}); err == nil {
 		t.Error("dangling element should fail")
 	}
 }
 
 // TestRegistryAdopt: replay installs logged definitions at their own
-// IDs. Re-adopting an identical definition (a snapshot already holds
-// it) is a no-op; a different definition at a taken ID, a taken
-// identity or a dangling element is refused; registration resumes
-// above the adopted IDs.
+// IDs. Adopting again — even the identical definition — is refused, as
+// are a different definition at a taken ID, a taken identity and a
+// dangling element; registration resumes above the adopted IDs. A
+// clone adopts without touching the version it was cloned from.
 func TestRegistryAdopt(t *testing.T) {
-	r := newLEADRegistry(t)
-	m := r.Snapshot().Marks()
-	grid := AttrDef{ID: m.Attr + 2, Name: "grid", Source: "ARPS", SchemaOrder: 19, Queryable: true, Dynamic: true, Owner: "alice"}
-	dx := ElemDef{ID: m.Elem + 5, AttrID: grid.ID, Name: "dx", Source: "ARPS", Type: DTFloat}
-	for i := 0; i < 2; i++ {
-		if err := r.AdoptAttr(grid); err != nil {
-			t.Fatalf("adopt %d: %v", i, err)
-		}
-		if err := r.AdoptElem(dx); err != nil {
-			t.Fatalf("adopt %d: %v", i, err)
-		}
+	base := newLEADDefs(t)
+	attrs, elems := base.Attrs(), base.Elems()
+	grid := AttrDef{ID: attrs[len(attrs)-1].ID + 2, Name: "grid", Source: "ARPS", SchemaOrder: 19, Queryable: true, Dynamic: true, Owner: "alice"}
+	dx := ElemDef{ID: elems[len(elems)-1].ID + 5, AttrID: grid.ID, Name: "dx", Source: "ARPS", Type: DTFloat}
+	r := base.Clone()
+	if err := r.AdoptAttr(grid); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AdoptElem(dx); err != nil {
+		t.Fatal(err)
 	}
 	if got := r.LookupElem("dx", "ARPS", grid.ID, ""); got == nil || *got != dx {
 		t.Fatalf("adopted dx resolves as %+v", got)
 	}
-	if got := r.Snapshot().Marks(); got != (Marks{grid.ID, dx.ID}) {
-		t.Errorf("marks after adopting = %+v, want {%d %d}", got, grid.ID, dx.ID)
+	if base.AttrByID(grid.ID) != nil || base.ElemByID(dx.ID) != nil {
+		t.Fatal("adopting into a clone changed the version it was cloned from")
+	}
+	if err := r.AdoptAttr(grid); err == nil {
+		t.Error("an identical definition was adopted twice")
 	}
 	other := grid
 	other.Owner = "bob"
@@ -135,62 +136,15 @@ func TestRegistryAdopt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.ID <= grid.ID {
-		t.Errorf("registration after adopt issued ID %d, not above %d", next.ID, grid.ID)
+	if next.ID != grid.ID+1 {
+		t.Errorf("registration after adopt issued ID %d, want %d", next.ID, grid.ID+1)
 	}
-}
-
-func TestEnsureConcurrent(t *testing.T) {
-	r := newLEADRegistry(t)
-	var wg sync.WaitGroup
-	ids := make([]int64, 16)
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			def, err := r.EnsureAttr("racy", "SRC", 0, 19, "")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ids[i] = def.ID
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < 16; i++ {
-		if ids[i] != ids[0] {
-			t.Fatalf("EnsureAttr returned different IDs: %v", ids)
-		}
-	}
-	// EnsureElem the same.
-	var ewg sync.WaitGroup
-	eids := make([]int64, 8)
-	for i := 0; i < 8; i++ {
-		ewg.Add(1)
-		go func(i int) {
-			defer ewg.Done()
-			def, err := r.EnsureElem("p", "SRC", ids[0], DTString, "")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			eids[i] = def.ID
-		}(i)
-	}
-	ewg.Wait()
-	for i := 1; i < 8; i++ {
-		if eids[i] != eids[0] {
-			t.Fatalf("EnsureElem returned different IDs: %v", eids)
-		}
-	}
-	// Ensure prefers a user-private definition when one exists.
-	priv, err := r.RegisterAttr("racy", "SRC", 0, 19, "alice")
+	nextElem, err := r.RegisterElem("dy", "ARPS", grid.ID, DTFloat, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.EnsureAttr("racy", "SRC", 0, 19, "alice")
-	if err != nil || got.ID != priv.ID {
-		t.Errorf("EnsureAttr(alice) = %+v, %v", got, err)
+	if nextElem.ID != dx.ID+1 {
+		t.Errorf("element registration after adopt issued ID %d, want %d", nextElem.ID, dx.ID+1)
 	}
 }
 

@@ -6,17 +6,24 @@ import (
 	"github.com/gridmeta/hybridcat/internal/xmlschema"
 )
 
-func newLEADRegistry(t *testing.T) *Registry {
+func newLEADDefs(t *testing.T) *Defs {
 	t.Helper()
-	r, err := NewRegistry(xmlschema.MustLEAD())
+	d, err := NewDefs(xmlschema.MustLEAD())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return d
+}
+
+// writable returns a registry that resolves against and registers into
+// d itself.
+func writable(d *Defs) *Registry {
+	f := func() *Defs { return d }
+	return NewRegistry(f, f)
 }
 
 func TestRegistrySeedsStructuralDefs(t *testing.T) {
-	r := newLEADRegistry(t)
+	r := newLEADDefs(t)
 	theme := r.LookupAttr("theme", "", 0, "")
 	if theme == nil || theme.Dynamic || !theme.Queryable || theme.ParentID != 0 {
 		t.Fatalf("theme def = %+v", theme)
@@ -50,7 +57,7 @@ func TestRegistrySeedsStructuralDefs(t *testing.T) {
 }
 
 func TestRegisterDynamicDefs(t *testing.T) {
-	r := newLEADRegistry(t)
+	r := newLEADDefs(t)
 	grid, err := r.RegisterAttr("grid", "ARPS", 0, 19, "")
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +97,7 @@ func TestRegisterDynamicDefs(t *testing.T) {
 }
 
 func TestUserScopedResolution(t *testing.T) {
-	r := newLEADRegistry(t)
+	r := newLEADDefs(t)
 	admin, err := r.RegisterAttr("model", "WRF", 0, 19, "")
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +132,7 @@ func TestUserScopedResolution(t *testing.T) {
 }
 
 func TestRegistryListings(t *testing.T) {
-	r := newLEADRegistry(t)
+	r := newLEADDefs(t)
 	attrs := r.Attrs()
 	elems := r.Elems()
 	if len(attrs) == 0 || len(elems) == 0 {

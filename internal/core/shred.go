@@ -66,6 +66,10 @@ type ShredResult struct {
 	Elems    []ElemRec
 	SubAttrs []SubAttrRec
 	Skipped  []SkipRec
+	// NewAttrs and NewElems are the definitions auto-registration added,
+	// in registration order.
+	NewAttrs []*AttrDef
+	NewElems []*ElemDef
 }
 
 // Options configures shredding.
@@ -91,7 +95,9 @@ func (e *ValidationError) Error() string {
 	return fmt.Sprintf("core: document failed validation: %s", strings.Join(e.Problems, "; "))
 }
 
-// Shredder shreds documents against one schema and registry.
+// Shredder shreds documents against one schema and registry. Each shred
+// resolves against the version the registry returns when it starts, and
+// against the registry's private copy once it auto-registers.
 type Shredder struct {
 	Schema *xmlschema.Schema
 	Reg    *Registry
@@ -116,12 +122,13 @@ type shredState struct {
 	attrSeq  map[int64]int // attr def -> next sequence
 	problems []string
 	opts     Options
+	defs     *Defs // the version the shred resolves against
 }
 
 // newShredState starts the counters at the given values (nil starts a
 // fresh document).
-func newShredState(opts Options, clobSeqStart map[int]int, attrSeqStart map[int64]int) *shredState {
-	st := &shredState{clobSeq: make(map[int]int), attrSeq: make(map[int64]int), opts: opts}
+func (s *Shredder) newShredState(opts Options, clobSeqStart map[int]int, attrSeqStart map[int64]int) *shredState {
+	st := &shredState{clobSeq: make(map[int]int), attrSeq: make(map[int64]int), opts: opts, defs: s.Reg.Defs()}
 	maps.Copy(st.clobSeq, clobSeqStart)
 	maps.Copy(st.attrSeq, attrSeqStart)
 	return st
@@ -135,6 +142,16 @@ func (st *shredState) nextClobSeq(order int) int {
 func (st *shredState) nextAttrSeq(id int64) int {
 	st.attrSeq[id]++
 	return st.attrSeq[id]
+}
+
+// draft returns the registry's private copy for auto-registration and
+// resolves the rest of the shred against it.
+func (s *Shredder) draft(st *shredState) (*Defs, error) {
+	if s.Reg.draft == nil {
+		return nil, fmt.Errorf("core: registry is read-only")
+	}
+	st.defs = s.Reg.draft()
+	return st.defs, nil
 }
 
 func (st *shredState) problemf(format string, args ...any) {
@@ -174,7 +191,7 @@ func (s *Shredder) ShredAttribute(node *xmldoc.Node, decl *xmlschema.Node, opts 
 	if node.Tag != decl.Tag {
 		return nil, fmt.Errorf("core: fragment root <%s> does not match attribute <%s>", node.Tag, decl.Tag)
 	}
-	st := newShredState(opts, clobSeqStart, attrSeqStart)
+	st := s.newShredState(opts, clobSeqStart, attrSeqStart)
 	s.shredAttribute(node, decl, st)
 	return st.result()
 }
@@ -183,7 +200,7 @@ func (s *Shredder) ShredAttribute(node *xmldoc.Node, decl *xmlschema.Node, opts 
 // produces the hybrid representation: one CLOB per metadata attribute
 // instance plus shredded rows for the queryable attributes.
 func (s *Shredder) Shred(doc *xmldoc.Node, opts Options) (*ShredResult, error) {
-	return s.shred(doc, newShredState(opts, nil, nil))
+	return s.shred(doc, s.newShredState(opts, nil, nil))
 }
 
 // shred is Shred over the given counters.
@@ -261,7 +278,7 @@ func (s *Shredder) shredAttribute(docNode *xmldoc.Node, decl *xmlschema.Node, st
 // shredStructural shreds a structural attribute instance: tags resolve
 // definitions directly (§3).
 func (s *Shredder) shredStructural(docNode *xmldoc.Node, decl *xmlschema.Node, st *shredState) instRef {
-	def := s.Reg.LookupAttr(decl.Tag, "", 0, st.opts.Owner)
+	def := st.defs.LookupAttr(decl.Tag, "", 0, st.opts.Owner)
 	if def == nil {
 		// Structural definitions are seeded from the schema, so this is a
 		// programming error rather than a data error.
@@ -301,7 +318,7 @@ func (s *Shredder) walkStructuralBody(docNode *xmldoc.Node, decl *xmlschema.Node
 			s.emitElem(ownerDef.ID, ancestors[len(ancestors)-1], child.Tag, "", child.Text, *elemSeq, st)
 			continue
 		}
-		subDef := s.Reg.LookupAttr(cdecl.Tag, "", ownerDef.ID, st.opts.Owner)
+		subDef := st.defs.LookupAttr(cdecl.Tag, "", ownerDef.ID, st.opts.Owner)
 		if subDef == nil {
 			st.problemf("sub-attribute <%s> of %s missing from registry", cdecl.Tag, ownerDef.Name)
 			continue
@@ -323,12 +340,11 @@ func (s *Shredder) walkStructuralBody(docNode *xmldoc.Node, decl *xmlschema.Node
 // emitElem resolves an element definition under ownerID, validates the
 // value, and records the element row on the owning instance.
 func (s *Shredder) emitElem(ownerID int64, owner instRef, name, source, value string, elemSeq int, st *shredState) {
-	edef := s.Reg.LookupElem(name, source, ownerID, st.opts.Owner)
+	edef := st.defs.LookupElem(name, source, ownerID, st.opts.Owner)
 	if edef == nil {
 		if st.opts.AutoRegister {
 			var err error
-			edef, err = s.Reg.EnsureElem(name, source, ownerID, DTString, st.opts.Owner)
-			if err != nil {
+			if edef, err = s.registerElem(st, name, source, ownerID); err != nil {
 				st.problemf("auto-register element %s/%s: %v", name, source, err)
 				return
 			}
@@ -347,6 +363,33 @@ func (s *Shredder) emitElem(ownerID int64, owner instRef, name, source, value st
 		ElemID: edef.ID, ElemSeq: elemSeq,
 		Value: value, Num: num, HasNum: hasNum,
 	})
+}
+
+// registerAttr and registerElem auto-register an admin-level definition
+// the shred found no definition for, and report it in the result.
+
+func (s *Shredder) registerAttr(st *shredState, name, source string, parentID int64, schemaOrder int) (*AttrDef, error) {
+	d, err := s.draft(st)
+	if err != nil {
+		return nil, err
+	}
+	def, err := d.RegisterAttr(name, source, parentID, schemaOrder, "")
+	if err == nil {
+		st.res.NewAttrs = append(st.res.NewAttrs, def)
+	}
+	return def, err
+}
+
+func (s *Shredder) registerElem(st *shredState, name, source string, attrID int64) (*ElemDef, error) {
+	d, err := s.draft(st)
+	if err != nil {
+		return nil, err
+	}
+	def, err := d.RegisterElem(name, source, attrID, DTString, "")
+	if err == nil {
+		st.res.NewElems = append(st.res.NewElems, def)
+	}
+	return def, err
 }
 
 // shredDynamic shreds a dynamic attribute container instance (§3): the
@@ -368,12 +411,11 @@ func (s *Shredder) shredDynamic(docNode *xmldoc.Node, decl *xmlschema.Node, st *
 		st.problemf("dynamic attribute <%s> has empty <%s>", decl.Tag, spec.NameTag)
 		return instRef{}, false
 	}
-	def := s.Reg.LookupAttr(name, source, 0, st.opts.Owner)
+	def := st.defs.LookupAttr(name, source, 0, st.opts.Owner)
 	if def == nil {
 		if st.opts.AutoRegister {
 			var err error
-			def, err = s.Reg.EnsureAttr(name, source, 0, decl.Order, st.opts.Owner)
-			if err != nil {
+			if def, err = s.registerAttr(st, name, source, 0, decl.Order); err != nil {
 				st.problemf("auto-register attribute %s/%s: %v", name, source, err)
 				return instRef{}, false
 			}
@@ -410,12 +452,11 @@ func (s *Shredder) shredDynamicNode(node *xmldoc.Node, spec xmlschema.DynamicSpe
 		*elemSeq++
 		s.emitElem(parentDef.ID, ancestors[len(ancestors)-1], name, source, valueNode.Text, *elemSeq, st)
 	case len(nested) > 0:
-		subDef := s.Reg.LookupAttr(name, source, parentDef.ID, st.opts.Owner)
+		subDef := st.defs.LookupAttr(name, source, parentDef.ID, st.opts.Owner)
 		if subDef == nil {
 			if st.opts.AutoRegister {
 				var err error
-				subDef, err = s.Reg.EnsureAttr(name, source, parentDef.ID, parentDef.SchemaOrder, st.opts.Owner)
-				if err != nil {
+				if subDef, err = s.registerAttr(st, name, source, parentDef.ID, parentDef.SchemaOrder); err != nil {
 					st.problemf("auto-register sub-attribute %s/%s: %v", name, source, err)
 					return
 				}

@@ -11,10 +11,10 @@ import (
 // newFig3Shredder builds a shredder over the LEAD schema with the
 // Figure 3 dynamic definitions registered (grid/ARPS with dx, dz and the
 // grid-stretching sub-attribute with dzmin, reference-height).
-func newFig3Shredder(t *testing.T) (*Shredder, *Registry) {
+func newFig3Shredder(t *testing.T) (*Shredder, *Defs) {
 	t.Helper()
 	schema := xmlschema.MustLEAD()
-	reg, err := NewRegistry(schema)
+	reg, err := NewDefs(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func newFig3Shredder(t *testing.T) (*Shredder, *Registry) {
 			t.Fatal(err)
 		}
 	}
-	return NewShredder(schema, reg), reg
+	return NewShredder(schema, writable(reg)), reg
 }
 
 func fig3Doc(t *testing.T) *xmldoc.Node {
@@ -186,8 +186,24 @@ func TestShredUnknownDynamicAttrSkipped(t *testing.T) {
 	}
 }
 
+// TestShredAutoRegister: auto-registration writes into the registry's
+// private copy, never into the version the shred started from, resolves
+// the rest of the document against the copy, and reports what it added
+// in registration order; a read-only registry refuses it.
 func TestShredAutoRegister(t *testing.T) {
-	s, reg := newFig3Shredder(t)
+	s, base := newFig3Shredder(t)
+	var draft *Defs
+	s.Reg = NewRegistry(func() *Defs {
+		if draft != nil {
+			return draft
+		}
+		return base
+	}, func() *Defs {
+		if draft == nil {
+			draft = base.Clone()
+		}
+		return draft
+	})
 	doc := fig3Doc(t)
 	doc.FindAll("enttypl")[0].Text = "fresh-model"
 	res, err := s.Shred(doc, Options{AutoRegister: true})
@@ -197,16 +213,36 @@ func TestShredAutoRegister(t *testing.T) {
 	if len(res.Skipped) != 0 {
 		t.Fatalf("skipped = %+v", res.Skipped)
 	}
-	def := reg.LookupAttr("fresh-model", "ARPS", 0, "")
+	if base.LookupAttr("fresh-model", "ARPS", 0, "") != nil {
+		t.Fatal("auto-registration wrote into the version the shred started from")
+	}
+	def := draft.LookupAttr("fresh-model", "ARPS", 0, "")
 	if def == nil || !def.Dynamic {
 		t.Fatal("auto-registration should create the definition")
 	}
 	// Elements and the sub-attribute were registered too.
-	if reg.LookupElem("dx", "ARPS", def.ID, "") == nil {
-		t.Error("dx should be auto-registered")
+	dx := draft.LookupElem("dx", "ARPS", def.ID, "")
+	if dx == nil {
+		t.Fatal("dx should be auto-registered")
 	}
-	if reg.LookupAttr("grid-stretching", "ARPS", def.ID, "") == nil {
-		t.Error("grid-stretching should be auto-registered")
+	gs := draft.LookupAttr("grid-stretching", "ARPS", def.ID, "")
+	if gs == nil {
+		t.Fatal("grid-stretching should be auto-registered")
+	}
+	if len(res.NewAttrs) != 2 || res.NewAttrs[0] != def || res.NewAttrs[1] != gs {
+		t.Errorf("NewAttrs = %+v, want fresh-model then grid-stretching", res.NewAttrs)
+	}
+	var names []string
+	for _, e := range res.NewElems {
+		names = append(names, e.Name)
+	}
+	if got := strings.Join(names, " "); got != "dzmin reference-height dx dz" || res.NewElems[2] != dx {
+		t.Errorf("NewElems = %s, want the document order dzmin reference-height dx dz", got)
+	}
+
+	s.Reg = NewRegistry(func() *Defs { return base }, nil)
+	if _, err := s.Shred(doc, Options{AutoRegister: true}); err == nil || !strings.Contains(err.Error(), "read-only") {
+		t.Errorf("auto-registering through a read-only registry: err = %v", err)
 	}
 }
 
@@ -290,7 +326,7 @@ func TestShredRefusesOrdinalPastBound(t *testing.T) {
 	s, reg := newFig3Shredder(t)
 	themeDef := reg.LookupAttr("theme", "", 0, "")
 	seeded := func(start int) (*ShredResult, error) {
-		return s.shred(fig3Doc(t), newShredState(Options{}, nil, map[int64]int{themeDef.ID: start}))
+		return s.shred(fig3Doc(t), s.newShredState(Options{}, nil, map[int64]int{themeDef.ID: start}))
 	}
 	res, err := seeded(maxAttrSeq - 2)
 	if err != nil {

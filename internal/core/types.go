@@ -70,8 +70,12 @@ func (d DataType) ValidateValue(text string) (num float64, hasNum bool, err erro
 	t := strings.TrimSpace(text)
 	switch d {
 	case DTString:
-		if f, perr := strconv.ParseFloat(t, 64); perr == nil {
-			return f, true, nil
+		// A failed ParseFloat allocates its error, so text that cannot
+		// be a number skips the call.
+		if mayBeFloat(t) {
+			if f, perr := strconv.ParseFloat(t, 64); perr == nil {
+				return f, true, nil
+			}
 		}
 		return 0, false, nil
 	case DTInt:
@@ -103,6 +107,19 @@ func (d DataType) ValidateValue(text string) (num float64, hasNum bool, err erro
 		return 0, false, fmt.Errorf("core: %q is not a date (want YYYY-MM-DD or RFC3339)", text)
 	}
 	return 0, false, fmt.Errorf("core: invalid data type %d", d)
+}
+
+// mayBeFloat reports whether strconv.ParseFloat could accept t: its
+// first byte must start a sign, a digit, a point, "inf" or "nan".
+func mayBeFloat(t string) bool {
+	if t == "" {
+		return false
+	}
+	switch c := t[0]; {
+	case c >= '0' && c <= '9', c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
+	return false
 }
 
 // AttrDef is a metadata attribute definition (§2): a unique internal ID,

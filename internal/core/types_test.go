@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -56,5 +59,30 @@ func TestValidateValue(t *testing.T) {
 		if err == nil && (hasNum != c.hasNum || (hasNum && num != c.wantNum)) {
 			t.Errorf("%s.Validate(%q) = %g, %v; want %g, %v", c.dt, c.text, num, hasNum, c.wantNum, c.hasNum)
 		}
+	}
+}
+
+// TestStringNumericShadowMatchesParseFloat: a string's numeric shadow
+// is exactly what strconv.ParseFloat accepts, though text that cannot
+// start a number never reaches it; a plain word costs no allocation.
+func TestStringNumericShadowMatchesParseFloat(t *testing.T) {
+	for _, text := range []string{
+		"", " ", "0", "42", "-7", "+7", "+-7", "1e3", "1E-3", "-1.5e+10", ".5", "5.", ".", "-.5e1",
+		"0x1p-2", "0X1.8P3", "-0x10", "0x", "0x_1p0", "1_000", "_1",
+		"inf", "Inf", "+inf", "-Infinity", "INFINITY", "infinit", "nan", "NaN", "-nan", "nanx",
+		"anything", "ARPS", "e10", "E", "x1", "1 2", "12abc", " 100.000 ", "\t3\n", "N/A", "none",
+	} {
+		want, perr := strconv.ParseFloat(strings.TrimSpace(text), 64)
+		num, hasNum, err := DTString.ValidateValue(text)
+		if err != nil {
+			t.Fatalf("string.Validate(%q) err = %v", text, err)
+		}
+		same := num == want || (math.IsNaN(num) && math.IsNaN(want))
+		if hasNum != (perr == nil) || (hasNum && !same) {
+			t.Errorf("string.Validate(%q) = %g, %v; ParseFloat = %g, %v", text, num, hasNum, want, perr)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { DTString.ValidateValue("anything") }); n != 0 {
+		t.Errorf("a word's numeric shadow allocates %v times", n)
 	}
 }

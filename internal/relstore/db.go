@@ -110,6 +110,10 @@ func (db *Database) MustTable(name string) *Table {
 // contents.
 func (db *Database) Generation() uint64 { return db.current.Load().epoch }
 
+// Value returns the value the published version carries (see
+// Tx.SetValue).
+func (db *Database) Value() any { return db.current.Load().value }
+
 // TableNames returns the sorted table names of the current version.
 func (db *Database) TableNames() []string {
 	return db.Snapshot().TableNames()

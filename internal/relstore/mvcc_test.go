@@ -312,3 +312,62 @@ func TestSnapshotIsolationConcurrent(t *testing.T) {
 	wg.Wait()
 	rg.Wait()
 }
+
+// TestVersionValueFollowsTx: the value a version carries moves with its
+// tables. Begin inherits the newest version's value (a staged one's
+// while a chain is pending); Abort and ResetHead discard a value with
+// its rows; Precommit stages it invisibly; Publish and Commit reveal it;
+// a pinned snapshot keeps the value of its version.
+func TestVersionValueFollowsTx(t *testing.T) {
+	db := NewDatabase()
+	if _, err := db.CreateTable("t", []Column{{Name: "k", Type: KInt, NotNull: true}}); err != nil {
+		t.Fatal(err)
+	}
+	write := func(v string) *Tx {
+		tx := db.Begin()
+		tx.SetValue(v)
+		if _, err := tx.MustTable("t").Insert(Row{Int(int64(len(v)))}); err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	check := func(step string, published, begun any, rows int) {
+		t.Helper()
+		if got := db.Value(); got != published {
+			t.Errorf("%s: published value = %v, want %v", step, got, published)
+		}
+		if got := db.MustTable("t").Len(); got != rows {
+			t.Errorf("%s: published rows = %d, want %d", step, got, rows)
+		}
+		tx := db.Begin()
+		got := tx.Value()
+		tx.Abort()
+		if got != begun {
+			t.Errorf("%s: Begin inherits %v, want %v", step, got, begun)
+		}
+	}
+	check("new database", nil, nil, 0)
+
+	write("a").Commit()
+	check("commit", "a", "a", 1)
+	pinned := db.Snapshot()
+
+	write("bb").Abort()
+	check("abort", "a", "a", 1)
+
+	s1 := write("ccc").Precommit()
+	check("precommit", "a", "ccc", 1)
+	write("dddd").Precommit()
+	check("second precommit", "a", "dddd", 1)
+	db.Publish(s1)
+	check("publish the first", "ccc", "dddd", 2)
+
+	db.ResetHead()
+	check("reset head", "ccc", "ccc", 2)
+	db.Publish(s1) // idempotent: at or below the published epoch
+	check("republish", "ccc", "ccc", 2)
+
+	if got := pinned.Value(); got != "a" {
+		t.Errorf("pinned snapshot's value = %v, want a", got)
+	}
+}

@@ -23,7 +23,9 @@ import (
 // version is current at query start and never take a lock; versions
 // are reclaimed by the garbage collector once the last pinned snapshot
 // referencing them is dropped, so there is no epoch-based reclamation
-// protocol to get wrong.
+// protocol to get wrong. Besides its tables a version carries one opaque
+// value (Tx.SetValue) that moves with them, so an owner's own immutable
+// state commits, aborts, stages and publishes exactly when its rows do.
 //
 // Epochs: every committed transaction's version carries epoch =
 // previous epoch + 1, and Database.Generation reports the current
@@ -141,9 +143,12 @@ func (tv *tableVersion) setRow(epoch uint64, id int64, r Row) {
 }
 
 // dbVersion is one immutable published state of the whole database.
+// value is the owner's opaque state that versions with the tables (see
+// Tx.SetValue); relstore never looks inside it.
 type dbVersion struct {
 	epoch  uint64
 	tables map[string]*tableVersion
+	value  any
 }
 
 // Tx is a write transaction: a private builder for the next database
@@ -156,6 +161,7 @@ type Tx struct {
 	base   *dbVersion
 	epoch  uint64
 	tables map[string]*tableVersion
+	value  any
 	done   bool
 	keyBuf []byte // scratch for index entry keys (entryKey)
 }
@@ -175,11 +181,27 @@ func (db *Database) Begin() *Tx {
 		base:   base,
 		epoch:  base.epoch + 1,
 		tables: maps.Clone(base.tables),
+		value:  base.value,
 	}
 }
 
 // Epoch returns the epoch the transaction will publish on Commit.
 func (tx *Tx) Epoch() uint64 { return tx.epoch }
+
+// Value returns the value the transaction's version carries: its base
+// version's until SetValue replaces it.
+func (tx *Tx) Value() any { return tx.value }
+
+// SetValue sets the value the transaction's version carries. It moves
+// with the tables: Commit and Publish make it visible, Abort and
+// ResetHead discard it. The value must not change once the transaction
+// ends, because later versions and pinned snapshots share it.
+func (tx *Tx) SetValue(v any) { tx.value = v }
+
+// version returns the built version, for Commit and Precommit.
+func (tx *Tx) version() *dbVersion {
+	return &dbVersion{epoch: tx.epoch, tables: tx.tables, value: tx.value}
+}
 
 // Commit publishes the built version and releases the writer mutex.
 func (tx *Tx) Commit() {
@@ -187,7 +209,7 @@ func (tx *Tx) Commit() {
 		panic("relstore: Commit on finished transaction")
 	}
 	tx.done = true
-	tx.db.current.Store(&dbVersion{epoch: tx.epoch, tables: tx.tables})
+	tx.db.current.Store(tx.version())
 	tx.db.wmu.Unlock()
 }
 
@@ -225,7 +247,7 @@ func (tx *Tx) Precommit() *Staged {
 		panic("relstore: Precommit on finished transaction")
 	}
 	tx.done = true
-	v := &dbVersion{epoch: tx.epoch, tables: tx.tables}
+	v := tx.version()
 	tx.db.head.Store(v)
 	tx.db.wmu.Unlock()
 	return &Staged{db: tx.db, v: v}
@@ -418,6 +440,9 @@ func (db *Database) Snapshot() *Snapshot {
 
 // Epoch returns the pinned version's epoch (its Generation reading).
 func (s *Snapshot) Epoch() uint64 { return s.v.epoch }
+
+// Value returns the value the pinned version carries (see Tx.SetValue).
+func (s *Snapshot) Value() any { return s.v.value }
 
 // Table returns a read-only handle for the named table in the pinned
 // version, or nil. Mutating methods on the handle panic.

@@ -132,7 +132,7 @@ func TestCacheSurfacePinned(t *testing.T) {
 		names func(body string) []string
 		want  []string
 	}{
-		{"/debug/cachez", jsonKeys, []string{"data_generation", "enabled", "evaluate", "postings", "registry_generation", "response"}},
+		{"/debug/cachez", jsonKeys, []string{"data_generation", "enabled", "evaluate", "postings", "response"}},
 		{"/debug/cachez", layerKeys("evaluate"), layerFields},
 		{"/debug/cachez", layerKeys("postings"), layerFields},
 		{"/debug/cachez", layerKeys("response"), layerFields},

@@ -87,32 +87,43 @@ func (cl *Cluster) SetPublished(gid int64, published bool) error {
 // (definitions are global: a fan-out query must resolve the same names
 // on each instance). Shards assign identical definition IDs because
 // they see registrations in the same order; the first shard's
-// definition is returned. A mid-broadcast failure leaves earlier shards
-// registered — re-issuing the registration is the recovery (it is
-// idempotent per shard).
+// definition is returned. A failed registration leaves its shard
+// without the definition, so a mid-broadcast failure leaves only the
+// earlier shards registered, and re-issuing the broadcast is the
+// recovery: a shard that already holds the identical definition (same
+// identity and owner, at the first shard's ID) counts as registered,
+// and a shard holding a different one under that identity refuses.
 func (cl *Cluster) RegisterAttr(name, source string, parentID int64, owner string) (*core.AttrDef, error) {
-	var first *core.AttrDef
-	for i := 0; i < cl.n; i++ {
-		h := cl.writeHandle(i)
-		def, err := h.cat.RegisterAttr(name, source, parentID, owner)
-		h.gate.RUnlock()
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+	return broadcast(cl, func(c *catalog.Catalog, first *core.AttrDef) (*core.AttrDef, error) {
+		d := c.Reg.Defs().LookupAttr(name, source, parentID, owner)
+		if d != nil && d.Owner == owner && (first == nil || d.ID == first.ID) {
+			return d, nil
 		}
-		if first == nil {
-			first = def
-		}
-	}
-	return first, nil
+		return c.RegisterAttr(name, source, parentID, owner)
+	})
 }
 
 // RegisterElem registers a dynamic element definition on every shard;
-// see RegisterAttr for the broadcast semantics.
+// see RegisterAttr for the broadcast semantics. An identical element
+// also has the same type.
 func (cl *Cluster) RegisterElem(name, source string, attrID int64, dt core.DataType, owner string) (*core.ElemDef, error) {
-	var first *core.ElemDef
+	return broadcast(cl, func(c *catalog.Catalog, first *core.ElemDef) (*core.ElemDef, error) {
+		d := c.Reg.Defs().LookupElem(name, source, attrID, owner)
+		if d != nil && d.Owner == owner && d.Type == dt && (first == nil || d.ID == first.ID) {
+			return d, nil
+		}
+		return c.RegisterElem(name, source, attrID, dt, owner)
+	})
+}
+
+// broadcast runs register on every shard in order, under each shard's
+// write gate, passing the first shard's definition (nil on the first
+// shard), and returns that definition.
+func broadcast[D any](cl *Cluster, register func(c *catalog.Catalog, first *D) (*D, error)) (*D, error) {
+	var first *D
 	for i := 0; i < cl.n; i++ {
 		h := cl.writeHandle(i)
-		def, err := h.cat.RegisterElem(name, source, attrID, dt, owner)
+		def, err := register(h.cat, first)
 		h.gate.RUnlock()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
