@@ -81,13 +81,15 @@ bitmap:
 # Replication fault suite under the race detector: the WAL-stream
 # tailer driven through scripted network faults (torn responses at
 # every record offset, refused connections, primary restarts,
-# checkpoint-truncated logs), the group writer's batching and poison
-# tests, the crash matrix inside concurrent batches, the
-# retry/backoff determinism tests, and a one-repetition smoke of the R2
+# checkpoint-truncated logs), the log writer's group-commit tests
+# (shared fsyncs, pending records invisible, Append during an fsync,
+# AfterSync before the acknowledgement, poison and heal), the crash
+# matrix inside concurrent batches, the backoff determinism and Do
+# retry tests, and a one-repetition smoke of the R2
 # writer-scaling/replica-lag experiment (DESIGN.md "Replication"). The
 # filesystem crash matrices run under make crash.
 replica:
-	$(GO) test -race -run 'Replica|GroupCommit|ConcurrentBatches|Retry|Backoff|Do|Flaky|WALStream|WALSnapshot|Healthz|Staleness' -count=1 ./internal/replica/ ./internal/retry/ ./internal/faultio/ ./internal/wal/ ./internal/catalog/ ./internal/service/
+	$(GO) test -race -run 'Replica|GroupCommit|ConcurrentBatches|Backoff|Do|WALStream|WALSnapshot|Healthz|Staleness' -count=1 ./internal/replica/ ./internal/retry/ ./internal/faultio/ ./internal/wal/ ./internal/catalog/ ./internal/service/
 	$(GO) run ./cmd/mdbench -exp R2 -quick
 
 # Sharding verification under the race detector: the shard-vs-single

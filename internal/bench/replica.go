@@ -24,10 +24,10 @@ import (
 //
 //   - group commit: the same corpus ingested by 1/2/4/8 concurrent
 //     writers through the one durable commit path. A single writer pays
-//     one fsync per record with no collection window; concurrent writers
-//     queue behind the batch that is syncing and share the next fsync,
-//     so throughput should scale with writers instead of being
-//     serialized behind the sync queue.
+//     one fsync per record with no collection window; records that
+//     concurrent writers append while a batch is syncing share the next
+//     fsync, so throughput should scale with writers instead of being
+//     serialized behind the sync.
 //   - replica lag: a live tailer follows the primary over HTTP while
 //     writers ingest at increasing rates; the lag samples show how far
 //     a replica trails (in log records) at each ingest rate and how
@@ -221,7 +221,7 @@ func R2Replication(o Options) (*Table, error) {
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("ingest runs on a latency-modeled filesystem (%s per fsync) so the sync cost is realistic; replica-lag runs on the plain OS filesystem", syncDelay),
-		"every commit is fsynced before it is acknowledged; commits that queue while a batch syncs share the next fsync (recs/batch shows the amortization)",
+		"every commit is fsynced before it is acknowledged; records appended while a batch syncs share the next fsync (recs/batch shows the amortization)",
 		"with one writer every batch holds one record and no collection window delays it: one fsync per document",
 		"replica lag is sampled every 2ms as primary published seq minus replica applied seq; catch-up is the drain time after the last commit",
 		"expected shape: throughput scales with writers as batches grow; lag grows with ingest rate but converges quickly once ingest stops")

@@ -302,6 +302,20 @@ func (c *Catalog) RegisterElem(name, source string, attrID int64, dt core.DataTy
 	return def, nil
 }
 
+// AdoptAttr registers def at its own ID, as log replay adopts a logged
+// definition, without allocating one; a cluster's definition broadcast
+// gives every shard after the first the first shard's definition this
+// way. A taken ID or identity is refused.
+func (c *Catalog) AdoptAttr(def core.AttrDef) error {
+	return c.mutate(func() error { return c.applyDefine(op{kind: opDefineAttr, attr: &def}) })
+}
+
+// AdoptElem is AdoptAttr for an element definition; its attribute must
+// be defined.
+func (c *Catalog) AdoptElem(def core.ElemDef) error {
+	return c.mutate(func() error { return c.applyDefine(op{kind: opDefineElem, elem: &def}) })
+}
+
 // Ingest shreds a document and stores it for the given owner, returning
 // the new object ID. On validation failure nothing is stored. The log
 // carries the document's serialization, so a tree built in code must

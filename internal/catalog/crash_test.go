@@ -362,7 +362,7 @@ func TestCrashMatrixSwapPoints(t *testing.T) {
 	runPostFsyncCrashes(t, "swap", matrixCheckpointEvery)
 }
 
-// runPostFsyncCrashes kills each workload step at the group writer's
+// runPostFsyncCrashes kills each workload step at the log writer's
 // AfterSync hook, the one point between a batch's fsync and its
 // acknowledgement. The hook asserts that the live catalog has not
 // published the version (the epoch has not moved), then freezes the
@@ -390,7 +390,7 @@ func runPostFsyncCrashes(t *testing.T, prefix string, every int) {
 
 			preEpoch := c.DB.Generation()
 			var disk *faultio.MemFS
-			c.dur.gw.AfterSync = func() {
+			c.dur.w.AfterSync = func() {
 				if disk != nil {
 					return
 				}
@@ -410,7 +410,7 @@ func runPostFsyncCrashes(t *testing.T, prefix string, every int) {
 			if err := ops[k].run(c); err != nil {
 				t.Fatalf("%s: %v", ops[k].name, err)
 			}
-			c.dur.gw.AfterSync = nil
+			c.dur.w.AfterSync = nil
 			if disk == nil {
 				t.Fatalf("%s committed no batch", ops[k].name)
 			}

@@ -18,8 +18,8 @@ import (
 // which applies fn's row operations to a copy-on-write relstore
 // transaction, collects the ops fn's apply functions journaled (see
 // record.go), freezes the built version as the staging head (invisible
-// to readers, but the base of the next mutation's build), enqueues the
-// ops as ONE write-ahead log record with the group writer, and
+// to readers, but the base of the next mutation's build), appends the
+// ops as ONE write-ahead log record to the log's pending batch, and
 // publishes the version with an atomic pointer swap only once the
 // record's batch is durable. The journaled commit is therefore build
 // version → append WAL → swap pointer: a mutation that fails, or whose
@@ -30,10 +30,11 @@ import (
 // entirely or not at all, and no concurrent reader ever sees it
 // half-applied.
 //
-// The catalog lock covers only the build: a writer releases it before
-// waiting for its batch fsync, so the next writer builds (on the staged
-// head) while this one syncs, and concurrent commits share one fsync. The
-// wait and the publish take only durability.mu.
+// The catalog lock covers only the build and the append: a writer
+// releases it before flushing its record, so the next writer builds (on
+// the staged head) while this one syncs, and records appended during an
+// fsync share the next one. The flush holds only the log's sync mutex,
+// and the publish only durability.mu.
 //
 // The log is logical (see record.go): replay calls the live mutation's
 // apply function with the decisions the record pinned.
@@ -75,7 +76,6 @@ type DurabilityOptions struct {
 type durability struct {
 	fs       faultio.FS
 	w        *wal.Writer
-	gw       *wal.GroupWriter
 	snapPath string
 	every    int
 
@@ -90,7 +90,7 @@ type durability struct {
 	// a pin taken under mu sees a matching pair.
 	publishedSeq uint64
 	// staged is the chain of precommitted-but-unpublished commits, in
-	// epoch (= enqueue = log sequence) order.
+	// epoch (= append = log sequence) order.
 	staged []*stagedCommit
 	// notify is closed and replaced on every publish; the replication
 	// stream's long poll waits on it instead of busy-polling.
@@ -99,11 +99,14 @@ type durability struct {
 	sinceCheckpoint int
 }
 
-// stagedCommit pairs one mutation's frozen version with the log ticket
-// that will make its record durable.
+// stagedCommit pairs one mutation's frozen version with its record's
+// log sequence. failed marks a commit the heal path abandoned; its
+// sequence may be reused by a later record. Both are guarded by
+// durability.mu.
 type stagedCommit struct {
 	staged *relstore.Staged
-	ticket *wal.Ticket
+	seq    uint64
+	failed bool
 }
 
 // DurabilityStats reports the durability subsystem's counters.
@@ -182,12 +185,9 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 	w.SetNextSeq(fromSeq + 1)
 	w.NoSync = dopts.NoSync
 	w.SetMetrics(c.obsv.reg)
-	gw := wal.NewGroupWriter(w)
-	gw.SetMetrics(c.obsv.reg)
 	c.dur = &durability{
 		fs:           fs,
 		w:            w,
-		gw:           gw,
 		snapPath:     snapPath,
 		every:        dopts.CheckpointEvery,
 		publishedSeq: w.LastSeq(),
@@ -202,9 +202,9 @@ func OpenDurable(schema *xmlschema.Schema, opts Options, dopts DurabilityOptions
 // functions journal the ops they applied into the in-flight record. A
 // failed fn, or one that journaled nothing, aborts the builder, so the
 // published version never moves. On a durable catalog the built version
-// is staged and its record enqueued before the lock is released; the
-// writer then waits for the batch fsync without the lock and publishes
-// (see the package comment above). On a catalog without a log the
+// is staged and its record appended before the lock is released; the
+// writer then flushes the record without the lock and publishes (see
+// the package comment above). On a catalog without a log the
 // version is published at once.
 func (c *Catalog) mutate(fn func() error) error {
 	if c.follower {
@@ -237,27 +237,37 @@ func (c *Catalog) mutate(fn func() error) error {
 		c.mu.Unlock()
 		return nil
 	}
-	// Enqueue order must be epoch order, so both happen under the lock.
-	sc := &stagedCommit{staged: tx.Precommit(), ticket: d.gw.Enqueue(payload)}
+	// Log order must be epoch order, so both happen under the lock.
+	seq, werr := d.w.Append(payload)
+	if werr != nil {
+		tx.Abort()
+		c.mu.Unlock()
+		return fmt.Errorf("%w: %v", ErrDurability, werr)
+	}
+	sc := &stagedCommit{staged: tx.Precommit(), seq: seq}
 	d.mu.Lock()
 	d.staged = append(d.staged, sc)
 	d.mu.Unlock()
 	c.mu.Unlock()
 
 	start := time.Now()
-	_, werr := sc.ticket.Wait()
+	werr = d.w.Flush(seq)
 	wait := time.Since(start)
 	if werr != nil {
 		c.mu.Lock()
 		if c.dur == d {
-			c.healGroupLocked()
+			c.healLocked()
 		}
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %v", ErrDurability, werr)
 	}
 	c.obsv.walCommitNanos.Observe(wait.Nanoseconds())
 	tr.AddStage("wal_commit", start, wait, int64(nops))
-	c.publishDurable(d)
+	if !c.publishDurable(d, sc) {
+		// A heal abandoned the record before this flush ran, and a
+		// later record reused its sequence.
+		return fmt.Errorf("%w: record abandoned after an earlier record's flush failed", ErrDurability)
+	}
 	if d.checkpointDue() {
 		c.mu.Lock()
 		if c.dur == d && d.checkpointDue() {
@@ -272,25 +282,22 @@ func (c *Catalog) mutate(fn func() error) error {
 
 // publishDurable publishes the longest prefix of d's staged chain whose
 // records are durable, advancing the replication watermark and waking
-// stream long-polls. It stops at the first still-pending or failed
-// entry; the heal path owns failed suffixes. A writer whose ticket
-// succeeded always finds its own entry in that prefix (or already
-// published by another writer): batches are acknowledged in log order,
-// and a failure fails everything after it.
-func (c *Catalog) publishDurable(d *durability) {
+// stream long-polls, and reports whether own (nil for none) was not
+// abandoned. The records after that prefix are pending, or failed and
+// owned by the heal path. A writer whose flush succeeded finds its own
+// entry in that prefix, already published by another writer, or
+// abandoned: a heal abandons only records that were not durable.
+func (c *Catalog) publishDurable(d *durability, own *stagedCommit) bool {
+	durable := d.w.LastSeq()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := 0
 	for _, sc := range d.staged {
-		if !sc.ticket.Done() {
-			break
-		}
-		seq, err := sc.ticket.Result()
-		if err != nil {
+		if sc.seq > durable {
 			break
 		}
 		c.DB.Publish(sc.staged)
-		d.publishedSeq = seq
+		d.publishedSeq = sc.seq
 		n++
 	}
 	if n > 0 {
@@ -300,6 +307,7 @@ func (c *Catalog) publishDurable(d *durability) {
 		close(d.notify)
 		d.notify = make(chan struct{})
 	}
+	return own == nil || !own.failed
 }
 
 // checkpointDue reports whether the published records since the last
@@ -310,40 +318,33 @@ func (d *durability) checkpointDue() bool {
 	return d.every > 0 && d.sinceCheckpoint >= d.every
 }
 
-// healGroupLocked reconciles in-memory state with the log after a group
-// batch failure: the durable prefix of the staged chain is published,
-// the failed suffix — whose records were rolled back out of the log and
-// whose sequence numbers were never consumed — is abandoned (the next
-// Begin bases on the published version again), and the group writer is
-// un-poisoned so later mutations proceed. Requires c.mu, which keeps
-// every build out while the staging head is reset. Idempotent: every
-// failed waiter calls it, and all but the first find nothing to do.
-func (c *Catalog) healGroupLocked() {
+// healLocked reconciles in-memory state with the log after a failed
+// flush: the durable prefix of the staged chain is published, the
+// failed suffix — whose records were rolled back out of the log and
+// whose sequence numbers Heal returns — is abandoned (the next Begin
+// bases on the published version again), and the log writer is healed
+// so later mutations proceed. Requires c.mu, which keeps every append
+// out while the staging head is reset. The poison is read before the
+// publish: a poisoned writer advances no durable sequence, so nothing
+// durable can land in the abandoned suffix. Idempotent: every failed
+// writer calls it, and all but the first find the writer healthy.
+func (c *Catalog) healLocked() {
 	d := c.dur
-	c.publishDurable(d)
+	poisoned := d.w.Poisoned() != nil
+	c.publishDurable(d, nil)
+	if !poisoned {
+		return
+	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.staged) == 0 {
-		return
-	}
-	// A failure poisons everything queued behind it, so if the head of
-	// the remaining chain failed, the whole remainder did — and every
-	// entry is already resolved (the group writer fails queued tickets
-	// synchronously when it poisons).
-	head := d.staged[0]
-	if !head.ticket.Done() {
-		return
-	}
-	if _, err := head.ticket.Result(); err == nil {
-		return
+	for _, sc := range d.staged {
+		sc.failed = true
 	}
 	d.staged = nil
 	c.DB.ResetHead()
-	if d.gw.Poisoned() != nil {
-		// Heal fails only if the log writer itself is wedged; leave the
-		// poison in place then — Wedged()/healthz surface it.
-		_ = d.gw.Heal()
-	}
+	d.mu.Unlock()
+	// Heal fails only if the log writer itself is wedged; leave the
+	// poison in place then — Wedged()/healthz surface it.
+	_ = d.w.Heal()
 }
 
 // bind makes tx the transaction mutations write through (nil unbinds),
@@ -397,14 +398,20 @@ func (c *Catalog) Checkpoint() error {
 // snapshot's mark.
 func (c *Catalog) checkpointLocked() error {
 	d := c.dur
-	// Quiesce the group first: wait out in-flight batches (their flushes
-	// run on waiter goroutines that do not need the catalog lock we
-	// hold), publish everything durable, and heal any failed suffix — so
-	// the snapshot sees a state where publishedSeq equals the log's last
-	// sequence and the log swap below loses nothing. The lock keeps new
-	// records out until the swap.
-	d.gw.Drain()
-	c.healGroupLocked()
+	// Flush every appended record first (a flush in flight on a writer's
+	// goroutine does not need the catalog lock we hold), publish
+	// everything durable, and heal a failed suffix — so the snapshot
+	// sees a state where publishedSeq equals the log's last sequence and
+	// the log swap below loses nothing. The lock keeps new records out
+	// until the swap. A failed flush is the heal's to resolve.
+	d.mu.Lock()
+	var last uint64
+	if n := len(d.staged); n > 0 {
+		last = d.staged[n-1].seq
+	}
+	d.mu.Unlock()
+	_ = d.w.Flush(last)
+	c.healLocked()
 	if err := saveFile(d.fs, d.snapPath, c.Schema, c.pinLocked()); err != nil {
 		return fmt.Errorf("%w: checkpoint snapshot: %v", ErrDurability, err)
 	}
@@ -536,7 +543,7 @@ func (c *Catalog) DurabilityStats() DurabilityStats {
 	s := DurabilityStats{
 		Enabled:         true,
 		WAL:             d.w.Stats(),
-		Group:           d.gw.Stats(),
+		Group:           d.w.GroupStats(),
 		Checkpoints:     d.checkpoints,
 		CheckpointEvery: d.every,
 	}

@@ -342,7 +342,7 @@ func TestGroupCommitAckDoesNotWaitForNextBuild(t *testing.T) {
 	}
 	parked, release := make(chan struct{}), make(chan struct{})
 	bDone := make(chan error, 1)
-	c.dur.gw.AfterSync = func() {
+	c.dur.w.AfterSync = func() {
 		go func() {
 			bDone <- c.mutate(func() error {
 				close(parked)

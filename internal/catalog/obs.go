@@ -22,8 +22,8 @@ const DefaultTraceDepth = 32
 //	                          cardinality) per criterion probe
 //	query_intersect_cardinality  per-criterion object-set size
 //	                          entering the intersect stage
-//	catalog_wal_commit_nanos  WAL commit wait: enqueue to durable batch
-//	                          (append + fsync, plus any batch ahead)
+//	catalog_wal_commit_nanos  WAL commit wait: append to durable batch
+//	                          (write + fsync, plus any batch ahead)
 //	catalog_checkpoints_total
 //	catalog_recovery_replayed_records_total / _ops_total
 //	catalog_wedged                    1 when durability refuses mutations

@@ -92,7 +92,7 @@ func TestCrashReplayEqualsIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Hold each batch open briefly so concurrent commits share it.
-	primary.dur.gw.AfterSync = func() { time.Sleep(time.Millisecond) }
+	primary.dur.w.AfterSync = func() { time.Sleep(time.Millisecond) }
 	must := func(err error) {
 		t.Helper()
 		if err != nil {

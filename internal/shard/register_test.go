@@ -111,3 +111,89 @@ func TestShardBroadcastReissueConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShardBroadcastHoldsFirstShardID: once one shard's definition IDs
+// have run ahead of another's (a shard-local registration), a broadcast
+// either leaves every shard holding the definition at the ID it returns
+// or fails with no shard holding it at a second ID. Later shards adopt
+// the first shard's ID rather than allocate their own, so the shard
+// that is behind takes the first shard's ID, and a reopened cluster
+// replays it there.
+func TestShardBroadcastHoldsFirstShardID(t *testing.T) {
+	mem := faultio.NewMemFS()
+	cl, err := openRebalanceCluster(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerOn := func(shardIdx int, name string) {
+		t.Helper()
+		if err := cl.ForEachShard(func(i int, c *catalog.Catalog) error {
+			if i != shardIdx {
+				return nil
+			}
+			_, err := c.RegisterAttr(name, "SRC", 0, "")
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := func(name string) map[int64]bool {
+		ids := map[int64]bool{}
+		for _, id := range resolvedIDs(t, cl, name, "SRC") {
+			if id != 0 {
+				ids[id] = true
+			}
+		}
+		return ids
+	}
+
+	// Shard 1 is ahead: shard 0's next ID is the one shard 1 gave "extra".
+	registerOn(1, "extra")
+	fresh, err := cl.RegisterAttr("fresh", "SRC", 0, "")
+	if err == nil {
+		for i, id := range resolvedIDs(t, cl, "fresh", "SRC") {
+			if id != fresh.ID {
+				t.Errorf("shard %d resolves fresh at %d, the broadcast returned %d", i, id, fresh.ID)
+			}
+		}
+	} else if ids := held("fresh"); len(ids) > 1 {
+		t.Errorf("the failed broadcast left fresh at IDs %v", ids)
+	}
+
+	// Shard 0 is ahead: shard 1 must take shard 0's ID, not its own next.
+	registerOn(0, "extra0")
+	ahead, err := cl.RegisterAttr("ahead", "SRC", 0, "")
+	if err != nil {
+		t.Fatalf("broadcast with shard 0 ahead: %v", err)
+	}
+	for i, id := range resolvedIDs(t, cl, "ahead", "SRC") {
+		if id != ahead.ID {
+			t.Fatalf("shard %d resolves ahead at %d, the broadcast returned %d", i, id, ahead.ID)
+		}
+	}
+	if _, err := cl.RegisterElem("p", "SRC", ahead.ID, core.DTFloat, ""); err != nil {
+		t.Fatalf("element under the adopted attribute: %v", err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cl, err = openRebalanceCluster(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i, id := range resolvedIDs(t, cl, "ahead", "SRC") {
+		if id != ahead.ID {
+			t.Fatalf("reopened shard %d resolves ahead at %d, want %d", i, id, ahead.ID)
+		}
+	}
+	if err := cl.ForEachShard(func(i int, c *catalog.Catalog) error {
+		if d := c.Reg.Defs().LookupElem("p", "SRC", ahead.ID, ""); d == nil || d.Type != core.DTFloat {
+			t.Errorf("reopened shard %d resolves p as %+v", i, d)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

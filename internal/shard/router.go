@@ -85,21 +85,27 @@ func (cl *Cluster) SetPublished(gid int64, published bool) error {
 
 // RegisterAttr registers a dynamic attribute definition on every shard
 // (definitions are global: a fan-out query must resolve the same names
-// on each instance). Shards assign identical definition IDs because
-// they see registrations in the same order; the first shard's
-// definition is returned. A failed registration leaves its shard
-// without the definition, so a mid-broadcast failure leaves only the
-// earlier shards registered, and re-issuing the broadcast is the
-// recovery: a shard that already holds the identical definition (same
-// identity and owner, at the first shard's ID) counts as registered,
-// and a shard holding a different one under that identity refuses.
+// on each instance). The first shard registers it, and every later
+// shard adopts the first shard's definition at the first shard's ID, as
+// log replay adopts a logged one, so no shard allocates an ID of its
+// own; the first shard's definition is returned. A failed registration
+// leaves its shard without the definition, so a mid-broadcast failure
+// leaves only the earlier shards registered, and re-issuing the
+// broadcast is the recovery: a shard that already holds the identical
+// definition at the first shard's ID counts as registered, and a shard
+// holding another definition at that ID, or this one at another ID,
+// refuses.
 func (cl *Cluster) RegisterAttr(name, source string, parentID int64, owner string) (*core.AttrDef, error) {
-	return broadcast(cl, func(c *catalog.Catalog, first *core.AttrDef) (*core.AttrDef, error) {
-		d := c.Reg.Defs().LookupAttr(name, source, parentID, owner)
-		if d != nil && d.Owner == owner && (first == nil || d.ID == first.ID) {
+	return broadcast(cl, func(c *catalog.Catalog) (*core.AttrDef, error) {
+		if d := c.Reg.Defs().LookupAttr(name, source, parentID, owner); d != nil && d.Owner == owner {
 			return d, nil
 		}
 		return c.RegisterAttr(name, source, parentID, owner)
+	}, func(c *catalog.Catalog, first *core.AttrDef) error {
+		if d := c.Reg.Defs().AttrByID(first.ID); d != nil && *d == *first {
+			return nil
+		}
+		return c.AdoptAttr(*first)
 	})
 }
 
@@ -107,29 +113,35 @@ func (cl *Cluster) RegisterAttr(name, source string, parentID int64, owner strin
 // see RegisterAttr for the broadcast semantics. An identical element
 // also has the same type.
 func (cl *Cluster) RegisterElem(name, source string, attrID int64, dt core.DataType, owner string) (*core.ElemDef, error) {
-	return broadcast(cl, func(c *catalog.Catalog, first *core.ElemDef) (*core.ElemDef, error) {
-		d := c.Reg.Defs().LookupElem(name, source, attrID, owner)
-		if d != nil && d.Owner == owner && d.Type == dt && (first == nil || d.ID == first.ID) {
+	return broadcast(cl, func(c *catalog.Catalog) (*core.ElemDef, error) {
+		if d := c.Reg.Defs().LookupElem(name, source, attrID, owner); d != nil && d.Owner == owner && d.Type == dt {
 			return d, nil
 		}
 		return c.RegisterElem(name, source, attrID, dt, owner)
+	}, func(c *catalog.Catalog, first *core.ElemDef) error {
+		if d := c.Reg.Defs().ElemByID(first.ID); d != nil && *d == *first {
+			return nil
+		}
+		return c.AdoptElem(*first)
 	})
 }
 
-// broadcast runs register on every shard in order, under each shard's
-// write gate, passing the first shard's definition (nil on the first
-// shard), and returns that definition.
-func broadcast[D any](cl *Cluster, register func(c *catalog.Catalog, first *D) (*D, error)) (*D, error) {
+// broadcast runs register on the first shard and adopt, with the first
+// shard's definition, on every later one, in order and each under its
+// shard's write gate, and returns the first shard's definition.
+func broadcast[D any](cl *Cluster, register func(*catalog.Catalog) (*D, error), adopt func(*catalog.Catalog, *D) error) (*D, error) {
 	var first *D
 	for i := 0; i < cl.n; i++ {
 		h := cl.writeHandle(i)
-		def, err := register(h.cat, first)
+		var err error
+		if first == nil {
+			first, err = register(h.cat)
+		} else {
+			err = adopt(h.cat, first)
+		}
 		h.gate.RUnlock()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if first == nil {
-			first = def
 		}
 	}
 	return first, nil

@@ -1,42 +1,28 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/gridmeta/hybridcat/internal/faultio"
 )
 
-// enqueueN enqueues n numbered payloads before anyone waits, so the
-// whole set (up to maxBatch) lands in one deterministic batch.
-func enqueueN(gw *GroupWriter, n int) []*Ticket {
-	ts := make([]*Ticket, n)
-	for i := range ts {
-		ts[i] = gw.Enqueue([]byte(fmt.Sprintf("op-%d", i)))
-	}
-	return ts
-}
-
-func waitAll(t *testing.T, ts []*Ticket) []uint64 {
+// appendN appends n numbered payloads without flushing any, so a flush
+// of the last one writes the whole set as one batch.
+func appendN(t *testing.T, w *Writer, n int) []uint64 {
 	t.Helper()
-	seqs := make([]uint64, len(ts))
-	var wg sync.WaitGroup
-	for i, tk := range ts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			seq, err := tk.Wait()
-			if err != nil {
-				t.Errorf("ticket %d: %v", i, err)
-			}
-			seqs[i] = seq
-		}()
+	seqs := make([]uint64, n)
+	for i := range seqs {
+		seq, err := w.Append([]byte(fmt.Sprintf("op-%d", i)))
+		if err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		seqs[i] = seq
 	}
-	wg.Wait()
 	return seqs
 }
 
@@ -44,16 +30,19 @@ func TestGroupCommitSingleBatch(t *testing.T) {
 	fs := faultio.NewMemFS()
 	_, w := collect(t, fs, "wal")
 	defer w.Close()
-	gw := NewGroupWriter(w)
 
-	ts := enqueueN(gw, 8)
-	seqs := waitAll(t, ts)
+	seqs := appendN(t, w, 8)
 	for i, seq := range seqs {
 		if seq != uint64(i+1) {
-			t.Fatalf("ticket %d got seq %d, want %d (enqueue order must be seq order)", i, seq, i+1)
+			t.Fatalf("record %d got seq %d, want %d (append order must be seq order)", i, seq, i+1)
 		}
 	}
-	st := gw.Stats()
+	for _, seq := range seqs {
+		if err := w.Flush(seq); err != nil {
+			t.Fatalf("flush %d: %v", seq, err)
+		}
+	}
+	st := w.GroupStats()
 	if st.Batches != 1 || st.Records != 8 || st.LargestBatch != 8 {
 		t.Fatalf("stats = %+v, want one batch of 8", st)
 	}
@@ -73,31 +62,118 @@ func TestGroupCommitSingleBatch(t *testing.T) {
 	}
 }
 
-// TestGroupCommitZeroWaitStillCommits: a lone commit is flushed by its
-// own Wait, with no collection window to sit out.
+// TestGroupCommitZeroWaitStillCommits: a lone record is flushed by its
+// own Flush, with no collection window to sit out.
 func TestGroupCommitZeroWaitStillCommits(t *testing.T) {
 	fs := faultio.NewMemFS()
 	_, w := collect(t, fs, "wal")
 	defer w.Close()
-	gw := NewGroupWriter(w)
-	tk := gw.Enqueue([]byte("solo"))
-	seq, err := tk.Wait()
+	seq, err := w.Commit([]byte("solo"))
 	if err != nil || seq != 1 {
-		t.Fatalf("Wait = %d, %v", seq, err)
+		t.Fatalf("Commit = %d, %v", seq, err)
 	}
-	if st := gw.Stats(); st.Batches != 1 || st.Records != 1 {
+	if st := w.GroupStats(); st.Batches != 1 || st.Records != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
+// TestGroupCommitPendingInvisible: a record that is appended but not
+// flushed is not part of the log any reader sees — RecordsSince,
+// LastSeq, Size and Stats report the durable prefix only.
+func TestGroupCommitPendingInvisible(t *testing.T) {
+	fs := faultio.NewMemFS()
+	_, w := collect(t, fs, "wal")
+	defer w.Close()
+	if _, err := w.Commit([]byte("durable")); err != nil {
+		t.Fatal(err)
+	}
+	size := w.Size()
+	seqs := appendN(t, w, 2)
+
+	recs, last, gap, err := w.RecordsSince(0)
+	if err != nil || gap || last != 1 || len(recs) != 1 {
+		t.Fatalf("RecordsSince(0) with 2 pending = %d recs, last %d, gap %v, err %v; want the 1 durable record", len(recs), last, gap, err)
+	}
+	if got := w.LastSeq(); got != 1 {
+		t.Fatalf("LastSeq with 2 pending = %d, want 1", got)
+	}
+	if got := w.Size(); got != size {
+		t.Fatalf("Size with 2 pending = %d, want %d", got, size)
+	}
+	if st := w.Stats(); st.LastSeq != 1 || st.Size != size || st.Appends != 1 {
+		t.Fatalf("Stats with 2 pending = %+v", st)
+	}
+
+	if err := w.Flush(seqs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if recs, last, _, _ := w.RecordsSince(0); last != 3 || len(recs) != 3 {
+		t.Fatalf("after the flush RecordsSince(0) = %d recs, last %d; want 3", len(recs), last)
+	}
+	if st := w.Stats(); st.LastSeq != 3 || st.Size <= size || st.Appends != 3 {
+		t.Fatalf("Stats after the flush = %+v", st)
+	}
+}
+
+// TestGroupCommitAppendDuringFsync: while a flush's fsync is blocked,
+// Append and the durable-prefix readers return at once; the record
+// appended meanwhile is flushed by the next batch.
+func TestGroupCommitAppendDuringFsync(t *testing.T) {
+	g := newGateFS(false)
+	_, w := collect(t, g, "wal")
+	defer w.Close()
+
+	g.arm()
+	first, err := w.Append([]byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- w.Flush(first) }()
+	<-g.entered // the flush is inside its fsync
+
+	appended := make(chan uint64, 1)
+	go func() {
+		seq, err := w.Append([]byte("second"))
+		if err != nil {
+			t.Error(err)
+		}
+		_ = w.LastSeq()
+		_ = w.Stats()
+		appended <- seq
+	}()
+	var second uint64
+	select {
+	case second = <-appended:
+	case <-time.After(5 * time.Second):
+		t.Error("Append waited for the fsync in flight")
+		close(g.release)
+		second = <-appended
+		<-flushed
+		return
+	}
+	if got := w.LastSeq(); got != 0 {
+		t.Errorf("LastSeq during the first fsync = %d, want 0", got)
+	}
+	close(g.release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(second); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.GroupStats(); st.Batches != 2 || st.Records != 2 {
+		t.Fatalf("stats = %+v, want two batches of one", st)
+	}
+}
+
 // TestGroupCommitConcurrentStress: concurrent writers on a device with
-// a real flush cost coalesce into shared fsyncs with no collection
-// window — commits queue behind the batch that is syncing.
+// a real flush cost share fsyncs with no collection window — records
+// appended while a batch syncs go out together in the next one.
 func TestGroupCommitConcurrentStress(t *testing.T) {
 	fs := faultio.NewMemFS()
 	_, w := collect(t, faultio.NewSlowFS(fs, 200*time.Microsecond), "wal")
 	defer w.Close()
-	gw := NewGroupWriter(w)
 
 	const writers, per = 8, 25
 	seen := make([][]uint64, writers)
@@ -107,7 +183,7 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				seq, err := gw.Enqueue([]byte(fmt.Sprintf("w%d-%d", g, i))).Wait()
+				seq, err := w.Commit([]byte(fmt.Sprintf("w%d-%d", g, i)))
 				if err != nil {
 					t.Errorf("writer %d op %d: %v", g, i, err)
 					return
@@ -117,7 +193,6 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	gw.Drain()
 
 	uniq := make(map[uint64]bool)
 	for g := range seen {
@@ -139,72 +214,76 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 	if len(recs) != writers*per {
 		t.Fatalf("replayed %d records, want %d", len(recs), writers*per)
 	}
-	if st := gw.Stats(); st.Batches >= writers*per {
-		t.Fatalf("no coalescing: %d batches for %d records", st.Batches, writers*per)
+	if syncs := w.Stats().Syncs; syncs >= writers*per {
+		t.Fatalf("no shared fsync: %d fsyncs for %d records", syncs, writers*per)
+	}
+	if st := w.GroupStats(); st.Batches != w.Stats().Syncs || st.Records != writers*per {
+		t.Fatalf("group stats %+v, want one batch per fsync covering all %d records", st, writers*per)
 	}
 }
 
-// TestGroupCommitBatchCap: a queue longer than maxBatch is flushed in
-// capped batches, in enqueue order.
-func TestGroupCommitBatchCap(t *testing.T) {
-	fs := faultio.NewMemFS()
-	_, w := collect(t, fs, "wal")
-	defer w.Close()
-	gw := NewGroupWriter(w)
-	seqs := waitAll(t, enqueueN(gw, maxBatch+1))
-	for i, seq := range seqs {
-		if seq != uint64(i+1) {
-			t.Fatalf("ticket %d got seq %d, want %d", i, seq, i+1)
-		}
-	}
-	if st := gw.Stats(); st.Batches != 2 || st.LargestBatch != maxBatch {
-		t.Fatalf("stats = %+v, want 2 batches, the largest of %d", st, maxBatch)
-	}
-}
-
+// TestGroupCommitFailurePoisonsAndHeals: a failed write and a failed
+// fsync each fail every pending record, leave the file at its durable
+// length and refuse Append until Heal; the next record then reuses the
+// first failed sequence.
 func TestGroupCommitFailurePoisonsAndHeals(t *testing.T) {
-	mem := faultio.NewMemFS()
-	// The log's create() costs one sync; fail the next one (the batch).
-	fs := faultio.NewFaulty(mem, faultio.Fault{Op: faultio.OpSync, N: 2, Mode: faultio.FailOp})
-	_, w := collect(t, fs, "wal")
-	defer w.Close()
-	gw := NewGroupWriter(w)
+	for _, kind := range []faultio.OpKind{faultio.OpWrite, faultio.OpSync} {
+		t.Run(string(kind), func(t *testing.T) {
+			mem := faultio.NewMemFS()
+			// create() costs one write and one sync, the first commit one
+			// of each; fail the second batch's, a torn write leaving 7
+			// bytes behind.
+			fs := faultio.NewFaulty(mem, faultio.Fault{Op: kind, N: 3, Mode: faultio.FailOp, Torn: 7})
+			_, w := collect(t, fs, "wal")
+			defer w.Close()
+			if _, err := w.Commit([]byte("good")); err != nil {
+				t.Fatal(err)
+			}
+			durable := w.Size()
 
-	ts := enqueueN(gw, 4)
-	for i, tk := range ts {
-		if _, err := tk.Wait(); !errors.Is(err, faultio.ErrInjected) {
-			t.Fatalf("ticket %d: err = %v, want injected fault", i, err)
-		}
-	}
-	if gw.Poisoned() == nil {
-		t.Fatal("group not poisoned after batch failure")
-	}
-	if _, err := gw.Enqueue([]byte("rejected")).Wait(); err == nil {
-		t.Fatal("enqueue on poisoned group succeeded")
-	}
-	if st := gw.Stats(); st.Failures != 1 || st.Batches != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
+			seqs := appendN(t, w, 4)
+			for _, seq := range seqs {
+				if err := w.Flush(seq); !errors.Is(err, faultio.ErrInjected) {
+					t.Fatalf("record %d: err = %v, want the injected fault", seq, err)
+				}
+			}
+			if n, _ := mem.Size("wal"); n != durable {
+				t.Fatalf("file is %d bytes after the failed batch, want its durable %d", n, durable)
+			}
+			if w.Poisoned() == nil {
+				t.Fatal("writer not poisoned after the failed batch")
+			}
+			if _, err := w.Append([]byte("rejected")); err == nil {
+				t.Fatal("append on a poisoned writer succeeded")
+			}
+			if st := w.GroupStats(); st.Failures != 1 || st.Batches != 1 {
+				t.Fatalf("stats = %+v", st)
+			}
 
-	if err := gw.Heal(); err != nil {
-		t.Fatalf("heal: %v", err)
-	}
-	seq, err := gw.Enqueue([]byte("after-heal")).Wait()
-	if err != nil {
-		t.Fatalf("commit after heal: %v", err)
-	}
-	if seq != 1 {
-		t.Fatalf("seq after failed batch = %d, want 1 (failed batch must not consume seqs)", seq)
-	}
-	recs, w2 := collect(t, fs, "wal")
-	defer w2.Close()
-	if len(recs) != 1 || string(recs[0].Payload) != "after-heal" {
-		t.Fatalf("replayed %v, want only the post-heal record", recs)
+			if err := w.Heal(); err != nil {
+				t.Fatalf("heal: %v", err)
+			}
+			if err := w.Flush(seqs[0]); err == nil {
+				t.Fatal("a flush of a record Heal dropped succeeded")
+			}
+			seq, err := w.Commit([]byte("after-heal"))
+			if err != nil {
+				t.Fatalf("commit after heal: %v", err)
+			}
+			if seq != seqs[0] {
+				t.Fatalf("seq after the failed batch = %d, want %d (a failed batch consumes no sequence)", seq, seqs[0])
+			}
+			recs, w2 := collect(t, mem, "wal")
+			defer w2.Close()
+			if len(recs) != 2 || string(recs[0].Payload) != "good" || string(recs[1].Payload) != "after-heal" {
+				t.Fatalf("replayed %v, want the good and the post-heal record", recs)
+			}
+		})
 	}
 }
 
-// gateFS lets the test hold a Sync open so commits can queue up behind
-// an in-flight batch, then release it as a failure.
+// gateFS lets the test hold a Sync open — so records can be appended
+// behind an in-flight batch — then release it, as a failure if fail.
 type gateFS struct {
 	faultio.FS
 	mu      sync.Mutex
@@ -212,6 +291,17 @@ type gateFS struct {
 	release chan struct{} // Sync blocks until closed
 	fail    bool
 	armed   bool
+}
+
+func newGateFS(fail bool) *gateFS {
+	return &gateFS{FS: faultio.NewMemFS(), entered: make(chan struct{}), release: make(chan struct{}), fail: fail}
+}
+
+// arm gates the next Sync.
+func (g *gateFS) arm() {
+	g.mu.Lock()
+	g.armed = true
+	g.mu.Unlock()
 }
 
 func (g *gateFS) OpenAppend(name string) (faultio.File, error) {
@@ -251,28 +341,34 @@ func (f *gateFile) Sync() error {
 	return f.File.Sync()
 }
 
+// TestGroupCommitPoisonFailsQueuedBehind: a record appended while the
+// batch before it is failing its fsync fails with that batch — it was
+// built on the failed records' state.
 func TestGroupCommitPoisonFailsQueuedBehind(t *testing.T) {
-	g := &gateFS{FS: faultio.NewMemFS(), entered: make(chan struct{}), release: make(chan struct{}), fail: true}
+	g := newGateFS(true)
 	_, w := collect(t, g, "wal")
 	defer w.Close()
-	gw := NewGroupWriter(w)
 
-	g.mu.Lock()
-	g.armed = true
-	g.mu.Unlock()
-	first := gw.Enqueue([]byte("doomed"))
+	g.arm()
+	first, err := w.Append([]byte("doomed"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	firstErr := make(chan error, 1)
-	go func() { _, err := first.Wait(); firstErr <- err }()
+	go func() { firstErr <- w.Flush(first) }()
 	<-g.entered // batch 1 is mid-fsync
 
-	queued := gw.Enqueue([]byte("built-on-doomed"))
+	queued, err := w.Append([]byte("built-on-doomed"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	close(g.release) // fsync fails
 
 	if err := <-firstErr; !errors.Is(err, faultio.ErrInjected) {
-		t.Fatalf("leader err = %v", err)
+		t.Fatalf("first flush err = %v", err)
 	}
-	if _, err := queued.Wait(); err == nil {
-		t.Fatal("commit queued behind a failed batch was acknowledged")
+	if err := w.Flush(queued); err == nil {
+		t.Fatal("a record appended behind a failed batch was flushed")
 	}
 	recs, w2 := collect(t, g.FS, "wal")
 	defer w2.Close()
@@ -281,46 +377,74 @@ func TestGroupCommitPoisonFailsQueuedBehind(t *testing.T) {
 	}
 }
 
+// TestGroupCommitAfterSyncRunsBeforeAck: AfterSync runs once per batch,
+// after its fsync and before any of its waiters returns or sees the
+// records durable.
 func TestGroupCommitAfterSyncRunsBeforeAck(t *testing.T) {
-	fs := faultio.NewMemFS()
+	fs := faultio.NewFaulty(faultio.NewMemFS(), faultio.Fault{})
 	_, w := collect(t, fs, "wal")
 	defer w.Close()
-	gw := NewGroupWriter(w)
 
-	var ts []*Ticket
-	hookSawPending := false
+	syncsBefore := fs.Counts()[faultio.OpSync]
+	var returned atomic.Int32
 	hooks := 0
-	gw.AfterSync = func() {
+	w.AfterSync = func() {
 		hooks++
-		for _, tk := range ts {
-			if !tk.Done() {
-				hookSawPending = true
-			}
+		if got := fs.Counts()[faultio.OpSync]; got != syncsBefore+1 {
+			t.Errorf("AfterSync ran after %d fsyncs of the batch, want 1", got-syncsBefore)
+		}
+		if n := returned.Load(); n != 0 {
+			t.Errorf("AfterSync ran after %d waiters returned", n)
+		}
+		if got := w.LastSeq(); got != 0 {
+			t.Errorf("records durable (LastSeq %d) before AfterSync returned", got)
 		}
 	}
-	ts = enqueueN(gw, 3)
-	waitAll(t, ts)
+	seqs := appendN(t, w, 3)
+	var wg sync.WaitGroup
+	for _, seq := range seqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Flush(seq); err != nil {
+				t.Error(err)
+			}
+			returned.Add(1)
+		}()
+	}
+	wg.Wait()
 	if hooks != 1 {
 		t.Fatalf("AfterSync ran %d times, want once per batch", hooks)
 	}
-	if !hookSawPending {
-		t.Fatal("AfterSync ran after tickets were acknowledged")
-	}
 }
 
+// TestCommitBatchRollback: a multi-record batch whose fsync fails
+// consumes no sequence; after Heal the next batch starts at sequence 1
+// and replay sees only it.
 func TestCommitBatchRollback(t *testing.T) {
 	mem := faultio.NewMemFS()
 	fs := faultio.NewFaulty(mem, faultio.Fault{Op: faultio.OpSync, N: 2, Mode: faultio.FailOp})
 	_, w := collect(t, fs, "wal")
 	defer w.Close()
-	if _, err := w.CommitBatch([][]byte{[]byte("a"), []byte("b"), []byte("c")}); err == nil {
+	failed := appendN(t, w, 3)
+	if err := w.Flush(failed[len(failed)-1]); err == nil {
 		t.Fatal("batch with failing fsync succeeded")
 	}
 	if w.LastSeq() != 0 {
 		t.Fatalf("LastSeq after failed batch = %d, want 0", w.LastSeq())
 	}
-	first, err := w.CommitBatch([][]byte{[]byte("x"), []byte("y")})
+	if err := w.Heal(); err != nil {
+		t.Fatalf("heal: %v", err)
+	}
+	first, err := w.Append([]byte("x"))
 	if err != nil {
+		t.Fatalf("retry append: %v", err)
+	}
+	last, err := w.Append([]byte("y"))
+	if err != nil {
+		t.Fatalf("retry append: %v", err)
+	}
+	if err := w.Flush(last); err != nil {
 		t.Fatalf("retry batch: %v", err)
 	}
 	if first != 1 {
@@ -331,108 +455,4 @@ func TestCommitBatchRollback(t *testing.T) {
 	if len(recs) != 2 || string(recs[0].Payload) != "x" || string(recs[1].Payload) != "y" {
 		t.Fatalf("replayed %v", recs)
 	}
-}
-
-func TestRecordsSince(t *testing.T) {
-	fs := faultio.NewMemFS()
-	_, w := collect(t, fs, "wal")
-	defer w.Close()
-	for i := 0; i < 5; i++ {
-		if _, err := w.Commit([]byte(fmt.Sprintf("r%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	recs, last, gap, err := w.RecordsSince(2)
-	if err != nil || gap {
-		t.Fatalf("RecordsSince(2): gap=%v err=%v", gap, err)
-	}
-	if last != 5 || len(recs) != 3 || recs[0].Seq != 3 || recs[2].Seq != 5 {
-		t.Fatalf("RecordsSince(2) = %v, last=%d", recs, last)
-	}
-	if recs, _, gap, _ := w.RecordsSince(5); gap || len(recs) != 0 {
-		t.Fatalf("RecordsSince(5) = %v, gap=%v", recs, gap)
-	}
-	if recs, _, gap, _ := w.RecordsSince(0); gap || len(recs) != 5 {
-		t.Fatalf("RecordsSince(0) = %d recs, gap=%v", len(recs), gap)
-	}
-
-	// A checkpoint truncates the log; seqs at or below the reset point
-	// are gone, and asking for them must report a gap, not silence.
-	if err := w.Reset(6); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Commit([]byte("r5")); err != nil {
-		t.Fatal(err)
-	}
-	if recs, last, gap, err := w.RecordsSince(5); gap || err != nil || len(recs) != 1 || recs[0].Seq != 6 || last != 6 {
-		t.Fatalf("RecordsSince(5) after reset = %v, last=%d, gap=%v, err=%v", recs, last, gap, err)
-	}
-	if _, _, gap, _ := w.RecordsSince(3); !gap {
-		t.Fatal("RecordsSince(3) after reset must report a gap")
-	}
-	if _, _, gap, _ := w.RecordsSince(0); !gap {
-		t.Fatal("RecordsSince(0) after reset must report a gap")
-	}
-}
-
-func TestDecodeFramesTornAtEveryOffset(t *testing.T) {
-	var stream []byte
-	for i := 1; i <= 3; i++ {
-		stream = append(stream, EncodeRecord(uint64(i), []byte(fmt.Sprintf("payload-%d", i)))...)
-	}
-	full, err := DecodeFrames(stream)
-	if err != nil || len(full) != 3 {
-		t.Fatalf("full decode: %d recs, %v", len(full), err)
-	}
-	for cut := 0; cut <= len(stream); cut++ {
-		recs, err := DecodeFrames(stream[:cut])
-		if err != nil {
-			t.Fatalf("cut %d: unexpected error %v", cut, err)
-		}
-		for i, r := range recs {
-			if r.Seq != uint64(i+1) || !bytes.Equal(r.Payload, full[i].Payload) {
-				t.Fatalf("cut %d: record %d = {%d %q}", cut, i, r.Seq, r.Payload)
-			}
-		}
-		// A tear can only hide whole trailing frames, never corrupt
-		// the decoded prefix.
-		if want := 3; cut < len(stream) && len(recs) > want {
-			t.Fatalf("cut %d decoded %d records", cut, len(recs))
-		}
-	}
-}
-
-func TestDecodeFramesInteriorCorruption(t *testing.T) {
-	var stream []byte
-	for i := 1; i <= 3; i++ {
-		stream = append(stream, EncodeRecord(uint64(i), []byte(fmt.Sprintf("payload-%d", i)))...)
-	}
-	frameLen := len(stream) / 3
-	bad := append([]byte(nil), stream...)
-	bad[frameLen+recHeader+9] ^= 0x01 // flip a payload bit in frame 2
-	recs, err := DecodeFrames(bad)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("interior corruption: err = %v, want ErrCorrupt", err)
-	}
-	if len(recs) != 1 || recs[0].Seq != 1 {
-		t.Fatalf("decoded %v before corruption", recs)
-	}
-}
-
-func TestGroupCommitDrain(t *testing.T) {
-	fs := faultio.NewMemFS()
-	_, w := collect(t, fs, "wal")
-	defer w.Close()
-	gw := NewGroupWriter(w)
-	ts := enqueueN(gw, 6)
-	done := make(chan struct{})
-	go func() { waitAll(t, ts); close(done) }()
-	gw.Drain()
-	for i, tk := range ts {
-		if !tk.Done() {
-			t.Fatalf("Drain returned with ticket %d pending", i)
-		}
-	}
-	<-done
 }

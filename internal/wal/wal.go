@@ -16,8 +16,8 @@
 // end-of-file is indistinguishable from a record torn by a crash and is
 // truncated — the same trade-off LevelDB-style logs make.)
 //
-// Every record is written with a single Write call, so a crash tears a
-// record into a prefix, never an interleaving. Open replays intact
+// Every batch of records is written with a single Write call, so a
+// crash tears it into a prefix, never an interleaving. Open replays intact
 // records and distinguishes the two failure shapes a log can be left in:
 //
 //   - a torn tail — the final record is incomplete or fails its
@@ -27,10 +27,12 @@
 //     after it, i.e. bytes rotted in place; Open refuses the log rather
 //     than silently dropping acknowledged history.
 //
-// Commit is append + fsync; if either fails the writer truncates the log
-// back to its last durable length before returning the error, so a
-// failed commit can never leak a half-written record into the tail that
-// a later successful commit would then appear to acknowledge.
+// Records commit in groups: Append numbers a record into an in-memory
+// batch, and a Flush writes the whole batch with one Write and one
+// fsync (see Writer). If either fails the writer truncates the log back
+// to its last durable length before returning the error, so a failed
+// batch can never leak a half-written record into the tail that a later
+// successful flush would then appear to acknowledge.
 package wal
 
 import (
@@ -40,6 +42,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -87,52 +90,97 @@ type Stats struct {
 	TornTail int64  `json:"torn_tail_bytes"` // bytes truncated at Open
 }
 
-// Writer appends records to an open log. All methods are safe for
-// concurrent use: an internal mutex serializes appends, resets, and the
-// replication read path (RecordsSince), so a group-commit leader can
-// flush a batch while stream handlers read the durable prefix.
+// GroupStats count the writer's flushes: each flush is one batch of
+// the records appended since the previous one.
+type GroupStats struct {
+	Batches      uint64 `json:"batches"`
+	Records      uint64 `json:"records"`
+	LargestBatch int    `json:"largest_batch"`
+	Failures     uint64 `json:"failures"`
+}
+
+// Writer appends records to an open log with group commit. Append
+// encodes a record into an in-memory pending batch and numbers it,
+// without I/O; Flush makes a record durable by writing every pending
+// record with one Write and one fsync, so concurrent writers that flush
+// while an fsync runs share the next one, and a lone writer pays one
+// fsync with no added wait.
+//
+// Two mutexes keep the file off the append path. syncMu serializes
+// every file operation: a flush's write and fsync, the truncate after a
+// failure, Reset and RecordsSince's read. mu guards the in-memory state
+// and is never held across I/O, so Append never waits on an fsync. The
+// durable-prefix fields change only under both, so LastSeq, Size, Stats
+// and Broken read them under mu alone.
+//
+// A failed flush poisons the writer: the log is truncated back to its
+// durable length, every pending record fails (records built on the
+// failed ones' state must not commit without them) and Append is
+// refused until Heal.
 type Writer struct {
-	// NoSync skips the fsync in Commit; for benchmarking the fsync cost
+	// NoSync skips the fsync in Flush; for benchmarking the fsync cost
 	// only — acknowledged records may be lost on crash.
 	NoSync bool
+	// AfterSync, when non-nil, runs after a batch's fsync succeeds and
+	// before any of its records is reported durable. Tests use it to
+	// crash or stall a commit at exactly that boundary. It runs under
+	// the sync mutex, so it must not call Flush, Reset, RecordsSince or
+	// Close. Set before the writer is shared between goroutines.
+	AfterSync func()
 
-	mu     sync.Mutex
-	fs     faultio.FS
-	path   string
-	f      faultio.File
-	off    int64 // durable end of the log
-	seq    uint64
-	base   uint64 // sequence just before the current file's first record
-	broken error
-	stats  Stats
-	m      walMetrics
+	fs   faultio.FS
+	path string
+	m    walMetrics
+
+	syncMu sync.Mutex
+	f      faultio.File // guarded by syncMu alone
+
+	mu      sync.Mutex
+	pending []byte // frames appended since the last flush took them
+	seq     uint64 // last appended sequence
+	poison  error  // the failed flush refusing Append until Heal
+
+	// Written under syncMu and mu.
+	durable uint64 // last durable sequence
+	off     int64  // durable end of the log
+	base    uint64 // sequence just before the current file's first record
+	broken  error
+	stats   Stats
+	group   GroupStats
 }
 
 // walMetrics are the writer's registry handles; all nil (no-ops) until
 // SetMetrics installs them.
 type walMetrics struct {
-	appends    *obs.Counter
-	bytes      *obs.Counter
-	fsyncs     *obs.Counter
-	fsyncNanos *obs.Histogram
-	resets     *obs.Counter
+	appends      *obs.Counter
+	bytes        *obs.Counter
+	fsyncs       *obs.Counter
+	fsyncNanos   *obs.Histogram
+	resets       *obs.Counter
+	batches      *obs.Counter
+	batchRecords *obs.Counter
+	batchSize    *obs.Histogram
 }
 
 // SetMetrics attaches registry instrumentation: wal_appends_total,
-// wal_append_bytes_total, wal_fsyncs_total, wal_resets_total counters
-// and a wal_fsync_nanos latency histogram. The Stats counters keep
-// working independently. Call before the writer is used; nil reg is a
-// no-op (the disabled default).
+// wal_append_bytes_total, wal_fsyncs_total, wal_resets_total,
+// wal_group_batches_total and wal_group_records_total counters, a
+// wal_fsync_nanos latency histogram and a wal_group_batch_records size
+// histogram. The Stats counters keep working independently. Call before
+// the writer is used; nil reg is a no-op (the disabled default).
 func (w *Writer) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	w.m = walMetrics{
-		appends:    reg.Counter("wal_appends_total"),
-		bytes:      reg.Counter("wal_append_bytes_total"),
-		fsyncs:     reg.Counter("wal_fsyncs_total"),
-		fsyncNanos: reg.Histogram("wal_fsync_nanos"),
-		resets:     reg.Counter("wal_resets_total"),
+		appends:      reg.Counter("wal_appends_total"),
+		bytes:        reg.Counter("wal_append_bytes_total"),
+		fsyncs:       reg.Counter("wal_fsyncs_total"),
+		fsyncNanos:   reg.Histogram("wal_fsync_nanos"),
+		resets:       reg.Counter("wal_resets_total"),
+		batches:      reg.Counter("wal_group_batches_total"),
+		batchRecords: reg.Counter("wal_group_records_total"),
+		batchSize:    reg.Histogram("wal_group_batch_records"),
 	}
 }
 
@@ -218,7 +266,7 @@ func (w *Writer) scan(data []byte, fn func(Record) error) (int64, error) {
 		if o == headerSize {
 			w.base = seq - 1
 		}
-		w.seq = seq
+		w.seq, w.durable = seq, seq
 		if fn != nil {
 			if err := fn(Record{Seq: seq, Payload: data[body+8 : end]}); err != nil {
 				return 0, err
@@ -251,122 +299,186 @@ func (w *Writer) create() error {
 // EncodeRecord assembles the on-disk (and on-wire: the replication
 // stream reuses the file framing) bytes of one record.
 func EncodeRecord(seq uint64, payload []byte) []byte {
-	buf := make([]byte, recHeader+8+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(8+len(payload)))
-	binary.LittleEndian.PutUint64(buf[recHeader:], seq)
-	copy(buf[recHeader+8:], payload)
-	sum := crc32.Checksum(buf[:4], crcTable)
-	sum = crc32.Update(sum, crcTable, buf[recHeader:])
-	binary.LittleEndian.PutUint32(buf[4:], sum)
-	return buf
+	return appendRecord(nil, seq, payload)
 }
 
-// Commit appends one record and makes it durable, returning its sequence
-// number. On any write or sync failure the log is truncated back to its
-// previous durable length, so the failed record cannot surface after a
-// crash; the in-memory mutation it described must be rolled back by the
-// caller.
+// appendRecord appends one record's frame to dst.
+func appendRecord(dst []byte, seq uint64, payload []byte) []byte {
+	o := len(dst)
+	dst = slices.Grow(dst, recHeader+8+len(payload))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(8+len(payload)))
+	dst = append(dst, 0, 0, 0, 0) // checksum, filled in below
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = append(dst, payload...)
+	sum := crc32.Checksum(dst[o:o+4], crcTable)
+	sum = crc32.Update(sum, crcTable, dst[o+recHeader:])
+	binary.LittleEndian.PutUint32(dst[o+4:], sum)
+	return dst
+}
+
+// Commit appends one record and flushes it, returning its sequence
+// number once it is durable.
 func (w *Writer) Commit(payload []byte) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.commitLocked([][]byte{payload})
+	seq, err := w.Append(payload)
+	if err != nil {
+		return 0, err
+	}
+	return seq, w.Flush(seq)
 }
 
-// CommitBatch appends every payload as its own record — consecutive
-// sequence numbers, one concatenated Write, one fsync — and returns the
-// first record's sequence number (payload i has sequence first+i). The
-// batch is atomic with respect to failure: if the write or sync fails
-// the log is truncated back to its previous durable length, no sequence
-// is consumed, and none of the batch's records can surface after a
-// crash. (A crash during the sync itself may still persist a prefix of
-// the batch's records — each is independently checksummed, so recovery
-// replays the intact prefix exactly like any torn tail.)
-func (w *Writer) CommitBatch(payloads [][]byte) (uint64, error) {
+// Append adds one record to the pending batch and returns its sequence
+// number. It does no I/O: the record is durable only once a Flush of
+// its sequence returns. Append is refused while a failed flush poisons
+// the writer (until Heal) and once the writer is wedged.
+func (w *Writer) Append(payload []byte) (uint64, error) {
+	if len(payload) > maxRecord-8 {
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecord)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.commitLocked(payloads)
-}
-
-func (w *Writer) commitLocked(payloads [][]byte) (uint64, error) {
-	if w.broken != nil {
+	switch {
+	case w.broken != nil:
 		return 0, fmt.Errorf("wal: writer is wedged by an earlier failure: %w", w.broken)
+	case w.poison != nil:
+		return 0, fmt.Errorf("wal: append refused until the failed flush is healed: %w", w.poison)
 	}
-	if len(payloads) == 0 {
-		return 0, errors.New("wal: empty commit batch")
+	w.seq++
+	w.pending = appendRecord(w.pending, w.seq, payload)
+	return w.seq, nil
+}
+
+// Flush returns once record seq is durable. If it is not yet, Flush
+// writes every pending record with one Write, fsyncs once, runs
+// AfterSync and only then advances the durable sequence. On a write or
+// fsync failure the log is truncated back to its durable length and the
+// writer is poisoned: this flush and every later one of a pending
+// record fail until Heal, which drops the pending records. A sequence
+// above the last appended one (a record Heal dropped) fails too.
+func (w *Writer) Flush(seq uint64) error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	buf, last, poison := w.pending, w.seq, w.poison
+	switch {
+	case seq <= w.durable:
+		w.mu.Unlock()
+		return nil
+	case poison != nil:
+		w.mu.Unlock()
+		return fmt.Errorf("wal: record %d failed with its batch: %w", seq, poison)
+	case seq > last:
+		w.mu.Unlock()
+		return fmt.Errorf("wal: record %d was never appended or was dropped by Heal", seq)
 	}
-	first := w.seq + 1
-	var buf []byte
-	for i, p := range payloads {
-		if len(p) > maxRecord-8 {
-			return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(p), maxRecord)
+	w.pending = nil
+	w.mu.Unlock()
+
+	n := last - w.durable
+	var took time.Duration
+	_, err := w.f.Write(buf)
+	if err != nil {
+		err = fmt.Errorf("wal: append: %w", err)
+	} else if !w.NoSync {
+		start := time.Now()
+		if err = w.f.Sync(); err != nil {
+			err = fmt.Errorf("wal: sync: %w", err)
 		}
-		buf = append(buf, EncodeRecord(first+uint64(i), p)...)
+		took = time.Since(start)
 	}
-	if _, err := w.f.Write(buf); err != nil {
-		w.rollback()
-		return 0, fmt.Errorf("wal: append: %w", err)
+	if err != nil {
+		broken := w.rollback()
+		w.mu.Lock()
+		w.poison, w.broken = err, broken
+		w.group.Failures++
+		w.mu.Unlock()
+		return err
 	}
-	w.stats.Appends += uint64(len(payloads))
-	w.m.appends.Add(uint64(len(payloads)))
+	if w.AfterSync != nil {
+		w.AfterSync()
+	}
+
+	w.mu.Lock()
+	w.durable = last
+	w.off += int64(len(buf))
+	w.stats.Appends += n
+	if !w.NoSync {
+		w.stats.Syncs++
+	}
+	w.group.Batches++
+	w.group.Records += n
+	w.group.LargestBatch = max(w.group.LargestBatch, int(n))
+	w.mu.Unlock()
+	w.m.appends.Add(n)
 	w.m.bytes.Add(uint64(len(buf)))
 	if !w.NoSync {
-		start := time.Now()
-		if err := w.f.Sync(); err != nil {
-			w.rollback()
-			return 0, fmt.Errorf("wal: sync: %w", err)
-		}
-		w.stats.Syncs++
 		w.m.fsyncs.Inc()
-		w.m.fsyncNanos.Observe(time.Since(start).Nanoseconds())
+		w.m.fsyncNanos.Observe(took.Nanoseconds())
 	}
-	w.seq += uint64(len(payloads))
-	w.off += int64(len(buf))
-	return first, nil
-}
-
-// Sync flushes outstanding appends (meaningful with NoSync commits).
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.broken != nil {
-		return w.broken
-	}
-	start := time.Now()
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	w.stats.Syncs++
-	w.m.fsyncs.Inc()
-	w.m.fsyncNanos.Observe(time.Since(start).Nanoseconds())
+	w.m.batches.Inc()
+	w.m.batchRecords.Add(n)
+	w.m.batchSize.Observe(int64(n))
 	return nil
 }
 
 // rollback restores the log file to the last durable length after a
-// failed append. If the cleanup itself fails the writer wedges: further
-// commits are refused because the tail's content is unknown.
-func (w *Writer) rollback() {
+// failed flush (caller holds syncMu). It returns a non-nil error if the
+// cleanup itself failed: then the tail's content is unknown and the
+// writer wedges.
+func (w *Writer) rollback() error {
 	w.f.Close()
 	if err := w.fs.Truncate(w.path, w.off); err != nil {
-		w.broken = fmt.Errorf("wal: truncate after failed append: %w", err)
-		return
+		return fmt.Errorf("wal: truncate after failed append: %w", err)
 	}
 	f, err := w.fs.OpenAppend(w.path)
 	if err != nil {
-		w.broken = fmt.Errorf("wal: reopen after failed append: %w", err)
-		return
+		return fmt.Errorf("wal: reopen after failed append: %w", err)
 	}
 	w.f = f
+	return nil
 }
 
-// Reset replaces the log with a fresh one whose records will start at
-// nextSeq; called after a checkpoint has made the old records redundant.
-// A failed reset leaves the writer on the old log, which stays correct
-// (replay skips records at or below the checkpoint's sequence).
-func (w *Writer) Reset(nextSeq uint64) error {
+// Poisoned returns the flush failure refusing Append, or nil while the
+// writer accepts records.
+func (w *Writer) Poisoned() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.poison
+}
+
+// Heal clears the poison after the caller has reconciled its state with
+// the log: it drops the pending records and rewinds the sequence to the
+// durable one, so the failed records consume no sequence number. It
+// fails if the writer is wedged — then the log's tail content is
+// unknown and no record can be trusted.
+func (w *Writer) Heal() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
 		return w.broken
+	}
+	if w.poison != nil {
+		w.poison, w.pending, w.seq = nil, nil, w.durable
+	}
+	return nil
+}
+
+// Reset replaces the log with a fresh one whose records will start at
+// nextSeq; called after a checkpoint has made the old records redundant.
+// Every appended record must be durable, and the caller keeps Append
+// out until Reset returns. A failed reset leaves the writer on the old
+// log, which stays correct (replay skips records at or below the
+// checkpoint's sequence).
+func (w *Writer) Reset(nextSeq uint64) error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	err := w.broken
+	if err == nil && w.seq != w.durable {
+		err = fmt.Errorf("wal: reset: %d records are not durable", w.seq-w.durable)
+	}
+	w.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	tmp := w.path + ".tmp"
 	f, err := w.fs.Create(tmp)
@@ -389,6 +501,8 @@ func (w *Writer) Reset(nextSeq uint64) error {
 	}
 	w.f.Close()
 	nf, err := w.fs.OpenAppend(w.path)
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if err != nil {
 		w.broken = fmt.Errorf("wal: reopen after reset: %w", err)
 		return w.broken
@@ -396,7 +510,7 @@ func (w *Writer) Reset(nextSeq uint64) error {
 	w.f = nf
 	w.off = headerSize
 	if nextSeq > 0 {
-		w.seq = nextSeq - 1
+		w.seq, w.durable = nextSeq-1, nextSeq-1
 	}
 	w.base = w.seq
 	w.stats.Resets++
@@ -405,25 +519,28 @@ func (w *Writer) Reset(nextSeq uint64) error {
 }
 
 // SetNextSeq raises the next sequence number to at least seq; recovery
-// uses it so records appended after a snapshot-only restart continue
-// above the snapshot's high-water mark.
+// uses it, before any record is appended, so records appended after a
+// snapshot-only restart continue above the snapshot's high-water mark.
 func (w *Writer) SetNextSeq(seq uint64) {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if seq > 0 && seq-1 > w.seq {
-		w.seq = seq - 1
+		w.seq, w.durable = seq-1, seq-1
 		if w.off == headerSize {
 			w.base = w.seq
 		}
 	}
 }
 
-// LastSeq returns the sequence number of the last committed record (or
-// the recovered high-water mark).
+// LastSeq returns the sequence number of the last durable record (or
+// the recovered high-water mark); appended records still pending do not
+// count.
 func (w *Writer) LastSeq() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.seq
+	return w.durable
 }
 
 // Size returns the log's durable length in bytes.
@@ -442,36 +559,43 @@ func (w *Writer) Broken() error {
 	return w.broken
 }
 
-// Stats returns the writer's counters.
+// Stats returns the writer's counters over the durable prefix.
 func (w *Writer) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	s := w.stats
-	s.LastSeq = w.seq
+	s.LastSeq = w.durable
 	s.Size = w.off
 	return s
 }
 
-// RecordsSince reads back the durable records with sequence numbers
-// strictly greater than from, serving the replication stream. It also
-// returns the log's current last sequence and whether the request hit a
-// gap: a checkpoint has truncated records after from, so the caller
-// cannot catch up from the log alone and must bootstrap from a
-// snapshot. Runs under the writer mutex against the durable prefix, so
-// a concurrently flushing group-commit batch is either fully visible or
-// not yet visible.
-func (w *Writer) RecordsSince(from uint64) (recs []Record, lastSeq uint64, gap bool, err error) {
+// GroupStats returns the writer's flush counters.
+func (w *Writer) GroupStats() GroupStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.group
+}
+
+// RecordsSince reads back the durable records with sequence numbers
+// strictly greater than from, serving the replication stream. It also
+// returns the log's last durable sequence and whether the request hit a
+// gap: a checkpoint has truncated records after from, so the caller
+// cannot catch up from the log alone and must bootstrap from a
+// snapshot. The read runs under the sync mutex, so a flushing batch is
+// either wholly visible or not yet visible, and Append never waits on
+// it.
+func (w *Writer) RecordsSince(from uint64) (recs []Record, lastSeq uint64, gap bool, err error) {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	if from < w.base {
-		return nil, w.seq, true, nil
+		return nil, w.durable, true, nil
 	}
-	if from >= w.seq {
-		return nil, w.seq, false, nil
+	if from >= w.durable {
+		return nil, w.durable, false, nil
 	}
 	data, err := readAll(w.fs, w.path)
 	if err != nil {
-		return nil, w.seq, false, fmt.Errorf("wal: stream read: %w", err)
+		return nil, w.durable, false, fmt.Errorf("wal: stream read: %w", err)
 	}
 	if int64(len(data)) > w.off {
 		data = data[:w.off]
@@ -482,7 +606,7 @@ func (w *Writer) RecordsSince(from uint64) (recs []Record, lastSeq uint64, gap b
 		body := o + recHeader
 		end := body + int64(length)
 		if end > w.off {
-			return nil, w.seq, false, fmt.Errorf("wal: stream read: record at %d overruns durable end %d", o, w.off)
+			return nil, w.durable, false, fmt.Errorf("wal: stream read: record at %d overruns durable end %d", o, w.off)
 		}
 		seq := binary.LittleEndian.Uint64(data[body:])
 		if seq > from {
@@ -490,13 +614,13 @@ func (w *Writer) RecordsSince(from uint64) (recs []Record, lastSeq uint64, gap b
 		}
 		o = end
 	}
-	return recs, w.seq, false, nil
+	return recs, w.durable, false, nil
 }
 
 // Close closes the underlying file.
 func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	if w.f == nil {
 		return nil
 	}

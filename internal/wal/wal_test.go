@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -204,7 +205,15 @@ func TestCommitFailureRollsBackTail(t *testing.T) {
 			if _, err := w.Commit([]byte("fails")); !errors.Is(err, faultio.ErrInjected) {
 				t.Fatalf("want injected failure, got %v", err)
 			}
-			// The transient fault cleared; the log must have healed.
+			// The failure poisons the writer until Heal; the transient
+			// fault cleared, so the healed log takes the retry at the
+			// failed record's sequence.
+			if _, err := w.Commit([]byte("refused")); err == nil {
+				t.Fatal("commit on a poisoned writer succeeded")
+			}
+			if err := w.Heal(); err != nil {
+				t.Fatal(err)
+			}
 			if seq, err := w.Commit([]byte("retry")); err != nil || seq != 2 {
 				t.Fatalf("retry commit: seq %d, err %v", seq, err)
 			}
@@ -272,5 +281,92 @@ func TestShortHeaderRecreated(t *testing.T) {
 	}
 	if _, err := w.Commit([]byte("ok")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRecordsSince(t *testing.T) {
+	fs := faultio.NewMemFS()
+	_, w := collect(t, fs, "wal")
+	defer w.Close()
+	for i := 0; i < 5; i++ {
+		if _, err := w.Commit([]byte(fmt.Sprintf("r%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	recs, last, gap, err := w.RecordsSince(2)
+	if err != nil || gap {
+		t.Fatalf("RecordsSince(2): gap=%v err=%v", gap, err)
+	}
+	if last != 5 || len(recs) != 3 || recs[0].Seq != 3 || recs[2].Seq != 5 {
+		t.Fatalf("RecordsSince(2) = %v, last=%d", recs, last)
+	}
+	if recs, _, gap, _ := w.RecordsSince(5); gap || len(recs) != 0 {
+		t.Fatalf("RecordsSince(5) = %v, gap=%v", recs, gap)
+	}
+	if recs, _, gap, _ := w.RecordsSince(0); gap || len(recs) != 5 {
+		t.Fatalf("RecordsSince(0) = %d recs, gap=%v", len(recs), gap)
+	}
+
+	// A checkpoint truncates the log; seqs at or below the reset point
+	// are gone, and asking for them must report a gap, not silence.
+	if err := w.Reset(6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Commit([]byte("r5")); err != nil {
+		t.Fatal(err)
+	}
+	if recs, last, gap, err := w.RecordsSince(5); gap || err != nil || len(recs) != 1 || recs[0].Seq != 6 || last != 6 {
+		t.Fatalf("RecordsSince(5) after reset = %v, last=%d, gap=%v, err=%v", recs, last, gap, err)
+	}
+	if _, _, gap, _ := w.RecordsSince(3); !gap {
+		t.Fatal("RecordsSince(3) after reset must report a gap")
+	}
+	if _, _, gap, _ := w.RecordsSince(0); !gap {
+		t.Fatal("RecordsSince(0) after reset must report a gap")
+	}
+}
+
+func TestDecodeFramesTornAtEveryOffset(t *testing.T) {
+	var stream []byte
+	for i := 1; i <= 3; i++ {
+		stream = append(stream, EncodeRecord(uint64(i), []byte(fmt.Sprintf("payload-%d", i)))...)
+	}
+	full, err := DecodeFrames(stream)
+	if err != nil || len(full) != 3 {
+		t.Fatalf("full decode: %d recs, %v", len(full), err)
+	}
+	for cut := 0; cut <= len(stream); cut++ {
+		recs, err := DecodeFrames(stream[:cut])
+		if err != nil {
+			t.Fatalf("cut %d: unexpected error %v", cut, err)
+		}
+		for i, r := range recs {
+			if r.Seq != uint64(i+1) || !bytes.Equal(r.Payload, full[i].Payload) {
+				t.Fatalf("cut %d: record %d = {%d %q}", cut, i, r.Seq, r.Payload)
+			}
+		}
+		// A tear can only hide whole trailing frames, never corrupt
+		// the decoded prefix.
+		if want := 3; cut < len(stream) && len(recs) > want {
+			t.Fatalf("cut %d decoded %d records", cut, len(recs))
+		}
+	}
+}
+
+func TestDecodeFramesInteriorCorruption(t *testing.T) {
+	var stream []byte
+	for i := 1; i <= 3; i++ {
+		stream = append(stream, EncodeRecord(uint64(i), []byte(fmt.Sprintf("payload-%d", i)))...)
+	}
+	frameLen := len(stream) / 3
+	bad := append([]byte(nil), stream...)
+	bad[frameLen+recHeader+9] ^= 0x01 // flip a payload bit in frame 2
+	recs, err := DecodeFrames(bad)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("interior corruption: err = %v, want ErrCorrupt", err)
+	}
+	if len(recs) != 1 || recs[0].Seq != 1 {
+		t.Fatalf("decoded %v before corruption", recs)
 	}
 }
